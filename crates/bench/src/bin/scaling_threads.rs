@@ -6,7 +6,7 @@
 //! ```
 
 use ctk_bench::{prepare, write_csv, ExperimentConfig, Scale, Table};
-use ctk_core::{MrioSeg, ShardedMonitor};
+use ctk_core::{MonitorBackend, MrioSeg, ShardedMonitor};
 use ctk_stream::QueryWorkload;
 use std::time::Instant;
 

@@ -61,8 +61,8 @@ use ctk_bench::{
     Table, SWEEP_SHARDS_SCHEMA_VERSION,
 };
 use ctk_core::{
-    AdaptiveConfig, ContinuousTopK, DocPruning, MrioSeg, PostingsStorage, ShardingMode,
-    StorageConfig,
+    AdaptiveConfig, ContinuousTopK, DocPruning, MonitorBackend, MrioSeg, PostingsStorage,
+    ShardingMode, StorageConfig,
 };
 use ctk_stream::QueryWorkload;
 use serde::Serialize;

@@ -71,6 +71,7 @@ pub fn make_sharded_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ctk_core::MonitorBackend;
 
     #[test]
     fn factory_names_round_trip() {
@@ -98,7 +99,7 @@ mod tests {
         for mode in ShardingMode::ALL {
             for pruning in DocPruning::ALL {
                 let m = make_sharded(mode, 2, "MRIO", 0.001, pruning);
-                assert_eq!(m.mode(), mode);
+                assert_eq!(m.sharding_mode(), mode);
                 assert_eq!(m.shards(), 2);
                 assert_eq!(m.lambda(), 0.001);
                 match mode {

@@ -2,24 +2,27 @@
 //!
 //! The paper's system model is **one** server front-end hosting millions of
 //! CTQDs; deployments should not care whether that front-end runs a single
-//! engine or shards the query population across worker threads. This module
-//! defines the contract both implement:
+//! engine or shards the work across worker threads. This module defines the
+//! contract; [`crate::FrontEnd`] is its one implementation, over three
+//! runtimes:
 //!
 //! * [`crate::Monitor`] — one engine, zero threads;
-//! * [`crate::ShardedMonitor`] — the query-sharded parallel monitor.
+//! * [`crate::ShardedMonitor`] — the query-sharded or doc-parallel workers.
 //!
-//! Both speak plain [`QueryId`]s (the sharded backend maps them to shard
-//! routes internally), return [`PublishReceipt`]s from ingestion, and
+//! All speak plain [`QueryId`]s (the query-sharded runtime maps them to
+//! shard routes internally), return [`PublishReceipt`]s from ingestion, and
 //! capture/restore through the versioned [`crate::Snapshot`] format —
 //! including restoring a capture into a backend with a *different* shard
 //! count. Application code written against `dyn MonitorBackend` is
 //! untouched by any later re-partitioning of the work behind it.
 
 use crate::lifecycle::{NamespaceStats, QueryOptions, RetentionPolicy};
-use crate::monitor::Snapshot;
+use crate::snapshot::Snapshot;
 use crate::stats::EventStats;
 use crate::traits::ResultChange;
-use ctk_common::{DocId, Document, Namespace, QueryId, QuerySpec, ScoredDoc, TermId, Timestamp};
+use ctk_common::{
+    DocId, Document, FxHashMap, Namespace, QueryId, QuerySpec, ScoredDoc, TermId, Timestamp,
+};
 use ctk_index::StorageStats;
 use serde::{Deserialize, Serialize};
 
@@ -419,9 +422,9 @@ impl PublishReceipt {
 ///   backends with the same `lambda` report **bit-identical** `results` for
 ///   every query, whatever their engine kind or shard count (checked against
 ///   the exhaustive oracle in `tests/backend_api.rs`).
-/// * `snapshot` captures the full monitor state; [`Snapshot::restore_into`]
-///   rebuilds it on any freshly built backend of the same `lambda` —
-///   including one with a different shard count.
+/// * `snapshot` captures the full monitor state; `apply_snapshot` (or
+///   [`Snapshot::restore_into`]) rebuilds it on any freshly built backend
+///   of the same `lambda` — including one with a different shard count.
 ///
 /// ## Wire visibility
 ///
@@ -437,14 +440,13 @@ impl PublishReceipt {
 ///   public [`QueryId`]s, [`DocId`]s, scores and per-document
 ///   [`EventStats`] are all wire-visible, deliberately — work counters are
 ///   part of the paper's evaluation surface, not a secret.
-/// * Hidden by the HTTP layer: the restore plumbing (`restore_landmark`,
-///   `restore_stream_position`, `seed_results`). These are only sound in
-///   the middle of [`Snapshot::restore_into`] on a fresh backend; the
-///   server's `POST /restore` drives them through that one entry point and
-///   never exposes them individually. Engine internals (shard routes,
-///   landmark frames, decayed score representations) likewise never cross
-///   the wire: scores are always reported in the current landmark frame,
-///   exactly as `results` returns them.
+/// * Hidden by the HTTP layer: `seed_results` (a warm-start hook for the
+///   bench harness) and `apply_snapshot`, which the server's
+///   `POST /restore` drives on a freshly built backend only. Engine
+///   internals (shard routes, landmark frames, decayed score
+///   representations) likewise never cross the wire: scores are always
+///   reported in the current landmark frame, exactly as `results` returns
+///   them.
 pub trait MonitorBackend {
     /// Register a user's continuous query; returns its public id. Wrapper
     /// over [`MonitorBackend::register_with`] with default
@@ -566,22 +568,19 @@ pub trait MonitorBackend {
     /// Capture the full monitor state (versioned, engine-agnostic).
     fn snapshot(&self) -> Snapshot;
 
-    // --- Restore plumbing, driven by [`Snapshot::restore_into`]. ---
+    /// Rebuild a capture's state on this **freshly built** backend (same
+    /// `lambda`; any engine kind or shard count): stream position, decay
+    /// landmark, namespaces, policies, and every query with its captured
+    /// results, registration time and deadline. Returns the mapping from
+    /// captured query ids to the new ids.
+    ///
+    /// # Panics
+    /// Panics when the backend's `lambda` differs from the capture's, or
+    /// when the backend already hosts queries (seeded scores are only
+    /// meaningful in a fresh landmark frame).
+    fn apply_snapshot(&mut self, snapshot: &Snapshot) -> FxHashMap<QueryId, QueryId>;
 
-    /// Adopt a captured decay landmark on every engine. Must run on a fresh
-    /// backend *before* any seeding: snapshot scores are expressed in the
-    /// snapshot's landmark frame.
-    fn restore_landmark(&mut self, landmark: Timestamp);
-
-    /// Adopt a captured stream position (next document id, last arrival).
-    fn restore_stream_position(&mut self, next_doc: u64, last_arrival: Timestamp);
-
-    /// Warm-start a query's result set with pre-scored history.
+    /// Warm-start a query's result set with pre-scored history (snapshot
+    /// restore, and the bench harness's steady-state emulation).
     fn seed_results(&mut self, qid: QueryId, seeds: &[ScoredDoc]);
-
-    /// Pin a restored query's exact lifecycle coordinates — the
-    /// registration time and deadline captured in the snapshot — replacing
-    /// whatever `register_with` computed from the restore-time stream
-    /// clock.
-    fn restore_lifecycle(&mut self, qid: QueryId, registered_at: Timestamp, deadline: Option<f64>);
 }

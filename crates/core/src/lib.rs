@@ -3,7 +3,8 @@
 //! The paper's contribution: **RIO** (Reverse ID-Ordering) and **MRIO**
 //! (Minimal RIO) for continuous top-k monitoring on document streams, plus
 //! the exhaustive oracle, the shared scoring/decay machinery, and the
-//! monitor front-ends (single-threaded and sharded) that applications embed.
+//! monitor front-end applications embed — one [`FrontEnd`] over an in-thread
+//! engine ([`Monitor`]) or worker threads ([`ShardedMonitor`]).
 //!
 //! ```
 //! use ctk_core::{ContinuousTopK, MrioSeg};
@@ -17,15 +18,20 @@
 
 pub mod backend;
 pub mod config;
+mod doc_shards;
 pub mod engine;
+mod frontend;
 pub mod lifecycle;
 pub mod monitor;
 pub mod mrio;
 pub mod naive;
+mod query_shards;
 pub mod replay;
 pub mod rio;
+mod runtime;
 pub mod score;
 pub mod sharded;
+pub mod snapshot;
 pub mod snapshot_stream;
 pub mod stats;
 pub mod topk;
@@ -37,20 +43,35 @@ pub use backend::{
 };
 pub use config::{AdaptiveConfig, IndexConfig, IngestConfig};
 pub use ctk_index::{PostingsStorage, StorageConfig, StorageStats};
+pub use doc_shards::DOC_PRUNING_AUTO_MIN_QUERIES;
+pub use frontend::FrontEnd;
 pub use lifecycle::{
     EvictionPolicy, LifecycleManager, NamespaceStats, QueryOptions, RetentionPolicy,
 };
-pub use monitor::{
-    Monitor, ShardSnapshot, Snapshot, SnapshotPolicy, SnapshotQuery, SNAPSHOT_VERSION,
-};
+pub use monitor::Monitor;
 pub use mrio::{Mrio, MrioBlock, MrioSeg, MrioSuffix};
 pub use naive::Naive;
 pub use replay::{ReplayCommand, Replayer};
 pub use rio::Rio;
 pub use score::DecayModel;
-pub use sharded::{AdaptiveBatcher, BatchOutcome, ShardedMonitor, DOC_PRUNING_AUTO_MIN_QUERIES};
+pub use sharded::{AdaptiveBatcher, BatchOutcome, ShardedMonitor};
+pub use snapshot::{ShardSnapshot, Snapshot, SnapshotPolicy, SnapshotQuery, SNAPSHOT_VERSION};
 pub use snapshot_stream::{SnapshotStreamStats, SnapshotWriter};
 pub use stats::{CumulativeStats, EventStats};
 pub use topk::{Offer, TopKState};
 pub use traits::{ContinuousTopK, ResultChange};
 pub use walk::{DocEpochBounds, MatchScratch, DOC_WALK_ZONE};
+
+#[cfg(test)]
+/// Fixtures shared by the unit tests of the front-end and its runtimes.
+mod testutil {
+    use ctk_common::{DocId, Document, QuerySpec, TermId};
+
+    pub fn spec(terms: &[u32], k: usize) -> QuerySpec {
+        QuerySpec::uniform(&terms.iter().map(|&t| TermId(t)).collect::<Vec<_>>(), k).unwrap()
+    }
+
+    pub fn doc(id: u64, terms: &[(u32, f32)], at: f64) -> Document {
+        Document::new(DocId(id), terms.iter().map(|&(t, w)| (TermId(t), w)).collect(), at)
+    }
+}

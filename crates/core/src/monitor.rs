@@ -1,54 +1,35 @@
-//! The single-engine monitor front-end and the versioned snapshot format.
+//! The in-thread runtime: one engine, zero threads.
 //!
-//! [`Monitor`] wraps any [`ContinuousTopK`] engine and adds what deployments
-//! need around the core algorithm:
-//!
-//! * document id allocation and monotone arrival-time clamping;
-//! * typed [`PublishReceipt`]s from single and batched publishes;
-//! * an optional tombstone-compaction policy applied at batch boundaries;
-//! * snapshot / restore of the full monitor state (queries + results) via
-//!   the versioned [`Snapshot`] JSON format, so a server can restart
-//!   without replaying the stream.
-//!
-//! It implements [`MonitorBackend`], the same contract the sharded
-//! front-end speaks — application code can hold a `Box<dyn MonitorBackend>`
-//! and never know which one it got.
+//! [`Monitor`] is the [`FrontEnd`] over a single [`ContinuousTopK`] engine
+//! called directly on the publisher's thread — engine changes land straight
+//! in the receipt, with no copy and no channel hop — plus an optional
+//! tombstone-compaction policy applied at batch boundaries.
 
-use crate::backend::{MonitorBackend, PublishReceipt, PublishRequest};
-use crate::lifecycle::{
-    pick_victim, EvictionPolicy, LifecycleManager, NamespaceStats, QueryOptions, RetentionPolicy,
-};
+use crate::backend::PublishReceipt;
+use crate::frontend::FrontEnd;
+use crate::runtime::Runtime;
+use crate::snapshot::Snapshot;
 use crate::traits::ContinuousTopK;
-use ctk_common::{DocId, FxHashMap, Namespace, QueryId, QuerySpec, ScoredDoc, TermId, Timestamp};
-use serde::{Deserialize, Serialize};
+use ctk_common::{Document, FxHashMap, QueryId, QuerySpec, ScoredDoc, Timestamp};
+use ctk_index::StorageStats;
 
-/// A monitor wrapping an engine `E`.
-pub struct Monitor<E: ContinuousTopK> {
+/// A monitor wrapping an engine `E`; the application API is
+/// [`crate::MonitorBackend`].
+pub type Monitor<E> = FrontEnd<SingleEngine<E>>;
+
+/// The runtime behind [`Monitor`]: the engine plus its compaction policy.
+pub struct SingleEngine<E> {
     engine: E,
-    specs: Vec<Option<QuerySpec>>,
-    next_doc: u64,
-    last_arrival: Timestamp,
     /// Tombstone ratio beyond which batch boundaries compact the index
     /// (`0.0` disables the policy).
     compact_at: f64,
-    lifecycle: LifecycleManager,
-    /// Cap evictions since the last publish, attributed to the next
-    /// receipt's first document so lifecycle activity shows up in the
-    /// merged stats stream.
-    pending_evicted: u64,
 }
 
 impl<E: ContinuousTopK> Monitor<E> {
+    /// `engine` must be fresh: the front-end and the engine allocate query
+    /// ids in lockstep.
     pub fn new(engine: E) -> Self {
-        Monitor {
-            engine,
-            specs: Vec::new(),
-            next_doc: 0,
-            last_arrival: 0.0,
-            compact_at: 0.0,
-            lifecycle: LifecycleManager::new(),
-            pending_evicted: 0,
-        }
+        FrontEnd::over(Box::new(SingleEngine { engine, compact_at: 0.0 }))
     }
 
     /// Enable tombstone compaction: whenever a publish leaves the engine's
@@ -56,232 +37,13 @@ impl<E: ContinuousTopK> Monitor<E> {
     /// the affected bound structures rebuilt) before the next batch. Ratios
     /// `<= 0.0` disable the policy.
     pub fn with_compaction(mut self, ratio: f64) -> Self {
-        self.set_compaction_threshold(ratio);
+        self.runtime.compact_at = ratio.max(0.0);
         self
-    }
-
-    /// See [`Monitor::with_compaction`].
-    pub fn set_compaction_threshold(&mut self, ratio: f64) {
-        self.compact_at = ratio.max(0.0);
     }
 
     /// The wrapped engine (read access for stats etc.).
     pub fn engine(&self) -> &E {
-        &self.engine
-    }
-
-    /// Register a user's continuous query (default lifecycle options).
-    pub fn register(&mut self, spec: QuerySpec) -> QueryId {
-        self.register_with(spec, QueryOptions::default())
-    }
-
-    /// Register a query with lifecycle options; may evict existing members
-    /// of the namespace if a `max_queries` cap is crossed (never the
-    /// newcomer itself).
-    pub fn register_with(&mut self, spec: QuerySpec, opts: QueryOptions) -> QueryId {
-        let qid = self.engine.register(spec.clone());
-        if self.specs.len() <= qid.index() {
-            self.specs.resize(qid.index() + 1, None);
-        }
-        self.specs[qid.index()] = Some(spec);
-        self.lifecycle.on_register(qid, opts, self.last_arrival);
-        self.enforce_cap(opts.namespace, Some(qid));
-        qid
-    }
-
-    /// Remove a query.
-    pub fn unregister(&mut self, qid: QueryId) -> bool {
-        if self.engine.unregister(qid) {
-            self.specs[qid.index()] = None;
-            self.lifecycle.on_unregister(qid);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Intern a namespace name.
-    pub fn intern_namespace(&mut self, name: &str) -> Namespace {
-        self.lifecycle.intern(name)
-    }
-
-    /// Install a namespace's retention policy; a lowered cap evicts
-    /// immediately.
-    pub fn set_retention(&mut self, ns: Namespace, policy: RetentionPolicy) {
-        self.lifecycle.set_policy(ns, policy);
-        self.enforce_cap(ns, None);
-    }
-
-    /// Remove every query of a namespace: bulk-tombstone, then force a
-    /// compaction so the index sheds the dead postings at once instead of
-    /// waiting for the ratio policy. Returns how many queries were removed.
-    pub fn forget_namespace(&mut self, ns: Namespace) -> usize {
-        let members = self.lifecycle.members(ns);
-        for &qid in &members {
-            self.lifecycle.on_unregister(qid);
-            let removed = self.engine.unregister(qid);
-            debug_assert!(removed, "lifecycle member {qid} must be live in the engine");
-            self.specs[qid.index()] = None;
-        }
-        if !members.is_empty() {
-            self.engine.compact_index();
-        }
-        members.len()
-    }
-
-    /// Expire queries whose deadline passed, using the stream clock
-    /// advanced to the incoming batch's first arrival (clamped monotone).
-    /// O(1) when no query carries a deadline. Returns how many expired.
-    fn expire_due(&mut self, first_arrival: Option<Timestamp>) -> u64 {
-        if self.lifecycle.no_deadlines() {
-            return 0;
-        }
-        let now = first_arrival.map_or(self.last_arrival, |a| a.max(self.last_arrival));
-        let due = self.lifecycle.take_expired(now);
-        for &qid in &due {
-            let removed = self.engine.unregister(qid);
-            debug_assert!(removed, "expired query {qid} must be live in the engine");
-            self.specs[qid.index()] = None;
-        }
-        due.len() as u64
-    }
-
-    /// Evict until the namespace is back under its cap, per its policy's
-    /// victim selection. `protect` (a just-registered newcomer) is never a
-    /// candidate, which also guarantees termination for a cap of 0.
-    fn enforce_cap(&mut self, ns: Namespace, protect: Option<QueryId>) {
-        loop {
-            let Some(policy) = self.lifecycle.policy(ns) else { return };
-            let Some(cap) = policy.max_queries else { return };
-            let members = self.lifecycle.members(ns);
-            if members.len() as u64 <= cap {
-                return;
-            }
-            let candidates: Vec<QueryId> =
-                members.into_iter().filter(|&q| Some(q) != protect).collect();
-            let engine = &self.engine;
-            let Some(victim) = pick_victim(&candidates, policy.eviction, |q| {
-                engine.results(q).and_then(|r| r.first().map(|sd| sd.score.get())).unwrap_or(0.0)
-            }) else {
-                return;
-            };
-            self.lifecycle.note_evicted(victim);
-            let removed = self.engine.unregister(victim);
-            debug_assert!(removed, "cap victim {victim} must be live in the engine");
-            self.specs[victim.index()] = None;
-            self.pending_evicted += 1;
-        }
-    }
-
-    /// Publish a document to the stream: assigns the next document id,
-    /// clamps the arrival time to be monotone, refreshes all results and
-    /// returns the receipt. This is the batched path with a batch of one —
-    /// the changes land in the receipt directly, with no per-document copy
-    /// out of the engine's scratch buffer.
-    pub fn publish(&mut self, pairs: Vec<(TermId, f32)>, arrival: Timestamp) -> PublishReceipt {
-        let expired = self.expire_due(Some(arrival));
-        let doc = self.admit(pairs, arrival);
-        let mut receipt = PublishReceipt {
-            doc_ids: vec![doc.id],
-            changes: Vec::new(),
-            stats: Vec::with_capacity(1),
-        };
-        receipt.stats =
-            self.engine.process_batch_into(std::slice::from_ref(&doc), &mut receipt.changes);
-        self.maybe_compact();
-        self.attribute_lifecycle(&mut receipt, expired);
-        receipt
-    }
-
-    /// Publish a batch of documents through the engine's batched ingestion
-    /// path: ids are allocated in order, arrival times are clamped monotone
-    /// across the whole batch, and the receipt covers every document
-    /// (attribute changes via `ResultChange::inserted`).
-    pub fn publish_batch(&mut self, batch: Vec<(Vec<(TermId, f32)>, Timestamp)>) -> PublishReceipt {
-        let expired = if batch.is_empty() {
-            0 // An empty publish is not a batch boundary: no expiry sweep.
-        } else {
-            self.expire_due(batch.first().map(|(_, at)| *at))
-        };
-        let docs: Vec<ctk_common::Document> =
-            batch.into_iter().map(|(pairs, arrival)| self.admit(pairs, arrival)).collect();
-        let mut receipt = PublishReceipt {
-            doc_ids: docs.iter().map(|d| d.id).collect(),
-            changes: Vec::new(),
-            stats: Vec::new(),
-        };
-        receipt.stats = self.engine.process_batch_into(&docs, &mut receipt.changes);
-        self.maybe_compact();
-        self.attribute_lifecycle(&mut receipt, expired);
-        receipt
-    }
-
-    /// Surface the boundary's lifecycle removals on the receipt's first
-    /// document (the boundary the removals happened at). Evictions since
-    /// the previous publish ride along here — registration produces no
-    /// receipt of its own.
-    fn attribute_lifecycle(&mut self, receipt: &mut PublishReceipt, expired: u64) {
-        if let Some(first) = receipt.stats.first_mut() {
-            first.expired += expired;
-            first.evicted += std::mem::take(&mut self.pending_evicted);
-        }
-    }
-
-    /// Stamp one incoming document: next id, monotone-clamped arrival.
-    fn admit(&mut self, pairs: Vec<(TermId, f32)>, arrival: Timestamp) -> ctk_common::Document {
-        let arrival = arrival.max(self.last_arrival);
-        self.last_arrival = arrival;
-        let id = DocId(self.next_doc);
-        self.next_doc += 1;
-        ctk_common::Document::new(id, pairs, arrival)
-    }
-
-    /// Batch-boundary compaction policy: no event is mid-flight here, so
-    /// the index can reorganize safely.
-    fn maybe_compact(&mut self) {
-        if self.compact_at > 0.0 && self.engine.tombstone_ratio() >= self.compact_at {
-            self.engine.compact_index();
-        }
-    }
-
-    /// Current top-k of a query, best first.
-    pub fn results(&self, qid: QueryId) -> Option<Vec<ScoredDoc>> {
-        self.engine.results(qid)
-    }
-
-    /// Number of live queries.
-    pub fn num_queries(&self) -> usize {
-        self.engine.num_queries()
-    }
-
-    /// Capture the full monitor state as a single-section [`Snapshot`].
-    pub fn snapshot(&self) -> Snapshot {
-        let queries = self
-            .specs
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| {
-                s.as_ref().map(|spec| {
-                    let qid = QueryId(i as u32);
-                    snapshot_query(
-                        qid,
-                        spec,
-                        self.engine.results(qid).unwrap_or_default(),
-                        &self.lifecycle,
-                        self.last_arrival,
-                    )
-                })
-            })
-            .collect();
-        Snapshot {
-            version: SNAPSHOT_VERSION,
-            lambda: self.engine.lambda(),
-            next_doc: self.next_doc,
-            last_arrival: self.last_arrival,
-            namespaces: self.lifecycle.names().to_vec(),
-            policies: snapshot_policies(&self.lifecycle),
-            shards: vec![ShardSnapshot { landmark: self.engine.landmark(), queries }],
-        }
+        &self.runtime.engine
     }
 
     /// Rebuild a monitor from a snapshot using a fresh engine (which must
@@ -295,448 +57,66 @@ impl<E: ContinuousTopK> Monitor<E> {
     }
 }
 
-impl<E: ContinuousTopK> MonitorBackend for Monitor<E> {
-    fn register_with(&mut self, spec: QuerySpec, opts: QueryOptions) -> QueryId {
-        Monitor::register_with(self, spec, opts)
+impl<E: ContinuousTopK> Runtime for SingleEngine<E> {
+    fn place(&mut self, qid: QueryId, spec: &QuerySpec) {
+        let assigned = self.engine.register(spec.clone());
+        assert_eq!(assigned, qid, "Monitor::new needs a fresh engine");
     }
 
-    fn unregister(&mut self, qid: QueryId) -> bool {
-        Monitor::unregister(self, qid)
+    fn remove(&mut self, qid: QueryId) {
+        let removed = self.engine.unregister(qid);
+        debug_assert!(removed, "live query {qid} must be live in the engine");
     }
 
-    fn intern_namespace(&mut self, name: &str) -> Namespace {
-        Monitor::intern_namespace(self, name)
-    }
-
-    fn find_namespace(&self, name: &str) -> Option<Namespace> {
-        self.lifecycle.find(name)
-    }
-
-    fn set_retention(&mut self, ns: Namespace, policy: RetentionPolicy) {
-        Monitor::set_retention(self, ns, policy);
-    }
-
-    fn retention(&self, ns: Namespace) -> Option<RetentionPolicy> {
-        self.lifecycle.policy(ns)
-    }
-
-    fn forget_namespace(&mut self, ns: Namespace) -> usize {
-        Monitor::forget_namespace(self, ns)
-    }
-
-    fn namespace_of(&self, qid: QueryId) -> Option<Namespace> {
-        self.lifecycle.namespace_of(qid)
-    }
-
-    fn namespace_stats(&self) -> Vec<NamespaceStats> {
-        self.lifecycle.stats()
-    }
-
-    fn lifecycle_totals(&self) -> (u64, u64) {
-        self.lifecycle.totals()
-    }
-
-    fn restore_lifecycle(&mut self, qid: QueryId, registered_at: Timestamp, deadline: Option<f64>) {
-        self.lifecycle.restore_pin(qid, registered_at, deadline);
-    }
-
-    fn publish_request(&mut self, request: PublishRequest) -> PublishReceipt {
-        Monitor::publish_batch(self, request.into_batch())
+    fn forget(&mut self, qids: &[QueryId]) {
+        for &qid in qids {
+            self.remove(qid);
+        }
+        self.engine.compact_index();
     }
 
     fn results(&self, qid: QueryId) -> Option<Vec<ScoredDoc>> {
-        Monitor::results(self, qid)
+        self.engine.results(qid)
     }
 
-    fn num_queries(&self) -> usize {
-        Monitor::num_queries(self)
+    fn seed(&mut self, qid: QueryId, seeds: &[ScoredDoc]) {
+        self.engine.seed_results(qid, seeds);
+    }
+
+    fn ingest(&mut self, docs: Vec<Document>, receipt: &mut PublishReceipt) {
+        receipt.stats = self.engine.process_batch_into(&docs, &mut receipt.changes);
+        // Batch boundary: no event is mid-flight here, so the index can
+        // reorganize safely.
+        if self.compact_at > 0.0 && self.engine.tombstone_ratio() >= self.compact_at {
+            self.engine.compact_index();
+        }
     }
 
     fn lambda(&self) -> f64 {
         self.engine.lambda()
     }
 
-    fn storage_stats(&self) -> ctk_index::StorageStats {
-        self.engine.storage_stats()
-    }
-
-    fn snapshot(&self) -> Snapshot {
-        Monitor::snapshot(self)
+    fn landmarks(&self) -> Vec<Timestamp> {
+        vec![self.engine.landmark()]
     }
 
     fn restore_landmark(&mut self, landmark: Timestamp) {
         self.engine.restore_landmark(landmark);
     }
 
-    fn restore_stream_position(&mut self, next_doc: u64, last_arrival: Timestamp) {
-        self.next_doc = next_doc;
-        self.last_arrival = last_arrival;
-    }
-
-    fn seed_results(&mut self, qid: QueryId, seeds: &[ScoredDoc]) {
-        self.engine.seed_results(qid, seeds);
-    }
-}
-
-/// Current snapshot format version. Bump on any breaking field change and
-/// teach [`Snapshot::from_json`] to migrate the previous shape.
-pub const SNAPSHOT_VERSION: u32 = 3;
-
-/// One query's state inside a [`Snapshot`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SnapshotQuery {
-    /// The public query id at capture time.
-    pub qid: u32,
-    pub spec: QuerySpec,
-    pub results: Vec<ScoredDoc>,
-    /// Handle into the snapshot's `namespaces` table (0 = default).
-    pub namespace: u16,
-    /// Stream time of the original registration.
-    pub registered_at: Timestamp,
-    /// The per-query TTL override, if one was set.
-    pub max_age: Option<f64>,
-    /// The effective expiry deadline at capture (stream time).
-    pub deadline: Option<f64>,
-}
-
-/// One namespace's retention policy inside a [`Snapshot`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SnapshotPolicy {
-    /// Handle into the snapshot's `namespaces` table.
-    pub namespace: u16,
-    pub max_age: Option<f64>,
-    pub max_queries: Option<u64>,
-    pub eviction: EvictionPolicy,
-}
-
-/// Build one [`SnapshotQuery`] from a live query plus its lifecycle meta.
-/// Shared by both monitor front-ends so their sections stay field-identical.
-pub(crate) fn snapshot_query(
-    qid: QueryId,
-    spec: &QuerySpec,
-    results: Vec<ScoredDoc>,
-    lifecycle: &LifecycleManager,
-    last_arrival: Timestamp,
-) -> SnapshotQuery {
-    let (registered_at, max_age, deadline) =
-        lifecycle.meta_of(qid).unwrap_or((last_arrival, None, None));
-    SnapshotQuery {
-        qid: qid.0,
-        spec: spec.clone(),
-        results,
-        namespace: lifecycle.namespace_of(qid).unwrap_or(Namespace::DEFAULT).0,
-        registered_at,
-        max_age,
-        deadline,
-    }
-}
-
-/// The lifecycle's installed policies in snapshot form.
-pub(crate) fn snapshot_policies(lifecycle: &LifecycleManager) -> Vec<SnapshotPolicy> {
-    lifecycle
-        .policies()
-        .into_iter()
-        .map(|(ns, p)| SnapshotPolicy {
-            namespace: ns.0,
-            max_age: p.max_age,
-            max_queries: p.max_queries,
-            eviction: p.eviction,
-        })
-        .collect()
-}
-
-/// One shard's section of a [`Snapshot`]: its decay landmark and the
-/// queries it hosted. Single-engine monitors write exactly one section.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ShardSnapshot {
-    /// The decay landmark all this section's scores are relative to.
-    /// Restoring without it mixes score frames once any renormalization has
-    /// fired.
-    pub landmark: Timestamp,
-    pub queries: Vec<SnapshotQuery>,
-}
-
-/// A serializable capture of a whole monitor backend (format version 3).
-///
-/// The section list records how the capture was partitioned, but restore is
-/// partition-agnostic: [`Snapshot::restore_into`] rebalances the queries
-/// onto whatever backend it is given, so a 4-shard capture restores into a
-/// 2-shard (or single-engine) monitor and vice versa.
-///
-/// ## Format history
-///
-/// * **v3** (current): adds the lifecycle layer — a `namespaces` string
-///   table, per-namespace retention `policies`, and per-query
-///   `namespace`/`registered_at`/`max_age`/`deadline`.
-/// * **v2** (PR 3): `version` tag, per-shard `shards` sections each
-///   carrying its `landmark`. Migrated into the default namespace with no
-///   deadlines; `registered_at` becomes the capture's `last_arrival`.
-/// * **v1** (PR 2): flat single-engine capture with a top-level `landmark`.
-/// * **v0** (pre-PR-2): as v1 but without `landmark` — migrated with
-///   `landmark = 0`, which is exact for captures that never renormalized.
-///
-/// [`Snapshot::from_json`] parses all four; [`Snapshot::to_json`] always
-/// writes v3.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Snapshot {
-    pub version: u32,
-    pub lambda: f64,
-    pub next_doc: u64,
-    pub last_arrival: Timestamp,
-    /// Interned namespace names; the index is the handle queries and
-    /// policies refer to. Index 0 is always the default namespace ("").
-    pub namespaces: Vec<String>,
-    /// Installed retention policies, ascending namespace handle.
-    pub policies: Vec<SnapshotPolicy>,
-    pub shards: Vec<ShardSnapshot>,
-}
-
-/// The v2 (PR-3) on-disk shape, kept for migration only. The derive shim
-/// ignores unknown fields, so a v3+ document *structurally* parses as v2;
-/// [`Snapshot::from_json`] therefore rejects any `version != 2` here
-/// instead of silently dropping the lifecycle fields.
-#[derive(Deserialize)]
-struct SnapshotV2 {
-    version: u32,
-    lambda: f64,
-    next_doc: u64,
-    last_arrival: Timestamp,
-    shards: Vec<ShardSnapshotV2>,
-}
-
-/// One v2 section: landmark plus lifecycle-less queries.
-#[derive(Deserialize)]
-struct ShardSnapshotV2 {
-    landmark: Timestamp,
-    queries: Vec<SnapshotQueryV2>,
-}
-
-/// One v2 query: no namespace, no deadlines.
-#[derive(Deserialize)]
-struct SnapshotQueryV2 {
-    qid: u32,
-    spec: QuerySpec,
-    results: Vec<ScoredDoc>,
-}
-
-impl SnapshotQueryV2 {
-    /// Lift into the current shape: default namespace, no TTL. The capture
-    /// carries no registration times, so `registered_at` pins to the
-    /// capture's stream clock — the same value `register_with` would use if
-    /// the queries were re-registered at restore time.
-    fn migrate(self, last_arrival: Timestamp) -> SnapshotQuery {
-        SnapshotQuery {
-            qid: self.qid,
-            spec: self.spec,
-            results: self.results,
-            namespace: Namespace::DEFAULT.0,
-            registered_at: last_arrival,
-            max_age: None,
-            deadline: None,
-        }
-    }
-}
-
-/// The v1 (PR-2) on-disk shape, kept for migration only.
-#[derive(Deserialize)]
-struct SnapshotV1 {
-    lambda: f64,
-    landmark: Timestamp,
-    next_doc: u64,
-    last_arrival: Timestamp,
-    queries: Vec<SnapshotQueryV2>,
-}
-
-/// The v0 (pre-PR-2) on-disk shape, kept for migration only. **Must be
-/// tried after [`SnapshotV1`]**: a v1 document also parses as v0 (the extra
-/// `landmark` field is ignored), silently dropping the landmark.
-#[derive(Deserialize)]
-struct SnapshotV0 {
-    lambda: f64,
-    next_doc: u64,
-    last_arrival: Timestamp,
-    queries: Vec<SnapshotQueryV2>,
-}
-
-/// A lifecycle-less legacy capture lifted to the current in-memory form.
-fn migrate_legacy(
-    lambda: f64,
-    next_doc: u64,
-    last_arrival: Timestamp,
-    sections: Vec<(Timestamp, Vec<SnapshotQueryV2>)>,
-) -> Snapshot {
-    Snapshot {
-        version: SNAPSHOT_VERSION,
-        lambda,
-        next_doc,
-        last_arrival,
-        namespaces: vec![String::new()],
-        policies: Vec::new(),
-        shards: sections
-            .into_iter()
-            .map(|(landmark, queries)| ShardSnapshot {
-                landmark,
-                queries: queries.into_iter().map(|q| q.migrate(last_arrival)).collect(),
-            })
-            .collect(),
-    }
-}
-
-impl Snapshot {
-    /// Serialize to JSON (always the current format version).
-    pub fn to_json(&self) -> serde_json::Result<String> {
-        serde_json::to_string_pretty(self)
-    }
-
-    /// Deserialize from JSON, migrating v2 / v1 / v0 captures to the
-    /// current in-memory form (legacy queries land in the default namespace
-    /// with no deadlines; v0 gets `landmark = 0`).
-    pub fn from_json(s: &str) -> serde_json::Result<Snapshot> {
-        match serde_json::from_str::<Snapshot>(s) {
-            Ok(snap) => {
-                if snap.version != SNAPSHOT_VERSION {
-                    return Err(serde::Error::custom(format!(
-                        "unsupported snapshot version {} (this build reads <= {SNAPSHOT_VERSION})",
-                        snap.version
-                    ))
-                    .into());
-                }
-                Ok(snap)
-            }
-            Err(v3_err) => {
-                if let Ok(v2) = serde_json::from_str::<SnapshotV2>(s) {
-                    // The shim ignores unknown fields, so any versioned
-                    // document reaches this arm; only a real v2 may migrate
-                    // — anything newer must fail as unsupported, not have
-                    // its lifecycle fields silently dropped.
-                    if v2.version != 2 {
-                        return Err(serde::Error::custom(format!(
-                            "unsupported snapshot version {} (this build reads <= \
-                             {SNAPSHOT_VERSION})",
-                            v2.version
-                        ))
-                        .into());
-                    }
-                    let sections = v2.shards.into_iter().map(|s| (s.landmark, s.queries)).collect();
-                    return Ok(migrate_legacy(v2.lambda, v2.next_doc, v2.last_arrival, sections));
-                }
-                if let Ok(v1) = serde_json::from_str::<SnapshotV1>(s) {
-                    return Ok(migrate_legacy(
-                        v1.lambda,
-                        v1.next_doc,
-                        v1.last_arrival,
-                        vec![(v1.landmark, v1.queries)],
-                    ));
-                }
-                if let Ok(v0) = serde_json::from_str::<SnapshotV0>(s) {
-                    return Ok(migrate_legacy(
-                        v0.lambda,
-                        v0.next_doc,
-                        v0.last_arrival,
-                        vec![(0.0, v0.queries)],
-                    ));
-                }
-                Err(v3_err)
-            }
-        }
-    }
-
-    /// Total queries across all sections.
-    pub fn num_queries(&self) -> usize {
-        self.shards.iter().map(|s| s.queries.len()).sum()
-    }
-
-    /// Iterate every captured query, section order.
-    pub fn queries(&self) -> impl Iterator<Item = &SnapshotQuery> + '_ {
-        self.shards.iter().flat_map(|s| s.queries.iter())
-    }
-
-    /// The decay landmark of the capture. Sections written by one backend
-    /// always agree (every shard sees the same arrivals, so their decay
-    /// models renormalize in lockstep); the maximum is taken defensively.
-    pub fn landmark(&self) -> Timestamp {
-        debug_assert!(
-            self.shards.windows(2).all(|w| w[0].landmark == w[1].landmark),
-            "sections of one capture must share the landmark frame"
-        );
-        self.shards.iter().map(|s| s.landmark).fold(0.0, f64::max)
-    }
-
-    /// Rebuild this capture's state on a freshly built backend (same
-    /// `lambda`; any engine kind or shard count). Queries are re-registered
-    /// in ascending captured-id order — the sharded backend thereby
-    /// rebalances them round-robin over *its* shards, so the capture's
-    /// partitioning does not constrain the restore target. Returns the
-    /// mapping from captured query ids to the new ids.
-    ///
-    /// # Panics
-    /// Panics when the backend's `lambda` differs from the capture's, or
-    /// when the backend already hosts queries (seeded scores are only
-    /// meaningful in a fresh landmark frame).
-    pub fn restore_into<B: MonitorBackend + ?Sized>(
-        &self,
-        backend: &mut B,
-    ) -> FxHashMap<QueryId, QueryId> {
-        assert_eq!(
-            backend.lambda(),
-            self.lambda,
-            "backend must be constructed with the snapshot's lambda"
-        );
-        assert_eq!(backend.num_queries(), 0, "restore target must be freshly built");
-        // Adopt the snapshot's decay landmark before seeding: the seeded
-        // scores are expressed relative to it. A fresh engine sits at
-        // landmark 0, so skipping this step after any renormalization had
-        // fired would re-inflate (and soon re-renormalize) the seeds in the
-        // wrong frame, corrupting every threshold.
-        backend.restore_landmark(self.landmark());
-        backend.restore_stream_position(self.next_doc, self.last_arrival);
-
-        // Rebuild the lifecycle layer first: intern the capture's namespace
-        // table (the restore target may renumber handles) and install the
-        // policies. No members exist yet, so a `max_queries` cap cannot
-        // evict here.
-        let ns_map: Vec<Namespace> =
-            self.namespaces.iter().map(|name| backend.intern_namespace(name)).collect();
-        let map_ns = |handle: u16| -> Namespace {
-            ns_map.get(handle as usize).copied().unwrap_or(Namespace::DEFAULT)
-        };
-        for p in &self.policies {
-            backend.set_retention(
-                map_ns(p.namespace),
-                RetentionPolicy {
-                    max_age: p.max_age,
-                    max_queries: p.max_queries,
-                    eviction: p.eviction,
-                },
-            );
-        }
-
-        let mut captured: Vec<&SnapshotQuery> = self.queries().collect();
-        captured.sort_by_key(|q| q.qid);
-        let mut mapping = FxHashMap::default();
-        for q in captured {
-            let new_qid = backend.register_with(
-                q.spec.clone(),
-                QueryOptions { namespace: map_ns(q.namespace), max_age: q.max_age },
-            );
-            // Pin the *captured* registration time and deadline: the
-            // restore-time stream clock must not stretch TTLs.
-            backend.restore_lifecycle(new_qid, q.registered_at, q.deadline);
-            backend.seed_results(new_qid, &q.results);
-            mapping.insert(QueryId(q.qid), new_qid);
-        }
-        mapping
+    fn storage_stats(&self) -> StorageStats {
+        self.engine.storage_stats()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::MonitorBackend;
     use crate::mrio::MrioSeg;
-
-    fn spec(terms: &[u32], k: usize) -> QuerySpec {
-        QuerySpec::uniform(&terms.iter().map(|&t| TermId(t)).collect::<Vec<_>>(), k).unwrap()
-    }
+    use crate::snapshot::SNAPSHOT_VERSION;
+    use crate::testutil::spec;
+    use ctk_common::{DocId, TermId};
 
     #[test]
     fn publish_assigns_ids_and_reports_changes() {

@@ -1,0 +1,101 @@
+//! The seam between the one front-end and the runtimes that do the work.
+//!
+//! [`crate::FrontEnd`] owns everything the application sees — the public
+//! query-id space, the stream clock, the lifecycle layer, snapshots. A
+//! [`Runtime`] is what is left: somewhere to place queries and score
+//! documents. Three plug in: the in-thread engine (`monitor`), the
+//! query-sharded workers (`query_shards`) and the doc-parallel shared epoch
+//! (`doc_shards`). The traits are `pub` only so the public aliases can name
+//! them; this module is private, so nothing outside the crate can.
+
+use crate::backend::{DocPruning, PublishReceipt, ShardingMode};
+use crate::sharded::{BatchOutcome, Pipeline};
+use crate::stats::CumulativeStats;
+use ctk_common::{Document, QueryId, QuerySpec, ScoredDoc, Timestamp};
+use ctk_index::StorageStats;
+use std::sync::Arc;
+
+/// What a [`crate::FrontEnd`] needs from the machinery behind it. Every id
+/// is a **public** query id; the front-end guarantees `place` sees ids
+/// `0, 1, 2, …` in order and `remove`/`forget`/`seed`/`results` only see
+/// live ones.
+pub trait Runtime {
+    /// Host a new query under the next public id.
+    fn place(&mut self, qid: QueryId, spec: &QuerySpec);
+
+    /// Drop a live query (tombstone now, compaction later).
+    fn remove(&mut self, qid: QueryId);
+
+    /// Drop many live queries at once and force a compaction, so the index
+    /// sheds their postings now instead of waiting for the ratio policy.
+    fn forget(&mut self, qids: &[QueryId]);
+
+    /// Current top-k of a live query, best first.
+    fn results(&self, qid: QueryId) -> Option<Vec<ScoredDoc>>;
+
+    /// Warm-start a live query's result set with pre-scored history.
+    fn seed(&mut self, qid: QueryId, seeds: &[ScoredDoc]);
+
+    /// Score stamped documents (ids allocated, arrivals monotone), writing
+    /// per-document stats and every result change into `receipt`.
+    fn ingest(&mut self, docs: Vec<Document>, receipt: &mut PublishReceipt);
+
+    /// Submitted-but-undrained batches; the front-end's publish, snapshot
+    /// and registration paths need 0.
+    fn in_flight(&self) -> usize {
+        0
+    }
+
+    fn lambda(&self) -> f64;
+
+    /// One decay landmark per snapshot section this runtime writes.
+    fn landmarks(&self) -> Vec<Timestamp>;
+
+    /// The snapshot section a live query belongs to.
+    fn section_of(&self, _qid: QueryId) -> usize {
+        0
+    }
+
+    /// Adopt a captured landmark; only sound before any seeding.
+    fn restore_landmark(&mut self, landmark: Timestamp);
+
+    fn storage_stats(&self) -> StorageStats;
+
+    fn shards(&self) -> usize {
+        1
+    }
+
+    fn mode(&self) -> ShardingMode {
+        ShardingMode::Queries
+    }
+}
+
+/// The extra surface of the two threaded runtimes: the submit/drain
+/// pipeline behind [`crate::ShardedMonitor`]'s pre-stamped API, and the
+/// knobs only they have.
+pub trait ShardRuntime: Runtime + Send {
+    /// Hand one batch to the workers without waiting. `clock` bounds every
+    /// arrival submitted so far (this batch included).
+    fn submit(&mut self, docs: Arc<[Document]>, clock: Timestamp);
+
+    /// Merge the oldest in-flight batch, blocking until every involved
+    /// worker has answered it. `None` when nothing is in flight.
+    fn drain(&mut self) -> Option<BatchOutcome>;
+
+    /// Lifetime work counters of every shard, shard order.
+    fn shard_cumulative(&self) -> Vec<CumulativeStats>;
+
+    /// Tombstone ratio beyond which batch boundaries compact (`<= 0` off).
+    fn set_compaction(&mut self, ratio: f64);
+
+    /// How `ingest` cuts a publish into pipeline chunks.
+    fn pipeline(&self) -> &Pipeline;
+
+    fn pipeline_mut(&mut self) -> &mut Pipeline;
+
+    fn set_doc_pruning(&mut self, _pruning: DocPruning) {}
+
+    fn doc_pruning(&self) -> Option<DocPruning> {
+        None
+    }
+}

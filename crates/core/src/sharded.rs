@@ -1,371 +1,53 @@
-//! Sharded parallel monitor with batched, pipelined ingestion — in two
-//! partitioning modes.
+//! The threaded monitor: batched, pipelined ingestion over worker shards,
+//! in two partitioning modes.
 //!
 //! The paper's goal is "large numbers of users and high stream rates"; a
 //! single engine is single-threaded. There are two clean ways to cut the
-//! work across worker threads, and the monitor implements both behind one
-//! front-end (selected by [`ShardingMode`], a [`crate::MonitorBackend`]
-//! construction knob — not a new API):
+//! work across worker threads, and [`ShardedMonitor`] is the one
+//! [`FrontEnd`] over either (selected by [`ShardingMode`], a construction
+//! knob — not a new API):
 //!
-//! * **Query sharding** ([`ShardingMode::Queries`], the original mode):
-//!   queries partition cleanly (each result set depends only on its own
-//!   query), so the query population is spread round-robin across workers
-//!   and every stream document is broadcast to all shards. Each worker owns
-//!   a full engine; the per-document matched-list walk is paid once *per
-//!   shard*.
-//! * **Document sharding** ([`ShardingMode::Documents`]): each ingest batch
-//!   is split across workers that walk one **shared, read-only index
-//!   epoch** (`Arc<QueryIndex>`), fully scoring their slice's candidate
-//!   queries in parallel; the per-worker candidate lists are then merged
-//!   **serially in stream order** against a single authoritative result
-//!   store. The walk — the expensive part of an event — is paid once in
-//!   total, so this mode scales where query-sharding replicates work:
-//!   small query populations under high stream rates.
+//! * **Query sharding** ([`ShardingMode::Queries`], `query_shards`): the
+//!   query population is spread round-robin across workers that each own a
+//!   full engine, and every stream document is broadcast to all of them.
+//! * **Document sharding** ([`ShardingMode::Documents`], `doc_shards`):
+//!   each ingest batch is split across workers that walk one shared,
+//!   read-only index epoch; candidates are merged serially in stream order.
 //!
-//! Document mode stays bit-identical to the single-threaded oracle because
-//! the parallel phase is pure scoring: workers compute each candidate's raw
-//! cosine with exactly the oracle's arithmetic (same index records, same
-//! accumulation order) and the serial merge applies insertions in document
-//! order through the same offer path. Workers additionally prune candidates
-//! against a submit-time snapshot of every query's threshold `S_k`:
-//! thresholds only rise while a batch is in flight (registration churn is
-//! fenced to batch boundaries), so the snapshot admits a superset of the
-//! true insertions and the merge rejects the rest — no false negatives. The
-//! filter is disabled for any batch that could trigger a decay landmark
-//! renormalization mid-flight (the score frames would no longer be
-//! comparable bit-for-bit); such batches are merged unfiltered, which is
-//! merely slower, never wrong.
-//!
-//! On top of the filter, document mode can prune the **walk itself**
-//! ([`DocPruning`], default auto-engaged at large query populations): the
-//! epoch carries frozen per-list zone-maxima bounds ([`DocEpochBounds`],
-//! rebuilt incrementally at the same copy-on-write points as the index),
-//! and workers skip zones of a postings list whose score upper bound cannot
-//! reach the document's target — MRIO's zone-bound idea applied to the
-//! shared epoch. The same monotonicity argument as the filter makes the
-//! bounds conservative (thresholds only rise ⇒ frozen bounds only
-//! over-estimate), renormalization-crossing batches fall back to the
-//! exhaustive walk, and the first pruning batch after a renormalization
-//! rebuilds the bounds in the new frame. Pruning changes which postings are
-//! *read*, never which candidates survive: results, changes and
-//! per-document insertion counts stay bit-identical to the oracle, while
-//! the walk counters record the skipped work (`zones_skipped`,
-//! `postings_skipped`).
-//!
-//! Both modes speak the same [`MonitorBackend`] contract as the
-//! single-engine [`crate::Monitor`]: applications register with plain
-//! [`QueryId`]s and never see the routing. In query mode each public id
-//! maps to a `(shard, local id)` route and changes are translated to public
-//! ids during the merge; in document mode the shared index *is* the public
-//! id space.
-//!
-//! Ingestion is **batch-first** in both modes: the unit of work sent to a
-//! shard is an `Arc`-shared batch (query mode broadcasts the whole batch,
+//! Ingestion is **batch-first** in both: the unit of work sent to a shard
+//! is an `Arc`-shared batch (query mode broadcasts the whole batch,
 //! document mode sends each worker a disjoint slice), so per-document
-//! coordination cost shrinks linearly with the batch size. Replies flow
-//! over persistent per-worker channels created once at spawn, and each
-//! worker answers in submission order, so the monitor can keep a window of
-//! batches **in flight**: [`ShardedMonitor::submit_batch`] hands out batch
-//! `n+1` while the merger is still draining batch `n`
+//! coordination cost shrinks linearly with the batch size. Workers answer
+//! in submission order, so the monitor can keep a window of batches **in
+//! flight**: [`ShardedMonitor::submit_batch`] hands out batch `n+1` while
+//! the merger is still draining batch `n`
 //! ([`ShardedMonitor::drain_batch`]), hiding merge latency behind shard
 //! compute. [`ShardedMonitor::run_pipelined`] wraps the submit/drain dance
 //! for a whole stream of pre-stamped documents; the application-facing
-//! [`ShardedMonitor::publish_batch`] drives the same machinery behind the
-//! unified API, chunking by the configured ingest batch size.
+//! `publish_batch` drives the same machinery behind the unified API,
+//! chunking by the configured ingest batch size.
 //!
-//! Communication uses `crossbeam` channels; query-mode workers own their
-//! engines outright, document-mode workers share only an immutable epoch
-//! (no locks on the hot path in either mode).
+//! [`ShardingMode`]: crate::ShardingMode
+//! [`ShardingMode::Queries`]: crate::ShardingMode::Queries
+//! [`ShardingMode::Documents`]: crate::ShardingMode::Documents
 
-use crate::backend::{DocPruning, MonitorBackend, PublishReceipt, PublishRequest, ShardingMode};
+use crate::backend::{DocPruning, PublishReceipt};
 use crate::config::AdaptiveConfig;
-use crate::engine::EngineBase;
-use crate::lifecycle::{
-    pick_victim, LifecycleManager, NamespaceStats, QueryOptions, RetentionPolicy,
-};
-use crate::monitor::{
-    snapshot_policies, snapshot_query, ShardSnapshot, Snapshot, SNAPSHOT_VERSION,
-};
-use crate::score::DecayModel;
+use crate::doc_shards::DocShards;
+use crate::frontend::FrontEnd;
+use crate::query_shards::QueryShards;
+use crate::runtime::ShardRuntime;
 use crate::stats::{CumulativeStats, EventStats};
 use crate::traits::{ContinuousTopK, ResultChange};
-use crate::walk::{
-    collect_scored_candidates, collect_scored_candidates_bounded, DocEpochBounds, MatchScratch,
-};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use ctk_common::{
-    DocId, Document, FxHashSet, Namespace, QueryId, QuerySpec, ScoredDoc, TermId, Timestamp,
-};
-use ctk_index::{PagePin, PostingsStorage, QueryIndex, StorageConfig, StorageStats};
-use std::collections::VecDeque;
+use ctk_common::Document;
+use ctk_index::StorageConfig;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-
-/// Live-query population at which [`DocPruning::Auto`] switches
-/// document-mode workers from the exhaustive to the bounded walk.
-///
-/// The value is set *above* the largest population the `walk` Criterion
-/// bench (`crates/core/benches/walk.rs`) measures the exhaustive walk
-/// still winning on this class of hardware: at 100k queries the bounded
-/// walk is within ~1.1–1.2× of exhaustive (down from ~2.7× slower at 1k),
-/// and the gap closes roughly with `log(queries)/queries`, putting the
-/// extrapolated crossover in the paper's 0.25M–4M CTQD regime. `Auto`
-/// therefore never engages inside the measured losing range; deployments
-/// in the paper's regime (or with much longer postings lists per zone
-/// probe) should measure with `sweep_shards --queries --pruning on` and
-/// force [`DocPruning::On`].
-pub const DOC_PRUNING_AUTO_MIN_QUERIES: usize = 262_144;
-
-/// Deferred bound tightenings ([`DocShards::stale`]) at which the monitor
-/// folds them into the epoch bounds before attaching them to a batch.
-/// Between refreshes the bounds are merely stale-high — valid but looser.
-const BOUNDS_REFRESH_STALE: usize = 64;
-
-/// Internal routing of one public query id (query mode only).
-#[derive(Debug, Clone, Copy)]
-struct Route {
-    shard: u32,
-    local: QueryId,
-}
-
-enum Command {
-    Register(QuerySpec, Sender<QueryId>),
-    Unregister(QueryId, Sender<bool>),
-    Seed(QueryId, Vec<ScoredDoc>),
-    /// Score a batch; the reply travels over the worker's persistent
-    /// reply channel, in submission order.
-    Process(Arc<[Document]>),
-    Results(QueryId, Sender<Option<Vec<ScoredDoc>>>),
-    Cumulative(Sender<CumulativeStats>),
-    Lambda(Sender<f64>),
-    Landmark(Sender<Timestamp>),
-    RestoreLandmark(Timestamp),
-    /// Tombstone ratio beyond which the worker compacts its index after
-    /// answering a batch (0 disables).
-    SetCompaction(f64),
-    /// Compact the worker's index now, regardless of the configured
-    /// threshold (bulk-forget reclamation); the reply fences completion.
-    Compact(Sender<()>),
-    /// Point-in-time storage counters of the worker's index.
-    Storage(Sender<StorageStats>),
-    Shutdown,
-}
 
 /// Merged outcome of one batch: per-document work counters (summed across
 /// shards in query mode; produced by the owning shard in document mode) and
 /// every result change as `(shard, change)` pairs — changes carry **public**
 /// query ids; the shard tag is provenance only.
 pub type BatchOutcome = (Vec<EventStats>, Vec<(u32, ResultChange)>);
-
-/// One query-mode shard's answer to a [`Command::Process`] batch.
-struct BatchReply {
-    /// Per-document work counters, aligned with the batch.
-    stats: Vec<EventStats>,
-    /// Every result change of the batch, in document order, in the worker's
-    /// *local* id space (translated by the merger).
-    changes: Vec<ResultChange>,
-}
-
-struct Worker {
-    tx: Sender<Command>,
-    reply_rx: Receiver<BatchReply>,
-    handle: Option<JoinHandle<()>>,
-}
-
-/// Query-mode runtime: one engine per worker, queries spread round-robin.
-struct QueryShards {
-    workers: Vec<Worker>,
-    next_shard: usize,
-    /// Lengths of submitted-but-undrained batches, oldest first.
-    in_flight: VecDeque<usize>,
-    /// Shard routes by public query id.
-    routes: Vec<Option<Route>>,
-    /// Per shard: local id index → public id (append-only; locals are
-    /// allocated monotonically by each worker's engine).
-    global_of_local: Vec<Vec<QueryId>>,
-}
-
-/// Submit-time candidate filter for document-mode workers: the decay frame
-/// and every query's threshold `S_k` frozen at submission. Thresholds only
-/// rise while the batch is in flight, so `score >= threshold` admits a
-/// superset of the true insertions — the serial merge rejects the rest.
-#[derive(Clone)]
-struct CandidateFilter {
-    decay: DecayModel,
-    /// Landmark-frame `S_k` per query slot (0.0 for unfilled or dead).
-    thresholds: Arc<[f64]>,
-}
-
-/// One slice of a batch handed to a document-mode scorer worker.
-struct DocJob {
-    /// The shared read-only index epoch this slice is scored against.
-    index: Arc<QueryIndex>,
-    docs: Arc<[Document]>,
-    start: usize,
-    len: usize,
-    /// `None` when a renormalization could fire before the merge — the
-    /// worker then forwards every candidate unfiltered.
-    filter: Option<CandidateFilter>,
-    /// Frozen zone-maxima bounds over `index`, when pruning is engaged for
-    /// this batch. Only ever `Some` alongside a filter (the bounds prove a
-    /// candidate *would fail that filter*; without the filter's frozen
-    /// frame there is nothing sound to prove).
-    bounds: Option<Arc<DocEpochBounds>>,
-}
-
-enum DocCommand {
-    Score(DocJob),
-    Shutdown,
-}
-
-/// A document-mode worker's answer to one [`DocJob`]: per-document walk
-/// counters and the surviving `(query, raw cosine)` candidates, ascending
-/// query id per document.
-struct DocReply {
-    stats: Vec<EventStats>,
-    candidates: Vec<Vec<(QueryId, f64)>>,
-}
-
-struct DocWorker {
-    tx: Sender<DocCommand>,
-    reply_rx: Receiver<DocReply>,
-    handle: Option<JoinHandle<()>>,
-}
-
-/// Split bookkeeping of one in-flight document-mode batch: which worker got
-/// how many documents, in stream order.
-struct PendingDocBatch {
-    docs: Arc<[Document]>,
-    /// `(worker, count)` slices in stream order; counts sum to `docs.len()`.
-    slices: Vec<(u32, usize)>,
-    /// Paged storage only: pins on the epoch's RAM-resident pages, held for
-    /// the batch's lifetime so the pager never spills a page out from under
-    /// an in-flight walk (dropped — releasing the veto — at drain).
-    _pins: Option<Arc<Vec<PagePin>>>,
-}
-
-/// Document-mode runtime: scorer workers over a shared index epoch plus the
-/// single authoritative result store the merge applies into.
-struct DocShards {
-    workers: Vec<DocWorker>,
-    /// The current index epoch. Registration churn mutates it copy-on-write
-    /// (`Arc::make_mut`), so in-flight batches keep scoring their epoch.
-    index: Arc<QueryIndex>,
-    /// Authoritative decay model, result states, changes and counters —
-    /// only ever touched by the (serial) merge.
-    base: EngineBase,
-    /// Submitted-but-undrained batches, oldest first.
-    pending: VecDeque<PendingDocBatch>,
-    /// Per-worker lifetime counters of the documents each worker scored.
-    worker_cum: Vec<CumulativeStats>,
-    /// Tombstone ratio beyond which batch boundaries compact the epoch
-    /// index (0 disables).
-    compact_at: f64,
-    /// Rotates which worker receives the first slice, so tiny batches do
-    /// not pin all work to worker 0.
-    next_start: usize,
-    /// Memoized candidate filter, shared (`Arc`) with submitted jobs.
-    /// Invalidated whenever a threshold could have moved — registration
-    /// churn, seeding, a merge that inserted anything, a renormalization —
-    /// so quiet stretches of the stream (the common steady state) submit
-    /// batch after batch without re-materializing the O(queries) snapshot.
-    filter_cache: Option<CandidateFilter>,
-    /// Zone-maxima bounds over the current epoch, frozen while attached to
-    /// in-flight jobs, mutated copy-on-write at the same points as `index`.
-    bounds: Arc<DocEpochBounds>,
-    /// Whether (and when) workers consult `bounds` — see [`DocPruning`].
-    pruning: DocPruning,
-    /// Set when frozen bound values may **under-estimate** the live
-    /// `u = w/S_k` (a renormalization scaled thresholds down, or a restore
-    /// changed the frame): pruning stays off until a full rebuild.
-    bounds_dirty: bool,
-    /// Queries whose `S_k` rose since their bound values were written —
-    /// deferred tightenings, folded in once enough accumulate. Purely an
-    /// optimization debt: stale-high bounds are still upper bounds.
-    stale: FxHashSet<QueryId>,
-    /// Memoized pins on the current epoch's RAM-resident pages (paged
-    /// storage only; `None` otherwise or after any epoch mutation). Shared
-    /// with in-flight batches so each submit does not re-walk every list.
-    epoch_pins: Option<Arc<Vec<PagePin>>>,
-}
-
-/// Score one slice of a batch against an index epoch: the term-filtered
-/// walk — exhaustive ([`collect_scored_candidates`], the same function with
-/// the same arithmetic and counter semantics the [`crate::Naive`] oracle
-/// runs) or, when the job carries frozen epoch bounds, the bounded walk
-/// ([`collect_scored_candidates_bounded`]: identical surviving candidates
-/// and dots, zones the bounds refute skipped wholesale) — followed by the
-/// optional threshold filter. Pure: the only engine state it reads is the
-/// immutable epoch.
-fn score_slice(
-    job: &DocJob,
-    scratch: &mut MatchScratch,
-    scored: &mut Vec<(QueryId, f64)>,
-) -> DocReply {
-    let index = &*job.index;
-    let mut stats = Vec::with_capacity(job.len);
-    let mut candidates = Vec::with_capacity(job.len);
-    for doc in &job.docs[job.start..job.start + job.len] {
-        let mut ev = EventStats::default();
-        let kept = match &job.filter {
-            None => {
-                collect_scored_candidates(index, doc, scratch, &mut ev, scored);
-                scored.clone()
-            }
-            Some(f) => {
-                match &job.bounds {
-                    None => collect_scored_candidates(index, doc, scratch, &mut ev, scored),
-                    Some(b) => {
-                        // The bounded walk prunes against the same frozen
-                        // frame the filter tests in: θ_d is the filter's
-                        // amplification inverted.
-                        let theta = f.decay.theta(doc.arrival);
-                        collect_scored_candidates_bounded(
-                            index, b, theta, doc, scratch, &mut ev, scored,
-                        );
-                    }
-                }
-                // One exp() per document, not per candidate.
-                let amp = f.decay.amplification(doc.arrival);
-                scored
-                    .iter()
-                    .filter(|&&(qid, dot)| dot * amp >= f.thresholds[qid.index()])
-                    .copied()
-                    .collect()
-            }
-        };
-        stats.push(ev);
-        candidates.push(kept);
-    }
-    DocReply { stats, candidates }
-}
-
-impl DocShards {
-    /// Should the next batch consult the epoch bounds?
-    fn pruning_wanted(&self) -> bool {
-        match self.pruning {
-            DocPruning::Off => false,
-            DocPruning::On => true,
-            DocPruning::Auto => self.index.num_live() >= DOC_PRUNING_AUTO_MIN_QUERIES,
-        }
-    }
-}
-
-/// Exclusive, thawed access to an epoch's bounds for a mutation point.
-/// Copy-on-write: in-flight jobs hold `Arc` clones of the (frozen) epochs
-/// they score against, so `make_mut` clones rather than handing back an
-/// instance a worker can read; the debug assertions inside
-/// [`DocEpochBounds`] pin that a frozen epoch is never mutated in place.
-fn thawed(bounds: &mut Arc<DocEpochBounds>) -> &mut DocEpochBounds {
-    let b = Arc::make_mut(bounds);
-    b.thaw();
-    b
-}
-
-enum Runtime {
-    Queries(QueryShards),
-    Documents(Box<DocShards>),
-}
 
 /// AIMD controller over the `publish_batch` chunk size.
 ///
@@ -413,31 +95,76 @@ impl AdaptiveBatcher {
     }
 }
 
-/// A monitor that spreads stream work across `S` worker threads, in either
-/// sharding mode (see the module docs and [`ShardingMode`]).
-pub struct ShardedMonitor {
-    runtime: Runtime,
-    /// Registered specs by public query id (`None` after unregistration).
-    specs: Vec<Option<QuerySpec>>,
-    live: usize,
-    next_doc: u64,
-    last_arrival: Timestamp,
-    /// `publish_batch` chunk size (0 = whole publish as one batch).
-    ingest_batch: usize,
-    /// Batches kept in flight by `publish_batch` while chunking.
-    ingest_window: usize,
-    /// AIMD chunk-size controller; when set it overrides `ingest_batch`
-    /// with a chunk size retuned from measured drain latency.
+/// How a threaded runtime cuts one publish into pipeline chunks.
+#[derive(Debug)]
+pub struct Pipeline {
+    /// Chunk size (0 = whole publish as one batch).
+    batch: usize,
+    /// Chunks kept in flight while chunking (0 = fully synchronous).
+    window: usize,
+    /// AIMD chunk-size controller; when set it overrides `batch` with a
+    /// chunk size retuned from measured drain latency.
     adaptive: Option<AdaptiveBatcher>,
-    /// Namespaces, retention policies, per-query deadlines — the same
-    /// front-end lifecycle layer [`crate::Monitor`] carries, so both
-    /// backends expire and evict at identical batch boundaries.
-    lifecycle: LifecycleManager,
-    /// Cap evictions performed since the last publish receipt (evictions
-    /// fire at registration time, which produces no receipt to attribute
-    /// them to; the next publish flushes the count).
-    pending_evicted: u64,
 }
+
+impl Default for Pipeline {
+    fn default() -> Self {
+        Pipeline { batch: 0, window: 1, adaptive: None }
+    }
+}
+
+/// The threaded runtimes' [`crate::runtime::Runtime::ingest`]: drive the
+/// submit/drain pipeline in chunks per the runtime's [`Pipeline`]. Each
+/// drain is timed and fed to the AIMD controller (when one is installed):
+/// over-target drains halve the next chunk, on-target drains grow it. The
+/// chunk schedule never affects the receipt — chunking is result-invariant.
+pub(crate) fn ingest_chunked<S: ShardRuntime + ?Sized>(
+    rt: &mut S,
+    docs: Vec<Document>,
+    receipt: &mut PublishReceipt,
+) {
+    receipt.stats.reserve(docs.len());
+    // Stamped arrivals are monotone, so the last one is the stream clock.
+    let Some(clock) = docs.last().map(|d| d.arrival) else { return };
+    let fixed_chunk = match rt.pipeline().batch {
+        0 => docs.len(),
+        n => n,
+    };
+    let window = rt.pipeline().window;
+    let drain_into = |rt: &mut S, receipt: &mut PublishReceipt| {
+        let started = std::time::Instant::now();
+        let (stats, changes) = rt.drain().expect("in-flight batch");
+        if let Some(ctl) = &mut rt.pipeline_mut().adaptive {
+            ctl.observe(started.elapsed().as_secs_f64() * 1e3);
+        }
+        receipt.stats.extend(stats);
+        receipt.changes.extend(changes.into_iter().map(|(_, c)| c));
+    };
+    // Split the stamped batch into owned chunks without cloning any
+    // document: `split_off` moves the tail, the head is submitted.
+    let mut rest = docs;
+    while !rest.is_empty() {
+        let chunk = rt.pipeline().adaptive.as_ref().map_or(fixed_chunk, AdaptiveBatcher::chunk);
+        let tail = rest.split_off(chunk.min(rest.len()));
+        let part = std::mem::replace(&mut rest, tail);
+        rt.submit(part.into(), clock);
+        while rt.in_flight() > window {
+            drain_into(rt, receipt);
+        }
+    }
+    while rt.in_flight() > 0 {
+        drain_into(rt, receipt);
+    }
+}
+
+/// A monitor that spreads stream work across `S` worker threads, in either
+/// sharding mode (see the module docs and [`ShardingMode`]). The
+/// application API is [`MonitorBackend`]; the methods here are the
+/// construction knobs and the pre-stamped pipeline API.
+///
+/// [`ShardingMode`]: crate::ShardingMode
+/// [`MonitorBackend`]: crate::MonitorBackend
+pub type ShardedMonitor = FrontEnd<dyn ShardRuntime>;
 
 impl ShardedMonitor {
     /// Spawn `shards` query-mode workers, each owning an engine built by
@@ -447,89 +174,7 @@ impl ShardedMonitor {
         E: ContinuousTopK + Send + 'static,
         F: Fn() -> E,
     {
-        assert!(shards >= 1);
-        let mut workers = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = unbounded::<Command>();
-            // Unbounded so a worker never blocks publishing a reply; the
-            // monitor bounds the number of outstanding batches itself via
-            // the pipelining window.
-            let (reply_tx, reply_rx) = unbounded::<BatchReply>();
-            let mut engine = make_engine();
-            let handle = std::thread::spawn(move || {
-                let mut compact_at = 0.0f64;
-                while let Ok(cmd) = rx.recv() {
-                    match cmd {
-                        Command::Register(spec, reply) => {
-                            let _ = reply.send(engine.register(spec));
-                        }
-                        Command::Unregister(qid, reply) => {
-                            let _ = reply.send(engine.unregister(qid));
-                        }
-                        Command::Seed(qid, seeds) => {
-                            engine.seed_results(qid, &seeds);
-                        }
-                        Command::Process(docs) => {
-                            let mut changes = Vec::new();
-                            let stats = engine.process_batch_into(&docs, &mut changes);
-                            if reply_tx.send(BatchReply { stats, changes }).is_err() {
-                                break; // monitor gone
-                            }
-                            // Batch boundary: no event is mid-flight on this
-                            // shard, so the index may reorganize.
-                            if compact_at > 0.0 && engine.tombstone_ratio() >= compact_at {
-                                engine.compact_index();
-                            }
-                        }
-                        Command::Results(qid, reply) => {
-                            let _ = reply.send(engine.results(qid));
-                        }
-                        Command::Cumulative(reply) => {
-                            let _ = reply.send(*engine.cumulative());
-                        }
-                        Command::Lambda(reply) => {
-                            let _ = reply.send(engine.lambda());
-                        }
-                        Command::Landmark(reply) => {
-                            let _ = reply.send(engine.landmark());
-                        }
-                        Command::RestoreLandmark(landmark) => {
-                            engine.restore_landmark(landmark);
-                        }
-                        Command::SetCompaction(ratio) => {
-                            compact_at = ratio.max(0.0);
-                        }
-                        Command::Compact(reply) => {
-                            engine.compact_index();
-                            let _ = reply.send(());
-                        }
-                        Command::Storage(reply) => {
-                            let _ = reply.send(engine.storage_stats());
-                        }
-                        Command::Shutdown => break,
-                    }
-                }
-            });
-            workers.push(Worker { tx, reply_rx, handle: Some(handle) });
-        }
-        ShardedMonitor {
-            runtime: Runtime::Queries(QueryShards {
-                global_of_local: vec![Vec::new(); workers.len()],
-                workers,
-                next_shard: 0,
-                in_flight: VecDeque::new(),
-                routes: Vec::new(),
-            }),
-            specs: Vec::new(),
-            live: 0,
-            next_doc: 0,
-            last_arrival: 0.0,
-            ingest_batch: 0,
-            ingest_window: 1,
-            adaptive: None,
-            lifecycle: LifecycleManager::new(),
-            pending_evicted: 0,
-        }
+        FrontEnd::over(Box::new(QueryShards::spawn(shards, make_engine)))
     }
 
     /// Spawn `shards` document-mode scorer workers sharing one index epoch.
@@ -542,73 +187,11 @@ impl ShardedMonitor {
 
     /// As [`ShardedMonitor::new_doc_parallel`], with an explicit postings-
     /// storage configuration for the shared index epoch. Under
-    /// [`PostingsStorage::Paged`], every in-flight batch pins the epoch's
-    /// RAM-resident pages so the pager cannot spill them mid-walk.
+    /// [`PostingsStorage::Paged`](crate::PostingsStorage::Paged), every
+    /// in-flight batch pins the epoch's RAM-resident pages so the pager
+    /// cannot spill them mid-walk.
     pub fn new_doc_parallel_with(shards: usize, lambda: f64, storage: &StorageConfig) -> Self {
-        assert!(shards >= 1);
-        let mut workers = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = unbounded::<DocCommand>();
-            let (reply_tx, reply_rx) = unbounded::<DocReply>();
-            let handle = std::thread::spawn(move || {
-                let mut scratch = MatchScratch::default();
-                let mut scored: Vec<(QueryId, f64)> = Vec::new();
-                while let Ok(cmd) = rx.recv() {
-                    match cmd {
-                        DocCommand::Score(job) => {
-                            let reply = score_slice(&job, &mut scratch, &mut scored);
-                            if reply_tx.send(reply).is_err() {
-                                break; // monitor gone
-                            }
-                        }
-                        DocCommand::Shutdown => break,
-                    }
-                }
-            });
-            workers.push(DocWorker { tx, reply_rx, handle: Some(handle) });
-        }
-        ShardedMonitor {
-            runtime: Runtime::Documents(Box::new(DocShards {
-                worker_cum: vec![CumulativeStats::default(); workers.len()],
-                workers,
-                index: Arc::new(QueryIndex::with_storage(storage)),
-                base: EngineBase::new(lambda),
-                pending: VecDeque::new(),
-                compact_at: 0.0,
-                next_start: 0,
-                filter_cache: None,
-                bounds: Arc::new(DocEpochBounds::new()),
-                pruning: DocPruning::default(),
-                bounds_dirty: false,
-                stale: FxHashSet::default(),
-                epoch_pins: None,
-            })),
-            specs: Vec::new(),
-            live: 0,
-            next_doc: 0,
-            last_arrival: 0.0,
-            ingest_batch: 0,
-            ingest_window: 1,
-            adaptive: None,
-            lifecycle: LifecycleManager::new(),
-            pending_evicted: 0,
-        }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        match &self.runtime {
-            Runtime::Queries(rt) => rt.workers.len(),
-            Runtime::Documents(rt) => rt.workers.len(),
-        }
-    }
-
-    /// How this monitor partitions its work.
-    pub fn mode(&self) -> ShardingMode {
-        match &self.runtime {
-            Runtime::Queries(_) => ShardingMode::Queries,
-            Runtime::Documents(_) => ShardingMode::Documents,
-        }
+        FrontEnd::over(Box::new(DocShards::spawn(shards, lambda, storage)))
     }
 
     /// Enable tombstone compaction: after a batch boundary where the
@@ -616,16 +199,7 @@ impl ShardedMonitor {
     /// `tombstone_ratio() >= ratio`, it is compacted and the affected bound
     /// structures rebuilt. `<= 0.0` disables.
     pub fn set_compaction_threshold(&mut self, ratio: f64) {
-        match &mut self.runtime {
-            Runtime::Queries(rt) => {
-                for w in &rt.workers {
-                    w.tx.send(Command::SetCompaction(ratio)).expect("worker alive");
-                }
-            }
-            Runtime::Documents(rt) => {
-                rt.compact_at = ratio.max(0.0);
-            }
-        }
+        self.runtime.set_compaction(ratio);
     }
 
     /// Configure whether document-mode scorer workers prune their walk
@@ -633,301 +207,36 @@ impl ShardedMonitor {
     /// default [`DocPruning::Auto`]). No effect in query mode, whose
     /// engines carry their own bounds.
     pub fn set_doc_pruning(&mut self, pruning: DocPruning) {
-        if let Runtime::Documents(rt) = &mut self.runtime {
-            rt.pruning = pruning;
-        }
+        self.runtime.set_doc_pruning(pruning);
     }
 
     /// The configured document-mode pruning policy (`None` in query mode).
     pub fn doc_pruning(&self) -> Option<DocPruning> {
-        match &self.runtime {
-            Runtime::Queries(_) => None,
-            Runtime::Documents(rt) => Some(rt.pruning),
-        }
+        self.runtime.doc_pruning()
     }
 
-    /// Configure how [`ShardedMonitor::publish_batch`] drives the pipeline:
-    /// the publish is split into chunks of `batch_size` documents (0 = one
-    /// chunk) with up to `window` chunks in flight (0 = fully synchronous).
+    /// Configure how `publish_batch` drives the pipeline: the publish is
+    /// split into chunks of `batch_size` documents (0 = one chunk) with up
+    /// to `window` chunks in flight (0 = fully synchronous).
     pub fn set_ingest_chunking(&mut self, batch_size: usize, window: usize) {
-        self.ingest_batch = batch_size;
-        self.ingest_window = window;
+        let pipeline = self.runtime.pipeline_mut();
+        pipeline.batch = batch_size;
+        pipeline.window = window;
     }
 
-    /// Enable the AIMD chunk-size controller: [`ShardedMonitor::publish_batch`]
-    /// re-reads the controller's chunk size before every submit and feeds it
-    /// each drain's wall-clock latency, so sustained ingest pressure grows
-    /// the chunk (fewer submit/drain round-trips per document) while a slow
+    /// Enable the AIMD chunk-size controller: `publish_batch` re-reads the
+    /// controller's chunk size before every submit and feeds it each
+    /// drain's wall-clock latency, so sustained ingest pressure grows the
+    /// chunk (fewer submit/drain round-trips per document) while a slow
     /// drain halves it (bounded per-chunk latency). Results are unaffected —
     /// chunking is result-invariant (see [`AdaptiveConfig`]).
     pub fn set_adaptive_batching(&mut self, cfg: AdaptiveConfig) {
-        self.adaptive = Some(AdaptiveBatcher::new(cfg));
-    }
-
-    /// Disable adaptive chunking, reverting to the fixed
-    /// [`ShardedMonitor::set_ingest_chunking`] batch size.
-    pub fn clear_adaptive_batching(&mut self) {
-        self.adaptive = None;
+        self.runtime.pipeline_mut().adaptive = Some(AdaptiveBatcher::new(cfg));
     }
 
     /// The adaptive controller's current chunk size, when one is installed.
     pub fn adaptive_chunk(&self) -> Option<usize> {
-        self.adaptive.as_ref().map(AdaptiveBatcher::chunk)
-    }
-
-    /// Register a query; returns its public id. Query mode places it on the
-    /// least-recently-used shard (round robin); document mode adds it to
-    /// the shared index epoch (which must be quiesced — no batches in
-    /// flight — so in-flight scoring never races registration churn).
-    pub fn register(&mut self, spec: QuerySpec) -> QueryId {
-        self.register_with(spec, QueryOptions::default())
-    }
-
-    /// Register a query with lifecycle options (namespace, optional TTL).
-    /// Same placement rules as [`ShardedMonitor::register`]; may evict an
-    /// existing member of the namespace if a `max_queries` cap is crossed
-    /// (never the newcomer).
-    pub fn register_with(&mut self, spec: QuerySpec, opts: QueryOptions) -> QueryId {
-        let global = QueryId(self.specs.len() as u32);
-        match &mut self.runtime {
-            Runtime::Queries(rt) => {
-                let shard = rt.next_shard;
-                rt.next_shard = (rt.next_shard + 1) % rt.workers.len();
-                let (reply_tx, reply_rx) = bounded(1);
-                rt.workers[shard]
-                    .tx
-                    .send(Command::Register(spec.clone(), reply_tx))
-                    .expect("worker alive");
-                let local = reply_rx.recv().expect("worker reply");
-                debug_assert_eq!(local.index(), rt.global_of_local[shard].len());
-                rt.global_of_local[shard].push(global);
-                rt.routes.push(Some(Route { shard: shard as u32, local }));
-            }
-            Runtime::Documents(rt) => {
-                assert!(
-                    rt.pending.is_empty(),
-                    "doc-parallel registration requires a quiesced pipeline; drain first"
-                );
-                let qid = Arc::make_mut(&mut rt.index).register(&spec.vector, spec.k as u32);
-                debug_assert_eq!(qid, global, "shared index allocates the public id space");
-                rt.base.push_state(spec.k as u32);
-                // Mirror the new postings into the epoch bounds (the fresh
-                // query is unfilled, so its positions carry +inf and its
-                // zones are unprunable until it fills — warm-up semantics).
-                let (base, index) = (&rt.base, &rt.index);
-                let entries = index.record(qid).expect("just registered").to_record().entries;
-                thawed(&mut rt.bounds)
-                    .append_registration(qid, &entries, |q, w| base.normalized_of(q, w as f64));
-                rt.filter_cache = None;
-                rt.epoch_pins = None;
-            }
-        }
-        self.specs.push(Some(spec));
-        self.live += 1;
-        self.lifecycle.on_register(global, opts, self.last_arrival);
-        self.enforce_cap(opts.namespace, Some(global));
-        global
-    }
-
-    /// Remove a query.
-    pub fn unregister(&mut self, qid: QueryId) -> bool {
-        if self.specs.get(qid.index()).is_none_or(Option::is_none) {
-            return false;
-        }
-        match &mut self.runtime {
-            Runtime::Queries(rt) => {
-                let route = rt.routes[qid.index()].take().expect("spec implies route");
-                let (reply_tx, reply_rx) = bounded(1);
-                rt.workers[route.shard as usize]
-                    .tx
-                    .send(Command::Unregister(route.local, reply_tx))
-                    .expect("worker alive");
-                let removed = reply_rx.recv().expect("worker reply");
-                debug_assert!(removed, "route table said the query was live");
-            }
-            Runtime::Documents(rt) => {
-                assert!(
-                    rt.pending.is_empty(),
-                    "doc-parallel unregistration requires a quiesced pipeline; drain first"
-                );
-                let record = Arc::make_mut(&mut rt.index).unregister(qid);
-                debug_assert!(record.is_some(), "spec table said the query was live");
-                if let Some(rec) = record {
-                    thawed(&mut rt.bounds).tombstone_registration(&rec.entries);
-                }
-                rt.base.drop_state(qid);
-                rt.stale.remove(&qid);
-                rt.filter_cache = None;
-                rt.epoch_pins = None;
-            }
-        }
-        self.specs[qid.index()] = None;
-        self.live -= 1;
-        self.lifecycle.on_unregister(qid);
-        true
-    }
-
-    /// Intern a namespace name, allocating its handle on first sight.
-    pub fn intern_namespace(&mut self, name: &str) -> Namespace {
-        self.lifecycle.intern(name)
-    }
-
-    /// Install (or replace) a namespace's retention policy; recomputes
-    /// member deadlines and enforces a lowered `max_queries` cap now.
-    pub fn set_retention(&mut self, ns: Namespace, policy: RetentionPolicy) {
-        self.lifecycle.set_policy(ns, policy);
-        self.enforce_cap(ns, None);
-    }
-
-    /// Remove every query of a namespace at once; returns how many were
-    /// removed. Query mode unregisters per route and then force-compacts
-    /// every shard (fenced); document mode bulk-tombstones the shared epoch
-    /// in one pass and force-compacts it. Requires a quiesced pipeline.
-    pub fn forget_namespace(&mut self, ns: Namespace) -> usize {
-        let members = self.lifecycle.members(ns);
-        if members.is_empty() {
-            return 0;
-        }
-        match self.mode() {
-            ShardingMode::Queries => {
-                for &qid in &members {
-                    let removed = self.unregister(qid);
-                    debug_assert!(removed, "namespace member {qid} must be live");
-                }
-                let Runtime::Queries(rt) = &self.runtime else { unreachable!() };
-                // Broadcast, then fence: shards compact in parallel.
-                let fences: Vec<Receiver<()>> = rt
-                    .workers
-                    .iter()
-                    .map(|w| {
-                        let (reply_tx, reply_rx) = bounded(1);
-                        w.tx.send(Command::Compact(reply_tx)).expect("worker alive");
-                        reply_rx
-                    })
-                    .collect();
-                for fence in fences {
-                    fence.recv().expect("worker reply");
-                }
-            }
-            ShardingMode::Documents => {
-                let Runtime::Documents(rt) = &mut self.runtime else { unreachable!() };
-                assert!(
-                    rt.pending.is_empty(),
-                    "doc-parallel bulk forget requires a quiesced pipeline; drain first"
-                );
-                let removed = Arc::make_mut(&mut rt.index).unregister_many(&members);
-                debug_assert_eq!(removed.len(), members.len(), "every member must be live");
-                for (qid, rec) in &removed {
-                    thawed(&mut rt.bounds).tombstone_registration(&rec.entries);
-                    rt.base.drop_state(*qid);
-                    rt.stale.remove(qid);
-                }
-                rt.filter_cache = None;
-                rt.epoch_pins = None;
-                // Forced compaction reclaims the bulk tombstones at once;
-                // realign the affected lists' bounds exactly as the
-                // threshold-triggered compaction in `drain_batch` does.
-                let changed_lists = Arc::make_mut(&mut rt.index).compact();
-                if !changed_lists.is_empty() {
-                    let (base, index) = (&rt.base, &rt.index);
-                    let b = thawed(&mut rt.bounds);
-                    for li in changed_lists {
-                        b.rebuild_list(index, li, |q, w| base.normalized_of(q, w as f64));
-                    }
-                }
-                for &qid in &members {
-                    self.lifecycle.on_unregister(qid);
-                    self.specs[qid.index()] = None;
-                    self.live -= 1;
-                }
-            }
-        }
-        members.len()
-    }
-
-    /// Expire every query whose deadline has passed, relative to the later
-    /// of the stream clock and the first arrival of the batch about to be
-    /// published. O(1) when no TTLs are in play. Runs only at publish
-    /// entry, where the pipeline is quiesced in both modes.
-    fn expire_due(&mut self, first_arrival: Option<Timestamp>) -> u64 {
-        if self.lifecycle.no_deadlines() {
-            return 0;
-        }
-        let now = first_arrival.map_or(self.last_arrival, |a| a.max(self.last_arrival));
-        let due = self.lifecycle.take_expired(now);
-        for &qid in &due {
-            let removed = self.unregister(qid);
-            debug_assert!(removed, "expired query {qid} must be live");
-        }
-        due.len() as u64
-    }
-
-    /// Evict until the namespace is back under its cap, per its policy's
-    /// victim selection. `protect` (a just-registered newcomer) is never a
-    /// candidate, which also guarantees termination for a cap of 0.
-    fn enforce_cap(&mut self, ns: Namespace, protect: Option<QueryId>) {
-        loop {
-            let Some(policy) = self.lifecycle.policy(ns) else { return };
-            let Some(cap) = policy.max_queries else { return };
-            let members = self.lifecycle.members(ns);
-            if members.len() as u64 <= cap {
-                return;
-            }
-            let candidates: Vec<QueryId> =
-                members.into_iter().filter(|&q| Some(q) != protect).collect();
-            let victim = pick_victim(&candidates, policy.eviction, |q| {
-                self.results(q).and_then(|r| r.first().map(|sd| sd.score.get())).unwrap_or(0.0)
-            });
-            let Some(victim) = victim else { return };
-            self.lifecycle.note_evicted(victim);
-            let removed = self.unregister(victim);
-            debug_assert!(removed, "cap victim {victim} must be live");
-            self.pending_evicted += 1;
-        }
-    }
-
-    /// Fold this publish's lifecycle removals into its receipt: the batch's
-    /// first stat line carries the expiry count plus any cap evictions
-    /// pending since the last receipt.
-    fn attribute_lifecycle(&mut self, receipt: &mut PublishReceipt, expired: u64) {
-        if let Some(first) = receipt.stats.first_mut() {
-            first.expired += expired;
-            first.evicted += std::mem::take(&mut self.pending_evicted);
-        }
-    }
-
-    /// Warm-start a query's result set (snapshot restore path).
-    pub fn seed_results(&mut self, qid: QueryId, seeds: &[ScoredDoc]) {
-        if self.specs.get(qid.index()).is_none_or(Option::is_none) {
-            return;
-        }
-        match &mut self.runtime {
-            Runtime::Queries(rt) => {
-                let route = rt.routes[qid.index()].expect("spec implies route");
-                rt.workers[route.shard as usize]
-                    .tx
-                    .send(Command::Seed(route.local, seeds.to_vec()))
-                    .expect("worker alive");
-            }
-            Runtime::Documents(rt) => {
-                // Same fence as register/unregister: query mode FIFO-orders
-                // a seed behind in-flight batches, so applying it eagerly
-                // here would reorder it *ahead* of them and break the
-                // modes' bit-identical contract.
-                assert!(
-                    rt.pending.is_empty(),
-                    "doc-parallel seeding requires a quiesced pipeline; drain first"
-                );
-                rt.base.seed(qid, seeds);
-                // The seed can only have *raised* the query's threshold, so
-                // its frozen bound values are now stale-high — valid but
-                // loose; queue the tightening when anything will flush it.
-                if rt.pruning_wanted() {
-                    rt.stale.insert(qid);
-                }
-                rt.filter_cache = None;
-            }
-        }
+        self.runtime.pipeline().adaptive.as_ref().map(AdaptiveBatcher::chunk)
     }
 
     /// Process one pre-stamped stream event; returns the merged work
@@ -962,236 +271,21 @@ impl ShardedMonitor {
     /// order, so keeping one or two batches in flight lets the shards score
     /// batch `n+1` while the merger drains batch `n`.
     pub fn submit_batch(&mut self, docs: Vec<Document>) {
-        // Pre-stamped ingestion advances the stream position too, so a
-        // snapshot taken after `process`/`run_pipelined` captures a
-        // consistent `next_doc`/`last_arrival`. The publish path has
-        // already advanced both in `admit`, making this a no-op there.
-        for d in &docs {
-            self.next_doc = self.next_doc.max(d.id.0 + 1);
-            self.last_arrival = self.last_arrival.max(d.arrival);
-        }
-        let docs: Arc<[Document]> = docs.into();
-        match &mut self.runtime {
-            Runtime::Queries(rt) => {
-                for w in &rt.workers {
-                    w.tx.send(Command::Process(Arc::clone(&docs))).expect("worker alive");
-                }
-                rt.in_flight.push_back(docs.len());
-            }
-            Runtime::Documents(rt) => {
-                let n = docs.len();
-                let s = rt.workers.len();
-                // Candidate filter: exact only while the decay frame is
-                // stable. `last_arrival` bounds every submitted arrival, so
-                // if it does not warrant a renormalization, no in-flight
-                // merge can move the landmark under this batch's snapshot.
-                // The snapshot itself is memoized: every invalidation point
-                // (churn, seeds, insertions, renorms) clears `filter_cache`,
-                // so a still-cached filter is exactly the current state and
-                // quiet streams pay the O(queries) materialization only
-                // after something actually moved a threshold.
-                let filter = if rt.base.decay.needs_renorm(self.last_arrival) {
-                    rt.filter_cache = None;
-                    None
-                } else {
-                    if rt.filter_cache.is_none() {
-                        let thresholds: Arc<[f64]> = (0..rt.index.num_slots())
-                            .map(|i| rt.base.threshold_of(QueryId(i as u32)))
-                            .collect();
-                        rt.filter_cache =
-                            Some(CandidateFilter { decay: rt.base.decay.clone(), thresholds });
-                    }
-                    rt.filter_cache.clone()
-                };
-                // Epoch bounds ride along when pruning is engaged and the
-                // batch has a valid frozen frame (`filter`). Bounds built
-                // under older (lower) thresholds only over-estimate — the
-                // conservative direction — so the only maintenance the hot
-                // path ever pays here is a deferred-tightening flush or, on
-                // the first batch after a renormalization, a full rebuild
-                // in the new frame.
-                let bounds = if filter.is_some() && rt.pruning_wanted() {
-                    if rt.bounds_dirty {
-                        let (base, index) = (&rt.base, &rt.index);
-                        thawed(&mut rt.bounds)
-                            .rebuild_all(index, |q, w| base.normalized_of(q, w as f64));
-                        rt.bounds_dirty = false;
-                        rt.stale.clear();
-                    } else if rt.stale.len() >= BOUNDS_REFRESH_STALE {
-                        let (base, index) = (&rt.base, &rt.index);
-                        let b = thawed(&mut rt.bounds);
-                        for qid in rt.stale.drain() {
-                            if let Some(rec) = index.record(qid) {
-                                b.refresh_query(qid, &rec.to_record().entries, |q, w| {
-                                    base.normalized_of(q, w as f64)
-                                });
-                            }
-                        }
-                    }
-                    if !rt.bounds.is_frozen() {
-                        // Only ever unfrozen while exclusively owned, so
-                        // this never clones.
-                        Arc::make_mut(&mut rt.bounds).freeze();
-                    }
-                    Some(Arc::clone(&rt.bounds))
-                } else {
-                    None
-                };
-                // Contiguous slices in stream order, rotating the first
-                // worker per batch so small batches spread across shards.
-                let mut slices = Vec::with_capacity(s);
-                let (chunk, rem) = (n / s, n % s);
-                let mut start = 0usize;
-                for i in 0..s {
-                    let count = chunk + usize::from(i < rem);
-                    if count == 0 {
-                        continue;
-                    }
-                    let w = (rt.next_start + i) % s;
-                    rt.workers[w]
-                        .tx
-                        .send(DocCommand::Score(DocJob {
-                            index: Arc::clone(&rt.index),
-                            docs: Arc::clone(&docs),
-                            start,
-                            len: count,
-                            filter: filter.clone(),
-                            bounds: bounds.clone(),
-                        }))
-                        .expect("worker alive");
-                    slices.push((w as u32, count));
-                    start += count;
-                }
-                rt.next_start = (rt.next_start + 1) % s;
-                // Paged storage: pin the epoch's resident pages for the
-                // batch's flight so worker reads never race an eviction.
-                // Memoized per epoch — churn and compaction drop the cache.
-                let pins =
-                    (rt.index.storage_config().storage == PostingsStorage::Paged).then(|| {
-                        Arc::clone(
-                            rt.epoch_pins
-                                .get_or_insert_with(|| Arc::new(rt.index.pin_resident_pages())),
-                        )
-                    });
-                rt.pending.push_back(PendingDocBatch { docs, slices, _pins: pins });
-            }
-        }
+        let clock = self.advance_past(&docs);
+        self.runtime.submit(Arc::from(docs), clock);
     }
 
     /// Merge the oldest in-flight batch: blocks until every involved shard
     /// has answered it. Returns `None` when nothing is in flight.
-    ///
-    /// Query mode translates shard-local query ids to public ids here;
-    /// document mode applies the per-worker candidates to the authoritative
-    /// result store serially, in stream order — this is where insertions,
-    /// result changes and decay renormalizations actually happen.
     pub fn drain_batch(&mut self) -> Option<BatchOutcome> {
-        match &mut self.runtime {
-            Runtime::Queries(rt) => {
-                let len = rt.in_flight.pop_front()?;
-                let mut stats = vec![EventStats::default(); len];
-                let mut changes = Vec::new();
-                for (shard, w) in rt.workers.iter().enumerate() {
-                    let reply = w.reply_rx.recv().expect("worker reply");
-                    debug_assert_eq!(reply.stats.len(), len, "shard answered a different batch");
-                    for (merged, ev) in stats.iter_mut().zip(&reply.stats) {
-                        merged.merge(ev);
-                    }
-                    let locals = &rt.global_of_local[shard];
-                    changes.extend(reply.changes.into_iter().map(|mut c| {
-                        c.query = locals[c.query.index()];
-                        (shard as u32, c)
-                    }));
-                }
-                Some((stats, changes))
-            }
-            Runtime::Documents(rt) => {
-                let pending = rt.pending.pop_front()?;
-                let mut stats = Vec::with_capacity(pending.docs.len());
-                let mut changes: Vec<(u32, ResultChange)> = Vec::new();
-                let mut doc_i = 0usize;
-                let mut thresholds_moved = false;
-                let mut renormalized = false;
-                for &(w, count) in &pending.slices {
-                    let reply = rt.workers[w as usize].reply_rx.recv().expect("worker reply");
-                    debug_assert_eq!(reply.stats.len(), count, "worker answered a different slice");
-                    for (mut ev, cands) in reply.stats.into_iter().zip(reply.candidates) {
-                        let doc = &pending.docs[doc_i];
-                        let (_theta, amp, renorm) = rt.base.begin_event(doc.arrival);
-                        renormalized |= renorm.is_some();
-                        thresholds_moved |= renorm.is_some();
-                        for (qid, raw_dot) in cands {
-                            if rt.base.offer(qid, doc, raw_dot, amp) {
-                                ev.updates += 1;
-                                thresholds_moved = true;
-                            }
-                        }
-                        changes.extend(rt.base.changes.iter().map(|c| (w, *c)));
-                        ev.accumulate_into(&mut rt.base.cum);
-                        ev.accumulate_into(&mut rt.worker_cum[w as usize]);
-                        stats.push(ev);
-                        doc_i += 1;
-                    }
-                }
-                debug_assert_eq!(doc_i, pending.docs.len(), "slices must cover the batch");
-                if thresholds_moved {
-                    // An insertion or renormalization moved some `S_k` (or
-                    // the frame): the memoized submit-time filter is stale.
-                    rt.filter_cache = None;
-                }
-                if renormalized {
-                    // Thresholds were scaled *down*: frozen bound values now
-                    // under-estimate `u = w/S_k` — the one direction pruning
-                    // cannot absorb. Disable it until a full rebuild in the
-                    // new frame (next pruning submit), and drop the queued
-                    // tightenings the rebuild subsumes.
-                    rt.bounds_dirty = true;
-                    rt.stale.clear();
-                } else if rt.pruning_wanted() {
-                    // Insertions only *raise* thresholds: queue the bound
-                    // tightenings instead of touching the shared epoch on
-                    // the hot path. (With pruning off — or auto below its
-                    // population threshold — there is no consumer, and
-                    // stale-high bounds are sound anyway, so don't pay the
-                    // inserts.)
-                    for (_, c) in &changes {
-                        rt.stale.insert(c.query);
-                    }
-                }
-                // Batch boundary: compact the epoch when dead postings pile
-                // up. In-flight batches keep their (pre-compaction) epoch —
-                // copy-on-write makes this safe even mid-pipeline.
-                if rt.compact_at > 0.0 && rt.index.tombstone_ratio() >= rt.compact_at {
-                    rt.epoch_pins = None;
-                    let changed_lists = Arc::make_mut(&mut rt.index).compact();
-                    if !changed_lists.is_empty() {
-                        // Compaction moved positions AND shrank lists:
-                        // realign exactly the affected lists' bounds
-                        // unconditionally — even a dirty epoch must keep
-                        // its per-list lengths matching the index, or the
-                        // next registration's appends land at the wrong
-                        // positions. (A dirty epoch is rebuilt in full at
-                        // the next pruning submit regardless; this rebuild
-                        // with current thresholds is simply its down
-                        // payment on the changed lists.)
-                        let (base, index) = (&rt.base, &rt.index);
-                        let b = thawed(&mut rt.bounds);
-                        for li in changed_lists {
-                            b.rebuild_list(index, li, |q, w| base.normalized_of(q, w as f64));
-                        }
-                    }
-                }
-                Some((stats, changes))
-            }
-        }
+        self.runtime.drain()
     }
 
-    /// Number of submitted batches not yet drained.
+    /// Number of submitted batches not yet drained. Document mode's
+    /// `results` reflect **drained** batches only — quiesce an open
+    /// pipeline first for an up-to-date answer.
     pub fn in_flight(&self) -> usize {
-        match &self.runtime {
-            Runtime::Queries(rt) => rt.in_flight.len(),
-            Runtime::Documents(rt) => rt.pending.len(),
-        }
+        self.runtime.in_flight()
     }
 
     /// Drive a whole stream of pre-stamped batches through the shards,
@@ -1219,104 +313,6 @@ impl ShardedMonitor {
         }
     }
 
-    /// Publish one document through the unified API (a batch of one).
-    pub fn publish(&mut self, pairs: Vec<(TermId, f32)>, arrival: Timestamp) -> PublishReceipt {
-        self.publish_batch(vec![(pairs, arrival)])
-    }
-
-    /// Publish a batch: allocate ids, clamp arrivals monotone, then drive
-    /// the submit/drain pipeline in chunks of the configured ingest batch
-    /// size (whole batch at once by default), keeping up to the configured
-    /// window of chunks in flight.
-    pub fn publish_batch(&mut self, batch: Vec<(Vec<(TermId, f32)>, Timestamp)>) -> PublishReceipt {
-        assert!(
-            self.in_flight() == 0,
-            "publish cannot interleave with an open submit/drain pipeline; drain it first"
-        );
-        // TTL expiry fires before the batch is admitted, so an expiring
-        // query never sees documents past its deadline — the exact moment
-        // an oracle unregistering at this boundary would remove it.
-        let expired =
-            if batch.is_empty() { 0 } else { self.expire_due(batch.first().map(|(_, at)| *at)) };
-        let docs: Vec<Document> =
-            batch.into_iter().map(|(pairs, arrival)| self.admit(pairs, arrival)).collect();
-        let mut receipt = PublishReceipt {
-            doc_ids: docs.iter().map(|d| d.id).collect(),
-            changes: Vec::new(),
-            stats: Vec::with_capacity(docs.len()),
-        };
-        let fixed_chunk =
-            if self.ingest_batch == 0 { docs.len().max(1) } else { self.ingest_batch };
-        let window = self.ingest_window;
-        // Each drain is timed and fed to the AIMD controller (when one is
-        // installed): over-target drains halve the next chunk, on-target
-        // drains grow it. The chunk schedule never affects the receipt —
-        // chunking is result-invariant.
-        let drain_into = |m: &mut Self, receipt: &mut PublishReceipt| {
-            let started = std::time::Instant::now();
-            let (stats, changes) = m.drain_batch().expect("in-flight batch");
-            if let Some(ctl) = &mut m.adaptive {
-                ctl.observe(started.elapsed().as_secs_f64() * 1e3);
-            }
-            receipt.stats.extend(stats);
-            receipt.changes.extend(changes.into_iter().map(|(_, c)| c));
-        };
-        // Split the stamped batch into owned chunks without cloning any
-        // document: `split_off` moves the tail, the head is submitted.
-        let mut rest = docs;
-        while !rest.is_empty() {
-            let chunk = match &self.adaptive {
-                Some(ctl) => ctl.chunk(),
-                None => fixed_chunk,
-            };
-            let tail = rest.split_off(chunk.min(rest.len()));
-            let part = std::mem::replace(&mut rest, tail);
-            self.submit_batch(part);
-            while self.in_flight() > window {
-                drain_into(self, &mut receipt);
-            }
-        }
-        while self.in_flight() > 0 {
-            drain_into(self, &mut receipt);
-        }
-        self.attribute_lifecycle(&mut receipt, expired);
-        receipt
-    }
-
-    /// Stamp one incoming document: next id, monotone-clamped arrival.
-    fn admit(&mut self, pairs: Vec<(TermId, f32)>, arrival: Timestamp) -> Document {
-        let arrival = arrival.max(self.last_arrival);
-        self.last_arrival = arrival;
-        let id = DocId(self.next_doc);
-        self.next_doc += 1;
-        Document::new(id, pairs, arrival)
-    }
-
-    /// Current results of a query. In document mode this reads the
-    /// authoritative store, which reflects **drained** batches only —
-    /// quiesce an open pipeline first for an up-to-date answer (query mode
-    /// orders the read after in-flight batches via the worker's FIFO).
-    pub fn results(&self, qid: QueryId) -> Option<Vec<ScoredDoc>> {
-        self.specs.get(qid.index()).and_then(Option::as_ref)?;
-        match &self.runtime {
-            Runtime::Queries(rt) => {
-                let route = rt.routes[qid.index()].expect("spec implies route");
-                let (reply_tx, reply_rx) = bounded(1);
-                rt.workers[route.shard as usize]
-                    .tx
-                    .send(Command::Results(route.local, reply_tx))
-                    .expect("worker alive");
-                reply_rx.recv().expect("worker reply")
-            }
-            Runtime::Documents(rt) => rt.base.results(qid),
-        }
-    }
-
-    /// Number of live queries across all shards.
-    pub fn num_queries(&self) -> usize {
-        self.live
-    }
-
     /// Lifetime work counters of every shard, shard order.
     ///
     /// The invariant checked by the equivalence tests depends on the mode:
@@ -1325,866 +321,17 @@ impl ShardedMonitor {
     /// `n × shards`); in document mode every document visits exactly *one*
     /// shard, so the per-shard counters **sum** to `n`.
     pub fn shard_cumulative(&self) -> Vec<CumulativeStats> {
-        match &self.runtime {
-            Runtime::Queries(rt) => rt
-                .workers
-                .iter()
-                .map(|w| {
-                    let (reply_tx, reply_rx) = bounded(1);
-                    w.tx.send(Command::Cumulative(reply_tx)).expect("worker alive");
-                    reply_rx.recv().expect("worker reply")
-                })
-                .collect(),
-            Runtime::Documents(rt) => rt.worker_cum.clone(),
-        }
-    }
-
-    fn shard_landmark(&self, rt: &QueryShards, shard: usize) -> Timestamp {
-        let (reply_tx, reply_rx) = bounded(1);
-        rt.workers[shard].tx.send(Command::Landmark(reply_tx)).expect("worker alive");
-        reply_rx.recv().expect("worker reply")
-    }
-
-    /// Capture the full monitor state. Query mode writes one
-    /// [`ShardSnapshot`] section per shard, each with its own landmark and
-    /// resident queries (public ids); document mode — whose queries are not
-    /// partitioned — writes a single section. Either capture restores onto
-    /// either mode (and any shard count): [`Snapshot::restore_into`]
-    /// re-registers through the public API. Must not be called with batches
-    /// in flight.
-    pub fn snapshot(&self) -> Snapshot {
-        assert!(self.in_flight() == 0, "snapshot requires a quiesced pipeline; drain first");
-        let mut sections: Vec<ShardSnapshot> = match &self.runtime {
-            Runtime::Queries(rt) => (0..rt.workers.len())
-                .map(|s| ShardSnapshot {
-                    landmark: self.shard_landmark(rt, s),
-                    queries: Vec::new(),
-                })
-                .collect(),
-            Runtime::Documents(rt) => {
-                vec![ShardSnapshot { landmark: rt.base.decay.landmark(), queries: Vec::new() }]
-            }
-        };
-        for (i, spec) in self.specs.iter().enumerate() {
-            let Some(spec) = spec else { continue };
-            let qid = QueryId(i as u32);
-            let section = match &self.runtime {
-                Runtime::Queries(rt) => rt.routes[i].expect("spec implies route").shard as usize,
-                Runtime::Documents(_) => 0,
-            };
-            sections[section].queries.push(snapshot_query(
-                qid,
-                spec,
-                self.results(qid).unwrap_or_default(),
-                &self.lifecycle,
-                self.last_arrival,
-            ));
-        }
-        Snapshot {
-            version: SNAPSHOT_VERSION,
-            lambda: self.lambda(),
-            next_doc: self.next_doc,
-            last_arrival: self.last_arrival,
-            namespaces: self.lifecycle.names().to_vec(),
-            policies: snapshot_policies(&self.lifecycle),
-            shards: sections,
-        }
-    }
-
-    /// The decay parameter the monitor was built with.
-    pub fn lambda(&self) -> f64 {
-        match &self.runtime {
-            Runtime::Queries(rt) => {
-                let (reply_tx, reply_rx) = bounded(1);
-                rt.workers[0].tx.send(Command::Lambda(reply_tx)).expect("worker alive");
-                reply_rx.recv().expect("worker reply")
-            }
-            Runtime::Documents(rt) => rt.base.decay.lambda(),
-        }
-    }
-
-    /// Point-in-time storage counters: summed over every worker's index in
-    /// query mode (each shard owns a slice of the query population), read
-    /// off the shared epoch in document mode.
-    pub fn storage_stats(&self) -> StorageStats {
-        match &self.runtime {
-            Runtime::Queries(rt) => {
-                let mut total = StorageStats::default();
-                for w in &rt.workers {
-                    let (reply_tx, reply_rx) = bounded(1);
-                    w.tx.send(Command::Storage(reply_tx)).expect("worker alive");
-                    total.merge(&reply_rx.recv().expect("worker reply"));
-                }
-                total
-            }
-            Runtime::Documents(rt) => rt.index.storage_stats(),
-        }
-    }
-}
-
-impl MonitorBackend for ShardedMonitor {
-    fn register_with(&mut self, spec: QuerySpec, opts: QueryOptions) -> QueryId {
-        ShardedMonitor::register_with(self, spec, opts)
-    }
-
-    fn unregister(&mut self, qid: QueryId) -> bool {
-        ShardedMonitor::unregister(self, qid)
-    }
-
-    fn intern_namespace(&mut self, name: &str) -> Namespace {
-        ShardedMonitor::intern_namespace(self, name)
-    }
-
-    fn find_namespace(&self, name: &str) -> Option<Namespace> {
-        self.lifecycle.find(name)
-    }
-
-    fn set_retention(&mut self, ns: Namespace, policy: RetentionPolicy) {
-        ShardedMonitor::set_retention(self, ns, policy)
-    }
-
-    fn retention(&self, ns: Namespace) -> Option<RetentionPolicy> {
-        self.lifecycle.policy(ns)
-    }
-
-    fn forget_namespace(&mut self, ns: Namespace) -> usize {
-        ShardedMonitor::forget_namespace(self, ns)
-    }
-
-    fn namespace_of(&self, qid: QueryId) -> Option<Namespace> {
-        self.lifecycle.namespace_of(qid)
-    }
-
-    fn namespace_stats(&self) -> Vec<NamespaceStats> {
-        self.lifecycle.stats()
-    }
-
-    fn lifecycle_totals(&self) -> (u64, u64) {
-        self.lifecycle.totals()
-    }
-
-    fn publish_request(&mut self, request: PublishRequest) -> PublishReceipt {
-        ShardedMonitor::publish_batch(self, request.into_batch())
-    }
-
-    fn results(&self, qid: QueryId) -> Option<Vec<ScoredDoc>> {
-        ShardedMonitor::results(self, qid)
-    }
-
-    fn num_queries(&self) -> usize {
-        ShardedMonitor::num_queries(self)
-    }
-
-    fn shards(&self) -> usize {
-        ShardedMonitor::shards(self)
-    }
-
-    fn sharding_mode(&self) -> ShardingMode {
-        ShardedMonitor::mode(self)
-    }
-
-    fn lambda(&self) -> f64 {
-        ShardedMonitor::lambda(self)
-    }
-
-    fn storage_stats(&self) -> StorageStats {
-        ShardedMonitor::storage_stats(self)
-    }
-
-    fn snapshot(&self) -> Snapshot {
-        ShardedMonitor::snapshot(self)
-    }
-
-    fn restore_landmark(&mut self, landmark: Timestamp) {
-        match &mut self.runtime {
-            Runtime::Queries(rt) => {
-                // FIFO per worker: the landmark lands before any later seed.
-                for w in &rt.workers {
-                    w.tx.send(Command::RestoreLandmark(landmark)).expect("worker alive");
-                }
-            }
-            Runtime::Documents(rt) => {
-                rt.base.decay.restore_landmark(landmark);
-                rt.filter_cache = None;
-                // The decay frame moved arbitrarily: frozen bound values
-                // are not comparable to post-restore thresholds.
-                rt.bounds_dirty = true;
-                rt.stale.clear();
-            }
-        }
-    }
-
-    fn restore_stream_position(&mut self, next_doc: u64, last_arrival: Timestamp) {
-        self.next_doc = next_doc;
-        self.last_arrival = last_arrival;
-    }
-
-    fn seed_results(&mut self, qid: QueryId, seeds: &[ScoredDoc]) {
-        ShardedMonitor::seed_results(self, qid, seeds)
-    }
-
-    fn restore_lifecycle(&mut self, qid: QueryId, registered_at: Timestamp, deadline: Option<f64>) {
-        self.lifecycle.restore_pin(qid, registered_at, deadline);
-    }
-}
-
-impl Drop for ShardedMonitor {
-    fn drop(&mut self) {
-        match &mut self.runtime {
-            Runtime::Queries(rt) => {
-                for w in &rt.workers {
-                    let _ = w.tx.send(Command::Shutdown);
-                }
-                for w in &mut rt.workers {
-                    if let Some(handle) = w.handle.take() {
-                        let _ = handle.join();
-                    }
-                }
-            }
-            Runtime::Documents(rt) => {
-                for w in &rt.workers {
-                    let _ = w.tx.send(DocCommand::Shutdown);
-                }
-                for w in &mut rt.workers {
-                    if let Some(handle) = w.handle.take() {
-                        let _ = handle.join();
-                    }
-                }
-            }
-        }
+        self.runtime.shard_cumulative()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitor::Monitor;
-    use crate::mrio::MrioSeg;
+    use crate::backend::{MonitorBackend, ShardingMode};
     use crate::naive::Naive;
-    use ctk_common::TermId;
-
-    fn spec(terms: &[u32], k: usize) -> QuerySpec {
-        QuerySpec::uniform(&terms.iter().map(|&t| TermId(t)).collect::<Vec<_>>(), k).unwrap()
-    }
-
-    fn doc(id: u64, terms: &[(u32, f32)], at: f64) -> Document {
-        Document::new(DocId(id), terms.iter().map(|&(t, w)| (TermId(t), w)).collect(), at)
-    }
-
-    #[test]
-    fn sharded_matches_single_engine() {
-        let mut sharded = ShardedMonitor::new(3, || MrioSeg::new(0.001));
-        let mut single = Naive::new(0.001);
-
-        let specs: Vec<QuerySpec> =
-            (0..30).map(|i| spec(&[i % 7, 7 + i % 4], 2 + (i % 3) as usize)).collect();
-        let sharded_ids: Vec<QueryId> = specs.iter().map(|s| sharded.register(s.clone())).collect();
-        let single_ids: Vec<QueryId> = specs.iter().map(|s| single.register(s.clone())).collect();
-        // Public ids are one monotone space, identical to the single engine's.
-        assert_eq!(sharded_ids, single_ids);
-
-        for i in 0..60u64 {
-            let d = doc(i, &[((i % 7) as u32, 1.0), ((7 + i % 4) as u32, 0.6)], i as f64);
-            sharded.process(d.clone());
-            single.process(&d);
-        }
-        for qid in &sharded_ids {
-            assert_eq!(sharded.results(*qid), single.results(*qid));
-        }
-    }
-
-    #[test]
-    fn round_robin_distributes_queries() {
-        let mut m = ShardedMonitor::new(2, || MrioSeg::new(0.0));
-        let a = m.register(spec(&[1], 1));
-        let b = m.register(spec(&[1], 1));
-        let c = m.register(spec(&[1], 1));
-        assert_eq!((a, b, c), (QueryId(0), QueryId(1), QueryId(2)));
-        assert_eq!(m.shards(), 2);
-        assert_eq!(m.mode(), ShardingMode::Queries);
-        assert_eq!(m.num_queries(), 3);
-        // Placement is observable through the snapshot's sections.
-        let snap = m.snapshot();
-        let per_shard: Vec<Vec<u32>> =
-            snap.shards.iter().map(|s| s.queries.iter().map(|q| q.qid).collect()).collect();
-        assert_eq!(per_shard, vec![vec![0, 2], vec![1]]);
-    }
-
-    #[test]
-    fn unregister_and_changes_reporting() {
-        let mut m = ShardedMonitor::new(2, || MrioSeg::new(0.0));
-        // k = 2 so the second document still has a free slot to enter.
-        let a = m.register(spec(&[1], 2));
-        let b = m.register(spec(&[1], 2));
-        let (_, changes) = m.process(doc(0, &[(1, 1.0)], 0.0));
-        assert_eq!(changes.len(), 2, "both shards report an insertion");
-        // Changes speak public ids, whatever shard they came from.
-        let mut qids: Vec<QueryId> = changes.iter().map(|(_, c)| c.query).collect();
-        qids.sort();
-        assert_eq!(qids, vec![a, b]);
-        assert!(m.unregister(a));
-        assert!(!m.unregister(a), "double unregister is a no-op");
-        let (_, changes) = m.process(doc(1, &[(1, 2.0)], 1.0));
-        assert_eq!(changes.len(), 1);
-        assert_eq!(changes[0].1.query, b);
-        assert!(m.results(b).is_some());
-        assert!(m.results(a).is_none());
-        assert_eq!(m.num_queries(), 1);
-    }
-
-    #[test]
-    fn batch_path_matches_per_doc_path() {
-        let mk = || {
-            let mut m = ShardedMonitor::new(3, || MrioSeg::new(0.001));
-            let ids: Vec<QueryId> = (0..20)
-                .map(|i| m.register(spec(&[i % 5, 5 + i % 3], 1 + (i % 2) as usize)))
-                .collect();
-            (m, ids)
-        };
-        let docs: Vec<Document> = (0..50u64)
-            .map(|i| doc(i, &[((i % 5) as u32, 1.0), ((5 + i % 3) as u32, 0.4)], i as f64))
-            .collect();
-
-        let (mut per_doc, ids_a) = mk();
-        let mut stats_a = Vec::new();
-        let mut changes_a = Vec::new();
-        for d in &docs {
-            let (ev, ch) = per_doc.process(d.clone());
-            stats_a.push(ev);
-            changes_a.extend(ch);
-        }
-
-        let (mut batched, ids_b) = mk();
-        let mut stats_b = Vec::new();
-        let mut changes_b = Vec::new();
-        for chunk in docs.chunks(16) {
-            let (evs, ch) = batched.process_batch(chunk.to_vec());
-            stats_b.extend(evs);
-            changes_b.extend(ch);
-        }
-
-        assert_eq!(stats_a, stats_b, "merged per-document stats must not depend on batching");
-        // Changes are reported in unspecified order (per-doc groups by
-        // document, the batch path groups by shard): compare as multisets.
-        let key = |(shard, c): &(u32, ResultChange)| {
-            (*shard, c.query.0, c.inserted.doc.0, c.inserted.score)
-        };
-        changes_a.sort_by_key(key);
-        changes_b.sort_by_key(key);
-        assert_eq!(changes_a, changes_b);
-        for (a, b) in ids_a.iter().zip(&ids_b) {
-            assert_eq!(per_doc.results(*a), batched.results(*b));
-        }
-        // Every shard saw every document exactly once.
-        for cum in batched.shard_cumulative() {
-            assert_eq!(cum.events, docs.len() as u64);
-        }
-    }
-
-    #[test]
-    fn pipelined_ingestion_matches_synchronous() {
-        let mk = || {
-            let mut m = ShardedMonitor::new(2, || MrioSeg::new(0.0));
-            let ids: Vec<QueryId> = (0..10).map(|i| m.register(spec(&[i % 4], 2))).collect();
-            (m, ids)
-        };
-        let batches: Vec<Vec<Document>> = (0..8u64)
-            .map(|b| {
-                (0..16u64)
-                    .map(|i| {
-                        let id = b * 16 + i;
-                        doc(id, &[((id % 4) as u32, 1.0 + (id % 3) as f32)], id as f64)
-                    })
-                    .collect()
-            })
-            .collect();
-
-        let (mut sync_m, ids_a) = mk();
-        let mut sync_out = Vec::new();
-        for b in &batches {
-            let (evs, ch) = sync_m.process_batch(b.clone());
-            sync_out.push((evs, ch));
-        }
-
-        let (mut pipe_m, ids_b) = mk();
-        let mut pipe_out = Vec::new();
-        pipe_m.run_pipelined(batches.clone(), 2, |evs, ch| pipe_out.push((evs, ch)));
-        assert_eq!(pipe_m.in_flight(), 0);
-
-        assert_eq!(sync_out.len(), pipe_out.len());
-        for ((ea, ca), (eb, cb)) in sync_out.iter().zip(&pipe_out) {
-            assert_eq!(ea, eb);
-            assert_eq!(ca, cb);
-        }
-        for (a, b) in ids_a.iter().zip(&ids_b) {
-            assert_eq!(sync_m.results(*a), pipe_m.results(*b));
-        }
-    }
-
-    #[test]
-    fn publish_path_matches_single_monitor() {
-        // The same publish sequence through a Monitor and a ShardedMonitor
-        // (including a chunked, pipelined configuration) yields identical
-        // receipts up to change order, and identical results.
-        let specs: Vec<QuerySpec> = (0..12).map(|i| spec(&[i % 4, 4 + i % 3], 2)).collect();
-        let mut single = Monitor::new(Naive::new(0.01));
-        let mut sharded = ShardedMonitor::new(3, || Naive::new(0.01));
-        sharded.set_ingest_chunking(4, 2);
-        for s in &specs {
-            let a = single.register(s.clone());
-            let b = ShardedMonitor::register(&mut sharded, s.clone());
-            assert_eq!(a, b);
-        }
-
-        let batch: Vec<(Vec<(TermId, f32)>, Timestamp)> = (0..30u32)
-            .map(|i| (vec![(TermId(i % 4), 1.0), (TermId(4 + i % 3), 0.7)], i as f64))
-            .collect();
-        let ra = single.publish_batch(batch.clone());
-        let rb = sharded.publish_batch(batch);
-
-        assert_eq!(ra.doc_ids, rb.doc_ids);
-        // Index-traversal counters differ by construction (each shard owns
-        // its own lists), but insertions are insertions wherever the query
-        // lives: per-document update counts must agree exactly.
-        let upd = |r: &PublishReceipt| r.stats.iter().map(|e| e.updates).collect::<Vec<u64>>();
-        assert_eq!(upd(&ra), upd(&rb), "insertions per document match the single engine");
-        let sort = |mut v: Vec<ResultChange>| {
-            v.sort_by_key(|c| (c.query, c.inserted.doc));
-            v
-        };
-        assert_eq!(sort(ra.changes), sort(rb.changes));
-        for i in 0..specs.len() as u32 {
-            assert_eq!(single.results(QueryId(i)), sharded.results(QueryId(i)));
-        }
-
-        // And single publishes keep allocating from the same id space.
-        let r1 = single.publish(vec![(TermId(0), 1.0)], 31.0);
-        let r2 = sharded.publish(vec![(TermId(0), 1.0)], 31.0);
-        assert_eq!(r1.doc_id(), DocId(30));
-        assert_eq!(r1.doc_ids, r2.doc_ids);
-    }
-
-    #[test]
-    fn snapshot_after_prestamped_ingestion_captures_the_stream_position() {
-        // `process`/`run_pipelined` take pre-stamped documents and bypass
-        // `admit`; the snapshot must still record where the stream got to,
-        // or a restore would re-allocate ids colliding with the seeded
-        // result sets.
-        let mut m = ShardedMonitor::new(2, || MrioSeg::new(0.0));
-        let q = m.register(spec(&[1, 2], 3));
-        for i in 0..5u64 {
-            // Single-term documents: cosine 1/√2 against the two-term query.
-            m.process(doc(i, &[(1, 1.0)], i as f64));
-        }
-        let snap = m.snapshot();
-        assert_eq!(snap.next_doc, 5);
-        assert_eq!(snap.last_arrival, 4.0);
-
-        let mut restored = ShardedMonitor::new(3, || MrioSeg::new(0.0));
-        let mapping = snap.restore_into(&mut restored);
-        // A perfect match (cosine 1) published after the restore must beat
-        // the seeded history and carry the next id.
-        let receipt = restored.publish(vec![(TermId(1), 1.0), (TermId(2), 1.0)], 10.0);
-        assert_eq!(receipt.doc_id(), DocId(5), "ids continue past the capture");
-        assert!(restored.results(mapping[&q]).unwrap().iter().any(|sd| sd.doc == DocId(5)));
-    }
-
-    #[test]
-    fn drain_on_empty_pipeline_is_none() {
-        let mut m = ShardedMonitor::new(2, || MrioSeg::new(0.0));
-        assert!(m.drain_batch().is_none());
-        assert_eq!(m.in_flight(), 0);
-    }
-
-    // --- document-parallel mode ---
-
-    /// Drive the same registration/stream sequence through a doc-parallel
-    /// monitor and a single Naive engine; everything must be bit-identical.
-    fn doc_mode_against_naive(shards: usize, lambda: f64, batch: usize, window: usize) {
-        let mut sharded = ShardedMonitor::new_doc_parallel(shards, lambda);
-        let mut single = Naive::new(lambda);
-        let ids: Vec<QueryId> = (0..24)
-            .map(|i| {
-                let s = spec(&[i % 6, 6 + i % 5], 1 + (i % 3) as usize);
-                let qid = sharded.register(s.clone());
-                assert_eq!(qid, single.register(s), "one monotone public id space");
-                qid
-            })
-            .collect();
-
-        let docs: Vec<Document> = (0..80u64)
-            .map(|i| doc(i, &[((i % 6) as u32, 1.0), ((6 + i % 5) as u32, 0.5)], i as f64 * 3.0))
-            .collect();
-        let mut single_stats = Vec::new();
-        let mut single_changes = Vec::new();
-        for d in &docs {
-            single_stats.push(single.process(d));
-            single_changes.extend_from_slice(single.last_changes());
-        }
-
-        let mut sharded_stats = Vec::new();
-        let mut sharded_changes = Vec::new();
-        sharded.run_pipelined(docs.chunks(batch).map(<[_]>::to_vec), window, |evs, ch| {
-            sharded_stats.extend(evs);
-            sharded_changes.extend(ch.into_iter().map(|(_, c)| c));
-        });
-
-        // Bit-identical per-document work counters: the doc-mode walk *is*
-        // the oracle's walk, parallelized (updates included — the filter
-        // only drops candidates the merge would reject anyway).
-        assert_eq!(single_stats, sharded_stats);
-        // Changes come out in stream order in both cases.
-        assert_eq!(single_changes, sharded_changes);
-        for qid in &ids {
-            assert_eq!(sharded.results(*qid), single.results(*qid), "query {qid}");
-        }
-        // Each document visits exactly one shard: per-shard events sum to n.
-        let per_shard = sharded.shard_cumulative();
-        assert_eq!(per_shard.iter().map(|c| c.events).sum::<u64>(), docs.len() as u64);
-    }
-
-    #[test]
-    fn doc_mode_matches_naive_synchronous() {
-        doc_mode_against_naive(4, 0.001, 16, 0);
-    }
-
-    #[test]
-    fn doc_mode_matches_naive_pipelined() {
-        doc_mode_against_naive(3, 0.001, 8, 2);
-    }
-
-    #[test]
-    fn doc_mode_matches_naive_across_renormalization() {
-        // λ = 0.5 over arrivals up to ~240 crosses the renorm headroom (60)
-        // several times: the filter must disable itself on the crossing
-        // batches and the merge must renormalize exactly like the oracle.
-        doc_mode_against_naive(2, 0.5, 8, 1);
-    }
-
-    #[test]
-    fn doc_mode_single_shard_still_pipelines() {
-        doc_mode_against_naive(1, 0.01, 4, 2);
-    }
-
-    #[test]
-    fn doc_mode_unregister_and_results() {
-        let mut m = ShardedMonitor::new_doc_parallel(2, 0.0);
-        assert_eq!(m.mode(), ShardingMode::Documents);
-        let a = m.register(spec(&[1], 2));
-        let b = m.register(spec(&[1], 2));
-        let (ev, changes) = m.process(doc(0, &[(1, 1.0)], 0.0));
-        assert_eq!(ev.updates, 2, "one insertion per query");
-        assert_eq!(changes.len(), 2);
-        assert!(m.unregister(a));
-        assert!(!m.unregister(a), "double unregister is a no-op");
-        let (_, changes) = m.process(doc(1, &[(1, 2.0)], 1.0));
-        assert_eq!(changes.len(), 1);
-        assert_eq!(changes[0].1.query, b);
-        assert!(m.results(b).is_some());
-        assert!(m.results(a).is_none());
-        assert_eq!(m.num_queries(), 1);
-    }
-
-    #[test]
-    fn doc_mode_threshold_filter_prunes_without_changing_results() {
-        // A full result set with a high threshold: weak documents must be
-        // filtered worker-side (no update), strong ones must still land.
-        let mut m = ShardedMonitor::new_doc_parallel(2, 0.0);
-        let q = m.register(spec(&[1, 2], 1));
-        m.process(doc(0, &[(1, 1.0), (2, 1.0)], 0.0)); // cosine 1.0, fills k
-        let (_, changes) = m.process(doc(1, &[(1, 1.0), (9, 3.0)], 1.0)); // weak
-        assert!(changes.is_empty());
-        let (_, changes) = m.process(doc(2, &[(1, 1.0), (2, 1.0)], 2.0)); // tie
-                                                                          // Equal score, larger doc id: the incumbent stays.
-        assert!(changes.is_empty());
-        assert_eq!(m.results(q).unwrap()[0].doc, DocId(0));
-    }
-
-    #[test]
-    fn doc_mode_snapshot_writes_one_section_and_restores_onto_query_mode() {
-        let mut m = ShardedMonitor::new_doc_parallel(3, 0.001);
-        let ids: Vec<QueryId> = (0..9).map(|i| m.register(spec(&[i % 4], 2))).collect();
-        for i in 0..20u64 {
-            m.process(doc(i, &[((i % 4) as u32, 1.0)], i as f64));
-        }
-        let snap = m.snapshot();
-        assert_eq!(snap.shards.len(), 1, "doc mode does not partition queries");
-        assert_eq!(snap.num_queries(), 9);
-
-        // Doc-parallel capture → query-sharded restore...
-        let mut onto_query = ShardedMonitor::new(2, || MrioSeg::new(0.001));
-        let mapping = snap.restore_into(&mut onto_query);
-        for qid in &ids {
-            assert_eq!(onto_query.results(mapping[qid]), m.results(*qid));
-        }
-        // ...and a query-sharded capture restores onto doc mode.
-        let back = onto_query.snapshot();
-        assert_eq!(back.shards.len(), 2);
-        let mut onto_doc = ShardedMonitor::new_doc_parallel(4, 0.001);
-        let mapping2 = back.restore_into(&mut onto_doc);
-        for qid in &ids {
-            assert_eq!(onto_doc.results(mapping2[&mapping[qid]]), m.results(*qid));
-        }
-    }
-
-    #[test]
-    fn doc_mode_compaction_keeps_results_and_shrinks_the_epoch() {
-        let mk = |ratio: f64| {
-            let mut m = ShardedMonitor::new_doc_parallel(2, 0.0);
-            m.set_compaction_threshold(ratio);
-            let ids: Vec<QueryId> =
-                (0..30).map(|i| m.register(spec(&[i % 5, 5 + i % 3], 2))).collect();
-            (m, ids)
-        };
-        let (mut compacting, ids_a) = mk(0.2);
-        let (mut lazy, ids_b) = mk(0.0);
-        for round in 0..3u64 {
-            for q in (round * 8)..(round * 8 + 5) {
-                assert!(compacting.unregister(QueryId(q as u32)));
-                assert!(lazy.unregister(QueryId(q as u32)));
-            }
-            let batch: Vec<Document> = (0..15u64)
-                .map(|i| {
-                    let id = round * 15 + i;
-                    doc(id, &[((id % 5) as u32, 1.0), ((5 + id % 3) as u32, 0.5)], id as f64)
-                })
-                .collect();
-            let (_, ca) = compacting.process_batch(batch.clone());
-            let (_, cb) = lazy.process_batch(batch);
-            let strip = |v: Vec<(u32, ResultChange)>| -> Vec<ResultChange> {
-                v.into_iter().map(|(_, c)| c).collect()
-            };
-            assert_eq!(strip(ca), strip(cb), "round {round}");
-        }
-        for (a, b) in ids_a.iter().zip(&ids_b) {
-            assert_eq!(compacting.results(*a), lazy.results(*b));
-        }
-    }
-
-    #[test]
-    fn doc_mode_batches_smaller_than_the_shard_count() {
-        let mut m = ShardedMonitor::new_doc_parallel(4, 0.0);
-        let q = m.register(spec(&[1], 3));
-        // 2-document batches on 4 shards: only some workers get slices.
-        let (stats, _) = m.process_batch(vec![doc(0, &[(1, 1.0)], 0.0), doc(1, &[(1, 2.0)], 1.0)]);
-        assert_eq!(stats.len(), 2);
-        let (stats, _) = m.process_batch(vec![doc(2, &[(1, 3.0)], 2.0)]);
-        assert_eq!(stats.len(), 1);
-        assert_eq!(m.results(q).unwrap().len(), 3);
-        let per_shard = m.shard_cumulative();
-        assert_eq!(per_shard.iter().map(|c| c.events).sum::<u64>(), 3);
-    }
-
-    // --- document-mode walk pruning ---
-
-    /// Pruned doc mode vs the oracle: results, changes and per-document
-    /// insertion counts bit-identical; the walk counters may only *shift*
-    /// work from `postings_accessed` into `postings_skipped`, never lose
-    /// any.
-    fn doc_mode_pruned_against_naive(shards: usize, lambda: f64, batch: usize, window: usize) {
-        let mut sharded = ShardedMonitor::new_doc_parallel(shards, lambda);
-        sharded.set_doc_pruning(DocPruning::On);
-        let mut single = Naive::new(lambda);
-        let ids: Vec<QueryId> = (0..200)
-            .map(|i| {
-                let s = spec(&[i % 4, 4 + i % 3], 1 + (i % 2) as usize);
-                let qid = sharded.register(s.clone());
-                assert_eq!(qid, single.register(s));
-                qid
-            })
-            .collect();
-
-        let docs: Vec<Document> = (0..120u64)
-            .map(|i| doc(i, &[((i % 4) as u32, 1.0), ((4 + i % 3) as u32, 0.5)], i as f64 * 2.0))
-            .collect();
-        let mut single_stats = Vec::new();
-        let mut single_changes = Vec::new();
-        for d in &docs {
-            single_stats.push(single.process(d));
-            single_changes.extend_from_slice(single.last_changes());
-        }
-        let mut sharded_stats = Vec::new();
-        let mut sharded_changes = Vec::new();
-        sharded.run_pipelined(docs.chunks(batch).map(<[_]>::to_vec), window, |evs, ch| {
-            sharded_stats.extend(evs);
-            sharded_changes.extend(ch.into_iter().map(|(_, c)| c));
-        });
-
-        assert_eq!(single_changes, sharded_changes, "changes are bit-identical under pruning");
-        for qid in &ids {
-            assert_eq!(sharded.results(*qid), single.results(*qid), "query {qid}");
-        }
-        assert_eq!(single_stats.len(), sharded_stats.len());
-        for (i, (a, b)) in single_stats.iter().zip(&sharded_stats).enumerate() {
-            assert_eq!(a.updates, b.updates, "doc {i}: insertions are walk-independent");
-            assert_eq!(a.matched_lists, b.matched_lists, "doc {i}");
-            assert!(b.postings_accessed <= a.postings_accessed, "doc {i}: pruning never adds work");
-            assert!(
-                b.postings_accessed + b.postings_skipped >= a.postings_accessed,
-                "doc {i}: skipped zones must account for the oracle's extra reads"
-            );
-            assert!(b.full_evaluations <= a.full_evaluations, "doc {i}");
-        }
-    }
-
-    #[test]
-    fn doc_mode_pruned_matches_naive_synchronous() {
-        doc_mode_pruned_against_naive(3, 0.001, 16, 0);
-    }
-
-    #[test]
-    fn doc_mode_pruned_matches_naive_pipelined() {
-        doc_mode_pruned_against_naive(2, 0.001, 8, 2);
-    }
-
-    #[test]
-    fn doc_mode_pruned_matches_naive_across_renormalization() {
-        // λ = 0.5 over arrivals up to ~240 crosses the renorm headroom (60)
-        // several times: crossing batches must fall back to the exhaustive
-        // walk and the first pruning batch after each crossing must rebuild
-        // the bounds in the new frame.
-        doc_mode_pruned_against_naive(2, 0.5, 8, 1);
-    }
-
-    #[test]
-    fn doc_mode_pruning_skips_work_and_keeps_results() {
-        let n = 300usize;
-        let mk = |pruning: DocPruning| {
-            let mut m = ShardedMonitor::new_doc_parallel(2, 0.0);
-            m.set_doc_pruning(pruning);
-            for _ in 0..n {
-                m.register(spec(&[1, 2], 1));
-            }
-            m
-        };
-        let mut pruned = mk(DocPruning::On);
-        let mut exhaustive = mk(DocPruning::Off);
-        assert_eq!(pruned.doc_pruning(), Some(DocPruning::On));
-
-        // Fill every top-1 with a perfect match (all queries unfilled at
-        // submit: every bound is +inf, nothing may be skipped yet)...
-        let fill = vec![doc(0, &[(1, 1.0), (2, 1.0)], 0.0)];
-        pruned.process_batch(fill.clone());
-        exhaustive.process_batch(fill);
-        // ...then stream weak documents: every zone is now refutable.
-        for b in 0..4u64 {
-            let batch: Vec<Document> = (0..8)
-                .map(|i| doc(1 + b * 8 + i, &[(1, 1.0), (9, 3.0)], (1 + b * 8 + i) as f64))
-                .collect();
-            let (sa, ca) = pruned.process_batch(batch.clone());
-            let (sb, cb) = exhaustive.process_batch(batch);
-            assert_eq!(ca.len(), 0, "no weak document may change a result");
-            assert_eq!(cb.len(), 0);
-            assert_eq!(
-                sa.iter().map(|e| e.updates).collect::<Vec<_>>(),
-                sb.iter().map(|e| e.updates).collect::<Vec<_>>()
-            );
-        }
-        for q in 0..n as u32 {
-            assert_eq!(pruned.results(QueryId(q)), exhaustive.results(QueryId(q)));
-        }
-        let skipped: u64 = pruned.shard_cumulative().iter().map(|c| c.zones_skipped).sum();
-        let pruned_reads: u64 = pruned.shard_cumulative().iter().map(|c| c.postings_accessed).sum();
-        let full_reads: u64 =
-            exhaustive.shard_cumulative().iter().map(|c| c.postings_accessed).sum();
-        assert!(skipped > 0, "the bounded walk must actually skip zones");
-        assert!(pruned_reads < full_reads, "skipping must save posting reads");
-        let none: u64 = exhaustive.shard_cumulative().iter().map(|c| c.zones_skipped).sum();
-        assert_eq!(none, 0, "the exhaustive walk never skips");
-    }
-
-    #[test]
-    fn doc_mode_auto_pruning_engages_at_the_population_threshold() {
-        let run = |queries: usize| -> u64 {
-            let mut m = ShardedMonitor::new_doc_parallel(2, 0.0);
-            assert_eq!(m.doc_pruning(), Some(DocPruning::Auto), "auto is the default");
-            for i in 0..queries {
-                m.register(spec(&[(i % 8) as u32, 8 + (i % 4) as u32], 1));
-            }
-            m.process_batch(vec![doc(0, &[(1, 1.0), (9, 1.0)], 0.0)]);
-            m.process_batch(vec![doc(1, &[(1, 1.0), (9, 1.0)], 1.0)]);
-            m.shard_cumulative().iter().map(|c| c.bound_computations).sum()
-        };
-        assert_eq!(run(64), 0, "small populations keep the exhaustive walk");
-        assert!(run(DOC_PRUNING_AUTO_MIN_QUERIES + 8) > 0, "large populations probe the bounds");
-    }
-
-    #[test]
-    fn doc_mode_pruned_compaction_stays_exact() {
-        let mk = |pruning: DocPruning, ratio: f64| {
-            let mut m = ShardedMonitor::new_doc_parallel(2, 0.0);
-            m.set_doc_pruning(pruning);
-            m.set_compaction_threshold(ratio);
-            let ids: Vec<QueryId> =
-                (0..60).map(|i| m.register(spec(&[i % 5, 5 + i % 3], 1))).collect();
-            (m, ids)
-        };
-        // Pruned + compacting vs exhaustive + lazy: compaction reshuffles
-        // positions, so the bounds of the changed lists must be realigned
-        // or skips would fire against the wrong queries.
-        let (mut pruned, ids_a) = mk(DocPruning::On, 0.15);
-        let (mut lazy, ids_b) = mk(DocPruning::Off, 0.0);
-        for round in 0..3u64 {
-            for q in (round * 12)..(round * 12 + 8) {
-                assert!(pruned.unregister(QueryId(q as u32)));
-                assert!(lazy.unregister(QueryId(q as u32)));
-            }
-            let batch: Vec<Document> = (0..20u64)
-                .map(|i| {
-                    let id = round * 20 + i;
-                    doc(id, &[((id % 5) as u32, 1.0), ((5 + id % 3) as u32, 0.5)], id as f64)
-                })
-                .collect();
-            let (_, ca) = pruned.process_batch(batch.clone());
-            let (_, cb) = lazy.process_batch(batch);
-            let strip = |v: Vec<(u32, ResultChange)>| -> Vec<ResultChange> {
-                v.into_iter().map(|(_, c)| c).collect()
-            };
-            assert_eq!(strip(ca), strip(cb), "round {round}");
-        }
-        for (a, b) in ids_a.iter().zip(&ids_b) {
-            assert_eq!(pruned.results(*a), lazy.results(*b));
-        }
-    }
-
-    #[test]
-    fn doc_mode_register_after_dirty_bounds_compaction_stays_aligned() {
-        // A renormalization and a compaction landing in the *same* drain:
-        // the renorm marks the bounds dirty, but the compaction must still
-        // shrink the affected lists' bounds — otherwise the next
-        // registration appends at post-compaction positions into
-        // pre-compaction-length structures and misaligns every later skip
-        // decision (debug builds catch it via the alignment assertion).
-        let mut m = ShardedMonitor::new_doc_parallel(2, 0.5);
-        m.set_doc_pruning(DocPruning::On);
-        m.set_compaction_threshold(0.1);
-        for i in 0..40 {
-            m.register(spec(&[1, 2 + i % 3], 1));
-        }
-        m.process_batch(vec![doc(0, &[(1, 1.0)], 0.0)]);
-        // Pile up tombstones, then cross the renorm headroom (λ·Δτ > 60)
-        // with one batch: its drain renormalizes AND compacts.
-        for q in 0..20u32 {
-            assert!(m.unregister(QueryId(q)));
-        }
-        m.process_batch(vec![doc(1, &[(1, 1.0)], 130.0)]);
-
-        let q = m.register(spec(&[1], 1));
-        let (_, changes) = m.process(doc(2, &[(1, 1.0)], 131.0));
-        assert!(
-            changes.iter().any(|(_, c)| c.query == q),
-            "the fresh (unfilled) query must receive the matching document"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "quiesced pipeline")]
-    fn doc_mode_register_rejects_open_pipeline() {
-        let mut m = ShardedMonitor::new_doc_parallel(2, 0.0);
-        m.register(spec(&[1], 1));
-        m.submit_batch(vec![doc(0, &[(1, 1.0)], 0.0)]);
-        m.register(spec(&[2], 1)); // must panic: batch in flight
-    }
+    use crate::testutil::spec;
+    use ctk_common::{QueryId, TermId, Timestamp};
 
     // --- adaptive batching ---
 

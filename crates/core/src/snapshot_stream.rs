@@ -26,7 +26,7 @@
 //! so [`Snapshot::from_json`] (and the server's `POST /restore`) accept it
 //! unchanged.
 
-use crate::monitor::{ShardSnapshot, Snapshot, SnapshotQuery};
+use crate::snapshot::{ShardSnapshot, Snapshot, SnapshotQuery};
 use crossbeam::channel::bounded;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
@@ -366,7 +366,7 @@ mod tests {
         // A hand-built capture with zero sections: the envelope's empty
         // `shards` array must come through untouched.
         let snap = Snapshot {
-            version: crate::monitor::SNAPSHOT_VERSION,
+            version: crate::snapshot::SNAPSHOT_VERSION,
             lambda: 0.5,
             next_doc: 7,
             last_arrival: 3.25,

@@ -646,6 +646,7 @@ impl Journal {
 mod tests {
     use super::*;
     use ctk_common::TermId;
+    use ctk_core::MonitorBackend;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {

@@ -60,37 +60,24 @@
 //! assert_eq!(restored.results(mapping[&q]), monitor.results(q));
 //! ```
 //!
-//! ## Migrating from `Monitor<E>` / `ShardedMonitor`
+//! ## Front-end and runtimes
 //!
-//! Both front-ends still exist (and now both implement [`MonitorBackend`]);
-//! what changed is the surface:
-//!
-//! * `Monitor::publish` / `publish_batch` return a [`PublishReceipt`]
-//!   (`receipt.doc_ids`, `receipt.changes`, `receipt.stats`) instead of
-//!   `(DocId, Vec<ResultChange>)` tuples.
-//! * `ShardedMonitor` speaks plain [`QueryId`]s — `ShardedQueryId` is gone;
-//!   the shard route is internal, and result changes are translated to the
-//!   public ids during the merge.
-//! * Snapshots are versioned (`version: 3`, per-shard sections plus
-//!   namespaces, deadlines and retention policies); v2, v1 and pre-landmark
-//!   captures still parse via [`Snapshot::from_json`]. `Monitor::restore`
-//!   remains as a thin wrapper over [`Snapshot::restore_into`], which works
-//!   on any backend.
-//! * Queries can carry lifecycle options: `register_with` takes a
-//!   [`QueryOptions`] (namespace + optional TTL), per-namespace
-//!   [`RetentionPolicy`]s expire and cap-evict queries at publish
-//!   boundaries, and `forget_namespace` bulk-removes a tenant.
+//! [`FrontEnd`] is the one [`MonitorBackend`] implementation: it owns the
+//! public query ids, document stamping, the lifecycle layer ([`QueryOptions`],
+//! [`RetentionPolicy`]) and snapshots, over one of three runtimes — the
+//! in-thread engine (`Monitor<E>`), the query-sharded workers or the
+//! doc-parallel shared epoch (both `ShardedMonitor`). [`MonitorBuilder`]
+//! picks the runtime; a capture from any of them restores into any other
+//! via [`Snapshot::restore_into`].
 //!
 //! See `examples/` for end-to-end scenarios (`restartable` exercises the
 //! sharded snapshot → kill → restore → continue cycle) and `crates/bench`
 //! for the harness regenerating the paper's figures.
 //!
-//! [`QueryId`]: ctk_common::QueryId
+//! [`FrontEnd`]: ctk_core::FrontEnd
 //! [`QueryOptions`]: ctk_core::QueryOptions
 //! [`RetentionPolicy`]: ctk_core::RetentionPolicy
-//! [`PublishReceipt`]: ctk_core::PublishReceipt
 //! [`MonitorBackend`]: ctk_core::MonitorBackend
-//! [`Snapshot::from_json`]: ctk_core::Snapshot::from_json
 //! [`Snapshot::restore_into`]: ctk_core::Snapshot::restore_into
 
 pub mod builder;

@@ -286,3 +286,53 @@ fn snapshot_restores_from_doc_mode_onto_query_mode() {
 fn snapshot_restores_from_query_mode_onto_doc_mode() {
     snapshot_rebalances_across(MonitorBuilder::new(EngineKind::Mrio).shards(4), 4, doc_mode(3), 3);
 }
+
+/// `Namespace(pub u16)` is constructible by anyone. A handle the backend
+/// never interned is refused at the front-end's door — a panic naming the
+/// handle — before the runtime sees the call, so the backend stays usable
+/// and consistent afterwards, whichever runtime sits behind it.
+#[test]
+fn un_interned_namespace_handles_are_refused_before_any_state_changes() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let bogus = Namespace(7);
+    let spec = || QuerySpec::uniform(&[TermId(1)], 1).unwrap();
+    let policy =
+        RetentionPolicy { max_age: None, max_queries: Some(1), eviction: EvictionPolicy::Oldest };
+    let single = MonitorBuilder::new(EngineKind::Mrio);
+    for config in [single.clone(), single.shards(2), doc_mode(2)] {
+        let mut backend = config.build();
+        let kept = backend.register(spec());
+        type Call<'a> = Box<dyn FnOnce(&mut dyn MonitorBackend) + 'a>;
+        let refused: [(&str, Call); 3] = [
+            (
+                "register_with",
+                Box::new(|b| {
+                    b.register_with(spec(), QueryOptions { namespace: bogus, max_age: None });
+                }),
+            ),
+            ("set_retention", Box::new(|b| b.set_retention(bogus, policy))),
+            (
+                "forget_namespace",
+                Box::new(|b| {
+                    b.forget_namespace(bogus);
+                }),
+            ),
+        ];
+        for (call, f) in refused {
+            let panic = catch_unwind(AssertUnwindSafe(|| f(&mut *backend)))
+                .expect_err("an un-interned handle must be refused");
+            let message = panic.downcast_ref::<String>().expect("a formatted panic message");
+            assert!(
+                message.contains("ns7") && message.contains("never interned"),
+                "{call}: {message}"
+            );
+            assert_eq!(backend.num_queries(), 1, "{call} must leave the population untouched");
+        }
+        // Engine and lifecycle still agree: the next registration gets the
+        // next id and publishes reach both queries.
+        let next = backend.register(spec());
+        assert_eq!(next, QueryId(kept.0 + 1));
+        let receipt = backend.publish(vec![(TermId(1), 1.0)], 0.0);
+        assert_eq!(receipt.changes.len(), 2);
+    }
+}

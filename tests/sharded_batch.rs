@@ -365,17 +365,64 @@ impl LifecycleOracle {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+/// The front-end axis of the lifecycle proptest: every runtime the one
+/// front-end can sit on, at every small shard count.
+#[derive(Debug, Clone, Copy)]
+enum Front {
+    /// The in-thread single engine (what `ctk-serve --shards 1` runs).
+    Single,
+    Queries(usize),
+    Documents(usize),
+}
 
-    /// TTL expiry and cap eviction, in both sharding modes, must be
-    /// bit-identical to an oracle that explicitly unregisters the same
-    /// queries at the same publish boundaries — including across a
-    /// snapshot-v3 round trip into a *different* backend configuration.
+impl Front {
+    const ALL: [Front; 7] = [
+        Front::Single,
+        Front::Queries(1),
+        Front::Queries(2),
+        Front::Queries(3),
+        Front::Documents(1),
+        Front::Documents(2),
+        Front::Documents(3),
+    ];
+
+    fn build(self, lambda: f64) -> Box<dyn MonitorBackend + Send> {
+        let builder = MonitorBuilder::new(EngineKind::Naive).lambda(lambda);
+        match self {
+            Front::Single => builder.build(),
+            // The builder maps one query shard to the single engine, so the
+            // one-worker threaded runtime is constructed directly.
+            Front::Queries(shards) => {
+                Box::new(ShardedMonitor::new(shards, move || Naive::new(lambda)))
+            }
+            Front::Documents(shards) => {
+                builder.shards(shards).sharding(ShardingMode::Documents).build()
+            }
+        }
+    }
+
+    /// A differently shaped restore target: the other sharding mode at a
+    /// different shard count.
+    fn other(self, lambda: f64) -> MonitorBuilder {
+        let (shards, mode) = match self {
+            Front::Single | Front::Queries(_) => (2, ShardingMode::Documents),
+            Front::Documents(shards) => (if shards == 2 { 3 } else { 2 }, ShardingMode::Queries),
+        };
+        MonitorBuilder::new(EngineKind::Mrio).lambda(lambda).shards(shards).sharding(mode)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(21))]
+
+    /// TTL expiry and cap eviction, on every runtime behind the one
+    /// front-end, must be bit-identical to an oracle that explicitly
+    /// unregisters the same queries at the same publish boundaries —
+    /// including across a snapshot-v3 round trip into a *different* backend
+    /// configuration.
     #[test]
     fn lifecycle_matches_an_explicitly_unregistering_oracle(
-        mode in prop::sample::select(vec![ShardingMode::Queries, ShardingMode::Documents]),
-        shards in 2usize..4,
+        front in prop::sample::select(Front::ALL.to_vec()),
         setups in prop::collection::vec(
             (
                 prop::option::of(4.0f64..30.0),
@@ -415,10 +462,7 @@ proptest! {
             .into_iter()
             .map(|(max_age, max_queries, eviction)| NsSetup { max_age, max_queries, eviction })
             .collect();
-        let mut sharded = match mode {
-            ShardingMode::Queries => ShardedMonitor::new(shards, || Naive::new(lambda)),
-            ShardingMode::Documents => ShardedMonitor::new_doc_parallel(shards, lambda),
-        };
+        let mut sharded = front.build(lambda);
         let mut single = Naive::new(lambda);
         let mut oracle =
             LifecycleOracle { meta: std::collections::HashMap::new(), expired: 0, evicted: 0 };
@@ -448,7 +492,7 @@ proptest! {
         // Register on both front-ends, replicate deadline + cap eviction on
         // the oracle with explicit unregisters.
         let register =
-            |sharded: &mut ShardedMonitor,
+            |sharded: &mut dyn MonitorBackend,
              single: &mut Naive,
              oracle: &mut LifecycleOracle,
              terms: &RawVec,
@@ -499,7 +543,7 @@ proptest! {
             };
 
         for (terms, k, slot, ttl) in &initial {
-            register(&mut sharded, &mut single, &mut oracle, terms, *k, *slot, *ttl, last_arrival);
+            register(&mut *sharded, &mut single, &mut oracle, terms, *k, *slot, *ttl, last_arrival);
         }
         prop_assume!(!oracle.meta.is_empty());
 
@@ -540,7 +584,7 @@ proptest! {
 
             if *reg_gate > 0 {
                 register(
-                    &mut sharded, &mut single, &mut oracle, reg_terms, *reg_k, *reg_slot,
+                    &mut *sharded, &mut single, &mut oracle, reg_terms, *reg_k, *reg_slot,
                     *reg_ttl, last_arrival,
                 );
             }
@@ -552,32 +596,22 @@ proptest! {
             prop_assert_eq!(
                 sharded.results(qid),
                 single.results(qid),
-                "mode {:?}, query {:?}",
-                mode,
+                "{:?}, query {:?}",
+                front,
                 qid
             );
         }
         prop_assert_eq!(sharded.num_queries(), oracle.meta.len());
-        prop_assert_eq!(
-            MonitorBackend::lifecycle_totals(&sharded),
-            (oracle.expired, oracle.evicted)
-        );
+        prop_assert_eq!(sharded.lifecycle_totals(), (oracle.expired, oracle.evicted));
         // Every expiry was attributed to the (non-empty) publish that
         // triggered it.
         prop_assert_eq!(receipt_expired, oracle.expired);
 
         // Snapshot-v3 round trip into the *other* mode and a different
         // shard count: results, policies and deadlines must all survive.
-        let snap = MonitorBackend::snapshot(&sharded);
+        let snap = sharded.snapshot();
         prop_assert_eq!(snap.version, SNAPSHOT_VERSION);
-        let other = MonitorBuilder::new(EngineKind::Mrio)
-            .lambda(lambda)
-            .shards(if shards == 2 { 3 } else { 2 })
-            .sharding(match mode {
-                ShardingMode::Queries => ShardingMode::Documents,
-                ShardingMode::Documents => ShardingMode::Queries,
-            });
-        let (mut restored, mapping) = other.restore(&snap);
+        let (mut restored, mapping) = front.other(lambda).restore(&snap);
         let mut live: Vec<QueryId> = oracle.meta.keys().copied().collect();
         live.sort_unstable();
         for &qid in &live {

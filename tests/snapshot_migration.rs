@@ -1,9 +1,9 @@
-//! Snapshot format migration: v2 (PR-5, sharded sections, no lifecycle),
-//! v1 (PR-2, flat with `landmark`) and v0 (pre-PR-2, flat without
-//! `landmark`) captures — checked in as fixtures in the exact on-disk bytes
-//! those builds wrote — must keep parsing, migrate into the v3 in-memory
-//! form, and restore bit-identically to restoring their own v3
-//! re-serialization.
+//! Snapshot format migration: a v2 capture (PR-5, sharded sections, no
+//! lifecycle) — checked in as a fixture in the exact on-disk bytes that
+//! build wrote — must keep parsing, migrate into the v3 in-memory form, and
+//! restore bit-identically to restoring its own v3 re-serialization. The
+//! flat, untagged captures of earlier builds (v1 with a top-level
+//! `landmark`, v0 without) are refused with an error.
 
 use continuous_topk::prelude::*;
 
@@ -11,13 +11,34 @@ use continuous_topk::prelude::*;
 /// namespaces/deadlines/policies.
 const V2_FIXTURE: &str = include_str!("fixtures/snapshot_v2.json");
 
-/// Written by the PR-2 build: flat layout, top-level `landmark` (the
-/// capture renormalized at arrival 610 before being taken).
-const V1_FIXTURE: &str = include_str!("fixtures/snapshot_v1.json");
+/// The shape the PR-2 build wrote: flat layout, top-level `landmark`.
+const V1_DOCUMENT: &str = r#"{
+  "lambda": 0.1,
+  "landmark": 610.0,
+  "next_doc": 71,
+  "last_arrival": 700.0,
+  "queries": [
+    {
+      "qid": 0,
+      "spec": {"vector": {"entries": [[1, 0.7071067690849304], [2, 0.7071067690849304]]}, "k": 3},
+      "results": [{"doc": 70, "score": 8103.083650218638}]
+    }
+  ]
+}"#;
 
-/// Written by a pre-PR-2 build: flat layout, no `landmark` field (those
-/// builds never persisted one). λ = 0, so `landmark = 0` is exact.
-const V0_FIXTURE: &str = include_str!("fixtures/snapshot_pre_pr2.json");
+/// The shape pre-PR-2 builds wrote: flat layout, no `landmark` field.
+const V0_DOCUMENT: &str = r#"{
+  "lambda": 0.0,
+  "next_doc": 10,
+  "last_arrival": 9.0,
+  "queries": [
+    {
+      "qid": 0,
+      "spec": {"vector": {"entries": [[5, 0.7071067690849304], [9, 0.7071067690849304]]}, "k": 2},
+      "results": [{"doc": 1, "score": 0.9805806792118652}]
+    }
+  ]
+}"#;
 
 /// Restore a snapshot and return each captured query's restored results,
 /// in captured-id order.
@@ -60,67 +81,41 @@ fn v2_fixture_migrates_into_the_default_namespace() {
     }
 }
 
+/// The retired flat formats are refused — an error naming what is missing,
+/// not a panic and not a silent misparse into an empty capture.
 #[test]
-fn v1_fixture_migrates_with_its_landmark() {
-    let snap = Snapshot::from_json(V1_FIXTURE).expect("v1 parses");
-    assert_eq!(snap.version, SNAPSHOT_VERSION, "migrated into the current version");
-    assert_eq!(snap.shards.len(), 1, "flat capture becomes one section");
-    assert_eq!(snap.landmark(), 610.0, "the persisted landmark survives migration");
-    assert_eq!(snap.lambda, 0.1);
-    assert_eq!(snap.num_queries(), 2);
-    assert_eq!(snap.next_doc, 71);
-
-    // The capture's stored result sets come back exactly on restore.
-    for (stored, restored) in
-        snap.queries().map(|q| &q.results).zip(restored_results(&snap, EngineKind::Mrio))
-    {
-        assert_eq!(stored, &restored);
+fn retired_flat_formats_are_refused_with_an_error() {
+    for (name, document) in [("v1", V1_DOCUMENT), ("pre-PR-2", V0_DOCUMENT)] {
+        let err = Snapshot::from_json(document).expect_err("retired format must not parse");
+        assert!(err.to_string().contains("version"), "{name}: unhelpful error: {err}");
     }
 }
 
+/// The v2 fixture restores **bit-identically** to restoring its own v3
+/// re-serialization — i.e. migration is exactly "rewrite in v3".
 #[test]
-fn v0_fixture_migrates_with_landmark_zero() {
-    let snap = Snapshot::from_json(V0_FIXTURE).expect("v0 parses");
-    assert_eq!(snap.version, SNAPSHOT_VERSION);
-    assert_eq!(snap.shards.len(), 1);
-    assert_eq!(snap.landmark(), 0.0, "absent landmark migrates to 0");
-    assert_eq!(snap.lambda, 0.0);
-    assert_eq!(snap.num_queries(), 2);
+fn v2_fixture_restores_bit_identically_to_v3() {
+    let migrated = Snapshot::from_json(V2_FIXTURE).expect("v2 parses");
+    let v3_text = migrated.to_json().expect("serializes as v3");
+    assert!(v3_text.contains("\"version\": 3"), "re-serialization is tagged v3");
+    let reparsed = Snapshot::from_json(&v3_text).expect("v3 parses");
 
-    for (stored, restored) in
-        snap.queries().map(|q| &q.results).zip(restored_results(&snap, EngineKind::Mrio))
-    {
-        assert_eq!(stored, &restored);
-    }
-}
-
-/// Every legacy fixture restores **bit-identically** to restoring its own
-/// v3 re-serialization — i.e. migration is exactly "rewrite in v3".
-#[test]
-fn legacy_fixtures_restore_bit_identically_to_v3() {
-    for (name, fixture) in [("v2", V2_FIXTURE), ("v1", V1_FIXTURE), ("v0", V0_FIXTURE)] {
-        let migrated = Snapshot::from_json(fixture).expect("legacy parses");
-        let v3_text = migrated.to_json().expect("serializes as v3");
-        assert!(v3_text.contains("\"version\": 3"), "{name}: re-serialization is tagged v3");
-        let reparsed = Snapshot::from_json(&v3_text).expect("v3 parses");
-
-        assert_eq!(reparsed.lambda, migrated.lambda);
-        assert_eq!(reparsed.landmark(), migrated.landmark());
-        assert_eq!(reparsed.next_doc, migrated.next_doc);
-        assert_eq!(reparsed.last_arrival, migrated.last_arrival);
-        for kind in [EngineKind::Mrio, EngineKind::Rio] {
-            assert_eq!(
-                restored_results(&migrated, kind),
-                restored_results(&reparsed, kind),
-                "{name} via {kind}: legacy restore differs from v3 restore"
-            );
-        }
+    assert_eq!(reparsed.lambda, migrated.lambda);
+    assert_eq!(reparsed.landmark(), migrated.landmark());
+    assert_eq!(reparsed.next_doc, migrated.next_doc);
+    assert_eq!(reparsed.last_arrival, migrated.last_arrival);
+    for kind in [EngineKind::Mrio, EngineKind::Rio] {
+        assert_eq!(
+            restored_results(&migrated, kind),
+            restored_results(&reparsed, kind),
+            "via {kind}: v2 restore differs from v3 restore"
+        );
     }
 }
 
 #[test]
 fn future_versions_are_rejected_not_misparsed() {
-    let v3 = Snapshot::from_json(V1_FIXTURE).unwrap().to_json().unwrap();
+    let v3 = Snapshot::from_json(V2_FIXTURE).unwrap().to_json().unwrap();
     let v4 = v3.replace("\"version\": 3", "\"version\": 4");
     let err = Snapshot::from_json(&v4).expect_err("a future format must not silently parse");
     assert!(err.to_string().contains("version"), "unhelpful error: {err}");
