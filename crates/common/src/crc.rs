@@ -3,9 +3,12 @@
 //!
 //! Hand-rolled like [`crate::hash`]: the workspace vendors all its
 //! dependencies, so the journal cannot pull in a checksum crate. The
-//! lookup table is built in a `const fn` at compile time; the algorithm is
-//! the canonical byte-at-a-time table walk, which is plenty for journal
-//! records (the bottleneck on that path is the fsync, not the checksum).
+//! lookup tables are built in a `const fn` at compile time and the walk is
+//! slicing-by-8: eight input bytes per step through eight 256-entry tables,
+//! with the canonical byte-at-a-time walk for the tail. The checksum runs
+//! on the server's single ingest thread over every journaled record — a
+//! 57 KB publish record cost ~158 µs a byte at a time — so its speed is
+//! part of a publish's serial cost, whatever the fsync policy.
 //!
 //! This is the same CRC-32 as zlib/PNG/Ethernet, so checked-in fixtures of
 //! journal bytes can be verified with any standard tool.
@@ -13,11 +16,13 @@
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
-/// One 256-entry table, built at compile time.
-const TABLE: [u32; 256] = build_table();
+/// Eight 256-entry tables, built at compile time. `TABLES[0]` is the
+/// classic byte-wise table; `TABLES[k][b]` is the CRC of byte `b` followed
+/// by `k` zero bytes, which is what lets eight bytes fold in one step.
+const TABLES: [[u32; 256]; 8] = build_tables();
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -26,10 +31,26 @@ const fn build_table() -> [u32; 256] {
             crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// One byte through the classic table: the reference walk, and the tail of
+/// the sliced one.
+fn step(state: u32, b: u8) -> u32 {
+    (state >> 8) ^ TABLES[0][((state ^ b as u32) & 0xFF) as usize]
 }
 
 /// The CRC-32 of `bytes` in one call.
@@ -59,10 +80,21 @@ impl Crc32 {
 
     /// Feed more bytes.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            let idx = (self.state ^ b as u32) & 0xFF;
-            self.state = (self.state >> 8) ^ TABLE[idx as usize];
+        let mut state = self.state;
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ state;
+            let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+            state = TABLES[7][(lo & 0xFF) as usize]
+                ^ TABLES[6][((lo >> 8) & 0xFF) as usize]
+                ^ TABLES[5][((lo >> 16) & 0xFF) as usize]
+                ^ TABLES[4][(lo >> 24) as usize]
+                ^ TABLES[3][(hi & 0xFF) as usize]
+                ^ TABLES[2][((hi >> 8) & 0xFF) as usize]
+                ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
+                ^ TABLES[0][(hi >> 24) as usize];
         }
+        self.state = chunks.remainder().iter().fold(state, |state, &b| step(state, b));
     }
 
     /// The checksum of everything fed so far. Does not consume: more
@@ -81,6 +113,36 @@ impl Default for Crc32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The byte-at-a-time walk the sliced `update` must agree with.
+    fn bytewise(bytes: &[u8]) -> u32 {
+        !bytes.iter().fold(!0, |state, &b| step(state, b))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn sliced_walk_equals_bytewise_walk_at_any_split(
+            bytes in prop::collection::vec(0u8..=255, 0..4097),
+            cuts in prop::collection::vec(0usize..4097, 0..6),
+        ) {
+            prop_assert_eq!(crc32(&bytes), bytewise(&bytes));
+            // Arbitrary `update` boundaries: pieces of every length and
+            // alignment, empty ones included.
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(bytes.len())).collect();
+            cuts.sort_unstable();
+            let mut crc = Crc32::new();
+            let mut from = 0;
+            for cut in cuts {
+                crc.update(&bytes[from..cut]);
+                from = cut;
+            }
+            crc.update(&bytes[from..]);
+            prop_assert_eq!(crc.finish(), bytewise(&bytes));
+        }
+    }
 
     #[test]
     fn matches_known_vectors() {

@@ -322,6 +322,23 @@ impl Serialize for Admission {
         }
         serde::Value::Object(entries)
     }
+
+    fn write_json(&self, out: &mut String) -> Result<(), serde::Error> {
+        let mut object = serde::json::ObjectWriter::begin(out);
+        match self {
+            Admission::Accepted => object.field("state", "accepted")?,
+            Admission::Enqueued { depth } => {
+                object.field("state", "enqueued")?;
+                object.field("depth", depth)?;
+            }
+            Admission::Overloaded { retry_after } => {
+                object.field("state", "overloaded")?;
+                object.field("retry_after", retry_after)?;
+            }
+        }
+        object.end();
+        Ok(())
+    }
 }
 
 impl Deserialize for Admission {

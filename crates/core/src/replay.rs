@@ -30,6 +30,7 @@
 use crate::backend::{MonitorBackend, PublishRequest};
 use crate::lifecycle::{QueryOptions, RetentionPolicy};
 use ctk_common::{FxHashMap, Namespace, QueryId, QuerySpec, TermId, Timestamp};
+use serde::json::ObjectWriter;
 use serde::{Deserialize, Error, Number, Serialize, Value};
 
 /// One journaled mutating command, in the shape the wire layer produced it.
@@ -78,6 +79,15 @@ impl ReplayCommand {
         ReplayCommand::Publish { docs: request.docs().to_vec() }
     }
 
+    /// The journal payload of [`ReplayCommand::publish`]`(request)` — the
+    /// same bytes, streamed from the borrowed request without cloning its
+    /// documents into a command first. What the publish path journals.
+    pub fn encode_publish(request: &PublishRequest) -> Result<String, Error> {
+        let mut out = String::new();
+        write_publish(request.docs(), &mut out)?;
+        Ok(out)
+    }
+
     /// The wire token naming this command kind (the `"op"` tag).
     pub fn op(&self) -> &'static str {
         match self {
@@ -116,6 +126,51 @@ impl Serialize for ReplayCommand {
         }
         Value::Object(entries)
     }
+
+    fn write_json(&self, out: &mut String) -> Result<(), Error> {
+        match self {
+            ReplayCommand::Publish { docs } => write_publish(docs, out),
+            ReplayCommand::Register { assigned, spec, namespace, max_age } => {
+                write_tagged(out, self.op(), |object| {
+                    object.field("assigned", assigned)?;
+                    object.field("spec", spec)?;
+                    object.field("namespace", namespace)?;
+                    object.field("max_age", max_age)
+                })
+            }
+            ReplayCommand::Unregister { qid } => {
+                write_tagged(out, self.op(), |object| object.field("qid", qid))
+            }
+            ReplayCommand::SetRetention { namespace, policy } => {
+                write_tagged(out, self.op(), |object| {
+                    object.field("namespace", namespace)?;
+                    object.field("policy", policy)
+                })
+            }
+            ReplayCommand::Forget { namespace } => {
+                write_tagged(out, self.op(), |object| object.field("namespace", namespace))
+            }
+        }
+    }
+}
+
+/// Stream one `"op"`-tagged record: the tag, then whatever `fields` adds.
+fn write_tagged(
+    out: &mut String,
+    op: &str,
+    fields: impl FnOnce(&mut ObjectWriter<'_>) -> Result<(), Error>,
+) -> Result<(), Error> {
+    let mut object = ObjectWriter::begin(out);
+    object.field("op", op)?;
+    fields(&mut object)?;
+    object.end();
+    Ok(())
+}
+
+/// The one encoder of a publish record, behind both the command's
+/// `write_json` and [`ReplayCommand::encode_publish`].
+fn write_publish(docs: &[(Vec<(TermId, f32)>, Timestamp)], out: &mut String) -> Result<(), Error> {
+    write_tagged(out, "publish", |object| object.field("docs", docs))
 }
 
 impl Deserialize for ReplayCommand {

@@ -83,16 +83,7 @@ impl HttpClient {
     /// Issue one request and read the full response. Returns
     /// `(status, body)`.
     pub fn request(&mut self, method: &str, path: &str, body: &str) -> io::Result<(u16, String)> {
-        {
-            let stream = self.reader.get_mut();
-            write!(
-                stream,
-                "{method} {path} HTTP/1.1\r\nhost: ctk\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n",
-                body.len()
-            )?;
-            stream.write_all(body.as_bytes())?;
-            stream.flush()?;
-        }
+        send_request(self.reader.get_mut(), method, path, body)?;
         self.read_response()
     }
 
@@ -174,6 +165,58 @@ impl HttpClient {
     }
 }
 
+/// Frame one request and hand it to the socket in a single `write`. The
+/// stream is unbuffered with `TCP_NODELAY`, so every separate write — each
+/// fragment of a `write!` included — would be its own syscall and its own
+/// segment, waking the server's reader before the body is even sent.
+fn send_request<W: Write>(stream: &mut W, method: &str, path: &str, body: &str) -> io::Result<()> {
+    let mut framed = format!(
+        "{method} {path} HTTP/1.1\r\nhost: ctk\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    );
+    framed.push_str(body);
+    stream.write_all(framed.as_bytes())?;
+    stream.flush()
+}
+
 fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Counts `write` calls; accepts everything it is given.
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_request_is_one_write() {
+        let mut w = CountingWriter { writes: 0, bytes: Vec::new() };
+        send_request(&mut w, "POST", "/publish", r#"{"terms":[[1,1.0]]}"#).unwrap();
+        assert_eq!(w.writes, 1, "head and body leave in one write");
+        assert_eq!(
+            String::from_utf8(w.bytes).unwrap(),
+            "POST /publish HTTP/1.1\r\nhost: ctk\r\ncontent-type: application/json\r\n\
+             content-length: 19\r\n\r\n{\"terms\":[[1,1.0]]}"
+        );
+        let mut w = CountingWriter { writes: 0, bytes: Vec::new() };
+        send_request(&mut w, "GET", "/stats", "").unwrap();
+        assert_eq!(w.writes, 1);
+    }
 }

@@ -25,6 +25,11 @@ pub const MAX_BODY: usize = 16 * 1024 * 1024;
 /// Largest accepted request line / header line.
 const MAX_LINE: usize = 16 * 1024;
 
+/// Largest response body copied behind its head so both leave in one
+/// write; a larger one (a buffered snapshot) is written on its own rather
+/// than duplicated in memory.
+const MAX_COALESCED_BODY: usize = 256 * 1024;
+
 /// One parsed HTTP request.
 #[derive(Debug, Clone)]
 pub struct Request {
@@ -147,21 +152,32 @@ impl Response {
 
     /// Write the response with `Content-Length` framing. `keep_alive`
     /// controls the `Connection` header; the caller owns actually closing.
+    ///
+    /// The head is assembled first and reaches `w` in one write together
+    /// with the body (two writes for a body past 256 KiB), never one per
+    /// format fragment: on an unbuffered `TCP_NODELAY` socket each write is
+    /// a syscall and a segment of its own.
     pub fn write_to<W: Write>(&self, w: &mut W, keep_alive: bool) -> io::Result<()> {
+        use std::fmt::Write as _;
         let connection = if keep_alive { "keep-alive" } else { "close" };
-        write!(
-            w,
+        let mut framed = format!(
             "HTTP/1.1 {} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: {}\r\n",
             self.status,
             reason(self.status),
             self.body.len(),
             connection
-        )?;
+        );
         for (name, value) in &self.headers {
-            write!(w, "{name}: {value}\r\n")?;
+            let _ = write!(framed, "{name}: {value}\r\n");
         }
-        w.write_all(b"\r\n")?;
-        w.write_all(self.body.as_bytes())?;
+        framed.push_str("\r\n");
+        if self.body.len() <= MAX_COALESCED_BODY {
+            framed.push_str(&self.body);
+            w.write_all(framed.as_bytes())?;
+        } else {
+            w.write_all(framed.as_bytes())?;
+            w.write_all(self.body.as_bytes())?;
+        }
         w.flush()
     }
 }

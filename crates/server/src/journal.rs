@@ -469,10 +469,19 @@ impl Journal {
     /// record can neither corrupt the tail nor collide with the seq of the
     /// next accepted append).
     pub fn append(&mut self, command: &ReplayCommand) -> io::Result<u64> {
-        self.check_poisoned()?;
         let payload = serde_json::to_string(command)
             .map_err(|e| invalid(format!("journal command does not serialize: {e}")))?;
-        let record = encode_record(self.next_seq, payload.as_bytes());
+        self.append_payload(payload.as_bytes())
+    }
+
+    /// [`Journal::append`] for a command already serialized to its JSON
+    /// payload — all that is left is to stamp the sequence number and
+    /// checksum, write and sync. The publish path encodes on the connection
+    /// thread (`ReplayCommand::encode_publish`) so the ingest thread, the
+    /// one serial resource, does only this.
+    pub fn append_payload(&mut self, payload: &[u8]) -> io::Result<u64> {
+        self.check_poisoned()?;
+        let record = encode_record(self.next_seq, payload);
         if self.segment_bytes > 0
             && self.segment_bytes + record.len() as u64 > self.max_segment_bytes
         {

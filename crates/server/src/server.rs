@@ -386,6 +386,7 @@ impl ServerBuilder {
             draining: AtomicBool::new(false),
             stopping: AtomicBool::new(false),
             warming: AtomicBool::new(warming),
+            journaled: journal.is_some(),
             max_poll_events: self.serve.max_poll_events,
             engine: self.engine,
         });
@@ -484,6 +485,9 @@ struct Shared {
     /// checkpoint and replayed its tail; every route except `/healthz` and
     /// `/readyz` answers 503 while set.
     warming: AtomicBool,
+    /// Whether the ingest thread owns a journal (publish handlers encode
+    /// the record it will append).
+    journaled: bool,
     max_poll_events: usize,
     engine: EngineKind,
 }
@@ -537,7 +541,14 @@ enum TryEnqueueError {
 enum Command {
     Register(wire::RegisterRequest, Sender<Result<QueryId, String>>),
     Unregister(QueryId, Sender<Result<bool, String>>),
-    Publish(PublishRequest, Sender<Result<PublishReceipt, String>>),
+    Publish {
+        request: PublishRequest,
+        /// The request's journal payload, encoded by the handler so the
+        /// ingest thread only stamps, checksums and writes it; `None`
+        /// exactly when the server runs without a journal.
+        record: Option<String>,
+        reply: Sender<Result<PublishReceipt, String>>,
+    },
     Results(QueryId, Sender<Option<Vec<ScoredDoc>>>),
     Stats(Sender<BackendStats>),
     /// Capture a snapshot; with a journal active this is a checkpoint (the
@@ -595,11 +606,12 @@ struct RestoreOutcome {
 fn journal_append(journal: &mut Option<Journal>, command: &ReplayCommand) -> Result<(), String> {
     match journal.as_mut() {
         None => Ok(()),
-        Some(j) => j
-            .append(command)
-            .map(|_| ())
-            .map_err(|e| format!("journal append failed ({} refused): {e}", command.op())),
+        Some(j) => j.append(command).map(|_| ()).map_err(|e| append_refused(command.op(), e)),
     }
+}
+
+fn append_refused(op: &str, e: impl std::fmt::Display) -> String {
+    format!("journal append failed ({op} refused): {e}")
 }
 
 /// Restore the checkpoint and replay the journal tail into a fresh backend,
@@ -706,10 +718,13 @@ fn ingest_loop(
                         .map(|()| backend.unregister(qid))
                 });
             }
-            Command::Publish(request, reply) => {
-                if let Err(e) = journal_append(&mut journal, &ReplayCommand::publish(&request)) {
-                    let _ = reply.send(Err(e));
-                    continue;
+            Command::Publish { request, record, reply } => {
+                if let Some(j) = journal.as_mut() {
+                    let record = record.expect("handlers encode a record whenever journaled");
+                    if let Err(e) = j.append_payload(record.as_bytes()) {
+                        let _ = reply.send(Err(append_refused("publish", e)));
+                        continue;
+                    }
                 }
                 publishes += 1;
                 docs_published += request.len() as u64;
@@ -1201,16 +1216,23 @@ fn handle_publish(request: &Request, shared: &Shared) -> Response {
     if shared.draining.load(Ordering::SeqCst) {
         return Response::error(503, "server is draining; publishes are refused");
     }
-    let publish = match parse_json_body(request).and_then(|body| wire::parse_publish(&body)) {
+    let publish = match request.body_str().and_then(wire::decode_publish) {
         Err(message) => return Response::error(400, message),
         Ok(publish) => publish,
+    };
+    let record = match shared.journaled.then(|| ReplayCommand::encode_publish(&publish)) {
+        None => None,
+        Some(Ok(record)) => Some(record),
+        // A non-finite weight or arrival (`1e999`): JSON cannot spell it,
+        // so the journal cannot record it and the publish is refused.
+        Some(Err(e)) => return Response::error(500, append_refused("publish", e)),
     };
 
     // Admission is decided at enqueue time: how many commands were ahead,
     // or — under `Reject` with a full queue — an immediate 429 with no
     // effects (the publish may be retried verbatim).
     let (reply_tx, reply_rx) = channel::bounded(1);
-    let command = Command::Publish(publish, reply_tx);
+    let command = Command::Publish { request: publish, record, reply: reply_tx };
     let ahead = match shared.admission {
         AdmissionPolicy::Block => match shared.enqueue(command) {
             None => return unavailable(),
@@ -1220,15 +1242,17 @@ fn handle_publish(request: &Request, shared: &Shared) -> Response {
             Ok(ahead) => ahead,
             Err(TryEnqueueError::Gone) => return unavailable(),
             Err(TryEnqueueError::Full) => {
-                let admission = Admission::Overloaded { retry_after };
-                let body = object(vec![
-                    ("error", Value::Str("ingest queue is full".to_string())),
-                    ("admission", admission.to_value()),
-                ]);
-                return Response::json(429, body).with_header(
-                    "retry-after",
-                    AdmissionPolicy::retry_after_secs(retry_after).to_string(),
-                );
+                let refusal = Overloaded {
+                    error: "ingest queue is full",
+                    admission: Admission::Overloaded { retry_after },
+                };
+                return match serde_json::to_string(&refusal) {
+                    Ok(body) => Response::json(429, body).with_header(
+                        "retry-after",
+                        AdmissionPolicy::retry_after_secs(retry_after).to_string(),
+                    ),
+                    Err(e) => Response::error(500, e),
+                };
             }
         },
     };
@@ -1237,18 +1261,30 @@ fn handle_publish(request: &Request, shared: &Shared) -> Response {
     match reply_rx.recv() {
         Err(_) => unavailable(),
         Ok(Err(e)) => Response::error(500, e),
-        Ok(Ok(receipt)) => {
-            // The receipt object plus how the publish was admitted.
-            let mut value = receipt.to_value();
-            if let Value::Object(entries) = &mut value {
-                entries.push(("admission".to_string(), admission.to_value()));
-            }
-            match serde_json::to_string(&value) {
-                Ok(body) => Response::json(200, body),
-                Err(e) => Response::error(500, e),
-            }
-        }
+        Ok(Ok(receipt)) => match publish_body(&receipt, admission) {
+            Ok(body) => Response::json(200, body),
+            Err(e) => Response::error(500, e),
+        },
     }
+}
+
+/// The body of a publish refused with 429.
+#[derive(Serialize)]
+struct Overloaded {
+    error: &'static str,
+    admission: Admission,
+}
+
+/// The receipt object plus how the publish was admitted: the receipt's own
+/// members with an `"admission"` member spliced in before its closing brace.
+fn publish_body(receipt: &PublishReceipt, admission: Admission) -> serde_json::Result<String> {
+    let mut body = serde_json::to_string(receipt)?;
+    let brace = body.pop();
+    debug_assert_eq!(brace, Some('}'), "a receipt serializes as a non-empty object");
+    body.push_str(",\"admission\":");
+    admission.write_json(&mut body)?;
+    body.push('}');
+    Ok(body)
 }
 
 fn handle_subscribe(request: &Request, shared: &Shared) -> Response {
@@ -1346,4 +1382,39 @@ fn object(fields: Vec<(&str, Value)>) -> String {
 /// An ad-hoc JSON object as a [`Value`] (for nesting inside [`object`]).
 fn object_value(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ctk_common::DocId;
+    use ctk_core::ResultChange;
+
+    #[test]
+    fn publish_body_is_the_receipt_tree_with_admission_appended() {
+        let receipt = PublishReceipt {
+            doc_ids: vec![DocId(4), DocId(5)],
+            changes: vec![ResultChange {
+                query: QueryId(1),
+                inserted: ScoredDoc::new(DocId(5), 0.75),
+                evicted: Some(ScoredDoc::new(DocId(2), 0.5)),
+            }],
+            stats: vec![Default::default(); 2],
+        };
+        for (receipt, admission) in [
+            (receipt, Admission::Enqueued { depth: 2 }),
+            (PublishReceipt::default(), Admission::Accepted),
+        ] {
+            // What the handler did before it streamed: extend the tree,
+            // print the tree.
+            let mut value = receipt.to_value();
+            if let Value::Object(entries) = &mut value {
+                entries.push(("admission".to_string(), admission.to_value()));
+            }
+            assert_eq!(
+                publish_body(&receipt, admission).unwrap(),
+                serde_json::to_string(&value).unwrap()
+            );
+        }
+    }
 }

@@ -6,28 +6,50 @@
 //! explicitly via the forgiving `Value::get`. Every parse failure is a
 //! client error: the string returned becomes the `{"error": ...}` body of
 //! a 400 response verbatim, so messages name the offending field.
+//!
+//! The publish path is the exception: [`decode_publish`] reads the body
+//! text straight into a [`PublishRequest`] with the pull [`Reader`], no
+//! `Value` tree in between. [`parse_body`] + [`parse_publish`] stay as the
+//! reference it is tested against (and for callers that hold a tree).
 
 use ctk_common::{QueryId, QuerySpec, TermId, Timestamp};
 use ctk_core::{EvictionPolicy, PublishRequest, RetentionPolicy};
-use serde::Value;
+use serde::{Number, Value};
+use serde_json::Reader;
+
+const MISSING_TERMS: &str = "each document needs a \"terms\" field";
+const BAD_ARRIVAL: &str = "\"arrival\" must be a number";
+const BAD_DOCS: &str = "\"docs\" must be an array of documents";
+const EMPTY_PUBLISH: &str = "a publish must carry at least one document";
+
+fn bad_terms(field: &str) -> String {
+    format!("{field:?} must be an array of pairs")
+}
+
+fn bad_pair(field: &str) -> String {
+    format!("each entry of {field:?} must be a [term, weight] pair")
+}
+
+fn bad_term_id(field: &str) -> String {
+    format!("term ids in {field:?} must be u32 integers")
+}
+
+fn bad_weight(field: &str) -> String {
+    format!("weights in {field:?} must be numbers")
+}
 
 /// Parse a `(term, weight)` pair list: `[[1, 0.5], [4, 0.25], ...]`.
 fn parse_terms(value: &Value, field: &str) -> Result<Vec<(TermId, f32)>, String> {
-    let entries = value.as_array().map_err(|_| format!("{field:?} must be an array of pairs"))?;
+    let entries = value.as_array().map_err(|_| bad_terms(field))?;
     let mut pairs = Vec::with_capacity(entries.len());
     for entry in entries {
-        let pair = entry
-            .as_array()
-            .ok()
-            .filter(|p| p.len() == 2)
-            .ok_or_else(|| format!("each entry of {field:?} must be a [term, weight] pair"))?;
+        let pair = entry.as_array().ok().filter(|p| p.len() == 2).ok_or_else(|| bad_pair(field))?;
         let term = pair[0]
             .as_u64()
             .ok()
             .and_then(|t| u32::try_from(t).ok())
-            .ok_or_else(|| format!("term ids in {field:?} must be u32 integers"))?;
-        let weight =
-            pair[1].as_f64().map_err(|_| format!("weights in {field:?} must be numbers"))? as f32;
+            .ok_or_else(|| bad_term_id(field))?;
+        let weight = pair[1].as_f64().map_err(|_| bad_weight(field))? as f32;
         pairs.push((TermId(term), weight));
     }
     Ok(pairs)
@@ -149,11 +171,11 @@ pub fn parse_forget(body: &Value) -> Result<ForgetRequest, String> {
 /// One document object: `{"terms": [[t, w], ...], "arrival": 12.5}`;
 /// `arrival` defaults to 0 (the backend clamps arrivals monotone).
 fn parse_doc(value: &Value) -> Result<(Vec<(TermId, f32)>, Timestamp), String> {
-    let terms = value.get("terms").ok_or("each document needs a \"terms\" field")?;
+    let terms = value.get("terms").ok_or(MISSING_TERMS)?;
     let pairs = parse_terms(terms, "terms")?;
     let arrival = match value.get("arrival") {
         None => 0.0,
-        Some(a) => a.as_f64().map_err(|_| "\"arrival\" must be a number".to_string())?,
+        Some(a) => a.as_f64().map_err(|_| BAD_ARRIVAL)?,
     };
     Ok((pairs, arrival))
 }
@@ -164,15 +186,167 @@ fn parse_doc(value: &Value) -> Result<(Vec<(TermId, f32)>, Timestamp), String> {
 pub fn parse_publish(body: &Value) -> Result<PublishRequest, String> {
     let request: PublishRequest = match body.get("docs") {
         Some(docs) => {
-            let docs = docs.as_array().map_err(|_| "\"docs\" must be an array of documents")?;
+            let docs = docs.as_array().map_err(|_| BAD_DOCS)?;
             docs.iter().map(parse_doc).collect::<Result<Vec<_>, _>>()?.into()
         }
         None => PublishRequest::from(parse_doc(body)?),
     };
     if request.is_empty() {
-        return Err("a publish must carry at least one document".to_string());
+        return Err(EMPTY_PUBLISH.to_string());
     }
     Ok(request)
+}
+
+/// Why [`decode_publish`] refused a body: the 400 message. JSON syntax
+/// errors convert with the prefix [`parse_body`] gives them.
+struct Refusal(String);
+
+impl From<serde_json::Error> for Refusal {
+    fn from(e: serde_json::Error) -> Refusal {
+        Refusal(invalid_json(e))
+    }
+}
+
+impl From<String> for Refusal {
+    fn from(message: String) -> Refusal {
+        Refusal(message)
+    }
+}
+
+impl From<&str> for Refusal {
+    fn from(message: &str) -> Refusal {
+        Refusal(message.to_string())
+    }
+}
+
+type Doc = (Vec<(TermId, f32)>, Timestamp);
+
+/// `POST /publish` body, straight from its text: what
+/// [`parse_publish`]`(&`[`parse_body`]`(text)?)` returns — the same request
+/// on success, an error whenever that errs — in one pass over the bytes
+/// with no [`Value`] tree. The tree path's rules carry over: `"docs"`
+/// anywhere in the top-level object selects the batch shape, the first of
+/// duplicate keys wins, unknown keys are skipped (but must be valid JSON),
+/// and numbers convert exactly as [`Value::as_u64`] / [`Value::as_f64`] do.
+pub fn decode_publish(text: &str) -> Result<PublishRequest, String> {
+    decode_body(text).map_err(|Refusal(message)| message)
+}
+
+fn decode_body(text: &str) -> Result<PublishRequest, Refusal> {
+    // An empty body is the empty object: a document without fields.
+    if text.trim().is_empty() {
+        return Err(MISSING_TERMS.into());
+    }
+    let mut r = Reader::new(text);
+    // Whether the top-level members are a document's is known only at the
+    // closing brace (a `"docs"` anywhere overrides them), so this walk
+    // decodes `"docs"` as it meets it and only proves the rest to be JSON;
+    // a body without one is then decoded as a document from the checkpoint.
+    let mut single = r.clone();
+    let mut docs = None;
+    if r.peek()? == b'{' {
+        let mut key = r.begin_object()?;
+        while let Some(name) = key {
+            if name == "docs" && docs.is_none() {
+                docs = Some(decode_docs(&mut r)?);
+            } else {
+                r.skip_value()?;
+            }
+            key = r.next_key()?;
+        }
+    } else {
+        r.skip_value()?;
+    }
+    r.end()?;
+    let request = match docs {
+        Some(docs) => PublishRequest::from(docs),
+        None => PublishRequest::from(decode_doc(&mut single)?),
+    };
+    if request.is_empty() {
+        return Err(EMPTY_PUBLISH.into());
+    }
+    Ok(request)
+}
+
+/// The `"docs"` array of the batch shape.
+fn decode_docs(r: &mut Reader<'_>) -> Result<Vec<Doc>, Refusal> {
+    if r.peek()? != b'[' {
+        return Err(BAD_DOCS.into());
+    }
+    let mut docs = Vec::new();
+    let mut more = r.begin_array()?;
+    while more {
+        docs.push(decode_doc(r)?);
+        more = r.array_more()?;
+    }
+    Ok(docs)
+}
+
+/// One document object, decoded as it is read; a non-object has no
+/// `"terms"`.
+fn decode_doc(r: &mut Reader<'_>) -> Result<Doc, Refusal> {
+    if r.peek()? != b'{' {
+        return Err(MISSING_TERMS.into());
+    }
+    let (mut terms, mut arrival) = (None, None);
+    let mut key = r.begin_object()?;
+    while let Some(name) = key {
+        match &*name {
+            "terms" if terms.is_none() => terms = Some(decode_terms(r)?),
+            "arrival" if arrival.is_none() => arrival = Some(number_or_skip(r)?),
+            _ => r.skip_value()?,
+        }
+        key = r.next_key()?;
+    }
+    // A missing `"terms"` is reported before a bad `"arrival"`, as the tree
+    // path does.
+    let terms = terms.ok_or(MISSING_TERMS)?;
+    let arrival = match arrival {
+        None => 0.0,
+        Some(number) => number.ok_or(BAD_ARRIVAL)?.as_f64(),
+    };
+    Ok((terms, arrival))
+}
+
+/// A `(term, weight)` pair list: `[[1, 0.5], [4, 0.25], ...]`.
+fn decode_terms(r: &mut Reader<'_>) -> Result<Vec<(TermId, f32)>, Refusal> {
+    let field = "terms";
+    if r.peek()? != b'[' {
+        return Err(bad_terms(field).into());
+    }
+    let mut pairs = Vec::new();
+    let mut more = r.begin_array()?;
+    while more {
+        if r.peek()? != b'[' || !r.begin_array()? {
+            return Err(bad_pair(field).into());
+        }
+        let term = number_or_skip(r)?
+            .and_then(Number::as_u64)
+            .and_then(|t| u32::try_from(t).ok())
+            .ok_or_else(|| bad_term_id(field))?;
+        if !r.array_more()? {
+            return Err(bad_pair(field).into());
+        }
+        // Widen-then-narrow: the text parses as f64 first, like
+        // `Value::as_f64() as f32` — not the same float as parsing f32.
+        let weight = number_or_skip(r)?.ok_or_else(|| bad_weight(field))?.as_f64() as f32;
+        if r.array_more()? {
+            return Err(bad_pair(field).into());
+        }
+        pairs.push((TermId(term), weight));
+        more = r.array_more()?;
+    }
+    Ok(pairs)
+}
+
+/// The next value if it is a number; anything else is read past (so the
+/// caller can keep going and report it later) and yields `None`.
+fn number_or_skip(r: &mut Reader<'_>) -> Result<Option<Number>, serde_json::Error> {
+    if matches!(r.peek()?, b'"' | b'{' | b'[' | b't' | b'f' | b'n') {
+        r.skip_value()?;
+        return Ok(None);
+    }
+    r.number().map(Some)
 }
 
 /// `POST /subscriptions` body: `{}` (or empty) subscribes to every query;
@@ -204,7 +378,11 @@ pub fn parse_body(body: &str) -> Result<Value, String> {
     if body.trim().is_empty() {
         return Ok(Value::Object(Vec::new()));
     }
-    serde_json::from_str::<Value>(body).map_err(|e| format!("invalid JSON body: {e}"))
+    serde_json::from_str::<Value>(body).map_err(invalid_json)
+}
+
+fn invalid_json(e: serde_json::Error) -> String {
+    format!("invalid JSON body: {e}")
 }
 
 #[cfg(test)]
