@@ -17,7 +17,7 @@
 //! to the current zone. Hence TPS jumps less and evaluates more.
 
 use ctk_common::{Document, QueryId, QuerySpec, ScoredDoc};
-use ctk_core::engine::{advance_past_current, advance_to, CursorSet, EngineBase};
+use ctk_core::engine::{CursorSet, EngineBase};
 use ctk_core::stats::{CumulativeStats, EventStats};
 use ctk_core::topk::TopKState;
 use ctk_core::traits::{ContinuousTopK, ResultChange};
@@ -152,27 +152,18 @@ impl ContinuousTopK for Tps {
             let pivot = self.cursors.cursors[p].qid;
 
             if self.cursors.cursors[0].qid == pivot {
-                let mut dot = 0.0f64;
-                let mut moved = 0usize;
-                for c in self.cursors.cursors.iter_mut() {
-                    if c.qid != pivot {
-                        break;
-                    }
-                    let posting = self.index.list(c.list).get(c.pos);
-                    dot += c.f * posting.weight as f64;
-                    ev.postings_accessed += 1;
-                    advance_past_current(&self.index, c);
-                    moved += 1;
-                }
+                let (dot, aligned) = self.cursors.score_front(&self.index);
+                ev.postings_accessed += aligned as u64;
                 ev.full_evaluations += 1;
                 if self.base.offer(pivot, doc, dot, amp) {
                     ev.updates += 1;
                     self.push_inv_sk(pivot);
                 }
-                self.cursors.repair_prefix(moved);
+                self.cursors.step_front(&self.index, aligned);
             } else {
-                for c in self.cursors.cursors[..p].iter_mut() {
-                    advance_to(&self.index, c, pivot);
+                let CursorSet { cursors, blocks } = &mut self.cursors;
+                for c in cursors[..p].iter_mut() {
+                    c.advance_to(&self.index, blocks, pivot);
                     ev.postings_accessed += 1;
                 }
                 self.cursors.repair_prefix(p);
@@ -232,7 +223,7 @@ impl ContinuousTopK for Tps {
     }
 
     fn storage_stats(&self) -> StorageStats {
-        self.index.storage_stats()
+        StorageStats { blocks_decoded: self.cursors.blocks_decoded(), ..self.index.storage_stats() }
     }
 }
 

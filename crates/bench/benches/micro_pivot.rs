@@ -1,6 +1,7 @@
 //! Microbenchmarks of the traversal primitives: galloping posting-list
 //! seeks and the cursor-set repair (DESIGN.md §6.3) — the two operations
-//! every ID-ordering iteration performs.
+//! every ID-ordering iteration performs. The per-backend cursor reads are
+//! in `micro_storage`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ctk_common::{DocId, Document, QueryId, QuerySpec, TermId};
@@ -53,19 +54,19 @@ fn bench_cursor_repair(c: &mut Criterion) {
         let mut cs = CursorSet::default();
         cs.build(&index, &doc);
         b.iter(|| {
-            // Simulate a small jump: advance two cursors then repair.
-            let n = cs.cursors.len();
-            if n >= 4 {
-                let target = cs.cursors[3].qid;
-                for i in 0..2 {
-                    let list = index.list(cs.cursors[i].list);
-                    let pos = list.seek(cs.cursors[i].pos, target);
-                    cs.cursors[i].pos = pos.min(list.len().saturating_sub(1));
-                    cs.cursors[i].qid = if pos < list.len() { list.get(pos).qid } else { target };
-                }
-                cs.repair_prefix(2);
+            // A small jump, as a pivot makes it: advance the two front
+            // cursors to the id under the fourth, then repair. Rebuild
+            // once the lists run out.
+            if cs.len() < 4 {
+                cs.build(&index, &doc);
             }
-            std::hint::black_box(cs.cursors.len())
+            let target = cs.cursors[3].qid;
+            let CursorSet { cursors, blocks } = &mut cs;
+            for c in &mut cursors[..2] {
+                c.advance_to(&index, blocks, target);
+            }
+            cs.repair_prefix(2);
+            std::hint::black_box(cs.len())
         });
     });
     group.finish();

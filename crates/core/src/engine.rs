@@ -5,16 +5,17 @@
 //! [`TopKState`]s, result-change reporting and cumulative counters.
 //!
 //! [`CursorSet`] is the per-event working set of the ID-ordering family
-//! (RIO, MRIO, TPS): one cursor per matched postings list, re-sorted by the
-//! query id under the cursor at the start of every iteration — this ordering
-//! *is* the "processing order" of paper §III.
+//! (RIO, MRIO, TPS, the bounded doc walk): one cursor per matched postings
+//! list, kept sorted by the query id under the cursor — this ordering *is*
+//! the "processing order" of paper §III — plus the decoded blocks those
+//! cursors read compressed lists through.
 
 use crate::score::DecayModel;
 use crate::stats::CumulativeStats;
 use crate::topk::{Offer, TopKState};
 use crate::traits::ResultChange;
 use ctk_common::{Document, QueryId, ScoredDoc, Timestamp};
-use ctk_index::QueryIndex;
+use ctk_index::{BlockScratch, ListRef, QueryIndex};
 
 /// Decay + result-set state shared by every algorithm.
 #[derive(Debug)]
@@ -153,12 +154,65 @@ impl EngineBase {
 pub struct Cursor {
     /// Dense list index in the `QueryIndex`.
     pub list: u32,
+    /// The list's slot in the set's decoded-block scratch.
+    slot: u32,
     /// Document weight `f_j` for this term.
     pub f: f64,
     /// Current position in the list (always live or == len).
     pub pos: usize,
     /// Query id under the cursor (cache of `list[pos].qid`).
     pub qid: QueryId,
+}
+
+/// The one way the traversals read postings. Every operation takes the
+/// [`BlockScratch`] of the set the cursor belongs to ([`CursorSet::blocks`])
+/// beside the index: compressed lists are read through the decoded blocks
+/// held there, plain lists in place.
+impl Cursor {
+    /// Weight of the posting under the cursor.
+    #[inline]
+    pub fn weight(&self, index: &QueryIndex, blocks: &mut BlockScratch) -> f32 {
+        index.list(self.list).get_at(blocks, self.slot, self.pos).weight
+    }
+
+    /// First position at or after the cursor whose id is `>= bound`
+    /// (tombstones included), or the list's length; the cursor stays put.
+    /// This is the zone end of a bound computation.
+    #[inline]
+    pub fn probe(&self, index: &QueryIndex, blocks: &mut BlockScratch, bound: QueryId) -> usize {
+        index.list(self.list).probe_at(blocks, self.slot, self.pos, bound)
+    }
+
+    /// Move to `pos` (live, or the list's length) and refresh the qid cache
+    /// ([`EXHAUSTED`] at the end of the list).
+    #[inline]
+    fn land(&mut self, list: ListRef<'_>, blocks: &mut BlockScratch, pos: usize) {
+        self.pos = pos;
+        self.qid = list.qid_at(blocks, self.slot, pos).unwrap_or(EXHAUSTED);
+    }
+
+    /// Advance to the first live posting with id `>= target`.
+    #[inline]
+    pub fn advance_to(&mut self, index: &QueryIndex, blocks: &mut BlockScratch, target: QueryId) {
+        let list = index.list(self.list);
+        let pos = list.seek_live_at(blocks, self.slot, self.pos, target);
+        self.land(list, blocks, pos);
+    }
+
+    /// Advance to the first live posting at position `>= pos` (never
+    /// backwards).
+    #[inline]
+    pub fn advance_to_pos(&mut self, index: &QueryIndex, blocks: &mut BlockScratch, pos: usize) {
+        let list = index.list(self.list);
+        let pos = list.next_live_at(blocks, self.slot, pos.max(self.pos));
+        self.land(list, blocks, pos);
+    }
+
+    /// Advance past the current posting.
+    #[inline]
+    pub fn advance_past_current(&mut self, index: &QueryIndex, blocks: &mut BlockScratch) {
+        self.advance_to_pos(index, blocks, self.pos + 1);
+    }
 }
 
 /// Reusable working set of cursors for the ID-ordering traversal.
@@ -169,9 +223,17 @@ pub struct Cursor {
 /// pivot, or the jumping lists), order is restored with an O(m) merge-repair
 /// instead of a full re-sort; profiling showed the re-sort dominating event
 /// cost at realistic scales.
+///
+/// Decoded sealed blocks live beside the cursors, not in them: a cursor
+/// carries a slot index into a [`BlockScratch`], so sorting and repairing
+/// move 32-byte cursors while each compressed list keeps the block under
+/// its cursor (and the next one) decoded for the whole event. Plain lists
+/// are read in place.
 #[derive(Debug, Default)]
 pub struct CursorSet {
     pub cursors: Vec<Cursor>,
+    /// The decoded blocks the cursors read compressed lists through.
+    pub blocks: BlockScratch,
 }
 
 impl CursorSet {
@@ -180,18 +242,54 @@ impl CursorSet {
     /// Returns the number of matched lists (`m`).
     pub fn build(&mut self, index: &QueryIndex, doc: &Document) -> usize {
         self.cursors.clear();
+        self.blocks.reset();
         for (term, f) in doc.vector.iter() {
             let Some(li) = index.list_of_term(term) else { continue };
-            let list = index.list(li);
-            let pos = list.seek_live(0, QueryId(0));
-            if pos >= list.len() {
-                continue;
+            let slot = index.list(li).open(&mut self.blocks);
+            let mut cursor = Cursor { list: li, slot, f: f as f64, pos: 0, qid: EXHAUSTED };
+            cursor.advance_to_pos(index, &mut self.blocks, 0);
+            if cursor.qid != EXHAUSTED {
+                self.cursors.push(cursor);
             }
-            self.cursors.push(Cursor { list: li, f: f as f64, pos, qid: list.get(pos).qid });
         }
         let m = self.cursors.len();
         self.sort_full();
         m
+    }
+
+    /// Sealed blocks the set's cursors have decoded, lifetime total: at
+    /// most one per block, per cursor, per event.
+    pub fn blocks_decoded(&self) -> u64 {
+        self.blocks.blocks_decoded()
+    }
+
+    /// Fully evaluate the query under the first cursor: the raw dot product
+    /// over the cursors aligned on it — a prefix of the sorted set, whose
+    /// length is returned with it. The cursors stay where they are (their
+    /// positions are what a zone repair of that query needs); finish with
+    /// [`CursorSet::step_front`].
+    #[inline]
+    pub fn score_front(&mut self, index: &QueryIndex) -> (f64, usize) {
+        let pivot = self.cursors[0].qid;
+        let (mut dot, mut aligned) = (0.0f64, 0usize);
+        for c in &self.cursors {
+            if c.qid != pivot {
+                break; // sorted: aligned cursors form a prefix
+            }
+            dot += c.f * c.weight(index, &mut self.blocks) as f64;
+            aligned += 1;
+        }
+        (dot, aligned)
+    }
+
+    /// Step the first `aligned` cursors past their postings and restore
+    /// the processing order.
+    #[inline]
+    pub fn step_front(&mut self, index: &QueryIndex, aligned: usize) {
+        for c in &mut self.cursors[..aligned] {
+            c.advance_past_current(index, &mut self.blocks);
+        }
+        self.repair_prefix(aligned);
     }
 
     /// Full sort + exhausted-cursor truncation. Needed after *all* cursors
@@ -250,27 +348,6 @@ impl CursorSet {
 /// Sentinel query id marking an exhausted cursor (no u32 query id can reach
 /// it in practice: it would require 2^32−1 registrations).
 pub const EXHAUSTED: QueryId = QueryId(u32::MAX);
-
-/// Advance cursor `c` to the first live posting with id `>= target`,
-/// refreshing the qid cache (sets [`EXHAUSTED`] at end of list).
-#[inline]
-pub fn advance_to(index: &QueryIndex, c: &mut Cursor, target: QueryId) {
-    let list = index.list(c.list);
-    c.pos = list.seek_live(c.pos, target);
-    c.qid = if c.pos < list.len() { list.get(c.pos).qid } else { EXHAUSTED };
-}
-
-/// Advance cursor `c` past its current posting.
-#[inline]
-pub fn advance_past_current(index: &QueryIndex, c: &mut Cursor) {
-    let list = index.list(c.list);
-    let mut pos = c.pos + 1;
-    while pos < list.len() && list.get(pos).is_tombstone() {
-        pos += 1;
-    }
-    c.pos = pos;
-    c.qid = if pos < list.len() { list.get(pos).qid } else { EXHAUSTED };
-}
 
 #[cfg(test)]
 mod tests {
@@ -336,14 +413,18 @@ mod tests {
         let q1 = ix.register(&vector(&[(1, 1.0)]), 1);
         let q2 = ix.register(&vector(&[(1, 1.0)]), 1);
         ix.unregister(q1);
-        let li = ix.list_of_term(TermId(1)).unwrap();
-        let mut c = Cursor { list: li, f: 1.0, pos: 0, qid: q0 };
-        advance_past_current(&ix, &mut c);
+        let doc = Document::new(DocId(1), vec![(TermId(1), 1.0)], 0.0);
+        let mut cs = CursorSet::default();
+        assert_eq!(cs.build(&ix, &doc), 1);
+        assert_eq!(cs.cursors[0].qid, q0);
+        let CursorSet { cursors, blocks } = &mut cs;
+        let c = &mut cursors[0];
+        c.advance_past_current(&ix, blocks);
         assert_eq!(c.qid, q2, "skips the tombstoned q1");
-        advance_past_current(&ix, &mut c);
+        c.advance_past_current(&ix, blocks);
         assert_eq!(c.qid, EXHAUSTED);
         // advance_to is idempotent at the end.
-        advance_to(&ix, &mut c, QueryId(0));
+        c.advance_to(&ix, blocks, QueryId(0));
         assert_eq!(c.qid, EXHAUSTED);
     }
 

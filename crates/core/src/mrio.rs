@@ -23,7 +23,7 @@
 //! (exact, O(log n)), block maxima, or suffix snapshot — the three
 //! implementations the TKDE paper ablates (DESIGN.md A1).
 
-use crate::engine::{advance_past_current, advance_to, CursorSet, EngineBase};
+use crate::engine::{CursorSet, EngineBase};
 use crate::stats::{CumulativeStats, EventStats};
 use crate::topk::TopKState;
 use crate::traits::{ContinuousTopK, ResultChange};
@@ -46,7 +46,27 @@ pub struct Mrio<Z: ZoneMax> {
     /// One zone structure per postings list; position-aligned with the list.
     zones: Vec<Z>,
     cursors: CursorSet,
+    /// Zone repairs of this event on lists the document does not match
+    /// (see [`Mrio::update_query_zones`]); empty between events.
+    deferred: Vec<DeferredRepair>,
     name: &'static str,
+}
+
+/// Queued repairs are settled at the latest once this many have gathered
+/// (about one steady-state document's worth at 50 000 queries): enough to
+/// overlap their cache misses, small enough that the queue stays scratch.
+const DEFERRED_BATCH: usize = 4096;
+
+/// A zone repair on a list the current document does not match: the new
+/// bound value `u` of `qid`'s posting in `list`.
+#[derive(Debug, Clone, Copy)]
+struct DeferredRepair {
+    list: u32,
+    qid: QueryId,
+    /// The posting's position, where the record stores it; otherwise it is
+    /// searched for when the repair is settled.
+    pos: Option<u32>,
+    u: f64,
 }
 
 impl Mrio<MaxSegTree> {
@@ -92,6 +112,7 @@ impl<Z: ZoneMax + Default> Mrio<Z> {
             index: QueryIndex::with_storage(storage),
             zones: Vec::new(),
             cursors: CursorSet::default(),
+            deferred: Vec::new(),
             name,
         }
     }
@@ -99,13 +120,48 @@ impl<Z: ZoneMax + Default> Mrio<Z> {
 
 impl<Z: ZoneMax> Mrio<Z> {
     /// Write the current `u = w/S_k` of every term of `qid` into the zones.
-    fn update_query_zones(&mut self, qid: QueryId) {
+    ///
+    /// The lists the document matches are exactly those of the `aligned`
+    /// cursors at the front of the set, still positioned on `qid`'s
+    /// postings: their zones are repaired at once, because later bounds of
+    /// this event read them. Every other posting of the query sits on a
+    /// list no bound of this event consults; those repairs are queued and
+    /// settled by [`Mrio::settle_deferred_repairs`], at the latest before
+    /// the event returns. Run back to back, their cache misses (a cold list
+    /// and a cold zone tree each) overlap instead of stalling the walk one
+    /// at a time, and the traversal cannot tell the difference.
+    fn update_query_zones(&mut self, qid: QueryId, aligned: usize) {
         let Some(state) = self.base.state(qid) else { return };
         let Some(rec) = self.index.record(qid) else { return };
-        for e in rec.entries_full() {
+        for e in rec.entries_located() {
             let u = state.normalized(e.weight as f64);
-            self.zones[e.list as usize].update(e.pos as usize, u);
+            match self.cursors.cursors[..aligned].iter().find(|c| c.list == e.list) {
+                Some(c) => self.zones[e.list as usize].update(c.pos, u),
+                None => self.deferred.push(DeferredRepair { list: e.list, qid, pos: e.pos, u }),
+            }
         }
+        // Bound the queue: while result sets are still filling, one
+        // document can update most of the queries it matches.
+        if self.deferred.len() >= DEFERRED_BATCH {
+            self.settle_deferred_repairs();
+        }
+    }
+
+    /// Apply the queued repairs, searching the list for the position where
+    /// the record does not store it (an ids-only walk of one block).
+    fn settle_deferred_repairs(&mut self) {
+        for r in &self.deferred {
+            let pos = match r.pos {
+                Some(pos) => pos as usize,
+                None => self
+                    .index
+                    .list(r.list)
+                    .position_of(r.qid)
+                    .expect("a record entry implies a posting"),
+            };
+            self.zones[r.list as usize].update(pos, r.u);
+        }
+        self.deferred.clear();
     }
 
     /// Rebuild list `li`'s zone structure from its postings: live entries
@@ -138,9 +194,9 @@ impl<Z: ZoneMax> Mrio<Z> {
     /// Counts one bound computation per list term.
     fn prefix_bound(&mut self, i: usize, bound: QueryId, ev: &mut EventStats) -> f64 {
         let mut sum = 0.0f64;
-        for c in &self.cursors.cursors[..=i] {
-            let list = self.index.list(c.list);
-            let hi = list.seek(c.pos, bound);
+        let CursorSet { cursors, blocks } = &mut self.cursors;
+        for c in &cursors[..=i] {
+            let hi = c.probe(&self.index, blocks, bound);
             let mx = self.zones[c.list as usize].range_max(c.pos, hi);
             ev.bound_computations += 1;
             if mx > 0.0 {
@@ -239,8 +295,9 @@ impl<Z: ZoneMax> Mrio<Z> {
                     // Local bound prunes [c_1, c_m] only: skip past the last
                     // cursor id and keep going.
                     let target = self.zone_bound(m - 1);
-                    for c in self.cursors.cursors.iter_mut() {
-                        advance_to(&self.index, c, target);
+                    let CursorSet { cursors, blocks } = &mut self.cursors;
+                    for c in cursors.iter_mut() {
+                        c.advance_to(&self.index, blocks, target);
                         ev.postings_accessed += 1;
                     }
                     self.cursors.sort_full();
@@ -248,27 +305,18 @@ impl<Z: ZoneMax> Mrio<Z> {
                 Some(p) => {
                     let pivot = self.cursors.cursors[p].qid;
                     if self.cursors.cursors[0].qid == pivot {
-                        let mut dot = 0.0f64;
-                        let mut moved = 0usize;
-                        for c in self.cursors.cursors.iter_mut() {
-                            if c.qid != pivot {
-                                break;
-                            }
-                            let posting = self.index.list(c.list).get(c.pos);
-                            dot += c.f * posting.weight as f64;
-                            ev.postings_accessed += 1;
-                            advance_past_current(&self.index, c);
-                            moved += 1;
-                        }
+                        let (dot, aligned) = self.cursors.score_front(&self.index);
+                        ev.postings_accessed += aligned as u64;
                         ev.full_evaluations += 1;
                         if self.base.offer(pivot, doc, dot, amp) {
                             ev.updates += 1;
-                            self.update_query_zones(pivot);
+                            self.update_query_zones(pivot, aligned);
                         }
-                        self.cursors.repair_prefix(moved);
+                        self.cursors.step_front(&self.index, aligned);
                     } else {
-                        for c in self.cursors.cursors[..p].iter_mut() {
-                            advance_to(&self.index, c, pivot);
+                        let CursorSet { cursors, blocks } = &mut self.cursors;
+                        for c in cursors[..p].iter_mut() {
+                            c.advance_to(&self.index, blocks, pivot);
                             ev.postings_accessed += 1;
                         }
                         self.cursors.repair_prefix(p);
@@ -277,6 +325,7 @@ impl<Z: ZoneMax> Mrio<Z> {
             }
         }
 
+        self.settle_deferred_repairs();
         ev.accumulate_into(&mut self.base.cum);
         ev
     }
@@ -326,7 +375,8 @@ impl<Z: ZoneMax + Default> ContinuousTopK for Mrio<Z> {
 
     fn seed_results(&mut self, qid: QueryId, seeds: &[ScoredDoc]) {
         if self.base.seed(qid, seeds) {
-            self.update_query_zones(qid);
+            self.update_query_zones(qid, 0);
+            self.settle_deferred_repairs();
         }
     }
 
@@ -409,7 +459,7 @@ impl<Z: ZoneMax + Default> ContinuousTopK for Mrio<Z> {
     }
 
     fn storage_stats(&self) -> StorageStats {
-        self.index.storage_stats()
+        StorageStats { blocks_decoded: self.cursors.blocks_decoded(), ..self.index.storage_stats() }
     }
 }
 

@@ -15,7 +15,7 @@
 //! stays below `θ_d` the event terminates outright — a global bound covers
 //! every query id, including those beyond the last cursor.
 
-use crate::engine::{advance_past_current, advance_to, CursorSet, EngineBase};
+use crate::engine::{CursorSet, EngineBase};
 use crate::stats::{CumulativeStats, EventStats};
 use crate::topk::TopKState;
 use crate::traits::{ContinuousTopK, ResultChange};
@@ -146,28 +146,19 @@ impl ContinuousTopK for Rio {
 
             if self.cursors.cursors[0].qid == pivot {
                 // Candidate: fully evaluate from the aligned cursors.
-                let mut dot = 0.0f64;
-                let mut moved = 0usize;
-                for c in self.cursors.cursors.iter_mut() {
-                    if c.qid != pivot {
-                        break; // sorted: aligned cursors form a prefix
-                    }
-                    let posting = self.index.list(c.list).get(c.pos);
-                    dot += c.f * posting.weight as f64;
-                    ev.postings_accessed += 1;
-                    advance_past_current(&self.index, c);
-                    moved += 1;
-                }
+                let (dot, aligned) = self.cursors.score_front(&self.index);
+                ev.postings_accessed += aligned as u64;
                 ev.full_evaluations += 1;
                 if self.base.offer(pivot, doc, dot, amp) {
                     ev.updates += 1;
                     self.push_query_maxima(pivot);
                 }
-                self.cursors.repair_prefix(moved);
+                self.cursors.step_front(&self.index, aligned);
             } else {
                 // Jump: queries in [c_1, pivot) are pruned by UB(p-1) < θ.
-                for c in self.cursors.cursors[..p].iter_mut() {
-                    advance_to(&self.index, c, pivot);
+                let CursorSet { cursors, blocks } = &mut self.cursors;
+                for c in cursors[..p].iter_mut() {
+                    c.advance_to(&self.index, blocks, pivot);
                     ev.postings_accessed += 1;
                 }
                 self.cursors.repair_prefix(p);
@@ -229,7 +220,7 @@ impl ContinuousTopK for Rio {
     }
 
     fn storage_stats(&self) -> StorageStats {
-        self.index.storage_stats()
+        StorageStats { blocks_decoded: self.cursors.blocks_decoded(), ..self.index.storage_stats() }
     }
 }
 

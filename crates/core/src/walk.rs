@@ -25,7 +25,7 @@
 //! it. Skipping changes the *work* counters (that is the point), never the
 //! results, changes or per-document `updates`.
 
-use crate::engine::{advance_past_current, advance_to, CursorSet};
+use crate::engine::CursorSet;
 use crate::stats::EventStats;
 use ctk_common::{Document, FxHashMap, QueryId, TermId};
 use ctk_index::{BlockMax, EpochBounds, QueryIndex};
@@ -158,14 +158,15 @@ fn zone_bound(cursors: &CursorSet, i: usize) -> QueryId {
 fn prefix_bound(
     index: &QueryIndex,
     bounds: &DocEpochBounds,
-    cursors: &CursorSet,
+    cursors: &mut CursorSet,
     i: usize,
     bound: QueryId,
     ev: &mut EventStats,
 ) -> f64 {
     let mut sum = 0.0f64;
-    for c in &cursors.cursors[..=i] {
-        let hi = index.list(c.list).seek(c.pos, bound);
+    let CursorSet { cursors, blocks } = cursors;
+    for c in &cursors[..=i] {
+        let hi = c.probe(index, blocks, bound);
         let mx = bounds.zone_max(c.list, c.pos, hi);
         ev.bound_computations += 1;
         if mx > 0.0 {
@@ -213,24 +214,25 @@ pub fn collect_scored_candidates_bounded(
     if cursors.len() == 1 {
         // Single matched list: cursor zones degenerate to one id per zone,
         // so jump block-aligned position zones instead — every probe is an
-        // O(1) block-cache read.
-        let c = cursors.cursors[0];
-        let list = index.list(c.list);
-        let len = list.len();
+        // O(1) read of a cached block maximum, and the cursor walks the
+        // live postings of the zones that survive.
+        let CursorSet { cursors: cs, blocks } = &mut cursors;
+        let c = &mut cs[0];
+        let (list, f) = (c.list, c.f);
+        let len = index.list(list).len();
         let mut lo = 0usize;
         while lo < len {
             let hi = (lo + DOC_WALK_ZONE).min(len);
             ev.bound_computations += 1;
-            if c.f * bounds.zone_max(c.list, lo, hi) < target {
+            if f * bounds.zone_max(list, lo, hi) < target {
                 ev.zones_skipped += 1;
                 ev.postings_skipped += (hi - lo) as u64;
             } else {
-                for pos in lo..hi {
-                    let p = list.get(pos);
-                    if !p.is_tombstone() {
-                        ev.postings_accessed += 1;
-                        out.push((p.qid, 0.0));
-                    }
+                c.advance_to_pos(index, blocks, lo);
+                while c.pos < hi {
+                    ev.postings_accessed += 1;
+                    out.push((c.qid, 0.0));
+                    c.advance_past_current(index, blocks);
                 }
             }
             lo = hi;
@@ -276,12 +278,12 @@ pub fn collect_scored_candidates_bounded(
             loop {
                 let i = (ig + step).min(m - 1);
                 let b = zone_bound(&cursors, i);
-                if prefix_bound(index, bounds, &cursors, i, b, ev) >= target {
+                if prefix_bound(index, bounds, &mut cursors, i, b, ev) >= target {
                     let mut hi = i;
                     while lo < hi {
                         let mid = lo + (hi - lo) / 2;
                         let bm = zone_bound(&cursors, mid);
-                        if prefix_bound(index, bounds, &cursors, mid, bm, ev) >= target {
+                        if prefix_bound(index, bounds, &mut cursors, mid, bm, ev) >= target {
                             hi = mid;
                         } else {
                             lo = mid + 1;
@@ -303,9 +305,10 @@ pub fn collect_scored_candidates_bounded(
                     // every cursor past the last covered id.
                     ev.zones_skipped += 1;
                     let jump = zone_bound(&cursors, m - 1);
-                    for c in cursors.cursors.iter_mut() {
+                    let CursorSet { cursors: cs, blocks } = &mut cursors;
+                    for c in cs.iter_mut() {
                         let from = c.pos;
-                        advance_to(index, c, jump);
+                        c.advance_to(index, blocks, jump);
                         ev.postings_accessed += 1;
                         ev.postings_skipped += (c.pos - from).saturating_sub(1) as u64;
                     }
@@ -318,19 +321,21 @@ pub fn collect_scored_candidates_bounded(
                         // helper below) and consume its aligned postings.
                         out.push((pivot, 0.0));
                         let mut moved = 0usize;
-                        for c in cursors.cursors.iter_mut() {
+                        let CursorSet { cursors: cs, blocks } = &mut cursors;
+                        for c in cs.iter_mut() {
                             if c.qid != pivot {
                                 break;
                             }
                             ev.postings_accessed += 1;
-                            advance_past_current(index, c);
+                            c.advance_past_current(index, blocks);
                             moved += 1;
                         }
                         cursors.repair_prefix(moved);
                     } else {
-                        for c in cursors.cursors[..p].iter_mut() {
+                        let CursorSet { cursors: cs, blocks } = &mut cursors;
+                        for c in cs[..p].iter_mut() {
                             let from = c.pos;
-                            advance_to(index, c, pivot);
+                            c.advance_to(index, blocks, pivot);
                             ev.postings_accessed += 1;
                             ev.postings_skipped += (c.pos - from).saturating_sub(1) as u64;
                         }

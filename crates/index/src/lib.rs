@@ -44,8 +44,10 @@ pub use epoch_bounds::{list_bound_values, EpochBounds};
 pub use impact_lists::{ImpactList, WeightOrderedList};
 pub use max_tracker::VersionedMaxTracker;
 pub use postings::{Posting, PostingsList};
-pub use query_index::{EntryView, QueryIndex, QueryRecord, RecordEntry, RecordRef};
+pub use query_index::{EntryView, LocatedEntry, QueryIndex, QueryRecord, RecordEntry, RecordRef};
 pub use segment_tree::MaxSegTree;
-pub use store::{ListRef, PostingsStorage, PostingsStore, StorageConfig, StorageStats};
+pub use store::{
+    BlockScratch, ListRef, PostingsStorage, PostingsStore, StorageConfig, StorageStats,
+};
 pub use suffix_max::SuffixMax;
 pub use zone::ZoneMax;

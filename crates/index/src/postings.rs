@@ -137,13 +137,19 @@ impl PostingsList {
         lo
     }
 
-    /// First position `>= from` that is **live** and has id `>= target`.
-    pub fn seek_live(&self, from: usize, target: QueryId) -> usize {
-        let mut pos = self.seek(from, target);
+    /// First **live** position `>= pos`, or `len()`.
+    #[inline]
+    pub fn next_live(&self, pos: usize) -> usize {
+        let mut pos = pos.min(self.entries.len());
         while pos < self.entries.len() && self.entries[pos].is_tombstone() {
             pos += 1;
         }
         pos
+    }
+
+    /// First position `>= from` that is **live** and has id `>= target`.
+    pub fn seek_live(&self, from: usize, target: QueryId) -> usize {
+        self.next_live(self.seek(from, target))
     }
 
     /// Drop tombstones, returning the surviving `(qid, weight)` pairs in

@@ -15,12 +15,17 @@
 //! * **Packed** — 8-byte entries (`list`, `weight`) in a chunked arena,
 //!   addressed by a 12-byte slot per query. The term is derived from the
 //!   list index on read; the *position* is not stored at all — the lists
-//!   are ID-ordered, so a posting's position is recoverable by binary
-//!   search on the query id. The hot path (full re-scores, which only need
-//!   term and weight) never pays for that; the rare position consumers
-//!   (`S_k`-routed bound updates, unregistration) go through
-//!   [`RecordRef::entries_full`]. Dropping the position also means
-//!   compaction has no packed positions to refresh. Records never span
+//!   are ID-ordered, so a posting's position is recoverable by a search
+//!   on the query id (block directory, then an ids-only walk of one
+//!   block). Full re-scores only need term and weight and never pay for
+//!   that. `S_k`-routed bound updates do need positions, and on
+//!   update-heavy streams they are the common case, not a rare one: MRIO
+//!   therefore reads [`RecordRef::entries_located`], takes the positions
+//!   of the lists the document matches from its aligned cursors, and
+//!   searches only for the rest, after the walk. Unregistration and the
+//!   owned form go through [`RecordRef::entries_full`], which searches
+//!   for every position. Dropping the position also means compaction has
+//!   no packed positions to refresh. Records never span
 //!   chunks, so a record is always one contiguous slice; unregistration
 //!   strands its entries until compaction rebuilds the arena. Used by the
 //!   compressed and paged backends, where the records — not the lists —
@@ -56,6 +61,20 @@ pub struct EntryView {
     pub weight: f32,
 }
 
+/// One posting owned by a query, with its list position *where the record
+/// layout stores one* (plain records do, packed records do not). For
+/// consumers that can often get the position elsewhere — MRIO's zone
+/// repair holds it in the aligned cursors — and only fall back to a list
+/// search when nobody has it. Yielded by [`RecordRef::entries_located`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LocatedEntry {
+    /// Dense list index inside the [`QueryIndex`]'s list table.
+    pub list: u32,
+    /// The (normalized) preference weight `w_t(q)`.
+    pub weight: f32,
+    pub pos: Option<u32>,
+}
+
 /// Per-query registration record (owned form; see [`RecordRef`] for the
 /// borrowed view the index hands out).
 #[derive(Debug, Clone, Default)]
@@ -66,7 +85,7 @@ pub struct QueryRecord {
 }
 
 /// A packed record entry: term derived from `list` via the index's list
-/// table on read, position derived by binary search when actually needed.
+/// table on read, position derived by a list search when actually needed.
 #[derive(Debug, Clone, Copy)]
 struct PackedEntry {
     list: u32,
@@ -169,9 +188,11 @@ enum Records {
 
 /// Borrowed view of one query's registration record, independent of the
 /// record layout. [`RecordRef::entries`] iterates position-free
-/// [`EntryView`]s (the hot-path shape); [`RecordRef::entries_full`]
-/// materializes [`RecordEntry`]s, deriving packed positions by binary
-/// search; [`RecordRef::to_record`] clones into the owned form.
+/// [`EntryView`]s (the hot-path shape); [`RecordRef::entries_located`]
+/// adds the position where the layout stores one;
+/// [`RecordRef::entries_full`] materializes [`RecordEntry`]s, deriving
+/// packed positions by a list search; [`RecordRef::to_record`] clones into
+/// the owned form.
 #[derive(Clone, Copy)]
 pub struct RecordRef<'a> {
     k: u32,
@@ -220,10 +241,26 @@ impl<'a> RecordRef<'a> {
         }
     }
 
+    /// Iterate the record's entries with whatever position the layout
+    /// stores — O(1) per entry for every layout, no list is touched.
+    #[inline]
+    pub fn entries_located(self) -> impl Iterator<Item = LocatedEntry> + 'a {
+        let (plain, packed): (&[RecordEntry], &[PackedEntry]) = match self.inner {
+            RecordRefInner::Plain(es) => (es, &[]),
+            RecordRefInner::Packed { entries, .. } => (&[], entries),
+        };
+        let stored =
+            plain.iter().map(|e| LocatedEntry { list: e.list, weight: e.weight, pos: Some(e.pos) });
+        let bare =
+            packed.iter().map(|e| LocatedEntry { list: e.list, weight: e.weight, pos: None });
+        stored.chain(bare)
+    }
+
     /// Iterate the record's entries with list positions. Packed layouts
-    /// don't store positions, so each is recovered by binary search on the
-    /// ID-ordered list — reserve this for the paths that genuinely route
-    /// by position (`S_k`-change bound updates, unregistration).
+    /// don't store positions, so each is recovered by a search of the
+    /// ID-ordered list (directory, then an ids-only decode of one block) —
+    /// for the paths that need every position and have no better source
+    /// (unregistration, epoch-bound refresh, the owned form).
     #[inline]
     pub fn entries_full(self) -> RecordEntriesFull<'a> {
         RecordEntriesFull {
@@ -685,6 +722,7 @@ impl QueryIndex {
             hot_pages: pager.hot_pages,
             cold_pages: pager.cold_pages,
             page_faults: pager.page_faults,
+            blocks_decoded: 0,
         }
     }
 

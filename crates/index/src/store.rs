@@ -22,10 +22,22 @@
 //! Blocks hold exactly [`ctk_storage::BLOCK_LEN`] postings so they align
 //! 1:1 with [`crate::BlockMax`]'s default zones: an `EpochBounds` probe
 //! over a frozen zone maps onto one sealed block.
+//!
+//! **Two ways to read.** [`ListRef`]'s stateless methods (`get`, `seek`,
+//! `position_of`, `for_each_*`) serve scans and one-off look-ups; on the
+//! compressed backends each decodes what it needs on the stack. The
+//! ID-ordered walks instead read through a *forward reader*: they
+//! [`ListRef::open`] a slot in their per-event [`BlockScratch`] and call
+//! the `*_at` methods (`get_at`, `probe_at`, `seek_live_at`,
+//! `next_live_at`), which answer from the decoded block under the reader —
+//! no shared cache, no lock, no thread-local — and decode every sealed
+//! block at most once per reader per event. For a plain list the slot is
+//! empty and the same calls read the `Vec` in place, so the engines are
+//! written once against this API and never ask which backend they are on.
 
 use crate::postings::{Posting, PostingsList};
 use ctk_common::QueryId;
-use ctk_storage::{CompressedList, PagePin, StoreContext};
+use ctk_storage::{BlockCursor, CompressedList, PagePin, StoreContext};
 use std::path::PathBuf;
 
 // The block codec and the zone structures must agree on the zone size:
@@ -123,6 +135,12 @@ pub struct StorageStats {
     pub cold_pages: u64,
     /// Reads that had to fault a page back from the spill file.
     pub page_faults: u64,
+    /// Sealed blocks decoded into cursor buffers by the ID-ordered walks
+    /// (at most one per block, per cursor, per event — see
+    /// [`BlockScratch`]), lifetime total. Zero for plain storage. The
+    /// ids-only stack walks of position look-ups and far probes are not
+    /// block decodes and are not counted.
+    pub blocks_decoded: u64,
 }
 
 impl StorageStats {
@@ -132,6 +150,7 @@ impl StorageStats {
         self.hot_pages += other.hot_pages;
         self.cold_pages += other.cold_pages;
         self.page_faults += other.page_faults;
+        self.blocks_decoded += other.blocks_decoded;
     }
 }
 
@@ -322,7 +341,7 @@ macro_rules! dispatch_ref {
     };
 }
 
-impl ListRef<'_> {
+impl<'a> ListRef<'a> {
     /// Slots, including tombstones.
     #[inline]
     pub fn len(&self) -> usize {
@@ -370,6 +389,98 @@ impl ListRef<'_> {
         dispatch_ref!(self, l => PostingsStore::seek_live(*l, from, target))
     }
 
+    /// Claim the decoded-block slot a forward reader of this list reads
+    /// through. Only a list with sealed blocks needs one: plain lists, and
+    /// compressed lists that never sealed a block (most of them), are read
+    /// in place.
+    #[inline(always)]
+    pub fn open(&self, scratch: &mut BlockScratch) -> u32 {
+        match self {
+            ListRef::Compressed(l) if l.sealed_blocks() > 0 => scratch.claim(),
+            _ => NO_SLOT,
+        }
+    }
+
+    /// First live position `>= pos` (or `len()`) for the forward reader
+    /// holding `slot`.
+    #[inline(always)]
+    pub fn next_live_at(&self, scratch: &mut BlockScratch, slot: u32, pos: usize) -> usize {
+        match self {
+            ListRef::Plain(l) => l.next_live(pos),
+            ListRef::Compressed(l) => match scratch.cursor(slot) {
+                Some(bc) => l.cursor_next_live(bc, pos),
+                None => l.tail().next_live(pos),
+            },
+        }
+    }
+
+    /// [`ListRef::get`] for the forward reader holding `slot`, whose
+    /// position moves to `pos`.
+    #[inline(always)]
+    pub fn get_at(&self, scratch: &mut BlockScratch, slot: u32, pos: usize) -> Posting {
+        let (qid, weight) = match self {
+            ListRef::Plain(l) => return l.get(pos),
+            ListRef::Compressed(l) => match scratch.cursor(slot) {
+                Some(bc) => l.cursor_get(bc, pos),
+                None => l.tail().get(pos),
+            },
+        };
+        Posting { qid: QueryId(qid), weight }
+    }
+
+    /// The query id at `pos` — or `None` at the end of the list — for the
+    /// forward reader holding `slot`, which moves there: all a reader needs
+    /// when it lands on a posting it may never score.
+    #[inline(always)]
+    pub fn qid_at(&self, scratch: &mut BlockScratch, slot: u32, pos: usize) -> Option<QueryId> {
+        match self {
+            ListRef::Plain(l) => l.as_slice().get(pos).map(|p| p.qid),
+            ListRef::Compressed(l) => match scratch.cursor(slot) {
+                Some(bc) => l.cursor_qid(bc, pos),
+                None => l.tail().qid(pos),
+            }
+            .map(QueryId),
+        }
+    }
+
+    /// [`ListRef::seek`] from the position `from` of the forward reader
+    /// holding `slot`, without moving it (the pivot search's bound probe).
+    #[inline(always)]
+    pub fn probe_at(
+        &self,
+        scratch: &mut BlockScratch,
+        slot: u32,
+        from: usize,
+        target: QueryId,
+    ) -> usize {
+        match self {
+            ListRef::Plain(l) => l.seek(from, target),
+            ListRef::Compressed(l) => match scratch.cursor(slot) {
+                Some(bc) => l.cursor_probe(bc, from, target.0),
+                None => l.tail().seek(from, target.0),
+            },
+        }
+    }
+
+    /// [`ListRef::seek_live`] for the forward reader holding `slot`, which
+    /// is about to move to the answer.
+    #[inline(always)]
+    pub fn seek_live_at(
+        &self,
+        scratch: &mut BlockScratch,
+        slot: u32,
+        from: usize,
+        target: QueryId,
+    ) -> usize {
+        match self {
+            ListRef::Plain(l) => l.seek_live(from, target),
+            ListRef::Compressed(l) => match scratch.cursor(slot) {
+                Some(bc) => l.cursor_seek_live(bc, from, target.0),
+                None => l.tail().seek_live(from, target.0),
+            },
+        }
+    }
+
     /// Visit every slot in position order (tombstones as zero weights).
     pub fn for_each_slot(&self, mut f: impl FnMut(QueryId, f32)) {
         dispatch_ref!(self, l => PostingsStore::for_each_slot(*l, &mut f))
@@ -378,6 +489,56 @@ impl ListRef<'_> {
     /// Visit every live posting in position order.
     pub fn for_each_live(&self, mut f: impl FnMut(QueryId, f32)) {
         dispatch_ref!(self, l => PostingsStore::for_each_live(*l, &mut f))
+    }
+}
+
+/// Slot of a list that is read in place (see [`ListRef::open`]): beyond any
+/// slot a [`BlockScratch`] can hand out.
+const NO_SLOT: u32 = u32::MAX;
+
+/// The decoded sealed blocks of one event's forward readers — the side
+/// array a cursor set addresses by slot. Each list with sealed blocks a
+/// reader opens gets a [`BlockCursor`] (the block under the reader plus the
+/// next one, about 1 KiB); lists read in place get none. The buffers are scratch: they
+/// are recycled by [`BlockScratch::reset`] at the start of every event and
+/// are never part of the index's footprint.
+#[derive(Debug, Default)]
+pub struct BlockScratch {
+    slots: Vec<BlockCursor>,
+    used: usize,
+    /// Decodes of the events already reset away.
+    decoded: u64,
+}
+
+impl BlockScratch {
+    /// Release every slot: the lists may have changed since they were
+    /// decoded. The finished event's decode count is folded into the total.
+    pub fn reset(&mut self) {
+        for bc in &mut self.slots[..self.used] {
+            self.decoded += bc.decoded() as u64;
+            bc.reset();
+        }
+        self.used = 0;
+    }
+
+    /// Sealed blocks decoded through this scratch so far (lifetime total,
+    /// the event in progress included).
+    pub fn blocks_decoded(&self) -> u64 {
+        self.decoded + self.slots[..self.used].iter().map(|bc| bc.decoded() as u64).sum::<u64>()
+    }
+
+    /// The cursor in `slot`; none for a list that is read in place.
+    #[inline(always)]
+    fn cursor(&mut self, slot: u32) -> Option<&mut BlockCursor> {
+        self.slots.get_mut(slot as usize)
+    }
+
+    fn claim(&mut self) -> u32 {
+        if self.used == self.slots.len() {
+            self.slots.push(BlockCursor::default());
+        }
+        self.used += 1;
+        (self.used - 1) as u32
     }
 }
 

@@ -1068,6 +1068,7 @@ fn handle_stats(shared: &Shared) -> Response {
         hot_pages: backend.storage.hot_pages,
         cold_pages: backend.storage.cold_pages,
         page_faults: backend.storage.page_faults,
+        blocks_decoded: backend.storage.blocks_decoded,
         queue_capacity: shared.queue.capacity,
         queue_depth: shared.queue.depth.load(Ordering::SeqCst),
         queue_highwater: shared.queue.highwater.load(Ordering::SeqCst),
@@ -1112,6 +1113,9 @@ pub struct ServerStats {
     pub cold_pages: u64,
     /// Reads that faulted a page back from the spill file, lifetime total.
     pub page_faults: u64,
+    /// Sealed postings blocks the walk decoded into its cursors, lifetime
+    /// total (compressed and paged storage only).
+    pub blocks_decoded: u64,
     /// Bound of the ingest command queue (the `queue_depth` knob).
     pub queue_capacity: usize,
     /// Commands currently enqueued (blocked senders included) — the live

@@ -105,16 +105,18 @@ impl SubscriberRegistry {
     }
 
     /// Route a receipt's changes to every matching subscriber. Returns the
-    /// number of events buffered (sum over subscribers).
+    /// number of events buffered (sum over subscribers). With nobody
+    /// subscribed this is a lock and a length check: the changes are only
+    /// grouped (a clone and a sort of the receipt's change list) once there
+    /// is someone to group them for.
     pub fn fanout(&self, receipt: &PublishReceipt) -> u64 {
-        if receipt.changes.is_empty() {
+        if receipt.changes.is_empty() || self.is_empty() {
             return 0;
         }
+        // Grouped outside the lock; a subscriber that leaves meanwhile just
+        // makes the loop below shorter.
         let grouped = receipt.changes_by_query();
         let mut state = self.state.lock().unwrap();
-        if state.subscribers.is_empty() {
-            return 0;
-        }
         let capacity = self.capacity;
         let mut delivered = 0u64;
         let mut dropped = 0u64;

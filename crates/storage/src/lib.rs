@@ -11,7 +11,8 @@
 //!   [`PagePin`]s so frozen index epochs keep their resident pages.
 //! * [`list`] — [`CompressedList`]: the ID-ordered postings list built from
 //!   sealed blocks plus an uncompressed tail, with liveness-word tombstones
-//!   and compaction as the re-compression point.
+//!   and compaction as the re-compression point; forward readers decode
+//!   through their own [`BlockCursor`], everything else on the stack.
 //!
 //! `ctk-index` plugs [`CompressedList`] in behind its `PostingsStore` seam;
 //! this crate knows nothing about the index layer (it depends only on
@@ -21,6 +22,8 @@ pub mod codec;
 pub mod list;
 pub mod pager;
 
-pub use codec::{decode_block, encode_block, WeightCodec, BLOCK_LEN};
-pub use list::{CompressedList, StoreContext};
+pub use codec::{
+    decode_block, decode_ids, decode_slot, encode_block, seek_ids, Block, WeightCodec, BLOCK_LEN,
+};
+pub use list::{BlockCursor, CompressedList, StoreContext, Unsealed};
 pub use pager::{Page, PageManager, PagePin, PagerStats};

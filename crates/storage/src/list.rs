@@ -13,9 +13,16 @@
 //! rebuilt, which is exactly the "compaction is the re-compression point"
 //! design from the storage subsystem issue.
 //!
-//! Reads decode through a small thread-local direct-mapped block cache
-//! keyed by a globally unique per-block id, so sequential walks decode each
-//! block once per thread, and clones sharing a block share its cache entry.
+//! **Reading.** There is no shared decode cache. A reader that walks the
+//! list forward — one cursor of an ID-ordered traversal — brings its own
+//! [`BlockCursor`]: the decoded block under the cursor plus the block after
+//! it, so `cursor_get`, `cursor_seek_live` (the advancing seek) and
+//! `cursor_probe` (the non-advancing bound probe) are array reads while the
+//! target stays inside those blocks, and a block is decoded at most once per
+//! cursor per pass. Everything else — the stateless `get` / `seek` /
+//! `position_of`, the `for_each_*` scans, a probe landing two or more blocks
+//! ahead — decodes on the stack, ids only where the weights are not read,
+//! and stops the delta walk at the answer.
 //!
 //! **Memory layout.** Real-world term/query distributions are heavy-tailed:
 //! most lists hold a handful of postings and never seal a block, so the
@@ -26,29 +33,12 @@
 //! `Vec`-backed list's 32. The sealing policy (codec and pager) lives in
 //! the caller's [`StoreContext`], not in every list.
 
-use crate::codec::{decode_block, encode_block, WeightCodec, BLOCK_LEN};
+use crate::codec::{
+    decode_block, decode_slot, encode_block, seek_ids, Block, WeightCodec, BLOCK_LEN,
+};
 use crate::pager::{Page, PageManager, PagePin};
 use ctk_common::is_tombstone_weight;
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Globally unique sealed-block ids; 0 is reserved as "no block" so a
-/// zeroed cache slot never matches.
-static NEXT_BLOCK_ID: AtomicU64 = AtomicU64::new(1);
-
-const CACHE_SLOTS: usize = 16;
-
-struct CacheSlot {
-    id: u64,
-    data: [(u32, f32); BLOCK_LEN],
-}
-
-thread_local! {
-    static BLOCK_CACHE: RefCell<Box<[CacheSlot; CACHE_SLOTS]>> = RefCell::new(Box::new(
-        std::array::from_fn(|_| CacheSlot { id: 0, data: [(0, 0.0); BLOCK_LEN] }),
-    ));
-}
 
 /// The sealing policy a [`CompressedList`] writes under: which weight codec
 /// blocks encode with, and which pager (if any) their payloads are
@@ -78,18 +68,12 @@ enum BlockData {
     Paged(Page),
 }
 
-#[derive(Debug, Clone)]
-struct Sealed {
-    id: u64,
-    data: BlockData,
-}
-
 /// The sealed side of a list: every table that only exists once at least
 /// one block has been sealed. Boxed inside [`CompressedList`] so the ~99%
 /// of lists that stay shorter than [`BLOCK_LEN`] never pay for it.
 #[derive(Debug, Clone)]
 struct SealedState {
-    blocks: Vec<Sealed>,
+    blocks: Vec<BlockData>,
     /// First query id of each sealed block, for block-level binary search.
     first_qids: Vec<u32>,
     /// One liveness word per sealed block, bit `i` = slot `i` is live.
@@ -118,7 +102,105 @@ impl SealedState {
         self.sealed_live += word.count_ones();
         self.live_bits.push(word);
         self.first_qids.push(slots[0].0);
-        self.blocks.push(Sealed { id: NEXT_BLOCK_ID.fetch_add(1, Ordering::Relaxed), data });
+        self.blocks.push(data);
+    }
+
+    /// Read the encoded payload of block `b` (faulting it in when paged).
+    #[inline]
+    fn with_payload<R>(&self, b: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+        match &self.blocks[b] {
+            BlockData::Ram(bytes) => f(bytes),
+            BlockData::Paged(page) => {
+                f(&self.pager.as_ref().expect("paged block without a pager").load(page))
+            }
+        }
+    }
+
+    /// Decode block `b` into a reader's buffer, with the block's liveness
+    /// word beside it; tombstoned slots get the `0.0` weight sentinel here,
+    /// so a reader of the buffer never goes back to the list for either.
+    fn decode(&self, b: usize, out: &mut Resident) {
+        self.with_payload(b, |bytes| decode_block(bytes, &mut out.data));
+        out.block = b as u32;
+        out.live = self.live_bits[b];
+        let mut dead = !out.live;
+        while dead != 0 {
+            out.data.weights[dead.trailing_zeros() as usize] = 0.0;
+            dead &= dead - 1;
+        }
+    }
+}
+
+/// Sentinel block index of an empty [`BlockCursor`] buffer.
+const NO_BLOCK: u32 = u32::MAX;
+
+/// One decoded block in a reader's hands.
+#[derive(Debug, Clone)]
+struct Resident {
+    block: u32,
+    /// The block's liveness word when it was decoded.
+    live: u64,
+    data: Block,
+}
+
+/// The decoded blocks one forward reader of one [`CompressedList`] holds:
+/// the block under the reader's position and the block after it.
+///
+/// A reader only moves forward, a block enters `cur` when the reader's
+/// position does, and the look-ahead buffer only ever takes the block right
+/// after `cur` (which is then *promoted*, not decoded again, when the
+/// reader crosses into it) — so between two [`BlockCursor::reset`]s every
+/// sealed block is decoded into these buffers at most once.
+/// [`BlockCursor::decoded`] counts those decodes.
+///
+/// The buffers are only valid while the list is not mutated: reset the
+/// cursor whenever the list may have changed (the engines do so at the
+/// start of every event).
+#[derive(Debug, Clone)]
+pub struct BlockCursor {
+    bufs: [Resident; 2],
+    /// Which of `bufs` holds the block under the reader; the other one is
+    /// the look-ahead.
+    cur: usize,
+    decoded: u32,
+}
+
+impl Default for BlockCursor {
+    fn default() -> Self {
+        let empty = Resident { block: NO_BLOCK, live: 0, data: Block::zeroed() };
+        BlockCursor { bufs: [empty.clone(), empty], cur: 0, decoded: 0 }
+    }
+}
+
+impl BlockCursor {
+    /// Forget both blocks and zero the decode counter (the start of a new
+    /// pass, or a different list).
+    pub fn reset(&mut self) {
+        self.bufs[0].block = NO_BLOCK;
+        self.bufs[1].block = NO_BLOCK;
+        self.decoded = 0;
+    }
+
+    /// Sealed blocks decoded into this cursor since the last reset.
+    pub fn decoded(&self) -> u32 {
+        self.decoded
+    }
+
+    /// The current block, if it is block `b`.
+    #[inline]
+    fn current(&self, b: usize) -> Option<&Resident> {
+        let buf = &self.bufs[self.cur];
+        (buf.block as usize == b).then_some(buf)
+    }
+
+    /// The answer of a seek from `from` when both `from` and the answer lie
+    /// in the current block — the common case, settled without touching the
+    /// list at all.
+    #[inline]
+    fn seek_current(&self, from: usize, target: u32) -> Option<usize> {
+        let ids = &self.current(from / BLOCK_LEN)?.data.ids;
+        (target <= ids[BLOCK_LEN - 1])
+            .then(|| from + gallop(&ids[from % BLOCK_LEN..], |&q| q < target))
     }
 }
 
@@ -171,6 +253,7 @@ impl CompressedList {
     }
 
     /// Number of sealed (compressed) blocks.
+    #[inline]
     pub fn sealed_blocks(&self) -> usize {
         self.sealed.as_ref().map_or(0, |s| s.blocks.len())
     }
@@ -187,36 +270,15 @@ impl CompressedList {
         }
     }
 
-    /// Decode block `b` through the thread-local cache and read it.
-    fn with_block<R>(&self, b: usize, f: impl FnOnce(&[(u32, f32); BLOCK_LEN]) -> R) -> R {
-        let s = self.sealed.as_ref().expect("sealed block read on unsealed list");
-        let blk = &s.blocks[b];
-        BLOCK_CACHE.with(|cache| {
-            let cache = &mut **cache.borrow_mut();
-            let slot = &mut cache[blk.id as usize % CACHE_SLOTS];
-            if slot.id != blk.id {
-                let paged_bytes;
-                let bytes: &[u8] = match &blk.data {
-                    BlockData::Ram(bytes) => bytes,
-                    BlockData::Paged(page) => {
-                        paged_bytes =
-                            s.pager.as_ref().expect("paged block without a pager").load(page);
-                        &paged_bytes
-                    }
-                };
-                decode_block(bytes, &mut slot.data);
-                slot.id = blk.id;
-            }
-            f(&slot.data)
-        })
-    }
-
     /// The slot at `pos`: `(qid, weight)`, weight `0.0` when tombstoned.
-    #[inline]
+    /// Stateless: a sealed slot is read straight from its payload (the id
+    /// walk stops at the slot). Forward readers use [`Self::cursor_get`].
     pub fn get(&self, pos: usize) -> (u32, f32) {
         let sealed = self.sealed_len();
         if pos < sealed {
-            let (qid, w) = self.with_block(pos / BLOCK_LEN, |d| d[pos % BLOCK_LEN]);
+            let s = self.sealed.as_ref().expect("sealed_len > 0");
+            let (qid, w) =
+                s.with_payload(pos / BLOCK_LEN, |bytes| decode_slot(bytes, pos % BLOCK_LEN));
             if self.is_live(pos) {
                 (qid, w)
             } else {
@@ -225,6 +287,136 @@ impl CompressedList {
         } else {
             self.tail[pos - sealed]
         }
+    }
+
+    /// Make block `b` the cursor's current block and return it: a no-op
+    /// when it already is, a promotion when it is the look-ahead, a decode
+    /// otherwise.
+    #[inline]
+    fn enter<'c>(s: &SealedState, bc: &'c mut BlockCursor, b: usize) -> &'c Block {
+        if bc.bufs[bc.cur].block != b as u32 {
+            if bc.bufs[bc.cur ^ 1].block == b as u32 {
+                bc.cur ^= 1;
+            } else {
+                s.decode(b, &mut bc.bufs[bc.cur]);
+                bc.decoded += 1;
+            }
+        }
+        &bc.bufs[bc.cur].data
+    }
+
+    /// Block `b`, the one right after the cursor's current block, through
+    /// the look-ahead buffer.
+    #[inline]
+    fn look_ahead<'c>(s: &SealedState, bc: &'c mut BlockCursor, b: usize) -> &'c Block {
+        debug_assert_eq!(bc.bufs[bc.cur].block as usize + 1, b);
+        let buf = &mut bc.bufs[bc.cur ^ 1];
+        if buf.block != b as u32 {
+            s.decode(b, buf);
+            bc.decoded += 1;
+        }
+        &buf.data
+    }
+
+    // The cursor operations below are split in two: the case the decoded
+    // current block answers is `#[inline]` and touches nothing but the
+    // cursor; everything else (another block, the tail, a decode) is an
+    // out-of-line call, so the callers' loops stay small.
+
+    /// [`Self::get`] for a forward reader: answered from the cursor's
+    /// current block, which becomes the block holding `pos`.
+    #[inline]
+    pub fn cursor_get(&self, bc: &mut BlockCursor, pos: usize) -> (u32, f32) {
+        match bc.current(pos / BLOCK_LEN) {
+            Some(buf) => (buf.data.ids[pos % BLOCK_LEN], buf.data.weights[pos % BLOCK_LEN]),
+            None => self.cursor_get_elsewhere(bc, pos),
+        }
+    }
+
+    /// The query id at `pos`, or `None` at the end of the list: what a
+    /// reader needs every time it lands somewhere (weights are read only
+    /// when a posting is scored). Inside the current block the list is not
+    /// touched at all, not even for its length.
+    #[inline]
+    pub fn cursor_qid(&self, bc: &mut BlockCursor, pos: usize) -> Option<u32> {
+        match bc.current(pos / BLOCK_LEN) {
+            Some(buf) => Some(buf.data.ids[pos % BLOCK_LEN]),
+            None => (pos < self.len()).then(|| self.cursor_get_elsewhere(bc, pos).0),
+        }
+    }
+
+    #[inline(never)]
+    fn cursor_get_elsewhere(&self, bc: &mut BlockCursor, pos: usize) -> (u32, f32) {
+        let sealed = self.sealed_len();
+        if pos < sealed {
+            let s = self.sealed.as_ref().expect("sealed_len > 0");
+            let blk = Self::enter(s, bc, pos / BLOCK_LEN);
+            (blk.ids[pos % BLOCK_LEN], blk.weights[pos % BLOCK_LEN])
+        } else {
+            self.tail[pos - sealed]
+        }
+    }
+
+    /// [`Self::next_live`] for a forward reader: inside the cursor's
+    /// current block its copy of the liveness word answers; past it, the
+    /// list's own words do.
+    #[inline]
+    pub fn cursor_next_live(&self, bc: &BlockCursor, pos: usize) -> usize {
+        let b = pos / BLOCK_LEN;
+        match bc.current(b) {
+            Some(buf) => match buf.live >> (pos % BLOCK_LEN) {
+                0 => self.next_live((b + 1) * BLOCK_LEN),
+                rest => pos + rest.trailing_zeros() as usize,
+            },
+            None => self.next_live(pos),
+        }
+    }
+
+    /// [`Self::seek`] from the reader's own position `from`, without moving
+    /// it — the bound probe of a pivot search. A target inside the current
+    /// block is answered without touching the list; one in the next block
+    /// from the look-ahead buffer; one further ahead costs an ids-only walk
+    /// of its block on the stack.
+    #[inline]
+    pub fn cursor_probe(&self, bc: &mut BlockCursor, from: usize, target: u32) -> usize {
+        match bc.seek_current(from, target) {
+            Some(pos) => pos,
+            None => self.cursor_probe_elsewhere(bc, from, target),
+        }
+    }
+
+    #[inline(never)]
+    fn cursor_probe_elsewhere(&self, bc: &mut BlockCursor, from: usize, target: u32) -> usize {
+        let b0 = from / BLOCK_LEN;
+        self.seek_by(from, target, |s, b, lo| {
+            let blk = if b == b0 {
+                Self::enter(s, bc, b)
+            } else if b == b0 + 1 {
+                Self::enter(s, bc, b0);
+                Self::look_ahead(s, bc, b)
+            } else {
+                return s.with_payload(b, |bytes| seek_ids(bytes, lo, target).0);
+            };
+            lo + gallop(&blk.ids[lo..], |&q| q < target)
+        })
+    }
+
+    /// [`Self::seek_live`] for a forward reader that is about to move to
+    /// the answer: the landing block becomes the cursor's current block.
+    #[inline]
+    pub fn cursor_seek_live(&self, bc: &mut BlockCursor, from: usize, target: u32) -> usize {
+        let pos = match bc.seek_current(from, target) {
+            Some(pos) => pos,
+            None => self.cursor_seek_elsewhere(bc, from, target),
+        };
+        self.cursor_next_live(bc, pos)
+    }
+
+    #[inline(never)]
+    fn cursor_seek_elsewhere(&self, bc: &mut BlockCursor, from: usize, target: u32) -> usize {
+        self.seek_by(from, target, |s, b, lo| {
+            lo + gallop(&Self::enter(s, bc, b).ids[lo..], |&q| q < target)
+        })
     }
 
     /// Append a live posting; ids must be strictly increasing. Seals the
@@ -278,41 +470,62 @@ impl CompressedList {
         }
     }
 
-    fn seek_slice(slice: &[(u32, f32)], from: usize, target: u32) -> usize {
-        from + slice[from..].partition_point(|&(q, _)| q < target)
+    /// The uncompressed tail. It is the whole list — positions and all —
+    /// exactly when [`Self::sealed_blocks`] is zero.
+    #[inline]
+    pub fn tail(&self) -> Unsealed<'_> {
+        Unsealed(&self.tail)
     }
 
-    /// First position `>= from` whose query id is `>= target` (tombstones
-    /// included), or `len()`. Block-level binary search on the sealed
-    /// region; at most one block is decoded.
-    pub fn seek(&self, from: usize, target: u32) -> usize {
+    /// The one seek: first position `>= from` whose query id is `>= target`
+    /// (tombstones included), or `len()`. The sealed region is narrowed to
+    /// one block by a galloping search of the first-id directory starting
+    /// at `from`'s block; `in_block(sealed, block, lo)` then returns the
+    /// first slot `>= lo` of that block with id `>= target` (or
+    /// [`BLOCK_LEN`]) — how it reads the block is the caller's business.
+    #[inline]
+    fn seek_by(
+        &self,
+        from: usize,
+        target: u32,
+        in_block: impl FnOnce(&SealedState, usize, usize) -> usize,
+    ) -> usize {
         let n = self.len();
         let sealed = self.sealed_len();
         if from >= n {
             return n;
         }
         if from >= sealed {
-            return sealed + Self::seek_slice(&self.tail, from - sealed, target);
+            return sealed + self.tail().seek(from - sealed, target);
         }
-        // First block whose first qid exceeds the target; the answer sits
-        // in the block before it (or wherever `from` points, if later).
         let s = self.sealed.as_ref().expect("sealed_len > 0");
-        let cb = s.first_qids.partition_point(|&fq| fq <= target);
-        if cb == 0 {
-            return from; // every sealed id is already >= target
-        }
         let b0 = from / BLOCK_LEN;
-        let b = b0.max(cb - 1);
+        // The last block from `b0` on whose first id is <= target holds the
+        // answer (or is exhausted by it); no such block means every id from
+        // `from` on is already >= target.
+        let b = b0 + gallop(&s.first_qids[b0 + 1..], |&first| first <= target);
+        if b == b0 && s.first_qids[b0] > target {
+            return from;
+        }
         let lo = if b == b0 { from % BLOCK_LEN } else { 0 };
-        let i = self.with_block(b, |d| lo + d[lo..].partition_point(|&(q, _)| q < target));
+        let i = in_block(s, b, lo);
         let pos = b * BLOCK_LEN + i;
         if i < BLOCK_LEN || pos < sealed {
             // In-block hit, or the exhausted block's successor (whose first
-            // qid exceeds the target by choice of `cb`).
+            // id exceeds the target by choice of `b`).
             pos
         } else {
-            sealed + Self::seek_slice(&self.tail, 0, target)
+            sealed + self.tail().seek(0, target)
         }
+    }
+
+    /// First position `>= from` whose query id is `>= target` (tombstones
+    /// included), or `len()`. Stateless: the landing block's ids are walked
+    /// on the stack up to the answer.
+    pub fn seek(&self, from: usize, target: u32) -> usize {
+        self.seek_by(from, target, |s, b, lo| {
+            s.with_payload(b, |bytes| seek_ids(bytes, lo, target).0)
+        })
     }
 
     /// First **live** position `>= pos`, or `len()`. Dead sealed runs are
@@ -343,21 +556,36 @@ impl CompressedList {
         self.next_live(self.seek(from, target))
     }
 
-    /// Position of `qid` (live or tombstoned), if present.
+    /// Position of `qid` (live or tombstoned), if present: binary searches
+    /// of the block directory and the tail, and in between an ids-only walk
+    /// of the one candidate block that stops at the answer — no weight is
+    /// read, nothing is materialized.
     pub fn position_of(&self, qid: u32) -> Option<usize> {
-        let pos = self.seek(0, qid);
-        (pos < self.len() && self.get(pos).0 == qid).then_some(pos)
+        if let Some(s) = &self.sealed {
+            // The last block whose first id is <= qid is the only sealed
+            // block that can hold it.
+            let after = s.first_qids.partition_point(|&first| first <= qid);
+            if let Some(b) = after.checked_sub(1) {
+                let (i, hit) = s.with_payload(b, |bytes| seek_ids(bytes, 0, qid));
+                if hit {
+                    return Some(b * BLOCK_LEN + i);
+                }
+            }
+        }
+        let i = self.tail.binary_search_by_key(&qid, |&(q, _)| q).ok()?;
+        Some(self.sealed_len() + i)
     }
 
     /// Visit every slot in position order (tombstones as zero weights).
     pub fn for_each_slot(&self, mut f: impl FnMut(u32, f32)) {
-        for b in 0..self.sealed_blocks() {
-            let word = self.sealed.as_ref().expect("has blocks").live_bits[b];
-            self.with_block(b, |d| {
-                for (i, &(q, w)) in d.iter().enumerate() {
+        if let Some(s) = &self.sealed {
+            let mut blk = Block::zeroed();
+            for (b, &word) in s.live_bits.iter().enumerate() {
+                s.with_payload(b, |bytes| decode_block(bytes, &mut blk));
+                for (i, (&q, &w)) in blk.ids.iter().zip(&blk.weights).enumerate() {
                     f(q, if word >> i & 1 == 1 { w } else { 0.0 });
                 }
-            });
+            }
         }
         for &(q, w) in self.tail.iter() {
             f(q, w);
@@ -366,18 +594,19 @@ impl CompressedList {
 
     /// Visit every live posting in position order.
     pub fn for_each_live(&self, mut f: impl FnMut(u32, f32)) {
-        for b in 0..self.sealed_blocks() {
-            let word = self.sealed.as_ref().expect("has blocks").live_bits[b];
-            if word == 0 {
-                continue;
-            }
-            self.with_block(b, |d| {
-                for (i, &(q, w)) in d.iter().enumerate() {
+        if let Some(s) = &self.sealed {
+            let mut blk = Block::zeroed();
+            for (b, &word) in s.live_bits.iter().enumerate() {
+                if word == 0 {
+                    continue;
+                }
+                s.with_payload(b, |bytes| decode_block(bytes, &mut blk));
+                for (i, (&q, &w)) in blk.ids.iter().zip(&blk.weights).enumerate() {
                     if word >> i & 1 == 1 {
                         f(q, w);
                     }
                 }
-            });
+            }
         }
         for &(q, w) in self.tail.iter() {
             if !is_tombstone_weight(w) {
@@ -410,11 +639,11 @@ impl CompressedList {
         let mut bytes = self.tail.len() * std::mem::size_of::<(u32, f32)>();
         if let Some(s) = &self.sealed {
             bytes += std::mem::size_of::<SealedState>()
-                + s.blocks.capacity() * std::mem::size_of::<Sealed>()
+                + s.blocks.capacity() * std::mem::size_of::<BlockData>()
                 + s.first_qids.capacity() * 4
                 + s.live_bits.capacity() * 8;
             for blk in &s.blocks {
-                bytes += match &blk.data {
+                bytes += match blk {
                     BlockData::Ram(payload) => payload.len(),
                     BlockData::Paged(page) => {
                         std::mem::size_of_val(&**page)
@@ -432,12 +661,72 @@ impl CompressedList {
     pub fn collect_resident_pins(&self, out: &mut Vec<PagePin>) {
         let Some(s) = &self.sealed else { return };
         for blk in &s.blocks {
-            if let BlockData::Paged(page) = &blk.data {
+            if let BlockData::Paged(page) = blk {
                 if page.is_resident() {
                     out.push(PagePin::new(Arc::clone(page)));
                 }
             }
         }
+    }
+}
+
+/// Number of leading elements of `sorted` for which `below` holds (`below`
+/// is true on a prefix and false after it), by galloping: a seek rarely
+/// leaves the neighbourhood it starts in, so the answer is almost always
+/// within the first few entries.
+#[inline]
+fn gallop<T>(sorted: &[T], below: impl Fn(&T) -> bool) -> usize {
+    let n = sorted.len();
+    let (mut lo, mut step) = (0usize, 1usize);
+    while lo + step <= n && below(&sorted[lo + step - 1]) {
+        lo += step;
+        step <<= 1;
+    }
+    let hi = (lo + step - 1).min(n);
+    lo + sorted[lo..hi].partition_point(below)
+}
+
+/// The uncompressed slots of a list, read in place: the tail of a sealed
+/// list, and the *whole* of a list that never sealed a block — which is
+/// most lists (see the module docs), so a reader of such a list goes
+/// through this view and never sets up a [`BlockCursor`]. Positions are
+/// slice indices; the semantics are [`CompressedList`]'s.
+#[derive(Debug, Clone, Copy)]
+pub struct Unsealed<'a>(&'a [(u32, f32)]);
+
+impl Unsealed<'_> {
+    #[inline]
+    pub fn get(self, pos: usize) -> (u32, f32) {
+        self.0[pos]
+    }
+
+    /// The query id at `pos`, or `None` at the end.
+    #[inline]
+    pub fn qid(self, pos: usize) -> Option<u32> {
+        self.0.get(pos).map(|&(q, _)| q)
+    }
+
+    /// First live position `>= pos`, or the length.
+    #[inline]
+    pub fn next_live(self, pos: usize) -> usize {
+        let pos = pos.min(self.0.len());
+        pos + self.0[pos..]
+            .iter()
+            .position(|&(_, w)| !is_tombstone_weight(w))
+            .unwrap_or(self.0.len() - pos)
+    }
+
+    /// First position `>= from` with id `>= target`, or the length.
+    #[inline]
+    pub fn seek(self, from: usize, target: u32) -> usize {
+        let from = from.min(self.0.len());
+        from + gallop(&self.0[from..], |&(q, _)| q < target)
+    }
+
+    /// First live position `>= from` with id `>= target`, or the length.
+    #[inline]
+    pub fn seek_live(self, from: usize, target: u32) -> usize {
+        self.next_live(self.seek(from, target))
     }
 }
 

@@ -8,7 +8,8 @@
 //! interleaving of pushes, tombstones, and compactions.
 
 use ctk_storage::{
-    decode_block, encode_block, CompressedList, PageManager, StoreContext, WeightCodec, BLOCK_LEN,
+    decode_block, encode_block, Block, CompressedList, PageManager, StoreContext, WeightCodec,
+    BLOCK_LEN,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -55,11 +56,11 @@ proptest! {
         let slots = build_block(base, giant_at, giant_gap, &raw);
         let mut bytes = Vec::new();
         encode_block(&slots, WeightCodec::Raw, &mut bytes);
-        let mut decoded = [(0u32, 0.0f32); BLOCK_LEN];
+        let mut decoded = Block::zeroed();
         decode_block(&bytes, &mut decoded);
-        for (orig, got) in slots.iter().zip(decoded.iter()) {
-            prop_assert_eq!(orig.0, got.0);
-            prop_assert_eq!(orig.1.to_bits(), got.1.to_bits());
+        for (i, orig) in slots.iter().enumerate() {
+            prop_assert_eq!(orig.0, decoded.ids[i]);
+            prop_assert_eq!(orig.1.to_bits(), decoded.weights[i].to_bits());
         }
     }
 
@@ -76,10 +77,11 @@ proptest! {
         let slots = build_block(base, giant_at, giant_gap, &raw);
         let mut bytes = Vec::new();
         encode_block(&slots, WeightCodec::Quantized, &mut bytes);
-        let mut decoded = [(0u32, 0.0f32); BLOCK_LEN];
+        let mut decoded = Block::zeroed();
         decode_block(&bytes, &mut decoded);
         let max = slots.iter().map(|s| s.1).fold(0.0f32, f32::max);
-        for (orig, got) in slots.iter().zip(decoded.iter()) {
+        for (orig, got) in slots.iter().zip(decoded.ids.iter().zip(&decoded.weights)) {
+            let got = (*got.0, *got.1);
             prop_assert_eq!(orig.0, got.0);
             // Tombstones survive exactly; live weights stay live and close.
             if orig.1 == 0.0 {

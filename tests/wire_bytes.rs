@@ -141,6 +141,7 @@ fn every_server_type_streams_the_bytes_its_tree_prints() {
             hot_pages: 0,
             cold_pages: 0,
             page_faults: 0,
+            blocks_decoded: 0,
             queue_capacity: 16,
             queue_depth: 0,
             queue_highwater: 2,
