@@ -112,14 +112,12 @@ impl<R: Runtime + ?Sized> FrontEnd<R> {
         loop {
             let Some(policy) = self.lifecycle.policy(ns) else { return };
             let Some(cap) = policy.max_queries else { return };
-            let members = self.lifecycle.members(ns);
-            if members.len() as u64 <= cap {
+            if self.lifecycle.live(ns) <= cap {
                 return;
             }
-            let candidates: Vec<QueryId> =
-                members.into_iter().filter(|&q| Some(q) != protect).collect();
+            let candidates = self.lifecycle.members(ns).filter(|&q| Some(q) != protect);
             let runtime = &self.runtime;
-            let Some(victim) = pick_victim(&candidates, policy.eviction, |q| {
+            let Some(victim) = pick_victim(candidates, policy.eviction, |q| {
                 runtime.results(q).and_then(|r| r.first().map(|sd| sd.score.get())).unwrap_or(0.0)
             }) else {
                 return;
@@ -184,7 +182,7 @@ impl<R: Runtime + ?Sized> MonitorBackend for FrontEnd<R> {
 
     fn forget_namespace(&mut self, ns: Namespace) -> usize {
         self.check_namespace(ns);
-        let members = self.lifecycle.members(ns);
+        let members: Vec<QueryId> = self.lifecycle.members(ns).collect();
         if members.is_empty() {
             return 0;
         }

@@ -29,7 +29,7 @@
 use ctk_common::{FxHashMap, Namespace, NamespaceRegistry, OrdF64, QueryId, Timestamp};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap};
 
 /// Per-query registration options. [`Default`] reproduces the pre-lifecycle
 /// behaviour exactly: default namespace, no expiry.
@@ -94,9 +94,12 @@ struct QueryMeta {
     deadline: Option<Timestamp>,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct NsCounters {
-    live: u64,
+#[derive(Debug, Clone, Default)]
+struct NsState {
+    /// Live members by raw query id. Ids are monotone, so ascending order
+    /// is registration order: `Oldest` eviction reads the first element,
+    /// `LowestScore` scans this set and nothing else.
+    members: BTreeSet<u32>,
     expired: u64,
     evicted: u64,
 }
@@ -118,7 +121,7 @@ pub struct LifecycleManager {
     /// (deadline recomputed, query removed); `take_expired` revalidates
     /// against `meta` on pop.
     deadlines: BinaryHeap<Reverse<(OrdF64, u32)>>,
-    counters: Vec<NsCounters>,
+    namespaces: Vec<NsState>,
     total_expired: u64,
     total_evicted: u64,
 }
@@ -130,7 +133,7 @@ impl Default for LifecycleManager {
             policies: FxHashMap::default(),
             meta: Vec::new(),
             deadlines: BinaryHeap::new(),
-            counters: vec![NsCounters::default()],
+            namespaces: vec![NsState::default()],
             total_expired: 0,
             total_evicted: 0,
         }
@@ -145,8 +148,8 @@ impl LifecycleManager {
     /// Intern a namespace name (see [`NamespaceRegistry::intern`]).
     pub fn intern(&mut self, name: &str) -> Namespace {
         let ns = self.registry.intern(name);
-        if ns.index() >= self.counters.len() {
-            self.counters.resize(ns.index() + 1, NsCounters::default());
+        if ns.index() >= self.namespaces.len() {
+            self.namespaces.resize_with(ns.index() + 1, NsState::default);
         }
         ns
     }
@@ -171,19 +174,16 @@ impl LifecycleManager {
     /// wins). Cap enforcement is the front-end's job — it follows up while
     /// it can consult result scores.
     pub fn set_policy(&mut self, ns: Namespace, policy: RetentionPolicy) {
-        debug_assert!(ns.index() < self.counters.len(), "policy on un-interned namespace");
+        debug_assert!(ns.index() < self.namespaces.len(), "policy on un-interned namespace");
         self.policies.insert(ns.0, policy);
-        for (raw, slot) in self.meta.iter_mut().enumerate() {
-            let Some(meta) = slot else { continue };
-            if meta.ns != ns {
-                continue;
-            }
+        for &raw in &self.namespaces[ns.index()].members {
+            let meta = self.meta[raw as usize].as_mut().expect("a member is live");
             let effective = meta.max_age.or(policy.max_age);
             let deadline = effective.map(|age| meta.registered_at + age);
             if deadline != meta.deadline {
                 meta.deadline = deadline;
                 if let Some(d) = deadline {
-                    self.deadlines.push(Reverse((OrdF64::new(d), raw as u32)));
+                    self.deadlines.push(Reverse((OrdF64::new(d), raw)));
                 }
             }
         }
@@ -198,7 +198,7 @@ impl LifecycleManager {
     /// `now + max_age` where `max_age` is the per-query override or the
     /// namespace policy's default.
     pub fn on_register(&mut self, qid: QueryId, opts: QueryOptions, now: Timestamp) {
-        debug_assert!(opts.namespace.index() < self.counters.len(), "un-interned namespace");
+        debug_assert!(opts.namespace.index() < self.namespaces.len(), "un-interned namespace");
         if self.meta.len() <= qid.index() {
             self.meta.resize(qid.index() + 1, None);
         }
@@ -214,7 +214,7 @@ impl LifecycleManager {
         if let Some(d) = deadline {
             self.deadlines.push(Reverse((OrdF64::new(d), qid.0)));
         }
-        self.counters[opts.namespace.index()].live += 1;
+        self.namespaces[opts.namespace.index()].members.insert(qid.0);
     }
 
     /// Record an explicit removal (caller-initiated unregister or bulk
@@ -223,7 +223,7 @@ impl LifecycleManager {
     /// unregister doesn't double-count.
     pub fn on_unregister(&mut self, qid: QueryId) -> Option<Namespace> {
         let meta = self.meta.get_mut(qid.index())?.take()?;
-        self.counters[meta.ns.index()].live -= 1;
+        self.namespaces[meta.ns.index()].members.remove(&qid.0);
         Some(meta.ns)
     }
 
@@ -231,8 +231,9 @@ impl LifecycleManager {
     /// the engine-side unregister afterwards).
     pub fn note_evicted(&mut self, qid: QueryId) {
         if let Some(meta) = self.meta.get_mut(qid.index()).and_then(Option::take) {
-            self.counters[meta.ns.index()].live -= 1;
-            self.counters[meta.ns.index()].evicted += 1;
+            let state = &mut self.namespaces[meta.ns.index()];
+            state.members.remove(&qid.0);
+            state.evicted += 1;
             self.total_evicted += 1;
         }
     }
@@ -257,8 +258,9 @@ impl LifecycleManager {
             };
             if expired {
                 let meta = self.meta[qid.index()].take().unwrap();
-                self.counters[meta.ns.index()].live -= 1;
-                self.counters[meta.ns.index()].expired += 1;
+                let state = &mut self.namespaces[meta.ns.index()];
+                state.members.remove(&raw);
+                state.expired += 1;
                 self.total_expired += 1;
                 due.push(qid);
             }
@@ -273,13 +275,14 @@ impl LifecycleManager {
         self.deadlines.is_empty()
     }
 
-    /// Live members of a namespace, ascending by id.
-    pub fn members(&self, ns: Namespace) -> Vec<QueryId> {
-        self.meta
-            .iter()
-            .enumerate()
-            .filter_map(|(i, m)| m.as_ref().filter(|meta| meta.ns == ns).map(|_| QueryId(i as u32)))
-            .collect()
+    /// Live members of a namespace, ascending by id (oldest first).
+    pub fn members(&self, ns: Namespace) -> impl Iterator<Item = QueryId> + '_ {
+        self.namespaces[ns.index()].members.iter().map(|&raw| QueryId(raw))
+    }
+
+    /// Number of live members of a namespace. O(1).
+    pub fn live(&self, ns: Namespace) -> u64 {
+        self.namespaces[ns.index()].members.len() as u64
     }
 
     /// The namespace a live query belongs to.
@@ -314,10 +317,10 @@ impl LifecycleManager {
         self.registry
             .names()
             .iter()
-            .zip(&self.counters)
+            .zip(&self.namespaces)
             .map(|(name, c)| NamespaceStats {
                 namespace: name.clone(),
-                live: c.live,
+                live: c.members.len() as u64,
                 expired: c.expired,
                 evicted: c.evicted,
             })
@@ -342,9 +345,10 @@ impl LifecycleManager {
 /// Pick the cap-eviction victim among `candidates` (live members of the
 /// namespace, ascending, the protected newcomer already excluded).
 /// `top_score` maps a query to its current top-1 result score (0 when the
-/// result set is empty). `None` when there is no candidate.
+/// result set is empty). `None` when there is no candidate. `Oldest` reads
+/// one candidate; `LowestScore` reads them all.
 pub fn pick_victim<F>(
-    candidates: &[QueryId],
+    mut candidates: impl Iterator<Item = QueryId>,
     policy: EvictionPolicy,
     mut top_score: F,
 ) -> Option<QueryId>
@@ -352,10 +356,8 @@ where
     F: FnMut(QueryId) -> f64,
 {
     match policy {
-        EvictionPolicy::Oldest => candidates.first().copied(),
-        EvictionPolicy::LowestScore => {
-            candidates.iter().copied().min_by_key(|&q| (OrdF64::new(top_score(q)), q.0))
-        }
+        EvictionPolicy::Oldest => candidates.next(),
+        EvictionPolicy::LowestScore => candidates.min_by_key(|&q| (OrdF64::new(top_score(q)), q.0)),
     }
 }
 
@@ -456,7 +458,8 @@ mod tests {
         lc.on_register(QueryId(0), opts(ns, Some(5.0)), 0.0);
         lc.on_register(QueryId(1), opts(ns, None), 0.0);
         lc.on_register(QueryId(2), opts(ns, None), 0.0);
-        assert_eq!(lc.members(ns), vec![QueryId(0), QueryId(1), QueryId(2)]);
+        assert_eq!(lc.members(ns).collect::<Vec<_>>(), vec![QueryId(0), QueryId(1), QueryId(2)]);
+        assert_eq!(lc.live(ns), 3);
         assert_eq!(lc.on_unregister(QueryId(1)), Some(ns));
         assert_eq!(lc.on_unregister(QueryId(1)), None, "second removal is a no-op");
         lc.note_evicted(QueryId(2));
@@ -480,15 +483,16 @@ mod tests {
     #[test]
     fn victim_selection_policies() {
         let c = [QueryId(3), QueryId(5), QueryId(9)];
-        assert_eq!(pick_victim(&c, EvictionPolicy::Oldest, |_| 1.0), Some(QueryId(3)));
+        let c = || c.iter().copied();
+        assert_eq!(pick_victim(c(), EvictionPolicy::Oldest, |_| 1.0), Some(QueryId(3)));
         let scores = |q: QueryId| match q.0 {
             3 => 0.8,
             5 => 0.2,
             _ => 0.5,
         };
-        assert_eq!(pick_victim(&c, EvictionPolicy::LowestScore, scores), Some(QueryId(5)));
+        assert_eq!(pick_victim(c(), EvictionPolicy::LowestScore, scores), Some(QueryId(5)));
         // Ties break toward the smallest id; empty candidate set is None.
-        assert_eq!(pick_victim(&c, EvictionPolicy::LowestScore, |_| 0.0), Some(QueryId(3)));
-        assert_eq!(pick_victim(&[], EvictionPolicy::Oldest, |_| 0.0), None);
+        assert_eq!(pick_victim(c(), EvictionPolicy::LowestScore, |_| 0.0), Some(QueryId(3)));
+        assert_eq!(pick_victim(std::iter::empty(), EvictionPolicy::Oldest, |_| 0.0), None);
     }
 }

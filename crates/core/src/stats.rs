@@ -13,8 +13,9 @@ use serde::{Deserialize, Serialize};
 pub struct EventStats {
     /// Queries fully scored ("considered queries" in the paper's sense).
     pub full_evaluations: u64,
-    /// Traversal iterations (pivot selections for the ID-ordering family;
-    /// list-advance steps for the TA family).
+    /// Traversal iterations (pivot selections for the ID-ordering family —
+    /// for MRIO every front candidate tested, whether it is then evaluated,
+    /// stepped past or jumped from; list-advance steps for the TA family).
     pub iterations: u64,
     /// Postings touched (cursor reads, accumulator updates).
     pub postings_accessed: u64,

@@ -80,6 +80,11 @@ impl ZoneMax for BlockMax {
         }
     }
 
+    #[inline]
+    fn value_at(&self, pos: usize) -> f64 {
+        self.vals[pos]
+    }
+
     fn range_max(&mut self, lo: usize, hi: usize) -> f64 {
         self.range_max_frozen(lo, hi)
     }
@@ -195,5 +200,14 @@ mod tests {
         bm.append(5.0);
         assert_eq!(bm.range_max(0, 100), 5.0, "hi clamped to len");
         assert_eq!(bm.range_max(1, 1), f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn value_at_reads_the_stored_value() {
+        crate::zone::check_value_at(BlockMax::new(), |_| {});
+        crate::zone::check_value_at(BlockMax::with_block_size(4), |b| {
+            let n = b.len();
+            b.range_max(0, n);
+        });
     }
 }

@@ -81,6 +81,12 @@ impl ZoneMax for MaxSegTree {
         }
     }
 
+    #[inline]
+    fn value_at(&self, pos: usize) -> f64 {
+        debug_assert!(pos < self.len);
+        self.tree[self.cap + pos]
+    }
+
     fn range_max(&mut self, lo: usize, hi: usize) -> f64 {
         self.range_max_frozen(lo, hi)
     }
@@ -196,5 +202,14 @@ mod tests {
         assert_eq!(tree.len(), 0);
         assert_eq!(tree.global_max(), f64::NEG_INFINITY);
         assert_eq!(tree.range_max(0, 5), f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn value_at_reads_the_leaf() {
+        crate::zone::check_value_at(MaxSegTree::new(), |_| {});
+        crate::zone::check_value_at(MaxSegTree::new(), |t| {
+            let n = t.len();
+            t.range_max(0, n);
+        });
     }
 }

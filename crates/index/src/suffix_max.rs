@@ -85,6 +85,11 @@ impl ZoneMax for SuffixMax {
         }
     }
 
+    #[inline]
+    fn value_at(&self, pos: usize) -> f64 {
+        self.vals[pos]
+    }
+
     fn range_max(&mut self, lo: usize, hi: usize) -> f64 {
         self.maybe_rebuild();
         self.range_max_frozen(lo, hi)
@@ -249,5 +254,23 @@ mod tests {
         let _ = sm.range_max(0, 10);
         assert_eq!(sm.staleness(), 0, "query rebuilt the snapshot");
         assert_eq!(sm.range_max(0, 200), 199.0);
+    }
+
+    #[test]
+    fn value_at_is_exact_while_the_snapshot_is_dirty_or_stale() {
+        // Never queried: the snapshot stays dirty and stale throughout.
+        crate::zone::check_value_at(SuffixMax::new(), |_| {});
+        // Queried now and then: reads interleave with lazy rebuilds.
+        crate::zone::check_value_at(SuffixMax::new(), |s| {
+            let n = s.len();
+            s.range_max(0, n);
+        });
+
+        let mut sm = SuffixMax::new();
+        sm.rebuild(&[1.0, 2.0, 3.0]);
+        sm.update(2, 0.5); // stale: the snapshot still says 3
+        sm.update(0, 9.0); // dirty: the snapshot under-estimates
+        assert!(sm.staleness() > 0 && sm.range_max_frozen(0, 3) == f64::INFINITY);
+        assert_eq!((sm.value_at(0), sm.value_at(1), sm.value_at(2)), (9.0, 2.0, 0.5));
     }
 }

@@ -24,6 +24,12 @@ pub trait ZoneMax {
     /// bound) but never smaller — pruning correctness depends on it.
     fn range_max(&mut self, lo: usize, hi: usize) -> f64;
 
+    /// The value at `pos` — a zone of width one. Like `range_max` it may be
+    /// `>=` the value last written but never smaller; every structure here
+    /// keeps the per-position array, so all of them answer exactly, in
+    /// O(1), with no deferred maintenance to settle first.
+    fn value_at(&self, pos: usize) -> f64;
+
     /// [`ZoneMax::range_max`] through a shared reference, for structures
     /// that have been **frozen** (shared read-only across scorer threads —
     /// the doc-parallel epoch bounds). Lazily maintained variants cannot
@@ -73,6 +79,10 @@ impl ZoneMax for ScanZoneMax {
         self.vals[pos] = u;
     }
 
+    fn value_at(&self, pos: usize) -> f64 {
+        self.vals[pos]
+    }
+
     fn range_max(&mut self, lo: usize, hi: usize) -> f64 {
         self.range_max_frozen(lo, hi)
     }
@@ -91,6 +101,54 @@ impl ZoneMax for ScanZoneMax {
     fn rebuild(&mut self, vals: &[f64]) {
         self.vals = vals.to_vec();
     }
+}
+
+/// `value_at` of structure `z` against the scan reference, through every
+/// kind of write: appends, point updates (finite, the `-∞` tombstone, the
+/// `+∞` unfilled sentinel, up and down) and a rebuild. `value_at(pos) >=`
+/// the value written is the contract; every structure in this crate stores
+/// the value, so equality is asserted. `settle` runs between writes and
+/// reads: a range query, or nothing, to read through deferred maintenance.
+#[cfg(test)]
+pub(crate) fn check_value_at<Z: ZoneMax>(mut z: Z, mut settle: impl FnMut(&mut Z)) {
+    fn agree<Z: ZoneMax>(z: &Z, oracle: &ScanZoneMax, when: &str) {
+        assert_eq!(z.len(), oracle.len(), "{when}");
+        for pos in 0..oracle.len() {
+            assert_eq!(z.value_at(pos), oracle.value_at(pos), "{when}: position {pos}");
+        }
+    }
+    let mut oracle = ScanZoneMax::default();
+    for i in 0..150u32 {
+        let u = if i % 11 == 0 { f64::INFINITY } else { ((i * 7919) % 101) as f64 / 7.0 };
+        z.append(u);
+        oracle.append(u);
+    }
+    settle(&mut z);
+    agree(&z, &oracle, "after append");
+    for step in 0..400usize {
+        let pos = (step * 37) % oracle.len();
+        let u = match step % 5 {
+            0 => f64::NEG_INFINITY,
+            1 => f64::INFINITY,
+            2 => oracle.value_at(pos) * 0.5, // S_k rose
+            _ => (step % 23) as f64,         // up or down
+        };
+        z.update(pos, u);
+        oracle.update(pos, u);
+        if step % 7 == 0 {
+            settle(&mut z);
+        }
+        assert_eq!(z.value_at(pos), u, "right after update {step}");
+    }
+    agree(&z, &oracle, "after updates");
+    let vals: Vec<f64> =
+        (0..70).map(|i| if i % 9 == 0 { f64::NEG_INFINITY } else { i as f64 }).collect();
+    z.rebuild(&vals);
+    oracle.rebuild(&vals);
+    agree(&z, &oracle, "after rebuild");
+    z.append(3.5);
+    oracle.append(3.5);
+    agree(&z, &oracle, "append after rebuild");
 }
 
 #[cfg(test)]

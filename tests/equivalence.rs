@@ -167,3 +167,189 @@ fn heavy_decay_exercises_renormalization() {
     // headroom), forcing at least one renormalization in every engine.
     run_equivalence(QueryWorkload::Connected, 0.7, 60, 150, 77, false);
 }
+
+// ------------------------------------------------------------------------
+// MRIO's walk: the exact test of the front candidate and the runs of linear
+// steps. Results must stay the oracle's bit for bit on every zone structure
+// and storage, and each regime must keep the cost it is meant to have.
+
+use proptest::prelude::*;
+
+/// The corpus of the walk tests: a small vocabulary, so lists run to
+/// hundreds of postings — several sealed blocks under `Compressed`.
+fn walk_corpus(seed: u64) -> CorpusConfig {
+    CorpusConfig { vocab_size: 150, avg_tokens: 12, seed, ..CorpusConfig::default() }
+}
+
+fn walk_queries(corpus: &CorpusConfig, k: usize, seed: u64) -> QueryGenerator {
+    let workload =
+        WorkloadConfig { workload: QueryWorkload::Connected, terms_min: 2, terms_max: 4, k, seed };
+    QueryGenerator::new(workload, corpus)
+}
+
+/// One seeded stream of interleaved registrations, unregistrations,
+/// compactions, renormalisations and documents through the oracle and the
+/// plain and compressed builds of one MRIO variant.
+fn churned_walk_matches_oracle(
+    build: impl Fn(&StorageConfig) -> Box<dyn ContinuousTopK>,
+    lambda: f64,
+    seed: u64,
+) {
+    let corpus = walk_corpus(seed);
+    let mut queries = walk_queries(&corpus, 2, seed ^ 0x51);
+    let mut docs = DocumentGenerator::new(corpus);
+    // The oracle first, then the engine under test on both storages.
+    let mut engines = [
+        Box::new(Naive::new(lambda)),
+        build(&StorageConfig::plain()),
+        build(&StorageConfig::new(PostingsStorage::Compressed)),
+    ];
+    let variant = engines[1].name();
+
+    // A cheap deterministic dice for the interleaving.
+    let mut state = seed | 1;
+    let mut roll = move |n: u64| {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 33) % n
+    };
+
+    let mut live: Vec<QueryId> = Vec::new();
+    let mut now = 0.0f64;
+    let mut renorms_due = 0u64;
+    for step in 0..90u64 {
+        match roll(10) {
+            // A burst of registrations (the first step builds the population).
+            op if op == 0 || step == 0 => {
+                for spec in queries.generate_batch(if step == 0 { 500 } else { 40 }) {
+                    let ids = engines.each_mut().map(|e| e.register(spec.clone()));
+                    assert!(ids.iter().all(|&id| id == ids[0]));
+                    live.push(ids[0]);
+                }
+            }
+            // A wave of unregistrations: tombstones inside every list.
+            1 => {
+                for _ in 0..30.min(live.len()) {
+                    let victim = live.swap_remove(roll(live.len() as u64) as usize);
+                    assert!(engines.iter_mut().all(|e| e.unregister(victim)));
+                }
+            }
+            2 => {
+                let changed = engines.each_mut().map(|e| e.compact_index());
+                assert_eq!(changed[1], changed[2]);
+            }
+            // Past the decay headroom: the next document renormalises.
+            3 if lambda > 0.0 => {
+                now += 61.0 / lambda;
+                renorms_due += 1;
+            }
+            _ => {}
+        }
+        now += 1.0;
+        let doc = docs.generate(DocId(step), now);
+        let [_, on_plain, on_compressed] = engines.each_mut().map(|e| e.process(&doc));
+        assert_eq!(on_plain, on_compressed, "{variant} λ={lambda}: EventStats at {step}");
+        for engine in &engines[1..] {
+            assert_eq!(engine.last_changes(), engines[0].last_changes(), "{variant} at {step}");
+        }
+    }
+    assert_eq!(engines[1].cumulative().renormalizations, renorms_due);
+    for &qid in &live {
+        for engine in &engines[1..] {
+            assert_eq!(engine.results(qid), engines[0].results(qid), "{variant} query {qid}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn mrio_walk_is_the_oracle_on_every_zone_structure_and_storage(
+        seed in 1u64..u64::MAX,
+        lambda in prop::sample::select(vec![0.0, 1e-3, 0.05]),
+    ) {
+        churned_walk_matches_oracle(|s| Box::new(MrioSeg::with_storage(lambda, s)), lambda, seed);
+        churned_walk_matches_oracle(|s| Box::new(MrioBlock::with_storage(lambda, s)), lambda, seed);
+        churned_walk_matches_oracle(|s| Box::new(MrioSuffix::with_storage(lambda, s)), lambda, seed);
+    }
+}
+
+/// Update-heavy stream (strong decay: most candidates are insertions). The
+/// exact test must leave next to no wasted evaluation, and the runs of
+/// linear steps must keep the zone bounds out of the walk: about one bound
+/// term per iteration, where a pivot search per candidate costs several.
+#[test]
+fn dense_stream_evaluates_only_what_it_inserts() {
+    let corpus = walk_corpus(7);
+    let mut mrio = MrioSeg::new(0.05);
+    let mut oracle = Naive::new(0.05);
+    for spec in walk_queries(&corpus, 3, 3).generate_batch(1_500) {
+        mrio.register(spec.clone());
+        oracle.register(spec);
+    }
+    let mut driver = StreamDriver::new(corpus, ArrivalClock::unit());
+    for _ in 0..200 {
+        let doc = driver.next_document();
+        mrio.process(&doc);
+        oracle.process(&doc);
+        assert_eq!(mrio.last_changes(), oracle.last_changes());
+    }
+    let cum = mrio.cumulative();
+    assert!(cum.updates > 20_000, "the stream must be update-heavy: {cum:?}");
+    let wasted = cum.full_evaluations - cum.updates;
+    assert!(wasted * 100 <= cum.full_evaluations, "wasted evaluations: {cum:?}");
+    assert!(cum.bound_computations <= 2 * cum.iterations, "bounds per iteration: {cum:?}");
+}
+
+/// The paper's regime: no decay, every result set filled and its threshold
+/// high, so nearly everything is skipped. One long list (every query has
+/// the common term) and one sparse list (every hundredth query also has the
+/// rare term): each pivot search proves the stretch of the long list up to
+/// the next rare posting prunable and jumps it. The run controller must not
+/// decay into a linear scan here — a long jump grants no run — so the walk
+/// may touch only a small fixed fraction of the matched lists' live
+/// postings, all of which the exhaustive walk touches.
+#[test]
+fn skip_regime_touches_a_small_fraction_of_the_matched_lists() {
+    const COMMON: TermId = TermId(1);
+    const RARE: TermId = TermId(2);
+    const NOISE: TermId = TermId(3); // in no query
+    let mut mrio = MrioSeg::new(0.0);
+    let mut oracle = Naive::new(0.0);
+    let mut register = |pairs: Vec<(TermId, f32)>, k: usize| {
+        let spec = QuerySpec::new(pairs, k).unwrap();
+        assert_eq!(mrio.register(spec.clone()), oracle.register(spec));
+    };
+    for i in 0..4_000 {
+        if i % 100 == 50 {
+            register(vec![(COMMON, 1.0), (RARE, 1.0)], 1);
+        } else {
+            register(vec![(COMMON, 1.0)], 1);
+        }
+    }
+    // One query that never fills keeps the list-wide bounds at +∞, so only
+    // the zones can prune — the event never ends early.
+    register(vec![(COMMON, 1.0)], 1_000);
+
+    // Fill every result set with a perfect match: every S_k is 1.
+    let mut next = 0u64;
+    let mut publish = |pairs: Vec<(TermId, f32)>| {
+        let doc = Document::new(DocId(next), pairs, next as f64);
+        next += 1;
+        let (walked, all) = (mrio.process(&doc), oracle.process(&doc));
+        assert_eq!(mrio.last_changes(), oracle.last_changes());
+        (walked, all)
+    };
+    publish(vec![(COMMON, 1.0)]);
+    publish(vec![(COMMON, 1.0), (RARE, 1.0)]);
+
+    let (mut touched, mut live) = (0u64, 0u64);
+    for _ in 0..20 {
+        let (walked, all) = publish(vec![(COMMON, 1.0), (RARE, 1.5), (NOISE, 5.0)]);
+        assert_eq!((walked.updates, all.updates), (1, 1), "only the unfilled query is updated");
+        touched += walked.postings_accessed;
+        live += all.postings_accessed;
+    }
+    assert_eq!(live, 20 * 4_041);
+    assert!(touched * 20 <= live, "MRIO touched {touched} of {live} live postings");
+}
