@@ -18,7 +18,6 @@ use crate::catalog::Catalog;
 use ctk_common::{Document, FxHashMap, QueryId, QuerySpec, ScoredDoc, TermId};
 use ctk_core::engine::EngineBase;
 use ctk_core::stats::{CumulativeStats, EventStats};
-use ctk_core::topk::TopKState;
 use ctk_core::traits::{ContinuousTopK, ResultChange};
 use ctk_index::ImpactList;
 
@@ -204,7 +203,7 @@ impl ContinuousTopK for Rta {
     }
 
     fn threshold(&self, qid: QueryId) -> Option<f64> {
-        self.base.state(qid).map(TopKState::threshold)
+        self.base.state(qid).map(|s| s.threshold())
     }
 
     fn num_queries(&self) -> usize {

@@ -24,7 +24,6 @@ use crate::catalog::Catalog;
 use ctk_common::{Document, FxHashMap, QueryId, QuerySpec, ScoredDoc, TermId};
 use ctk_core::engine::EngineBase;
 use ctk_core::stats::{CumulativeStats, EventStats};
-use ctk_core::topk::TopKState;
 use ctk_core::traits::{ContinuousTopK, ResultChange};
 use ctk_index::{VersionedMaxTracker, WeightOrderedList};
 
@@ -217,7 +216,7 @@ impl ContinuousTopK for SortQuer {
     }
 
     fn threshold(&self, qid: QueryId) -> Option<f64> {
-        self.base.state(qid).map(TopKState::threshold)
+        self.base.state(qid).map(|s| s.threshold())
     }
 
     fn num_queries(&self) -> usize {

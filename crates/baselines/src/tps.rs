@@ -19,7 +19,6 @@
 use ctk_common::{Document, QueryId, QuerySpec, ScoredDoc};
 use ctk_core::engine::{CursorSet, EngineBase};
 use ctk_core::stats::{CumulativeStats, EventStats};
-use ctk_core::topk::TopKState;
 use ctk_core::traits::{ContinuousTopK, ResultChange};
 use ctk_index::{QueryIndex, StorageConfig, StorageStats, VersionedMaxTracker};
 
@@ -152,7 +151,7 @@ impl ContinuousTopK for Tps {
             let pivot = self.cursors.cursors[p].qid;
 
             if self.cursors.cursors[0].qid == pivot {
-                let (dot, aligned) = self.cursors.score_front(&self.index);
+                let (dot, aligned) = self.cursors.score_front();
                 ev.postings_accessed += aligned as u64;
                 ev.full_evaluations += 1;
                 if self.base.offer(pivot, doc, dot, amp) {
@@ -185,7 +184,7 @@ impl ContinuousTopK for Tps {
     }
 
     fn threshold(&self, qid: QueryId) -> Option<f64> {
-        self.base.state(qid).map(TopKState::threshold)
+        self.base.state(qid).map(|s| s.threshold())
     }
 
     fn num_queries(&self) -> usize {

@@ -2,7 +2,8 @@
 //!
 //! [`EngineBase`] owns what every algorithm needs regardless of its index
 //! paradigm: the decay model (with landmark renormalization), the per-query
-//! [`TopKState`]s, result-change reporting and cumulative counters.
+//! result sets ([`ResultSets`]), result-change reporting and cumulative
+//! counters.
 //!
 //! [`CursorSet`] is the per-event working set of the ID-ordering family
 //! (RIO, MRIO, TPS, the bounded doc walk): one cursor per matched postings
@@ -12,7 +13,7 @@
 
 use crate::score::DecayModel;
 use crate::stats::CumulativeStats;
-use crate::topk::{Offer, TopKState};
+use crate::topk::{Offer, ResultSets, TopKState};
 use crate::traits::ResultChange;
 use ctk_common::{Document, QueryId, ScoredDoc, Timestamp};
 use ctk_index::{BlockScratch, ListRef, QueryIndex};
@@ -21,7 +22,7 @@ use ctk_index::{BlockScratch, ListRef, QueryIndex};
 #[derive(Debug)]
 pub struct EngineBase {
     pub decay: DecayModel,
-    states: Vec<Option<TopKState>>,
+    sets: ResultSets,
     pub changes: Vec<ResultChange>,
     pub cum: CumulativeStats,
 }
@@ -30,7 +31,7 @@ impl EngineBase {
     pub fn new(lambda: f64) -> Self {
         EngineBase {
             decay: DecayModel::new(lambda),
-            states: Vec::new(),
+            sets: ResultSets::default(),
             changes: Vec::new(),
             cum: CumulativeStats::default(),
         }
@@ -38,34 +39,33 @@ impl EngineBase {
 
     /// Allocate the result state for a newly registered query.
     pub fn push_state(&mut self, k: u32) {
-        self.states.push(Some(TopKState::new(k)));
+        self.sets.push(k);
     }
 
     /// Drop the state of an unregistered query.
     pub fn drop_state(&mut self, qid: QueryId) -> bool {
-        match self.states.get_mut(qid.index()) {
-            Some(slot @ Some(_)) => {
-                *slot = None;
-                true
-            }
-            _ => false,
-        }
+        self.sets.drop_set(qid.index())
     }
 
     #[inline]
-    pub fn state(&self, qid: QueryId) -> Option<&TopKState> {
-        self.states.get(qid.index()).and_then(|s| s.as_ref())
-    }
-
-    #[inline]
-    pub fn state_mut(&mut self, qid: QueryId) -> Option<&mut TopKState> {
-        self.states.get_mut(qid.index()).and_then(|s| s.as_mut())
+    pub fn state(&self, qid: QueryId) -> Option<TopKState<'_>> {
+        self.sets.get(qid.index())
     }
 
     /// `S_k` of a live query, `0.0` while unfilled.
     #[inline]
     pub fn threshold_of(&self, qid: QueryId) -> f64 {
-        self.state(qid).map(|s| s.threshold()).unwrap_or(0.0)
+        self.sets.threshold(qid.index())
+    }
+
+    /// Whether [`EngineBase::offer`] would insert this candidate — the same
+    /// product and the same comparison ([`TopKState::admits`]), decided from
+    /// the dense `S_k` alone unless the score ties it exactly.
+    #[inline]
+    pub fn admits(&self, qid: QueryId, doc: &Document, raw_dot: f64, amp: f64) -> bool {
+        let (score, sk) = (raw_dot * amp, self.threshold_of(qid));
+        let tie = || self.state(qid).is_some_and(|s| s.admits(&ScoredDoc::new(doc.id, score)));
+        score > sk || (score == sk && tie())
     }
 
     /// Current `(version, u = w/S_k)` of a live query; used both to push
@@ -90,9 +90,7 @@ impl EngineBase {
         let mut renorm = None;
         if self.decay.needs_renorm(arrival) {
             let r = self.decay.renormalize(arrival);
-            for s in self.states.iter_mut().flatten() {
-                s.rescale(r);
-            }
+            self.sets.rescale(r);
             self.cum.renormalizations += 1;
             renorm = Some(r);
         }
@@ -116,10 +114,7 @@ impl EngineBase {
     /// bound structures for this query).
     pub fn offer(&mut self, qid: QueryId, doc: &Document, raw_dot: f64, amp: f64) -> bool {
         let cand = ScoredDoc::new(doc.id, raw_dot * amp);
-        let Some(state) = self.states.get_mut(qid.index()).and_then(|s| s.as_mut()) else {
-            return false;
-        };
-        match state.offer(cand) {
+        match self.sets.offer(qid.index(), cand) {
             Offer::Rejected => false,
             Offer::Inserted { evicted } => {
                 self.changes.push(ResultChange { query: qid, inserted: cand, evicted });
@@ -136,16 +131,8 @@ impl EngineBase {
     /// Offer pre-scored history entries to `qid` (warm start). Returns true
     /// when anything was inserted (callers then refresh bound structures).
     pub fn seed(&mut self, qid: QueryId, seeds: &[ScoredDoc]) -> bool {
-        let Some(state) = self.states.get_mut(qid.index()).and_then(|s| s.as_mut()) else {
-            return false;
-        };
-        let mut inserted = false;
-        for sd in seeds {
-            if matches!(state.offer(*sd), Offer::Inserted { .. }) {
-                inserted = true;
-            }
-        }
-        inserted
+        let offers = seeds.iter().map(|sd| self.sets.offer(qid.index(), *sd));
+        offers.fold(false, |any, offer| any | matches!(offer, Offer::Inserted { .. }))
     }
 }
 
@@ -162,6 +149,9 @@ pub struct Cursor {
     pub pos: usize,
     /// Query id under the cursor (cache of `list[pos].qid`).
     pub qid: QueryId,
+    /// Weight under the cursor (cache of `list[pos].weight`; stale once
+    /// the cursor is [`EXHAUSTED`]): every front candidate is scored.
+    pub weight: f32,
 }
 
 /// The one way the traversals read postings. Every operation takes the
@@ -169,12 +159,6 @@ pub struct Cursor {
 /// beside the index: compressed lists are read through the decoded blocks
 /// held there, plain lists in place.
 impl Cursor {
-    /// Weight of the posting under the cursor.
-    #[inline]
-    pub fn weight(&self, index: &QueryIndex, blocks: &mut BlockScratch) -> f32 {
-        index.list(self.list).get_at(blocks, self.slot, self.pos).weight
-    }
-
     /// First position at or after the cursor whose id is `>= bound`
     /// (tombstones included), or the list's length; the cursor stays put.
     /// This is the zone end of a bound computation.
@@ -183,12 +167,15 @@ impl Cursor {
         index.list(self.list).probe_at(blocks, self.slot, self.pos, bound)
     }
 
-    /// Move to `pos` (live, or the list's length) and refresh the qid cache
-    /// ([`EXHAUSTED`] at the end of the list).
+    /// Move to `pos` (live, or the list's length) and refresh the posting
+    /// cache ([`EXHAUSTED`] at the end of the list).
     #[inline]
     fn land(&mut self, list: ListRef<'_>, blocks: &mut BlockScratch, pos: usize) {
         self.pos = pos;
-        self.qid = list.qid_at(blocks, self.slot, pos).unwrap_or(EXHAUSTED);
+        match list.posting_at(blocks, self.slot, pos) {
+            Some(p) => (self.qid, self.weight) = (p.qid, p.weight),
+            None => self.qid = EXHAUSTED,
+        }
     }
 
     /// Advance to the first live posting with id `>= target`.
@@ -246,7 +233,8 @@ impl CursorSet {
         for (term, f) in doc.vector.iter() {
             let Some(li) = index.list_of_term(term) else { continue };
             let slot = index.list(li).open(&mut self.blocks);
-            let mut cursor = Cursor { list: li, slot, f: f as f64, pos: 0, qid: EXHAUSTED };
+            let mut cursor =
+                Cursor { list: li, slot, f: f as f64, pos: 0, qid: EXHAUSTED, weight: 0.0 };
             cursor.advance_to_pos(index, &mut self.blocks, 0);
             if cursor.qid != EXHAUSTED {
                 self.cursors.push(cursor);
@@ -269,14 +257,14 @@ impl CursorSet {
     /// positions are what a zone repair of that query needs); finish with
     /// [`CursorSet::step_front`].
     #[inline]
-    pub fn score_front(&mut self, index: &QueryIndex) -> (f64, usize) {
+    pub fn score_front(&self) -> (f64, usize) {
         let pivot = self.cursors[0].qid;
         let (mut dot, mut aligned) = (0.0f64, 0usize);
         for c in &self.cursors {
             if c.qid != pivot {
                 break; // sorted: aligned cursors form a prefix
             }
-            dot += c.f * c.weight(index, &mut self.blocks) as f64;
+            dot += c.f * c.weight as f64;
             aligned += 1;
         }
         (dot, aligned)

@@ -58,7 +58,7 @@ pub use sharded::{AdaptiveBatcher, BatchOutcome, ShardedMonitor};
 pub use snapshot::{ShardSnapshot, Snapshot, SnapshotPolicy, SnapshotQuery, SNAPSHOT_VERSION};
 pub use snapshot_stream::{SnapshotStreamStats, SnapshotWriter};
 pub use stats::{CumulativeStats, EventStats};
-pub use topk::{Offer, TopKState};
+pub use topk::{Offer, ResultSets, TopKState};
 pub use traits::{ContinuousTopK, ResultChange};
 pub use walk::{DocEpochBounds, MatchScratch, DOC_WALK_ZONE};
 

@@ -21,45 +21,51 @@
 //!
 //! # The front candidate is tested exactly, first
 //!
-//! The zone structures keep the value of every position, so the narrowest
-//! zone there is — `[q, q]` for the front candidate `q = c_1`, width one —
-//! costs one array read per cursor aligned on `q`
-//! ([`ZoneMax::value_at`]), and over it `UB*` *is* the candidate's
-//! normalised score:
+//! Every iteration starts with the front candidate `q = c_1` and asks the
+//! one question that matters, in the oracle's own arithmetic: would `offer`
+//! insert this document? The cursors aligned on `q` sit on its already
+//! decoded postings, so `fl(Σ f_j·w_j)` is the very dot product `Naive`
+//! computes, and [`EngineBase::admits`] compares `fl(Σ f_j·w_j)·amp` (and
+//! the doc id, on an exact tie) with one dense `S_k` read.
 //!
-//! ```text
-//! s(q) = Σ_{j aligned on q} f_j · u_j(q)        (u_j = w_j / S_k(q))
-//! ```
-//!
-//! Every iteration computes `s(q)` before any other bound.
-//!
-//! * `s(q) ≥ θ_d`: evaluate at once. The pivot search could only have
-//!   returned `q`: with cursors `c_1 … c_a` aligned on `q`, zone `a` is the
-//!   first that is not empty, it holds `q`, and a maximum over a zone
-//!   holding `q` is at least `u_j(q)`, so `UB*(a) ≥ s(q) ≥ θ_d` — the
-//!   smallest passing prefix ends at or before `c_a`, on a cursor whose id
-//!   is `q`. Phase 1 and phase 2 are skipped for every query that is going
-//!   to be updated, which on update-heavy streams is most of what they
-//!   were spent on.
-//! * `s(q) < θ_d`: `q` alone is pruned, by the same `≥`-lenient comparison
-//!   every zone bound uses (today's `UB*` over a zone that happens to hold
-//!   one posting is this very sum). What is left to decide is how to move
-//!   on: *step* the aligned cursors past `q`, or run the pivot search and
-//!   *jump* everything its zone proves prunable.
+//! * admitted: `offer` inserts it — full evaluations equal updates exactly.
+//! * not admitted: `q` alone is pruned. What is left to decide is how to
+//!   move on: *step* the aligned cursors past `q`, or run the pivot search
+//!   and *jump* everything its zone proves prunable.
 //!
 //! # Ties
 //!
-//! `offer` inserts on `fl(Σ f_j·w_j)·amp ≥ S_k` with the smaller doc id
-//! winning an equal score, so a republished vector — or any candidate that
-//! ties `S_k` exactly — is an insertion. The walk's sums are a different
-//! rounding of the same quantity, `fl(Σ f_j·fl(w_j/S_k))` against
-//! `θ_d = fl(e^{-x})` where `amp = fl(e^{x})`: for a tie they can come out
-//! at `θ_d − ulp`. Each side carries at most `m + 1` roundings over `m`
-//! matched lists plus one per exponential, so `run_event` compares every
-//! sum — the exact test and the zone bounds of the pivot search alike —
-//! with `θ_d · (1 − (m + 4)·ε)`, `ε = 2⁻⁵²`. The walk may evaluate a
-//! candidate that misses `S_k` by a few ulps (`offer` rejects it); it never
-//! prunes one `Naive` inserts.
+//! The front test cannot disagree with `Naive`, so it carries no ε. The
+//! zone sums of the pivot search are a different rounding of the same
+//! quantity, `fl(Σ f_j·fl(w_j/S_k))` against `θ_d = fl(e^{-x})` where
+//! `amp = fl(e^{x})`: for a candidate that ties `S_k` (a republished vector
+//! under a smaller doc id) they can come out at `θ_d − ulp`. Each side
+//! carries at most `m + 1` roundings over `m` matched lists plus one per
+//! exponential, so `find_pivot` compares its sums with
+//! `θ_d · (1 − (m + 4)·ε)`, `ε = 2⁻⁵²`: a zone holding a winner is never
+//! jumped.
+//!
+//! # Stale leaves
+//!
+//! A leaf holds `u = w/S_k` as of the last time the walk stood on that
+//! posting, not as of now. Inside a decay frame `S_k` only rises (`offer`
+//! never lowers a full set's threshold; nothing removes a result), and a
+//! correctly rounded quotient is monotone in its divisor, so a stale leaf
+//! is `≥` the fresh value: still an upper bound, which is all a zone
+//! maximum has to be (the threshold-monotonicity argument of Vouzoukidou
+//! et al. and Xu, PAPERS.md). Leaves are tightened where the position is
+//! in hand and the line is hot — under the aligned cursors of every front
+//! candidate: rewritten after an update, and on a pruned pass wherever the
+//! same read that scores the candidate finds one stale
+//! (`Mrio::read_front`, `Mrio::tighten_front`) — and never on the lists
+//! a document does not match; nothing is queued. A stale leaf can make a
+//! zone look passable once: the walk then lands on it, tests it exactly,
+//! and leaves it tight, so the extra front tests are bounded by the repairs
+//! no longer made. `unregister` still writes `−∞` at once, and
+//! renormalisation (the one event that lowers `S_k`) and compaction still
+//! rebuild. `seed_results` writes nothing: a restored engine starts from
+//! `+∞` leaves and tightens them as it walks (at 50 000 queries its first
+//! publishes were faster than after the eager repairs they replace).
 //!
 //! # The run controller
 //!
@@ -99,8 +105,8 @@
 //! number — ROADMAP's walk item (c) is the benchmark that keeps or deletes it.
 //!
 //! Counters: an iteration is one front candidate tested, whichever way the
-//! walk then moves; `bound_computations` counts the `value_at` reads of the
-//! exact test like any other zone query.
+//! walk then moves; `bound_computations` counts the weight reads of the
+//! front test (one per aligned cursor) like any other zone query.
 //!
 //! The zone-maximum structure is pluggable ([`ZoneMax`]): segment tree
 //! (exact, O(log n)), block maxima, or suffix snapshot — the three
@@ -108,7 +114,7 @@
 
 use crate::engine::{CursorSet, EngineBase};
 use crate::stats::{CumulativeStats, EventStats};
-use crate::topk::TopKState;
+use crate::topk::normalize;
 use crate::traits::{ContinuousTopK, ResultChange};
 use ctk_common::{Document, QueryId, QuerySpec, ScoredDoc};
 use ctk_index::{
@@ -129,16 +135,8 @@ pub struct Mrio<Z: ZoneMax> {
     /// One zone structure per postings list; position-aligned with the list.
     zones: Vec<Z>,
     cursors: CursorSet,
-    /// Zone repairs of this event on lists the document does not match
-    /// (see [`Mrio::update_query_zones`]); empty between events.
-    deferred: Vec<DeferredRepair>,
     name: &'static str,
 }
-
-/// Queued repairs are settled at the latest once this many have gathered
-/// (about one steady-state document's worth at 50 000 queries): enough to
-/// overlap their cache misses, small enough that the queue stays scratch.
-const DEFERRED_BATCH: usize = 4096;
 
 /// Longest run of linear steps one pivot search can grant (module docs).
 const RUN_CAP: u32 = 256;
@@ -147,18 +145,6 @@ const RUN_CAP: u32 = 256;
 /// tombstones included: with a pivot search + jump at 3–4 times the cost of
 /// an exact test + step, stepping would have been as cheap.
 const SHORT_JUMP: usize = 4;
-
-/// A zone repair on a list the current document does not match: the new
-/// bound value `u` of `qid`'s posting in `list`.
-#[derive(Debug, Clone, Copy)]
-struct DeferredRepair {
-    list: u32,
-    qid: QueryId,
-    /// The posting's position, where the record stores it; otherwise it is
-    /// searched for when the repair is settled.
-    pos: Option<u32>,
-    u: f64,
-}
 
 impl Mrio<MaxSegTree> {
     /// MRIO with exact segment-tree zone maxima.
@@ -203,56 +189,47 @@ impl<Z: ZoneMax + Default> Mrio<Z> {
             index: QueryIndex::with_storage(storage),
             zones: Vec::new(),
             cursors: CursorSet::default(),
-            deferred: Vec::new(),
             name,
         }
     }
 }
 
 impl<Z: ZoneMax> Mrio<Z> {
-    /// Write the current `u = w/S_k` of every term of `qid` into the zones.
-    ///
-    /// The lists the document matches are exactly those of the `aligned`
-    /// cursors at the front of the set, still positioned on `qid`'s
-    /// postings: their zones are repaired at once, because later bounds of
-    /// this event read them. Every other posting of the query sits on a
-    /// list no bound of this event consults; those repairs are queued and
-    /// settled by [`Mrio::settle_deferred_repairs`], at the latest before
-    /// the event returns. Run back to back, their cache misses (a cold list
-    /// and a cold zone tree each) overlap instead of stalling the walk one
-    /// at a time, and the traversal cannot tell the difference.
-    fn update_query_zones(&mut self, qid: QueryId, aligned: usize) {
-        let Some(state) = self.base.state(qid) else { return };
-        let Some(rec) = self.index.record(qid) else { return };
-        for e in rec.entries_located() {
-            let u = state.normalized(e.weight as f64);
-            match self.cursors.cursors[..aligned].iter().find(|c| c.list == e.list) {
-                Some(c) => self.zones[e.list as usize].update(c.pos, u),
-                None => self.deferred.push(DeferredRepair { list: e.list, qid, pos: e.pos, u }),
-            }
+    /// One pass over the cursors aligned on the front candidate: its raw dot
+    /// product (in the oracle's order of summation), their number, and
+    /// whether any leaf under them is stale. A leaf counts as stale once it
+    /// exceeds `u = w/S_k` by more than rounding can account for, which two
+    /// products decide; the quotient is only paid for to tighten.
+    #[inline]
+    fn read_front(&self) -> (f64, usize, bool) {
+        const ROUNDING: f64 = 1.0 + 4.0 * f64::EPSILON;
+        let cursors = &self.cursors.cursors;
+        let sk = self.base.threshold_of(cursors[0].qid);
+        let (mut dot, mut aligned, mut stale) = (0.0f64, 0usize, false);
+        for c in cursors.iter().take_while(|c| c.qid == cursors[0].qid) {
+            let w = c.weight as f64;
+            let leaf = self.zones[c.list as usize].value_at(c.pos);
+            debug_assert!(leaf >= normalize(w, sk), "leaf {leaf} under its fresh value");
+            dot += c.f * w;
+            stale |= leaf * sk > w * ROUNDING; // `+∞ · 0` is not: unfilled, and fresh
+            aligned += 1;
         }
-        // Bound the queue: while result sets are still filling, one
-        // document can update most of the queries it matches.
-        if self.deferred.len() >= DEFERRED_BATCH {
-            self.settle_deferred_repairs();
-        }
+        (dot, aligned, stale)
     }
 
-    /// Apply the queued repairs, searching the list for the position where
-    /// the record does not store it (an ids-only walk of one block).
-    fn settle_deferred_repairs(&mut self) {
-        for r in &self.deferred {
-            let pos = match r.pos {
-                Some(pos) => pos as usize,
-                None => self
-                    .index
-                    .list(r.list)
-                    .position_of(r.qid)
-                    .expect("a record entry implies a posting"),
-            };
-            self.zones[r.list as usize].update(pos, r.u);
+    /// Tighten the leaves under the `aligned` front cursors to the front
+    /// candidate's current `u = w/S_k` (module docs, "Stale leaves"): the
+    /// positions and the weights are the cursors'.
+    fn tighten_front(&mut self, aligned: usize) {
+        let cursors = &self.cursors.cursors;
+        let sk = self.base.threshold_of(cursors[0].qid);
+        for c in &cursors[..aligned] {
+            let u = normalize(c.weight as f64, sk);
+            let zone = &mut self.zones[c.list as usize];
+            if zone.value_at(c.pos) != u {
+                zone.update(c.pos, u);
+            }
         }
-        self.deferred.clear();
     }
 
     /// Rebuild list `li`'s zone structure from its postings: live entries
@@ -309,26 +286,6 @@ impl<Z: ZoneMax> Mrio<Z> {
         } else {
             QueryId(cs[cs.len() - 1].qid.0 + 1)
         }
-    }
-
-    /// Exact normalised score `Σ f_j · u_j(q)` of the front candidate `q` —
-    /// `UB*` over the zone of width one that holds only `q` — and the
-    /// number of cursors aligned on it. Counts one bound computation per
-    /// aligned cursor.
-    #[inline]
-    fn front_score(&self, ev: &mut EventStats) -> (f64, usize) {
-        let cursors = &self.cursors.cursors;
-        let q = cursors[0].qid;
-        let (mut sum, mut aligned) = (0.0f64, 0usize);
-        for c in cursors {
-            if c.qid != q {
-                break; // sorted: aligned cursors form a prefix
-            }
-            sum += c.f * self.zones[c.list as usize].value_at(c.pos);
-            aligned += 1;
-        }
-        ev.bound_computations += aligned as u64;
-        (sum, aligned)
     }
 
     /// The smallest `i` with `UB*(i) ≥ theta`, or `Found::Nothing` when even
@@ -420,9 +377,9 @@ impl<Z: ZoneMax> Mrio<Z> {
             matched_lists: self.cursors.build(&self.index, doc) as u64,
             ..EventStats::default()
         };
-        // Every comparison below is against a floor a few ulps under θ_d
-        // (module docs, "Ties"): the sums are rounded, `offer` is not.
-        let theta = theta * (1.0 - (ev.matched_lists + 4) as f64 * f64::EPSILON);
+        // The rounded zone sums of the pivot search are compared with a
+        // floor a few ulps under θ_d (module docs, "Ties").
+        let floor = theta * (1.0 - (ev.matched_lists + 4) as f64 * f64::EPSILON);
         // The run controller (module docs): `run` linear steps are left
         // before the next pivot search, which grants `grant` more if its
         // jump is short again.
@@ -431,28 +388,29 @@ impl<Z: ZoneMax> Mrio<Z> {
         while !self.cursors.is_empty() {
             ev.iterations += 1;
 
-            // The front candidate, tested exactly before any zone bound.
-            let (score, aligned) = self.front_score(&mut ev);
-            if score >= theta {
-                let q = self.cursors.cursors[0].qid;
-                let (dot, _) = self.cursors.score_front(&self.index);
+            // The front candidate, tested as `offer` will test it.
+            let q = self.cursors.cursors[0].qid;
+            let (dot, aligned, stale) = self.read_front();
+            ev.bound_computations += aligned as u64;
+            let admitted = self.base.admits(q, doc, dot, amp);
+            if admitted {
+                let inserted = self.base.offer(q, doc, dot, amp);
+                debug_assert!(inserted, "the front test is offer's own comparison");
                 ev.full_evaluations += 1;
-                if self.base.offer(q, doc, dot, amp) {
-                    ev.updates += 1;
-                    self.update_query_zones(q, aligned);
-                }
-                self.pass_front(aligned, &mut ev);
-                continue;
+                ev.updates += 1;
+            }
+            if admitted || stale {
+                self.tighten_front(aligned);
             }
 
-            // The candidate is pruned. Step past it alone while the run
-            // lasts, otherwise ask the zones how far the cursors may jump.
-            if run > 0 {
-                run -= 1;
+            // Evaluated, or pruned inside a run: step past the candidate
+            // alone. Otherwise ask the zones how far the cursors may jump.
+            if admitted || run > 0 {
+                run -= u32::from(!admitted);
                 self.pass_front(aligned, &mut ev);
                 continue;
             }
-            let short = match self.find_pivot(theta, &mut ev) {
+            let short = match self.find_pivot(floor, &mut ev) {
                 Found::Nothing => break,
                 // Local bounds prune [c_1, c_m] only: skip past the last
                 // cursor id and keep going.
@@ -477,7 +435,6 @@ impl<Z: ZoneMax> Mrio<Z> {
             run = grant;
         }
 
-        self.settle_deferred_repairs();
         ev.accumulate_into(&mut self.base.cum);
         ev
     }
@@ -536,10 +493,9 @@ impl<Z: ZoneMax + Default> ContinuousTopK for Mrio<Z> {
     }
 
     fn seed_results(&mut self, qid: QueryId, seeds: &[ScoredDoc]) {
-        if self.base.seed(qid, seeds) {
-            self.update_query_zones(qid, 0);
-            self.settle_deferred_repairs();
-        }
+        // The leaves stay where they are: looser than the seeded `S_k`
+        // warrants, tightened by the first walk that stands on them.
+        self.base.seed(qid, seeds);
     }
 
     fn process(&mut self, doc: &Document) -> EventStats {
@@ -578,7 +534,7 @@ impl<Z: ZoneMax + Default> ContinuousTopK for Mrio<Z> {
     }
 
     fn threshold(&self, qid: QueryId) -> Option<f64> {
-        self.base.state(qid).map(TopKState::threshold)
+        self.base.state(qid).map(|s| s.threshold())
     }
 
     fn num_queries(&self) -> usize {
@@ -833,10 +789,112 @@ mod tests {
         assert!(ev.bound_computations < 2 * ev.iterations, "runs must carry the walk: {ev:?}");
     }
 
+    /// The skip regime with stale leaves in it. Every query has the common
+    /// term, every hundredth also the rare one, and ten *special* queries
+    /// (k = 2) also a term of their own: a document of that term alone
+    /// raises their `S_k` while the walk stands on none of their common-list
+    /// postings, whose leaves go stale (1.41 where 1.0 is due). The next
+    /// document of the common and rare terms prunes everything; the stale
+    /// leaves make zones look passable, so the lazy walk steps up to each,
+    /// tests it and leaves it tight. The one after that must walk exactly
+    /// like an engine whose leaves were repaired at once, the way the
+    /// deferred repairs used to. `skips`: the structure's range maxima are
+    /// narrow enough that the stale leaves cost the first visit anything.
+    fn stale_leaves_tighten_on_the_first_visit<Z: ZoneMax + Default>(
+        mk: impl Fn(&StorageConfig) -> Mrio<Z>,
+        skips: bool,
+    ) {
+        const COMMON: u32 = 1;
+        const RARE: u32 = 2;
+        const OWN: u32 = 3;
+        let n = 1_000u32;
+        let special = |q: u32| q % 100 == 25;
+        let mut per_storage = Vec::new();
+        for storage in [ctk_index::PostingsStorage::Plain, ctk_index::PostingsStorage::Compressed] {
+            // [0] tightens lazily, [1] is repaired eagerly after the update.
+            let mut engines = [mk(&StorageConfig::new(storage)), mk(&StorageConfig::new(storage))];
+            let mut oracle = crate::naive::Naive::new(0.0);
+            for q in 0..=n {
+                let s = if q == n {
+                    spec(&[(COMMON, 1.0)], 1_000) // never fills: global bounds stay +∞
+                } else if special(q) {
+                    spec(&[(OWN, 3.0), (COMMON, 1.0)], 2)
+                } else if q % 100 == 50 {
+                    spec(&[(COMMON, 1.0), (RARE, 1.0)], 1)
+                } else {
+                    spec(&[(COMMON, 1.0)], 1)
+                };
+                for m in &mut engines {
+                    m.register(s.clone());
+                }
+                oracle.register(s);
+            }
+            let mut next = 0u64;
+            let mut publish = |engines: &mut [Mrio<Z>; 2], terms: &[(u32, f32)]| {
+                let d = doc(next, terms, next as f64);
+                next += 1;
+                oracle.process(&d);
+                engines.each_mut().map(|m| {
+                    let ev = m.process(&d);
+                    assert_eq!(m.last_changes(), oracle.last_changes(), "doc {}", d.id.0);
+                    ev
+                })
+            };
+            // Fill every result set, then raise the special queries' `S_k`
+            // through their own term alone.
+            publish(&mut engines, &[(COMMON, 1.0), (9, 2.0)]);
+            publish(&mut engines, &[(COMMON, 1.0)]);
+            publish(&mut engines, &[(COMMON, 1.0), (RARE, 1.0)]);
+            let [raised, _] = publish(&mut engines, &[(OWN, 1.0)]);
+            assert_eq!(raised.updates, 10);
+            let common = engines[0].index.list_of_term(TermId(COMMON)).unwrap();
+            let leaf = |m: &Mrio<Z>, q: u32| {
+                let rec = m.index.record(QueryId(q)).unwrap();
+                let e = rec.entries_full().find(|e| e.list == common).unwrap();
+                (m.zones[common as usize].value_at(e.pos as usize), e)
+            };
+            for q in (0..n).filter(|&q| special(q)) {
+                let (stored, e) = leaf(&engines[0], q);
+                let fresh = engines[0].base.normalized_of(QueryId(q), e.weight as f64);
+                assert!(stored > fresh, "query {q}: the leaf must have gone stale");
+                engines[1].zones[common as usize].update(e.pos as usize, fresh);
+            }
+
+            let [first, eager] = publish(&mut engines, &[(COMMON, 1.0), (RARE, 0.5)]);
+            assert_eq!((first.updates, eager.updates), (1, 1), "only the unfilled query");
+            assert_eq!(first.full_evaluations, 1);
+            assert!(first.postings_accessed >= eager.postings_accessed);
+            assert_eq!(first.postings_accessed > eager.postings_accessed, skips, "{first:?}");
+            for q in (0..n).filter(|&q| special(q)) {
+                let (stored, e) = leaf(&engines[0], q);
+                assert_eq!(stored, engines[0].base.normalized_of(QueryId(q), e.weight as f64));
+            }
+            let [second, eager] = publish(&mut engines, &[(COMMON, 1.0), (RARE, 0.5)]);
+            assert_eq!(second, eager, "a tightened walk is an eagerly repaired one");
+            if skips {
+                assert!(second.postings_accessed * 10 <= n as u64, "{second:?}");
+            }
+            for q in 0..=n {
+                assert_eq!(engines[0].results(QueryId(q)), oracle.results(QueryId(q)));
+            }
+            per_storage.push((first, second));
+        }
+        assert_eq!(per_storage[0], per_storage[1], "storage must not change the walk");
+    }
+
+    #[test]
+    fn stale_leaves_tighten_on_the_first_visit_on_every_zone_structure() {
+        stale_leaves_tighten_on_the_first_visit(|s| MrioSeg::with_storage(0.0, s), true);
+        stale_leaves_tighten_on_the_first_visit(|s| MrioBlock::with_storage(0.0, s), true);
+        // A suffix maximum reaches the unfilled query from anywhere: this
+        // structure never skips here, stale leaves or not.
+        stale_leaves_tighten_on_the_first_visit(|s| MrioSuffix::with_storage(0.0, s), false);
+    }
+
     /// A republished vector ties `S_k` exactly and wins on the smaller doc
     /// id, while its normalised sum `Σ f_j · fl(w_j/S_k)` may round to
-    /// `1 − ulp`: the walk must still evaluate it, on the front test and
-    /// behind a jump alike.
+    /// `1 − ulp`. The front test is `offer`'s own comparison, with no ε:
+    /// it evaluates every such winner and nothing it does not insert.
     fn exact_ties_follow_the_oracle<Z: ZoneMax + Default>(mk: impl Fn() -> Mrio<Z>) {
         let mut rounded_below = 0;
         let mut seed = 0x9e37_79b9_7f4a_7c15u64;
@@ -856,17 +914,22 @@ mod tests {
                 oracle.register(spec(terms, 1));
             }
             let terms = [(1, next()), (2, next()), (3, next())];
-            for id in [10u64, 5] {
+            // The same vector three times: the smaller id wins every tie,
+            // the larger one loses every tie.
+            for (id, wins) in [(10u64, 3), (5, 3), (7, 0)] {
                 let d = doc(id, &terms, 0.0);
-                mrio.process(&d);
+                let ev = mrio.process(&d);
                 oracle.process(&d);
                 assert_eq!(mrio.last_changes(), oracle.last_changes(), "doc {id}: {terms:?}");
+                assert_eq!((ev.full_evaluations, ev.updates), (wins, wins), "doc {id}: {ev:?}");
             }
-            assert_eq!(oracle.last_changes().len(), 3, "the smaller id wins every tie");
-            // How often the plain comparison would have pruned a winner.
+            // How often a plain `≥ θ_d` on the normalised sum would have
+            // pruned a winner: the leaves are tight, so sum them up.
             let d = doc(5, &terms, 0.0);
             mrio.cursors.build(&mrio.index, &d);
-            let (s, _) = mrio.front_score(&mut EventStats::default());
+            let front = mrio.cursors.cursors[0].qid;
+            let aligned = mrio.cursors.cursors.iter().take_while(|c| c.qid == front);
+            let s: f64 = aligned.map(|c| c.f * mrio.zones[c.list as usize].value_at(c.pos)).sum();
             rounded_below += (s < 1.0) as u32;
         }
         assert!(rounded_below > 0, "no case exercised the rounding");

@@ -8,7 +8,6 @@
 
 use crate::engine::EngineBase;
 use crate::stats::{CumulativeStats, EventStats};
-use crate::topk::TopKState;
 use crate::traits::{ContinuousTopK, ResultChange};
 use crate::walk::{collect_scored_candidates, MatchScratch};
 use ctk_common::{Document, QueryId, QuerySpec, ScoredDoc};
@@ -85,7 +84,7 @@ impl ContinuousTopK for Naive {
     }
 
     fn threshold(&self, qid: QueryId) -> Option<f64> {
-        self.base.state(qid).map(TopKState::threshold)
+        self.base.state(qid).map(|s| s.threshold())
     }
 
     fn num_queries(&self) -> usize {

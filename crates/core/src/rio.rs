@@ -17,7 +17,6 @@
 
 use crate::engine::{CursorSet, EngineBase};
 use crate::stats::{CumulativeStats, EventStats};
-use crate::topk::TopKState;
 use crate::traits::{ContinuousTopK, ResultChange};
 use ctk_common::{Document, QueryId, QuerySpec, ScoredDoc};
 use ctk_index::{QueryIndex, StorageConfig, StorageStats, VersionedMaxTracker};
@@ -146,7 +145,7 @@ impl ContinuousTopK for Rio {
 
             if self.cursors.cursors[0].qid == pivot {
                 // Candidate: fully evaluate from the aligned cursors.
-                let (dot, aligned) = self.cursors.score_front(&self.index);
+                let (dot, aligned) = self.cursors.score_front();
                 ev.postings_accessed += aligned as u64;
                 ev.full_evaluations += 1;
                 if self.base.offer(pivot, doc, dot, amp) {
@@ -182,7 +181,7 @@ impl ContinuousTopK for Rio {
     }
 
     fn threshold(&self, qid: QueryId) -> Option<f64> {
-        self.base.state(qid).map(TopKState::threshold)
+        self.base.state(qid).map(|s| s.threshold())
     }
 
     fn num_queries(&self) -> usize {

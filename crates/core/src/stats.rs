@@ -19,7 +19,8 @@ pub struct EventStats {
     pub iterations: u64,
     /// Postings touched (cursor reads, accumulator updates).
     pub postings_accessed: u64,
-    /// Upper-bound terms computed (prefix sums, zone queries).
+    /// Upper-bound terms computed (prefix sums, zone queries; for MRIO's
+    /// front test one per aligned cursor, whose weight it reads).
     pub bound_computations: u64,
     /// Result-set insertions caused by the document.
     pub updates: u64,

@@ -18,11 +18,8 @@
 //!   are ID-ordered, so a posting's position is recoverable by a search
 //!   on the query id (block directory, then an ids-only walk of one
 //!   block). Full re-scores only need term and weight and never pay for
-//!   that. `S_k`-routed bound updates do need positions, and on
-//!   update-heavy streams they are the common case, not a rare one: MRIO
-//!   therefore reads [`RecordRef::entries_located`], takes the positions
-//!   of the lists the document matches from its aligned cursors, and
-//!   searches only for the rest, after the walk. Unregistration and the
+//!   that, and MRIO's bound updates take positions from the cursors
+//!   standing on the postings. Unregistration and the
 //!   owned form go through [`RecordRef::entries_full`], which searches
 //!   for every position. Dropping the position also means compaction has
 //!   no packed positions to refresh. Records never span
@@ -59,20 +56,6 @@ pub struct EntryView {
     pub list: u32,
     /// The (normalized) preference weight `w_t(q)`.
     pub weight: f32,
-}
-
-/// One posting owned by a query, with its list position *where the record
-/// layout stores one* (plain records do, packed records do not). For
-/// consumers that can often get the position elsewhere — MRIO's zone
-/// repair holds it in the aligned cursors — and only fall back to a list
-/// search when nobody has it. Yielded by [`RecordRef::entries_located`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LocatedEntry {
-    /// Dense list index inside the [`QueryIndex`]'s list table.
-    pub list: u32,
-    /// The (normalized) preference weight `w_t(q)`.
-    pub weight: f32,
-    pub pos: Option<u32>,
 }
 
 /// Per-query registration record (owned form; see [`RecordRef`] for the
@@ -188,8 +171,7 @@ enum Records {
 
 /// Borrowed view of one query's registration record, independent of the
 /// record layout. [`RecordRef::entries`] iterates position-free
-/// [`EntryView`]s (the hot-path shape); [`RecordRef::entries_located`]
-/// adds the position where the layout stores one;
+/// [`EntryView`]s (the hot-path shape);
 /// [`RecordRef::entries_full`] materializes [`RecordEntry`]s, deriving
 /// packed positions by a list search; [`RecordRef::to_record`] clones into
 /// the owned form.
@@ -239,21 +221,6 @@ impl<'a> RecordRef<'a> {
                 }
             },
         }
-    }
-
-    /// Iterate the record's entries with whatever position the layout
-    /// stores — O(1) per entry for every layout, no list is touched.
-    #[inline]
-    pub fn entries_located(self) -> impl Iterator<Item = LocatedEntry> + 'a {
-        let (plain, packed): (&[RecordEntry], &[PackedEntry]) = match self.inner {
-            RecordRefInner::Plain(es) => (es, &[]),
-            RecordRefInner::Packed { entries, .. } => (&[], entries),
-        };
-        let stored =
-            plain.iter().map(|e| LocatedEntry { list: e.list, weight: e.weight, pos: Some(e.pos) });
-        let bare =
-            packed.iter().map(|e| LocatedEntry { list: e.list, weight: e.weight, pos: None });
-        stored.chain(bare)
     }
 
     /// Iterate the record's entries with list positions. Packed layouts

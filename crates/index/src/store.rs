@@ -28,7 +28,7 @@
 //! compressed backends each decodes what it needs on the stack. The
 //! ID-ordered walks instead read through a *forward reader*: they
 //! [`ListRef::open`] a slot in their per-event [`BlockScratch`] and call
-//! the `*_at` methods (`get_at`, `probe_at`, `seek_live_at`,
+//! the `*_at` methods (`posting_at`, `probe_at`, `seek_live_at`,
 //! `next_live_at`), which answer from the decoded block under the reader —
 //! no shared cache, no lock, no thread-local — and decode every sealed
 //! block at most once per reader per event. For a plain list the slot is
@@ -414,32 +414,17 @@ impl<'a> ListRef<'a> {
         }
     }
 
-    /// [`ListRef::get`] for the forward reader holding `slot`, whose
-    /// position moves to `pos`.
+    /// The slot at `pos` — or `None` at the end of the list — for the
+    /// forward reader holding `slot`, which moves there.
     #[inline(always)]
-    pub fn get_at(&self, scratch: &mut BlockScratch, slot: u32, pos: usize) -> Posting {
-        let (qid, weight) = match self {
-            ListRef::Plain(l) => return l.get(pos),
-            ListRef::Compressed(l) => match scratch.cursor(slot) {
-                Some(bc) => l.cursor_get(bc, pos),
-                None => l.tail().get(pos),
-            },
-        };
-        Posting { qid: QueryId(qid), weight }
-    }
-
-    /// The query id at `pos` — or `None` at the end of the list — for the
-    /// forward reader holding `slot`, which moves there: all a reader needs
-    /// when it lands on a posting it may never score.
-    #[inline(always)]
-    pub fn qid_at(&self, scratch: &mut BlockScratch, slot: u32, pos: usize) -> Option<QueryId> {
+    pub fn posting_at(&self, scratch: &mut BlockScratch, slot: u32, pos: usize) -> Option<Posting> {
         match self {
-            ListRef::Plain(l) => l.as_slice().get(pos).map(|p| p.qid),
+            ListRef::Plain(l) => l.as_slice().get(pos).copied(),
             ListRef::Compressed(l) => match scratch.cursor(slot) {
-                Some(bc) => l.cursor_qid(bc, pos),
-                None => l.tail().qid(pos),
+                Some(bc) => l.cursor_posting(bc, pos),
+                None => l.tail().posting(pos),
             }
-            .map(QueryId),
+            .map(|(qid, weight)| Posting { qid: QueryId(qid), weight }),
         }
     }
 

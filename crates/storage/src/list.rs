@@ -16,7 +16,7 @@
 //! **Reading.** There is no shared decode cache. A reader that walks the
 //! list forward — one cursor of an ID-ordered traversal — brings its own
 //! [`BlockCursor`]: the decoded block under the cursor plus the block after
-//! it, so `cursor_get`, `cursor_seek_live` (the advancing seek) and
+//! it, so `cursor_posting`, `cursor_seek_live` (the advancing seek) and
 //! `cursor_probe` (the non-advancing bound probe) are array reads while the
 //! target stays inside those blocks, and a block is decoded at most once per
 //! cursor per pass. Everything else — the stateless `get` / `seek` /
@@ -272,7 +272,7 @@ impl CompressedList {
 
     /// The slot at `pos`: `(qid, weight)`, weight `0.0` when tombstoned.
     /// Stateless: a sealed slot is read straight from its payload (the id
-    /// walk stops at the slot). Forward readers use [`Self::cursor_get`].
+    /// walk stops at the slot). Forward readers use [`Self::cursor_posting`].
     pub fn get(&self, pos: usize) -> (u32, f32) {
         let sealed = self.sealed_len();
         if pos < sealed {
@@ -323,25 +323,16 @@ impl CompressedList {
     // cursor; everything else (another block, the tail, a decode) is an
     // out-of-line call, so the callers' loops stay small.
 
-    /// [`Self::get`] for a forward reader: answered from the cursor's
-    /// current block, which becomes the block holding `pos`.
+    /// The slot at `pos`, or `None` at the end of the list: what a forward
+    /// reader takes with it every time it lands somewhere (the id to order
+    /// by, the weight because every front candidate is scored). The
+    /// cursor's current block becomes the block holding `pos`; inside it
+    /// the list is not touched at all, not even for its length.
     #[inline]
-    pub fn cursor_get(&self, bc: &mut BlockCursor, pos: usize) -> (u32, f32) {
+    pub fn cursor_posting(&self, bc: &mut BlockCursor, pos: usize) -> Option<(u32, f32)> {
         match bc.current(pos / BLOCK_LEN) {
-            Some(buf) => (buf.data.ids[pos % BLOCK_LEN], buf.data.weights[pos % BLOCK_LEN]),
-            None => self.cursor_get_elsewhere(bc, pos),
-        }
-    }
-
-    /// The query id at `pos`, or `None` at the end of the list: what a
-    /// reader needs every time it lands somewhere (weights are read only
-    /// when a posting is scored). Inside the current block the list is not
-    /// touched at all, not even for its length.
-    #[inline]
-    pub fn cursor_qid(&self, bc: &mut BlockCursor, pos: usize) -> Option<u32> {
-        match bc.current(pos / BLOCK_LEN) {
-            Some(buf) => Some(buf.data.ids[pos % BLOCK_LEN]),
-            None => (pos < self.len()).then(|| self.cursor_get_elsewhere(bc, pos).0),
+            Some(buf) => Some((buf.data.ids[pos % BLOCK_LEN], buf.data.weights[pos % BLOCK_LEN])),
+            None => (pos < self.len()).then(|| self.cursor_get_elsewhere(bc, pos)),
         }
     }
 
@@ -695,15 +686,10 @@ fn gallop<T>(sorted: &[T], below: impl Fn(&T) -> bool) -> usize {
 pub struct Unsealed<'a>(&'a [(u32, f32)]);
 
 impl Unsealed<'_> {
+    /// The slot at `pos`, or `None` at the end.
     #[inline]
-    pub fn get(self, pos: usize) -> (u32, f32) {
-        self.0[pos]
-    }
-
-    /// The query id at `pos`, or `None` at the end.
-    #[inline]
-    pub fn qid(self, pos: usize) -> Option<u32> {
-        self.0.get(pos).map(|&(q, _)| q)
+    pub fn posting(self, pos: usize) -> Option<(u32, f32)> {
+        self.0.get(pos).copied()
     }
 
     /// First live position `>= pos`, or the length.

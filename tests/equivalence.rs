@@ -188,7 +188,9 @@ fn walk_queries(corpus: &CorpusConfig, k: usize, seed: u64) -> QueryGenerator {
 }
 
 /// One seeded stream of interleaved registrations, unregistrations,
-/// compactions, renormalisations and documents through the oracle and the
+/// compactions, renormalisations, warm-start seeds, restores into fresh
+/// engines and documents — some of them an earlier vector republished under
+/// a smaller id, which ties `S_k` and wins — through the oracle and the
 /// plain and compressed builds of one MRIO variant.
 fn churned_walk_matches_oracle(
     build: impl Fn(&StorageConfig) -> Box<dyn ContinuousTopK>,
@@ -199,11 +201,14 @@ fn churned_walk_matches_oracle(
     let mut queries = walk_queries(&corpus, 2, seed ^ 0x51);
     let mut docs = DocumentGenerator::new(corpus);
     // The oracle first, then the engine under test on both storages.
-    let mut engines = [
-        Box::new(Naive::new(lambda)),
-        build(&StorageConfig::plain()),
-        build(&StorageConfig::new(PostingsStorage::Compressed)),
-    ];
+    let fresh = || -> [Box<dyn ContinuousTopK>; 3] {
+        [
+            Box::new(Naive::new(lambda)),
+            build(&StorageConfig::plain()),
+            build(&StorageConfig::new(PostingsStorage::Compressed)),
+        ]
+    };
+    let mut engines = fresh();
     let variant = engines[1].name();
 
     // A cheap deterministic dice for the interleaving.
@@ -213,23 +218,27 @@ fn churned_walk_matches_oracle(
         (state >> 33) % n
     };
 
-    let mut live: Vec<QueryId> = Vec::new();
+    let mut live: Vec<(QueryId, QuerySpec)> = Vec::new();
     let mut now = 0.0f64;
-    let mut renorms_due = 0u64;
+    let (mut renorms_due, mut renorms_seen) = (0u64, 0u64);
+    // New documents count up from the middle of the id space, republished
+    // ones down: a republished vector always carries the smaller id.
+    const FIRST_ID: u64 = 1 << 32;
+    let mut tie_wins = 0usize;
     for step in 0..90u64 {
-        match roll(10) {
+        match roll(13) {
             // A burst of registrations (the first step builds the population).
             op if op == 0 || step == 0 => {
                 for spec in queries.generate_batch(if step == 0 { 500 } else { 40 }) {
                     let ids = engines.each_mut().map(|e| e.register(spec.clone()));
                     assert!(ids.iter().all(|&id| id == ids[0]));
-                    live.push(ids[0]);
+                    live.push((ids[0], spec));
                 }
             }
             // A wave of unregistrations: tombstones inside every list.
             1 => {
                 for _ in 0..30.min(live.len()) {
-                    let victim = live.swap_remove(roll(live.len() as u64) as usize);
+                    let (victim, _) = live.swap_remove(roll(live.len() as u64) as usize);
                     assert!(engines.iter_mut().all(|e| e.unregister(victim)));
                 }
             }
@@ -242,20 +251,55 @@ fn churned_walk_matches_oracle(
                 now += 61.0 / lambda;
                 renorms_due += 1;
             }
+            // Warm-start seeds: `S_k` rises with the walk standing nowhere.
+            4 => {
+                for _ in 0..20.min(live.len()) {
+                    let (qid, _) = live[roll(live.len() as u64) as usize];
+                    let score = engines[0].threshold(qid).unwrap() * 1.5 + 0.05;
+                    let seeds = [ScoredDoc::new(DocId(roll(FIRST_ID)), score)];
+                    engines.iter_mut().for_each(|e| e.seed_results(qid, &seeds));
+                }
+            }
+            // A restore: fresh engines in the old decay frame, the live
+            // queries registered again (renumbered) and seeded.
+            5 => {
+                let mut restored = fresh();
+                for (old, new) in engines.iter().zip(&mut restored) {
+                    new.restore_landmark(old.landmark());
+                    for (qid, spec) in &live {
+                        let id = new.register(spec.clone());
+                        new.seed_results(id, &old.results(*qid).unwrap());
+                    }
+                }
+                renorms_seen += engines[1].cumulative().renormalizations;
+                engines = restored;
+                for (i, (qid, _)) in live.iter_mut().enumerate() {
+                    *qid = QueryId(i as u32);
+                }
+            }
             _ => {}
         }
         now += 1.0;
-        let doc = docs.generate(DocId(step), now);
-        let [_, on_plain, on_compressed] = engines.each_mut().map(|e| e.process(&doc));
-        assert_eq!(on_plain, on_compressed, "{variant} λ={lambda}: EventStats at {step}");
-        for engine in &engines[1..] {
-            assert_eq!(engine.last_changes(), engines[0].last_changes(), "{variant} at {step}");
+        // A third of the documents arrive twice, the second time under a
+        // smaller id: equal scores, so it ties `S_k` wherever the first one
+        // became the k-th result, and wins.
+        let doc = docs.generate(DocId(FIRST_ID + step), now);
+        let again = Document { id: DocId(FIRST_ID - 1 - step), ..doc.clone() };
+        for doc in [Some(doc), (roll(3) == 0).then_some(again)].into_iter().flatten() {
+            let [_, on_plain, on_compressed] = engines.each_mut().map(|e| e.process(&doc));
+            assert_eq!(on_plain, on_compressed, "{variant} λ={lambda}: EventStats at {step}");
+            assert_eq!(on_plain.full_evaluations, on_plain.updates, "{variant}: exact front test");
+            for engine in &engines[1..] {
+                assert_eq!(engine.last_changes(), engines[0].last_changes(), "{variant} at {step}");
+            }
+            tie_wins += (doc.id.0 < FIRST_ID) as usize * engines[0].last_changes().len();
         }
     }
-    assert_eq!(engines[1].cumulative().renormalizations, renorms_due);
-    for &qid in &live {
+    assert!(tie_wins > 0, "no republished document was inserted");
+    assert_eq!(renorms_seen + engines[1].cumulative().renormalizations, renorms_due);
+    for (qid, _) in &live {
         for engine in &engines[1..] {
-            assert_eq!(engine.results(qid), engines[0].results(qid), "{variant} query {qid}");
+            assert_eq!(engine.results(*qid), engines[0].results(*qid), "{variant} query {qid}");
         }
     }
 }

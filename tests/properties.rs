@@ -62,12 +62,12 @@ proptest! {
         k in 1u32..6,
         offers in prop::collection::vec((0u64..40, 0.0f64..10.0), 0..60),
     ) {
-        use continuous_topk::core::topk::TopKState;
-        let mut state = TopKState::new(k);
+        let mut sets = continuous_topk::core::topk::ResultSets::default();
+        sets.push(k);
         let mut reference: Vec<ScoredDoc> = Vec::new();
         for &(doc, score) in &offers {
             let cand = ScoredDoc::new(DocId(doc), score);
-            state.offer(cand);
+            sets.offer(0, cand);
             reference.push(cand);
             // The reference "best k" under the system's order: sort and
             // dedup is not needed (doc ids repeat, but the engine also
@@ -75,6 +75,7 @@ proptest! {
             reference.sort();
         }
         reference.truncate(k as usize);
+        let state = sets.get(0).unwrap();
         let got = state.sorted_results();
         prop_assert_eq!(&got, &reference);
         let want_threshold = if reference.len() == k as usize {
