@@ -117,6 +117,9 @@ impl ContinuousTopK for Tps {
             matched_lists: self.cursors.build(&self.index, doc) as u64,
             ..EventStats::default()
         };
+        // A floor a few ulps under θ_d, as in RIO and MRIO: a candidate that
+        // ties `S_k` exactly is never jumped.
+        let floor = EngineBase::bound_floor(theta, ev.matched_lists as usize);
 
         loop {
             if self.cursors.is_empty() {
@@ -139,7 +142,7 @@ impl ContinuousTopK for Tps {
                         inv_run = inv;
                     }
                     ev.bound_computations += 1;
-                    if prefix * inv_run >= theta {
+                    if prefix * inv_run >= floor {
                         pivot_idx = Some(i);
                         break;
                     }

@@ -68,6 +68,19 @@ impl EngineBase {
         score > sk || (score == sk && tie())
     }
 
+    /// The value a rounded bound over `m` matched lists is compared with
+    /// when it stands for `θ_d`: a few ulps under it. A bound sums
+    /// `f_j·fl(w_j/S_k)`, the oracle compares `fl(Σ f_j·w_j)·amp` with `S_k`,
+    /// and `θ_d = fl(e^{-x})`, `amp = fl(e^{x})`: each side carries at most
+    /// `m + 1` roundings plus one per exponential, so a candidate that ties
+    /// `S_k` — one [`EngineBase::admits`] lets in on the smaller doc id —
+    /// may come out at `θ_d − ulp`. Under `θ_d·(1 − (m + 4)·2⁻⁵²)` no such
+    /// candidate is pruned.
+    #[inline]
+    pub fn bound_floor(theta: f64, m: usize) -> f64 {
+        theta * (1.0 - (m + 4) as f64 * f64::EPSILON)
+    }
+
     /// Current `(version, u = w/S_k)` of a live query; used both to push
     /// fresh tracker entries and to validate stale ones.
     #[inline]
@@ -145,33 +158,53 @@ pub struct Cursor {
     slot: u32,
     /// Document weight `f_j` for this term.
     pub f: f64,
-    /// Current position in the list (always live or == len).
-    pub pos: usize,
+    /// Current position in the list (always live or == len); see
+    /// [`Cursor::pos`].
+    pos: u32,
     /// Query id under the cursor (cache of `list[pos].qid`).
     pub qid: QueryId,
     /// Weight under the cursor (cache of `list[pos].weight`; stale once
     /// the cursor is [`EXHAUSTED`]): every front candidate is scored.
     pub weight: f32,
+    /// The list's term rank in the document: cursors aligned on one query
+    /// are kept in this order, which is its record's (see [`CursorSet`]).
+    pub(crate) rank: u32,
 }
+
+// Sorting and repairing move whole cursors: the rank rides in what `pos`
+// gave up by narrowing to `u32`.
+const _: () = assert!(std::mem::size_of::<Cursor>() == 32);
 
 /// The one way the traversals read postings. Every operation takes the
 /// [`BlockScratch`] of the set the cursor belongs to ([`CursorSet::blocks`])
 /// beside the index: compressed lists are read through the decoded blocks
 /// held there, plain lists in place.
 impl Cursor {
+    /// Current position in the list (live, or the list's length).
+    #[inline]
+    pub fn pos(&self) -> usize {
+        self.pos as usize
+    }
+
+    /// The processing-order key: query id, then term rank.
+    #[inline]
+    fn key(&self) -> u64 {
+        (u64::from(self.qid.0) << 32) | u64::from(self.rank)
+    }
+
     /// First position at or after the cursor whose id is `>= bound`
     /// (tombstones included), or the list's length; the cursor stays put.
     /// This is the zone end of a bound computation.
     #[inline]
     pub fn probe(&self, index: &QueryIndex, blocks: &mut BlockScratch, bound: QueryId) -> usize {
-        index.list(self.list).probe_at(blocks, self.slot, self.pos, bound)
+        index.list(self.list).probe_at(blocks, self.slot, self.pos(), bound)
     }
 
     /// Move to `pos` (live, or the list's length) and refresh the posting
     /// cache ([`EXHAUSTED`] at the end of the list).
     #[inline]
     fn land(&mut self, list: ListRef<'_>, blocks: &mut BlockScratch, pos: usize) {
-        self.pos = pos;
+        self.pos = pos as u32;
         match list.posting_at(blocks, self.slot, pos) {
             Some(p) => (self.qid, self.weight) = (p.qid, p.weight),
             None => self.qid = EXHAUSTED,
@@ -182,7 +215,7 @@ impl Cursor {
     #[inline]
     pub fn advance_to(&mut self, index: &QueryIndex, blocks: &mut BlockScratch, target: QueryId) {
         let list = index.list(self.list);
-        let pos = list.seek_live_at(blocks, self.slot, self.pos, target);
+        let pos = list.seek_live_at(blocks, self.slot, self.pos(), target);
         self.land(list, blocks, pos);
     }
 
@@ -191,21 +224,28 @@ impl Cursor {
     #[inline]
     pub fn advance_to_pos(&mut self, index: &QueryIndex, blocks: &mut BlockScratch, pos: usize) {
         let list = index.list(self.list);
-        let pos = list.next_live_at(blocks, self.slot, pos.max(self.pos));
+        let pos = list.next_live_at(blocks, self.slot, pos.max(self.pos()));
         self.land(list, blocks, pos);
     }
 
     /// Advance past the current posting.
     #[inline]
     pub fn advance_past_current(&mut self, index: &QueryIndex, blocks: &mut BlockScratch) {
-        self.advance_to_pos(index, blocks, self.pos + 1);
+        self.advance_to_pos(index, blocks, self.pos() + 1);
     }
 }
 
 /// Reusable working set of cursors for the ID-ordering traversal.
 ///
 /// The set is kept **sorted by the query id under each cursor** at all
-/// times — this ordering *is* the paper's "processing order". Because an
+/// times — this ordering *is* the paper's "processing order" — and cursors
+/// on the same id by their list's term rank in the document. Documents and
+/// registration records both list their terms in ascending term order, so
+/// the cursors aligned on a query sum `f_j·w_j` in the order of its record:
+/// the order [`crate::Naive`] sums in, which makes their dot product the
+/// oracle's bit for bit. (Ordered by id alone, a repaired or unstably
+/// sorted set summed in whatever order its cursors landed: one ulp off in
+/// 12 of 20 000 seeded three-term cases.) Because an
 /// iteration only moves a small prefix of cursors (the aligned lists of the
 /// pivot, or the jumping lists), order is restored with an O(m) merge-repair
 /// instead of a full re-sort; profiling showed the re-sort dominating event
@@ -225,7 +265,7 @@ pub struct CursorSet {
 
 impl CursorSet {
     /// Populate from the document's matched terms: one cursor per non-empty
-    /// list, positioned at the first live posting, sorted by query id.
+    /// list, positioned at the first live posting, ranked by term, sorted.
     /// Returns the number of matched lists (`m`).
     pub fn build(&mut self, index: &QueryIndex, doc: &Document) -> usize {
         self.cursors.clear();
@@ -233,8 +273,9 @@ impl CursorSet {
         for (term, f) in doc.vector.iter() {
             let Some(li) = index.list_of_term(term) else { continue };
             let slot = index.list(li).open(&mut self.blocks);
-            let mut cursor =
-                Cursor { list: li, slot, f: f as f64, pos: 0, qid: EXHAUSTED, weight: 0.0 };
+            let rank = self.cursors.len() as u32;
+            let (f, qid) = (f as f64, EXHAUSTED);
+            let mut cursor = Cursor { list: li, slot, f, pos: 0, qid, weight: 0.0, rank };
             cursor.advance_to_pos(index, &mut self.blocks, 0);
             if cursor.qid != EXHAUSTED {
                 self.cursors.push(cursor);
@@ -252,10 +293,10 @@ impl CursorSet {
     }
 
     /// Fully evaluate the query under the first cursor: the raw dot product
-    /// over the cursors aligned on it — a prefix of the sorted set, whose
-    /// length is returned with it. The cursors stay where they are (their
-    /// positions are what a zone repair of that query needs); finish with
-    /// [`CursorSet::step_front`].
+    /// over the cursors aligned on it — a prefix of the sorted set, summed
+    /// in term order — and the prefix's length. The cursors stay where they
+    /// are (their positions are what a zone repair of that query needs);
+    /// finish with [`CursorSet::step_front`].
     #[inline]
     pub fn score_front(&self) -> (f64, usize) {
         let pivot = self.cursors[0].qid;
@@ -284,13 +325,13 @@ impl CursorSet {
     /// move (MRIO's failed-full-bound skip); otherwise prefer
     /// [`CursorSet::repair_prefix`].
     pub fn sort_full(&mut self) {
-        self.cursors.sort_unstable_by_key(|c| c.qid);
+        self.cursors.sort_unstable_by_key(Cursor::key);
         while self.cursors.last().is_some_and(|c| c.qid == EXHAUSTED) {
             self.cursors.pop();
         }
     }
 
-    /// Restore sortedness after the first `t` cursors were advanced (their
+    /// Restore the order after the first `t` cursors were advanced (their
     /// qids only grew; [`EXHAUSTED`] sorts last).
     ///
     /// Jumped cursors usually land only a few slots deeper — the pivot was
@@ -311,7 +352,7 @@ impl CursorSet {
         for i in (0..t).rev() {
             let cur = self.cursors[i];
             let mut j = i;
-            while j + 1 < n && self.cursors[j + 1].qid < cur.qid {
+            while j + 1 < n && self.cursors[j + 1].key() < cur.key() {
                 self.cursors[j] = self.cursors[j + 1];
                 j += 1;
             }

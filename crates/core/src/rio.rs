@@ -13,7 +13,9 @@
 //! Global maxima shrink whenever any query's `S_k` grows, so they are
 //! maintained with one [`VersionedMaxTracker`] per list. When even `UB(m)`
 //! stays below `θ_d` the event terminates outright — a global bound covers
-//! every query id, including those beyond the last cursor.
+//! every query id, including those beyond the last cursor. Prefix sums are
+//! compared with [`EngineBase::bound_floor`], a few ulps under `θ_d`, so a
+//! candidate that ties its `S_k` exactly is evaluated like the oracle does.
 
 use crate::engine::{CursorSet, EngineBase};
 use crate::stats::{CumulativeStats, EventStats};
@@ -111,6 +113,9 @@ impl ContinuousTopK for Rio {
             matched_lists: self.cursors.build(&self.index, doc) as u64,
             ..EventStats::default()
         };
+        // The rounded prefix sums are compared with a floor a few ulps
+        // under θ_d, so a candidate that ties `S_k` is never jumped.
+        let floor = EngineBase::bound_floor(theta, ev.matched_lists as usize);
 
         loop {
             if self.cursors.is_empty() {
@@ -130,7 +135,7 @@ impl ContinuousTopK for Rio {
                     if mx > 0.0 {
                         prefix += c.f * mx;
                     }
-                    if prefix >= theta {
+                    if prefix >= floor {
                         pivot_idx = Some(i);
                         break;
                     }

@@ -14,13 +14,16 @@ pub struct EventStats {
     /// Queries fully scored ("considered queries" in the paper's sense).
     pub full_evaluations: u64,
     /// Traversal iterations (pivot selections for the ID-ordering family —
-    /// for MRIO every front candidate tested, whether it is then evaluated,
-    /// stepped past or jumped from; list-advance steps for the TA family).
+    /// for MRIO every query id it tests exactly, as the front candidate or
+    /// inside a window, whether it is then evaluated or pruned;
+    /// list-advance steps for the TA family).
     pub iterations: u64,
-    /// Postings touched (cursor reads, accumulator updates).
+    /// Postings touched (cursor reads, accumulator updates; for MRIO every
+    /// posting a window reads and every cursor a jump moves).
     pub postings_accessed: u64,
-    /// Upper-bound terms computed (prefix sums, zone queries; for MRIO's
-    /// front test one per aligned cursor, whose weight it reads).
+    /// Upper-bound terms computed (prefix sums, zone queries; for MRIO one
+    /// per posting a window reads — its leaf, read beside its weight —
+    /// besides the pivot search's terms).
     pub bound_computations: u64,
     /// Result-set insertions caused by the document.
     pub updates: u64,

@@ -167,7 +167,7 @@ fn prefix_bound(
     let CursorSet { cursors, blocks } = cursors;
     for c in &cursors[..=i] {
         let hi = c.probe(index, blocks, bound);
-        let mx = bounds.zone_max(c.list, c.pos, hi);
+        let mx = bounds.zone_max(c.list, c.pos(), hi);
         ev.bound_computations += 1;
         if mx > 0.0 {
             sum += c.f * mx;
@@ -229,7 +229,7 @@ pub fn collect_scored_candidates_bounded(
                 ev.postings_skipped += (hi - lo) as u64;
             } else {
                 c.advance_to_pos(index, blocks, lo);
-                while c.pos < hi {
+                while c.pos() < hi {
                     ev.postings_accessed += 1;
                     out.push((c.qid, 0.0));
                     c.advance_past_current(index, blocks);
@@ -265,7 +265,7 @@ pub fn collect_scored_candidates_bounded(
             let Some(ig) = global_pivot else {
                 ev.zones_skipped += 1;
                 for c in &cursors.cursors {
-                    ev.postings_skipped += (index.list(c.list).len() - c.pos) as u64;
+                    ev.postings_skipped += (index.list(c.list).len() - c.pos()) as u64;
                 }
                 break;
             };
@@ -307,10 +307,10 @@ pub fn collect_scored_candidates_bounded(
                     let jump = zone_bound(&cursors, m - 1);
                     let CursorSet { cursors: cs, blocks } = &mut cursors;
                     for c in cs.iter_mut() {
-                        let from = c.pos;
+                        let from = c.pos();
                         c.advance_to(index, blocks, jump);
                         ev.postings_accessed += 1;
-                        ev.postings_skipped += (c.pos - from).saturating_sub(1) as u64;
+                        ev.postings_skipped += (c.pos() - from).saturating_sub(1) as u64;
                     }
                     cursors.sort_full();
                 }
@@ -334,10 +334,10 @@ pub fn collect_scored_candidates_bounded(
                     } else {
                         let CursorSet { cursors: cs, blocks } = &mut cursors;
                         for c in cs[..p].iter_mut() {
-                            let from = c.pos;
+                            let from = c.pos();
                             c.advance_to(index, blocks, pivot);
                             ev.postings_accessed += 1;
-                            ev.postings_skipped += (c.pos - from).saturating_sub(1) as u64;
+                            ev.postings_skipped += (c.pos() - from).saturating_sub(1) as u64;
                         }
                         cursors.repair_prefix(p);
                     }

@@ -55,7 +55,7 @@ fn observe(cs: &CursorSet) -> Vec<Seen> {
         .iter()
         .map(|c| {
             let weight = (c.qid != EXHAUSTED).then(|| c.weight.to_bits());
-            (c.list, c.pos, c.qid, weight)
+            (c.list, c.pos(), c.qid, weight)
         })
         .collect()
 }

@@ -169,9 +169,10 @@ fn heavy_decay_exercises_renormalization() {
 }
 
 // ------------------------------------------------------------------------
-// MRIO's walk: the exact test of the front candidate and the runs of linear
-// steps. Results must stay the oracle's bit for bit on every zone structure
-// and storage, and each regime must keep the cost it is meant to have.
+// MRIO's walk: the exact test of the front candidate and the windows scored
+// term-at-a-time. Results must stay the oracle's bit for bit on every zone
+// structure and storage, and each regime must keep the cost it is meant to
+// have.
 
 use proptest::prelude::*;
 
@@ -319,9 +320,9 @@ proptest! {
 }
 
 /// Update-heavy stream (strong decay: most candidates are insertions). The
-/// exact test must leave next to no wasted evaluation, and the runs of
-/// linear steps must keep the zone bounds out of the walk: about one bound
-/// term per iteration, where a pivot search per candidate costs several.
+/// exact test must leave next to no wasted evaluation, and the windows must
+/// keep the zone bounds out of the walk: about one bound term per
+/// iteration, where a pivot search per candidate costs several.
 #[test]
 fn dense_stream_evaluates_only_what_it_inserts() {
     let corpus = walk_corpus(7);
@@ -349,8 +350,8 @@ fn dense_stream_evaluates_only_what_it_inserts() {
 /// high, so nearly everything is skipped. One long list (every query has
 /// the common term) and one sparse list (every hundredth query also has the
 /// rare term): each pivot search proves the stretch of the long list up to
-/// the next rare posting prunable and jumps it. The run controller must not
-/// decay into a linear scan here — a long jump grants no run — so the walk
+/// the next rare posting prunable and jumps it. The windows must not decay
+/// into a linear scan here — a long jump grants no window — so the walk
 /// may touch only a small fixed fraction of the matched lists' live
 /// postings, all of which the exhaustive walk touches.
 #[test]
@@ -396,4 +397,115 @@ fn skip_regime_touches_a_small_fraction_of_the_matched_lists() {
     }
     assert_eq!(live, 20 * 4_041);
     assert!(touched * 20 <= live, "MRIO touched {touched} of {live} live postings");
+}
+
+// ------------------------------------------------------------------------
+// The oracle's arithmetic in every cursor engine: aligned cursors sum in the
+// query's record order, and a bound comparison never prunes an exact tie.
+
+/// Constructors of the engines that score a query from the cursors aligned
+/// on it.
+fn cursor_engines() -> [fn() -> Box<dyn ContinuousTopK>; 5] {
+    [
+        || Box::new(Rio::new(0.0)),
+        || Box::new(MrioSeg::new(0.0)),
+        || Box::new(MrioBlock::new(0.0)),
+        || Box::new(MrioSuffix::new(0.0)),
+        || Box::new(Tps::new(0.0)),
+    ]
+}
+
+/// A seeded source of term weights in `[0.01, 1.01)`.
+fn weights(mut seed: u64) -> impl FnMut() -> f32 {
+    move || {
+        seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        ((seed >> 40) as f32 / (1u64 << 24) as f32) + 0.01
+    }
+}
+
+fn spec_of(terms: &[(u32, f32)], k: usize) -> QuerySpec {
+    QuerySpec::new(terms.iter().map(|&(t, w)| (TermId(t), w)).collect(), k).unwrap()
+}
+
+/// Query 0 is on terms {1, 5}, query 1 on {1, 3, 5}, and the document hits
+/// {1, 3, 5}: once query 0 is passed, the cursors of lists 1 and 5 land on
+/// query 1 beside the one of list 3. Summed in the order they land, its dot
+/// product can come out one ulp away from the oracle's, which sums in the
+/// order of the record (by term). Every insertion must carry the oracle's
+/// score bit for bit.
+#[test]
+fn aligned_cursors_sum_in_record_order_in_every_cursor_engine() {
+    const CASES: usize = 20_000;
+    let mut report = Vec::new();
+    for make in cursor_engines() {
+        let mut next = weights(0x2545_f491_4f6c_dd1d);
+        let mut differ = 0;
+        for _ in 0..CASES {
+            let (mut engine, mut oracle) = (make(), Naive::new(0.0));
+            let q0 = spec_of(&[(1, next()), (5, next())], 1);
+            let q1 = spec_of(&[(1, next()), (3, next()), (5, next())], 1);
+            for spec in [q0, q1] {
+                assert_eq!(engine.register(spec.clone()), oracle.register(spec));
+            }
+            let pairs = vec![(TermId(1), next()), (TermId(3), next()), (TermId(5), next())];
+            let doc = Document::new(DocId(1), pairs, 0.0);
+            engine.process(&doc);
+            oracle.process(&doc);
+            assert_eq!(oracle.last_changes().len(), 2);
+            differ += (engine.last_changes() != oracle.last_changes()) as usize;
+        }
+        report.push((make().name(), differ));
+    }
+    assert!(report.iter().all(|&(_, d)| d == 0), "cases of {CASES} that differ: {report:?}");
+}
+
+/// A republished vector ties `S_k` exactly and wins on the smaller doc id,
+/// while a bound summing `f_j · fl(w_j/S_k)` may round to `θ_d − ulp`. Every
+/// cursor engine must evaluate each such winner, as the oracle does; MRIO's
+/// front test is `offer`'s own comparison, so it evaluates nothing else.
+#[test]
+fn exact_ties_follow_the_oracle_in_every_cursor_engine() {
+    const CASES: usize = 300;
+    let mut report = Vec::new();
+    for make in cursor_engines() {
+        let exact_front_test = make().name().starts_with("MRIO");
+        let mut next = weights(0x9e37_79b9_7f4a_7c15);
+        let (mut differ, mut rounded_below) = (0, 0);
+        for _ in 0..CASES {
+            let (mut engine, mut oracle) = (make(), Naive::new(0.0));
+            let shapes = [
+                spec_of(&[(1, next()), (2, next())], 1),
+                spec_of(&[(1, next()), (2, next()), (3, next())], 1),
+                spec_of(&[(2, next()), (3, next())], 1),
+            ];
+            for spec in &shapes {
+                assert_eq!(engine.register(spec.clone()), oracle.register(spec.clone()));
+            }
+            let pairs = vec![(TermId(1), next()), (TermId(2), next()), (TermId(3), next())];
+            // The same vector three times: the smaller id wins every tie,
+            // the larger one loses every tie.
+            let mut same = true;
+            for (id, wins) in [(10u64, 3), (5, 3), (7, 0)] {
+                let doc = Document::new(DocId(id), pairs.clone(), 0.0);
+                let ev = engine.process(&doc);
+                oracle.process(&doc);
+                same &= engine.last_changes() == oracle.last_changes() && ev.updates == wins;
+                same &= !exact_front_test || ev.full_evaluations == wins;
+            }
+            differ += !same as usize;
+            // How often a plain `≥ θ_d` on the normalised sum would have
+            // pruned the winner: sum query 0's `f_j · fl(w_j/S_k)` by term.
+            let doc = Document::new(DocId(5), pairs.clone(), 0.0);
+            let sk = oracle.threshold(QueryId(0)).unwrap();
+            let s: f64 = shapes[0]
+                .vector
+                .iter()
+                .map(|(t, w)| doc.vector.weight(t) as f64 * (w as f64 / sk))
+                .sum();
+            rounded_below += (s < 1.0) as usize;
+        }
+        assert!(rounded_below > 0, "{}: no case exercised the rounding", make().name());
+        report.push((make().name(), differ));
+    }
+    assert!(report.iter().all(|&(_, d)| d == 0), "tie cases of {CASES} that differ: {report:?}");
 }
