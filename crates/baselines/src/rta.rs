@@ -137,6 +137,10 @@ impl ContinuousTopK for Rta {
             }
         }
         ev.matched_lists = rails.len() as u64;
+        // A sum of `f_j · fl(w_j/S_k)` is a different rounding of the score
+        // `offer` compares: it stands for θ_d at the tie floor, a few ulps
+        // under it, so a candidate tying `S_k` is never stopped short of.
+        let floor = EngineBase::bound_floor(theta, rails.len());
 
         self.epoch += 1;
         let mut pending: Vec<QueryId> = Vec::new();
@@ -155,12 +159,12 @@ impl ContinuousTopK for Rta {
                         t_bound += r.f * b;
                     }
                     ev.bound_computations += 1;
-                    if t_bound >= theta {
+                    if t_bound >= floor {
                         break;
                     }
                 }
             }
-            if live_rails == 0 || t_bound < theta {
+            if live_rails == 0 || t_bound < floor {
                 break;
             }
             ev.iterations += 1;

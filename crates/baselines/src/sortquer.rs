@@ -136,6 +136,11 @@ impl ContinuousTopK for SortQuer {
         }
         matched.sort_unstable_by(|a, b| b.2.partial_cmp(&a.2).unwrap());
         ev.matched_lists = matched.len() as u64;
+        // Potentials and partial sums are other roundings of the score
+        // `offer` compares (and `minS_k` a rounded reciprocal): both tests
+        // below stand for θ_d at the tie floor, a few ulps under it, so a
+        // candidate tying `S_k` is never cut.
+        let floor = EngineBase::bound_floor(theta, matched.len());
 
         // Suffix potentials P_after[j] = Σ_{j' > j} f·maxw.
         let mut p_after: Vec<f64> = vec![0.0; matched.len()];
@@ -168,7 +173,7 @@ impl ContinuousTopK for SortQuer {
                 let contribution = fj * w as f64;
                 // No new query starting here (or later in this list) can
                 // reach even the easiest threshold in the system.
-                if contribution + p_after[j] < theta * min_sk {
+                if contribution + p_after[j] < floor * min_sk {
                     slack += contribution;
                     cut = true;
                     break;
@@ -189,12 +194,13 @@ impl ContinuousTopK for SortQuer {
             let qid = QueryId(q);
             let partial = self.acc[&q];
             let sk = self.base.threshold_of(qid);
-            if partial + slack < theta * sk {
+            if partial + slack < floor * sk {
                 continue; // cannot qualify even with all cut contributions
             }
-            // Exact score: the accumulator is already exact when nothing
-            // was cut; otherwise re-score from the catalog.
-            let dot = if slack == 0.0 { partial } else { self.catalog.dot(qid, &self.doc_weights) };
+            // Exact score, re-scored from the catalog in record order: the
+            // accumulator sums the lists by potential, and even uncut it
+            // may be an ulp off the oracle's dot product.
+            let dot = self.catalog.dot(qid, &self.doc_weights);
             ev.full_evaluations += 1;
             if self.base.offer(qid, doc, dot, amp) {
                 ev.updates += 1;

@@ -136,6 +136,13 @@ impl EngineBase {
         }
     }
 
+    /// Bring the result sets of `qids` into cache ahead of offers to them
+    /// ([`ResultSets::warm`]).
+    #[inline]
+    pub fn warm(&self, qids: impl IntoIterator<Item = QueryId>) {
+        self.sets.warm(qids.into_iter().map(QueryId::index));
+    }
+
     /// Results of a live query, best first.
     pub fn results(&self, qid: QueryId) -> Option<Vec<ScoredDoc>> {
         self.state(qid).map(|s| s.sorted_results())
@@ -175,10 +182,13 @@ pub struct Cursor {
 // gave up by narrowing to `u32`.
 const _: () = assert!(std::mem::size_of::<Cursor>() == 32);
 
-/// The one way the traversals read postings. Every operation takes the
-/// [`BlockScratch`] of the set the cursor belongs to ([`CursorSet::blocks`])
-/// beside the index: compressed lists are read through the decoded blocks
-/// held there, plain lists in place.
+/// The one way the traversals read postings: `probe` (a bound's zone end),
+/// `advance_to` / `advance_to_pos` / `advance_past_current` (moves), and
+/// `read_below` (a run of postings handed over in one call, MRIO's
+/// windows). Every operation takes the [`BlockScratch`] of the set the
+/// cursor belongs to ([`CursorSet::blocks`]) beside the index: compressed
+/// lists are read through the decoded blocks held there, plain lists in
+/// place.
 impl Cursor {
     /// Current position in the list (live, or the list's length).
     #[inline]
@@ -232,6 +242,26 @@ impl Cursor {
     #[inline]
     pub fn advance_past_current(&mut self, index: &QueryIndex, blocks: &mut BlockScratch) {
         self.advance_to_pos(index, blocks, self.pos() + 1);
+    }
+
+    /// Hand `f` every live posting from the cursor's own up to the first id
+    /// `>= end`, as `(pos, qid, weight)` in position order, then land on the
+    /// first live posting at or past that id: the postings stepping with
+    /// [`Cursor::advance_past_current`] while `qid < end` visits, and where
+    /// it stops — read a slice, or a decoded block, at a time.
+    #[inline]
+    pub fn read_below(
+        &mut self,
+        index: &QueryIndex,
+        blocks: &mut BlockScratch,
+        end: QueryId,
+        f: impl FnMut(usize, QueryId, f32),
+    ) {
+        if self.qid < end {
+            let list = index.list(self.list);
+            let pos = list.read_below_at(blocks, self.slot, self.pos(), end, f);
+            self.land(list, blocks, pos);
+        }
     }
 }
 

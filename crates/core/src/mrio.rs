@@ -78,17 +78,36 @@
 //! short the next ones tend to be: the matched lists interleave, so every
 //! zone between two cursors is a handful of postings wide.
 //!
-//! A short jump therefore grants a **window**: every live posting with an
-//! id in `[front, E)` is read term-at-a-time, list by list in the
-//! document's term order, into a dense accumulator (one `f64` per id, a
-//! bitmap of the ids read). Each id's sum starts at zero and adds its lists
-//! in term order, which is its record's order, so the sum is `Naive`'s bit
-//! for bit. The ids read are then tested in ascending order with
-//! `admits` / `offer` — changes keep stream order — and the leaves of the
-//! admitted and the stale ones are tightened. The cursors end at or past
-//! `E`, and one repair restores their order. The grant doubles with every
-//! short jump in a row, up to `RUN_CAP` (256), and a long jump takes it
-//! back to zero:
+//! A short jump therefore grants a **window**, scored in three passes:
+//!
+//! 1. *Accumulate.* Every live posting with an id in `[front, E)` is read
+//!    term-at-a-time, list by list in the document's term order, into a
+//!    dense accumulator (one `f64` per id, a bitmap of the ids read). Each
+//!    cursor hands over its whole run in one
+//!    [`Cursor::read_below`](crate::engine::Cursor::read_below): a
+//!    slice, a decoded block or the tail at a time, not one out-of-line
+//!    advance per posting. Each id's sum starts at zero and adds its lists
+//!    in term order, which is its record's order, so the sum is `Naive`'s
+//!    bit for bit.
+//! 2. *Test, then offer.* The ids read are tested in ascending order with
+//!    `admits`, and the admitted ones collected. Their result sets are then
+//!    warmed all at once — independent loads of each slot and heap root,
+//!    whose misses the core overlaps — and offered in the same order, so
+//!    changes keep stream order. `admits(q)` reads q's own set alone, so
+//!    testing every id before offering to any changes nothing but when the
+//!    misses are paid.
+//! 3. *Tighten.* The leaves of the admitted and the stale ids are
+//!    rewritten, one list at a time: a list with two writes or more takes
+//!    one [`ZoneMax::update_run`] over the span they cover, which the
+//!    segment tree refreshes once, level by level, instead of one root walk
+//!    per write. Its nodes come out the exact maxima either way, so every
+//!    later bound is bit-identical.
+//!
+//! A width-one window (the front test) admits at most one id and writes at
+//! most one leaf per list, so it skips the warm-up and `update_run`. The
+//! cursors end at or past `E`, and one repair restores their order. The
+//! grant doubles with every short jump in a row, up to `RUN_CAP` (256), and
+//! a long jump takes it back to zero:
 //!
 //! ```text
 //! E = front + min(grant · WINDOW, walked + 1)      WINDOW = 64
@@ -105,11 +124,16 @@
 //! `embedded_large` were stepped, 1.13 aligned cursors each, and each step's
 //! order repair moved 4.7 cursors of 32 bytes with an unpredictable loop
 //! exit (gprofng: repair 25 % of the walk, stepping 20 %, `offer` 20 %, the
-//! test 26 %, tightening 8 %). With windows (gprofng, `embedded_large`, seed
-//! 1, `--seconds 60`) the windows are 98 % of the walk: `offer` 20 %, leaf
-//! updates 16 %, cursor advances and block decodes 17 %, the accumulate /
-//! test / tighten passes themselves 45 %; pivot searches, jumps and order
-//! repairs together ≈ 2 %.
+//! test 26 %, tightening 8 %). With windows read posting by posting
+//! (gprofng, `embedded_large`, seed 1) the windows were 98 % of the walk,
+//! and their cost memory traffic: `offer` 26 % (half of it stalled on each
+//! admitted set's slot and heap lines in turn), one `MaxSegTree::update`
+//! root walk per tightened leaf 10 %, out-of-line cursor advances and
+//! block decodes 18 %. Run reads, warm-then-offer and `update_run` took
+//! `embedded_large` from 2 476 to 3 176 docs/s (medians of ten alternating
+//! pairs, 2 vCPUs); the walk is now 96 % windows: the passes' own loops
+//! 33 %, run reads with the accumulate body 23 %, block decodes 8 %, offers
+//! with the warm-up 20 %, leaf writes 10 % (`update_run` 8 %).
 //!
 //! The windows are part of the traversal, not a tunable: their state lives
 //! in one event and in scratch the engine reuses, they read only cursor
@@ -179,14 +203,17 @@ const ROUNDING: f64 = 1.0 + 4.0 * f64::EPSILON;
 
 /// The scratch of a window, owned by the engine and reused: a dense
 /// accumulator over the window's ids, one bit per id for the ids with a
-/// posting in it and for those whose leaves are tightened, and every
-/// posting it read (the tightening pass writes those leaves back).
+/// posting in it and for those whose leaves are tightened, every posting it
+/// read (list by list: the tightening pass writes those leaves back), the
+/// admitted ids with their dot products, and one list's leaf writes.
 #[derive(Default)]
 struct Window {
     acc: Vec<f64>,
     touched: Vec<u64>,
     tighten: Vec<u64>,
     read: Vec<WindowPosting>,
+    admitted: Vec<(u32, f64)>,
+    writes: Vec<(usize, f64)>,
 }
 
 /// One posting read by a window: where its leaf is, and whose it is.
@@ -208,6 +235,18 @@ impl Window {
             self.tighten.resize(width.div_ceil(64), 0);
         }
     }
+}
+
+/// Write list `list`'s tightened leaves, `writes` in ascending position
+/// order: one `update` for a single write, one `update_run` over the span
+/// of several. Leaves `writes` empty.
+fn write_leaves<Z: ZoneMax>(zones: &mut [Z], list: u32, writes: &mut Vec<(usize, f64)>) {
+    match writes[..] {
+        [] => {}
+        [(pos, u)] => zones[list as usize].update(pos, u),
+        [(lo, _), .., (last, _)] => zones[list as usize].update_run(lo, last + 1, writes),
+    }
+    writes.clear();
 }
 
 #[inline]
@@ -273,40 +312,42 @@ impl<Z: ZoneMax> Mrio<Z> {
     /// Score the window `[front, end)` term-at-a-time (module docs,
     /// "Windows"): every live posting with an id in it is read, list by list
     /// in the document's term order, into the accumulator; the ids read are
-    /// then tested in ascending order with `offer`'s own comparison, and the
-    /// leaves of the admitted or stale ones tightened. Leaves the cursors at
-    /// or past `end`, in order.
+    /// then tested in ascending order with `offer`'s own comparison, the
+    /// admitted ones offered in that order, and the leaves of the admitted
+    /// or stale ones tightened, one list at a time. Leaves the cursors at or
+    /// past `end`, in order.
     fn score_window(&mut self, doc: &Document, amp: f64, end: QueryId, ev: &mut EventStats) {
         let CursorSet { cursors, blocks } = &mut self.cursors;
         let front = cursors[0].qid.0;
         let width = (end.0 - front) as usize;
-        let win = &mut self.window;
+        let (base, win) = (&mut self.base, &mut self.window);
         win.reserve(width);
 
-        // Accumulate: the cursors inside the window, in term order.
+        // Accumulate: the cursors inside the window, in term order, each
+        // handing over its run in one read.
         let inside = cursors.partition_point(|c| c.qid < end);
         cursors[..inside].sort_unstable_by_key(|c| c.rank);
         for c in &mut cursors[..inside] {
-            let zone = &self.zones[c.list as usize];
-            while c.qid < end {
-                let off = (c.qid.0 - front) as usize;
-                let (w, sk) = (c.weight as f64, self.base.threshold_of(c.qid));
-                let leaf = zone.value_at(c.pos());
+            let (zone, list, f) = (&self.zones[c.list as usize], c.list, c.f);
+            c.read_below(&self.index, blocks, end, |pos, q, weight| {
+                let off = (q.0 - front) as usize;
+                let (w, sk) = (weight as f64, base.threshold_of(q));
+                let leaf = zone.value_at(pos);
                 debug_assert!(leaf >= normalize(w, sk), "leaf {leaf} under its fresh value");
-                win.acc[off] += c.f * w;
+                win.acc[off] += f * w;
                 set_bit(&mut win.touched, off);
                 if leaf * sk > w * ROUNDING {
                     set_bit(&mut win.tighten, off);
                 }
-                let (list, pos, weight) = (c.list, c.pos() as u32, c.weight);
-                win.read.push(WindowPosting { list, pos, off: off as u32, weight });
-                c.advance_past_current(&self.index, blocks);
-            }
+                win.read.push(WindowPosting { list, pos: pos as u32, off: off as u32, weight });
+            });
         }
         ev.postings_accessed += win.read.len() as u64;
         ev.bound_computations += win.read.len() as u64;
 
         // Test: every id read, in stream order, with `offer`'s comparison.
+        // `admits(q)` reads q's own set alone, so testing them all before
+        // offering any changes nothing but the order of the misses.
         for (i, word) in win.touched[..width.div_ceil(64)].iter_mut().enumerate() {
             let mut bits = std::mem::take(word);
             while bits != 0 {
@@ -314,27 +355,43 @@ impl<Z: ZoneMax> Mrio<Z> {
                 bits &= bits - 1;
                 let (q, dot) = (QueryId(front + off as u32), std::mem::take(&mut win.acc[off]));
                 ev.iterations += 1;
-                if self.base.admits(q, doc, dot, amp) {
-                    let inserted = self.base.offer(q, doc, dot, amp);
-                    debug_assert!(inserted, "the window's test is offer's own comparison");
-                    ev.full_evaluations += 1;
-                    ev.updates += 1;
-                    set_bit(&mut win.tighten, off);
+                if base.admits(q, doc, dot, amp) {
+                    win.admitted.push((off as u32, dot));
                 }
             }
         }
 
-        // Tighten the leaves of the admitted and the stale ids.
-        for p in win.read.drain(..) {
-            if bit(&win.tighten, p.off as usize) {
-                let u = normalize(p.weight as f64, self.base.threshold_of(QueryId(front + p.off)));
-                let zone = &mut self.zones[p.list as usize];
-                if zone.value_at(p.pos as usize) != u {
-                    zone.update(p.pos as usize, u);
-                }
+        // Offer: the admitted ids in the same order, their sets warmed all
+        // at once first.
+        if win.admitted.len() >= 2 {
+            base.warm(win.admitted.iter().map(|&(off, _)| QueryId(front + off)));
+        }
+        for (off, dot) in win.admitted.drain(..) {
+            let inserted = base.offer(QueryId(front + off), doc, dot, amp);
+            debug_assert!(inserted, "the window's test is offer's own comparison");
+            set_bit(&mut win.tighten, off as usize);
+            ev.full_evaluations += 1;
+            ev.updates += 1;
+        }
+
+        // Tighten the leaves of the admitted and the stale ids. `read` holds
+        // each list's postings together, so a list's writes are complete,
+        // and written as one run, where the next list's postings begin.
+        let Window { read, tighten, writes, .. } = win;
+        let mut list = u32::MAX;
+        for p in read.iter().filter(|p| bit(tighten, p.off as usize)) {
+            if p.list != list {
+                write_leaves(&mut self.zones, list, writes);
+                list = p.list;
+            }
+            let u = normalize(p.weight as f64, base.threshold_of(QueryId(front + p.off)));
+            if self.zones[list as usize].value_at(p.pos as usize) != u {
+                writes.push((p.pos as usize, u));
             }
         }
-        win.tighten[..width.div_ceil(64)].fill(0);
+        write_leaves(&mut self.zones, list, writes);
+        read.clear();
+        tighten[..width.div_ceil(64)].fill(0);
         self.cursors.repair_prefix(inside);
     }
 

@@ -180,6 +180,18 @@ impl ResultSets {
         Offer::Inserted { evicted }
     }
 
+    /// Load the slot and the heap root of every set in `sets`, so that the
+    /// offers to them that follow find both lines in cache. The loads do
+    /// not depend on each other, so the core overlaps their misses, where
+    /// offers made one after another wait for each in turn.
+    pub fn warm(&self, sets: impl IntoIterator<Item = usize>) {
+        let mut any = 0u64;
+        for i in sets {
+            any ^= self.entries[self.slots[i].offset as usize].doc.0;
+        }
+        std::hint::black_box(any);
+    }
+
     /// Multiply every stored score by `r > 0` (landmark renormalization).
     /// Order is preserved, so the heap shapes stay valid.
     pub fn rescale(&mut self, r: f64) {

@@ -25,7 +25,7 @@
 //! it. Skipping changes the *work* counters (that is the point), never the
 //! results, changes or per-document `updates`.
 
-use crate::engine::CursorSet;
+use crate::engine::{CursorSet, EngineBase};
 use crate::stats::EventStats;
 use ctk_common::{Document, FxHashMap, QueryId, TermId};
 use ctk_index::{BlockMax, EpochBounds, QueryIndex};
@@ -37,15 +37,6 @@ pub const DOC_WALK_ZONE: usize = ctk_index::block_max::DEFAULT_BLOCK;
 
 /// The epoch-bound instantiation document mode uses.
 pub type DocEpochBounds = EpochBounds<BlockMax>;
-
-/// Relative safety margin on the skip test: a zone is skipped only when its
-/// bound is below `θ_d · (1 − ε)`. The bound and the oracle's dot product
-/// are both f64 sums taken in different association orders, so they can
-/// disagree by a few ulps per term; ε = 1e-12 covers documents with up to
-/// ~10⁴ matched terms with orders of magnitude to spare, keeping boundary
-/// ties (score exactly equal to a threshold — real insertions under the
-/// smaller-doc-id tie-break) out of pruning's reach.
-const SKIP_MARGIN: f64 = 1.0 - 1e-12;
 
 /// Reusable scratch for the collection walks: the per-event document-weight
 /// map, the epoch-stamped dedup array, and the bounded walk's cursor set.
@@ -208,8 +199,13 @@ pub fn collect_scored_candidates_bounded(
     out.clear();
     s.begin_event(index, doc);
     let mut cursors = std::mem::take(&mut s.cursors);
-    ev.matched_lists += cursors.build(index, doc) as u64;
-    let target = theta * SKIP_MARGIN;
+    let m = cursors.build(index, doc);
+    ev.matched_lists += m as u64;
+    // A zone is skipped only when its bound is under the tie floor, a few
+    // ulps below θ_d: the bound and the oracle's dot product round
+    // differently, and a candidate tying `S_k` exactly may still win on its
+    // doc id (MRIO, RIO and TPS compare with the same floor).
+    let target = EngineBase::bound_floor(theta, m);
 
     if cursors.len() == 1 {
         // Single matched list: cursor zones degenerate to one id per zone,

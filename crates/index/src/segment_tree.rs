@@ -81,6 +81,28 @@ impl ZoneMax for MaxSegTree {
         }
     }
 
+    /// The leaves first, then every node above `[lo, hi)` once, level by
+    /// level: about `hi − lo` node refreshes for the whole run where one
+    /// [`ZoneMax::update`] per write walks `log n` nodes each. Every node is
+    /// the exact maximum of its children either way, so the trees are equal.
+    fn update_run(&mut self, lo: usize, hi: usize, writes: &[(usize, f64)]) {
+        assert!(hi <= self.len, "segment tree run out of bounds");
+        if lo >= hi {
+            return;
+        }
+        for &(pos, u) in writes {
+            debug_assert!((lo..hi).contains(&pos));
+            self.tree[self.cap + pos] = u;
+        }
+        let (mut l, mut r) = (self.cap + lo, self.cap + hi - 1);
+        while l > 1 {
+            (l, r) = (l / 2, r / 2);
+            for i in l..=r {
+                self.tree[i] = self.tree[2 * i].max(self.tree[2 * i + 1]);
+            }
+        }
+    }
+
     #[inline]
     fn value_at(&self, pos: usize) -> f64 {
         debug_assert!(pos < self.len);

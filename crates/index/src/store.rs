@@ -29,7 +29,8 @@
 //! ID-ordered walks instead read through a *forward reader*: they
 //! [`ListRef::open`] a slot in their per-event [`BlockScratch`] and call
 //! the `*_at` methods (`posting_at`, `probe_at`, `seek_live_at`,
-//! `next_live_at`), which answer from the decoded block under the reader —
+//! `next_live_at`, and `read_below_at` for a whole run of postings), which
+//! answer from the decoded block under the reader —
 //! no shared cache, no lock, no thread-local — and decode every sealed
 //! block at most once per reader per event. For a plain list the slot is
 //! empty and the same calls read the `Vec` in place, so the engines are
@@ -463,6 +464,42 @@ impl<'a> ListRef<'a> {
                 Some(bc) => l.cursor_seek_live(bc, from, target.0),
                 None => l.tail().seek_live(from, target.0),
             },
+        }
+    }
+
+    /// The run of the forward reader holding `slot` at `from` (live, or the
+    /// length): `f` gets every live posting up to the first id `>= end`, as
+    /// `(pos, qid, weight)` in position order; returns the first live
+    /// position at or after that posting, or `len()` — where stepping with
+    /// [`ListRef::next_live_at`] would stop. A plain list is read as a
+    /// slice, a sealed block from its decoded buffer, a tail in place.
+    #[inline(always)]
+    pub fn read_below_at(
+        &self,
+        scratch: &mut BlockScratch,
+        slot: u32,
+        from: usize,
+        end: QueryId,
+        mut f: impl FnMut(usize, QueryId, f32),
+    ) -> usize {
+        match self {
+            ListRef::Plain(l) => {
+                let (slots, mut pos) = (l.as_slice(), from);
+                while let Some(p) = slots.get(pos).filter(|p| p.qid < end) {
+                    if !p.is_tombstone() {
+                        f(pos, p.qid, p.weight);
+                    }
+                    pos += 1;
+                }
+                l.next_live(pos)
+            }
+            ListRef::Compressed(l) => {
+                let g = |pos, qid, weight| f(pos, QueryId(qid), weight);
+                match scratch.cursor(slot) {
+                    Some(bc) => l.cursor_read_below(bc, from, end.0, g),
+                    None => l.tail().read_below(from, end.0, g),
+                }
+            }
         }
     }
 

@@ -18,6 +18,21 @@ pub trait ZoneMax {
     /// posting was tombstoned — encoded as `-inf`).
     fn update(&mut self, pos: usize, u: f64);
 
+    /// Point-update a run of positions at once: `writes` are `(pos, u)` in
+    /// ascending position order, every `pos` inside `[lo, hi)`. Afterwards
+    /// the structure answers exactly as after one [`ZoneMax::update`] per
+    /// write, in order — bit for bit, so a caller may take either path.
+    /// Default: one `update` per write. A structure whose point update walks
+    /// shared summary nodes may refresh them once for the whole range
+    /// instead, at a cost in the width of `[lo, hi)`: callers pass ranges
+    /// they have just read anyway.
+    fn update_run(&mut self, lo: usize, hi: usize, writes: &[(usize, f64)]) {
+        debug_assert!(writes.iter().all(|&(pos, _)| (lo..hi).contains(&pos)));
+        for &(pos, u) in writes {
+            self.update(pos, u);
+        }
+    }
+
     /// Maximum over positions `[lo, hi)`. Returns `-inf` for empty ranges.
     ///
     /// Implementations may return a value `>=` the true maximum (an upper
@@ -154,6 +169,78 @@ pub(crate) fn check_value_at<Z: ZoneMax>(mut z: Z, mut settle: impl FnMut(&mut Z
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BlockMax, MaxSegTree, SuffixMax};
+
+    /// `update_run` on one instance of a structure against one `update` per
+    /// write on another and the scan reference, through random ascending
+    /// write runs — values finite, `-∞` and `+∞`, some runs starting at
+    /// position 0 or ending in the last slot. After every few runs:
+    /// `value_at` everywhere, `range_max` over every range and `global_max`
+    /// must be bit-identical on both instances, never under the scan's
+    /// exact maxima, and equal to them where the structure is `exact`.
+    fn check_update_run<Z: ZoneMax>(make: impl Fn() -> Z, exact: bool) {
+        let (mut runs, mut points, mut oracle) = (make(), make(), ScanZoneMax::default());
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rng = move |n: usize| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as usize % n
+        };
+        let n = 150;
+        for i in 0..n {
+            let u = (i % 17) as f64 / 3.0;
+            runs.append(u);
+            points.append(u);
+            oracle.append(u);
+        }
+        let mut writes = Vec::new();
+        for step in 0..120 {
+            let lo = if step % 5 == 0 { 0 } else { rng(n) };
+            let hi = if step % 7 == 0 { n } else { lo + 1 + rng(n - lo) };
+            writes.clear();
+            for pos in lo..hi {
+                if pos == lo || pos + 1 == hi || rng(3) == 0 {
+                    let u = match rng(8) {
+                        0 => f64::NEG_INFINITY,
+                        1 => f64::INFINITY,
+                        v => (v + rng(40)) as f64 / 7.0,
+                    };
+                    writes.push((pos, u));
+                }
+            }
+            runs.update_run(lo, hi, &writes);
+            for &(pos, u) in &writes {
+                points.update(pos, u);
+                oracle.update(pos, u);
+            }
+            if step % 6 != 5 {
+                continue;
+            }
+            for pos in 0..n {
+                assert_eq!(runs.value_at(pos).to_bits(), oracle.value_at(pos).to_bits());
+                assert_eq!(points.value_at(pos).to_bits(), oracle.value_at(pos).to_bits());
+            }
+            for lo in 0..=n {
+                for hi in lo..=n {
+                    let (got, want) = (runs.range_max(lo, hi), points.range_max(lo, hi));
+                    assert_eq!(got.to_bits(), want.to_bits(), "step {step}: [{lo}, {hi})");
+                    let scan = oracle.range_max(lo, hi);
+                    assert!(got >= scan && (!exact || got == scan), "step {step}: [{lo}, {hi})");
+                }
+            }
+            let (got, scan) = (runs.global_max(), oracle.global_max());
+            assert_eq!(got.to_bits(), points.global_max().to_bits(), "step {step}");
+            assert!(got >= scan && (!exact || got == scan), "step {step}");
+        }
+    }
+
+    #[test]
+    fn update_run_answers_like_one_update_per_write_on_every_structure() {
+        check_update_run(ScanZoneMax::default, true);
+        check_update_run(MaxSegTree::new, true);
+        check_update_run(BlockMax::new, false);
+        check_update_run(|| BlockMax::with_block_size(4), false);
+        check_update_run(SuffixMax::new, false);
+    }
 
     #[test]
     fn scan_zone_max_basics() {

@@ -410,6 +410,52 @@ impl CompressedList {
         })
     }
 
+    /// A forward reader's run: hand `f` every live slot from `pos` (live,
+    /// or the length) up to the first id `>= end`, as `(pos, qid, weight)`
+    /// in position order, and return the first live position at or after
+    /// that slot — the slots stepping with [`Self::cursor_next_live`] would
+    /// land on, and where it would stop. Sealed blocks are read a decoded
+    /// block at a time, entered as [`Self::cursor_posting`] enters them (so
+    /// still at most one decode per block per cursor), with the list's
+    /// liveness word beside them; a block with no live slot left is passed
+    /// on that word alone, undecoded. The tail is read in place.
+    pub fn cursor_read_below(
+        &self,
+        bc: &mut BlockCursor,
+        mut pos: usize,
+        end: u32,
+        mut f: impl FnMut(usize, u32, f32),
+    ) -> usize {
+        let sealed = self.sealed_len();
+        if let Some(s) = self.sealed.as_deref() {
+            while pos < sealed {
+                let (b, lo) = (pos / BLOCK_LEN, pos % BLOCK_LEN);
+                let live = s.live_bits[b] >> lo << lo;
+                if live == 0 {
+                    pos = (b + 1) * BLOCK_LEN;
+                    continue;
+                }
+                let blk = Self::enter(s, bc, b);
+                let stop = if blk.ids[BLOCK_LEN - 1] < end {
+                    BLOCK_LEN
+                } else {
+                    lo + blk.ids[lo..].partition_point(|&q| q < end)
+                };
+                let mut run = if stop < BLOCK_LEN { live & ((1 << stop) - 1) } else { live };
+                while run != 0 {
+                    let i = run.trailing_zeros() as usize;
+                    f(b * BLOCK_LEN + i, blk.ids[i], blk.weights[i]);
+                    run &= run - 1;
+                }
+                if stop < BLOCK_LEN {
+                    return self.cursor_next_live(bc, b * BLOCK_LEN + stop);
+                }
+                pos = (b + 1) * BLOCK_LEN;
+            }
+        }
+        sealed + self.tail().read_below(pos - sealed, end, |i, q, w| f(sealed + i, q, w))
+    }
+
     /// Append a live posting; ids must be strictly increasing. Seals the
     /// tail into a compressed block (under `cx`'s codec and pager) when it
     /// reaches [`BLOCK_LEN`].
@@ -713,6 +759,21 @@ impl Unsealed<'_> {
     #[inline]
     pub fn seek_live(self, from: usize, target: u32) -> usize {
         self.next_live(self.seek(from, target))
+    }
+
+    /// [`CompressedList::cursor_read_below`] on these slots: `f` gets every
+    /// live slot from `from` up to the first id `>= end`; returns the first
+    /// live position at or after that slot, or the length.
+    #[inline]
+    pub fn read_below(self, from: usize, end: u32, mut f: impl FnMut(usize, u32, f32)) -> usize {
+        let mut pos = from;
+        while let Some(&(q, w)) = self.0.get(pos).filter(|&&(q, _)| q < end) {
+            if !is_tombstone_weight(w) {
+                f(pos, q, w);
+            }
+            pos += 1;
+        }
+        self.next_live(pos)
     }
 }
 

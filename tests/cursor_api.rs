@@ -3,11 +3,14 @@
 //! Plain, compressed and paged (a page budget so small that every sealed
 //! block spills) indexes receive the same random sequence of registrations
 //! (list pushes, with id gaps), unregistrations (tombstones) and
-//! compactions; between those, a cursor set per backend is driven through
-//! the same random `advance_to` / `advance_past_current` / `advance_to_pos`
-//! / `probe` steps. After every step the cursors must agree on
-//! `(pos, qid, weight)`, and at the end of every pass the compressed
-//! backends must have decoded no sealed block twice.
+//! compactions; between those, two cursor sets per backend are driven
+//! through the same random `advance_to` / `advance_past_current` /
+//! `advance_to_pos` / `probe` / `read_below` steps, except that on a
+//! `read_below` the second set of each backend steps with
+//! `advance_past_current` instead. After every step the cursors must agree
+//! on `(pos, qid, weight)`, every run read must be the postings stepping
+//! visits, and at the end of every pass the compressed backends must have
+//! decoded no sealed block twice.
 
 use ctk_common::{DocId, Document, QueryId, SparseVector, TermId};
 use ctk_core::engine::{CursorSet, EXHAUSTED};
@@ -83,7 +86,9 @@ proptest! {
         ops in prop::collection::vec((0u32..=9, 0u32..10_000, 1u32..=150), 4..28),
     ) {
         let mut indexes = backends();
-        let mut sets: Vec<CursorSet> = indexes.iter().map(|_| CursorSet::default()).collect();
+        // Set `i` reads backend `i % 3`; the second three step through runs.
+        let mut sets: Vec<CursorSet> =
+            (0..2 * indexes.len()).map(|_| CursorSet::default()).collect();
         let mut live: Vec<QueryId> = Vec::new();
         let doc = Document::new(DocId(0), vec![(HOT, 1.0), (WARM, 0.5), (TermId(999), 1.0)], 0.0);
 
@@ -118,7 +123,7 @@ proptest! {
                     let decoded_before: Vec<u64> = sets.iter().map(|cs| cs.blocks_decoded()).collect();
                     let built: Vec<usize> = sets
                         .iter_mut()
-                        .zip(&indexes)
+                        .zip(indexes.iter().cycle())
                         .map(|(cs, ix)| cs.build(ix, &doc))
                         .collect();
                     prop_assert!(built.iter().all(|&m| m == built[0]));
@@ -137,20 +142,37 @@ proptest! {
                         // Mostly short hops, sometimes several blocks.
                         let hop = if r & 7 == 0 { (r >> 20) % 700 } else { (r >> 20) % 9 } as u32;
                         let target = QueryId(qid.0.saturating_add(hop).min(EXHAUSTED.0 - 1));
-                        let mut probes = Vec::new();
-                        for (cs, ix) in sets.iter_mut().zip(&indexes) {
+                        let (mut probes, mut runs) = (Vec::new(), Vec::new());
+                        let pairs = sets.iter_mut().zip(indexes.iter().cycle());
+                        for (i, (cs, ix)) in pairs.enumerate() {
                             let CursorSet { cursors, blocks } = cs;
                             let c = &mut cursors[which];
-                            match (r >> 4) % 4 {
+                            let mut run = Vec::new();
+                            match (r >> 4) % 5 {
                                 0 if qid != EXHAUSTED => c.advance_past_current(ix, blocks),
                                 1 => c.advance_to(ix, blocks, target),
                                 2 => c.advance_to_pos(ix, blocks, pos + hop as usize / 2),
-                                _ => probes.push(c.probe(ix, blocks, target)),
+                                3 => probes.push(c.probe(ix, blocks, target)),
+                                // A run below `target` (a no-op once exhausted).
+                                _ if i < indexes.len() => {
+                                    c.read_below(ix, blocks, target, |p, q, w| {
+                                        run.push((p, q, w.to_bits()));
+                                    })
+                                }
+                                _ => {
+                                    while c.qid < target {
+                                        run.push((c.pos(), c.qid, c.weight.to_bits()));
+                                        c.advance_past_current(ix, blocks);
+                                    }
+                                }
                             }
+                            runs.push(run);
                         }
                         prop_assert!(probes.iter().all(|&p| p == probes[0]), "probe: {:?}", probes);
+                        prop_assert!(runs.iter().all(|r| *r == runs[0]), "runs: {:?}", runs);
                     }
-                    for ((cs, ix), before) in sets.iter().zip(&indexes).zip(decoded_before) {
+                    let pairs = sets.iter().zip(indexes.iter().cycle());
+                    for ((cs, ix), before) in pairs.zip(decoded_before) {
                         let decoded = cs.blocks_decoded() - before;
                         if ix.storage_config().storage == PostingsStorage::Plain {
                             prop_assert_eq!(decoded, 0);

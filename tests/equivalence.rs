@@ -400,8 +400,9 @@ fn skip_regime_touches_a_small_fraction_of_the_matched_lists() {
 }
 
 // ------------------------------------------------------------------------
-// The oracle's arithmetic in every cursor engine: aligned cursors sum in the
-// query's record order, and a bound comparison never prunes an exact tie.
+// The oracle's arithmetic in every engine that prunes with a bound: aligned
+// cursors sum in the query's record order, and a bound comparison never
+// prunes an exact tie.
 
 /// Constructors of the engines that score a query from the cursors aligned
 /// on it.
@@ -427,85 +428,219 @@ fn spec_of(terms: &[(u32, f32)], k: usize) -> QuerySpec {
     QuerySpec::new(terms.iter().map(|&(t, w)| (TermId(t), w)).collect(), k).unwrap()
 }
 
-/// Query 0 is on terms {1, 5}, query 1 on {1, 3, 5}, and the document hits
-/// {1, 3, 5}: once query 0 is passed, the cursors of lists 1 and 5 land on
-/// query 1 beside the one of list 3. Summed in the order they land, its dot
-/// product can come out one ulp away from the oracle's, which sums in the
-/// order of the record (by term). Every insertion must carry the oracle's
-/// score bit for bit.
-#[test]
-fn aligned_cursors_sum_in_record_order_in_every_cursor_engine() {
-    const CASES: usize = 20_000;
-    let mut report = Vec::new();
-    for make in cursor_engines() {
-        let mut next = weights(0x2545_f491_4f6c_dd1d);
-        let mut differ = 0;
-        for _ in 0..CASES {
-            let (mut engine, mut oracle) = (make(), Naive::new(0.0));
-            let q0 = spec_of(&[(1, next()), (5, next())], 1);
-            let q1 = spec_of(&[(1, next()), (3, next()), (5, next())], 1);
-            for spec in [q0, q1] {
-                assert_eq!(engine.register(spec.clone()), oracle.register(spec));
-            }
-            let pairs = vec![(TermId(1), next()), (TermId(3), next()), (TermId(5), next())];
-            let doc = Document::new(DocId(1), pairs, 0.0);
-            engine.process(&doc);
-            oracle.process(&doc);
-            assert_eq!(oracle.last_changes().len(), 2);
-            differ += (engine.last_changes() != oracle.last_changes()) as usize;
-        }
-        report.push((make().name(), differ));
-    }
-    assert!(report.iter().all(|&(_, d)| d == 0), "cases of {CASES} that differ: {report:?}");
+const ALIGNED_CASES: usize = 20_000;
+const TIE_CASES: usize = 300;
+
+/// The aligned-cursors cases. Query 0 is on terms {1, 5}, query 1 on
+/// {1, 3, 5}, and the document hits {1, 3, 5}: once query 0 is passed, the
+/// cursors of lists 1 and 5 land on query 1 beside the one of list 3. Summed
+/// in the order they land, its dot product can come out one ulp away from
+/// the oracle's, which sums in the order of the record (by term).
+fn aligned_cases() -> impl Iterator<Item = ([QuerySpec; 2], Vec<(TermId, f32)>)> {
+    let mut next = weights(0x2545_f491_4f6c_dd1d);
+    (0..ALIGNED_CASES).map(move |_| {
+        let q0 = spec_of(&[(1, next()), (5, next())], 1);
+        let q1 = spec_of(&[(1, next()), (3, next()), (5, next())], 1);
+        ([q0, q1], vec![(TermId(1), next()), (TermId(3), next()), (TermId(5), next())])
+    })
 }
 
-/// A republished vector ties `S_k` exactly and wins on the smaller doc id,
-/// while a bound summing `f_j · fl(w_j/S_k)` may round to `θ_d − ulp`. Every
-/// cursor engine must evaluate each such winner, as the oracle does; MRIO's
-/// front test is `offer`'s own comparison, so it evaluates nothing else.
+/// The tie cases: three query shapes over terms {1, 2, 3}, k = 1, and one
+/// document vector. Published under ids 10, 5 and 7, the vector fills every
+/// set, then ties `S_k` and wins on the smaller id, then ties and loses. A
+/// bound summing `f_j · fl(w_j/S_k)` may round the winner to `θ_d − ulp`.
+fn tie_cases() -> impl Iterator<Item = ([QuerySpec; 3], Vec<(TermId, f32)>)> {
+    let mut next = weights(0x9e37_79b9_7f4a_7c15);
+    (0..TIE_CASES).map(move |_| {
+        let shapes = [
+            spec_of(&[(1, next()), (2, next())], 1),
+            spec_of(&[(1, next()), (2, next()), (3, next())], 1),
+            spec_of(&[(2, next()), (3, next())], 1),
+        ];
+        (shapes, vec![(TermId(1), next()), (TermId(2), next()), (TermId(3), next())])
+    })
+}
+
+/// Whether an engine's changes for a document are the oracle's, in the
+/// oracle's order — or, with `any_query_order`, once sorted by query: RTA
+/// offers in the threshold algorithm's order, not the stream's.
+fn same_changes(engine: &[ResultChange], oracle: &[ResultChange], any_query_order: bool) -> bool {
+    if !any_query_order {
+        return engine == oracle;
+    }
+    let mut engine = engine.to_vec();
+    engine.sort_by_key(|c| c.query);
+    engine == oracle
+}
+
+/// The aligned cases in which `make`'s engine inserts anything but the
+/// oracle's changes, bit for bit (`any_query_order`: see [`same_changes`]).
+fn aligned_cases_that_differ(
+    make: impl Fn() -> Box<dyn ContinuousTopK>,
+    any_query_order: bool,
+) -> usize {
+    let mut differ = 0;
+    for (queries, pairs) in aligned_cases() {
+        let (mut engine, mut oracle) = (make(), Naive::new(0.0));
+        for spec in queries {
+            assert_eq!(engine.register(spec.clone()), oracle.register(spec));
+        }
+        let doc = Document::new(DocId(1), pairs, 0.0);
+        engine.process(&doc);
+        oracle.process(&doc);
+        assert_eq!(oracle.last_changes().len(), 2);
+        let same = same_changes(engine.last_changes(), oracle.last_changes(), any_query_order);
+        differ += !same as usize;
+    }
+    differ
+}
+
+/// The tie cases in which `make`'s engine differs from the oracle: in its
+/// changes (`any_query_order`: see [`same_changes`]), its updates or —
+/// where its front test is `offer`'s own comparison (`exact`) — in
+/// evaluating anything but the winners.
+fn tie_cases_that_differ(
+    make: impl Fn() -> Box<dyn ContinuousTopK>,
+    exact: bool,
+    any_query_order: bool,
+) -> usize {
+    let mut differ = 0;
+    for (shapes, pairs) in tie_cases() {
+        let (mut engine, mut oracle) = (make(), Naive::new(0.0));
+        for spec in &shapes {
+            assert_eq!(engine.register(spec.clone()), oracle.register(spec.clone()));
+        }
+        // The same vector three times: the smaller id wins every tie, the
+        // larger one loses every tie.
+        let mut same = true;
+        for (id, wins) in [(10u64, 3), (5, 3), (7, 0)] {
+            let doc = Document::new(DocId(id), pairs.clone(), 0.0);
+            let ev = engine.process(&doc);
+            oracle.process(&doc);
+            same &= same_changes(engine.last_changes(), oracle.last_changes(), any_query_order);
+            same &= ev.updates == wins && (!exact || ev.full_evaluations == wins);
+        }
+        differ += !same as usize;
+    }
+    differ
+}
+
+/// Every insertion must carry the oracle's score bit for bit.
+#[test]
+fn aligned_cursors_sum_in_record_order_in_every_cursor_engine() {
+    let report: Vec<_> =
+        cursor_engines().map(|make| (make().name(), aligned_cases_that_differ(make, false))).into();
+    assert!(
+        report.iter().all(|&(_, d)| d == 0),
+        "cases of {ALIGNED_CASES} that differ: {report:?}"
+    );
+}
+
+/// Every cursor engine must evaluate each tie winner, as the oracle does;
+/// MRIO's front test is `offer`'s own comparison, so it evaluates nothing
+/// else.
 #[test]
 fn exact_ties_follow_the_oracle_in_every_cursor_engine() {
-    const CASES: usize = 300;
-    let mut report = Vec::new();
-    for make in cursor_engines() {
-        let exact_front_test = make().name().starts_with("MRIO");
-        let mut next = weights(0x9e37_79b9_7f4a_7c15);
-        let (mut differ, mut rounded_below) = (0, 0);
-        for _ in 0..CASES {
-            let (mut engine, mut oracle) = (make(), Naive::new(0.0));
-            let shapes = [
-                spec_of(&[(1, next()), (2, next())], 1),
-                spec_of(&[(1, next()), (2, next()), (3, next())], 1),
-                spec_of(&[(2, next()), (3, next())], 1),
-            ];
-            for spec in &shapes {
-                assert_eq!(engine.register(spec.clone()), oracle.register(spec.clone()));
-            }
-            let pairs = vec![(TermId(1), next()), (TermId(2), next()), (TermId(3), next())];
-            // The same vector three times: the smaller id wins every tie,
-            // the larger one loses every tie.
-            let mut same = true;
-            for (id, wins) in [(10u64, 3), (5, 3), (7, 0)] {
-                let doc = Document::new(DocId(id), pairs.clone(), 0.0);
-                let ev = engine.process(&doc);
-                oracle.process(&doc);
-                same &= engine.last_changes() == oracle.last_changes() && ev.updates == wins;
-                same &= !exact_front_test || ev.full_evaluations == wins;
-            }
-            differ += !same as usize;
-            // How often a plain `≥ θ_d` on the normalised sum would have
-            // pruned the winner: sum query 0's `f_j · fl(w_j/S_k)` by term.
-            let doc = Document::new(DocId(5), pairs.clone(), 0.0);
-            let sk = oracle.threshold(QueryId(0)).unwrap();
-            let s: f64 = shapes[0]
-                .vector
-                .iter()
-                .map(|(t, w)| doc.vector.weight(t) as f64 * (w as f64 / sk))
-                .sum();
-            rounded_below += (s < 1.0) as usize;
+    // How often a plain `≥ θ_d` on the normalised sum would have pruned the
+    // winner: sum query 0's `f_j · fl(w_j/S_k)` by term.
+    let rounded_below = tie_cases().filter(|(shapes, pairs)| {
+        let mut oracle = Naive::new(0.0);
+        for spec in shapes {
+            oracle.register(spec.clone());
         }
-        assert!(rounded_below > 0, "{}: no case exercised the rounding", make().name());
-        report.push((make().name(), differ));
+        let doc = Document::new(DocId(5), pairs.clone(), 0.0);
+        oracle.process(&doc);
+        let sk = oracle.threshold(QueryId(0)).unwrap();
+        let s: f64 = shapes[0]
+            .vector
+            .iter()
+            .map(|(t, w)| doc.vector.weight(t) as f64 * (w as f64 / sk))
+            .sum();
+        s < 1.0
+    });
+    assert!(rounded_below.count() > 0, "no case exercised the rounding");
+    let report: Vec<_> = cursor_engines()
+        .map(|make| {
+            let exact_front_test = make().name().starts_with("MRIO");
+            (make().name(), tie_cases_that_differ(make, exact_front_test, false))
+        })
+        .into();
+    assert!(
+        report.iter().all(|&(_, d)| d == 0),
+        "tie cases of {TIE_CASES} that differ: {report:?}"
+    );
+}
+
+/// SortQuer and RTA prune with bounds of their own: per-list cutoffs and a
+/// candidate filter (SortQuer), the threshold algorithm's stopping rule
+/// (RTA). Neither may drop a tie winner or sum off the oracle. RTA rebuilds
+/// its impact lists every event here: a case is three documents long, and
+/// impacts left at the `+∞` of registration would never stop its walk.
+/// SortQuer's changes must come in the oracle's order; RTA's only per query.
+#[test]
+fn aligned_sums_and_exact_ties_follow_the_oracle_in_sortquer_and_rta() {
+    let baselines: [fn() -> Box<dyn ContinuousTopK>; 2] =
+        [|| Box::new(SortQuer::new(0.0)), || Box::new(Rta::with_rebuild_every(0.0, 1))];
+    let report: Vec<_> = baselines
+        .map(|make| {
+            let any_query_order = make().name() == "RTA";
+            let aligned = aligned_cases_that_differ(make, any_query_order);
+            (make().name(), aligned, tie_cases_that_differ(make, false, any_query_order))
+        })
+        .into();
+    assert!(
+        report.iter().all(|&(_, aligned, ties)| aligned + ties == 0),
+        "(aligned of {ALIGNED_CASES}, ties of {TIE_CASES}) that differ: {report:?}"
+    );
+}
+
+/// The same cases through the doc-parallel runtime's bounded walk over
+/// frozen epoch bounds (`DocPruning::On`). The monitor numbers documents
+/// itself, so a tie's loser — the filled result, doc 10 — arrives as a
+/// restored result; the restore also makes the next publish rebuild the
+/// bounds exactly, `w/S_k` of the restored sets, so the walk's skip test
+/// meets the winner's rounded bound.
+#[test]
+fn aligned_sums_and_exact_ties_follow_the_oracle_in_the_bounded_doc_walk() {
+    let config = MonitorBuilder::new(EngineKind::Naive)
+        .sharding(ShardingMode::Documents)
+        .doc_pruning(DocPruning::On);
+    let mut aligned = 0;
+    for (queries, pairs) in aligned_cases() {
+        let (mut monitor, mut oracle) = (config.build(), Naive::new(0.0));
+        for spec in queries {
+            assert_eq!(monitor.register(spec.clone()), oracle.register(spec));
+        }
+        let receipt = monitor.publish(pairs.clone(), 0.0);
+        oracle.process(&Document::new(receipt.doc_id(), pairs, 0.0));
+        aligned += !same_changes(&receipt.changes, oracle.last_changes(), false) as usize;
     }
-    assert!(report.iter().all(|&(_, d)| d == 0), "tie cases of {CASES} that differ: {report:?}");
+    let mut ties = 0;
+    for (shapes, pairs) in tie_cases() {
+        let (mut captured, mut oracle) =
+            (MonitorBuilder::new(EngineKind::Naive).build(), Naive::new(0.0));
+        for spec in &shapes {
+            assert_eq!(captured.register(spec.clone()), oracle.register(spec.clone()));
+        }
+        oracle.process(&Document::new(DocId(10), pairs.clone(), 0.0));
+        let mut snapshot = captured.snapshot();
+        for q in snapshot.shards.iter_mut().flat_map(|s| &mut s.queries) {
+            q.results = oracle.results(QueryId(q.qid)).unwrap();
+        }
+        let (mut monitor, _) = config.restore(&snapshot);
+        // Doc 0 ties every `S_k` and wins; doc 1 ties and loses.
+        let mut same = true;
+        for wins in [3, 0] {
+            let receipt = monitor.publish(pairs.clone(), 0.0);
+            oracle.process(&Document::new(receipt.doc_id(), pairs.clone(), 0.0));
+            same &=
+                receipt.changes == oracle.last_changes() && receipt.merged_stats().updates == wins;
+        }
+        ties += !same as usize;
+    }
+    assert_eq!(
+        (aligned, ties),
+        (0, 0),
+        "(aligned of {ALIGNED_CASES}, ties of {TIE_CASES}) that differ"
+    );
 }
