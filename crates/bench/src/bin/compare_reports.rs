@@ -20,12 +20,8 @@
 //! `--absolute` switches to raw docs/sec (useful when baseline and current
 //! come from the same machine).
 //!
-//! Reads schema v5 reports natively and still accepts v2, v3 and v4
-//! baselines: a v2 report is treated as a v3 report with a single
-//! query-population cell (`queries = num_queries`, one reference in
-//! `singles`), a v3 report as a v4 report whose every cell ran `plain`
-//! postings storage, and a v4 report as a v5 report whose every cell ran
-//! `fixed` batching.
+//! Reads only the current schema version; older reports are refused
+//! (regenerate the baseline with the current `sweep_shards`).
 //!
 //! Exit codes: `0` pass, `1` regression, `2` unusable input (missing file,
 //! unrecognized schema version, or reports measured under different
@@ -41,68 +37,9 @@ struct Probe {
 }
 
 #[derive(Deserialize)]
-struct CellV2 {
-    mode: String,
-    shards: usize,
-    batch: usize,
-    docs_per_sec: f64,
-}
-
-#[derive(Deserialize)]
-struct ReportV2 {
-    num_queries: usize,
-    measured_docs: usize,
-    window: usize,
-    single_docs_per_sec: f64,
-    cells: Vec<CellV2>,
-}
-
-#[derive(Deserialize)]
 struct Single {
     queries: usize,
     docs_per_sec: f64,
-}
-
-/// A v3 cell: no `storage` axis (every v3 cell ran plain storage).
-#[derive(Deserialize)]
-struct CellV3 {
-    mode: String,
-    queries: usize,
-    shards: usize,
-    batch: usize,
-    docs_per_sec: f64,
-}
-
-#[derive(Deserialize)]
-struct ReportV3 {
-    query_counts: Vec<usize>,
-    measured_docs: usize,
-    window: usize,
-    doc_pruning: String,
-    singles: Vec<Single>,
-    cells: Vec<CellV3>,
-}
-
-/// A v4 cell: no `batching` axis (every v4 cell ran fixed-window chunks).
-#[derive(Deserialize)]
-struct CellV4 {
-    mode: String,
-    queries: usize,
-    shards: usize,
-    batch: usize,
-    storage: String,
-    docs_per_sec: f64,
-}
-
-#[derive(Deserialize)]
-struct ReportV4 {
-    query_counts: Vec<usize>,
-    measured_docs: usize,
-    window: usize,
-    doc_pruning: String,
-    storage_modes: Vec<String>,
-    singles: Vec<Single>,
-    cells: Vec<CellV4>,
 }
 
 #[derive(Deserialize)]
@@ -121,7 +58,6 @@ struct Report {
     query_counts: Vec<usize>,
     measured_docs: usize,
     window: usize,
-    doc_pruning: String,
     storage_modes: Vec<String>,
     singles: Vec<Single>,
     cells: Vec<Cell>,
@@ -152,98 +88,15 @@ fn load(path: &str) -> Report {
         .unwrap_or_else(|e| usage_exit(&format!("cannot read {path}: {e}")));
     let probe: Probe = serde_json::from_str(&contents)
         .unwrap_or_else(|e| usage_exit(&format!("{path} is not a sweep_shards report: {e}")));
-    match probe.schema_version {
-        2 => {
-            // Migrate: a v2 report is a v3 report with one population
-            // (whose cells, like every pre-v4 cell, ran plain storage).
-            let v2: ReportV2 = serde_json::from_str(&contents)
-                .unwrap_or_else(|e| usage_exit(&format!("{path} is not a v2 report: {e}")));
-            Report {
-                query_counts: vec![v2.num_queries],
-                measured_docs: v2.measured_docs,
-                window: v2.window,
-                // v2 predates walk pruning: its doc cells always ran the
-                // exhaustive walk.
-                doc_pruning: "off".to_string(),
-                storage_modes: vec!["plain".to_string()],
-                singles: vec![Single {
-                    queries: v2.num_queries,
-                    docs_per_sec: v2.single_docs_per_sec,
-                }],
-                cells: v2
-                    .cells
-                    .into_iter()
-                    .map(|c| Cell {
-                        mode: c.mode,
-                        queries: v2.num_queries,
-                        shards: c.shards,
-                        batch: c.batch,
-                        batching: "fixed".to_string(),
-                        storage: "plain".to_string(),
-                        docs_per_sec: c.docs_per_sec,
-                    })
-                    .collect(),
-            }
-        }
-        3 => {
-            // Migrate: v3 predates the storage axis — plain everywhere.
-            let v3: ReportV3 = serde_json::from_str(&contents)
-                .unwrap_or_else(|e| usage_exit(&format!("{path} is not a v3 report: {e}")));
-            Report {
-                query_counts: v3.query_counts,
-                measured_docs: v3.measured_docs,
-                window: v3.window,
-                doc_pruning: v3.doc_pruning,
-                storage_modes: vec!["plain".to_string()],
-                singles: v3.singles,
-                cells: v3
-                    .cells
-                    .into_iter()
-                    .map(|c| Cell {
-                        mode: c.mode,
-                        queries: c.queries,
-                        shards: c.shards,
-                        batch: c.batch,
-                        batching: "fixed".to_string(),
-                        storage: "plain".to_string(),
-                        docs_per_sec: c.docs_per_sec,
-                    })
-                    .collect(),
-            }
-        }
-        4 => {
-            // Migrate: v4 predates the batching axis — fixed everywhere.
-            let v4: ReportV4 = serde_json::from_str(&contents)
-                .unwrap_or_else(|e| usage_exit(&format!("{path} is not a v4 report: {e}")));
-            Report {
-                query_counts: v4.query_counts,
-                measured_docs: v4.measured_docs,
-                window: v4.window,
-                doc_pruning: v4.doc_pruning,
-                storage_modes: v4.storage_modes,
-                singles: v4.singles,
-                cells: v4
-                    .cells
-                    .into_iter()
-                    .map(|c| Cell {
-                        mode: c.mode,
-                        queries: c.queries,
-                        shards: c.shards,
-                        batch: c.batch,
-                        batching: "fixed".to_string(),
-                        storage: c.storage,
-                        docs_per_sec: c.docs_per_sec,
-                    })
-                    .collect(),
-            }
-        }
-        v if v == SWEEP_SHARDS_SCHEMA_VERSION => serde_json::from_str(&contents)
-            .unwrap_or_else(|e| usage_exit(&format!("{path} is not a v{v} report: {e}"))),
-        v => usage_exit(&format!(
-            "{path} has schema_version {v} (this gate understands 2 through \
+    let v = probe.schema_version;
+    if v != SWEEP_SHARDS_SCHEMA_VERSION {
+        usage_exit(&format!(
+            "{path} has schema_version {v} (this gate understands only \
              {SWEEP_SHARDS_SCHEMA_VERSION}); regenerate it with the current sweep_shards binary"
-        )),
+        ));
     }
+    serde_json::from_str(&contents)
+        .unwrap_or_else(|e| usage_exit(&format!("{path} is not a v{v} report: {e}")))
 }
 
 fn main() {
@@ -264,22 +117,12 @@ fn main() {
     let base = load(&baseline_path);
     let cur = load(&current_path);
 
-    // Deltas are only meaningful at equal workload configuration — the
-    // walk-pruning policy included: a pruned and an unpruned doc cell can
-    // legitimately differ by >2× throughput, which must read as a config
-    // mismatch, not a regression (or worse, mask one).
-    let base_cfg = (
-        &base.query_counts,
-        base.measured_docs,
-        base.window,
-        &base.doc_pruning,
-        &base.storage_modes,
-    );
-    let cur_cfg =
-        (&cur.query_counts, cur.measured_docs, cur.window, &cur.doc_pruning, &cur.storage_modes);
+    // Deltas are only meaningful at equal workload configuration.
+    let base_cfg = (&base.query_counts, base.measured_docs, base.window, &base.storage_modes);
+    let cur_cfg = (&cur.query_counts, cur.measured_docs, cur.window, &cur.storage_modes);
     if base_cfg != cur_cfg {
         usage_exit(&format!(
-            "workload configs differ: baseline (queries, docs, window, pruning, storage) = \
+            "workload configs differ: baseline (queries, docs, window, storage) = \
              {base_cfg:?}, current = {cur_cfg:?}; regenerate the baseline at the gate's \
              configuration"
         ));

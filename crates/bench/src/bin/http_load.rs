@@ -5,7 +5,7 @@
 //! cargo run -p ctk-bench --release --bin http_load -- \
 //!     [--addr 127.0.0.1:8722] [--queries 200] [--docs 2000] [--batch 64] \
 //!     [--engine mrio] [--lambda 1e-3] [--shards 1] [--mode query|doc] \
-//!     [--pruning off|on|auto] [--adaptive [target_ms]] [--queue-depth N] \
+//!     [--adaptive [target_ms]] [--queue-depth N] \
 //!     [--admission block|reject[:retry_secs]] [--drain] [--out http_load] \
 //!     [--acked-log PATH]
 //! ```
@@ -34,7 +34,7 @@
 
 use continuous_topk::EngineKind;
 use ctk_bench::write_json_report;
-use ctk_core::{AdaptiveConfig, DocPruning, ShardingMode};
+use ctk_core::{AdaptiveConfig, ShardingMode};
 use ctk_server::{AdmissionPolicy, HttpClient, ServerBuilder};
 use ctk_stream::{
     ArrivalClock, CorpusConfig, QueryGenerator, QueryWorkload, StreamDriver, WorkloadConfig,
@@ -165,9 +165,6 @@ fn main() {
             }
             if let Some(mode) = parsed::<ShardingMode>(&args, "--mode") {
                 builder = builder.sharding(mode);
-            }
-            if let Some(pruning) = parsed::<DocPruning>(&args, "--pruning") {
-                builder = builder.doc_pruning(pruning);
             }
             if args.iter().any(|a| a == "--adaptive") {
                 let mut adaptive = AdaptiveConfig::default();

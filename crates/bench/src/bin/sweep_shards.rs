@@ -8,7 +8,7 @@
 //! cargo run -p ctk-bench --release --bin sweep_shards \
 //!     [-- --scale smoke|laptop|full] [--mode query|doc|both] \
 //!     [--queries 2000,10000] [--shards 1,2,4] [--batches 1,64,256] \
-//!     [--window 1] [--docs N] [--repeat N] [--pruning off|on|auto] \
+//!     [--window 1] [--docs N] [--repeat N] \
 //!     [--storage plain,compressed,paged] [--page-budget BYTES] \
 //!     [--adaptive [target_ms]]
 //! ```
@@ -17,12 +17,7 @@
 //! midpoint count, the pre-v3 behavior). This is the axis that exposes the
 //! query-vs-doc **crossover**: query sharding pays the matched-list walk
 //! once per shard (wins at large populations), document sharding pays it
-//! once in total (wins at small populations / high stream rates) — and
-//! doc-mode walk pruning (`--pruning`, default `auto`) moves the crossover
-//! by skipping zones of the shared epoch that cannot produce an offer. Each
-//! doc-mode cell records its cumulative `zones_skipped`/`postings_skipped`,
-//! so the report shows not just *that* large-population doc cells hold up
-//! but *why*.
+//! once in total (wins at small populations / high stream rates).
 //!
 //! `--repeat N` (default 1) measures every cell — and the single-threaded
 //! references — N times from identical cold state (fresh monitor, same
@@ -48,8 +43,8 @@
 //! fixed-window cells they ride next to are directly comparable.
 //!
 //! Prints a markdown table and writes the machine-readable report
-//! (`schema_version` 5 — cells carry the `queries`, `storage` and
-//! `batching` axes, skip counters and memory footprint)
+//! (`schema_version` 6 — cells carry the `queries`, `storage` and
+//! `batching` axes and memory footprint)
 //! to `results/sweep_shards.json`, which CI archives as a build artifact
 //! and gates against `results/sweep_shards_baseline.json` with the
 //! `compare_reports` binary. The writer refuses to clobber a report whose
@@ -61,8 +56,8 @@ use ctk_bench::{
     Table, SWEEP_SHARDS_SCHEMA_VERSION,
 };
 use ctk_core::{
-    AdaptiveConfig, ContinuousTopK, DocPruning, MonitorBackend, MrioSeg, PostingsStorage,
-    ShardingMode, StorageConfig,
+    AdaptiveConfig, ContinuousTopK, MonitorBackend, MrioSeg, PostingsStorage, ShardingMode,
+    StorageConfig,
 };
 use ctk_stream::QueryWorkload;
 use serde::Serialize;
@@ -90,10 +85,6 @@ struct Cell {
     docs_per_sec: f64,
     speedup_vs_single: f64,
     speedup_vs_per_doc_sharded: f64,
-    /// Doc-mode bounded-walk work skipped over the measured stream (0 for
-    /// query mode and for unpruned doc cells).
-    zones_skipped: u64,
-    postings_skipped: u64,
     /// Estimated index heap bytes after the measured stream, summed across
     /// shards (paged cells exclude spilled payloads).
     index_bytes: u64,
@@ -108,7 +99,6 @@ struct SweepReport {
     query_counts: Vec<usize>,
     measured_docs: usize,
     window: usize,
-    doc_pruning: String,
     /// Postings-storage backends swept, cell order.
     storage_modes: Vec<String>,
     /// Pager RAM budget for `paged` cells (0 = the library default).
@@ -150,16 +140,6 @@ fn main() {
     let window: usize = arg_value(&args, "--window").and_then(|s| s.parse().ok()).unwrap_or(1);
     let repeat: usize =
         arg_value(&args, "--repeat").and_then(|s| s.parse().ok()).unwrap_or(1).max(1);
-    let pruning: DocPruning = match arg_value(&args, "--pruning") {
-        None => DocPruning::Auto,
-        Some(s) => match s.parse() {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("sweep_shards: {e}");
-                std::process::exit(2);
-            }
-        },
-    };
     let storages: Vec<PostingsStorage> = match arg_value(&args, "--storage") {
         None => vec![PostingsStorage::Plain],
         Some(s) => match s.split(',').map(|p| p.trim().parse()).collect() {
@@ -229,23 +209,22 @@ fn main() {
 
     // Best-of-N from identical cold state: interference only slows runs,
     // so the fastest repetition is the least-perturbed estimate. `measure`
-    // returns (docs/sec, skip counters, index bytes); the counters are
-    // deterministic across repeats, so folding by throughput keeps a
-    // matching tuple.
-    let best_of = |measure: &dyn Fn() -> (f64, u64, u64, u64)| {
-        (0..repeat).map(|_| measure()).fold((0.0f64, 0u64, 0u64, 0u64), |best, run| {
-            if run.0 > best.0 {
-                run
-            } else {
-                best
-            }
-        })
-    };
+    // returns (docs/sec, index bytes).
+    let best_of =
+        |measure: &dyn Fn() -> (f64, u64)| {
+            (0..repeat).map(|_| measure()).fold((0.0f64, 0u64), |best, run| {
+                if run.0 > best.0 {
+                    run
+                } else {
+                    best
+                }
+            })
+        };
 
     let mut table = Table::new(
         "Sharded ingestion throughput (MRIO single reference)",
         "queries x storage x mode x shards x batch",
-        &["docs/sec", "vs single", "vs per-doc sharded", "zones skipped", "bytes/query"],
+        &["docs/sec", "vs single", "vs per-doc sharded", "bytes/query"],
         "docs/sec",
     );
     let mut singles = Vec::new();
@@ -255,14 +234,13 @@ fn main() {
         cfg.measured_events = measured_docs;
         let wl = prepare(&cfg);
         eprintln!(
-            "sweep_shards: {n} queries, {} measured docs, window {window}, {cores} core(s), \
-             pruning {pruning}",
+            "sweep_shards: {n} queries, {} measured docs, window {window}, {cores} core(s)",
             wl.measured.len()
         );
 
         // Reference 1: the single-threaded engine at this population
         // (always plain storage — the sharded cells normalize against it).
-        let (single_dps, _, _, _) = best_of(&|| {
+        let (single_dps, _) = best_of(&|| {
             let mut engine = MrioSeg::new(cfg.lambda);
             wl.install(&mut engine);
             for doc in &wl.warmup {
@@ -272,7 +250,7 @@ fn main() {
             for doc in &wl.measured {
                 engine.process(doc);
             }
-            (wl.measured.len() as f64 / start.elapsed().as_secs_f64(), 0, 0, 0)
+            (wl.measured.len() as f64 / start.elapsed().as_secs_f64(), 0)
         });
         eprintln!("  single-threaded MRIO: {} docs/sec (best of {repeat})", format_sig(single_dps));
         singles.push(Single { queries: n, docs_per_sec: single_dps });
@@ -295,15 +273,9 @@ fn main() {
                     }
                     let mut per_doc_dps = f64::NAN;
                     for &batch in &batches {
-                        let (dps, zones, postings, index_bytes) = best_of(&|| {
-                            let mut monitor = make_sharded_with(
-                                mode,
-                                shards,
-                                "MRIO",
-                                cfg.lambda,
-                                pruning,
-                                &storage_cfg,
-                            );
+                        let (dps, index_bytes) = best_of(&|| {
+                            let mut monitor =
+                                make_sharded_with(mode, shards, "MRIO", cfg.lambda, &storage_cfg);
                             let mut ids = Vec::with_capacity(wl.specs.len());
                             for spec in &wl.specs {
                                 ids.push(monitor.register(spec.clone()));
@@ -316,11 +288,6 @@ fn main() {
                             for chunk in wl.warmup.chunks(batch.max(1)) {
                                 monitor.process_batch(chunk.to_vec());
                             }
-                            let warm_skips: Vec<(u64, u64)> = monitor
-                                .shard_cumulative()
-                                .iter()
-                                .map(|c| (c.zones_skipped, c.postings_skipped))
-                                .collect();
 
                             let start = Instant::now();
                             if batch == 1 {
@@ -338,17 +305,7 @@ fn main() {
                                 );
                             }
                             let dps = wl.measured.len() as f64 / start.elapsed().as_secs_f64();
-                            let (wz, wp) = warm_skips
-                                .iter()
-                                .fold((0u64, 0u64), |(z, p), &(az, ap)| (z + az, p + ap));
-                            let (tz, tp) = monitor
-                                .shard_cumulative()
-                                .iter()
-                                .fold((0u64, 0u64), |(z, p), c| {
-                                    (z + c.zones_skipped, p + c.postings_skipped)
-                                });
-                            let index_bytes = monitor.storage_stats().index_bytes;
-                            (dps, tz - wz, tp - wp, index_bytes)
+                            (dps, monitor.storage_stats().index_bytes)
                         });
                         if batch == 1 {
                             per_doc_dps = dps;
@@ -358,7 +315,7 @@ fn main() {
                         eprintln!(
                             "  queries={n} storage={storage} mode={mode} shards={shards} \
                          batch={batch}: {} docs/sec ({:.2}x single, {:.2}x per-doc, \
-                         {zones} zones skipped, {} bytes/query)",
+                         {} bytes/query)",
                             format_sig(dps),
                             dps / single_dps,
                             vs_per_doc,
@@ -366,7 +323,7 @@ fn main() {
                         );
                         table.push_row(
                             format!("{n} x {storage} x {mode} x {shards} x {batch}"),
-                            vec![dps, dps / single_dps, vs_per_doc, zones as f64, bytes_per_query],
+                            vec![dps, dps / single_dps, vs_per_doc, bytes_per_query],
                         );
                         cells.push(Cell {
                             mode: mode.name().to_string(),
@@ -378,8 +335,6 @@ fn main() {
                             docs_per_sec: dps,
                             speedup_vs_single: dps / single_dps,
                             speedup_vs_per_doc_sharded: vs_per_doc,
-                            zones_skipped: zones,
-                            postings_skipped: postings,
                             index_bytes,
                             bytes_per_query,
                         });
@@ -396,15 +351,9 @@ fn main() {
                             .iter()
                             .map(|d| (d.vector.iter().collect(), d.arrival))
                             .collect();
-                        let (dps, zones, postings, index_bytes) = best_of(&|| {
-                            let mut monitor = make_sharded_with(
-                                mode,
-                                shards,
-                                "MRIO",
-                                cfg.lambda,
-                                pruning,
-                                &storage_cfg,
-                            );
+                        let (dps, index_bytes) = best_of(&|| {
+                            let mut monitor =
+                                make_sharded_with(mode, shards, "MRIO", cfg.lambda, &storage_cfg);
                             let mut ids = Vec::with_capacity(wl.specs.len());
                             for spec in &wl.specs {
                                 ids.push(monitor.register(spec.clone()));
@@ -417,34 +366,19 @@ fn main() {
                             for chunk in wl.warmup.chunks(256) {
                                 monitor.process_batch(chunk.to_vec());
                             }
-                            let warm_skips: Vec<(u64, u64)> = monitor
-                                .shard_cumulative()
-                                .iter()
-                                .map(|c| (c.zones_skipped, c.postings_skipped))
-                                .collect();
                             monitor.set_adaptive_batching(acfg);
                             let batch = raw.clone();
 
                             let start = Instant::now();
                             monitor.publish_batch(batch);
                             let dps = wl.measured.len() as f64 / start.elapsed().as_secs_f64();
-                            let (wz, wp) = warm_skips
-                                .iter()
-                                .fold((0u64, 0u64), |(z, p), &(az, ap)| (z + az, p + ap));
-                            let (tz, tp) = monitor
-                                .shard_cumulative()
-                                .iter()
-                                .fold((0u64, 0u64), |(z, p), c| {
-                                    (z + c.zones_skipped, p + c.postings_skipped)
-                                });
-                            let index_bytes = monitor.storage_stats().index_bytes;
-                            (dps, tz - wz, tp - wp, index_bytes)
+                            (dps, monitor.storage_stats().index_bytes)
                         });
                         let bytes_per_query = index_bytes as f64 / n as f64;
                         eprintln!(
                             "  queries={n} storage={storage} mode={mode} shards={shards} \
                          batch=adaptive: {} docs/sec ({:.2}x single, {:.2}x per-doc, \
-                         {zones} zones skipped, {} bytes/query)",
+                         {} bytes/query)",
                             format_sig(dps),
                             dps / single_dps,
                             dps / per_doc_dps,
@@ -452,13 +386,7 @@ fn main() {
                         );
                         table.push_row(
                             format!("{n} x {storage} x {mode} x {shards} x adaptive"),
-                            vec![
-                                dps,
-                                dps / single_dps,
-                                dps / per_doc_dps,
-                                zones as f64,
-                                bytes_per_query,
-                            ],
+                            vec![dps, dps / single_dps, dps / per_doc_dps, bytes_per_query],
                         );
                         cells.push(Cell {
                             mode: mode.name().to_string(),
@@ -470,8 +398,6 @@ fn main() {
                             docs_per_sec: dps,
                             speedup_vs_single: dps / single_dps,
                             speedup_vs_per_doc_sharded: dps / per_doc_dps,
-                            zones_skipped: zones,
-                            postings_skipped: postings,
                             index_bytes,
                             bytes_per_query,
                         });
@@ -489,7 +415,6 @@ fn main() {
         query_counts,
         measured_docs,
         window,
-        doc_pruning: pruning.name().to_string(),
         storage_modes: storages.iter().map(|s| s.name().to_string()).collect(),
         page_budget,
         available_parallelism: cores,

@@ -5,7 +5,7 @@
 //! builder uses, so a new engine kind lands everywhere at once.
 
 use continuous_topk::EngineKind;
-use ctk_core::{ContinuousTopK, DocPruning, ShardedMonitor, ShardingMode, StorageConfig};
+use ctk_core::{ContinuousTopK, ShardedMonitor, ShardingMode, StorageConfig};
 
 /// The five methods of the paper's Figure 1, in its legend order.
 pub const PAPER_ALGOS: [&str; 5] = ["RTA", "RIO", "MRIO", "SortQuer", "TPS"];
@@ -34,16 +34,14 @@ pub fn make_engine_with(
 /// Construct a sharded monitor in either sharding mode. Query mode runs one
 /// engine of the named kind per shard; document mode shares one index epoch
 /// across scorer workers (the engine name is irrelevant there — the
-/// shared-epoch walk is exact for every kind) with the given walk-pruning
-/// policy (ignored by query mode).
+/// shared-epoch walk is exact for every kind).
 pub fn make_sharded(
     mode: ShardingMode,
     shards: usize,
     engine: &str,
     lambda: f64,
-    pruning: DocPruning,
 ) -> ShardedMonitor {
-    make_sharded_with(mode, shards, engine, lambda, pruning, &StorageConfig::plain())
+    make_sharded_with(mode, shards, engine, lambda, &StorageConfig::plain())
 }
 
 /// [`make_sharded`] with an explicit postings-storage configuration, applied
@@ -53,18 +51,13 @@ pub fn make_sharded_with(
     shards: usize,
     engine: &str,
     lambda: f64,
-    pruning: DocPruning,
     storage: &StorageConfig,
 ) -> ShardedMonitor {
     match mode {
         ShardingMode::Queries => {
             ShardedMonitor::new(shards, || make_engine_with(engine, lambda, storage))
         }
-        ShardingMode::Documents => {
-            let mut m = ShardedMonitor::new_doc_parallel_with(shards, lambda, storage);
-            m.set_doc_pruning(pruning);
-            m
-        }
+        ShardingMode::Documents => ShardedMonitor::new_doc_parallel_with(shards, lambda, storage),
     }
 }
 
@@ -97,16 +90,10 @@ mod tests {
     #[test]
     fn sharded_factory_builds_both_modes() {
         for mode in ShardingMode::ALL {
-            for pruning in DocPruning::ALL {
-                let m = make_sharded(mode, 2, "MRIO", 0.001, pruning);
-                assert_eq!(m.sharding_mode(), mode);
-                assert_eq!(m.shards(), 2);
-                assert_eq!(m.lambda(), 0.001);
-                match mode {
-                    ShardingMode::Queries => assert_eq!(m.doc_pruning(), None),
-                    ShardingMode::Documents => assert_eq!(m.doc_pruning(), Some(pruning)),
-                }
-            }
+            let m = make_sharded(mode, 2, "MRIO", 0.001);
+            assert_eq!(m.sharding_mode(), mode);
+            assert_eq!(m.shards(), 2);
+            assert_eq!(m.lambda(), 0.001);
         }
     }
 }

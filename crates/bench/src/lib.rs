@@ -14,10 +14,10 @@
 //! Binaries (`src/bin/*.rs`): `fig1`, `optimality`, `ablation_zonemax`,
 //! `sweep_k`, `sweep_lambda`, `sweep_doclen`, `scaling_threads`,
 //! `sweep_shards` (sharded-ingestion throughput: `--mode query|doc|both`,
-//! `--queries N[,N...]`, `--pruning off|on|auto`), `compare_reports` (the
-//! CI perf-regression gate over two `sweep_shards` reports, joined on
+//! `--queries N[,N...]`), `compare_reports` (the CI perf-regression gate
+//! over two `sweep_shards` reports, joined on
 //! `queries × mode × shards × batch`). Criterion micro-benches live in
-//! `benches/` (more in `crates/core/benches`).
+//! `benches/`.
 
 pub mod config;
 pub mod engines;

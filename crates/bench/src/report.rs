@@ -124,7 +124,10 @@ pub fn write_json_report<T: serde::Serialize>(
 
 /// Schema version of the `sweep_shards` report format.
 ///
-/// * **v5** (current): cells carry a `batching` axis (`"fixed"` /
+/// * **v6** (current): v5 without the doc-mode walk's per-cell skip
+///   counters and the report-level pruning policy — document mode has a
+///   single, exhaustive walk.
+/// * **v5**: cells carry a `batching` axis (`"fixed"` /
 ///   `"adaptive"`) — `--adaptive` sweeps an AIMD-chunked ingestion cell
 ///   next to the fixed-window ones (`batch` is 0 for adaptive cells: the
 ///   controller, not the flag, chooses the chunk).
@@ -143,11 +146,8 @@ pub fn write_json_report<T: serde::Serialize>(
 /// The writer refuses to overwrite a report tagged with a version it does
 /// not recognize (see [`existing_report_schema`]), so a future format never
 /// gets silently clobbered by an old binary. The `compare_reports` gate
-/// still *reads* v2, v3 and v4 baselines (a v2 report is a v3 report with
-/// one population cell; a v3 report is a v4 report whose cells all ran
-/// plain storage; a v4 report is a v5 report whose cells all ran fixed
-/// batching).
-pub const SWEEP_SHARDS_SCHEMA_VERSION: u32 = 5;
+/// reads only the current version.
+pub const SWEEP_SHARDS_SCHEMA_VERSION: u32 = 6;
 
 /// The `schema_version` of an existing `results/<name>.json` report:
 /// `None` when the file does not exist, `Some(1)` for pre-versioned

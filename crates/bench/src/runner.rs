@@ -39,8 +39,6 @@ fn diff(after: &CumulativeStats, before: &CumulativeStats) -> CumulativeStats {
         bound_computations: after.bound_computations - before.bound_computations,
         updates: after.updates - before.updates,
         matched_lists: after.matched_lists - before.matched_lists,
-        zones_skipped: after.zones_skipped - before.zones_skipped,
-        postings_skipped: after.postings_skipped - before.postings_skipped,
         expired: after.expired - before.expired,
         evicted: after.evicted - before.evicted,
         renormalizations: after.renormalizations - before.renormalizations,

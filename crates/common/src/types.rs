@@ -16,7 +16,7 @@ pub type Timestamp = f64;
 /// The tombstone sentinel for stored posting weights.
 ///
 /// Every weight-bearing store in the workspace — the plain `Vec` postings,
-/// the compressed block codec, impact lists, epoch bounds — marks a deleted
+/// the compressed block codec, impact lists, zone rebuilds — marks a deleted
 /// slot by zeroing its weight. Live weights are validated strictly positive
 /// at registration, so exact `== 0.0` comparison is unambiguous; this
 /// constant (and [`is_tombstone_weight`]) is the single definition all of

@@ -84,72 +84,6 @@ impl std::str::FromStr for ShardingMode {
     }
 }
 
-/// Whether document-mode scorer workers prune their walk with the shared
-/// epoch's zone-maxima bounds (see `ctk_index::epoch_bounds`).
-///
-/// Pruning never changes results, changes or per-document insertion counts
-/// — skipped zones hold only candidates the submit-time threshold filter
-/// would reject — but it does change the *work* counters: a pruned walk
-/// reports fewer `postings_accessed`/`full_evaluations` plus the
-/// `zones_skipped`/`postings_skipped` it saved, exactly like MRIO's counters
-/// differ from the oracle's. It is a pure throughput knob:
-///
-/// * [`DocPruning::Auto`] (default) engages the bounded walk once the live
-///   query population reaches the crossover region where bound probes pay
-///   for themselves, and stays exhaustive below it (where the walk is
-///   already cheap and bound probes are pure overhead).
-/// * [`DocPruning::On`] / [`DocPruning::Off`] force one walk unconditionally
-///   (benchmarking, tests, and workloads that sit on one side for sure).
-///
-/// Query-sharded backends ignore the knob: their engines (MRIO) carry their
-/// own bounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum DocPruning {
-    /// Never consult the epoch bounds: every worker runs the exhaustive
-    /// walk (PR-4 behavior, bit-identical work counters to the oracle).
-    Off,
-    /// Always run the bounded walk when a batch has a valid threshold
-    /// snapshot (renormalization-crossing batches still fall back to the
-    /// exhaustive walk — frozen bounds are not comparable across frames).
-    On,
-    /// Decide per batch from the live query population (the default).
-    #[default]
-    Auto,
-}
-
-impl DocPruning {
-    /// All modes, report order.
-    pub const ALL: [DocPruning; 3] = [DocPruning::Off, DocPruning::On, DocPruning::Auto];
-
-    /// The short name used by reports and CLI flags.
-    pub fn name(self) -> &'static str {
-        match self {
-            DocPruning::Off => "off",
-            DocPruning::On => "on",
-            DocPruning::Auto => "auto",
-        }
-    }
-}
-
-impl std::fmt::Display for DocPruning {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for DocPruning {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "off" => Ok(DocPruning::Off),
-            "on" => Ok(DocPruning::On),
-            "auto" => Ok(DocPruning::Auto),
-            _ => Err(format!("unknown doc-pruning mode: {s} (expected 'off', 'on' or 'auto')")),
-        }
-    }
-}
-
 /// A typed publish request: the documents of one ingest call, each a
 /// `(term, weight)` pair list plus its arrival timestamp.
 ///

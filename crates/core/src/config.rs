@@ -8,7 +8,6 @@
 //! The flat builder methods remain as delegating wrappers, so both styles
 //! configure the same fields.
 
-use crate::backend::DocPruning;
 use ctk_index::StorageConfig;
 
 /// AIMD controller parameters for adaptive ingest chunking (see
@@ -124,8 +123,7 @@ impl IngestConfig {
 }
 
 /// How the query index(es) behind a monitor are stored and maintained:
-/// postings layout, pager budget, tombstone compaction, and the
-/// document-mode walk-pruning policy.
+/// postings layout, pager budget and tombstone compaction.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct IndexConfig {
     /// Postings layout + pager budget (see `ctk_index::StorageConfig`).
@@ -133,9 +131,6 @@ pub struct IndexConfig {
     /// Compact the index at batch boundaries once
     /// `tombstone_ratio() >= threshold` (`<= 0.0` disables).
     pub compaction_threshold: f64,
-    /// Whether document-mode workers prune their walk with frozen
-    /// zone-maxima bounds (no effect in query mode).
-    pub doc_pruning: DocPruning,
 }
 
 impl IndexConfig {
@@ -148,12 +143,6 @@ impl IndexConfig {
     /// Set the tombstone-compaction threshold.
     pub fn compaction_threshold(mut self, threshold: f64) -> Self {
         self.compaction_threshold = threshold;
-        self
-    }
-
-    /// Set the document-mode walk-pruning policy.
-    pub fn doc_pruning(mut self, pruning: DocPruning) -> Self {
-        self.doc_pruning = pruning;
         self
     }
 }

@@ -21,58 +21,24 @@
 //! comparable bit-for-bit); such batches are merged unfiltered, which is
 //! merely slower, never wrong.
 //!
-//! On top of the filter, the **walk itself** can be pruned
-//! ([`DocPruning`], default auto-engaged at large query populations): the
-//! epoch carries frozen per-list zone-maxima bounds ([`DocEpochBounds`],
-//! rebuilt incrementally at the same copy-on-write points as the index),
-//! and workers skip zones of a postings list whose score upper bound cannot
-//! reach the document's target — MRIO's zone-bound idea applied to the
-//! shared epoch. The same monotonicity argument as the filter makes the
-//! bounds conservative (thresholds only rise ⇒ frozen bounds only
-//! over-estimate), renormalization-crossing batches fall back to the
-//! exhaustive walk, and the first pruning batch after a renormalization
-//! rebuilds the bounds in the new frame. Pruning changes which postings are
-//! *read*, never which candidates survive: results, changes and
-//! per-document insertion counts stay bit-identical to the oracle, while
-//! the walk counters record the skipped work (`zones_skipped`,
-//! `postings_skipped`).
+//! Every worker runs the oracle's exhaustive walk; there is no bounded
+//! variant (one over frozen per-list zone maxima lost every measured cell
+//! at 10k and 50k queries and was removed).
 
-use crate::backend::{DocPruning, PublishReceipt, ShardingMode};
+use crate::backend::{PublishReceipt, ShardingMode};
 use crate::engine::EngineBase;
 use crate::runtime::{Runtime, ShardRuntime};
 use crate::score::DecayModel;
 use crate::sharded::{ingest_chunked, BatchOutcome, Pipeline};
 use crate::stats::{CumulativeStats, EventStats};
 use crate::traits::ResultChange;
-use crate::walk::{
-    collect_scored_candidates, collect_scored_candidates_bounded, DocEpochBounds, MatchScratch,
-};
+use crate::walk::{collect_scored_candidates, MatchScratch};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use ctk_common::{Document, FxHashSet, QueryId, QuerySpec, ScoredDoc, Timestamp};
+use ctk_common::{Document, QueryId, QuerySpec, ScoredDoc, Timestamp};
 use ctk_index::{PagePin, PostingsStorage, QueryIndex, StorageConfig, StorageStats};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-/// Live-query population at which [`DocPruning::Auto`] switches
-/// document-mode workers from the exhaustive to the bounded walk.
-///
-/// The value is set *above* the largest population the `walk` Criterion
-/// bench (`crates/core/benches/walk.rs`) measures the exhaustive walk
-/// still winning on this class of hardware: at 100k queries the bounded
-/// walk is within ~1.1–1.2× of exhaustive (down from ~2.7× slower at 1k),
-/// and the gap closes roughly with `log(queries)/queries`, putting the
-/// extrapolated crossover in the paper's 0.25M–4M CTQD regime. `Auto`
-/// therefore never engages inside the measured losing range; deployments
-/// in the paper's regime (or with much longer postings lists per zone
-/// probe) should measure with `sweep_shards --queries --pruning on` and
-/// force [`DocPruning::On`].
-pub const DOC_PRUNING_AUTO_MIN_QUERIES: usize = 262_144;
-
-/// Deferred bound tightenings ([`DocShards::stale`]) at which the monitor
-/// folds them into the epoch bounds before attaching them to a batch.
-/// Between refreshes the bounds are merely stale-high — valid but looser.
-const BOUNDS_REFRESH_STALE: usize = 64;
 
 /// Submit-time candidate filter for document-mode workers: the decay frame
 /// and every query's threshold `S_k` frozen at submission. Thresholds only
@@ -95,11 +61,6 @@ struct DocJob {
     /// `None` when a renormalization could fire before the merge — the
     /// worker then forwards every candidate unfiltered.
     filter: Option<CandidateFilter>,
-    /// Frozen zone-maxima bounds over `index`, when pruning is engaged for
-    /// this batch. Only ever `Some` alongside a filter (the bounds prove a
-    /// candidate *would fail that filter*; without the filter's frozen
-    /// frame there is nothing sound to prove).
-    bounds: Option<Arc<DocEpochBounds>>,
 }
 
 enum DocCommand {
@@ -159,19 +120,6 @@ pub(crate) struct DocShards {
     /// so quiet stretches of the stream (the common steady state) submit
     /// batch after batch without re-materializing the O(queries) snapshot.
     filter_cache: Option<CandidateFilter>,
-    /// Zone-maxima bounds over the current epoch, frozen while attached to
-    /// in-flight jobs, mutated copy-on-write at the same points as `index`.
-    bounds: Arc<DocEpochBounds>,
-    /// Whether (and when) workers consult `bounds` — see [`DocPruning`].
-    pruning: DocPruning,
-    /// Set when frozen bound values may **under-estimate** the live
-    /// `u = w/S_k` (a renormalization scaled thresholds down, or a restore
-    /// changed the frame): pruning stays off until a full rebuild.
-    bounds_dirty: bool,
-    /// Queries whose `S_k` rose since their bound values were written —
-    /// deferred tightenings, folded in once enough accumulate. Purely an
-    /// optimization debt: stale-high bounds are still upper bounds.
-    stale: FxHashSet<QueryId>,
     /// Memoized pins on the current epoch's RAM-resident pages (paged
     /// storage only; `None` otherwise or after any epoch mutation). Shared
     /// with in-flight batches so each submit does not re-walk every list.
@@ -180,13 +128,10 @@ pub(crate) struct DocShards {
 }
 
 /// Score one slice of a batch against an index epoch: the term-filtered
-/// walk — exhaustive ([`collect_scored_candidates`], the same function with
+/// exhaustive walk ([`collect_scored_candidates`], the same function with
 /// the same arithmetic and counter semantics the [`crate::Naive`] oracle
-/// runs) or, when the job carries frozen epoch bounds, the bounded walk
-/// ([`collect_scored_candidates_bounded`]: identical surviving candidates
-/// and dots, zones the bounds refute skipped wholesale) — followed by the
-/// optional threshold filter. Pure: the only engine state it reads is the
-/// immutable epoch.
+/// runs), followed by the optional threshold filter. Pure: the only engine
+/// state it reads is the immutable epoch.
 fn score_slice(
     job: &DocJob,
     scratch: &mut MatchScratch,
@@ -197,24 +142,10 @@ fn score_slice(
     let mut candidates = Vec::with_capacity(job.len);
     for doc in &job.docs[job.start..job.start + job.len] {
         let mut ev = EventStats::default();
+        collect_scored_candidates(index, doc, scratch, &mut ev, scored);
         let kept = match &job.filter {
-            None => {
-                collect_scored_candidates(index, doc, scratch, &mut ev, scored);
-                scored.clone()
-            }
+            None => scored.clone(),
             Some(f) => {
-                match &job.bounds {
-                    None => collect_scored_candidates(index, doc, scratch, &mut ev, scored),
-                    Some(b) => {
-                        // The bounded walk prunes against the same frozen
-                        // frame the filter tests in: θ_d is the filter's
-                        // amplification inverted.
-                        let theta = f.decay.theta(doc.arrival);
-                        collect_scored_candidates_bounded(
-                            index, b, theta, doc, scratch, &mut ev, scored,
-                        );
-                    }
-                }
                 // One exp() per document, not per candidate.
                 let amp = f.decay.amplification(doc.arrival);
                 scored
@@ -228,17 +159,6 @@ fn score_slice(
         candidates.push(kept);
     }
     DocReply { stats, candidates }
-}
-
-/// Exclusive, thawed access to an epoch's bounds for a mutation point.
-/// Copy-on-write: in-flight jobs hold `Arc` clones of the (frozen) epochs
-/// they score against, so `make_mut` clones rather than handing back an
-/// instance a worker can read; the debug assertions inside
-/// [`DocEpochBounds`] pin that a frozen epoch is never mutated in place.
-fn thawed(bounds: &mut Arc<DocEpochBounds>) -> &mut DocEpochBounds {
-    let b = Arc::make_mut(bounds);
-    b.thaw();
-    b
 }
 
 impl DocShards {
@@ -273,21 +193,8 @@ impl DocShards {
             compact_at: 0.0,
             next_start: 0,
             filter_cache: None,
-            bounds: Arc::new(DocEpochBounds::new()),
-            pruning: DocPruning::default(),
-            bounds_dirty: false,
-            stale: FxHashSet::default(),
             epoch_pins: None,
             pipeline: Pipeline::default(),
-        }
-    }
-
-    /// Should the next batch consult the epoch bounds?
-    fn pruning_wanted(&self) -> bool {
-        match self.pruning {
-            DocPruning::Off => false,
-            DocPruning::On => true,
-            DocPruning::Auto => self.index.num_live() >= DOC_PRUNING_AUTO_MIN_QUERIES,
         }
     }
 
@@ -301,24 +208,12 @@ impl DocShards {
         );
     }
 
-    /// Compact the epoch index and realign exactly the affected lists'
-    /// bounds. Unconditional — even a dirty epoch must keep its per-list
-    /// lengths matching the index, or the next registration's appends land
-    /// at the wrong positions. (A dirty epoch is rebuilt in full at the next
-    /// pruning submit regardless; this rebuild with current thresholds is
-    /// simply its down payment on the changed lists.) In-flight batches keep
-    /// their pre-compaction epoch — copy-on-write makes this safe even
+    /// Compact the epoch index. In-flight batches keep their
+    /// pre-compaction epoch — copy-on-write makes this safe even
     /// mid-pipeline.
     fn compact_epoch(&mut self) {
         self.epoch_pins = None;
-        let changed_lists = Arc::make_mut(&mut self.index).compact();
-        if !changed_lists.is_empty() {
-            let (base, index) = (&self.base, &self.index);
-            let b = thawed(&mut self.bounds);
-            for li in changed_lists {
-                b.rebuild_list(index, li, |q, w| base.normalized_of(q, w as f64));
-            }
-        }
+        Arc::make_mut(&mut self.index).compact();
     }
 }
 
@@ -328,13 +223,6 @@ impl Runtime for DocShards {
         let placed = Arc::make_mut(&mut self.index).register(&spec.vector, spec.k as u32);
         debug_assert_eq!(placed, qid, "shared index allocates the public id space");
         self.base.push_state(spec.k as u32);
-        // Mirror the new postings into the epoch bounds (the fresh query is
-        // unfilled, so its positions carry +inf and its zones are
-        // unprunable until it fills — warm-up semantics).
-        let (base, index) = (&self.base, &self.index);
-        let entries = index.record(qid).expect("just registered").to_record().entries;
-        thawed(&mut self.bounds)
-            .append_registration(qid, &entries, |q, w| base.normalized_of(q, w as f64));
         self.filter_cache = None;
         self.epoch_pins = None;
     }
@@ -343,25 +231,15 @@ impl Runtime for DocShards {
         self.assert_quiesced("unregistration");
         let record = Arc::make_mut(&mut self.index).unregister(qid);
         debug_assert!(record.is_some(), "spec table said the query was live");
-        if let Some(rec) = record {
-            thawed(&mut self.bounds).tombstone_registration(&rec.entries);
-        }
         self.base.drop_state(qid);
-        self.stale.remove(&qid);
         self.filter_cache = None;
         self.epoch_pins = None;
     }
 
     fn forget(&mut self, qids: &[QueryId]) {
-        self.assert_quiesced("bulk forget");
-        let removed = Arc::make_mut(&mut self.index).unregister_many(qids);
-        debug_assert_eq!(removed.len(), qids.len(), "every member must be live");
-        for (qid, rec) in &removed {
-            thawed(&mut self.bounds).tombstone_registration(&rec.entries);
-            self.base.drop_state(*qid);
-            self.stale.remove(qid);
+        for &qid in qids {
+            self.remove(qid);
         }
-        self.filter_cache = None;
         self.compact_epoch();
     }
 
@@ -374,12 +252,6 @@ impl Runtime for DocShards {
     fn seed(&mut self, qid: QueryId, seeds: &[ScoredDoc]) {
         self.assert_quiesced("seeding");
         self.base.seed(qid, seeds);
-        // The seed can only have *raised* the query's threshold, so its
-        // frozen bound values are now stale-high — valid but loose; queue
-        // the tightening when anything will flush it.
-        if self.pruning_wanted() {
-            self.stale.insert(qid);
-        }
         self.filter_cache = None;
     }
 
@@ -403,10 +275,6 @@ impl Runtime for DocShards {
     fn restore_landmark(&mut self, landmark: Timestamp) {
         self.base.decay.restore_landmark(landmark);
         self.filter_cache = None;
-        // The decay frame moved arbitrarily: frozen bound values are not
-        // comparable to post-restore thresholds.
-        self.bounds_dirty = true;
-        self.stale.clear();
     }
 
     fn storage_stats(&self) -> StorageStats {
@@ -448,39 +316,6 @@ impl ShardRuntime for DocShards {
             }
             self.filter_cache.clone()
         };
-        // Epoch bounds ride along when pruning is engaged and the
-        // batch has a valid frozen frame (`filter`). Bounds built
-        // under older (lower) thresholds only over-estimate — the
-        // conservative direction — so the only maintenance the hot
-        // path ever pays here is a deferred-tightening flush or, on
-        // the first batch after a renormalization, a full rebuild
-        // in the new frame.
-        let bounds = if filter.is_some() && self.pruning_wanted() {
-            if self.bounds_dirty {
-                let (base, index) = (&self.base, &self.index);
-                thawed(&mut self.bounds).rebuild_all(index, |q, w| base.normalized_of(q, w as f64));
-                self.bounds_dirty = false;
-                self.stale.clear();
-            } else if self.stale.len() >= BOUNDS_REFRESH_STALE {
-                let (base, index) = (&self.base, &self.index);
-                let b = thawed(&mut self.bounds);
-                for qid in self.stale.drain() {
-                    if let Some(rec) = index.record(qid) {
-                        b.refresh_query(qid, &rec.to_record().entries, |q, w| {
-                            base.normalized_of(q, w as f64)
-                        });
-                    }
-                }
-            }
-            if !self.bounds.is_frozen() {
-                // Only ever unfrozen while exclusively owned, so
-                // this never clones.
-                Arc::make_mut(&mut self.bounds).freeze();
-            }
-            Some(Arc::clone(&self.bounds))
-        } else {
-            None
-        };
         // Contiguous slices in stream order, rotating the first
         // worker per batch so small batches spread across shards.
         let mut slices = Vec::with_capacity(s);
@@ -500,7 +335,6 @@ impl ShardRuntime for DocShards {
                     start,
                     len: count,
                     filter: filter.clone(),
-                    bounds: bounds.clone(),
                 }))
                 .expect("worker alive");
             slices.push((w as u32, count));
@@ -527,14 +361,12 @@ impl ShardRuntime for DocShards {
         let mut changes: Vec<(u32, ResultChange)> = Vec::new();
         let mut doc_i = 0usize;
         let mut thresholds_moved = false;
-        let mut renormalized = false;
         for &(w, count) in &pending.slices {
             let reply = self.workers[w as usize].reply_rx.recv().expect("worker reply");
             debug_assert_eq!(reply.stats.len(), count, "worker answered a different slice");
             for (mut ev, cands) in reply.stats.into_iter().zip(reply.candidates) {
                 let doc = &pending.docs[doc_i];
                 let (_theta, amp, renorm) = self.base.begin_event(doc.arrival);
-                renormalized |= renorm.is_some();
                 thresholds_moved |= renorm.is_some();
                 for (qid, raw_dot) in cands {
                     if self.base.offer(qid, doc, raw_dot, amp) {
@@ -554,25 +386,6 @@ impl ShardRuntime for DocShards {
             // An insertion or renormalization moved some `S_k` (or
             // the frame): the memoized submit-time filter is stale.
             self.filter_cache = None;
-        }
-        if renormalized {
-            // Thresholds were scaled *down*: frozen bound values now
-            // under-estimate `u = w/S_k` — the one direction pruning
-            // cannot absorb. Disable it until a full rebuild in the
-            // new frame (next pruning submit), and drop the queued
-            // tightenings the rebuild subsumes.
-            self.bounds_dirty = true;
-            self.stale.clear();
-        } else if self.pruning_wanted() {
-            // Insertions only *raise* thresholds: queue the bound
-            // tightenings instead of touching the shared epoch on
-            // the hot path. (With pruning off — or auto below its
-            // population threshold — there is no consumer, and
-            // stale-high bounds are sound anyway, so don't pay the
-            // inserts.)
-            for (_, c) in &changes {
-                self.stale.insert(c.query);
-            }
         }
         // Batch boundary: compact the epoch when dead postings pile up.
         if self.compact_at > 0.0 && self.index.tombstone_ratio() >= self.compact_at {
@@ -596,14 +409,6 @@ impl ShardRuntime for DocShards {
     fn pipeline_mut(&mut self) -> &mut Pipeline {
         &mut self.pipeline
     }
-
-    fn set_doc_pruning(&mut self, pruning: DocPruning) {
-        self.pruning = pruning;
-    }
-
-    fn doc_pruning(&self) -> Option<DocPruning> {
-        Some(self.pruning)
-    }
 }
 
 impl Drop for DocShards {
@@ -621,8 +426,7 @@ impl Drop for DocShards {
 
 #[cfg(test)]
 mod tests {
-    use crate::backend::{DocPruning, MonitorBackend, ShardingMode};
-    use crate::doc_shards::DOC_PRUNING_AUTO_MIN_QUERIES;
+    use crate::backend::{MonitorBackend, ShardingMode};
     use crate::mrio::MrioSeg;
     use crate::naive::Naive;
     use crate::sharded::ShardedMonitor;
@@ -809,188 +613,13 @@ mod tests {
         assert_eq!(per_shard.iter().map(|c| c.events).sum::<u64>(), 3);
     }
 
-    // --- document-mode walk pruning ---
-
-    /// Pruned doc mode vs the oracle: results, changes and per-document
-    /// insertion counts bit-identical; the walk counters may only *shift*
-    /// work from `postings_accessed` into `postings_skipped`, never lose
-    /// any.
-    fn doc_mode_pruned_against_naive(shards: usize, lambda: f64, batch: usize, window: usize) {
-        let mut sharded = ShardedMonitor::new_doc_parallel(shards, lambda);
-        sharded.set_doc_pruning(DocPruning::On);
-        let mut single = Naive::new(lambda);
-        let ids: Vec<QueryId> = (0..200)
-            .map(|i| {
-                let s = spec(&[i % 4, 4 + i % 3], 1 + (i % 2) as usize);
-                let qid = sharded.register(s.clone());
-                assert_eq!(qid, single.register(s));
-                qid
-            })
-            .collect();
-
-        let docs: Vec<Document> = (0..120u64)
-            .map(|i| doc(i, &[((i % 4) as u32, 1.0), ((4 + i % 3) as u32, 0.5)], i as f64 * 2.0))
-            .collect();
-        let mut single_stats = Vec::new();
-        let mut single_changes = Vec::new();
-        for d in &docs {
-            single_stats.push(single.process(d));
-            single_changes.extend_from_slice(single.last_changes());
-        }
-        let mut sharded_stats = Vec::new();
-        let mut sharded_changes = Vec::new();
-        sharded.run_pipelined(docs.chunks(batch).map(<[_]>::to_vec), window, |evs, ch| {
-            sharded_stats.extend(evs);
-            sharded_changes.extend(ch.into_iter().map(|(_, c)| c));
-        });
-
-        assert_eq!(single_changes, sharded_changes, "changes are bit-identical under pruning");
-        for qid in &ids {
-            assert_eq!(sharded.results(*qid), single.results(*qid), "query {qid}");
-        }
-        assert_eq!(single_stats.len(), sharded_stats.len());
-        for (i, (a, b)) in single_stats.iter().zip(&sharded_stats).enumerate() {
-            assert_eq!(a.updates, b.updates, "doc {i}: insertions are walk-independent");
-            assert_eq!(a.matched_lists, b.matched_lists, "doc {i}");
-            assert!(b.postings_accessed <= a.postings_accessed, "doc {i}: pruning never adds work");
-            assert!(
-                b.postings_accessed + b.postings_skipped >= a.postings_accessed,
-                "doc {i}: skipped zones must account for the oracle's extra reads"
-            );
-            assert!(b.full_evaluations <= a.full_evaluations, "doc {i}");
-        }
-    }
-
     #[test]
-    fn doc_mode_pruned_matches_naive_synchronous() {
-        doc_mode_pruned_against_naive(3, 0.001, 16, 0);
-    }
-
-    #[test]
-    fn doc_mode_pruned_matches_naive_pipelined() {
-        doc_mode_pruned_against_naive(2, 0.001, 8, 2);
-    }
-
-    #[test]
-    fn doc_mode_pruned_matches_naive_across_renormalization() {
-        // λ = 0.5 over arrivals up to ~240 crosses the renorm headroom (60)
-        // several times: crossing batches must fall back to the exhaustive
-        // walk and the first pruning batch after each crossing must rebuild
-        // the bounds in the new frame.
-        doc_mode_pruned_against_naive(2, 0.5, 8, 1);
-    }
-
-    #[test]
-    fn doc_mode_pruning_skips_work_and_keeps_results() {
-        let n = 300usize;
-        let mk = |pruning: DocPruning| {
-            let mut m = ShardedMonitor::new_doc_parallel(2, 0.0);
-            m.set_doc_pruning(pruning);
-            for _ in 0..n {
-                m.register(spec(&[1, 2], 1));
-            }
-            m
-        };
-        let mut pruned = mk(DocPruning::On);
-        let mut exhaustive = mk(DocPruning::Off);
-        assert_eq!(pruned.doc_pruning(), Some(DocPruning::On));
-
-        // Fill every top-1 with a perfect match (all queries unfilled at
-        // submit: every bound is +inf, nothing may be skipped yet)...
-        let fill = vec![doc(0, &[(1, 1.0), (2, 1.0)], 0.0)];
-        pruned.process_batch(fill.clone());
-        exhaustive.process_batch(fill);
-        // ...then stream weak documents: every zone is now refutable.
-        for b in 0..4u64 {
-            let batch: Vec<Document> = (0..8)
-                .map(|i| doc(1 + b * 8 + i, &[(1, 1.0), (9, 3.0)], (1 + b * 8 + i) as f64))
-                .collect();
-            let (sa, ca) = pruned.process_batch(batch.clone());
-            let (sb, cb) = exhaustive.process_batch(batch);
-            assert_eq!(ca.len(), 0, "no weak document may change a result");
-            assert_eq!(cb.len(), 0);
-            assert_eq!(
-                sa.iter().map(|e| e.updates).collect::<Vec<_>>(),
-                sb.iter().map(|e| e.updates).collect::<Vec<_>>()
-            );
-        }
-        for q in 0..n as u32 {
-            assert_eq!(pruned.results(QueryId(q)), exhaustive.results(QueryId(q)));
-        }
-        let skipped: u64 = pruned.shard_cumulative().iter().map(|c| c.zones_skipped).sum();
-        let pruned_reads: u64 = pruned.shard_cumulative().iter().map(|c| c.postings_accessed).sum();
-        let full_reads: u64 =
-            exhaustive.shard_cumulative().iter().map(|c| c.postings_accessed).sum();
-        assert!(skipped > 0, "the bounded walk must actually skip zones");
-        assert!(pruned_reads < full_reads, "skipping must save posting reads");
-        let none: u64 = exhaustive.shard_cumulative().iter().map(|c| c.zones_skipped).sum();
-        assert_eq!(none, 0, "the exhaustive walk never skips");
-    }
-
-    #[test]
-    fn doc_mode_auto_pruning_engages_at_the_population_threshold() {
-        let run = |queries: usize| -> u64 {
-            let mut m = ShardedMonitor::new_doc_parallel(2, 0.0);
-            assert_eq!(m.doc_pruning(), Some(DocPruning::Auto), "auto is the default");
-            for i in 0..queries {
-                m.register(spec(&[(i % 8) as u32, 8 + (i % 4) as u32], 1));
-            }
-            m.process_batch(vec![doc(0, &[(1, 1.0), (9, 1.0)], 0.0)]);
-            m.process_batch(vec![doc(1, &[(1, 1.0), (9, 1.0)], 1.0)]);
-            m.shard_cumulative().iter().map(|c| c.bound_computations).sum()
-        };
-        assert_eq!(run(64), 0, "small populations keep the exhaustive walk");
-        assert!(run(DOC_PRUNING_AUTO_MIN_QUERIES + 8) > 0, "large populations probe the bounds");
-    }
-
-    #[test]
-    fn doc_mode_pruned_compaction_stays_exact() {
-        let mk = |pruning: DocPruning, ratio: f64| {
-            let mut m = ShardedMonitor::new_doc_parallel(2, 0.0);
-            m.set_doc_pruning(pruning);
-            m.set_compaction_threshold(ratio);
-            let ids: Vec<QueryId> =
-                (0..60).map(|i| m.register(spec(&[i % 5, 5 + i % 3], 1))).collect();
-            (m, ids)
-        };
-        // Pruned + compacting vs exhaustive + lazy: compaction reshuffles
-        // positions, so the bounds of the changed lists must be realigned
-        // or skips would fire against the wrong queries.
-        let (mut pruned, ids_a) = mk(DocPruning::On, 0.15);
-        let (mut lazy, ids_b) = mk(DocPruning::Off, 0.0);
-        for round in 0..3u64 {
-            for q in (round * 12)..(round * 12 + 8) {
-                assert!(pruned.unregister(QueryId(q as u32)));
-                assert!(lazy.unregister(QueryId(q as u32)));
-            }
-            let batch: Vec<Document> = (0..20u64)
-                .map(|i| {
-                    let id = round * 20 + i;
-                    doc(id, &[((id % 5) as u32, 1.0), ((5 + id % 3) as u32, 0.5)], id as f64)
-                })
-                .collect();
-            let (_, ca) = pruned.process_batch(batch.clone());
-            let (_, cb) = lazy.process_batch(batch);
-            let strip = |v: Vec<(u32, ResultChange)>| -> Vec<ResultChange> {
-                v.into_iter().map(|(_, c)| c).collect()
-            };
-            assert_eq!(strip(ca), strip(cb), "round {round}");
-        }
-        for (a, b) in ids_a.iter().zip(&ids_b) {
-            assert_eq!(pruned.results(*a), lazy.results(*b));
-        }
-    }
-
-    #[test]
-    fn doc_mode_register_after_dirty_bounds_compaction_stays_aligned() {
-        // A renormalization and a compaction landing in the *same* drain:
-        // the renorm marks the bounds dirty, but the compaction must still
-        // shrink the affected lists' bounds — otherwise the next
-        // registration appends at post-compaction positions into
-        // pre-compaction-length structures and misaligns every later skip
-        // decision (debug builds catch it via the alignment assertion).
+    fn doc_mode_register_after_renormalizing_compaction_stays_aligned() {
+        // A renormalization and a compaction landing in the *same* drain,
+        // then a registration: its postings append at post-compaction
+        // positions of the new epoch, and the fresh query must still
+        // receive the next matching document.
         let mut m = ShardedMonitor::new_doc_parallel(2, 0.5);
-        m.set_doc_pruning(DocPruning::On);
         m.set_compaction_threshold(0.1);
         for i in 0..40 {
             m.register(spec(&[1, 2 + i % 3], 1));

@@ -6,10 +6,10 @@
 //! counters.
 //!
 //! [`CursorSet`] is the per-event working set of the ID-ordering family
-//! (RIO, MRIO, TPS, the bounded doc walk): one cursor per matched postings
-//! list, kept sorted by the query id under the cursor — this ordering *is*
-//! the "processing order" of paper §III — plus the decoded blocks those
-//! cursors read compressed lists through.
+//! (RIO, MRIO, TPS): one cursor per matched postings list, kept sorted by
+//! the query id under the cursor — this ordering *is* the "processing
+//! order" of paper §III — plus the decoded blocks those cursors read
+//! compressed lists through.
 
 use crate::score::DecayModel;
 use crate::stats::CumulativeStats;

@@ -38,12 +38,9 @@ pub mod topk;
 pub mod traits;
 pub mod walk;
 
-pub use backend::{
-    Admission, DocPruning, MonitorBackend, PublishReceipt, PublishRequest, ShardingMode,
-};
+pub use backend::{Admission, MonitorBackend, PublishReceipt, PublishRequest, ShardingMode};
 pub use config::{AdaptiveConfig, IndexConfig, IngestConfig};
 pub use ctk_index::{PostingsStorage, StorageConfig, StorageStats};
-pub use doc_shards::DOC_PRUNING_AUTO_MIN_QUERIES;
 pub use frontend::FrontEnd;
 pub use lifecycle::{
     EvictionPolicy, LifecycleManager, NamespaceStats, QueryOptions, RetentionPolicy,
@@ -60,7 +57,7 @@ pub use snapshot_stream::{SnapshotStreamStats, SnapshotWriter};
 pub use stats::{CumulativeStats, EventStats};
 pub use topk::{Offer, ResultSets, TopKState};
 pub use traits::{ContinuousTopK, ResultChange};
-pub use walk::{DocEpochBounds, MatchScratch, DOC_WALK_ZONE};
+pub use walk::MatchScratch;
 
 #[cfg(test)]
 /// Fixtures shared by the unit tests of the front-end and its runtimes.

@@ -185,6 +185,27 @@ pub struct Mrio<Z: ZoneMax> {
     name: &'static str,
 }
 
+/// Fill `vals` with the bound values of list `li`, position-aligned with
+/// its postings: `-inf` for tombstones, otherwise `u_of(qid, weight)` (the
+/// caller's `u = w/S_k`, `+inf` for unfilled queries).
+fn list_bound_values(
+    index: &QueryIndex,
+    li: u32,
+    mut u_of: impl FnMut(QueryId, f32) -> f64,
+    vals: &mut Vec<f64>,
+) {
+    let list = index.list(li);
+    vals.clear();
+    vals.reserve(list.len());
+    list.for_each_slot(|qid, weight| {
+        vals.push(if ctk_common::is_tombstone_weight(weight) {
+            f64::NEG_INFINITY
+        } else {
+            u_of(qid, weight)
+        });
+    });
+}
+
 /// The largest grant: a window is at most `RUN_CAP · WINDOW` ids wide
 /// (module docs, "Windows").
 const RUN_CAP: u32 = 256;
@@ -396,18 +417,12 @@ impl<Z: ZoneMax> Mrio<Z> {
     }
 
     /// Rebuild list `li`'s zone structure from its postings: live entries
-    /// map to their current `u = w/S_k`, tombstones to `-∞` — one shared
-    /// definition ([`ctk_index::list_bound_values`]) with the doc-parallel
-    /// epoch bounds. `vals` is the caller's scratch buffer (reused across
-    /// lists).
+    /// map to their current `u = w/S_k`, tombstones to `-∞` (see
+    /// [`list_bound_values`]). `vals` is the caller's scratch buffer (reused
+    /// across lists).
     fn rebuild_zone(&mut self, li: u32, vals: &mut Vec<f64>) {
         let base = &self.base;
-        ctk_index::list_bound_values(
-            &self.index,
-            li,
-            |qid, w| base.normalized_of(qid, w as f64),
-            vals,
-        );
+        list_bound_values(&self.index, li, |qid, w| base.normalized_of(qid, w as f64), vals);
         self.zones[li as usize].rebuild(vals);
     }
 

@@ -8,7 +8,7 @@
 //! (`doc_shards`). The traits are `pub` only so the public aliases can name
 //! them; this module is private, so nothing outside the crate can.
 
-use crate::backend::{DocPruning, PublishReceipt, ShardingMode};
+use crate::backend::{PublishReceipt, ShardingMode};
 use crate::sharded::{BatchOutcome, Pipeline};
 use crate::stats::CumulativeStats;
 use ctk_common::{Document, QueryId, QuerySpec, ScoredDoc, Timestamp};
@@ -92,10 +92,4 @@ pub trait ShardRuntime: Runtime + Send {
     fn pipeline(&self) -> &Pipeline;
 
     fn pipeline_mut(&mut self) -> &mut Pipeline;
-
-    fn set_doc_pruning(&mut self, _pruning: DocPruning) {}
-
-    fn doc_pruning(&self) -> Option<DocPruning> {
-        None
-    }
 }

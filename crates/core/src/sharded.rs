@@ -31,7 +31,7 @@
 //! [`ShardingMode::Queries`]: crate::ShardingMode::Queries
 //! [`ShardingMode::Documents`]: crate::ShardingMode::Documents
 
-use crate::backend::{DocPruning, PublishReceipt};
+use crate::backend::PublishReceipt;
 use crate::config::AdaptiveConfig;
 use crate::doc_shards::DocShards;
 use crate::frontend::FrontEnd;
@@ -200,19 +200,6 @@ impl ShardedMonitor {
     /// structures rebuilt. `<= 0.0` disables.
     pub fn set_compaction_threshold(&mut self, ratio: f64) {
         self.runtime.set_compaction(ratio);
-    }
-
-    /// Configure whether document-mode scorer workers prune their walk
-    /// with the shared epoch's zone-maxima bounds (see [`DocPruning`];
-    /// default [`DocPruning::Auto`]). No effect in query mode, whose
-    /// engines carry their own bounds.
-    pub fn set_doc_pruning(&mut self, pruning: DocPruning) {
-        self.runtime.set_doc_pruning(pruning);
-    }
-
-    /// The configured document-mode pruning policy (`None` in query mode).
-    pub fn doc_pruning(&self) -> Option<DocPruning> {
-        self.runtime.doc_pruning()
     }
 
     /// Configure how `publish_batch` drives the pipeline: the publish is

@@ -29,14 +29,6 @@ pub struct EventStats {
     pub updates: u64,
     /// Document terms that had a non-empty list ("m" in the paper).
     pub matched_lists: u64,
-    /// Index zones skipped wholesale by a bound (the doc-parallel bounded
-    /// walk; 0 for exhaustive walks).
-    pub zones_skipped: u64,
-    /// Postings slots covered by skipped zones — work a bound proved
-    /// unnecessary. Counts slots (live + tombstoned), so
-    /// `postings_accessed + postings_skipped >=` the exhaustive walk's
-    /// `postings_accessed` on the same event.
-    pub postings_skipped: u64,
     /// Queries removed by TTL expiry at this batch boundary. Set by the
     /// monitor front-ends (lifecycle layer), never by an engine: oracle
     /// comparisons of raw engine stats are unaffected.
@@ -58,8 +50,6 @@ impl EventStats {
         self.bound_computations += other.bound_computations;
         self.updates += other.updates;
         self.matched_lists += other.matched_lists;
-        self.zones_skipped += other.zones_skipped;
-        self.postings_skipped += other.postings_skipped;
         self.expired += other.expired;
         self.evicted += other.evicted;
     }
@@ -73,8 +63,6 @@ impl EventStats {
         cum.bound_computations += self.bound_computations;
         cum.updates += self.updates;
         cum.matched_lists += self.matched_lists;
-        cum.zones_skipped += self.zones_skipped;
-        cum.postings_skipped += self.postings_skipped;
         cum.expired += self.expired;
         cum.evicted += self.evicted;
     }
@@ -96,8 +84,6 @@ pub struct CumulativeStats {
     pub bound_computations: u64,
     pub updates: u64,
     pub matched_lists: u64,
-    pub zones_skipped: u64,
-    pub postings_skipped: u64,
     pub expired: u64,
     pub evicted: u64,
     /// Landmark renormalizations performed.
@@ -138,8 +124,6 @@ mod tests {
             bound_computations: 9,
             updates: 1,
             matched_lists: 4,
-            zones_skipped: 2,
-            postings_skipped: 50,
             expired: 1,
             evicted: 2,
         };
@@ -147,8 +131,7 @@ mod tests {
         e.accumulate_into(&mut cum);
         assert_eq!(cum.events, 2);
         assert_eq!(cum.full_evaluations, 6);
-        assert_eq!(cum.zones_skipped, 4);
-        assert_eq!(cum.postings_skipped, 100);
+        assert_eq!(cum.postings_accessed, 40);
         assert_eq!((cum.expired, cum.evicted), (2, 4));
         assert_eq!(cum.avg_full_evaluations(), 3.0);
         assert_eq!(cum.avg_iterations(), 7.0);
@@ -163,8 +146,6 @@ mod tests {
             bound_computations: 4,
             updates: 5,
             matched_lists: 6,
-            zones_skipped: 7,
-            postings_skipped: 8,
             expired: 9,
             evicted: 10,
         };
@@ -179,8 +160,6 @@ mod tests {
                 bound_computations: 8,
                 updates: 10,
                 matched_lists: 12,
-                zones_skipped: 14,
-                postings_skipped: 16,
                 expired: 18,
                 evicted: 20,
             }

@@ -17,9 +17,6 @@
 //!   (versioned-heap) maintenance, used by RIO's global bounds (Eq. 2);
 //! * [`segment_tree`], [`block_max`], [`suffix_max`] — the three alternative
 //!   implementations of MRIO's local zone bounds (Eq. 3, TKDE §5.2);
-//! * [`epoch_bounds`] — per-epoch, read-only zone-maxima bounds over a
-//!   shared `QueryIndex`, built from caller-supplied thresholds; the
-//!   doc-parallel monitor's pruning substrate;
 //! * [`impact_lists`] — impact-ordered (`w/S_k` descending) snapshot lists
 //!   for the RTA baseline and weight-ordered lists for SortQuer.
 //!
@@ -28,7 +25,6 @@
 //! every algorithm in `ctk-core` and `ctk-baselines`.
 
 pub mod block_max;
-pub mod epoch_bounds;
 pub mod impact_lists;
 pub mod max_tracker;
 pub mod postings;
@@ -40,7 +36,6 @@ pub mod zone;
 
 pub use block_max::BlockMax;
 pub use ctk_storage::PagePin;
-pub use epoch_bounds::{list_bound_values, EpochBounds};
 pub use impact_lists::{ImpactList, WeightOrderedList};
 pub use max_tracker::VersionedMaxTracker;
 pub use postings::{Posting, PostingsList};

@@ -227,7 +227,7 @@ impl<'a> RecordRef<'a> {
     /// don't store positions, so each is recovered by a search of the
     /// ID-ordered list (directory, then an ids-only decode of one block) —
     /// for the paths that need every position and have no better source
-    /// (unregistration, epoch-bound refresh, the owned form).
+    /// (unregistration, the owned form).
     #[inline]
     pub fn entries_full(self) -> RecordEntriesFull<'a> {
         RecordEntriesFull {
@@ -523,21 +523,6 @@ impl QueryIndex {
         self.total_tombstones += record.entries.len();
         self.live_queries -= 1;
         Some(record)
-    }
-
-    /// Unregister a batch of queries in one pass (the namespace-forget
-    /// path): tombstones every posting of every live member and returns the
-    /// `(qid, record)` pairs actually removed, in input order. Unknown or
-    /// already-removed ids are skipped. One call-site-visible walk instead
-    /// of `n` lookups lets callers follow with a single forced compaction.
-    pub fn unregister_many(&mut self, qids: &[QueryId]) -> Vec<(QueryId, QueryRecord)> {
-        let mut removed = Vec::with_capacity(qids.len());
-        for &qid in qids {
-            if let Some(record) = self.unregister(qid) {
-                removed.push((qid, record));
-            }
-        }
-        removed
     }
 
     /// The record of a live query, as a layout-independent view.

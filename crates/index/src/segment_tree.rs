@@ -110,10 +110,6 @@ impl ZoneMax for MaxSegTree {
     }
 
     fn range_max(&mut self, lo: usize, hi: usize) -> f64 {
-        self.range_max_frozen(lo, hi)
-    }
-
-    fn range_max_frozen(&self, lo: usize, hi: usize) -> f64 {
         let (lo, hi) = (lo.min(self.len), hi.min(self.len));
         if lo >= hi {
             return f64::NEG_INFINITY;

@@ -20,8 +20,7 @@
 //! that decides whether compression wins at all.
 //!
 //! Blocks hold exactly [`ctk_storage::BLOCK_LEN`] postings so they align
-//! 1:1 with [`crate::BlockMax`]'s default zones: an `EpochBounds` probe
-//! over a frozen zone maps onto one sealed block.
+//! 1:1 with [`crate::BlockMax`]'s default zones.
 //!
 //! **Two ways to read.** [`ListRef`]'s stateless methods (`get`, `seek`,
 //! `position_of`, `for_each_*`) serve scans and one-off look-ups; on the

@@ -92,31 +92,11 @@ impl ZoneMax for SuffixMax {
 
     fn range_max(&mut self, lo: usize, hi: usize) -> f64 {
         self.maybe_rebuild();
-        self.range_max_frozen(lo, hi)
-    }
-
-    fn range_max_frozen(&self, lo: usize, hi: usize) -> f64 {
         if lo >= self.vals.len() || lo >= hi {
             return f64::NEG_INFINITY;
         }
-        if self.dirty {
-            // An increasing update left the snapshot under-estimating and a
-            // frozen structure cannot repair itself; `+inf` keeps the
-            // upper-bound contract (it merely prunes nothing). The doc-path
-            // never hits this: freezing runs `prepare_frozen` first.
-            return f64::INFINITY;
-        }
         // Deliberately ignores `hi`: suffix[lo] >= max(vals[lo..hi]).
         self.suffix[lo]
-    }
-
-    fn prepare_frozen(&mut self) {
-        // While frozen, `range_max_frozen` cannot lazily rebuild, so the
-        // staleness absorbed so far would otherwise be *write-only*: the
-        // counter grows with every decreasing update but nothing ever
-        // consults it, and the snapshot loosens without bound. Settle both
-        // debts now, while we still hold exclusive access.
-        self.maybe_rebuild();
     }
 
     fn global_max(&mut self) -> f64 {
@@ -203,42 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn frozen_reads_stay_upper_bounds() {
-        let mut sm = SuffixMax::new();
-        sm.rebuild(&[1.0, 2.0, 3.0]);
-        // Decreases keep the snapshot stale-valid: the frozen read may
-        // over-estimate but never under-estimates.
-        sm.update(2, 0.5);
-        assert_eq!(sm.range_max_frozen(0, 3), 3.0, "stale-high is a valid bound");
-        // An increase marks the snapshot dirty; a frozen read that could
-        // under-estimate must degrade to +inf, not to a wrong bound.
-        sm.update(0, 9.0);
-        assert_eq!(sm.range_max_frozen(0, 3), f64::INFINITY);
-        // prepare_frozen (run before sharing) settles the debt exactly.
-        sm.prepare_frozen();
-        assert_eq!(sm.range_max_frozen(0, 3), 9.0);
-        assert_eq!(sm.staleness(), 0);
-    }
-
-    #[test]
-    fn prepare_frozen_resets_accumulated_staleness() {
-        // The doc path's frozen reads never run the lazy rebuild, so without
-        // prepare_frozen the counter would only ever be written: freezing
-        // must consult it and reset it once the rebuild threshold is hit.
-        let mut sm = SuffixMax::new();
-        let vals: Vec<f64> = (0..200).map(|i| i as f64).collect();
-        sm.rebuild(&vals);
-        for pos in 0..120 {
-            sm.update(pos, 0.0);
-        }
-        assert!(sm.staleness() > 0);
-        sm.prepare_frozen();
-        assert_eq!(sm.staleness(), 0, "freeze settles the deferred rebuild");
-        assert_eq!(sm.range_max_frozen(0, 200), 199.0);
-        assert_eq!(sm.range_max_frozen(0, 100), 199.0, "suffix bound still ignores hi");
-    }
-
-    #[test]
     fn staleness_counter_and_rebuild() {
         let mut sm = SuffixMax::new();
         let vals: Vec<f64> = (0..200).map(|i| i as f64).collect();
@@ -270,7 +214,7 @@ mod tests {
         sm.rebuild(&[1.0, 2.0, 3.0]);
         sm.update(2, 0.5); // stale: the snapshot still says 3
         sm.update(0, 9.0); // dirty: the snapshot under-estimates
-        assert!(sm.staleness() > 0 && sm.range_max_frozen(0, 3) == f64::INFINITY);
+        assert!(sm.staleness() > 0);
         assert_eq!((sm.value_at(0), sm.value_at(1), sm.value_at(2)), (9.0, 2.0, 0.5));
     }
 }

@@ -45,21 +45,6 @@ pub trait ZoneMax {
     /// O(1), with no deferred maintenance to settle first.
     fn value_at(&self, pos: usize) -> f64;
 
-    /// [`ZoneMax::range_max`] through a shared reference, for structures
-    /// that have been **frozen** (shared read-only across scorer threads —
-    /// the doc-parallel epoch bounds). Lazily maintained variants cannot
-    /// rebuild here, so callers must run [`ZoneMax::prepare_frozen`] while
-    /// they still hold exclusive access; after that, the same upper-bound
-    /// contract as `range_max` holds.
-    fn range_max_frozen(&self, lo: usize, hi: usize) -> f64;
-
-    /// Settle any deferred maintenance before the structure is frozen
-    /// (shared immutably). After this call, [`ZoneMax::range_max_frozen`]
-    /// answers are upper bounds even for implementations whose `range_max`
-    /// normally repairs itself lazily (e.g. [`crate::SuffixMax`] rebuilding
-    /// a dirty or stale snapshot). Default: nothing to settle.
-    fn prepare_frozen(&mut self) {}
-
     /// Maximum over all positions (used as the RIO-style global bound).
     fn global_max(&mut self) -> f64 {
         let n = self.len();
@@ -99,10 +84,6 @@ impl ZoneMax for ScanZoneMax {
     }
 
     fn range_max(&mut self, lo: usize, hi: usize) -> f64 {
-        self.range_max_frozen(lo, hi)
-    }
-
-    fn range_max_frozen(&self, lo: usize, hi: usize) -> f64 {
         self.vals[lo.min(self.vals.len())..hi.min(self.vals.len())]
             .iter()
             .copied()

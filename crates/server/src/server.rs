@@ -45,9 +45,9 @@ use continuous_topk::{EngineKind, MonitorBuilder};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use ctk_common::{Namespace, QueryId, ScoredDoc};
 use ctk_core::{
-    AdaptiveConfig, Admission, DocPruning, IndexConfig, IngestConfig, NamespaceStats,
-    PostingsStorage, PublishReceipt, PublishRequest, QueryOptions, ReplayCommand, Replayer,
-    RetentionPolicy, ShardingMode, Snapshot, SnapshotWriter, StorageStats,
+    AdaptiveConfig, Admission, IndexConfig, IngestConfig, NamespaceStats, PostingsStorage,
+    PublishReceipt, PublishRequest, QueryOptions, ReplayCommand, Replayer, RetentionPolicy,
+    ShardingMode, Snapshot, SnapshotWriter, StorageStats,
 };
 use serde::{Number, Serialize, Value};
 use std::io::{self, BufReader, BufWriter, Write};
@@ -271,12 +271,6 @@ impl ServerBuilder {
     /// Index compaction threshold.
     pub fn compact_at(mut self, ratio: f64) -> ServerBuilder {
         self.monitor = self.monitor.compact_at(ratio);
-        self
-    }
-
-    /// Document-epoch pruning mode.
-    pub fn doc_pruning(mut self, pruning: DocPruning) -> ServerBuilder {
-        self.monitor = self.monitor.doc_pruning(pruning);
         self
     }
 

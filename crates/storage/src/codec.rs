@@ -1,8 +1,7 @@
 //! The sealed-block postings codec.
 //!
 //! A block holds exactly [`BLOCK_LEN`] postings — the same span as one
-//! `BlockMax` zone, so every frozen `EpochBounds` probe maps 1:1 onto one
-//! sealed block. Query ids are stored as a base id plus bit-packed deltas
+//! `BlockMax` zone. Query ids are stored as a base id plus bit-packed deltas
 //! (each delta is `qid[i] − qid[i−1] − 1`, since ids are strictly
 //! increasing); the packing width is the smallest that fits the block's
 //! largest gap, so dense id runs cost 0 bits per id. Weights are either raw

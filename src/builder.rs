@@ -10,9 +10,9 @@
 use ctk_baselines::{Rta, SortQuer, Tps};
 use ctk_common::{FxHashMap, QueryId};
 use ctk_core::{
-    AdaptiveConfig, ContinuousTopK, DocPruning, IndexConfig, IngestConfig, Monitor, MonitorBackend,
-    MrioBlock, MrioSeg, MrioSuffix, Naive, PostingsStorage, Rio, ShardedMonitor, ShardingMode,
-    Snapshot, StorageConfig,
+    AdaptiveConfig, ContinuousTopK, IndexConfig, IngestConfig, Monitor, MonitorBackend, MrioBlock,
+    MrioSeg, MrioSuffix, Naive, PostingsStorage, Rio, ShardedMonitor, ShardingMode, Snapshot,
+    StorageConfig,
 };
 
 /// Every engine a monitor can run on: the paper's algorithms, the three
@@ -174,18 +174,14 @@ impl std::str::FromStr for EngineKind {
 /// The crossover is measurable with the `sweep_shards` bench binary
 /// (`--mode query|doc|both --queries N,N,...`), which records docs/sec
 /// per `queries × mode × shards × batch` cell with one single-threaded
-/// reference per population (report schema v3; doc-mode cells also
-/// record the bounded walk's `zones_skipped`/`postings_skipped`).
-/// Indicatively, in the checked-in `results/sweep_shards.json` (smoke
-/// scale, 1-core container, best of 3, pruned walk forced on): at
-/// 2 000 queries the two modes are within ~10% of each other
-/// (~9 100–9 900 docs/sec — the walk is cheap, coordination decides);
-/// at 10 000 queries the *exhaustive* doc walk reaches ~1.7× the single
-/// engine while the zone-pruned walk still trails it (probes cost more
-/// than they save below [`ctk_core::DOC_PRUNING_AUTO_MIN_QUERIES`] —
-/// see [`MonitorBuilder::doc_pruning`]) — and with hundreds of
-/// thousands of queries per shard the replicated-walk cost amortizes
-/// and query mode's pruning engines (MRIO) win back the lead. Measure
+/// reference per population (report schema v6). Document mode always
+/// runs the oracle's exhaustive walk; a bounded walk over frozen zone
+/// maxima lost every measured cell at 10k and 50k queries and was
+/// removed (see the README's "Choosing a sharding mode"). At a few
+/// thousand queries the two modes are close — the walk is cheap and
+/// coordination decides; as the population grows the doc walk's cost
+/// grows with it, and with hundreds of thousands of queries per shard
+/// query mode's pruning engines (MRIO) take the lead. Measure
 /// with your own workload shape before committing a deployment to
 /// either mode.
 ///
@@ -242,8 +238,8 @@ impl MonitorBuilder {
 
     /// Replace the whole index profile at once (see [`IndexConfig`]).
     /// The flat knobs ([`MonitorBuilder::postings_storage`],
-    /// [`MonitorBuilder::page_budget`], [`MonitorBuilder::compact_at`],
-    /// [`MonitorBuilder::doc_pruning`]) write through to the same value.
+    /// [`MonitorBuilder::page_budget`], [`MonitorBuilder::compact_at`])
+    /// write through to the same value.
     pub fn index(mut self, index: IndexConfig) -> Self {
         self.index = index;
         self
@@ -315,31 +311,6 @@ impl MonitorBuilder {
         self
     }
 
-    /// Whether [`ShardingMode::Documents`] workers prune their shared-epoch
-    /// walk with frozen zone-maxima bounds (see [`DocPruning`]). Either
-    /// way results, changes and per-document insertion counts are
-    /// bit-identical to the oracle — only the walk-work counters (and
-    /// throughput) move, so this is purely a throughput knob.
-    ///
-    /// Measured honestly (the `walk` Criterion micro-bench in
-    /// `crates/core/benches`, 1-core container, steady-state thresholds,
-    /// θ_d = 0.95): the bounded walk costs ~2.7× the exhaustive walk per
-    /// 48-term document at 1k queries, ~1.8× at 10k, and ~1.2× at 100k
-    /// (narrow 8-term documents: ~1.3×, ~2.0×, ~1.1×) — the gap closes
-    /// steadily with population because each bound probe refutes ever more
-    /// candidates, but the crossover extrapolates to the paper's 0.25M+
-    /// CTQD regime, beyond what this container can sweep. The default
-    /// [`DocPruning::Auto`] therefore only engages past
-    /// `DOC_PRUNING_AUTO_MIN_QUERIES` (256k) live queries; force
-    /// [`DocPruning::On`] to measure your own workload with
-    /// `sweep_shards --queries ... --pruning on`, whose per-cell
-    /// `zones_skipped` counters show how much walk the bounds refute. No
-    /// effect in query mode.
-    pub fn doc_pruning(mut self, pruning: DocPruning) -> Self {
-        self.index.doc_pruning = pruning;
-        self
-    }
-
     /// Which postings layout the query index(es) use (see
     /// [`PostingsStorage`]). All three backends are bit-identical on every
     /// read — the selection only moves the RAM footprint and throughput:
@@ -403,7 +374,6 @@ impl MonitorBuilder {
                     self.lambda,
                     &self.index.storage,
                 );
-                sharded.set_doc_pruning(self.index.doc_pruning);
                 self.configure_ingest(&mut sharded);
                 Box::new(sharded)
             }
@@ -502,7 +472,6 @@ mod tests {
             .pipeline_window(2)
             .adaptive_batching(adaptive)
             .compact_at(0.3)
-            .doc_pruning(DocPruning::On)
             .postings_storage(PostingsStorage::Paged)
             .page_budget(4096);
         let grouped = MonitorBuilder::new(EngineKind::Mrio)
@@ -516,8 +485,7 @@ mod tests {
                         page_budget_bytes: 4096,
                         spill_dir: None,
                     })
-                    .compaction_threshold(0.3)
-                    .doc_pruning(DocPruning::On),
+                    .compaction_threshold(0.3),
             );
         assert_eq!(flat, grouped);
     }

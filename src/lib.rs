@@ -100,9 +100,9 @@ pub mod prelude {
         TermId, Timestamp,
     };
     pub use ctk_core::{
-        AdaptiveConfig, Admission, ContinuousTopK, CumulativeStats, DecayModel, DocPruning,
-        EventStats, EvictionPolicy, IndexConfig, IngestConfig, Monitor, MonitorBackend, Mrio,
-        MrioBlock, MrioSeg, MrioSuffix, Naive, NamespaceStats, PostingsStorage, PublishReceipt,
+        AdaptiveConfig, Admission, ContinuousTopK, CumulativeStats, DecayModel, EventStats,
+        EvictionPolicy, IndexConfig, IngestConfig, Monitor, MonitorBackend, Mrio, MrioBlock,
+        MrioSeg, MrioSuffix, Naive, NamespaceStats, PostingsStorage, PublishReceipt,
         PublishRequest, QueryOptions, ResultChange, RetentionPolicy, Rio, ShardSnapshot,
         ShardedMonitor, ShardingMode, Snapshot, SnapshotQuery, SnapshotStreamStats, SnapshotWriter,
         StorageConfig, StorageStats, SNAPSHOT_VERSION,

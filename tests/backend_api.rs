@@ -163,37 +163,34 @@ fn doc_compacting_backend_matches_oracle() {
     backend_matches_oracle(doc_mode(2).compact_at(0.15), 1e-3);
 }
 
-// --- and with the bounded (zone-maxima pruned) walk forced on ---
+// --- document mode, the stressors combined ---
 
 #[test]
-fn doc_pruned_backend_matches_oracle() {
-    // The bounded walk may only skip candidates the submit-time filter
-    // would reject: changes, per-document insertion counts and results all
-    // stay bit-identical through the same shared test body.
-    backend_matches_oracle(doc_mode(4).doc_pruning(DocPruning::On), 1e-3);
+fn doc_pipelined_chunked_backend_matches_oracle_across_renormalization() {
+    // The renormalization lands inside a chunked, pipelined batch: chunks
+    // already in flight were scored in the old frame and must merge exactly.
+    backend_matches_oracle(doc_mode(4).batch_size(7).pipeline_window(2), 0.5);
 }
 
 #[test]
-fn doc_pruned_pipelined_chunked_backend_matches_oracle() {
-    backend_matches_oracle(
-        doc_mode(4).doc_pruning(DocPruning::On).batch_size(7).pipeline_window(2),
-        1e-3,
-    );
+fn doc_compacting_backend_matches_oracle_across_renormalization() {
+    // Registrations land after compactions that follow renormalizations;
+    // the shared epoch must stay aligned with the merged result sets.
+    backend_matches_oracle(doc_mode(2).compact_at(0.15), 0.5);
 }
 
 #[test]
-fn doc_pruned_backend_matches_oracle_across_renormalization() {
-    // Renormalizations scale thresholds down — the one direction frozen
-    // bounds cannot absorb: crossing batches must walk exhaustively and
-    // the first pruning batch afterwards must rebuild in the new frame.
-    backend_matches_oracle(doc_mode(2).doc_pruning(DocPruning::On), 0.5);
+fn doc_single_shard_compacting_pipelined_chunked_backend_matches_oracle() {
+    backend_matches_oracle(doc_mode(1).compact_at(0.15).batch_size(7).pipeline_window(2), 1e-3);
 }
 
 #[test]
-fn doc_pruned_compacting_backend_matches_oracle() {
-    // Compaction moves postings positions; the changed lists' bounds must
-    // be realigned before the next pruned batch.
-    backend_matches_oracle(doc_mode(2).doc_pruning(DocPruning::On).compact_at(0.15), 1e-3);
+fn doc_adaptive_batching_backend_matches_oracle() {
+    // A near-zero latency target makes every drain miss it, so the AIMD
+    // controller halves the chunk size down to its floor mid-stream;
+    // chunking is result-invariant.
+    let cfg = AdaptiveConfig::default().target_drain_ms(1e-6).chunk_bounds(2, 16).increase_step(3);
+    backend_matches_oracle(doc_mode(2).adaptive_batching(cfg), 1e-3);
 }
 
 /// Snapshot under one configuration, restore under another (different

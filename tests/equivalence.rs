@@ -594,17 +594,14 @@ fn aligned_sums_and_exact_ties_follow_the_oracle_in_sortquer_and_rta() {
     );
 }
 
-/// The same cases through the doc-parallel runtime's bounded walk over
-/// frozen epoch bounds (`DocPruning::On`). The monitor numbers documents
-/// itself, so a tie's loser — the filled result, doc 10 — arrives as a
-/// restored result; the restore also makes the next publish rebuild the
-/// bounds exactly, `w/S_k` of the restored sets, so the walk's skip test
-/// meets the winner's rounded bound.
+/// The same cases through the doc-parallel runtime, whose workers keep a
+/// candidate only when `dot · amp >= S_k` against the submit-time
+/// thresholds. The monitor numbers documents itself, so a tie's loser — the
+/// filled result, doc 10 — arrives as a restored result; the filter then
+/// meets each tie's `S_k` exactly.
 #[test]
-fn aligned_sums_and_exact_ties_follow_the_oracle_in_the_bounded_doc_walk() {
-    let config = MonitorBuilder::new(EngineKind::Naive)
-        .sharding(ShardingMode::Documents)
-        .doc_pruning(DocPruning::On);
+fn aligned_sums_and_exact_ties_follow_the_oracle_in_the_doc_parallel_filter() {
+    let config = MonitorBuilder::new(EngineKind::Naive).sharding(ShardingMode::Documents);
     let mut aligned = 0;
     for (queries, pairs) in aligned_cases() {
         let (mut monitor, mut oracle) = (config.build(), Naive::new(0.0));

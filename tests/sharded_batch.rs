@@ -10,9 +10,8 @@
 //!   must not change a single bit of any result;
 //! * **document mode**: workers walk a shared index epoch and candidates
 //!   are merged serially in stream order, so partitioning the *batch*
-//!   across shards (including through the threshold candidate filter, the
-//!   zone-maxima bounded walk, and threshold-triggered compaction) must
-//!   not change a single bit either.
+//!   across shards (including through the threshold candidate filter and
+//!   threshold-triggered compaction) must not change a single bit either.
 //!
 //! Since the sharded monitor allocates public ids from one monotone space,
 //! the same registration sequence yields the *same* `QueryId`s on both
@@ -60,7 +59,6 @@ proptest! {
             1..6,
         ),
         lambda in prop::sample::select(vec![0.0, 0.05, 0.8]),
-        pruning in prop::sample::select(vec![DocPruning::Off, DocPruning::On]),
         compact_at in prop::sample::select(vec![0.0, 0.2]),
         storage in prop::sample::select(vec![
             PostingsStorage::Plain,
@@ -79,9 +77,7 @@ proptest! {
                 ShardedMonitor::new(shards, || Naive::with_storage(lambda, &storage_cfg))
             }
             ShardingMode::Documents => {
-                let mut m = ShardedMonitor::new_doc_parallel_with(shards, lambda, &storage_cfg);
-                m.set_doc_pruning(pruning);
-                m
+                ShardedMonitor::new_doc_parallel_with(shards, lambda, &storage_cfg)
             }
         };
         sharded.set_compaction_threshold(compact_at);
@@ -165,32 +161,12 @@ proptest! {
             ShardingMode::Documents => {
                 // Every document was scored by exactly one shard.
                 prop_assert_eq!(summed, total_docs);
+                // The doc walk *is* the oracle's walk, parallelized: its
+                // counters match exactly.
                 let sum = |f: fn(&CumulativeStats) -> u64| per_shard.iter().map(f).sum::<u64>();
-                let walked = sum(|c| c.postings_accessed);
-                let skipped = sum(|c| c.postings_skipped);
-                let evals = sum(|c| c.full_evaluations);
                 let oracle = single.cumulative();
-                match pruning {
-                    DocPruning::Off | DocPruning::Auto => {
-                        // The exhaustive walk *is* the oracle's walk,
-                        // parallelized: counters match exactly and nothing
-                        // is ever skipped. (Auto stays exhaustive at these
-                        // populations.)
-                        prop_assert_eq!(walked, oracle.postings_accessed);
-                        prop_assert_eq!(evals, oracle.full_evaluations);
-                        prop_assert_eq!(skipped, 0);
-                        prop_assert_eq!(sum(|c| c.zones_skipped), 0);
-                    }
-                    DocPruning::On => {
-                        // The bounded walk may only *shift* work from reads
-                        // into proven skips — and insertions are
-                        // walk-independent.
-                        prop_assert!(walked <= oracle.postings_accessed);
-                        prop_assert!(walked + skipped >= oracle.postings_accessed);
-                        prop_assert!(evals <= oracle.full_evaluations);
-                        prop_assert_eq!(sum(|c| c.updates), oracle.updates);
-                    }
-                }
+                prop_assert_eq!(sum(|c| c.postings_accessed), oracle.postings_accessed);
+                prop_assert_eq!(sum(|c| c.full_evaluations), oracle.full_evaluations);
             }
         }
     }
@@ -309,10 +285,7 @@ proptest! {
 
             // Same documents admitted; same changes. The emission *order*
             // of changes legitimately varies with chunk boundaries, so
-            // compare as sets via a canonical sort. (Per-document work
-            // stats may differ too: document mode freezes pruning bounds
-            // per chunk, so a different chunking walks differently — but
-            // never to different results.)
+            // compare as sets via a canonical sort.
             prop_assert_eq!(&receipt_a.doc_ids, &receipt_f.doc_ids);
             let canon = |mut changes: Vec<ResultChange>| {
                 changes.sort_by(|a, b| {
@@ -640,16 +613,14 @@ proptest! {
     }
 }
 
-/// The satellite scenario in one deterministic test: a four-digit query
-/// population with tight thresholds, register/unregister churn, a λ = 0.5
-/// renormalization crossing and threshold-triggered compaction — the
-/// bounded walk must stay bit-identical to the oracle *and* demonstrably
-/// skip work.
+/// Document mode in one deterministic test: a four-digit query population
+/// with tight thresholds, register/unregister churn, a λ = 0.5
+/// renormalization crossing and threshold-triggered compaction — changes,
+/// results and work counters must all stay bit-identical to the oracle.
 #[test]
-fn bounded_walk_skips_at_scale_while_staying_bit_identical() {
+fn doc_walk_through_churn_renorm_and_compaction_stays_bit_identical() {
     let lambda = 0.5;
     let mut sharded = ShardedMonitor::new_doc_parallel(3, lambda);
-    sharded.set_doc_pruning(DocPruning::On);
     sharded.set_compaction_threshold(0.15);
     let mut single = Naive::new(lambda);
 
@@ -671,7 +642,7 @@ fn bounded_walk_skips_at_scale_while_staying_bit_identical() {
     // burst of weak documents arrives *shortly after* it — under λ = 0.5
     // a 4.5×-weaker document only overtakes a strong incumbent once
     // e^(λ·Δτ) exceeds the strength ratio (Δτ ≈ 7.5), so the sub-unit
-    // burst spacing keeps every weak document refutable. Rounds advance
+    // burst spacing keeps every weak document filtered out. Rounds advance
     // the clock 16 units, so round 8 crosses the λ·Δτ > 60
     // renormalization headroom (t > 120) mid-stream.
     let mut next_doc = 0u64;
@@ -693,8 +664,8 @@ fn bounded_walk_skips_at_scale_while_staying_bit_identical() {
             }
         }
         // The perfect match goes through as its own batch so the weak
-        // burst's submit-time snapshot (filter AND frozen bounds) already
-        // reflects the tightened thresholds.
+        // burst's submit-time filter already reflects the tightened
+        // thresholds.
         let t0 = round as f64 * 16.0;
         let strong = vec![mk(&[(1, 1.0), (2, 1.0)], t0, &mut next_doc)];
         let weak: Vec<Document> = (0..19)
@@ -716,16 +687,13 @@ fn bounded_walk_skips_at_scale_while_staying_bit_identical() {
     for qid in &live {
         assert_eq!(sharded.results(*qid), single.results(*qid), "query {qid}");
     }
-    // ...with real skipping on the books, and the conservation law intact.
+    // ...and the oracle's work, exactly.
     let per_shard = sharded.shard_cumulative();
     let sum = |f: fn(&CumulativeStats) -> u64| per_shard.iter().map(f).sum::<u64>();
-    assert!(sum(|c| c.zones_skipped) > 0, "tight thresholds must let zones skip");
-    assert!(sum(|c| c.postings_accessed) < single.cumulative().postings_accessed);
-    assert!(
-        sum(|c| c.postings_accessed) + sum(|c| c.postings_skipped)
-            >= single.cumulative().postings_accessed
-    );
-    assert_eq!(sum(|c| c.updates), single.cumulative().updates);
+    let oracle = single.cumulative();
+    assert_eq!(sum(|c| c.postings_accessed), oracle.postings_accessed);
+    assert_eq!(sum(|c| c.full_evaluations), oracle.full_evaluations);
+    assert_eq!(sum(|c| c.updates), oracle.updates);
 }
 
 /// The storage-subsystem scenario in one deterministic test: every postings
