@@ -45,6 +45,10 @@ use serde::{Deserialize, Error, Number, Serialize, Value};
 /// {"op": "retention", "namespace": "alerts", "policy": {...}}
 /// {"op": "forget", "namespace": "alerts"}
 /// ```
+///
+/// The daemon's journal writes a publish as its request body instead, and
+/// recovers that record into [`ReplayCommand::Publish`]; `"op": "publish"`
+/// records come from direct appends of this type and from older builds.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReplayCommand {
     /// The documents of one `POST /publish`, verbatim.
@@ -77,15 +81,6 @@ impl ReplayCommand {
     /// the request).
     pub fn publish(request: &PublishRequest) -> ReplayCommand {
         ReplayCommand::Publish { docs: request.docs().to_vec() }
-    }
-
-    /// The journal payload of [`ReplayCommand::publish`]`(request)` — the
-    /// same bytes, streamed from the borrowed request without cloning its
-    /// documents into a command first. What the publish path journals.
-    pub fn encode_publish(request: &PublishRequest) -> Result<String, Error> {
-        let mut out = String::new();
-        write_publish(request.docs(), &mut out)?;
-        Ok(out)
     }
 
     /// The wire token naming this command kind (the `"op"` tag).
@@ -129,7 +124,9 @@ impl Serialize for ReplayCommand {
 
     fn write_json(&self, out: &mut String) -> Result<(), Error> {
         match self {
-            ReplayCommand::Publish { docs } => write_publish(docs, out),
+            ReplayCommand::Publish { docs } => {
+                write_tagged(out, self.op(), |object| object.field("docs", docs))
+            }
             ReplayCommand::Register { assigned, spec, namespace, max_age } => {
                 write_tagged(out, self.op(), |object| {
                     object.field("assigned", assigned)?;
@@ -165,12 +162,6 @@ fn write_tagged(
     fields(&mut object)?;
     object.end();
     Ok(())
-}
-
-/// The one encoder of a publish record, behind both the command's
-/// `write_json` and [`ReplayCommand::encode_publish`].
-fn write_publish(docs: &[(Vec<(TermId, f32)>, Timestamp)], out: &mut String) -> Result<(), Error> {
-    write_tagged(out, "publish", |object| object.field("docs", docs))
 }
 
 impl Deserialize for ReplayCommand {

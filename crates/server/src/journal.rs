@@ -21,13 +21,31 @@
 //! | len: u32 LE | seq: u64 LE | crc: u32 LE | payload: len bytes |
 //! ```
 //!
-//! `payload` is the JSON-serialized [`ReplayCommand`]; `crc` is CRC-32
-//! (IEEE) over the `len` and `seq` fields' bytes plus the payload, so a
-//! corrupted header is caught the same as a corrupted body. Sequence
-//! numbers start at 1 and increase by one per record, never resetting —
-//! `last_seq` in the checkpoint says which prefix of the history the
-//! snapshot already covers, which makes replay idempotent across the
-//! crash window between writing a checkpoint and truncating the segments.
+//! `payload` is one JSON object naming its command with an `"op"` tag;
+//! `crc` is CRC-32 (IEEE) over the `len` and `seq` fields' bytes plus the
+//! payload, so a corrupted header is caught the same as a corrupted body.
+//! A publish payload has one of two shapes:
+//!
+//! ```text
+//! {"op":"publish_body","body":<the POST /publish body, byte for byte>}
+//! {"op":"publish","docs":[[[[term,weight],...],arrival],...]}
+//! ```
+//!
+//! This build writes the first ([`publish_body_payload`]) on the daemon's
+//! publish path: the body is stored as received, after
+//! [`decode_publish`] accepted it, and recovery runs it through that same
+//! decoder, so a replayed publish is the request the live server applied,
+//! bit for bit, and no document is ever encoded a second time. The second
+//! is the serialized [`ReplayCommand::Publish`], which
+//! [`Journal::append`] still writes and every older build wrote; it
+//! replays as before. The other four ops (`register`, `unregister`,
+//! `retention`, `forget`) are always the serialized [`ReplayCommand`].
+//!
+//! Sequence numbers start at 1 and increase by one per record, never
+//! resetting — `last_seq` in the checkpoint says which prefix of the
+//! history the snapshot already covers, which makes replay idempotent
+//! across the crash window between writing a checkpoint and truncating the
+//! segments.
 //!
 //! # Torn tails and failed appends
 //!
@@ -55,6 +73,7 @@
 //! (rejecting snapshot versions newer than this build supports), then
 //! replays only records with `seq > last_seq`.
 
+use crate::wire::decode_publish;
 use ctk_common::Crc32;
 use ctk_core::{ReplayCommand, Snapshot};
 use serde::{Number, Serialize, Value};
@@ -73,6 +92,9 @@ const CHECKPOINT_FILE: &str = "checkpoint.json";
 const CHECKPOINT_TMP: &str = "checkpoint.tmp";
 const SEGMENT_PREFIX: &str = "wal-";
 const SEGMENT_SUFFIX: &str = ".log";
+
+/// What precedes the body in a publish-body payload; a `}` follows it.
+const PUBLISH_BODY_PREFIX: &str = r#"{"op":"publish_body","body":"#;
 
 /// When appended journal records reach the disk — the durability/throughput
 /// trade of the serving layer.
@@ -193,6 +215,33 @@ pub fn encode_record(seq: u64, payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&crc.finish().to_le_bytes());
     out.extend_from_slice(payload);
     out
+}
+
+/// The journal payload of one `POST /publish`:
+/// `{"op":"publish_body","body":<body>}`, with `body` copied verbatim. Pass
+/// only a body [`decode_publish`] accepted: that makes `body` one JSON
+/// value, so the payload is a JSON object too, and recovery replays it
+/// through the same decoder.
+pub fn publish_body_payload(body: &str) -> String {
+    let mut payload = String::with_capacity(PUBLISH_BODY_PREFIX.len() + body.len() + 1);
+    payload.push_str(PUBLISH_BODY_PREFIX);
+    payload.push_str(body);
+    payload.push('}');
+    payload
+}
+
+/// The command one record's payload journaled: a publish-body payload back
+/// through [`decode_publish`], anything else as a serialized
+/// [`ReplayCommand`].
+fn decode_payload(seq: u64, payload: &[u8]) -> io::Result<ReplayCommand> {
+    let text = std::str::from_utf8(payload)
+        .map_err(|_| invalid(format!("journal record {seq} is not UTF-8 JSON")))?;
+    let command = match text.strip_prefix(PUBLISH_BODY_PREFIX).and_then(|b| b.strip_suffix('}')) {
+        Some(body) => decode_publish(body)
+            .map(|request| ReplayCommand::Publish { docs: request.into_batch() }),
+        None => serde_json::from_str(text).map_err(|e| e.to_string()),
+    };
+    command.map_err(|e| invalid(format!("journal record {seq} does not parse: {e}")))
 }
 
 /// How [`decode_records`] left the byte stream.
@@ -418,11 +467,7 @@ impl Journal {
                     )));
                 }
                 max_seq = seq;
-                let text = String::from_utf8(payload)
-                    .map_err(|_| invalid(format!("journal record {seq} is not UTF-8 JSON")))?;
-                let command: ReplayCommand = serde_json::from_str(&text)
-                    .map_err(|e| invalid(format!("journal record {seq} does not parse: {e}")))?;
-                commands.push(command);
+                commands.push(decode_payload(seq, &payload)?);
             }
             if stale {
                 // Every record predates the checkpoint: the segment is
@@ -474,11 +519,11 @@ impl Journal {
         self.append_payload(payload.as_bytes())
     }
 
-    /// [`Journal::append`] for a command already serialized to its JSON
-    /// payload — all that is left is to stamp the sequence number and
-    /// checksum, write and sync. The publish path encodes on the connection
-    /// thread (`ReplayCommand::encode_publish`) so the ingest thread, the
-    /// one serial resource, does only this.
+    /// [`Journal::append`] for a payload built elsewhere — all that is left
+    /// is to stamp the sequence number and checksum, write and sync. The
+    /// publish path frames the request body on the connection thread
+    /// ([`publish_body_payload`]) so the ingest thread, the one serial
+    /// resource, does only this.
     pub fn append_payload(&mut self, payload: &[u8]) -> io::Result<u64> {
         self.check_poisoned()?;
         let record = encode_record(self.next_seq, payload);
@@ -633,6 +678,30 @@ impl Journal {
             self.last_sync = Instant::now();
         }
         Ok(())
+    }
+
+    /// When an `Interval` journal holding unsynced records is due to sync;
+    /// `None` when nothing waits on the timer. Appends sync only inside the
+    /// *next* append, so the ingest thread waits for commands no longer
+    /// than this and then calls [`Journal::sync_lapsed`]: records acked
+    /// just before traffic stops reach the disk within the interval, as
+    /// [`FsyncPolicy::Interval`] promises.
+    pub(crate) fn sync_due(&self) -> Option<Instant> {
+        match self.fsync {
+            FsyncPolicy::Interval(every) if self.dirty && self.poisoned.is_none() => {
+                Some(self.last_sync + every)
+            }
+            _ => None,
+        }
+    }
+
+    /// Sync once [`Journal::sync_due`] has passed. A failed sync poisons
+    /// the journal: records already acked may never reach the disk, and
+    /// acking more behind them would only widen the loss.
+    pub(crate) fn sync_lapsed(&mut self) {
+        if let Err(e) = self.sync() {
+            self.poisoned = Some(format!("interval sync failed ({e})"));
+        }
     }
 
     /// Bytes in live segments (appended since the last checkpoint).
@@ -889,6 +958,62 @@ mod tests {
         let err = journal.checkpoint(&snapshot).unwrap_err();
         assert!(err.to_string().contains("poisoned"), "{err}");
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn publish_bodies_replay_through_the_wire_decoder() {
+        let dir = temp_dir("bodies");
+        let cfg = JournalConfig::new(&dir).fsync(FsyncPolicy::Never);
+        let (mut journal, _) = Journal::open(cfg.clone()).unwrap();
+        let body = " {\"docs\": [{\"terms\": [[1, 1e0]], \"arrival\": 1}, {\"x\": [], \"terms\": [[2, 0.5]]}]}\n";
+        let payload = publish_body_payload(body);
+        assert_eq!(payload, format!("{{\"op\":\"publish_body\",\"body\":{body}}}"));
+        journal.append_payload(payload.as_bytes()).unwrap();
+        journal.append(&publish(3, 3.0)).unwrap();
+        drop(journal);
+        let (_journal, recovery) = Journal::open(cfg.clone()).unwrap();
+        assert_eq!(
+            recovery.commands,
+            vec![
+                ReplayCommand::Publish {
+                    docs: vec![(vec![(TermId(1), 1.0)], 1.0), (vec![(TermId(2), 0.5)], 0.0)],
+                },
+                publish(3, 3.0),
+            ]
+        );
+        fs::remove_dir_all(&dir).unwrap();
+
+        // A body the decoder refuses is corruption, named by its record.
+        let (mut journal, _) = Journal::open(cfg.clone()).unwrap();
+        journal.append_payload(publish_body_payload(r#"{"docs": []}"#).as_bytes()).unwrap();
+        journal.append(&publish(4, 4.0)).unwrap();
+        drop(journal);
+        let err = Journal::open(cfg).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("journal record 1 does not parse"), "{err}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn only_a_dirty_interval_journal_waits_on_its_timer() {
+        let hour = Duration::from_secs(3600);
+        for (policy, waits) in [
+            (FsyncPolicy::Always, false),
+            (FsyncPolicy::Never, false),
+            (FsyncPolicy::Interval(hour), true),
+        ] {
+            let dir = temp_dir("due");
+            let (mut journal, _) = Journal::open(JournalConfig::new(&dir).fsync(policy)).unwrap();
+            assert_eq!(journal.sync_due(), None, "{policy}: nothing appended yet");
+            journal.append(&publish(1, 1.0)).unwrap();
+            assert_eq!(journal.sync_due(), waits.then_some(journal.last_sync + hour), "{policy}");
+            journal.sync_lapsed();
+            assert_eq!(journal.sync_due(), None, "{policy}: synced");
+            journal.append(&publish(2, 2.0)).unwrap();
+            journal.poisoned = Some("injected".to_string());
+            assert_eq!(journal.sync_due(), None, "{policy}: a poisoned journal has no timer");
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

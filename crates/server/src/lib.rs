@@ -48,8 +48,8 @@ pub mod wire;
 
 pub use client::HttpClient;
 pub use journal::{
-    decode_records, encode_record, FailpointWriter, FsyncPolicy, Journal, JournalConfig, Recovery,
-    TailState,
+    decode_records, encode_record, publish_body_payload, FailpointWriter, FsyncPolicy, Journal,
+    JournalConfig, Recovery, TailState,
 };
 pub use server::{AdmissionPolicy, CtkServer, ServeConfig, ServerBuilder, ServerStats};
 pub use subscribers::{ChangeEvent, PollOutcome, SubscriberRegistry};

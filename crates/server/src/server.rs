@@ -38,11 +38,11 @@
 //! pure liveness.
 
 use crate::http::{self, Request, Response};
-use crate::journal::{FsyncPolicy, Journal, JournalConfig, Recovery};
+use crate::journal::{self, FsyncPolicy, Journal, JournalConfig, Recovery};
 use crate::subscribers::SubscriberRegistry;
 use crate::wire;
 use continuous_topk::{EngineKind, MonitorBuilder};
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
+use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TrySendError};
 use ctk_common::{Namespace, QueryId, ScoredDoc};
 use ctk_core::{
     AdaptiveConfig, Admission, IndexConfig, IngestConfig, NamespaceStats, PostingsStorage,
@@ -56,7 +56,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Longest a single long-poll may block server-side, whatever the client
 /// asks for. Clients needing more re-issue the poll; this bounds how long a
@@ -479,7 +479,7 @@ struct Shared {
     /// checkpoint and replayed its tail; every route except `/healthz` and
     /// `/readyz` answers 503 while set.
     warming: AtomicBool,
-    /// Whether the ingest thread owns a journal (publish handlers encode
+    /// Whether the ingest thread owns a journal (publish handlers frame
     /// the record it will append).
     journaled: bool,
     max_poll_events: usize,
@@ -537,8 +537,9 @@ enum Command {
     Unregister(QueryId, Sender<Result<bool, String>>),
     Publish {
         request: PublishRequest,
-        /// The request's journal payload, encoded by the handler so the
-        /// ingest thread only stamps, checksums and writes it; `None`
+        /// The request's journal payload — its body as received, framed
+        /// by [`journal::publish_body_payload`] on the handler thread — so
+        /// the ingest thread only stamps, checksums and writes it; `None`
         /// exactly when the server runs without a journal.
         record: Option<String>,
         reply: Sender<Result<PublishReceipt, String>>,
@@ -636,6 +637,25 @@ fn recover(
     Ok(replayed)
 }
 
+/// The next command off the queue, or `None` once every sender is gone.
+/// While the journal holds unsynced `Interval` records, the wait ends at
+/// their deadline to sync them (see [`Journal::sync_due`]).
+fn next_command(rx: &Receiver<Command>, journal: Option<&mut Journal>) -> Option<Command> {
+    if let Some(journal) = journal {
+        while let Some(due) = journal.sync_due() {
+            match due.checked_duration_since(Instant::now()) {
+                None => journal.sync_lapsed(),
+                Some(wait) => match rx.recv_timeout(wait) {
+                    Ok(command) => return Some(command),
+                    Err(RecvTimeoutError::Timeout) => {}
+                    Err(RecvTimeoutError::Disconnected) => return None,
+                },
+            }
+        }
+    }
+    rx.recv().ok()
+}
+
 fn ingest_loop(
     rx: Receiver<Command>,
     mut backend: Box<dyn ctk_core::MonitorBackend + Send>,
@@ -666,7 +686,7 @@ fn ingest_loop(
 
     let mut publishes = 0u64;
     let mut docs_published = 0u64;
-    while let Ok(command) = rx.recv() {
+    while let Some(command) = next_command(&rx, journal.as_mut()) {
         shared.queue.depth.fetch_sub(1, Ordering::SeqCst);
         match command {
             Command::Stop => {
@@ -1214,16 +1234,21 @@ fn handle_publish(request: &Request, shared: &Shared) -> Response {
     if shared.draining.load(Ordering::SeqCst) {
         return Response::error(503, "server is draining; publishes are refused");
     }
-    let publish = match request.body_str().and_then(wire::decode_publish) {
-        Err(message) => return Response::error(400, message),
-        Ok(publish) => publish,
-    };
-    let record = match shared.journaled.then(|| ReplayCommand::encode_publish(&publish)) {
-        None => None,
-        Some(Ok(record)) => Some(record),
-        // A non-finite weight or arrival (`1e999`): JSON cannot spell it,
-        // so the journal cannot record it and the publish is refused.
-        Some(Err(e)) => return Response::error(500, append_refused("publish", e)),
+    let (body, publish) =
+        match request.body_str().and_then(|body| Ok((body, wire::decode_publish(body)?))) {
+            Err(message) => return Response::error(400, message),
+            Ok(decoded) => decoded,
+        };
+    let record = if shared.journaled {
+        // JSON has no spelling for a non-finite weight or arrival (`1e999`),
+        // so a checkpoint could not hold the scores and stream time it
+        // would leave behind: refuse it before anything is journaled.
+        if let Some(e) = non_finite(&publish) {
+            return Response::error(500, append_refused("publish", e));
+        }
+        Some(journal::publish_body_payload(body))
+    } else {
+        None
     };
 
     // Admission is decided at enqueue time: how many commands were ahead,
@@ -1264,6 +1289,17 @@ fn handle_publish(request: &Request, shared: &Shared) -> Response {
             Err(e) => Response::error(500, e),
         },
     }
+}
+
+/// The JSON writer's error for the first weight or arrival of `request`
+/// that it cannot spell, in the order the documents list them.
+fn non_finite(request: &PublishRequest) -> Option<serde::Error> {
+    request
+        .docs()
+        .iter()
+        .flat_map(|(pairs, arrival)| pairs.iter().map(|&(_, w)| f64::from(w)).chain([*arrival]))
+        .find(|x| !x.is_finite())
+        .and_then(|x| x.write_json(&mut String::new()).err())
 }
 
 /// The body of a publish refused with 429.
@@ -1387,6 +1423,29 @@ mod tests {
     use super::*;
     use ctk_common::DocId;
     use ctk_core::ResultChange;
+
+    #[test]
+    fn an_idle_interval_journal_syncs_its_tail_once_the_interval_lapses() {
+        let dir = std::env::temp_dir().join(format!("ctk-idle-sync-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let interval = Duration::from_millis(100);
+        let config = JournalConfig::new(&dir).fsync(FsyncPolicy::Interval(interval));
+        let (mut journal, _) = Journal::open(config).unwrap();
+        journal.append(&ReplayCommand::Forget { namespace: "acked".to_string() }).unwrap();
+        // The append found the interval fresh, so nothing synced it.
+        assert!(journal.sync_due().is_some());
+
+        // Traffic stops: the next command comes long after the interval.
+        let (tx, rx) = channel::bounded(1);
+        let late = thread::spawn(move || {
+            thread::sleep(6 * interval);
+            tx.send(Command::Stop).unwrap();
+        });
+        assert!(matches!(next_command(&rx, Some(&mut journal)), Some(Command::Stop)));
+        assert_eq!(journal.sync_due(), None, "the acked record waited for the next command");
+        late.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn publish_body_is_the_receipt_tree_with_admission_appended() {

@@ -7,8 +7,10 @@ use continuous_topk::EngineKind;
 use ctk_server::{FsyncPolicy, HttpClient, ServerBuilder};
 use serde::Value;
 use std::fs;
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 fn temp_dir(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -30,6 +32,19 @@ fn ok(outcome: std::io::Result<(u16, String)>, expect: u16) -> String {
 
 fn parse(body: &str) -> Value {
     serde_json::from_str(body).expect("valid JSON body")
+}
+
+/// Wait out startup replay, which runs on the ingest thread after `bind`.
+fn ready_client(addr: SocketAddr) -> HttpClient {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        assert!(Instant::now() < deadline, "server never became ready");
+        let mut client = HttpClient::connect_with_retry(addr, Duration::from_secs(5)).unwrap();
+        if let Ok((200, _)) = client.get("/readyz") {
+            return client;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 fn field_u64(value: &Value, name: &str) -> u64 {
@@ -60,23 +75,60 @@ fn journal_state_survives_a_graceful_restart() {
 
     let server = builder().journal_dir(&dir).bind("127.0.0.1:0").unwrap();
     // Poll readiness rather than assuming: replay runs on the ingest thread.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    let mut client = loop {
-        assert!(std::time::Instant::now() < deadline, "server never became ready");
-        let mut client =
-            HttpClient::connect_with_retry(server.addr(), std::time::Duration::from_secs(5))
-                .unwrap();
-        if let Ok((200, _)) = client.get("/readyz") {
-            break client;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(5));
-    };
+    let mut client = ready_client(server.addr());
     let stats = parse(&ok(client.get("/stats"), 200));
     assert_eq!(field_u64(&stats, "replayed_records"), 2, "register + publish");
     assert!(field_u64(&stats, "last_checkpoint") > 0, "recovery re-checkpoints");
     let results = parse(&ok(client.get(&format!("/queries/{qid}/results")), 200));
     let results = results.get("results").unwrap();
     assert!(matches!(results, Value::Array(items) if !items.is_empty()));
+    server.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn non_finite_publishes_are_refused_before_the_journal_sees_them() {
+    let dir = temp_dir("non-finite");
+    let server = builder().journal_dir(&dir).bind("127.0.0.1:0").unwrap();
+    let mut client = HttpClient::connect(server.addr()).unwrap();
+    let qid = field_u64(
+        &parse(&ok(client.post("/queries", r#"{"terms": [[1, 1.0]], "k": 3}"#), 200)),
+        "query",
+    );
+    ok(client.post("/publish", r#"{"terms": [[1, 0.8]], "arrival": 1.0}"#), 200);
+    let before = parse(&ok(client.get("/stats"), 200));
+
+    for (body, spelled) in [
+        (r#"{"docs": [{"terms": [[1, 0.5]], "arrival": 2.0}, {"terms": [[1, 1e999]]}]}"#, "inf"),
+        (r#"{"terms": [[1, 0.5]], "arrival": -1e999}"#, "-inf"),
+    ] {
+        let refusal = parse(&ok(client.post("/publish", body), 500));
+        assert_eq!(
+            refusal.get("error").unwrap().as_str().unwrap(),
+            format!(
+                "journal append failed (publish refused): serde error: non-finite float \
+                 {spelled} is not valid JSON"
+            ),
+            "{body}"
+        );
+        let after = parse(&ok(client.get("/stats"), 200));
+        for counter in ["docs_published", "journal_bytes"] {
+            assert_eq!(field_u64(&after, counter), field_u64(&before, counter), "{counter}");
+        }
+    }
+    server.shutdown();
+
+    // Neither refusal left a record: the restart replays the register and
+    // the one accepted publish, and the query holds only that document.
+    let server = builder().journal_dir(&dir).bind("127.0.0.1:0").unwrap();
+    let mut client = ready_client(server.addr());
+    let stats = parse(&ok(client.get("/stats"), 200));
+    assert_eq!(field_u64(&stats, "replayed_records"), 2, "register + one publish");
+    let results = parse(&ok(client.get(&format!("/queries/{qid}/results")), 200));
+    assert!(
+        matches!(results.get("results").unwrap(), Value::Array(items) if items.len() == 1),
+        "{results:?}"
+    );
     server.shutdown();
     let _ = fs::remove_dir_all(&dir);
 }

@@ -14,7 +14,11 @@
 
 use ctk_common::{QueryId, TermId};
 use ctk_core::{EvictionPolicy, ReplayCommand, RetentionPolicy};
-use ctk_server::{decode_records, encode_record, FsyncPolicy, Journal, JournalConfig, TailState};
+use ctk_server::wire::decode_publish;
+use ctk_server::{
+    decode_records, encode_record, publish_body_payload, FsyncPolicy, Journal, JournalConfig,
+    TailState,
+};
 use proptest::prelude::*;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -175,14 +179,9 @@ proptest! {
     }
 }
 
-/// Pin the exact bytes of the journal format, the way
-/// `tests/fixtures/snapshot_v2.json` pins the snapshot format. If this test
-/// fails, a new daemon can no longer replay an old daemon's journal:
-/// that is a format break and needs a `JOURNAL_FORMAT` bump plus a
-/// migration path, not a fixture refresh.
-#[test]
-fn fixture_pins_the_on_disk_byte_format() {
-    let commands = vec![
+/// The commands `tests/fixtures/journal_v1.wal` holds, seqs 1 to 5.
+fn fixture_commands() -> Vec<ReplayCommand> {
+    vec![
         ReplayCommand::Register {
             assigned: QueryId(1),
             spec: ctk_common::QuerySpec::uniform(&[TermId(3), TermId(7)], 2).unwrap(),
@@ -205,10 +204,24 @@ fn fixture_pins_the_on_disk_byte_format() {
         },
         ReplayCommand::Unregister { qid: QueryId(1) },
         ReplayCommand::Forget { namespace: "tenant-a".to_string() },
-    ];
+    ]
+}
+
+fn fixture_path() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/journal_v1.wal")
+}
+
+/// Pin the exact bytes of the journal format, the way
+/// `tests/fixtures/snapshot_v2.json` pins the snapshot format. If this test
+/// fails, a new daemon can no longer replay an old daemon's journal:
+/// that is a format break and needs a `JOURNAL_FORMAT` bump plus a
+/// migration path, not a fixture refresh.
+#[test]
+fn fixture_pins_the_on_disk_byte_format() {
+    let commands = fixture_commands();
     let bytes = encode_all(&commands);
 
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/journal_v1.wal");
+    let path = fixture_path();
     if std::env::var_os("UPDATE_FIXTURES").is_some() {
         fs::create_dir_all(path.parent().unwrap()).unwrap();
         fs::write(&path, &bytes).unwrap();
@@ -228,4 +241,54 @@ fn fixture_pins_the_on_disk_byte_format() {
         .map(|(_, payload)| serde_json::from_str(std::str::from_utf8(payload).unwrap()).unwrap())
         .collect();
     assert_eq!(decoded, commands);
+}
+
+/// A daemon upgraded in place: the segment an older build wrote (the v1
+/// fixture) gains publish-body records from this build, then a crash tears
+/// the last one inside its body. Recovery replays both generations in
+/// order and truncates the tear; the next append reuses the torn seq.
+#[test]
+fn old_records_and_body_records_replay_from_one_segment() {
+    let dir = temp_dir("upgrade");
+    fs::create_dir_all(&dir).unwrap();
+    let mut bytes = fs::read(fixture_path()).unwrap();
+    let bodies = [
+        r#"{"terms": [[3, 0.75]], "arrival": 3.0}"#,
+        "{\"docs\": [{\"terms\": [[7, 1e-1], [9, 0.15811388194561005]], \"arrival\": 4},\n\
+         {\"arrival\": 5, \"terms\": [[3, 1]], \"terms\": []}]}",
+    ];
+    for (i, body) in bodies.iter().enumerate() {
+        bytes.extend(encode_record(6 + i as u64, publish_body_payload(body).as_bytes()));
+    }
+    let clean_len = bytes.len() as u64;
+    let torn = encode_record(8, publish_body_payload(r#"{"terms": [[1, 1.0]]}"#).as_bytes());
+    let kept = torn.len() - 5; // past the header and the prefix, inside the body
+    bytes.extend_from_slice(&torn[..kept]);
+    let segment = dir.join(format!("wal-{:020}.log", 1));
+    fs::write(&segment, &bytes).unwrap();
+
+    let cfg = JournalConfig::new(&dir).fsync(FsyncPolicy::Never);
+    let (mut journal, recovery) = Journal::open(cfg.clone()).unwrap();
+    let mut expected = fixture_commands();
+    expected.extend(
+        bodies.iter().map(|body| ReplayCommand::Publish {
+            docs: decode_publish(body).unwrap().into_batch(),
+        }),
+    );
+    assert_eq!(
+        expected[5],
+        ReplayCommand::Publish { docs: vec![(vec![(TermId(3), 0.75)], 3.0)] },
+        "the body decodes as the wire reads it"
+    );
+    assert_eq!(recovery.commands, expected);
+    assert_eq!(recovery.truncated_bytes, kept as u64);
+    assert_eq!(fs::metadata(&segment).unwrap().len(), clean_len);
+
+    let next = publish_body_payload(r#"{"terms": [[1, 1.0]]}"#);
+    assert_eq!(journal.append_payload(next.as_bytes()).unwrap(), 8);
+    drop(journal);
+    let (_journal, recovery) = Journal::open(cfg).unwrap();
+    assert_eq!(recovery.truncated_bytes, 0);
+    assert_eq!(recovery.commands.len(), expected.len() + 1);
+    fs::remove_dir_all(&dir).unwrap();
 }

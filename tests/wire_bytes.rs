@@ -6,15 +6,18 @@
 //! server hands to `to_string`, the streamed text must equal, byte for
 //! byte, the printed `to_value()` — responses and journal records did not
 //! change when the tree left the publish path. (`to_string(&Value)` *is*
-//! the tree printer: `Value`'s `write_json` prints itself.)
+//! the tree printer: `Value`'s `write_json` prints itself.) The daemon's
+//! publish records are the exception, pinned here too: the request body
+//! as received, between a fixed prefix and a closing brace.
 
 use ctk_common::{DocId, QueryId, QuerySpec, ScoredDoc, TermId};
 use ctk_core::{
-    Admission, EventStats, EvictionPolicy, NamespaceStats, PublishReceipt, PublishRequest,
-    ReplayCommand, ResultChange, RetentionPolicy,
+    Admission, EventStats, EvictionPolicy, NamespaceStats, PublishReceipt, ReplayCommand,
+    ResultChange, RetentionPolicy,
 };
 use ctk_server::{
-    encode_record, FsyncPolicy, Journal, JournalConfig, ServerStats, SubscriberRegistry,
+    encode_record, publish_body_payload, FsyncPolicy, Journal, JournalConfig, ServerStats,
+    SubscriberRegistry,
 };
 use proptest::prelude::*;
 use serde::{Serialize, Value};
@@ -261,10 +264,12 @@ fn journal_segments_hold_the_bytes_the_tree_prints() {
         assert_eq!(journal.append(command).unwrap(), i as u64 + 1);
         expected.extend(encode_record(i as u64 + 1, tree(command).as_bytes()));
     }
-    // The publish path's pre-encoded route writes the same record.
-    let docs = vec![(vec![(TermId(4), 0.2), (TermId(9), 0.7)], 4.0), (vec![(TermId(5), 1.0)], 4.5)];
-    let payload = ReplayCommand::encode_publish(&PublishRequest::from(docs.clone())).unwrap();
-    assert_eq!(payload, tree(&ReplayCommand::Publish { docs }));
+    // The publish path journals the request body as received, between a
+    // fixed prefix and a closing brace.
+    let body =
+        "{\"docs\": [{\"terms\": [[4, 0.2], [9, 7e-1]], \"arrival\": 4},\n {\"terms\": [[5, 1]]}]}";
+    let payload = publish_body_payload(body);
+    assert_eq!(payload, ["{\"op\":\"publish_body\",\"body\":", body, "}"].concat());
     assert_eq!(journal.append_payload(payload.as_bytes()).unwrap(), 6);
     expected.extend(encode_record(6, payload.as_bytes()));
     drop(journal);
