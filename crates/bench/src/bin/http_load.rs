@@ -20,10 +20,13 @@
 //! `--drain` it finishes by draining the daemon and asserting that a late
 //! publish is refused with 503 while buffered notifications still flush.
 //!
-//! Writes `results/<out>.json` (`schema_version` 2): batch-publish latency
-//! percentiles, wire docs/sec, the subscriber's delivery counters, and the
-//! admission counters — how often a publish drew `429 Too Many Requests`
-//! (`rejects`) and was retried after honoring `Retry-After` (`retries`).
+//! Writes `results/<out>.json` (`schema_version` 3): batch-publish latency
+//! percentiles, wire docs/sec, the subscriber's delivery counters beside the
+//! changes the receipts reported (`changes_published`; the subscriber
+//! joined before the first publish, so `changes_received + changes_dropped`
+//! must equal it), and the admission counters — how often a publish drew
+//! `429 Too Many Requests` (`rejects`) and was retried after honoring
+//! `Retry-After` (`retries`).
 //! Against a blocking-admission daemon both stay 0; against a rejecting
 //! one they measure how hard the publisher actually pushed.
 //!
@@ -62,6 +65,7 @@ struct Report {
     elapsed_sec: f64,
     docs_per_sec: f64,
     publish_latency_ms: LatencyMs,
+    changes_published: u64,
     changes_received: u64,
     changes_dropped: u64,
     rejects: u64,
@@ -232,6 +236,7 @@ fn main() {
     let stream: Vec<_> = driver.by_ref().take(docs).collect();
     let mut latencies_ms: Vec<f64> = Vec::with_capacity(docs / batch + 1);
     let (mut rejects, mut retries) = (0u64, 0u64);
+    let mut changes_published = 0u64;
     let start = Instant::now();
     for chunk in stream.chunks(batch) {
         let docs_json: Vec<String> = chunk
@@ -251,10 +256,16 @@ fn main() {
                 Err(e) => die(format!("publish: transport error: {e}")),
                 Ok((200, body)) => {
                     latencies_ms.push(sent.elapsed().as_secs_f64() * 1e3);
+                    let receipt = json(&body, "publish receipt");
+                    changes_published += receipt
+                        .get("changes")
+                        .and_then(|c| c.as_array().ok().map(<[Value]>::len))
+                        .unwrap_or_else(|| die("publish receipt has no changes array"))
+                        as u64;
                     // Record the ack *now*, flushed, so a daemon crash after
                     // this point cannot erase the evidence that it acked.
                     if let Some(log) = acked_log.as_mut() {
-                        let ids = json(&body, "publish receipt")
+                        let ids = receipt
                             .get("doc_ids")
                             .map(|v| serde_json::to_string(v).expect("doc_ids serialize"))
                             .unwrap_or_else(|| die("publish receipt has no doc_ids"));
@@ -302,7 +313,7 @@ fn main() {
 
     latencies_ms.sort_by(|a, b| a.total_cmp(b));
     let report = Report {
-        schema_version: 2,
+        schema_version: 3,
         engine: engine.to_string(),
         queries,
         docs,
@@ -314,6 +325,7 @@ fn main() {
             p95: percentile(&latencies_ms, 0.95),
             max: percentile(&latencies_ms, 1.0),
         },
+        changes_published,
         changes_received,
         changes_dropped,
         rejects,
@@ -323,7 +335,7 @@ fn main() {
     let path = write_json_report(&out, &report).unwrap_or_else(|e| die(format!("report: {e}")));
     println!(
         "http_load: {:.0} docs/sec over the wire, publish p50 {:.2} ms / p95 {:.2} ms, \
-         {changes_received} changes ({changes_dropped} dropped), \
+         {changes_received} of {changes_published} changes ({changes_dropped} dropped), \
          {rejects} rejects / {retries} retries -> {}",
         report.docs_per_sec,
         report.publish_latency_ms.p50,

@@ -25,6 +25,10 @@ pub const MAX_BODY: usize = 16 * 1024 * 1024;
 /// Largest accepted request line / header line.
 const MAX_LINE: usize = 16 * 1024;
 
+/// Most header lines accepted in one request: with [`MAX_LINE`] this bounds
+/// the memory a request head can take.
+const MAX_HEADERS: usize = 100;
+
 /// Largest response body copied behind its head so both leave in one
 /// write; a larger one (a buffered snapshot) is written on its own rather
 /// than duplicated in memory.
@@ -48,7 +52,8 @@ pub struct Request {
 impl Request {
     /// Read one request off a buffered stream. Returns `Ok(None)` on a
     /// clean EOF before the request line (the peer closed a keep-alive
-    /// connection), an `InvalidData` error on malformed framing.
+    /// connection), an `InvalidData` error on malformed framing or a head
+    /// past its limits (a line over 16 KiB, more than 100 header lines).
     pub fn read_from<R: BufRead>(r: &mut R) -> io::Result<Option<Request>> {
         let line = match read_line(r)? {
             None => return Ok(None),
@@ -69,6 +74,9 @@ impl Request {
             let line = read_line(r)?.ok_or_else(|| bad("EOF inside header block"))?;
             if line.is_empty() {
                 break;
+            }
+            if headers.len() == MAX_HEADERS {
+                return Err(bad(format!("more than {MAX_HEADERS} header lines")));
             }
             let (name, value) =
                 line.split_once(':').ok_or_else(|| bad(format!("malformed header: {line:?}")))?;
@@ -299,6 +307,78 @@ mod tests {
     fn oversized_body_is_rejected() {
         let raw = format!("POST /publish HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY + 1);
         assert!(parse(&raw).is_err());
+    }
+
+    #[test]
+    fn header_block_is_capped() {
+        let head = |headers: usize| {
+            let lines: String = (0..headers).map(|i| format!("x-h{i}: v\r\n")).collect();
+            format!("GET / HTTP/1.1\r\n{lines}\r\n")
+        };
+        assert_eq!(parse(&head(MAX_HEADERS)).unwrap().unwrap().headers.len(), MAX_HEADERS);
+        let err = parse(&head(MAX_HEADERS + 1)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// Seeded arbitrary bytes, spliced from fragments of real requests so
+    /// the parser gets past its first line: never a panic, and every error
+    /// is malformed input or a cut-off stream.
+    #[test]
+    fn arbitrary_bytes_never_panic() {
+        const FRAGMENTS: [&[u8]; 12] = [
+            b"GET /changes?subscriber=1&max=2 HTTP/1.1\r\n",
+            b"POST /publish HTTP/1.1\r\n",
+            b"content-length: 5\r\n",
+            b"Content-Length: 18446744073709551616\r\n",
+            b"transfer-encoding: chunked\r\n",
+            b"connection: close\r\n",
+            b"x: y\r\n",
+            b"\r\n",
+            b"\n",
+            b":",
+            b"{\"terms\":[[1,0.5]]}",
+            b"\xff\xfe\x00",
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..20_000 {
+            let mut raw = Vec::new();
+            for _ in 0..next() % 12 {
+                match next() % 4 {
+                    0 => raw.extend((0..next() % 24).map(|_| next() as u8)),
+                    1 if next() % 64 == 0 => {
+                        raw.extend(std::iter::repeat_n(b'a', MAX_LINE + next() as usize % 4))
+                    }
+                    1 if next() % 64 == 0 => {
+                        raw.extend(b"GET / HTTP/1.1\r\n".iter().chain(&b"h: v\r\n".repeat(128)))
+                    }
+                    _ => raw.extend_from_slice(FRAGMENTS[next() as usize % FRAGMENTS.len()]),
+                }
+            }
+            let mut reader = BufReader::new(raw.as_slice());
+            // Keep-alive: read requests until the bytes run out or fail.
+            loop {
+                match Request::read_from(&mut reader) {
+                    Ok(Some(_)) => continue,
+                    Ok(None) => break,
+                    Err(e) => {
+                        assert!(
+                            matches!(
+                                e.kind(),
+                                io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
+                            ),
+                            "{e:?} on {raw:?}"
+                        );
+                        break;
+                    }
+                }
+            }
+        }
     }
 
     #[test]

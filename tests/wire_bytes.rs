@@ -9,15 +9,20 @@
 //! the tree printer: `Value`'s `write_json` prints itself.) The daemon's
 //! publish records are the exception, pinned here too: the request body
 //! as received, between a fixed prefix and a closing brace.
+//!
+//! Change events are printed once, at fan-out, and their bytes reused by
+//! the publish receipt and by every poll; both bodies must still be the
+//! bytes their trees print.
 
 use ctk_common::{DocId, QueryId, QuerySpec, ScoredDoc, TermId};
 use ctk_core::{
     Admission, EventStats, EvictionPolicy, NamespaceStats, PublishReceipt, ReplayCommand,
     ResultChange, RetentionPolicy,
 };
+use ctk_server::server::publish_body;
 use ctk_server::{
-    encode_record, publish_body_payload, FsyncPolicy, Journal, JournalConfig, ServerStats,
-    SubscriberRegistry,
+    encode_record, publish_body_payload, FsyncPolicy, Journal, JournalConfig, PollOutcome,
+    ServerStats, SubscriberRegistry,
 };
 use proptest::prelude::*;
 use serde::{Serialize, Value};
@@ -62,6 +67,38 @@ fn receipt(with_evictions: bool) -> PublishReceipt {
         ],
         stats: vec![stats(1), stats(2), stats(3)],
     }
+}
+
+/// Two documents whose changes the engine reported out of `(query, doc)`
+/// order, so fan-out routes them in another order than the receipt lists
+/// them.
+fn shuffled_receipt() -> PublishReceipt {
+    PublishReceipt {
+        doc_ids: vec![DocId(40), DocId(41)],
+        changes: vec![
+            change(9, 41, 0.75, Some((3, 0.5))),
+            change(2, 41, 1.5, None),
+            change(9, 40, 1e-9, None),
+            change(2, 40, 7.0, Some((1, 6.999999999999999))),
+        ],
+        stats: vec![stats(4), stats(5)],
+    }
+}
+
+const ADMISSIONS: [Admission; 3] = [
+    Admission::Accepted,
+    Admission::Enqueued { depth: 3 },
+    Admission::Overloaded { retry_after: 0.25 },
+];
+
+/// The reference `POST /publish` body: the receipt's tree with an
+/// `"admission"` member appended, printed.
+fn receipt_tree(receipt: &PublishReceipt, admission: Admission) -> String {
+    let mut value = receipt.to_value();
+    if let Value::Object(entries) = &mut value {
+        entries.push(("admission".to_string(), admission.to_value()));
+    }
+    serde_json::to_string(&value).expect("the tree prints")
 }
 
 fn commands() -> Vec<ReplayCommand> {
@@ -194,6 +231,64 @@ fn every_server_type_streams_the_bytes_its_tree_prints() {
 }
 
 #[test]
+fn publish_bodies_splice_the_fanned_out_text_byte_for_byte() {
+    let quiet = PublishReceipt { doc_ids: vec![DocId(9)], changes: vec![], stats: vec![stats(9)] };
+    for (what, receipt) in [
+        ("receipt with evictions", receipt(true)),
+        ("receipt with evicted: null", receipt(false)),
+        ("fan-out order differs from receipt order", shuffled_receipt()),
+        ("quiet receipt", quiet),
+        ("empty receipt", PublishReceipt::default()),
+    ] {
+        let registry = SubscriberRegistry::new(16);
+        registry.subscribe(None);
+        let changes = registry.fanout_json(&receipt);
+        assert_eq!(changes.is_none(), receipt.changes.is_empty(), "{what}");
+        for admission in ADMISSIONS {
+            let expected = receipt_tree(&receipt, admission);
+            let body = publish_body(&receipt, changes.as_deref(), admission).unwrap();
+            assert_eq!(body, expected, "{what}");
+            // Nobody subscribed: the handler prints the receipt itself.
+            assert_eq!(publish_body(&receipt, None, admission).unwrap(), expected, "{what}");
+        }
+    }
+}
+
+#[test]
+fn poll_bodies_print_the_bytes_their_tree_prints() {
+    let registry = SubscriberRegistry::new(4);
+    let all = registry.subscribe(None);
+    let only_9 = registry.subscribe(Some(vec![QueryId(9)]));
+    let poll = |id, max| registry.poll(id, max, Duration::ZERO).expect("subscribed");
+
+    registry.fanout(&shuffled_receipt());
+    let partial = poll(all, 3);
+    assert_eq!((partial.events.len(), partial.dropped), (3, 0));
+    assert_streams_like_the_tree("partial drain by max", &partial);
+    assert_streams_like_the_tree("the rest of the drain", &poll(all, 64));
+    let filtered = poll(only_9, 64);
+    assert_eq!(filtered.events.len(), 2);
+    assert_streams_like_the_tree("filtered subscriber", &filtered);
+    assert_streams_like_the_tree("empty poll", &poll(all, 64));
+
+    // Fourteen events into a 4-slot ring: the oldest drop, and their bytes
+    // are cut from the buffer on the way.
+    for receipt in [receipt(true), shuffled_receipt(), receipt(false), shuffled_receipt()] {
+        registry.fanout(&receipt);
+    }
+    let overflowed: PollOutcome = poll(all, 1);
+    assert_eq!((overflowed.events.len(), overflowed.dropped), (1, 10));
+    assert_streams_like_the_tree("overflowed ring", &overflowed);
+    // More fan-outs displace, and cut, the rest of what was buffered.
+    registry.fanout(&receipt(true));
+    registry.fanout(&shuffled_receipt());
+    let compacted = poll(all, 64);
+    assert_eq!((compacted.events.len(), compacted.dropped), (4, 6));
+    assert_streams_like_the_tree("drain after compaction", &compacted);
+    assert_streams_like_the_tree("filtered after overflow", &poll(only_9, 64));
+}
+
+#[test]
 fn non_finite_floats_are_still_refused() {
     assert!(serde_json::to_string(&f64::NAN).is_err());
     assert!(serde_json::to_string(&f32::INFINITY).is_err());
@@ -205,6 +300,30 @@ fn non_finite_floats_are_still_refused() {
     let mut bad = receipt(false);
     bad.changes[1].inserted = ScoredDoc::new(DocId(1), f64::INFINITY);
     assert!(serde_json::to_string(&bad).is_err());
+}
+
+#[test]
+fn an_unprintable_change_reaches_its_subscribers_as_a_gap() {
+    let registry = SubscriberRegistry::new(16);
+    let all = registry.subscribe(None);
+    let only_9 = registry.subscribe(Some(vec![QueryId(9)]));
+    let mut bad = shuffled_receipt();
+    bad.changes[1].inserted = ScoredDoc::new(DocId(41), f64::INFINITY);
+
+    // The finite changes are routed; the text is not the whole array.
+    assert_eq!(registry.fanout_json(&bad), None);
+    assert_eq!(registry.totals(), (5, 1));
+    let out = registry.poll(all, 64, Duration::ZERO).expect("subscribed");
+    assert_eq!(out.dropped, 1, "the unprintable change is reported as a gap");
+    let routed: Vec<_> = out.events.iter().map(|e| (e.seq, e.change)).collect();
+    assert_eq!(routed, [(0, bad.changes[3]), (1, bad.changes[2]), (2, bad.changes[0])]);
+    assert_streams_like_the_tree("poll around an unprintable change", &out);
+    let out = registry.poll(only_9, 64, Duration::ZERO).expect("subscribed");
+    assert_eq!((out.events.len(), out.dropped), (2, 0), "its filter skips the bad change");
+
+    // The publisher gets the writer's error, as without subscribers.
+    let refused = publish_body(&bad, None, Admission::Accepted).unwrap_err();
+    assert_eq!(refused.to_string(), serde_json::to_string(&bad).unwrap_err().to_string());
 }
 
 /// A leaf whose tree cannot be built: if anything on the way from
@@ -319,6 +438,25 @@ proptest! {
         };
         let streamed = serde_json::to_string(&receipt).map_err(|e| e.to_string())?;
         prop_assert_eq!(&streamed, &tree(&receipt));
+
+        // Fanned out to one unfiltered and one filtered subscriber, the
+        // shared text makes the same publish body, and both polls print
+        // what their trees do.
+        let registry = SubscriberRegistry::new(64);
+        let all = registry.subscribe(None);
+        let filter = receipt.changes.iter().step_by(3).map(|c| c.query).collect();
+        let some = registry.subscribe(Some(filter));
+        let changes = registry.fanout_json(&receipt);
+        let admission = Admission::Enqueued { depth: receipt.doc_ids.len() };
+        let body =
+            publish_body(&receipt, changes.as_deref(), admission).map_err(|e| e.to_string())?;
+        prop_assert_eq!(body, receipt_tree(&receipt, admission));
+        for id in [all, some] {
+            let outcome = registry.poll(id, usize::MAX, Duration::ZERO).expect("subscribed");
+            let printed = serde_json::to_string(&outcome).map_err(|e| e.to_string())?;
+            prop_assert_eq!(printed, tree(&outcome));
+        }
+
         // And the text still means the receipt.
         let back: PublishReceipt = serde_json::from_str(&streamed).map_err(|e| e.to_string())?;
         prop_assert_eq!(back, receipt);
