@@ -7,9 +7,8 @@
 //!     [--tolerance 0.30] [--absolute]
 //! ```
 //!
-//! Joins the two reports on `(mode, queries, shards, batch, batching,
-//! storage)` and
-//! fails (exit 1) when any cell's throughput dropped by more than
+//! Joins the two reports on `(queries, shards, batch, batching, storage)`
+//! and fails (exit 1) when any cell's throughput dropped by more than
 //! `tolerance` (default 30%) versus the baseline. By default the compared metric is
 //! the **normalized** throughput `docs_per_sec / single_docs_per_sec(queries)`
 //! of each report — CI runners and developer machines differ wildly in
@@ -44,7 +43,6 @@ struct Single {
 
 #[derive(Deserialize)]
 struct Cell {
-    mode: String,
     queries: usize,
     shards: usize,
     batch: usize,
@@ -145,20 +143,17 @@ fn main() {
 
     println!("### Perf gate: {metric_name}, tolerance -{:.0}%\n", tolerance * 100.0);
     println!(
-        "| mode | queries | shards | batch | batching | storage | baseline | current | delta | \
-         status |"
+        "| queries | shards | batch | batching | storage | baseline | current | delta | status |"
     );
-    println!("|---|---|---|---|---|---|---|---|---|---|");
+    println!("|---|---|---|---|---|---|---|---|---|");
     let mut regressions = 0usize;
     let mut missing = 0usize;
-    let key = |c: &Cell| {
-        (c.mode.clone(), c.queries, c.shards, c.batch, c.batching.clone(), c.storage.clone())
-    };
+    let key = |c: &Cell| (c.queries, c.shards, c.batch, c.batching.clone(), c.storage.clone());
     for bc in &base.cells {
         let Some(cc) = cur.cells.iter().find(|c| key(c) == key(bc)) else {
             println!(
-                "| {} | {} | {} | {} | {} | {} | — | — | — | MISSING |",
-                bc.mode, bc.queries, bc.shards, bc.batch, bc.batching, bc.storage
+                "| {} | {} | {} | {} | {} | — | — | — | MISSING |",
+                bc.queries, bc.shards, bc.batch, bc.batching, bc.storage
             );
             missing += 1;
             continue;
@@ -170,8 +165,7 @@ fn main() {
             regressions += 1;
         }
         println!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {:+.1}% | {} |",
-            bc.mode,
+            "| {} | {} | {} | {} | {} | {} | {} | {:+.1}% | {} |",
             bc.queries,
             bc.shards,
             bc.batch,
@@ -187,8 +181,7 @@ fn main() {
         let known = base.cells.iter().any(|b| key(b) == key(cc));
         if !known {
             println!(
-                "| {} | {} | {} | {} | {} | {} | — | {} | — | new (no baseline) |",
-                cc.mode,
+                "| {} | {} | {} | {} | {} | — | {} | — | new (no baseline) |",
                 cc.queries,
                 cc.shards,
                 cc.batch,

@@ -4,7 +4,7 @@
 //! ```text
 //! cargo run -p ctk-bench --release --bin http_load -- \
 //!     [--addr 127.0.0.1:8722] [--queries 200] [--docs 2000] [--batch 64] \
-//!     [--engine mrio] [--lambda 1e-3] [--shards 1] [--mode query|doc] \
+//!     [--engine mrio] [--lambda 1e-3] [--shards 1] \
 //!     [--adaptive [target_ms]] [--queue-depth N] \
 //!     [--admission block|reject[:retry_secs]] [--drain] [--out http_load] \
 //!     [--acked-log PATH]
@@ -37,7 +37,7 @@
 
 use continuous_topk::EngineKind;
 use ctk_bench::write_json_report;
-use ctk_core::{AdaptiveConfig, ShardingMode};
+use ctk_core::AdaptiveConfig;
 use ctk_server::{AdmissionPolicy, HttpClient, ServerBuilder};
 use ctk_stream::{
     ArrivalClock, CorpusConfig, QueryGenerator, QueryWorkload, StreamDriver, WorkloadConfig,
@@ -166,9 +166,6 @@ fn main() {
             let mut builder = ServerBuilder::new(engine).lambda(lambda);
             if let Some(shards) = parsed::<usize>(&args, "--shards") {
                 builder = builder.shards(shards);
-            }
-            if let Some(mode) = parsed::<ShardingMode>(&args, "--mode") {
-                builder = builder.sharding(mode);
             }
             if args.iter().any(|a| a == "--adaptive") {
                 let mut adaptive = AdaptiveConfig::default();

@@ -1,12 +1,12 @@
 //! Sharded-ingestion throughput: docs/sec as a function of **query
-//! population** × **sharding mode** × shard count × batch size, against two
-//! fixed references on the *same* workload — the single-threaded engine
-//! (measured per population) and each mode's per-document sharded path
-//! (batch size 1, the pre-batching design).
+//! population** × shard count × batch size, against two fixed references
+//! on the *same* workload — the single-threaded engine (measured per
+//! population) and the per-document sharded path (batch size 1, the
+//! pre-batching design).
 //!
 //! ```text
 //! cargo run -p ctk-bench --release --bin sweep_shards \
-//!     [-- --scale smoke|laptop|full] [--mode query|doc|both] \
+//!     [-- --scale smoke|laptop|full] \
 //!     [--queries 2000,10000] [--shards 1,2,4] [--batches 1,64,256] \
 //!     [--window 1] [--docs N] [--repeat N] \
 //!     [--storage plain,compressed,paged] [--page-budget BYTES] \
@@ -14,10 +14,9 @@
 //! ```
 //!
 //! `--queries N[,N...]` sweeps the query population (default: the scale's
-//! midpoint count, the pre-v3 behavior). This is the axis that exposes the
-//! query-vs-doc **crossover**: query sharding pays the matched-list walk
-//! once per shard (wins at large populations), document sharding pays it
-//! once in total (wins at small populations / high stream rates).
+//! midpoint count, the pre-v3 behavior). Sharding pays the matched-list
+//! walk once per shard, so the population decides where more shards start
+//! to beat the single engine.
 //!
 //! `--repeat N` (default 1) measures every cell — and the single-threaded
 //! references — N times from identical cold state (fresh monitor, same
@@ -35,7 +34,7 @@
 //! library default).
 //!
 //! `--adaptive [target_ms]` adds one **adaptive-batching** cell per
-//! `queries × storage × mode × shards` point: the whole measured stream is
+//! `queries × storage × shards` point: the whole measured stream is
 //! handed to `publish_batch` in one call and the AIMD controller picks the
 //! chunk size against the given drain-latency target (default
 //! `AdaptiveConfig`'s). Such cells report `batching: "adaptive"` and
@@ -43,7 +42,7 @@
 //! fixed-window cells they ride next to are directly comparable.
 //!
 //! Prints a markdown table and writes the machine-readable report
-//! (`schema_version` 6 — cells carry the `queries`, `storage` and
+//! (`schema_version` 7 — cells carry the `queries`, `storage` and
 //! `batching` axes and memory footprint)
 //! to `results/sweep_shards.json`, which CI archives as a build artifact
 //! and gates against `results/sweep_shards_baseline.json` with the
@@ -56,8 +55,7 @@ use ctk_bench::{
     Table, SWEEP_SHARDS_SCHEMA_VERSION,
 };
 use ctk_core::{
-    AdaptiveConfig, ContinuousTopK, MonitorBackend, MrioSeg, PostingsStorage, ShardingMode,
-    StorageConfig,
+    AdaptiveConfig, ContinuousTopK, MonitorBackend, MrioSeg, PostingsStorage, StorageConfig,
 };
 use ctk_stream::QueryWorkload;
 use serde::Serialize;
@@ -71,7 +69,6 @@ struct Single {
 
 #[derive(Serialize)]
 struct Cell {
-    mode: String,
     queries: usize,
     shards: usize,
     /// Fixed chunk size for `batching: "fixed"` cells; 0 for adaptive
@@ -120,16 +117,6 @@ fn parse_list(s: &str) -> Vec<usize> {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let scale = arg_value(&args, "--scale").and_then(|s| Scale::parse(&s)).unwrap_or(Scale::Laptop);
-    let modes: Vec<ShardingMode> = match arg_value(&args, "--mode").as_deref() {
-        None | Some("both") => ShardingMode::ALL.to_vec(),
-        Some(s) => match s.parse() {
-            Ok(mode) => vec![mode],
-            Err(e) => {
-                eprintln!("sweep_shards: {e} (or 'both')");
-                std::process::exit(2);
-            }
-        },
-    };
     let query_counts: Vec<usize> = arg_value(&args, "--queries")
         .map(|s| parse_list(&s))
         .unwrap_or_else(|| vec![scale.query_counts()[scale.query_counts().len() / 2]]);
@@ -223,7 +210,7 @@ fn main() {
 
     let mut table = Table::new(
         "Sharded ingestion throughput (MRIO single reference)",
-        "queries x storage x mode x shards x batch",
+        "queries x storage x shards x batch",
         &["docs/sec", "vs single", "vs per-doc sharded", "bytes/query"],
         "docs/sec",
     );
@@ -258,150 +245,137 @@ fn main() {
         for &storage in &storages {
             let storage_cfg =
                 StorageConfig { storage, page_budget_bytes: page_budget, spill_dir: None };
-            for &mode in &modes {
-                for &shards in &shard_counts {
-                    // Reference 2: this mode × shard count fed one document at
-                    // a time through the blocking `process` call — the
-                    // one-doc-one-barrier design. Always swept first (as the
-                    // batch-1 cell, without pipelining) and exactly once,
-                    // whatever --batches says.
-                    let mut batches = vec![1usize];
-                    for &b in &batch_sizes {
-                        if b > 1 && !batches.contains(&b) {
-                            batches.push(b);
+            for &shards in &shard_counts {
+                // A sharded monitor holding the workload's registered and
+                // seeded population, before any document.
+                let fresh = || {
+                    let mut monitor = make_sharded_with(shards, "MRIO", cfg.lambda, &storage_cfg);
+                    let ids: Vec<_> =
+                        wl.specs.iter().map(|spec| monitor.register(spec.clone())).collect();
+                    for (i, seeds) in wl.seeds.iter().enumerate() {
+                        if !seeds.is_empty() {
+                            monitor.seed_results(ids[i], seeds);
                         }
                     }
-                    let mut per_doc_dps = f64::NAN;
-                    for &batch in &batches {
-                        let (dps, index_bytes) = best_of(&|| {
-                            let mut monitor =
-                                make_sharded_with(mode, shards, "MRIO", cfg.lambda, &storage_cfg);
-                            let mut ids = Vec::with_capacity(wl.specs.len());
-                            for spec in &wl.specs {
-                                ids.push(monitor.register(spec.clone()));
-                            }
-                            for (i, seeds) in wl.seeds.iter().enumerate() {
-                                if !seeds.is_empty() {
-                                    monitor.seed_results(ids[i], seeds);
-                                }
-                            }
-                            for chunk in wl.warmup.chunks(batch.max(1)) {
-                                monitor.process_batch(chunk.to_vec());
-                            }
+                    monitor
+                };
+                // Reference 2: this shard count fed one document at a time
+                // through the blocking `process` call — the
+                // one-doc-one-barrier design. Always swept first (as the
+                // batch-1 cell, without pipelining) and exactly once,
+                // whatever --batches says.
+                let mut batches = vec![1usize];
+                for &b in &batch_sizes {
+                    if b > 1 && !batches.contains(&b) {
+                        batches.push(b);
+                    }
+                }
+                let mut per_doc_dps = f64::NAN;
+                for &batch in &batches {
+                    let (dps, index_bytes) = best_of(&|| {
+                        let mut monitor = fresh();
+                        for chunk in wl.warmup.chunks(batch.max(1)) {
+                            monitor.process_batch(chunk.to_vec());
+                        }
 
-                            let start = Instant::now();
-                            if batch == 1 {
-                                // The per-document reference must pay the
-                                // historical cost: one blocking dispatch +
-                                // merge per document.
-                                for doc in &wl.measured {
-                                    monitor.process(doc.clone());
-                                }
-                            } else {
-                                monitor.run_pipelined(
-                                    wl.measured.chunks(batch).map(<[_]>::to_vec),
-                                    window,
-                                    |_, _| {},
-                                );
-                            }
-                            let dps = wl.measured.len() as f64 / start.elapsed().as_secs_f64();
-                            (dps, monitor.storage_stats().index_bytes)
-                        });
+                        let start = Instant::now();
                         if batch == 1 {
-                            per_doc_dps = dps;
+                            // The per-document reference must pay the
+                            // historical cost: one blocking dispatch +
+                            // merge per document.
+                            for doc in &wl.measured {
+                                monitor.process(doc.clone());
+                            }
+                        } else {
+                            monitor.run_pipelined(
+                                wl.measured.chunks(batch).map(<[_]>::to_vec),
+                                window,
+                                |_, _| {},
+                            );
                         }
-                        let vs_per_doc = dps / per_doc_dps;
-                        let bytes_per_query = index_bytes as f64 / n as f64;
-                        eprintln!(
-                            "  queries={n} storage={storage} mode={mode} shards={shards} \
-                         batch={batch}: {} docs/sec ({:.2}x single, {:.2}x per-doc, \
-                         {} bytes/query)",
-                            format_sig(dps),
-                            dps / single_dps,
-                            vs_per_doc,
-                            format_sig(bytes_per_query)
-                        );
-                        table.push_row(
-                            format!("{n} x {storage} x {mode} x {shards} x {batch}"),
-                            vec![dps, dps / single_dps, vs_per_doc, bytes_per_query],
-                        );
-                        cells.push(Cell {
-                            mode: mode.name().to_string(),
-                            queries: n,
-                            shards,
-                            batch,
-                            batching: "fixed".to_string(),
-                            storage: storage.name().to_string(),
-                            docs_per_sec: dps,
-                            speedup_vs_single: dps / single_dps,
-                            speedup_vs_per_doc_sharded: vs_per_doc,
-                            index_bytes,
-                            bytes_per_query,
-                        });
+                        let dps = wl.measured.len() as f64 / start.elapsed().as_secs_f64();
+                        (dps, monitor.storage_stats().index_bytes)
+                    });
+                    if batch == 1 {
+                        per_doc_dps = dps;
                     }
+                    let vs_per_doc = dps / per_doc_dps;
+                    let bytes_per_query = index_bytes as f64 / n as f64;
+                    eprintln!(
+                        "  queries={n} storage={storage} shards={shards} batch={batch}: \
+                         {} docs/sec ({:.2}x single, {:.2}x per-doc, {} bytes/query)",
+                        format_sig(dps),
+                        dps / single_dps,
+                        vs_per_doc,
+                        format_sig(bytes_per_query)
+                    );
+                    table.push_row(
+                        format!("{n} x {storage} x {shards} x {batch}"),
+                        vec![dps, dps / single_dps, vs_per_doc, bytes_per_query],
+                    );
+                    cells.push(Cell {
+                        queries: n,
+                        shards,
+                        batch,
+                        batching: "fixed".to_string(),
+                        storage: storage.name().to_string(),
+                        docs_per_sec: dps,
+                        speedup_vs_single: dps / single_dps,
+                        speedup_vs_per_doc_sharded: vs_per_doc,
+                        index_bytes,
+                        bytes_per_query,
+                    });
+                }
 
-                    // The adaptive cell: hand the whole measured stream to
-                    // `publish_batch` and let the AIMD controller choose the
-                    // chunk size against its drain-latency target. The raw
-                    // (terms, arrival) batch is prepared outside the timed
-                    // section; ids continue past the warmup's.
-                    if let Some(acfg) = adaptive {
-                        let raw: Vec<(Vec<_>, f64)> = wl
-                            .measured
-                            .iter()
-                            .map(|d| (d.vector.iter().collect(), d.arrival))
-                            .collect();
-                        let (dps, index_bytes) = best_of(&|| {
-                            let mut monitor =
-                                make_sharded_with(mode, shards, "MRIO", cfg.lambda, &storage_cfg);
-                            let mut ids = Vec::with_capacity(wl.specs.len());
-                            for spec in &wl.specs {
-                                ids.push(monitor.register(spec.clone()));
-                            }
-                            for (i, seeds) in wl.seeds.iter().enumerate() {
-                                if !seeds.is_empty() {
-                                    monitor.seed_results(ids[i], seeds);
-                                }
-                            }
-                            for chunk in wl.warmup.chunks(256) {
-                                monitor.process_batch(chunk.to_vec());
-                            }
-                            monitor.set_adaptive_batching(acfg);
-                            let batch = raw.clone();
+                // The adaptive cell: hand the whole measured stream to
+                // `publish_batch` and let the AIMD controller choose the
+                // chunk size against its drain-latency target. The raw
+                // (terms, arrival) batch is prepared outside the timed
+                // section; ids continue past the warmup's.
+                if let Some(acfg) = adaptive {
+                    let raw: Vec<(Vec<_>, f64)> = wl
+                        .measured
+                        .iter()
+                        .map(|d| (d.vector.iter().collect(), d.arrival))
+                        .collect();
+                    let (dps, index_bytes) = best_of(&|| {
+                        let mut monitor = fresh();
+                        for chunk in wl.warmup.chunks(256) {
+                            monitor.process_batch(chunk.to_vec());
+                        }
+                        monitor.set_adaptive_batching(acfg);
+                        let batch = raw.clone();
 
-                            let start = Instant::now();
-                            monitor.publish_batch(batch);
-                            let dps = wl.measured.len() as f64 / start.elapsed().as_secs_f64();
-                            (dps, monitor.storage_stats().index_bytes)
-                        });
-                        let bytes_per_query = index_bytes as f64 / n as f64;
-                        eprintln!(
-                            "  queries={n} storage={storage} mode={mode} shards={shards} \
-                         batch=adaptive: {} docs/sec ({:.2}x single, {:.2}x per-doc, \
-                         {} bytes/query)",
-                            format_sig(dps),
-                            dps / single_dps,
-                            dps / per_doc_dps,
-                            format_sig(bytes_per_query)
-                        );
-                        table.push_row(
-                            format!("{n} x {storage} x {mode} x {shards} x adaptive"),
-                            vec![dps, dps / single_dps, dps / per_doc_dps, bytes_per_query],
-                        );
-                        cells.push(Cell {
-                            mode: mode.name().to_string(),
-                            queries: n,
-                            shards,
-                            batch: 0,
-                            batching: "adaptive".to_string(),
-                            storage: storage.name().to_string(),
-                            docs_per_sec: dps,
-                            speedup_vs_single: dps / single_dps,
-                            speedup_vs_per_doc_sharded: dps / per_doc_dps,
-                            index_bytes,
-                            bytes_per_query,
-                        });
-                    }
+                        let start = Instant::now();
+                        monitor.publish_batch(batch);
+                        let dps = wl.measured.len() as f64 / start.elapsed().as_secs_f64();
+                        (dps, monitor.storage_stats().index_bytes)
+                    });
+                    let bytes_per_query = index_bytes as f64 / n as f64;
+                    eprintln!(
+                        "  queries={n} storage={storage} shards={shards} batch=adaptive: \
+                         {} docs/sec ({:.2}x single, {:.2}x per-doc, {} bytes/query)",
+                        format_sig(dps),
+                        dps / single_dps,
+                        dps / per_doc_dps,
+                        format_sig(bytes_per_query)
+                    );
+                    table.push_row(
+                        format!("{n} x {storage} x {shards} x adaptive"),
+                        vec![dps, dps / single_dps, dps / per_doc_dps, bytes_per_query],
+                    );
+                    cells.push(Cell {
+                        queries: n,
+                        shards,
+                        batch: 0,
+                        batching: "adaptive".to_string(),
+                        storage: storage.name().to_string(),
+                        docs_per_sec: dps,
+                        speedup_vs_single: dps / single_dps,
+                        speedup_vs_per_doc_sharded: dps / per_doc_dps,
+                        index_bytes,
+                        bytes_per_query,
+                    });
                 }
             }
         }

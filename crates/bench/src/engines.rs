@@ -5,7 +5,7 @@
 //! builder uses, so a new engine kind lands everywhere at once.
 
 use continuous_topk::EngineKind;
-use ctk_core::{ContinuousTopK, ShardedMonitor, ShardingMode, StorageConfig};
+use ctk_core::{ContinuousTopK, ShardedMonitor, StorageConfig};
 
 /// The five methods of the paper's Figure 1, in its legend order.
 pub const PAPER_ALGOS: [&str; 5] = ["RTA", "RIO", "MRIO", "SortQuer", "TPS"];
@@ -31,34 +31,16 @@ pub fn make_engine_with(
     kind.build_engine_with(lambda, storage)
 }
 
-/// Construct a sharded monitor in either sharding mode. Query mode runs one
-/// engine of the named kind per shard; document mode shares one index epoch
-/// across scorer workers (the engine name is irrelevant there — the
-/// shared-epoch walk is exact for every kind).
-pub fn make_sharded(
-    mode: ShardingMode,
-    shards: usize,
-    engine: &str,
-    lambda: f64,
-) -> ShardedMonitor {
-    make_sharded_with(mode, shards, engine, lambda, &StorageConfig::plain())
-}
-
-/// [`make_sharded`] with an explicit postings-storage configuration, applied
-/// to every shard's query index.
+/// Construct a sharded monitor running one engine of the named kind per
+/// shard, with the postings-storage configuration applied to every shard's
+/// query index.
 pub fn make_sharded_with(
-    mode: ShardingMode,
     shards: usize,
     engine: &str,
     lambda: f64,
     storage: &StorageConfig,
 ) -> ShardedMonitor {
-    match mode {
-        ShardingMode::Queries => {
-            ShardedMonitor::new(shards, || make_engine_with(engine, lambda, storage))
-        }
-        ShardingMode::Documents => ShardedMonitor::new_doc_parallel_with(shards, lambda, storage),
-    }
+    ShardedMonitor::new(shards, || make_engine_with(engine, lambda, storage))
 }
 
 #[cfg(test)]
@@ -88,12 +70,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_factory_builds_both_modes() {
-        for mode in ShardingMode::ALL {
-            let m = make_sharded(mode, 2, "MRIO", 0.001);
-            assert_eq!(m.sharding_mode(), mode);
-            assert_eq!(m.shards(), 2);
-            assert_eq!(m.lambda(), 0.001);
-        }
+    fn sharded_factory_builds_the_requested_shards() {
+        let m = make_sharded_with(2, "MRIO", 0.001, &StorageConfig::plain());
+        assert_eq!(m.shards(), 2);
+        assert_eq!(m.lambda(), 0.001);
     }
 }

@@ -26,7 +26,7 @@ pub mod runner;
 pub mod workload;
 
 pub use config::{ExperimentConfig, Scale};
-pub use engines::{make_engine, make_engine_with, make_sharded, make_sharded_with, PAPER_ALGOS};
+pub use engines::{make_engine, make_engine_with, make_sharded_with, PAPER_ALGOS};
 pub use report::{
     existing_report_schema, write_csv, write_json, write_json_report, Table,
     SWEEP_SHARDS_SCHEMA_VERSION,

@@ -124,9 +124,11 @@ pub fn write_json_report<T: serde::Serialize>(
 
 /// Schema version of the `sweep_shards` report format.
 ///
-/// * **v6** (current): v5 without the doc-mode walk's per-cell skip
-///   counters and the report-level pruning policy — document mode has a
-///   single, exhaustive walk.
+/// * **v7** (current): v6 without the `mode` axis — the query population
+///   is the only thing the monitor shards.
+/// * **v6**: v5 without the doc-mode walk's per-cell skip counters and the
+///   report-level pruning policy — document mode has a single, exhaustive
+///   walk.
 /// * **v5**: cells carry a `batching` axis (`"fixed"` /
 ///   `"adaptive"`) — `--adaptive` sweeps an AIMD-chunked ingestion cell
 ///   next to the fixed-window ones (`batch` is 0 for adaptive cells: the
@@ -147,7 +149,7 @@ pub fn write_json_report<T: serde::Serialize>(
 /// not recognize (see [`existing_report_schema`]), so a future format never
 /// gets silently clobbered by an old binary. The `compare_reports` gate
 /// reads only the current version.
-pub const SWEEP_SHARDS_SCHEMA_VERSION: u32 = 6;
+pub const SWEEP_SHARDS_SCHEMA_VERSION: u32 = 7;
 
 /// The `schema_version` of an existing `results/<name>.json` report:
 /// `None` when the file does not exist, `Some(1)` for pre-versioned

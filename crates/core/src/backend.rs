@@ -3,11 +3,11 @@
 //! The paper's system model is **one** server front-end hosting millions of
 //! CTQDs; deployments should not care whether that front-end runs a single
 //! engine or shards the work across worker threads. This module defines the
-//! contract; [`crate::FrontEnd`] is its one implementation, over three
+//! contract; [`crate::FrontEnd`] is its one implementation, over two
 //! runtimes:
 //!
 //! * [`crate::Monitor`] — one engine, zero threads;
-//! * [`crate::ShardedMonitor`] — the query-sharded or doc-parallel workers.
+//! * [`crate::ShardedMonitor`] — the query-sharded workers.
 //!
 //! All speak plain [`QueryId`]s (the query-sharded runtime maps them to
 //! shard routes internally), return [`PublishReceipt`]s from ingestion, and
@@ -25,64 +25,6 @@ use ctk_common::{
 };
 use ctk_index::StorageStats;
 use serde::{Deserialize, Serialize};
-
-/// How a parallel monitor partitions its work across worker shards.
-///
-/// Both modes serve the identical [`MonitorBackend`] contract and produce
-/// bit-identical results; they differ in *what* is replicated and therefore
-/// in how they scale (see the builder's "Choosing a sharding mode" notes):
-///
-/// * [`ShardingMode::Queries`] replicates the **stream**: every worker owns
-///   a slice of the query population (its own engine and index) and scores
-///   every document against it. Per-document index-probe work is paid once
-///   per shard, so this wins when the query population is large enough that
-///   each shard's slice still amortizes the walk.
-/// * [`ShardingMode::Documents`] replicates **nothing**: each ingest batch
-///   is split across workers that walk one shared, read-only index epoch,
-///   and per-worker candidates are merged serially in stream order. The
-///   per-document walk is paid once in total, so this wins for small query
-///   populations and high stream rates — exactly the regime where
-///   query-sharding degenerates into S redundant walks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ShardingMode {
-    /// Partition the query population; broadcast every document to all
-    /// shards (the classic continuous-top-k scale-out).
-    Queries,
-    /// Partition each document batch across shards over a shared, read-only
-    /// index epoch; merge candidate results in stream order.
-    Documents,
-}
-
-impl ShardingMode {
-    /// Both modes, report order.
-    pub const ALL: [ShardingMode; 2] = [ShardingMode::Queries, ShardingMode::Documents];
-
-    /// The short name used by reports and CLI flags.
-    pub fn name(self) -> &'static str {
-        match self {
-            ShardingMode::Queries => "query",
-            ShardingMode::Documents => "doc",
-        }
-    }
-}
-
-impl std::fmt::Display for ShardingMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for ShardingMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "query" | "queries" => Ok(ShardingMode::Queries),
-            "doc" | "docs" | "document" | "documents" => Ok(ShardingMode::Documents),
-            _ => Err(format!("unknown sharding mode: {s} (expected 'query' or 'doc')")),
-        }
-    }
-}
 
 /// A typed publish request: the documents of one ingest call, each a
 /// `(term, weight)` pair list plus its arrival timestamp.
@@ -385,8 +327,8 @@ impl PublishReceipt {
 /// * Exposed by the HTTP layer: `register` (`POST /queries`), `unregister`
 ///   (`DELETE /queries/{id}`), `publish_request` (`POST /publish`, returning
 ///   the serialized [`PublishReceipt`]), `results`
-///   (`GET /queries/{id}/results`), `num_queries`/`shards`/`sharding_mode`/
-///   `lambda` (folded into `GET /stats`), and `snapshot` (`POST /snapshot`).
+///   (`GET /queries/{id}/results`), `num_queries`/`shards`/`lambda` (folded
+///   into `GET /stats`), and `snapshot` (`POST /snapshot`).
 ///   Anything these return may therefore appear verbatim in HTTP responses:
 ///   public [`QueryId`]s, [`DocId`]s, scores and per-document
 ///   [`EventStats`] are all wire-visible, deliberately — work counters are
@@ -497,13 +439,6 @@ pub trait MonitorBackend {
     /// Number of shards doing the work (1 for single-engine backends).
     fn shards(&self) -> usize {
         1
-    }
-
-    /// How the backend partitions its work (see [`ShardingMode`]).
-    /// Single-engine backends report [`ShardingMode::Queries`] — the
-    /// degenerate one-shard query partition.
-    fn sharding_mode(&self) -> ShardingMode {
-        ShardingMode::Queries
     }
 
     /// The decay parameter the backend was built with.

@@ -12,9 +12,9 @@
 //! * the single [`MonitorBackend`] implementation.
 //!
 //! [`crate::Monitor`] and [`crate::ShardedMonitor`] are this type over the
-//! in-thread engine and the threaded runtimes respectively.
+//! in-thread engine and the query-sharded workers respectively.
 
-use crate::backend::{MonitorBackend, PublishReceipt, PublishRequest, ShardingMode};
+use crate::backend::{MonitorBackend, PublishReceipt, PublishRequest};
 use crate::lifecycle::{
     pick_victim, LifecycleManager, NamespaceStats, QueryOptions, RetentionPolicy,
 };
@@ -28,7 +28,7 @@ use ctk_index::StorageStats;
 /// A monitor: the application-facing state plus the runtime `R` behind it
 /// (see the module docs). All of the application API is the
 /// [`MonitorBackend`] impl below.
-pub struct FrontEnd<R: Runtime + ?Sized> {
+pub struct FrontEnd<R: Runtime> {
     /// Registered specs by public query id (`None` after removal).
     specs: Vec<Option<QuerySpec>>,
     live: usize,
@@ -38,11 +38,11 @@ pub struct FrontEnd<R: Runtime + ?Sized> {
     /// Cap evictions since the last publish. Registration produces no
     /// receipt, so they ride on the next receipt's first document.
     pending_evicted: u64,
-    pub(crate) runtime: Box<R>,
+    pub(crate) runtime: R,
 }
 
-impl<R: Runtime + ?Sized> FrontEnd<R> {
-    pub(crate) fn over(runtime: Box<R>) -> Self {
+impl<R: Runtime> FrontEnd<R> {
+    pub(crate) fn over(runtime: R) -> Self {
         FrontEnd {
             specs: Vec::new(),
             live: 0,
@@ -70,13 +70,11 @@ impl<R: Runtime + ?Sized> FrontEnd<R> {
 
     /// Advance the stream position past pre-stamped documents, which bypass
     /// `admit`, so a later snapshot still captures where the stream got to.
-    /// Returns the stream clock.
-    pub(crate) fn advance_past(&mut self, docs: &[Document]) -> Timestamp {
+    pub(crate) fn advance_past(&mut self, docs: &[Document]) {
         for d in docs {
             self.next_doc = self.next_doc.max(d.id.0 + 1);
             self.last_arrival = self.last_arrival.max(d.arrival);
         }
-        self.last_arrival
     }
 
     /// Stamp one incoming document: next id, monotone-clamped arrival.
@@ -139,7 +137,7 @@ impl<R: Runtime + ?Sized> FrontEnd<R> {
     }
 }
 
-impl<R: Runtime + ?Sized> MonitorBackend for FrontEnd<R> {
+impl<R: Runtime> MonitorBackend for FrontEnd<R> {
     fn register_with(&mut self, spec: QuerySpec, opts: QueryOptions) -> QueryId {
         self.check_namespace(opts.namespace);
         let qid = QueryId(self.specs.len() as u32);
@@ -243,10 +241,6 @@ impl<R: Runtime + ?Sized> MonitorBackend for FrontEnd<R> {
 
     fn shards(&self) -> usize {
         self.runtime.shards()
-    }
-
-    fn sharding_mode(&self) -> ShardingMode {
-        self.runtime.mode()
     }
 
     fn lambda(&self) -> f64 {

@@ -4,7 +4,7 @@
 //! (Minimal RIO) for continuous top-k monitoring on document streams, plus
 //! the exhaustive oracle, the shared scoring/decay machinery, and the
 //! monitor front-end applications embed — one [`FrontEnd`] over an in-thread
-//! engine ([`Monitor`]) or worker threads ([`ShardedMonitor`]).
+//! engine ([`Monitor`]) or query-sharded worker threads ([`ShardedMonitor`]).
 //!
 //! ```
 //! use ctk_core::{ContinuousTopK, MrioSeg};
@@ -18,14 +18,12 @@
 
 pub mod backend;
 pub mod config;
-mod doc_shards;
 pub mod engine;
 mod frontend;
 pub mod lifecycle;
 pub mod monitor;
 pub mod mrio;
 pub mod naive;
-mod query_shards;
 pub mod replay;
 pub mod rio;
 mod runtime;
@@ -36,9 +34,8 @@ pub mod snapshot_stream;
 pub mod stats;
 pub mod topk;
 pub mod traits;
-pub mod walk;
 
-pub use backend::{Admission, MonitorBackend, PublishReceipt, PublishRequest, ShardingMode};
+pub use backend::{Admission, MonitorBackend, PublishReceipt, PublishRequest};
 pub use config::{AdaptiveConfig, IndexConfig, IngestConfig};
 pub use ctk_index::{PostingsStorage, StorageConfig, StorageStats};
 pub use frontend::FrontEnd;
@@ -57,7 +54,6 @@ pub use snapshot_stream::{SnapshotStreamStats, SnapshotWriter};
 pub use stats::{CumulativeStats, EventStats};
 pub use topk::{Offer, ResultSets, TopKState};
 pub use traits::{ContinuousTopK, ResultChange};
-pub use walk::MatchScratch;
 
 #[cfg(test)]
 /// Fixtures shared by the unit tests of the front-end and its runtimes.

@@ -29,7 +29,7 @@ impl<E: ContinuousTopK> Monitor<E> {
     /// `engine` must be fresh: the front-end and the engine allocate query
     /// ids in lockstep.
     pub fn new(engine: E) -> Self {
-        FrontEnd::over(Box::new(SingleEngine { engine, compact_at: 0.0 }))
+        FrontEnd::over(SingleEngine { engine, compact_at: 0.0 })
     }
 
     /// Enable tombstone compaction: whenever a publish leaves the engine's

@@ -9,17 +9,19 @@
 use crate::engine::EngineBase;
 use crate::stats::{CumulativeStats, EventStats};
 use crate::traits::{ContinuousTopK, ResultChange};
-use crate::walk::{collect_scored_candidates, MatchScratch};
-use ctk_common::{Document, QueryId, QuerySpec, ScoredDoc};
+use ctk_common::{Document, FxHashMap, QueryId, QuerySpec, ScoredDoc, TermId};
 use ctk_index::{QueryIndex, StorageConfig, StorageStats};
 
 /// Term-filtered exhaustive continuous top-k.
 pub struct Naive {
     base: EngineBase,
     index: QueryIndex,
-    // Reused per-event buffers.
-    scratch: MatchScratch,
-    scored: Vec<(QueryId, f64)>,
+    // Reused per-event buffers: the document's term weights, the
+    // epoch-stamped dedup array and the collected candidates.
+    doc_weights: FxHashMap<TermId, f64>,
+    seen: Vec<u32>,
+    epoch: u32,
+    candidates: Vec<QueryId>,
 }
 
 impl Naive {
@@ -32,8 +34,27 @@ impl Naive {
         Naive {
             base: EngineBase::new(lambda),
             index: QueryIndex::with_storage(storage),
-            scratch: MatchScratch::default(),
-            scored: Vec::new(),
+            doc_weights: FxHashMap::default(),
+            seen: Vec::new(),
+            epoch: 0,
+            candidates: Vec::new(),
+        }
+    }
+
+    /// Reset the per-event buffers: document weights and the dedup stamp.
+    fn reset_buffers(&mut self, doc: &Document) {
+        self.doc_weights.clear();
+        for (t, f) in doc.vector.iter() {
+            self.doc_weights.insert(t, f as f64);
+        }
+        if self.seen.len() < self.index.num_slots() {
+            self.seen.resize(self.index.num_slots(), 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // u32 wrap: stale marks could alias the new epoch.
+            self.seen.iter_mut().for_each(|e| *e = 0);
+            self.epoch = 1;
         }
     }
 }
@@ -65,15 +86,46 @@ impl ContinuousTopK for Naive {
     fn process(&mut self, doc: &Document) -> EventStats {
         let (_theta, amp, _renorm) = self.base.begin_event(doc.arrival);
         let mut ev = EventStats::default();
+        self.reset_buffers(doc);
 
-        let mut scored = std::mem::take(&mut self.scored);
-        collect_scored_candidates(&self.index, doc, &mut self.scratch, &mut ev, &mut scored);
-        for &(qid, dot) in &scored {
+        // Union of matching queries via the live postings, ascending id.
+        let mut candidates = std::mem::take(&mut self.candidates);
+        candidates.clear();
+        for (term, _) in doc.vector.iter() {
+            let Some(li) = self.index.list_of_term(term) else { continue };
+            let list = self.index.list(li);
+            if list.live() == 0 {
+                continue;
+            }
+            ev.matched_lists += 1;
+            list.for_each_live(|qid, _| {
+                ev.postings_accessed += 1;
+                let slot = qid.index();
+                if self.seen[slot] != self.epoch {
+                    self.seen[slot] = self.epoch;
+                    candidates.push(qid);
+                }
+            });
+        }
+        candidates.sort_unstable();
+
+        // Each candidate's exact raw cosine: an f64 accumulation over its
+        // registration record, in record order.
+        for &qid in &candidates {
+            let rec = self.index.record(qid).expect("live posting implies record");
+            let mut dot = 0.0f64;
+            for e in rec.entries() {
+                if let Some(&f) = self.doc_weights.get(&e.term) {
+                    dot += f * e.weight as f64;
+                }
+            }
+            ev.full_evaluations += 1;
+            ev.iterations += 1;
             if self.base.offer(qid, doc, dot, amp) {
                 ev.updates += 1;
             }
         }
-        self.scored = scored;
+        self.candidates = candidates;
 
         ev.accumulate_into(&mut self.base.cum);
         ev

@@ -3,17 +3,14 @@
 //! [`crate::FrontEnd`] owns everything the application sees — the public
 //! query-id space, the stream clock, the lifecycle layer, snapshots. A
 //! [`Runtime`] is what is left: somewhere to place queries and score
-//! documents. Three plug in: the in-thread engine (`monitor`), the
-//! query-sharded workers (`query_shards`) and the doc-parallel shared epoch
-//! (`doc_shards`). The traits are `pub` only so the public aliases can name
-//! them; this module is private, so nothing outside the crate can.
+//! documents. Two plug in: the in-thread engine (`monitor`) and the
+//! query-sharded workers (`sharded`). The trait is `pub` only so the public
+//! aliases can name it; this module is private, so nothing outside the
+//! crate can.
 
-use crate::backend::{PublishReceipt, ShardingMode};
-use crate::sharded::{BatchOutcome, Pipeline};
-use crate::stats::CumulativeStats;
+use crate::backend::PublishReceipt;
 use ctk_common::{Document, QueryId, QuerySpec, ScoredDoc, Timestamp};
 use ctk_index::StorageStats;
-use std::sync::Arc;
 
 /// What a [`crate::FrontEnd`] needs from the machinery behind it. Every id
 /// is a **public** query id; the front-end guarantees `place` sees ids
@@ -40,8 +37,8 @@ pub trait Runtime {
     /// per-document stats and every result change into `receipt`.
     fn ingest(&mut self, docs: Vec<Document>, receipt: &mut PublishReceipt);
 
-    /// Submitted-but-undrained batches; the front-end's publish, snapshot
-    /// and registration paths need 0.
+    /// Submitted-but-undrained batches; the front-end's publish and
+    /// snapshot paths need 0.
     fn in_flight(&self) -> usize {
         0
     }
@@ -64,32 +61,4 @@ pub trait Runtime {
     fn shards(&self) -> usize {
         1
     }
-
-    fn mode(&self) -> ShardingMode {
-        ShardingMode::Queries
-    }
-}
-
-/// The extra surface of the two threaded runtimes: the submit/drain
-/// pipeline behind [`crate::ShardedMonitor`]'s pre-stamped API, and the
-/// knobs only they have.
-pub trait ShardRuntime: Runtime + Send {
-    /// Hand one batch to the workers without waiting. `clock` bounds every
-    /// arrival submitted so far (this batch included).
-    fn submit(&mut self, docs: Arc<[Document]>, clock: Timestamp);
-
-    /// Merge the oldest in-flight batch, blocking until every involved
-    /// worker has answered it. `None` when nothing is in flight.
-    fn drain(&mut self) -> Option<BatchOutcome>;
-
-    /// Lifetime work counters of every shard, shard order.
-    fn shard_cumulative(&self) -> Vec<CumulativeStats>;
-
-    /// Tombstone ratio beyond which batch boundaries compact (`<= 0` off).
-    fn set_compaction(&mut self, ratio: f64);
-
-    /// How `ingest` cuts a publish into pipeline chunks.
-    fn pipeline(&self) -> &Pipeline;
-
-    fn pipeline_mut(&mut self) -> &mut Pipeline;
 }

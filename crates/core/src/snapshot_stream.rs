@@ -422,8 +422,8 @@ mod tests {
     }
 
     #[test]
-    fn doc_mode_single_section_streams_byte_identical() {
-        let mut m = ShardedMonitor::new_doc_parallel(2, 0.001);
+    fn single_engine_section_streams_byte_identical() {
+        let mut m = Monitor::new(Naive::new(0.001));
         for i in 0..9u32 {
             m.register(QuerySpec::uniform(&[TermId(i % 4)], 1).unwrap());
         }

@@ -35,7 +35,6 @@ pub mod suffix_max;
 pub mod zone;
 
 pub use block_max::BlockMax;
-pub use ctk_storage::PagePin;
 pub use impact_lists::{ImpactList, WeightOrderedList};
 pub use max_tracker::VersionedMaxTracker;
 pub use postings::{Posting, PostingsList};

@@ -31,7 +31,7 @@
 use crate::postings::Posting;
 use crate::store::{ListRef, Lists, PostingsStorage, StorageConfig, StorageStats};
 use ctk_common::{FxHashMap, QueryId, SparseVector, TermId};
-use ctk_storage::{PageManager, PagePin, StoreContext};
+use ctk_storage::{PageManager, StoreContext};
 use std::sync::Arc;
 
 /// One posting owned by a query (the owned, position-carrying form).
@@ -99,7 +99,7 @@ const ARENA_CHUNK: usize = 4096;
 /// of queries the doubling slack alone is megabytes.
 const SLOTS_CHUNK: usize = 4096;
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct PackedArena {
     slots: Vec<PackedSlot>,
     chunks: Vec<Vec<PackedEntry>>,
@@ -163,7 +163,7 @@ impl PackedArena {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Records {
     Plain(Vec<Option<QueryRecord>>),
     Packed(PackedArena),
@@ -325,13 +325,7 @@ impl Iterator for RecordEntriesFull<'_> {
 }
 
 /// The shared ID-ordered query index.
-///
-/// `Clone` supports the doc-parallel monitor's copy-on-write index epochs:
-/// scorer workers hold an `Arc<QueryIndex>` per batch, and registration
-/// churn between batches clones the index only when a worker still holds
-/// the previous epoch (`Arc::make_mut`). Clones of a paged index share the
-/// same [`PageManager`] (and its sealed pages — they are immutable).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct QueryIndex {
     lists: Lists,
     list_terms: Vec<TermId>,
@@ -677,16 +671,6 @@ impl QueryIndex {
             blocks_decoded: 0,
         }
     }
-
-    /// Pin every RAM-resident page of every list (empty for unpaged
-    /// storage). The doc-parallel monitor holds these pins for the lifetime
-    /// of a frozen epoch so scorer workers never fault on pages the epoch
-    /// had in RAM at freeze time.
-    pub fn pin_resident_pages(&self) -> Vec<PagePin> {
-        let mut pins = Vec::new();
-        self.lists.collect_resident_pins(&mut pins);
-        pins
-    }
 }
 
 #[cfg(test)]
@@ -911,8 +895,5 @@ mod tests {
         ix.list(0).for_each_live(|_, _| n += 1);
         assert_eq!(n, 600);
         assert!(ix.storage_stats().page_faults > 0);
-        // Pins cover exactly the currently-resident pages.
-        let pins = ix.pin_resident_pages();
-        assert_eq!(pins.len() as u64, ix.storage_stats().hot_pages);
     }
 }

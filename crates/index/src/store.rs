@@ -37,12 +37,11 @@
 
 use crate::postings::{Posting, PostingsList};
 use ctk_common::QueryId;
-use ctk_storage::{BlockCursor, CompressedList, PagePin, StoreContext};
+use ctk_storage::{BlockCursor, CompressedList, StoreContext};
 use std::path::PathBuf;
 
-// The block codec and the zone structures must agree on the zone size:
-// document-mode pruning probes `BlockMax` zones and expects each probe to
-// cover exactly one sealed block.
+// The block codec and the zone structures agree on the zone size, so a
+// default `BlockMax` zone covers exactly one sealed block.
 const _: () = assert!(ctk_storage::BLOCK_LEN == crate::block_max::DEFAULT_BLOCK);
 
 /// Which postings layout a [`crate::QueryIndex`] uses (see module docs).
@@ -565,7 +564,7 @@ impl BlockScratch {
 
 /// The index's list table: one homogeneous `Vec` per backend, so each
 /// backend pays its own per-list footprint and nothing more.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) enum Lists {
     Plain(Vec<PostingsList>),
     Compressed(Vec<CompressedList>),
@@ -654,15 +653,6 @@ impl Lists {
             Lists::Compressed(v) => {
                 v.capacity() * std::mem::size_of::<CompressedList>()
                     + v.iter().map(PostingsStore::heap_bytes).sum::<usize>()
-            }
-        }
-    }
-
-    /// Pin every RAM-resident page of every list (no-op unless paged).
-    pub(crate) fn collect_resident_pins(&self, out: &mut Vec<PagePin>) {
-        if let Lists::Compressed(v) = self {
-            for l in v {
-                l.collect_resident_pins(out);
             }
         }
     }

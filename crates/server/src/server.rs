@@ -55,7 +55,7 @@ use ctk_common::{Namespace, QueryId, ScoredDoc};
 use ctk_core::{
     AdaptiveConfig, Admission, IndexConfig, IngestConfig, NamespaceStats, PostingsStorage,
     PublishReceipt, PublishRequest, QueryOptions, ReplayCommand, Replayer, RetentionPolicy,
-    ShardingMode, Snapshot, SnapshotWriter, StorageStats,
+    Snapshot, SnapshotWriter, StorageStats,
 };
 use serde::{Number, Serialize, Value};
 use std::io::{self, BufReader, BufWriter, Write};
@@ -234,12 +234,6 @@ impl ServerBuilder {
     /// Shard count; more than 1 builds a sharded backend.
     pub fn shards(mut self, shards: usize) -> ServerBuilder {
         self.monitor = self.monitor.shards(shards);
-        self
-    }
-
-    /// Work-partitioning mode for sharded backends.
-    pub fn sharding(mut self, mode: ShardingMode) -> ServerBuilder {
-        self.monitor = self.monitor.sharding(mode);
         self
     }
 
@@ -581,7 +575,6 @@ enum Command {
 struct BackendStats {
     queries: usize,
     shards: usize,
-    sharding: ShardingMode,
     lambda: f64,
     publishes: u64,
     docs_published: u64,
@@ -767,7 +760,6 @@ fn ingest_loop(
                 let _ = reply.send(BackendStats {
                     queries: backend.num_queries(),
                     shards: backend.shards(),
-                    sharding: backend.sharding_mode(),
                     lambda: backend.lambda(),
                     publishes,
                     docs_published,
@@ -1081,7 +1073,7 @@ fn handle_stats(shared: &Shared) -> Response {
         engine: shared.engine.to_string(),
         lambda: backend.lambda,
         shards: backend.shards,
-        sharding: backend.sharding.to_string(),
+        sharding: "query".to_string(),
         queries: backend.queries,
         publishes: backend.publishes,
         docs_published: backend.docs_published,
@@ -1117,6 +1109,9 @@ pub struct ServerStats {
     pub engine: String,
     pub lambda: f64,
     pub shards: usize,
+    /// How the shards partition the work; always `"query"` (the query
+    /// population is what is sharded). Kept so `/stats` bodies keep their
+    /// shape.
     pub sharding: String,
     pub queries: usize,
     pub publishes: u64,

@@ -7,8 +7,7 @@
 //!   [`WeightCodec`], tombstones as zero-weight slots. Blocks hold exactly
 //!   [`BLOCK_LEN`] postings so they align 1:1 with `BlockMax` zones.
 //! * [`pager`] — [`PageManager`]: a byte-budgeted hot/cold page pool with
-//!   second-chance eviction, spill-to-disk via plain `std::fs`, and
-//!   [`PagePin`]s so frozen index epochs keep their resident pages.
+//!   second-chance eviction and spill-to-disk via plain `std::fs`.
 //! * [`list`] — [`CompressedList`]: the ID-ordered postings list built from
 //!   sealed blocks plus an uncompressed tail, with liveness-word tombstones
 //!   and compaction as the re-compression point; forward readers decode
@@ -26,4 +25,4 @@ pub use codec::{
     decode_block, decode_ids, decode_slot, encode_block, seek_ids, Block, WeightCodec, BLOCK_LEN,
 };
 pub use list::{BlockCursor, CompressedList, StoreContext, Unsealed};
-pub use pager::{Page, PageManager, PagePin, PagerStats};
+pub use pager::{Page, PageManager, PagerStats};

@@ -3,8 +3,7 @@
 //! Full blocks of [`BLOCK_LEN`] postings are sealed through the block codec
 //! (delta + bit-packed ids, raw or quantized weights); the newest postings
 //! live in an uncompressed tail until it fills. Sealed payloads are
-//! immutable and structurally shared by clones (the doc-parallel monitor's
-//! copy-on-write epochs), so cloning a list is O(blocks) pointer copies.
+//! immutable: a block is written once and only compaction replaces it.
 //!
 //! Tombstones never rewrite sealed bytes: a per-block liveness word (one
 //! bit per slot) overrides the stored weight with the `0.0` sentinel on
@@ -36,7 +35,7 @@
 use crate::codec::{
     decode_block, decode_slot, encode_block, seek_ids, Block, WeightCodec, BLOCK_LEN,
 };
-use crate::pager::{Page, PageManager, PagePin};
+use crate::pager::{Page, PageManager};
 use ctk_common::is_tombstone_weight;
 use std::sync::Arc;
 
@@ -62,7 +61,7 @@ impl StoreContext {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum BlockData {
     Ram(Arc<[u8]>),
     Paged(Page),
@@ -71,7 +70,7 @@ enum BlockData {
 /// The sealed side of a list: every table that only exists once at least
 /// one block has been sealed. Boxed inside [`CompressedList`] so the ~99%
 /// of lists that stay shorter than [`BLOCK_LEN`] never pay for it.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct SealedState {
     blocks: Vec<BlockData>,
     /// First query id of each sealed block, for block-level binary search.
@@ -205,7 +204,7 @@ impl BlockCursor {
 }
 
 /// Compressed block postings with an uncompressed tail (see module docs).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct CompressedList {
     /// Exact-fit boxed slice (regrown one slot at a time — bounded by
     /// [`BLOCK_LEN`], so reallocation cost is capped, and zero capacity
@@ -691,20 +690,6 @@ impl CompressedList {
         }
         bytes
     }
-
-    /// Pin every currently RAM-resident page of this list (no-op for
-    /// unpaged lists). Frozen index epochs hold these pins so scorer
-    /// workers never fault on pages the epoch had in RAM at freeze time.
-    pub fn collect_resident_pins(&self, out: &mut Vec<PagePin>) {
-        let Some(s) = &self.sealed else { return };
-        for blk in &s.blocks {
-            if let BlockData::Paged(page) = blk {
-                if page.is_resident() {
-                    out.push(PagePin::new(Arc::clone(page)));
-                }
-            }
-        }
-    }
 }
 
 /// Number of leading elements of `sorted` for which `below` holds (`below`
@@ -917,21 +902,6 @@ mod tests {
         assert_eq!(mirror(&paged), mirror(&ram));
         assert!(pager.stats().page_faults > 0, "reading cold pages faults");
         assert!(paged.heap_bytes() < ram.heap_bytes(), "spilled payloads leave RAM accounting");
-    }
-
-    #[test]
-    fn clones_share_sealed_blocks_and_diverge_in_tail() {
-        let cx = StoreContext::raw();
-        let ids: Vec<u32> = (0..70).collect();
-        let a = build(&ids);
-        let mut b = a.clone();
-        b.push(100, 9.0, &cx);
-        b.tombstone(0);
-        assert_eq!(a.get(0), (0, 0.5));
-        assert_eq!(b.get(0), (0, 0.0));
-        assert_eq!(a.len(), 70);
-        assert_eq!(b.len(), 71);
-        assert_eq!(b.get(70), (100, 9.0));
     }
 
     #[test]

@@ -11,16 +11,13 @@
 //! Readers call [`PageManager::load`], which returns the payload `Arc` — a
 //! fault (disk read, counted in [`PagerStats::page_faults`]) when the page
 //! is cold. The returned `Arc` keeps the bytes alive regardless of what the
-//! evictor does next. [`PagePin`] additionally vetoes eviction for as long
-//! as it lives: the doc-parallel monitor pins the resident pages of a
-//! frozen index epoch so scorer workers never fault on pages the epoch
-//! owner just had in RAM.
+//! evictor does next.
 
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 
 /// Counters exposed on `/stats` and the bench report.
@@ -48,7 +45,7 @@ enum PageState {
 }
 
 /// Counters shared between the manager and its pages, so a page dropped
-/// with its owning list (clone retirement, compaction) settles its own
+/// with its owning list (compaction, a dropped index) settles its own
 /// residency accounting.
 #[derive(Debug, Default)]
 struct Counters {
@@ -62,7 +59,6 @@ struct Counters {
 #[derive(Debug)]
 pub struct PageCell {
     len: u32,
-    pins: AtomicU32,
     /// Second-chance bit: set on access, cleared (once) by the clock sweep.
     touched: AtomicBool,
     state: Mutex<PageState>,
@@ -102,25 +98,6 @@ impl PageCell {
     }
 }
 
-/// An eviction veto on one page; dropped pins re-enable eviction.
-#[derive(Debug)]
-pub struct PagePin {
-    cell: Page,
-}
-
-impl PagePin {
-    pub fn new(cell: Page) -> Self {
-        cell.pins.fetch_add(1, Ordering::Relaxed);
-        PagePin { cell }
-    }
-}
-
-impl Drop for PagePin {
-    fn drop(&mut self) {
-        self.cell.pins.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
 #[derive(Debug, Default)]
 struct SpillFile {
     file: Option<File>,
@@ -143,8 +120,9 @@ static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl PageManager {
     /// A manager keeping at most `budget` payload bytes RAM-resident
-    /// (best-effort: pinned pages never spill). The spill file is created
-    /// lazily in `spill_dir` (default: the system temp directory).
+    /// (best-effort: recently touched pages get a second chance). The spill
+    /// file is created lazily in `spill_dir` (default: the system temp
+    /// directory).
     pub fn new(budget: usize, spill_dir: Option<PathBuf>) -> Self {
         PageManager {
             budget,
@@ -180,7 +158,6 @@ impl PageManager {
         let len = bytes.len();
         let cell = Arc::new(PageCell {
             len: len as u32,
-            pins: AtomicU32::new(0),
             touched: AtomicBool::new(true),
             state: Mutex::new(PageState::Ram { bytes, spilled_at: None }),
             counters: Arc::clone(&self.counters),
@@ -226,7 +203,7 @@ impl PageManager {
     }
 
     /// Second-chance clock sweep until residency fits the budget (or every
-    /// survivor is pinned/recently touched).
+    /// survivor was recently touched).
     fn evict_to_budget(&self) {
         let mut attempts = 2 * self.ring.lock().unwrap().len() + 1;
         while self.counters.resident_bytes.load(Ordering::Relaxed) > self.budget && attempts > 0 {
@@ -236,8 +213,7 @@ impl PageManager {
                 // The owning list died; its RAM copy went with it.
                 continue;
             };
-            if cell.pins.load(Ordering::Relaxed) > 0 || cell.touched.swap(false, Ordering::Relaxed)
-            {
+            if cell.touched.swap(false, Ordering::Relaxed) {
                 self.ring.lock().unwrap().push_back(weak);
                 continue;
             }
@@ -324,15 +300,6 @@ mod tests {
             assert!(bytes.iter().all(|&b| b == i as u8));
         }
         assert!(m.stats().page_faults >= 2);
-    }
-
-    #[test]
-    fn pinned_pages_never_evict() {
-        let m = PageManager::new(150, None);
-        let first = m.alloc(payload(1, 100));
-        let _pin = PagePin::new(Arc::clone(&first));
-        let _rest: Vec<Page> = (2..6).map(|i| m.alloc(payload(i, 100))).collect();
-        assert!(first.is_resident(), "pinned page must stay hot");
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! ```text
 //! cargo run --release --example serve -- \
 //!     [--host 127.0.0.1] [--port 8722] [--engine mrio] [--lambda 1e-3] \
-//!     [--shards N] [--mode query|doc] \
-//!     [--batch N] [--window N] [--adaptive [target_ms]] \
+//!     [--shards N] [--batch N] [--window N] [--adaptive [target_ms]] \
 //!     [--queue-depth N] [--admission block|reject[:retry_secs]] \
 //!     [--subscriber-buffer N] \
 //!     [--journal-dir DIR] [--fsync always|never|interval:MS] \
@@ -13,12 +12,12 @@
 //! ```
 //!
 //! Every monitor knob is the same registry string the bench harness uses
-//! (`EngineKind`/`ShardingMode` both implement `FromStr`), so a
-//! daemon config is copy-pasteable from a sweep config. See the README's
-//! "Running the daemon" section for a curl transcript against this binary.
+//! (`EngineKind` implements `FromStr`), so a daemon config is
+//! copy-pasteable from a sweep config. See the README's "Running the
+//! daemon" section for a curl transcript against this binary.
 
 use continuous_topk::EngineKind;
-use ctk_core::{AdaptiveConfig, ShardingMode};
+use ctk_core::AdaptiveConfig;
 use ctk_server::{signal, AdmissionPolicy, FsyncPolicy, ServerBuilder};
 use std::time::Duration;
 
@@ -46,9 +45,6 @@ fn main() {
     let mut builder = ServerBuilder::new(engine)
         .lambda(parsed(&args, "--lambda").unwrap_or(1e-3))
         .shards(parsed(&args, "--shards").unwrap_or(1));
-    if let Some(mode) = parsed::<ShardingMode>(&args, "--mode") {
-        builder = builder.sharding(mode);
-    }
     if let Some(batch) = parsed::<usize>(&args, "--batch") {
         builder = builder.batch_size(batch);
     }

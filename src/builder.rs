@@ -11,8 +11,7 @@ use ctk_baselines::{Rta, SortQuer, Tps};
 use ctk_common::{FxHashMap, QueryId};
 use ctk_core::{
     AdaptiveConfig, ContinuousTopK, IndexConfig, IngestConfig, Monitor, MonitorBackend, MrioBlock,
-    MrioSeg, MrioSuffix, Naive, PostingsStorage, Rio, ShardedMonitor, ShardingMode, Snapshot,
-    StorageConfig,
+    MrioSeg, MrioSuffix, Naive, PostingsStorage, Rio, ShardedMonitor, Snapshot, StorageConfig,
 };
 
 /// Every engine a monitor can run on: the paper's algorithms, the three
@@ -149,64 +148,17 @@ impl std::str::FromStr for EngineKind {
 /// assert_eq!(monitor.results(q).unwrap().len(), 1);
 /// ```
 ///
-/// # Choosing a sharding mode
-///
-/// With more than one shard, [`MonitorBuilder::sharding`] picks how the
-/// work is partitioned — both modes serve the identical API and produce
-/// bit-identical results (checked in `tests/backend_api.rs`), so this is
-/// purely a throughput decision:
-///
-/// * [`ShardingMode::Queries`] (default) splits the **query population**:
-///   every worker owns a full engine (of the configured [`EngineKind`])
-///   over its slice of the queries, and every document is broadcast to all
-///   shards. The per-document matched-list walk is therefore paid once per
-///   shard — worth it when the query population is large enough that each
-///   shard's slice still dominates the walk (the paper's regime of millions
-///   of CTQDs).
-/// * [`ShardingMode::Documents`] splits each **ingest batch**: workers walk
-///   one shared, read-only index epoch (the exact term-filtered walk with
-///   submit-time threshold pruning — the engine kind does not change
-///   document-mode results or scoring work), and candidates are merged
-///   serially in stream order. The walk is paid once in total, so this mode
-///   keeps scaling where query-sharding degenerates into S redundant
-///   probes: small-to-medium query populations under high stream rates.
-///
-/// The crossover is measurable with the `sweep_shards` bench binary
-/// (`--mode query|doc|both --queries N,N,...`), which records docs/sec
-/// per `queries × mode × shards × batch` cell with one single-threaded
-/// reference per population (report schema v6). Document mode always
-/// runs the oracle's exhaustive walk; a bounded walk over frozen zone
-/// maxima lost every measured cell at 10k and 50k queries and was
-/// removed (see the README's "Choosing a sharding mode"). At a few
-/// thousand queries the two modes are close — the walk is cheap and
-/// coordination decides; as the population grows the doc walk's cost
-/// grows with it, and with hundreds of thousands of queries per shard
-/// query mode's pruning engines (MRIO) take the lead. Measure
-/// with your own workload shape before committing a deployment to
-/// either mode.
-///
-/// ```
-/// use continuous_topk::prelude::*;
-///
-/// let mut monitor = MonitorBuilder::new(EngineKind::Mrio)
-///     .lambda(0.001)
-///     .shards(4)
-///     .sharding(ShardingMode::Documents)
-///     .build();
-/// let q = monitor.register(QuerySpec::uniform(&[TermId(7)], 3).unwrap());
-/// monitor.publish_batch(vec![
-///     (vec![(TermId(7), 1.0)], 0.0),
-///     (vec![(TermId(9), 1.0)], 1.0),
-/// ]);
-/// assert_eq!(monitor.sharding_mode(), ShardingMode::Documents);
-/// assert_eq!(monitor.results(q).unwrap().len(), 1);
-/// ```
+/// More than one shard splits the **query population**: every worker owns
+/// a full engine (of the configured [`EngineKind`]) over its slice of the
+/// queries, and every document is broadcast to all shards. The
+/// per-document matched-list walk is paid once per shard, so sharding pays
+/// off once each shard's slice still dominates the walk — the paper's
+/// regime of millions of CTQDs (see the README's "Sharding").
 #[derive(Debug, Clone, PartialEq)]
 pub struct MonitorBuilder {
     kind: EngineKind,
     lambda: f64,
     shards: usize,
-    sharding: ShardingMode,
     ingest: IngestConfig,
     index: IndexConfig,
 }
@@ -220,7 +172,6 @@ impl MonitorBuilder {
             kind,
             lambda: 0.0,
             shards: 1,
-            sharding: ShardingMode::Queries,
             ingest: IngestConfig::default(),
             index: IndexConfig::default(),
         }
@@ -251,25 +202,12 @@ impl MonitorBuilder {
         self
     }
 
-    /// Number of worker shards. In the default query-sharding mode, 1 (the
-    /// default) builds the single-engine [`Monitor`] and more builds a
-    /// [`ShardedMonitor`] with the query population spread round-robin; in
-    /// document mode every count (including 1) builds the doc-parallel
-    /// [`ShardedMonitor`], whose single-shard form still pipelines scoring
-    /// against merging.
+    /// Number of worker shards. 1 (the default) builds the single-engine
+    /// [`Monitor`]; more builds a [`ShardedMonitor`] with the query
+    /// population spread round-robin.
     pub fn shards(mut self, shards: usize) -> Self {
         assert!(shards >= 1, "a monitor needs at least one shard");
         self.shards = shards;
-        self
-    }
-
-    /// How the shards partition the work (see "Choosing a sharding mode"
-    /// above). Defaults to [`ShardingMode::Queries`]. In
-    /// [`ShardingMode::Documents`] the engine kind does not affect scoring:
-    /// workers run the exact shared-epoch walk, so results stay
-    /// bit-identical to every engine.
-    pub fn sharding(mut self, mode: ShardingMode) -> Self {
-        self.sharding = mode;
         self
     }
 
@@ -295,8 +233,8 @@ impl MonitorBuilder {
     /// don't, instead of using the fixed [`MonitorBuilder::batch_size`].
     /// Results are bit-identical either way — chunking is
     /// result-invariant — so this only moves throughput and latency. No
-    /// effect on the single-engine front-end (one shard, query mode),
-    /// which has no drain pipeline to pace.
+    /// effect on the single-engine front-end (one shard), which has no
+    /// drain pipeline to pace.
     pub fn adaptive_batching(mut self, cfg: AdaptiveConfig) -> Self {
         self.ingest.adaptive = Some(cfg);
         self
@@ -327,8 +265,8 @@ impl MonitorBuilder {
     ///   reads stay in RAM.
     ///
     /// Applies to every engine carrying a `QueryIndex` (RIO, the MRIO
-    /// variants, TPS, Naive — and the document-mode shared epoch); RTA and
-    /// SortQuer keep their own snapshot structures.
+    /// variants, TPS, Naive); RTA and SortQuer keep their own snapshot
+    /// structures.
     pub fn postings_storage(mut self, storage: PostingsStorage) -> Self {
         self.index.storage.storage = storage;
         self
@@ -343,8 +281,15 @@ impl MonitorBuilder {
         self
     }
 
-    /// Apply the ingest profile to a sharded front-end.
-    fn configure_ingest(&self, sharded: &mut ShardedMonitor) {
+    /// Build the configured backend.
+    pub fn build(&self) -> Box<dyn MonitorBackend + Send> {
+        let engine = || self.kind.build_engine_with(self.lambda, &self.index.storage);
+        if self.shards == 1 {
+            return Box::new(
+                Monitor::new(engine()).with_compaction(self.index.compaction_threshold),
+            );
+        }
+        let mut sharded = ShardedMonitor::new(self.shards, engine);
         sharded.set_ingest_chunking(self.ingest.batch_size, self.ingest.pipeline_window);
         if let Some(cfg) = self.ingest.adaptive {
             sharded.set_adaptive_batching(cfg);
@@ -352,38 +297,27 @@ impl MonitorBuilder {
         if self.index.compaction_threshold > 0.0 {
             sharded.set_compaction_threshold(self.index.compaction_threshold);
         }
-    }
-
-    /// Build the configured backend.
-    pub fn build(&self) -> Box<dyn MonitorBackend + Send> {
-        match self.sharding {
-            ShardingMode::Queries if self.shards == 1 => Box::new(
-                Monitor::new(self.kind.build_engine_with(self.lambda, &self.index.storage))
-                    .with_compaction(self.index.compaction_threshold),
-            ),
-            ShardingMode::Queries => {
-                let mut sharded = ShardedMonitor::new(self.shards, || {
-                    self.kind.build_engine_with(self.lambda, &self.index.storage)
-                });
-                self.configure_ingest(&mut sharded);
-                Box::new(sharded)
-            }
-            ShardingMode::Documents => {
-                let mut sharded = ShardedMonitor::new_doc_parallel_with(
-                    self.shards,
-                    self.lambda,
-                    &self.index.storage,
-                );
-                self.configure_ingest(&mut sharded);
-                Box::new(sharded)
-            }
-        }
+        Box::new(sharded)
     }
 
     /// Build the configured backend and restore a [`Snapshot`] into it.
     /// The snapshot's λ overrides the builder's, and its shard sections are
     /// rebalanced onto this configuration's shard count. Returns the
     /// backend and the captured-id → new-id mapping.
+    ///
+    /// ```
+    /// use continuous_topk::prelude::*;
+    ///
+    /// let mut monitor = MonitorBuilder::new(EngineKind::Mrio).lambda(0.5).shards(3).build();
+    /// let q = monitor.register(QuerySpec::uniform(&[TermId(7)], 3).unwrap());
+    /// monitor.publish(vec![(TermId(7), 1.0)], 0.0);
+    ///
+    /// let snapshot = monitor.snapshot();
+    /// let (restored, mapping) = MonitorBuilder::new(EngineKind::Mrio).restore(&snapshot);
+    /// assert_eq!(restored.shards(), 1);
+    /// assert_eq!(restored.lambda(), 0.5);
+    /// assert_eq!(restored.results(mapping[&q]), monitor.results(q));
+    /// ```
     pub fn restore(
         &self,
         snapshot: &Snapshot,
@@ -415,49 +349,26 @@ mod tests {
         let single = MonitorBuilder::new(EngineKind::Mrio).lambda(0.5).build();
         assert_eq!(single.shards(), 1);
         assert_eq!(single.lambda(), 0.5);
-        assert_eq!(single.sharding_mode(), ShardingMode::Queries);
         let sharded = MonitorBuilder::new(EngineKind::Mrio).lambda(0.5).shards(3).build();
         assert_eq!(sharded.shards(), 3);
         assert_eq!(sharded.lambda(), 0.5);
-        assert_eq!(sharded.sharding_mode(), ShardingMode::Queries);
-    }
-
-    #[test]
-    fn builder_picks_the_front_end_by_sharding_mode() {
-        // Document mode builds the doc-parallel monitor at every shard
-        // count — a single shard still pipelines scoring against merging.
-        for shards in [1usize, 3] {
-            let doc = MonitorBuilder::new(EngineKind::Mrio)
-                .lambda(0.5)
-                .shards(shards)
-                .sharding(ShardingMode::Documents)
-                .build();
-            assert_eq!(doc.shards(), shards);
-            assert_eq!(doc.sharding_mode(), ShardingMode::Documents);
-            assert_eq!(doc.lambda(), 0.5);
-        }
     }
 
     #[test]
     fn storage_knob_reaches_every_front_end() {
         use ctk_common::{QuerySpec, TermId};
         for storage in PostingsStorage::ALL {
-            for (shards, mode) in [
-                (1, ShardingMode::Queries),
-                (2, ShardingMode::Queries),
-                (2, ShardingMode::Documents),
-            ] {
+            for shards in [1, 2] {
                 let mut m = MonitorBuilder::new(EngineKind::Mrio)
                     .lambda(0.001)
                     .shards(shards)
-                    .sharding(mode)
                     .postings_storage(storage)
                     .page_budget(4096)
                     .build();
                 let q = m.register(QuerySpec::uniform(&[TermId(1)], 2).unwrap());
                 m.publish(vec![(TermId(1), 1.0)], 0.0);
-                assert_eq!(m.results(q).unwrap().len(), 1, "{storage} {mode} x{shards}");
-                assert!(m.storage_stats().index_bytes > 0, "{storage} {mode} x{shards}");
+                assert_eq!(m.results(q).unwrap().len(), 1, "{storage} x{shards}");
+                assert!(m.storage_stats().index_bytes > 0, "{storage} x{shards}");
             }
         }
     }
@@ -491,7 +402,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_batching_reaches_both_sharded_front_ends() {
+    fn adaptive_batching_reaches_the_sharded_front_end() {
         use ctk_common::{QuerySpec, TermId};
         let batch: Vec<_> = (0..20u64)
             .map(|i| (vec![(TermId((i % 4) as u32), 1.0 / (i + 1) as f32)], i as f64))
@@ -499,25 +410,49 @@ mod tests {
         let mut oracle = MonitorBuilder::new(EngineKind::Mrio).lambda(0.001).build();
         let q = oracle.register(QuerySpec::uniform(&[TermId(1), TermId(2)], 3).unwrap());
         oracle.publish_batch(batch.clone());
-        for mode in ShardingMode::ALL {
-            let mut m = MonitorBuilder::new(EngineKind::Mrio)
-                .lambda(0.001)
-                .shards(2)
-                .sharding(mode)
-                .adaptive_batching(AdaptiveConfig::default().chunk_bounds(1, 4))
-                .build();
-            let q2 = m.register(QuerySpec::uniform(&[TermId(1), TermId(2)], 3).unwrap());
-            m.publish_batch(batch.clone());
-            assert_eq!(m.results(q2), oracle.results(q), "{mode}");
+        let mut m = MonitorBuilder::new(EngineKind::Mrio)
+            .lambda(0.001)
+            .shards(2)
+            .adaptive_batching(AdaptiveConfig::default().chunk_bounds(1, 4))
+            .build();
+        let q2 = m.register(QuerySpec::uniform(&[TermId(1), TermId(2)], 3).unwrap());
+        m.publish_batch(batch);
+        assert_eq!(m.results(q2), oracle.results(q));
+    }
+
+    #[test]
+    fn ingest_knobs_are_result_invariant_on_every_front_end() {
+        use ctk_common::{QuerySpec, TermId};
+        let batch: Vec<_> = (0..30u64)
+            .map(|i| (vec![(TermId((i % 5) as u32), 1.0 / (i + 1) as f32)], i as f64))
+            .collect();
+        for shards in [1, 2] {
+            let plain = MonitorBuilder::new(EngineKind::Mrio).lambda(0.001).shards(shards);
+            let chunked = plain.clone().batch_size(3).pipeline_window(2);
+            let mut a = plain.build();
+            let mut b = chunked.build();
+            let qa = a.register(QuerySpec::uniform(&[TermId(0), TermId(3)], 4).unwrap());
+            let qb = b.register(QuerySpec::uniform(&[TermId(0), TermId(3)], 4).unwrap());
+            let ra = a.publish_batch(batch.clone());
+            let rb = b.publish_batch(batch.clone());
+            assert_eq!(ra.doc_ids, rb.doc_ids, "x{shards}");
+            assert_eq!(a.results(qa), b.results(qb), "x{shards}");
         }
     }
 
     #[test]
-    fn sharding_mode_names_round_trip() {
-        for mode in ShardingMode::ALL {
-            assert_eq!(mode.name().parse::<ShardingMode>().unwrap(), mode);
+    fn restore_takes_lambda_from_the_snapshot_at_every_shard_count() {
+        use ctk_common::{QuerySpec, TermId};
+        let mut source = MonitorBuilder::new(EngineKind::Mrio).lambda(0.5).shards(2).build();
+        let q = source.register(QuerySpec::uniform(&[TermId(1)], 2).unwrap());
+        source.publish_batch(vec![(vec![(TermId(1), 1.0)], 0.0), (vec![(TermId(1), 0.5)], 3.0)]);
+        let snap = source.snapshot();
+        for shards in [1, 3] {
+            let (restored, mapping) =
+                MonitorBuilder::new(EngineKind::Mrio).lambda(0.001).shards(shards).restore(&snap);
+            assert_eq!(restored.shards(), shards);
+            assert_eq!(restored.lambda(), 0.5, "the snapshot's λ wins, x{shards}");
+            assert_eq!(restored.results(mapping[&q]), source.results(q), "x{shards}");
         }
-        assert_eq!("documents".parse::<ShardingMode>().unwrap(), ShardingMode::Documents);
-        assert!("zigzag".parse::<ShardingMode>().is_err());
     }
 }

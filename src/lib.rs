@@ -64,11 +64,11 @@
 //!
 //! [`FrontEnd`] is the one [`MonitorBackend`] implementation: it owns the
 //! public query ids, document stamping, the lifecycle layer ([`QueryOptions`],
-//! [`RetentionPolicy`]) and snapshots, over one of three runtimes — the
-//! in-thread engine (`Monitor<E>`), the query-sharded workers or the
-//! doc-parallel shared epoch (both `ShardedMonitor`). [`MonitorBuilder`]
-//! picks the runtime; a capture from any of them restores into any other
-//! via [`Snapshot::restore_into`].
+//! [`RetentionPolicy`]) and snapshots, over one of two runtimes — the
+//! in-thread engine (`Monitor<E>`) or the query-sharded workers
+//! (`ShardedMonitor`). [`MonitorBuilder`] picks the runtime by shard count;
+//! a capture from either restores into the other via
+//! [`Snapshot::restore_into`].
 //!
 //! See `examples/` for end-to-end scenarios (`restartable` exercises the
 //! sharded snapshot → kill → restore → continue cycle) and `crates/bench`
@@ -104,7 +104,7 @@ pub mod prelude {
         EvictionPolicy, IndexConfig, IngestConfig, Monitor, MonitorBackend, Mrio, MrioBlock,
         MrioSeg, MrioSuffix, Naive, NamespaceStats, PostingsStorage, PublishReceipt,
         PublishRequest, QueryOptions, ResultChange, RetentionPolicy, Rio, ShardSnapshot,
-        ShardedMonitor, ShardingMode, Snapshot, SnapshotQuery, SnapshotStreamStats, SnapshotWriter,
+        ShardedMonitor, Snapshot, SnapshotQuery, SnapshotStreamStats, SnapshotWriter,
         StorageConfig, StorageStats, SNAPSHOT_VERSION,
     };
     pub use ctk_stream::{

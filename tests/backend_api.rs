@@ -30,10 +30,20 @@ fn sorted_changes(mut changes: Vec<ResultChange>) -> Vec<ResultChange> {
     changes
 }
 
-/// The shared test body: everything it does goes through `dyn
-/// MonitorBackend`, so the only degree of freedom is the builder config.
 fn backend_matches_oracle(config: MonitorBuilder, lambda: f64) {
-    let mut backend = config.lambda(lambda).build();
+    runs_like_the_oracle(config.lambda(lambda).build(), lambda);
+}
+
+/// One query-sharded worker. The builder maps `shards(1)` to the in-thread
+/// engine, so the threaded runtime's single-worker form is built directly.
+fn one_worker(lambda: f64) -> ShardedMonitor {
+    ShardedMonitor::new(1, move || MrioSeg::new(lambda))
+}
+
+/// The shared test body: everything it does goes through `dyn
+/// MonitorBackend`, so the only degree of freedom is the backend's
+/// configuration.
+fn runs_like_the_oracle(mut backend: Box<dyn MonitorBackend + Send>, lambda: f64) {
     let mut oracle = MonitorBuilder::new(EngineKind::Naive).lambda(lambda).build();
 
     let all_specs = specs(60, 42);
@@ -114,6 +124,13 @@ fn sharded_pipelined_chunked_backend_matches_oracle() {
 }
 
 #[test]
+fn single_worker_sharded_backend_matches_oracle() {
+    // Every document still crosses the worker channel and the stream-order
+    // merge, with nothing to partition.
+    runs_like_the_oracle(Box::new(one_worker(1e-3)), 1e-3);
+}
+
+#[test]
 fn backend_matches_oracle_across_renormalization() {
     // λ = 0.5 with the default headroom of 60 renormalizes once arrivals
     // pass 120 — the 180 unit-clock documents cross it on every backend.
@@ -127,75 +144,78 @@ fn compacting_backend_matches_oracle() {
     backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio).shards(2).compact_at(0.15), 1e-3);
 }
 
-// --- the same matrix in document-sharding mode ---
-
-fn doc_mode(shards: usize) -> MonitorBuilder {
-    MonitorBuilder::new(EngineKind::Mrio).sharding(ShardingMode::Documents).shards(shards)
-}
+// --- the stressors combined ---
 
 #[test]
-fn doc_sharded_backend_matches_oracle() {
-    backend_matches_oracle(doc_mode(4), 1e-3);
-}
-
-#[test]
-fn doc_sharded_single_shard_backend_matches_oracle() {
-    // One doc-mode shard still pipelines scoring against merging.
-    backend_matches_oracle(doc_mode(1), 1e-3);
-}
-
-#[test]
-fn doc_sharded_pipelined_chunked_backend_matches_oracle() {
-    backend_matches_oracle(doc_mode(4).batch_size(7).pipeline_window(2), 1e-3);
-}
-
-#[test]
-fn doc_backend_matches_oracle_across_renormalization() {
-    // Renormalizations force the submit-time candidate filter off for the
-    // crossing batches; the unfiltered merge must stay exact.
-    backend_matches_oracle(doc_mode(2), 0.5);
-}
-
-#[test]
-fn doc_compacting_backend_matches_oracle() {
-    // Compaction reorganizes the shared epoch copy-on-write at batch
-    // boundaries; results must not move.
-    backend_matches_oracle(doc_mode(2).compact_at(0.15), 1e-3);
-}
-
-// --- document mode, the stressors combined ---
-
-#[test]
-fn doc_pipelined_chunked_backend_matches_oracle_across_renormalization() {
-    // The renormalization lands inside a chunked, pipelined batch: chunks
+fn sharded_pipelined_chunked_backend_matches_oracle_across_renormalization() {
+    // The renormalization lands inside a chunked, pipelined publish: chunks
     // already in flight were scored in the old frame and must merge exactly.
-    backend_matches_oracle(doc_mode(4).batch_size(7).pipeline_window(2), 0.5);
+    backend_matches_oracle(
+        MonitorBuilder::new(EngineKind::Mrio).shards(4).batch_size(7).pipeline_window(2),
+        0.5,
+    );
 }
 
 #[test]
-fn doc_compacting_backend_matches_oracle_across_renormalization() {
+fn compacting_backend_matches_oracle_across_renormalization() {
     // Registrations land after compactions that follow renormalizations;
-    // the shared epoch must stay aligned with the merged result sets.
-    backend_matches_oracle(doc_mode(2).compact_at(0.15), 0.5);
+    // every shard's index must stay aligned with its result sets.
+    backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio).shards(2).compact_at(0.15), 0.5);
 }
 
 #[test]
-fn doc_single_shard_compacting_pipelined_chunked_backend_matches_oracle() {
-    backend_matches_oracle(doc_mode(1).compact_at(0.15).batch_size(7).pipeline_window(2), 1e-3);
+fn single_engine_compacting_backend_matches_oracle_across_renormalization() {
+    // The in-thread runtime's own compaction policy, between
+    // renormalizations.
+    backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio).compact_at(0.15), 0.5);
 }
 
 #[test]
-fn doc_adaptive_batching_backend_matches_oracle() {
+fn compacting_pipelined_chunked_backend_matches_oracle() {
+    backend_matches_oracle(
+        MonitorBuilder::new(EngineKind::Mrio)
+            .shards(2)
+            .compact_at(0.15)
+            .batch_size(7)
+            .pipeline_window(2),
+        1e-3,
+    );
+}
+
+#[test]
+fn single_worker_compacting_pipelined_chunked_backend_matches_oracle() {
+    let mut sharded = one_worker(1e-3);
+    sharded.set_compaction_threshold(0.15);
+    sharded.set_ingest_chunking(7, 2);
+    runs_like_the_oracle(Box::new(sharded), 1e-3);
+}
+
+#[test]
+fn adaptive_batching_backend_matches_oracle() {
     // A near-zero latency target makes every drain miss it, so the AIMD
     // controller halves the chunk size down to its floor mid-stream;
     // chunking is result-invariant.
     let cfg = AdaptiveConfig::default().target_drain_ms(1e-6).chunk_bounds(2, 16).increase_step(3);
-    backend_matches_oracle(doc_mode(2).adaptive_batching(cfg), 1e-3);
+    backend_matches_oracle(
+        MonitorBuilder::new(EngineKind::Mrio).shards(2).adaptive_batching(cfg),
+        1e-3,
+    );
+}
+
+#[test]
+fn adaptive_batching_backend_matches_oracle_across_renormalization() {
+    // The controller resizes chunks while a renormalization lands between
+    // them; neither may move a result.
+    let cfg = AdaptiveConfig::default().target_drain_ms(1e-6).chunk_bounds(2, 16).increase_step(3);
+    backend_matches_oracle(
+        MonitorBuilder::new(EngineKind::Mrio).shards(3).adaptive_batching(cfg),
+        0.5,
+    );
 }
 
 /// Snapshot under one configuration, restore under another (different
-/// shard count and/or sharding mode), verified against an oracle that
-/// never restarted — including on the continuation stream.
+/// shard count), verified against an oracle that never restarted —
+/// including on the continuation stream.
 fn snapshot_rebalances_across(
     from: MonitorBuilder,
     expected_sections: usize,
@@ -273,15 +293,25 @@ fn snapshot_restores_from_four_shards_to_two() {
 }
 
 #[test]
-fn snapshot_restores_from_doc_mode_onto_query_mode() {
-    // A doc-parallel capture (one section — its queries are not
-    // partitioned) restores onto a query-sharded deployment.
-    snapshot_rebalances_across(doc_mode(4), 1, MonitorBuilder::new(EngineKind::Mrio).shards(2), 2);
+fn snapshot_restores_from_four_shards_to_three() {
+    // Four sections do not divide evenly over three workers.
+    snapshot_rebalances_across(
+        MonitorBuilder::new(EngineKind::Mrio).shards(4),
+        4,
+        MonitorBuilder::new(EngineKind::Mrio).shards(3),
+        3,
+    );
 }
 
 #[test]
-fn snapshot_restores_from_query_mode_onto_doc_mode() {
-    snapshot_rebalances_across(MonitorBuilder::new(EngineKind::Mrio).shards(4), 4, doc_mode(3), 3);
+fn snapshot_restores_from_three_shards_onto_the_single_engine() {
+    // Three sections fold back into the in-thread runtime's one.
+    snapshot_rebalances_across(
+        MonitorBuilder::new(EngineKind::Mrio).shards(3),
+        3,
+        MonitorBuilder::new(EngineKind::Mrio),
+        1,
+    );
 }
 
 /// `Namespace(pub u16)` is constructible by anyone. A handle the backend
@@ -296,7 +326,7 @@ fn un_interned_namespace_handles_are_refused_before_any_state_changes() {
     let policy =
         RetentionPolicy { max_age: None, max_queries: Some(1), eviction: EvictionPolicy::Oldest };
     let single = MonitorBuilder::new(EngineKind::Mrio);
-    for config in [single.clone(), single.shards(2), doc_mode(2)] {
+    for config in [single.clone(), single.shards(2)] {
         let mut backend = config.build();
         let kept = backend.register(spec());
         type Call<'a> = Box<dyn FnOnce(&mut dyn MonitorBackend) + 'a>;

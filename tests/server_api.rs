@@ -536,3 +536,19 @@ fn stats_report_storage_counters_for_a_paged_backend() {
     assert!(field_u64(&stats, "cold_pages") > 0, "a 4 KiB budget must have spilled pages");
     server.shutdown();
 }
+
+/// `/stats` keeps its `sharding` field: the query population is the only
+/// thing a monitor shards, so every server reports `"query"` next to its
+/// shard count, in the same bytes the field has always had.
+#[test]
+fn stats_report_the_query_sharding_and_the_shard_count() {
+    for shards in [1, 2] {
+        let (server, mut client) = start(EngineKind::Mrio, shards);
+        let body = ok(client.get("/stats"), 200);
+        assert!(
+            body.contains(&format!(r#""shards":{shards},"sharding":"query","#)),
+            "unexpected /stats body: {body}"
+        );
+        server.shutdown();
+    }
+}

@@ -1,27 +1,19 @@
-//! Randomized equivalence of the batched sharded ingestion path, in both
-//! sharding modes.
+//! Randomized equivalence of the batched sharded ingestion path.
 //!
-//! A `ShardedMonitor` fed through `process_batch` must stay
+//! A `ShardedMonitor` (`Naive` shards) fed through `process_batch` must stay
 //! **bit-identical** to a single `Naive` engine fed one document at a time
-//! — including while queries register and unregister mid-stream:
-//!
-//! * **query mode** (`Naive` shards): each query's score accumulates from
-//!   its own registration record, so partitioning queries across shards
-//!   must not change a single bit of any result;
-//! * **document mode**: workers walk a shared index epoch and candidates
-//!   are merged serially in stream order, so partitioning the *batch*
-//!   across shards (including through the threshold candidate filter and
-//!   threshold-triggered compaction) must not change a single bit either.
+//! — including while queries register and unregister mid-stream: each
+//! query's score accumulates from its own registration record, so
+//! partitioning queries across shards must not change a single bit of any
+//! result.
 //!
 //! Since the sharded monitor allocates public ids from one monotone space,
 //! the same registration sequence yields the *same* `QueryId`s on both
 //! front-ends — the test addresses both with one handle.
 //!
-//! The merged-stat invariant is checked alongside, and it distinguishes the
-//! modes: in query mode every document visits every shard exactly once
-//! (each shard reports `events == docs`, summed `docs × shards`); in
-//! document mode every document visits exactly one shard (the per-shard
-//! counters sum to `docs`).
+//! The merged-stat invariant is checked alongside: every document visits
+//! every shard exactly once (each shard reports `events == docs`, summed
+//! `docs × shards`).
 
 use continuous_topk::prelude::*;
 use proptest::prelude::*;
@@ -38,7 +30,6 @@ proptest! {
 
     #[test]
     fn batched_sharded_ingestion_with_churn_matches_naive(
-        mode in prop::sample::select(vec![ShardingMode::Queries, ShardingMode::Documents]),
         shards in 2usize..5,
         batch_size in 1usize..9,
         initial in prop::collection::vec(
@@ -72,14 +63,8 @@ proptest! {
         // the backend is invisible to results.
         let storage_cfg =
             StorageConfig { storage, page_budget_bytes: 2048, spill_dir: None };
-        let mut sharded = match mode {
-            ShardingMode::Queries => {
-                ShardedMonitor::new(shards, || Naive::with_storage(lambda, &storage_cfg))
-            }
-            ShardingMode::Documents => {
-                ShardedMonitor::new_doc_parallel_with(shards, lambda, &storage_cfg)
-            }
-        };
+        let mut sharded =
+            ShardedMonitor::new(shards, || Naive::with_storage(lambda, &storage_cfg));
         sharded.set_compaction_threshold(compact_at);
         let mut single = Naive::new(lambda);
         // Live queries: one public id addresses both front-ends.
@@ -139,35 +124,17 @@ proptest! {
             prop_assert_eq!(
                 sharded.results(*qid),
                 single.results(*qid),
-                "mode {:?}, storage {:?}, query {:?}",
-                mode,
+                "storage {:?}, query {:?}",
                 storage,
                 qid
             );
         }
 
-        // Merged-stat consistency, per mode.
+        // Merged-stat consistency: every shard processed every document.
         let per_shard = sharded.shard_cumulative();
         prop_assert_eq!(per_shard.len(), shards);
-        let summed: u64 = per_shard.iter().map(|c| c.events).sum();
-        match mode {
-            ShardingMode::Queries => {
-                // Every shard processed every document.
-                for cum in &per_shard {
-                    prop_assert_eq!(cum.events, total_docs);
-                }
-                prop_assert_eq!(summed, total_docs * shards as u64);
-            }
-            ShardingMode::Documents => {
-                // Every document was scored by exactly one shard.
-                prop_assert_eq!(summed, total_docs);
-                // The doc walk *is* the oracle's walk, parallelized: its
-                // counters match exactly.
-                let sum = |f: fn(&CumulativeStats) -> u64| per_shard.iter().map(f).sum::<u64>();
-                let oracle = single.cumulative();
-                prop_assert_eq!(sum(|c| c.postings_accessed), oracle.postings_accessed);
-                prop_assert_eq!(sum(|c| c.full_evaluations), oracle.full_evaluations);
-            }
+        for cum in &per_shard {
+            prop_assert_eq!(cum.events, total_docs);
         }
     }
 }
@@ -177,9 +144,9 @@ proptest! {
 
     /// Adaptive AIMD chunking must be invisible in results: a monitor whose
     /// chunk size breathes with drain latency stays bit-identical to a
-    /// fixed-window monitor *and* to the serial `Naive` oracle — in both
-    /// sharding modes, through register/unregister churn and a
-    /// renorm-capable λ — because chunking is result-invariant.
+    /// fixed-window monitor *and* to the serial `Naive` oracle — through
+    /// register/unregister churn and a renorm-capable λ — because chunking
+    /// is result-invariant.
     ///
     /// The sampled `target_drain_ms` deliberately includes the two
     /// degenerate controllers: `0.0` (every drain is "too slow", the chunk
@@ -188,7 +155,6 @@ proptest! {
     /// controller's whole reachable schedule space, not just its fixpoint.
     #[test]
     fn adaptive_batching_matches_fixed_window_and_naive(
-        mode in prop::sample::select(vec![ShardingMode::Queries, ShardingMode::Documents]),
         shards in 2usize..4,
         fixed_batch in 1usize..9,
         target_ms in prop::sample::select(vec![0.0f64, 5.0, f64::INFINITY]),
@@ -218,10 +184,7 @@ proptest! {
             .chunk_bounds(min_chunk, min_chunk + span)
             .increase_step(step);
         let build = |adaptive: bool| {
-            let mut m = match mode {
-                ShardingMode::Queries => ShardedMonitor::new(shards, move || Naive::new(lambda)),
-                ShardingMode::Documents => ShardedMonitor::new_doc_parallel(shards, lambda),
-            };
+            let mut m = ShardedMonitor::new(shards, move || Naive::new(lambda));
             if adaptive {
                 m.set_adaptive_batching(cfg);
             } else {
@@ -345,43 +308,33 @@ enum Front {
     /// The in-thread single engine (what `ctk-serve --shards 1` runs).
     Single,
     Queries(usize),
-    Documents(usize),
 }
 
 impl Front {
-    const ALL: [Front; 7] = [
-        Front::Single,
-        Front::Queries(1),
-        Front::Queries(2),
-        Front::Queries(3),
-        Front::Documents(1),
-        Front::Documents(2),
-        Front::Documents(3),
-    ];
+    const ALL: [Front; 4] =
+        [Front::Single, Front::Queries(1), Front::Queries(2), Front::Queries(3)];
 
     fn build(self, lambda: f64) -> Box<dyn MonitorBackend + Send> {
-        let builder = MonitorBuilder::new(EngineKind::Naive).lambda(lambda);
         match self {
-            Front::Single => builder.build(),
+            Front::Single => MonitorBuilder::new(EngineKind::Naive).lambda(lambda).build(),
             // The builder maps one query shard to the single engine, so the
             // one-worker threaded runtime is constructed directly.
             Front::Queries(shards) => {
                 Box::new(ShardedMonitor::new(shards, move || Naive::new(lambda)))
             }
-            Front::Documents(shards) => {
-                builder.shards(shards).sharding(ShardingMode::Documents).build()
-            }
         }
     }
 
-    /// A differently shaped restore target: the other sharding mode at a
-    /// different shard count.
+    /// A differently shaped restore target: another shard count, so every
+    /// front restores across a re-partitioning (and the two-shard one back
+    /// onto the single engine).
     fn other(self, lambda: f64) -> MonitorBuilder {
-        let (shards, mode) = match self {
-            Front::Single | Front::Queries(_) => (2, ShardingMode::Documents),
-            Front::Documents(shards) => (if shards == 2 { 3 } else { 2 }, ShardingMode::Queries),
+        let shards = match self {
+            Front::Single => 3,
+            Front::Queries(2) => 1,
+            Front::Queries(_) => 2,
         };
-        MonitorBuilder::new(EngineKind::Mrio).lambda(lambda).shards(shards).sharding(mode)
+        MonitorBuilder::new(EngineKind::Mrio).lambda(lambda).shards(shards)
     }
 }
 
@@ -580,8 +533,8 @@ proptest! {
         // triggered it.
         prop_assert_eq!(receipt_expired, oracle.expired);
 
-        // Snapshot-v3 round trip into the *other* mode and a different
-        // shard count: results, policies and deadlines must all survive.
+        // Snapshot-v3 round trip into a different shard count: results,
+        // policies and deadlines must all survive.
         let snap = sharded.snapshot();
         prop_assert_eq!(snap.version, SNAPSHOT_VERSION);
         let (mut restored, mapping) = front.other(lambda).restore(&snap);
@@ -613,14 +566,15 @@ proptest! {
     }
 }
 
-/// Document mode in one deterministic test: a four-digit query population
-/// with tight thresholds, register/unregister churn, a λ = 0.5
-/// renormalization crossing and threshold-triggered compaction — changes,
-/// results and work counters must all stay bit-identical to the oracle.
+/// Query-sharded MRIO in one deterministic test: a four-digit query
+/// population with tight thresholds, register/unregister churn, a λ = 0.5
+/// renormalization crossing and threshold-triggered compaction — changes
+/// and results must stay bit-identical to the oracle, and the shards'
+/// insertions must add up to the oracle's.
 #[test]
-fn doc_walk_through_churn_renorm_and_compaction_stays_bit_identical() {
+fn sharded_mrio_through_churn_renorm_and_compaction_stays_bit_identical() {
     let lambda = 0.5;
-    let mut sharded = ShardedMonitor::new_doc_parallel(3, lambda);
+    let mut sharded = ShardedMonitor::new(3, move || MrioSeg::new(lambda));
     sharded.set_compaction_threshold(0.15);
     let mut single = Naive::new(lambda);
 
@@ -642,9 +596,9 @@ fn doc_walk_through_churn_renorm_and_compaction_stays_bit_identical() {
     // burst of weak documents arrives *shortly after* it — under λ = 0.5
     // a 4.5×-weaker document only overtakes a strong incumbent once
     // e^(λ·Δτ) exceeds the strength ratio (Δτ ≈ 7.5), so the sub-unit
-    // burst spacing keeps every weak document filtered out. Rounds advance
-    // the clock 16 units, so round 8 crosses the λ·Δτ > 60
-    // renormalization headroom (t > 120) mid-stream.
+    // burst spacing keeps every weak document out and the zone bounds
+    // prune it. Rounds advance the clock 16 units, so round 8 crosses the
+    // λ·Δτ > 60 renormalization headroom (t > 120) mid-stream.
     let mut next_doc = 0u64;
     let mut all_changes_sharded: Vec<ResultChange> = Vec::new();
     let mut all_changes_single: Vec<ResultChange> = Vec::new();
@@ -663,9 +617,6 @@ fn doc_walk_through_churn_renorm_and_compaction_stays_bit_identical() {
                 assert!(single.unregister(qid));
             }
         }
-        // The perfect match goes through as its own batch so the weak
-        // burst's submit-time filter already reflects the tightened
-        // thresholds.
         let t0 = round as f64 * 16.0;
         let strong = vec![mk(&[(1, 1.0), (2, 1.0)], t0, &mut next_doc)];
         let weak: Vec<Document> = (0..19)
@@ -682,23 +633,25 @@ fn doc_walk_through_churn_renorm_and_compaction_stays_bit_identical() {
     }
     assert!(single.cumulative().renormalizations > 0, "the stream must cross a renorm");
 
-    // Bit-identical outcomes...
-    assert_eq!(all_changes_sharded, all_changes_single);
+    // Bit-identical outcomes: changes are grouped by shard within a batch,
+    // so compare them as sets...
+    let canon = |mut changes: Vec<ResultChange>| {
+        changes.sort_by_key(|c| (c.inserted.doc, c.query));
+        changes
+    };
+    assert_eq!(canon(all_changes_sharded), canon(all_changes_single));
     for qid in &live {
         assert_eq!(sharded.results(*qid), single.results(*qid), "query {qid}");
     }
-    // ...and the oracle's work, exactly.
+    // ...and every insertion happened in exactly one shard.
     let per_shard = sharded.shard_cumulative();
-    let sum = |f: fn(&CumulativeStats) -> u64| per_shard.iter().map(f).sum::<u64>();
-    let oracle = single.cumulative();
-    assert_eq!(sum(|c| c.postings_accessed), oracle.postings_accessed);
-    assert_eq!(sum(|c| c.full_evaluations), oracle.full_evaluations);
-    assert_eq!(sum(|c| c.updates), oracle.updates);
+    let updates: u64 = per_shard.iter().map(|c| c.updates).sum();
+    assert_eq!(updates, single.cumulative().updates);
 }
 
 /// The storage-subsystem scenario in one deterministic test: every postings
 /// backend (plain Vec, compressed blocks, RAM/disk paged with a budget tiny
-/// enough to force spills), in both sharding modes, driven through
+/// enough to force spills), sharded over two workers, driven through
 /// registration churn, threshold-triggered compaction and a λ = 0.5
 /// renormalization crossing — all against one plain-storage `Naive` oracle.
 /// Results must stay bit-identical: the storage layer is a representation
@@ -710,77 +663,70 @@ fn storage_backends_stay_bit_identical_across_compaction_and_renorm() {
         Document::new(DocId(id), terms.iter().map(|&(t, w)| (TermId(t), w)).collect(), at)
     };
     for storage in PostingsStorage::ALL {
-        for mode in [ShardingMode::Queries, ShardingMode::Documents] {
-            let cfg = StorageConfig { storage, page_budget_bytes: 1024, spill_dir: None };
-            let mut sharded = match mode {
-                ShardingMode::Queries => {
-                    ShardedMonitor::new(2, || Naive::with_storage(lambda, &cfg))
-                }
-                ShardingMode::Documents => ShardedMonitor::new_doc_parallel_with(2, lambda, &cfg),
+        let cfg = StorageConfig { storage, page_budget_bytes: 1024, spill_dir: None };
+        let mut sharded = ShardedMonitor::new(2, || Naive::with_storage(lambda, &cfg));
+        sharded.set_compaction_threshold(0.15);
+        let mut single = Naive::new(lambda);
+
+        // Two hot terms shared by most queries (their lists seal many
+        // blocks) plus a fringe of short lists that never seal.
+        let mut live: Vec<QueryId> = Vec::new();
+        for i in 0..600u32 {
+            let spec = if i % 4 == 3 {
+                QuerySpec::uniform(&[TermId(1), TermId(10 + i % 7)], 1).unwrap()
+            } else {
+                QuerySpec::uniform(&[TermId(1), TermId(2)], 1).unwrap()
             };
-            sharded.set_compaction_threshold(0.15);
-            let mut single = Naive::new(lambda);
+            let qid = sharded.register(spec.clone());
+            assert_eq!(qid, single.register(spec));
+            live.push(qid);
+        }
 
-            // Two hot terms shared by most queries (their lists seal many
-            // blocks) plus a fringe of short lists that never seal.
-            let mut live: Vec<QueryId> = Vec::new();
-            for i in 0..600u32 {
-                let spec = if i % 4 == 3 {
-                    QuerySpec::uniform(&[TermId(1), TermId(10 + i % 7)], 1).unwrap()
-                } else {
-                    QuerySpec::uniform(&[TermId(1), TermId(2)], 1).unwrap()
-                };
-                let qid = sharded.register(spec.clone());
-                assert_eq!(qid, single.register(spec));
-                live.push(qid);
-            }
-
-            // Rounds advance the clock 16 units; round 8 crosses the
-            // λ·Δτ > 60 renormalization headroom (t > 120) mid-stream, and
-            // per-round unregister slabs push tombstone ratios over the
-            // compaction threshold — so sealed blocks get re-encoded while
-            // the stream is still running.
-            let mut next_doc = 0u64;
-            for round in 0..9u64 {
-                if round > 0 {
-                    for _ in 0..20 {
-                        let qid = live.remove((round as usize * 7) % live.len());
-                        assert!(sharded.unregister(qid));
-                        assert!(single.unregister(qid));
-                    }
+        // Rounds advance the clock 16 units; round 8 crosses the
+        // λ·Δτ > 60 renormalization headroom (t > 120) mid-stream, and
+        // per-round unregister slabs push tombstone ratios over the
+        // compaction threshold — so sealed blocks get re-encoded while
+        // the stream is still running.
+        let mut next_doc = 0u64;
+        for round in 0..9u64 {
+            if round > 0 {
+                for _ in 0..20 {
+                    let qid = live.remove((round as usize * 7) % live.len());
+                    assert!(sharded.unregister(qid));
+                    assert!(single.unregister(qid));
                 }
-                let t0 = round as f64 * 16.0;
-                let docs: Vec<Document> = (0..12)
-                    .map(|i| {
-                        let d = if i % 3 == 0 {
-                            mk(&[(1, 1.0), (2, 1.0)], next_doc, t0 + 0.1 * i as f64)
-                        } else {
-                            mk(&[(1, 0.2), (12, 2.0)], next_doc, t0 + 0.1 * i as f64)
-                        };
-                        next_doc += 1;
-                        d
-                    })
-                    .collect();
-                for d in &docs {
-                    single.process(d);
-                }
-                sharded.process_batch(docs);
             }
-            assert!(single.cumulative().renormalizations > 0, "stream must cross a renorm");
+            let t0 = round as f64 * 16.0;
+            let docs: Vec<Document> = (0..12)
+                .map(|i| {
+                    let d = if i % 3 == 0 {
+                        mk(&[(1, 1.0), (2, 1.0)], next_doc, t0 + 0.1 * i as f64)
+                    } else {
+                        mk(&[(1, 0.2), (12, 2.0)], next_doc, t0 + 0.1 * i as f64)
+                    };
+                    next_doc += 1;
+                    d
+                })
+                .collect();
+            for d in &docs {
+                single.process(d);
+            }
+            sharded.process_batch(docs);
+        }
+        assert!(single.cumulative().renormalizations > 0, "stream must cross a renorm");
 
-            for qid in &live {
-                assert_eq!(
-                    sharded.results(*qid),
-                    single.results(*qid),
-                    "storage {storage}, mode {mode:?}, query {qid}"
-                );
-            }
-            let stats = sharded.storage_stats();
-            assert!(stats.index_bytes > 0);
-            if storage == PostingsStorage::Paged {
-                assert!(stats.cold_pages > 0, "1 KiB budget must spill sealed blocks");
-                assert!(stats.page_faults > 0, "the walk must fault spilled blocks back in");
-            }
+        for qid in &live {
+            assert_eq!(
+                sharded.results(*qid),
+                single.results(*qid),
+                "storage {storage}, query {qid}"
+            );
+        }
+        let stats = sharded.storage_stats();
+        assert!(stats.index_bytes > 0);
+        if storage == PostingsStorage::Paged {
+            assert!(stats.cold_pages > 0, "1 KiB budget must spill sealed blocks");
+            assert!(stats.page_faults > 0, "the walk must fault spilled blocks back in");
         }
     }
 }

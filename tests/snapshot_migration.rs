@@ -3,13 +3,33 @@
 //! build wrote — must keep parsing, migrate into the v3 in-memory form, and
 //! restore bit-identically to restoring its own v3 re-serialization. The
 //! flat, untagged captures of earlier builds (v1 with a top-level
-//! `landmark`, v0 without) are refused with an error.
+//! `landmark`, v0 without) are refused with an error. A v3 capture written
+//! by a document-sharded monitor (a sharding mode since removed) restores
+//! onto today's runtimes.
 
 use continuous_topk::prelude::*;
 
 /// Written by the pre-lifecycle sharded build: v2 sections, no
 /// namespaces/deadlines/policies.
 const V2_FIXTURE: &str = include_str!("fixtures/snapshot_v2.json");
+
+/// Written by a 3-shard document-sharded MRIO monitor at λ = 0.5: one
+/// section (that mode did not partition queries), a renormalized landmark,
+/// a `tenant` namespace with a retention policy and per-query TTLs, and two
+/// unregistered ids.
+const DOC_MODE_FIXTURE: &str = include_str!("fixtures/snapshot_doc_mode.json");
+
+/// The document `i` of the stream that continued past the doc-mode capture.
+fn continuation_doc(i: u64) -> Vec<(TermId, f32)> {
+    let a = (i * 7 % 9) as u32;
+    let b = (i * 5 % 9) as u32;
+    let mut pairs = vec![(TermId(a), 1.0 + (i % 3) as f32 * 0.5)];
+    if b != a {
+        pairs.push((TermId(b), 0.25 + (i % 4) as f32 * 0.3));
+    }
+    pairs.push((TermId(9 + (i % 2) as u32), 0.4));
+    pairs
+}
 
 /// The shape the PR-2 build wrote: flat layout, top-level `landmark`.
 const V1_DOCUMENT: &str = r#"{
@@ -110,6 +130,65 @@ fn v2_fixture_restores_bit_identically_to_v3() {
             restored_results(&reparsed, kind),
             "via {kind}: v2 restore differs from v3 restore"
         );
+    }
+}
+
+/// Snapshots carry no sharding mode, so a doc-mode capture restores onto a
+/// single engine and onto a 3-shard query-sharded monitor with every
+/// captured result bit-identical, and both continue exactly like the
+/// `Naive` oracle restored from the same bytes — across a further
+/// renormalization and the captured TTLs running out.
+#[test]
+fn doc_mode_capture_restores_onto_single_and_query_sharded_monitors() {
+    let snap = Snapshot::from_json(DOC_MODE_FIXTURE).expect("doc-mode capture parses");
+    assert_eq!(snap.shards.len(), 1);
+    assert_eq!(snap.num_queries(), 12);
+    assert_eq!(snap.landmark(), 124.0);
+
+    let (mut oracle, oracle_ids) = MonitorBuilder::new(EngineKind::Naive).restore(&snap);
+    let mut fronts: Vec<_> = [1, 3]
+        .into_iter()
+        .map(|shards| MonitorBuilder::new(EngineKind::Mrio).shards(shards).restore(&snap))
+        .collect();
+    for (front, ids) in &fronts {
+        for q in snap.queries() {
+            assert_eq!(
+                front.results(ids[&QueryId(q.qid)]).as_ref(),
+                Some(&q.results),
+                "{} shard(s), captured query {}",
+                front.shards(),
+                q.qid
+            );
+        }
+    }
+
+    // Arrivals 192..=468 cross the next renormalization (λ·Δτ > 60 past the
+    // landmark 124) and every tenant query's deadline (400..=412).
+    for round in 0..7u64 {
+        let batch: Vec<(Vec<(TermId, f32)>, f64)> = (0..10u64)
+            .map(|j| {
+                let i = 48 + round * 10 + j;
+                (continuation_doc(i), i as f64 * 4.0)
+            })
+            .collect();
+        let want = oracle.publish_batch(batch.clone());
+        for (front, _) in &mut fronts {
+            let got = front.publish_batch(batch.clone());
+            assert_eq!(got.doc_ids, want.doc_ids, "round {round}");
+            let sorted = |mut changes: Vec<ResultChange>| {
+                changes.sort_by_key(|c| (c.query, c.inserted.doc));
+                changes
+            };
+            assert_eq!(sorted(got.changes), sorted(want.changes.clone()), "round {round}");
+        }
+    }
+    assert_eq!(oracle.lifecycle_totals(), (5, 0), "every tenant TTL ran out");
+    for (front, ids) in &fronts {
+        assert_eq!(front.lifecycle_totals(), oracle.lifecycle_totals());
+        for q in snap.queries() {
+            let qid = QueryId(q.qid);
+            assert_eq!(front.results(ids[&qid]), oracle.results(oracle_ids[&qid]), "query {qid}");
+        }
     }
 }
 
