@@ -7,7 +7,7 @@
 //!     [--tolerance 0.30] [--absolute]
 //! ```
 //!
-//! Joins the two reports on `(queries, shards, batch, batching, storage)`
+//! Joins the two reports on `(queries, shards, batch, storage)`
 //! and fails (exit 1) when any cell's throughput dropped by more than
 //! `tolerance` (default 30%) versus the baseline. By default the compared metric is
 //! the **normalized** throughput `docs_per_sec / single_docs_per_sec(queries)`
@@ -46,7 +46,6 @@ struct Cell {
     queries: usize,
     shards: usize,
     batch: usize,
-    batching: String,
     storage: String,
     docs_per_sec: f64,
 }
@@ -55,7 +54,6 @@ struct Cell {
 struct Report {
     query_counts: Vec<usize>,
     measured_docs: usize,
-    window: usize,
     storage_modes: Vec<String>,
     singles: Vec<Single>,
     cells: Vec<Cell>,
@@ -116,11 +114,11 @@ fn main() {
     let cur = load(&current_path);
 
     // Deltas are only meaningful at equal workload configuration.
-    let base_cfg = (&base.query_counts, base.measured_docs, base.window, &base.storage_modes);
-    let cur_cfg = (&cur.query_counts, cur.measured_docs, cur.window, &cur.storage_modes);
+    let base_cfg = (&base.query_counts, base.measured_docs, &base.storage_modes);
+    let cur_cfg = (&cur.query_counts, cur.measured_docs, &cur.storage_modes);
     if base_cfg != cur_cfg {
         usage_exit(&format!(
-            "workload configs differ: baseline (queries, docs, window, storage) = \
+            "workload configs differ: baseline (queries, docs, storage) = \
              {base_cfg:?}, current = {cur_cfg:?}; regenerate the baseline at the gate's \
              configuration"
         ));
@@ -142,18 +140,16 @@ fn main() {
     let metric_name = if absolute { "docs/sec" } else { "docs/sec vs single" };
 
     println!("### Perf gate: {metric_name}, tolerance -{:.0}%\n", tolerance * 100.0);
-    println!(
-        "| queries | shards | batch | batching | storage | baseline | current | delta | status |"
-    );
-    println!("|---|---|---|---|---|---|---|---|---|");
+    println!("| queries | shards | batch | storage | baseline | current | delta | status |");
+    println!("|---|---|---|---|---|---|---|---|");
     let mut regressions = 0usize;
     let mut missing = 0usize;
-    let key = |c: &Cell| (c.queries, c.shards, c.batch, c.batching.clone(), c.storage.clone());
+    let key = |c: &Cell| (c.queries, c.shards, c.batch, c.storage.clone());
     for bc in &base.cells {
         let Some(cc) = cur.cells.iter().find(|c| key(c) == key(bc)) else {
             println!(
-                "| {} | {} | {} | {} | {} | — | — | — | MISSING |",
-                bc.queries, bc.shards, bc.batch, bc.batching, bc.storage
+                "| {} | {} | {} | {} | — | — | — | MISSING |",
+                bc.queries, bc.shards, bc.batch, bc.storage
             );
             missing += 1;
             continue;
@@ -165,11 +161,10 @@ fn main() {
             regressions += 1;
         }
         println!(
-            "| {} | {} | {} | {} | {} | {} | {} | {:+.1}% | {} |",
+            "| {} | {} | {} | {} | {} | {} | {:+.1}% | {} |",
             bc.queries,
             bc.shards,
             bc.batch,
-            bc.batching,
             bc.storage,
             format_sig(b),
             format_sig(c),
@@ -181,11 +176,10 @@ fn main() {
         let known = base.cells.iter().any(|b| key(b) == key(cc));
         if !known {
             println!(
-                "| {} | {} | {} | {} | {} | — | {} | — | new (no baseline) |",
+                "| {} | {} | {} | {} | — | {} | — | new (no baseline) |",
                 cc.queries,
                 cc.shards,
                 cc.batch,
-                cc.batching,
                 cc.storage,
                 format_sig(metric(&cur, cc))
             );

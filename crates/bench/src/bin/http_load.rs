@@ -4,8 +4,7 @@
 //! ```text
 //! cargo run -p ctk-bench --release --bin http_load -- \
 //!     [--addr 127.0.0.1:8722] [--queries 200] [--docs 2000] [--batch 64] \
-//!     [--engine mrio] [--lambda 1e-3] [--shards 1] \
-//!     [--adaptive [target_ms]] [--queue-depth N] \
+//!     [--engine mrio] [--lambda 1e-3] [--shards 1] [--queue-depth N] \
 //!     [--admission block|reject[:retry_secs]] [--drain] [--out http_load] \
 //!     [--acked-log PATH]
 //! ```
@@ -37,7 +36,6 @@
 
 use continuous_topk::EngineKind;
 use ctk_bench::write_json_report;
-use ctk_core::AdaptiveConfig;
 use ctk_server::{AdmissionPolicy, HttpClient, ServerBuilder};
 use ctk_stream::{
     ArrivalClock, CorpusConfig, QueryGenerator, QueryWorkload, StreamDriver, WorkloadConfig,
@@ -166,16 +164,6 @@ fn main() {
             let mut builder = ServerBuilder::new(engine).lambda(lambda);
             if let Some(shards) = parsed::<usize>(&args, "--shards") {
                 builder = builder.shards(shards);
-            }
-            if args.iter().any(|a| a == "--adaptive") {
-                let mut adaptive = AdaptiveConfig::default();
-                if let Some(raw) = arg_value(&args, "--adaptive").filter(|v| !v.starts_with("--")) {
-                    match raw.parse() {
-                        Ok(target) => adaptive = adaptive.target_drain_ms(target),
-                        Err(_) => die(format!("bad value {raw:?} for --adaptive")),
-                    }
-                }
-                builder = builder.adaptive_batching(adaptive);
             }
             if let Some(depth) = parsed::<usize>(&args, "--queue-depth") {
                 builder = builder.queue_depth(depth);

@@ -1,17 +1,20 @@
-//! Sharded-ingestion throughput: docs/sec as a function of **query
-//! population** × shard count × batch size, against two fixed references
+//! Sharded publish throughput: docs/sec as a function of **query
+//! population** × shard count × publish size, against two fixed references
 //! on the *same* workload — the single-threaded engine (measured per
-//! population) and the per-document sharded path (batch size 1, the
-//! pre-batching design).
+//! population) and the per-document sharded path (publish size 1).
 //!
 //! ```text
 //! cargo run -p ctk-bench --release --bin sweep_shards \
 //!     [-- --scale smoke|laptop|full] \
 //!     [--queries 2000,10000] [--shards 1,2,4] [--batches 1,64,256] \
-//!     [--window 1] [--docs N] [--repeat N] \
-//!     [--storage plain,compressed,paged] [--page-budget BYTES] \
-//!     [--adaptive [target_ms]]
+//!     [--docs N] [--repeat N] \
+//!     [--storage plain,compressed,paged] [--page-budget BYTES]
 //! ```
+//!
+//! A `batch` cell publishes the measured stream through
+//! `publish_request(PublishRequest::from(chunk))` calls of `batch`
+//! documents each; every call sends each shard the chunk once and merges
+//! once. Batch 1 is the per-document reference and is always swept.
 //!
 //! `--queries N[,N...]` sweeps the query population (default: the scale's
 //! midpoint count, the pre-v3 behavior). Sharding pays the matched-list
@@ -33,17 +36,9 @@
 //! `--page-budget BYTES` caps the pager's RAM for `paged` cells (0 = the
 //! library default).
 //!
-//! `--adaptive [target_ms]` adds one **adaptive-batching** cell per
-//! `queries × storage × shards` point: the whole measured stream is
-//! handed to `publish_batch` in one call and the AIMD controller picks the
-//! chunk size against the given drain-latency target (default
-//! `AdaptiveConfig`'s). Such cells report `batching: "adaptive"` and
-//! `batch: 0` — the controller, not a flag, chooses the chunk — so the
-//! fixed-window cells they ride next to are directly comparable.
-//!
 //! Prints a markdown table and writes the machine-readable report
-//! (`schema_version` 7 — cells carry the `queries`, `storage` and
-//! `batching` axes and memory footprint)
+//! (`schema_version` 8 — cells carry the `queries`, `storage` and `batch`
+//! axes and memory footprint)
 //! to `results/sweep_shards.json`, which CI archives as a build artifact
 //! and gates against `results/sweep_shards_baseline.json` with the
 //! `compare_reports` binary. The writer refuses to clobber a report whose
@@ -55,7 +50,7 @@ use ctk_bench::{
     Table, SWEEP_SHARDS_SCHEMA_VERSION,
 };
 use ctk_core::{
-    AdaptiveConfig, ContinuousTopK, MonitorBackend, MrioSeg, PostingsStorage, StorageConfig,
+    ContinuousTopK, MonitorBackend, MrioSeg, PostingsStorage, PublishRequest, StorageConfig,
 };
 use ctk_stream::QueryWorkload;
 use serde::Serialize;
@@ -71,11 +66,8 @@ struct Single {
 struct Cell {
     queries: usize,
     shards: usize,
-    /// Fixed chunk size for `batching: "fixed"` cells; 0 for adaptive
-    /// cells, whose chunk the AIMD controller chooses at runtime.
+    /// Documents per publish.
     batch: usize,
-    /// `"fixed"` (chunk size = `batch`) or `"adaptive"` (AIMD-controlled).
-    batching: String,
     /// Postings-storage backend this cell ran on (`plain` / `compressed` /
     /// `paged`).
     storage: String,
@@ -95,7 +87,6 @@ struct SweepReport {
     scale: String,
     query_counts: Vec<usize>,
     measured_docs: usize,
-    window: usize,
     /// Postings-storage backends swept, cell order.
     storage_modes: Vec<String>,
     /// Pager RAM budget for `paged` cells (0 = the library default).
@@ -124,7 +115,6 @@ fn main() {
         arg_value(&args, "--shards").map(|s| parse_list(&s)).unwrap_or_else(|| vec![1, 2, 4]);
     let batch_sizes =
         arg_value(&args, "--batches").map(|s| parse_list(&s)).unwrap_or_else(|| vec![1, 64, 256]);
-    let window: usize = arg_value(&args, "--window").and_then(|s| s.parse().ok()).unwrap_or(1);
     let repeat: usize =
         arg_value(&args, "--repeat").and_then(|s| s.parse().ok()).unwrap_or(1).max(1);
     let storages: Vec<PostingsStorage> = match arg_value(&args, "--storage") {
@@ -139,23 +129,6 @@ fn main() {
     };
     let page_budget: usize =
         arg_value(&args, "--page-budget").and_then(|s| s.parse().ok()).unwrap_or(0);
-    let adaptive: Option<AdaptiveConfig> = if args.iter().any(|a| a == "--adaptive") {
-        let mut acfg = AdaptiveConfig::default();
-        // The drain-latency target is optional: `--adaptive` alone takes
-        // the library default.
-        if let Some(raw) = arg_value(&args, "--adaptive").filter(|v| !v.starts_with("--")) {
-            match raw.parse() {
-                Ok(target) => acfg = acfg.target_drain_ms(target),
-                Err(_) => {
-                    eprintln!("sweep_shards: bad value {raw:?} for --adaptive");
-                    std::process::exit(2);
-                }
-            }
-        }
-        Some(acfg)
-    } else {
-        None
-    };
     let measured_docs: usize =
         arg_value(&args, "--docs").and_then(|s| s.parse().ok()).unwrap_or(match scale {
             Scale::Smoke => 2_000,
@@ -209,7 +182,7 @@ fn main() {
         };
 
     let mut table = Table::new(
-        "Sharded ingestion throughput (MRIO single reference)",
+        "Sharded publish throughput (MRIO single reference)",
         "queries x storage x shards x batch",
         &["docs/sec", "vs single", "vs per-doc sharded", "bytes/query"],
         "docs/sec",
@@ -221,7 +194,7 @@ fn main() {
         cfg.measured_events = measured_docs;
         let wl = prepare(&cfg);
         eprintln!(
-            "sweep_shards: {n} queries, {} measured docs, window {window}, {cores} core(s)",
+            "sweep_shards: {n} queries, {} measured docs, {cores} core(s)",
             wl.measured.len()
         );
 
@@ -259,11 +232,9 @@ fn main() {
                     }
                     monitor
                 };
-                // Reference 2: this shard count fed one document at a time
-                // through the blocking `process` call — the
-                // one-doc-one-barrier design. Always swept first (as the
-                // batch-1 cell, without pipelining) and exactly once,
-                // whatever --batches says.
+                // Reference 2: this shard count fed one document per
+                // publish. Always swept first and exactly once, whatever
+                // --batches says.
                 let mut batches = vec![1usize];
                 for &b in &batch_sizes {
                     if b > 1 && !batches.contains(&b) {
@@ -272,26 +243,19 @@ fn main() {
                 }
                 let mut per_doc_dps = f64::NAN;
                 for &batch in &batches {
+                    // The requests are cut outside the timed section.
+                    let requests: Vec<PublishRequest> =
+                        wl.measured.chunks(batch).map(PublishRequest::from).collect();
                     let (dps, index_bytes) = best_of(&|| {
                         let mut monitor = fresh();
-                        for chunk in wl.warmup.chunks(batch.max(1)) {
-                            monitor.process_batch(chunk.to_vec());
+                        for chunk in wl.warmup.chunks(batch) {
+                            monitor.publish_request(PublishRequest::from(chunk));
                         }
+                        let requests = requests.clone();
 
                         let start = Instant::now();
-                        if batch == 1 {
-                            // The per-document reference must pay the
-                            // historical cost: one blocking dispatch +
-                            // merge per document.
-                            for doc in &wl.measured {
-                                monitor.process(doc.clone());
-                            }
-                        } else {
-                            monitor.run_pipelined(
-                                wl.measured.chunks(batch).map(<[_]>::to_vec),
-                                window,
-                                |_, _| {},
-                            );
+                        for request in requests {
+                            monitor.publish_request(request);
                         }
                         let dps = wl.measured.len() as f64 / start.elapsed().as_secs_f64();
                         (dps, monitor.storage_stats().index_bytes)
@@ -317,62 +281,10 @@ fn main() {
                         queries: n,
                         shards,
                         batch,
-                        batching: "fixed".to_string(),
                         storage: storage.name().to_string(),
                         docs_per_sec: dps,
                         speedup_vs_single: dps / single_dps,
                         speedup_vs_per_doc_sharded: vs_per_doc,
-                        index_bytes,
-                        bytes_per_query,
-                    });
-                }
-
-                // The adaptive cell: hand the whole measured stream to
-                // `publish_batch` and let the AIMD controller choose the
-                // chunk size against its drain-latency target. The raw
-                // (terms, arrival) batch is prepared outside the timed
-                // section; ids continue past the warmup's.
-                if let Some(acfg) = adaptive {
-                    let raw: Vec<(Vec<_>, f64)> = wl
-                        .measured
-                        .iter()
-                        .map(|d| (d.vector.iter().collect(), d.arrival))
-                        .collect();
-                    let (dps, index_bytes) = best_of(&|| {
-                        let mut monitor = fresh();
-                        for chunk in wl.warmup.chunks(256) {
-                            monitor.process_batch(chunk.to_vec());
-                        }
-                        monitor.set_adaptive_batching(acfg);
-                        let batch = raw.clone();
-
-                        let start = Instant::now();
-                        monitor.publish_batch(batch);
-                        let dps = wl.measured.len() as f64 / start.elapsed().as_secs_f64();
-                        (dps, monitor.storage_stats().index_bytes)
-                    });
-                    let bytes_per_query = index_bytes as f64 / n as f64;
-                    eprintln!(
-                        "  queries={n} storage={storage} shards={shards} batch=adaptive: \
-                         {} docs/sec ({:.2}x single, {:.2}x per-doc, {} bytes/query)",
-                        format_sig(dps),
-                        dps / single_dps,
-                        dps / per_doc_dps,
-                        format_sig(bytes_per_query)
-                    );
-                    table.push_row(
-                        format!("{n} x {storage} x {shards} x adaptive"),
-                        vec![dps, dps / single_dps, dps / per_doc_dps, bytes_per_query],
-                    );
-                    cells.push(Cell {
-                        queries: n,
-                        shards,
-                        batch: 0,
-                        batching: "adaptive".to_string(),
-                        storage: storage.name().to_string(),
-                        docs_per_sec: dps,
-                        speedup_vs_single: dps / single_dps,
-                        speedup_vs_per_doc_sharded: dps / per_doc_dps,
                         index_bytes,
                         bytes_per_query,
                     });
@@ -388,7 +300,6 @@ fn main() {
         scale: format!("{scale:?}"),
         query_counts,
         measured_docs,
-        window,
         storage_modes: storages.iter().map(|s| s.name().to_string()).collect(),
         page_budget,
         available_parallelism: cores,

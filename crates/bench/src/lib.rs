@@ -12,12 +12,12 @@
 //! * [`report`] — markdown / CSV / JSON emission into `results/`.
 //!
 //! Binaries (`src/bin/*.rs`): `fig1`, `optimality`, `ablation_zonemax`,
-//! `sweep_k`, `sweep_lambda`, `sweep_doclen`, `scaling_threads`,
-//! `sweep_shards` (sharded-ingestion throughput: `--mode query|doc|both`,
-//! `--queries N[,N...]`), `compare_reports` (the CI perf-regression gate
-//! over two `sweep_shards` reports, joined on
-//! `queries × mode × shards × batch`). Criterion micro-benches live in
-//! `benches/`.
+//! `sweep_k`, `sweep_lambda`, `sweep_doclen`, `sweep_shards` (sharded
+//! publish throughput over `--queries`, `--shards`, `--batches` and
+//! `--storage`), `compare_reports` (the CI perf-regression gate over two
+//! `sweep_shards` reports, joined on `queries × shards × batch × storage`)
+//! and `http_load` (the wire-level publish path against a daemon).
+//! Criterion micro-benches live in `benches/`.
 
 pub mod config;
 pub mod engines;

@@ -124,8 +124,11 @@ pub fn write_json_report<T: serde::Serialize>(
 
 /// Schema version of the `sweep_shards` report format.
 ///
-/// * **v7** (current): v6 without the `mode` axis — the query population
-///   is the only thing the monitor shards.
+/// * **v8** (current): v7 without the report's `window` and the cells'
+///   `batching` axis — a cell's `batch` is the size of each publish, and a
+///   publish is never chunked or pipelined.
+/// * **v7**: v6 without the `mode` axis — the query population is the only
+///   thing the monitor shards.
 /// * **v6**: v5 without the doc-mode walk's per-cell skip counters and the
 ///   report-level pruning policy — document mode has a single, exhaustive
 ///   walk.
@@ -149,7 +152,7 @@ pub fn write_json_report<T: serde::Serialize>(
 /// not recognize (see [`existing_report_schema`]), so a future format never
 /// gets silently clobbered by an old binary. The `compare_reports` gate
 /// reads only the current version.
-pub const SWEEP_SHARDS_SCHEMA_VERSION: u32 = 7;
+pub const SWEEP_SHARDS_SCHEMA_VERSION: u32 = 8;
 
 /// The `schema_version` of an existing `results/<name>.json` report:
 /// `None` when the file does not exist, `Some(1)` for pre-versioned

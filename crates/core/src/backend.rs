@@ -395,8 +395,8 @@ pub trait MonitorBackend {
     fn lifecycle_totals(&self) -> (u64, u64);
 
     /// Publish the documents of a typed [`PublishRequest`] through the
-    /// backend's batched (and, on sharded backends, pipelined) ingestion
-    /// path. This is the one ingestion entry point implementations provide;
+    /// backend's batched ingestion path; the whole request is scored
+    /// before the call returns. This is the one ingestion entry point implementations provide;
     /// [`MonitorBackend::publish`] and [`MonitorBackend::publish_batch`]
     /// are thin wrappers over it.
     fn publish_request(&mut self, request: PublishRequest) -> PublishReceipt;

@@ -5,7 +5,9 @@
 //! [`Runtime`] does the scoring:
 //!
 //! * the public query-id space and the registered-spec table;
-//! * document id allocation and monotone arrival-time clamping;
+//! * document id allocation and monotone arrival-time clamping — every
+//!   document enters through a publish, whole, so the stream position is
+//!   always this type's own;
 //! * the lifecycle layer — TTL expiry at publish entry, cap eviction at
 //!   registration, and their attribution on the next receipt;
 //! * snapshot capture and restore;
@@ -66,15 +68,6 @@ impl<R: Runtime> FrontEnd<R> {
             self.lifecycle.name(ns).is_some(),
             "namespace handle {ns} was never interned on this backend (use intern_namespace)"
         );
-    }
-
-    /// Advance the stream position past pre-stamped documents, which bypass
-    /// `admit`, so a later snapshot still captures where the stream got to.
-    pub(crate) fn advance_past(&mut self, docs: &[Document]) {
-        for d in docs {
-            self.next_doc = self.next_doc.max(d.id.0 + 1);
-            self.last_arrival = self.last_arrival.max(d.arrival);
-        }
     }
 
     /// Stamp one incoming document: next id, monotone-clamped arrival.
@@ -206,10 +199,6 @@ impl<R: Runtime> MonitorBackend for FrontEnd<R> {
     }
 
     fn publish_request(&mut self, request: PublishRequest) -> PublishReceipt {
-        assert!(
-            self.runtime.in_flight() == 0,
-            "publish cannot interleave with an open submit/drain pipeline; drain it first"
-        );
         // An empty publish is not a batch boundary: no expiry sweep.
         let expired = request.first_arrival().map_or(0, |at| self.expire_due(at));
         let docs: Vec<Document> = request
@@ -255,10 +244,6 @@ impl<R: Runtime> MonitorBackend for FrontEnd<R> {
     /// per query shard; a single one otherwise), queries in ascending
     /// public id within their section.
     fn snapshot(&self) -> Snapshot {
-        assert!(
-            self.runtime.in_flight() == 0,
-            "snapshot requires a quiesced pipeline; drain first"
-        );
         let mut shards: Vec<ShardSnapshot> = self
             .runtime
             .landmarks()

@@ -17,7 +17,6 @@
 //! ```
 
 pub mod backend;
-pub mod config;
 pub mod engine;
 mod frontend;
 pub mod lifecycle;
@@ -36,7 +35,6 @@ pub mod topk;
 pub mod traits;
 
 pub use backend::{Admission, MonitorBackend, PublishReceipt, PublishRequest};
-pub use config::{AdaptiveConfig, IndexConfig, IngestConfig};
 pub use ctk_index::{PostingsStorage, StorageConfig, StorageStats};
 pub use frontend::FrontEnd;
 pub use lifecycle::{
@@ -48,7 +46,7 @@ pub use naive::Naive;
 pub use replay::{ReplayCommand, Replayer};
 pub use rio::Rio;
 pub use score::DecayModel;
-pub use sharded::{AdaptiveBatcher, BatchOutcome, ShardedMonitor};
+pub use sharded::ShardedMonitor;
 pub use snapshot::{ShardSnapshot, Snapshot, SnapshotPolicy, SnapshotQuery, SNAPSHOT_VERSION};
 pub use snapshot_stream::{SnapshotStreamStats, SnapshotWriter};
 pub use stats::{CumulativeStats, EventStats};
@@ -58,13 +56,9 @@ pub use traits::{ContinuousTopK, ResultChange};
 #[cfg(test)]
 /// Fixtures shared by the unit tests of the front-end and its runtimes.
 mod testutil {
-    use ctk_common::{DocId, Document, QuerySpec, TermId};
+    use ctk_common::{QuerySpec, TermId};
 
     pub fn spec(terms: &[u32], k: usize) -> QuerySpec {
         QuerySpec::uniform(&terms.iter().map(|&t| TermId(t)).collect::<Vec<_>>(), k).unwrap()
-    }
-
-    pub fn doc(id: u64, terms: &[(u32, f32)], at: f64) -> Document {
-        Document::new(DocId(id), terms.iter().map(|&(t, w)| (TermId(t), w)).collect(), at)
     }
 }

@@ -3,10 +3,10 @@
 //! [`crate::FrontEnd`] owns everything the application sees — the public
 //! query-id space, the stream clock, the lifecycle layer, snapshots. A
 //! [`Runtime`] is what is left: somewhere to place queries and score
-//! documents. Two plug in: the in-thread engine (`monitor`) and the
-//! query-sharded workers (`sharded`). The trait is `pub` only so the public
-//! aliases can name it; this module is private, so nothing outside the
-//! crate can.
+//! each stamped publish, synchronously and whole. Two plug in: the
+//! in-thread engine (`monitor`) and the query-sharded workers (`sharded`).
+//! The trait is `pub` only so the public aliases can name it; this module
+//! is private, so nothing outside the crate can.
 
 use crate::backend::PublishReceipt;
 use ctk_common::{Document, QueryId, QuerySpec, ScoredDoc, Timestamp};
@@ -34,14 +34,9 @@ pub trait Runtime {
     fn seed(&mut self, qid: QueryId, seeds: &[ScoredDoc]);
 
     /// Score stamped documents (ids allocated, arrivals monotone), writing
-    /// per-document stats and every result change into `receipt`.
+    /// per-document stats and every result change into `receipt`. The call
+    /// returns with the whole batch scored: nothing stays in flight.
     fn ingest(&mut self, docs: Vec<Document>, receipt: &mut PublishReceipt);
-
-    /// Submitted-but-undrained batches; the front-end's publish and
-    /// snapshot paths need 0.
-    fn in_flight(&self) -> usize {
-        0
-    }
 
     fn lambda(&self) -> f64;
 

@@ -1,5 +1,5 @@
 //! The threaded monitor: the query population spread across worker
-//! threads, with batched, pipelined ingestion.
+//! threads.
 //!
 //! The paper's goal is "large numbers of users and high stream rates"; a
 //! single engine is single-threaded. Queries partition cleanly (each result
@@ -10,20 +10,11 @@
 //! the queries. Each public id maps to a `(shard, local id)` route; changes
 //! are translated back to public ids during the merge.
 //!
-//! Ingestion is **batch-first**: the unit of work sent to a shard is an
-//! `Arc`-shared batch, so per-document coordination cost shrinks linearly
-//! with the batch size. Workers answer over persistent per-worker reply
-//! channels in submission order, so the monitor can keep a window of
-//! batches **in flight**: [`ShardedMonitor::submit_batch`] hands out batch
-//! `n+1` while the merger is still draining batch `n`
-//! ([`ShardedMonitor::drain_batch`]), hiding merge latency behind shard
-//! compute. [`ShardedMonitor::run_pipelined`] wraps the submit/drain dance
-//! for a whole stream of pre-stamped documents; the application-facing
-//! `publish_batch` drives the same machinery behind the unified API,
-//! chunking by the configured ingest batch size.
+//! A publish is one round trip: the stamped batch is shared through one
+//! `Arc` and sent to every worker as one `Process` command, and the
+//! workers' answers are merged once, in shard order.
 
 use crate::backend::PublishReceipt;
-use crate::config::AdaptiveConfig;
 use crate::frontend::FrontEnd;
 use crate::runtime::Runtime;
 use crate::stats::{CumulativeStats, EventStats};
@@ -31,60 +22,8 @@ use crate::traits::{ContinuousTopK, ResultChange};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use ctk_common::{Document, QueryId, QuerySpec, ScoredDoc, Timestamp};
 use ctk_index::StorageStats;
-use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-/// Merged outcome of one batch: per-document work counters (summed across
-/// shards) and every result change as `(shard, change)` pairs — changes
-/// carry **public** query ids; the shard tag is provenance only.
-pub type BatchOutcome = (Vec<EventStats>, Vec<(u32, ResultChange)>);
-
-/// AIMD controller over the `publish_batch` chunk size.
-///
-/// One decision per pipeline drain: a drain slower than the configured
-/// target halves the chunk (multiplicative decrease), an on-target drain
-/// grows it by the additive step — both clamped to the configured bounds.
-/// The controller never touches *what* is computed, only how the publish
-/// is cut into pipeline chunks, and chunking is result-invariant (see
-/// [`AdaptiveConfig`] and the proptests in `tests/sharded_batch.rs`).
-#[derive(Debug, Clone)]
-pub struct AdaptiveBatcher {
-    cfg: AdaptiveConfig,
-    chunk: usize,
-}
-
-impl AdaptiveBatcher {
-    /// A controller starting at the configured minimum chunk size (additive
-    /// growth probes upward from there, like TCP slow-start's conservative
-    /// cousin).
-    pub fn new(cfg: AdaptiveConfig) -> Self {
-        assert!(
-            1 <= cfg.min_chunk && cfg.min_chunk <= cfg.max_chunk,
-            "need 1 <= min_chunk <= max_chunk"
-        );
-        AdaptiveBatcher { chunk: cfg.min_chunk, cfg }
-    }
-
-    /// The chunk size the next submit should use.
-    pub fn chunk(&self) -> usize {
-        self.chunk
-    }
-
-    /// Feed one measured drain latency (milliseconds) into the controller.
-    pub fn observe(&mut self, drain_ms: f64) {
-        if drain_ms > self.cfg.target_drain_ms {
-            self.chunk = (self.chunk / 2).max(self.cfg.min_chunk);
-        } else {
-            self.chunk = self.chunk.saturating_add(self.cfg.increase_step).min(self.cfg.max_chunk);
-        }
-    }
-
-    /// The controller's configuration.
-    pub fn config(&self) -> &AdaptiveConfig {
-        &self.cfg
-    }
-}
 
 /// Internal routing of one public query id.
 #[derive(Debug, Clone, Copy)]
@@ -98,7 +37,7 @@ enum Command {
     Unregister(QueryId, Sender<bool>),
     Seed(QueryId, Vec<ScoredDoc>),
     /// Score a batch; the reply travels over the worker's persistent
-    /// reply channel, in submission order.
+    /// reply channel.
     Process(Arc<[Document]>),
     Results(QueryId, Sender<Option<Vec<ScoredDoc>>>),
     Cumulative(Sender<CumulativeStats>),
@@ -199,24 +138,15 @@ fn worker_loop<E: ContinuousTopK>(
 }
 
 /// The runtime behind [`ShardedMonitor`]: one engine per worker, queries
-/// spread round-robin, plus how a publish is cut into pipeline chunks.
+/// spread round-robin.
 pub struct QueryShards {
     workers: Vec<Worker>,
     next_shard: usize,
-    /// Lengths of submitted-but-undrained batches, oldest first.
-    in_flight: VecDeque<usize>,
     /// Shard routes by public query id (`None` after removal).
     routes: Vec<Option<Route>>,
     /// Per shard: local id index → public id (append-only; locals are
     /// allocated monotonically by each worker's engine).
     global_of_local: Vec<Vec<QueryId>>,
-    /// Publish chunk size (0 = whole publish as one batch).
-    batch: usize,
-    /// Chunks kept in flight while chunking (0 = fully synchronous).
-    window: usize,
-    /// AIMD chunk-size controller; when set it overrides `batch` with a
-    /// chunk size retuned from measured drain latency.
-    adaptive: Option<AdaptiveBatcher>,
 }
 
 impl QueryShards {
@@ -230,9 +160,9 @@ impl QueryShards {
         let workers = (0..shards)
             .map(|_| {
                 let (tx, rx) = unbounded::<Command>();
-                // Unbounded so a worker never blocks publishing a reply; the
-                // pipelining window bounds the outstanding batches.
-                let (reply_tx, reply_rx) = unbounded::<BatchReply>();
+                // One batch is outstanding at a time, so one slot never
+                // blocks a worker's reply.
+                let (reply_tx, reply_rx) = bounded::<BatchReply>(1);
                 let engine = make_engine();
                 let handle = std::thread::spawn(move || worker_loop(engine, rx, reply_tx));
                 Worker { tx, reply_rx, handle: Some(handle) }
@@ -241,60 +171,13 @@ impl QueryShards {
         QueryShards {
             workers,
             next_shard: 0,
-            in_flight: VecDeque::new(),
             routes: Vec::new(),
             global_of_local: vec![Vec::new(); shards],
-            batch: 0,
-            window: 1,
-            adaptive: None,
         }
     }
 
     fn route(&self, qid: QueryId) -> Route {
         self.routes[qid.index()].expect("live query has a route")
-    }
-
-    /// Broadcast the `Arc`-shared batch to every worker without waiting.
-    fn submit(&mut self, docs: Arc<[Document]>) {
-        for w in &self.workers {
-            w.tell(Command::Process(Arc::clone(&docs)));
-        }
-        self.in_flight.push_back(docs.len());
-    }
-
-    /// Merge the oldest in-flight batch, blocking until every worker has
-    /// answered it: sums the shards' per-document counters and translates
-    /// shard-local query ids to public ids. `None` when nothing is in
-    /// flight.
-    fn drain(&mut self) -> Option<BatchOutcome> {
-        let len = self.in_flight.pop_front()?;
-        let mut stats = vec![EventStats::default(); len];
-        let mut changes = Vec::new();
-        for (shard, w) in self.workers.iter().enumerate() {
-            let reply = w.reply_rx.recv().expect("worker reply");
-            debug_assert_eq!(reply.stats.len(), len, "shard answered a different batch");
-            for (merged, ev) in stats.iter_mut().zip(&reply.stats) {
-                merged.merge(ev);
-            }
-            let locals = &self.global_of_local[shard];
-            changes.extend(reply.changes.into_iter().map(|mut c| {
-                c.query = locals[c.query.index()];
-                (shard as u32, c)
-            }));
-        }
-        Some((stats, changes))
-    }
-
-    /// Drain the oldest in-flight batch into `receipt`, feeding the drain's
-    /// wall-clock latency to the AIMD controller when one is installed.
-    fn drain_into(&mut self, receipt: &mut PublishReceipt) {
-        let started = std::time::Instant::now();
-        let (stats, changes) = self.drain().expect("in-flight batch");
-        if let Some(ctl) = &mut self.adaptive {
-            ctl.observe(started.elapsed().as_secs_f64() * 1e3);
-        }
-        receipt.stats.extend(stats);
-        receipt.changes.extend(changes.into_iter().map(|(_, c)| c));
     }
 }
 
@@ -335,7 +218,6 @@ impl Runtime for QueryShards {
         }
     }
 
-    /// Ordered after in-flight batches by the worker's FIFO.
     fn results(&self, qid: QueryId) -> Option<Vec<ScoredDoc>> {
         let route = self.route(qid);
         self.workers[route.shard as usize].ask(|reply| Command::Results(route.local, reply))
@@ -346,35 +228,27 @@ impl Runtime for QueryShards {
         self.workers[route.shard as usize].tell(Command::Seed(route.local, seeds.to_vec()));
     }
 
-    /// Drive the submit/drain pipeline in chunks of the configured batch
-    /// size (or the AIMD controller's current chunk), keeping up to
-    /// `window` chunks in flight. The chunk schedule never affects the
-    /// receipt — chunking is result-invariant.
+    /// Broadcast the `Arc`-shared batch to every worker, then merge their
+    /// answers: the shards' per-document counters are summed and
+    /// shard-local query ids translated to public ids.
     fn ingest(&mut self, docs: Vec<Document>, receipt: &mut PublishReceipt) {
-        receipt.stats.reserve(docs.len());
-        let fixed_chunk = match self.batch {
-            0 => docs.len(),
-            n => n,
-        };
-        // Split the stamped batch into owned chunks without cloning any
-        // document: `split_off` moves the tail, the head is submitted.
-        let mut rest = docs;
-        while !rest.is_empty() {
-            let chunk = self.adaptive.as_ref().map_or(fixed_chunk, AdaptiveBatcher::chunk);
-            let tail = rest.split_off(chunk.min(rest.len()));
-            let part = std::mem::replace(&mut rest, tail);
-            self.submit(part.into());
-            while self.in_flight.len() > self.window {
-                self.drain_into(receipt);
+        let docs: Arc<[Document]> = docs.into();
+        for w in &self.workers {
+            w.tell(Command::Process(Arc::clone(&docs)));
+        }
+        receipt.stats = vec![EventStats::default(); docs.len()];
+        for (shard, w) in self.workers.iter().enumerate() {
+            let reply = w.reply_rx.recv().expect("worker reply");
+            debug_assert_eq!(reply.stats.len(), docs.len(), "shard answered a different batch");
+            for (merged, ev) in receipt.stats.iter_mut().zip(&reply.stats) {
+                merged.merge(ev);
             }
+            let locals = &self.global_of_local[shard];
+            receipt.changes.extend(reply.changes.into_iter().map(|mut c| {
+                c.query = locals[c.query.index()];
+                c
+            }));
         }
-        while !self.in_flight.is_empty() {
-            self.drain_into(receipt);
-        }
-    }
-
-    fn in_flight(&self) -> usize {
-        self.in_flight.len()
     }
 
     fn lambda(&self) -> f64 {
@@ -424,7 +298,7 @@ impl Drop for QueryShards {
 
 /// A monitor that spreads the query population across worker threads (see
 /// the module docs). The application API is [`MonitorBackend`]; the methods
-/// here are the construction knobs and the pre-stamped pipeline API.
+/// here are the construction knobs and per-shard counters.
 ///
 /// [`MonitorBackend`]: crate::MonitorBackend
 pub type ShardedMonitor = FrontEnd<QueryShards>;
@@ -449,100 +323,6 @@ impl ShardedMonitor {
         }
     }
 
-    /// Configure how `publish_batch` drives the pipeline: the publish is
-    /// split into chunks of `batch_size` documents (0 = one chunk) with up
-    /// to `window` chunks in flight (0 = fully synchronous).
-    pub fn set_ingest_chunking(&mut self, batch_size: usize, window: usize) {
-        self.runtime.batch = batch_size;
-        self.runtime.window = window;
-    }
-
-    /// Enable the AIMD chunk-size controller: `publish_batch` re-reads the
-    /// controller's chunk size before every submit and feeds it each
-    /// drain's wall-clock latency, so sustained ingest pressure grows the
-    /// chunk (fewer submit/drain round-trips per document) while a slow
-    /// drain halves it (bounded per-chunk latency). Results are unaffected —
-    /// chunking is result-invariant (see [`AdaptiveConfig`]).
-    pub fn set_adaptive_batching(&mut self, cfg: AdaptiveConfig) {
-        self.runtime.adaptive = Some(AdaptiveBatcher::new(cfg));
-    }
-
-    /// The adaptive controller's current chunk size, when one is installed.
-    pub fn adaptive_chunk(&self) -> Option<usize> {
-        self.runtime.adaptive.as_ref().map(AdaptiveBatcher::chunk)
-    }
-
-    /// Process one pre-stamped stream event; returns the merged work
-    /// counters and all result changes. This is the batch path with a batch
-    /// of one — latency-oriented callers keep the old API,
-    /// throughput-oriented callers should use
-    /// [`ShardedMonitor::process_batch`] or the submit/drain pipeline.
-    pub fn process(&mut self, doc: Document) -> (EventStats, Vec<(u32, ResultChange)>) {
-        let (mut stats, changes) = self.process_batch(vec![doc]);
-        (stats.pop().expect("one document in, one stat out"), changes)
-    }
-
-    /// Hand one batch of pre-stamped documents to the shards and wait for
-    /// the merged outcome: per-document work counters and every result
-    /// change as `(shard, change)` pairs.
-    ///
-    /// Must not be interleaved with an open submit/drain pipeline — drain
-    /// in-flight batches first.
-    pub fn process_batch(&mut self, docs: Vec<Document>) -> BatchOutcome {
-        assert!(
-            self.in_flight() == 0,
-            "process_batch cannot run while submitted batches are in flight; drain them first"
-        );
-        self.submit_batch(docs);
-        self.drain_batch().expect("batch just submitted")
-    }
-
-    /// Hand one batch to the shards **without waiting**: the `Arc`-shared
-    /// batch is broadcast to every worker. Pair with
-    /// [`ShardedMonitor::drain_batch`]; replies come back in submission
-    /// order, so keeping one or two batches in flight lets the shards score
-    /// batch `n+1` while the merger drains batch `n`.
-    pub fn submit_batch(&mut self, docs: Vec<Document>) {
-        self.advance_past(&docs);
-        self.runtime.submit(Arc::from(docs));
-    }
-
-    /// Merge the oldest in-flight batch: blocks until every shard has
-    /// answered it. Returns `None` when nothing is in flight.
-    pub fn drain_batch(&mut self) -> Option<BatchOutcome> {
-        self.runtime.drain()
-    }
-
-    /// Number of submitted batches not yet drained.
-    pub fn in_flight(&self) -> usize {
-        self.runtime.in_flight.len()
-    }
-
-    /// Drive a whole stream of pre-stamped batches through the shards,
-    /// keeping up to `window` batches in flight (0 = fully synchronous,
-    /// equivalent to calling [`ShardedMonitor::process_batch`] per batch).
-    /// `on_batch` receives each batch's merged outcome in stream order.
-    pub fn run_pipelined<I, F>(&mut self, batches: I, window: usize, mut on_batch: F)
-    where
-        I: IntoIterator<Item = Vec<Document>>,
-        F: FnMut(Vec<EventStats>, Vec<(u32, ResultChange)>),
-    {
-        for batch in batches {
-            self.submit_batch(batch);
-            // Drain down to the window immediately after submitting, so at
-            // most `window` batches are in flight while the iterator
-            // produces the next one (window 0: drained before we return to
-            // the iterator — synchronous).
-            while self.in_flight() > window {
-                let (stats, changes) = self.drain_batch().expect("in-flight batch");
-                on_batch(stats, changes);
-            }
-        }
-        while let Some((stats, changes)) = self.drain_batch() {
-            on_batch(stats, changes);
-        }
-    }
-
     /// Lifetime work counters of every shard, shard order. Every document
     /// visits every shard exactly once, so after `n` documents every shard
     /// reports `events == n`.
@@ -558,79 +338,22 @@ mod tests {
     use crate::monitor::Monitor;
     use crate::mrio::MrioSeg;
     use crate::naive::Naive;
-    use crate::testutil::{doc, spec};
+    use crate::testutil::spec;
     use ctk_common::{DocId, TermId};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    // --- adaptive batching ---
+    type Batch = Vec<(Vec<(TermId, f32)>, Timestamp)>;
 
-    #[test]
-    fn adaptive_controller_is_aimd_within_bounds() {
-        let cfg = AdaptiveConfig::default().chunk_bounds(4, 64).increase_step(10);
-        let mut ctl = AdaptiveBatcher::new(cfg);
-        assert_eq!(ctl.chunk(), 4, "starts at the lower clamp");
-        // Fast drains: additive growth, clamped at the top.
-        for _ in 0..10 {
-            ctl.observe(0.0);
-        }
-        assert_eq!(ctl.chunk(), 64);
-        // One slow drain: multiplicative halving...
-        ctl.observe(cfg.target_drain_ms + 1.0);
-        assert_eq!(ctl.chunk(), 32);
-        // ...repeated, clamped at the bottom.
-        for _ in 0..10 {
-            ctl.observe(cfg.target_drain_ms + 1.0);
-        }
-        assert_eq!(ctl.chunk(), 4);
+    fn stream(n: u32, lists: u32, tail: u32) -> Batch {
+        (0..n)
+            .map(|i| (vec![(TermId(i % lists), 1.0), (TermId(lists + i % tail), 0.6)], i as f64))
+            .collect()
     }
-
-    #[test]
-    fn adaptive_publish_is_bit_identical_to_fixed() {
-        // A zero-millisecond target forces a halve on every drain and an
-        // unreachable target forces growth on every drain: the two extreme
-        // chunk schedules (and a fixed one) must produce identical receipts.
-        let batch: Vec<(Vec<(TermId, f32)>, Timestamp)> = (0..60u32)
-            .map(|i| (vec![(TermId(i % 4), 1.0), (TermId(4 + i % 3), 0.7)], i as f64))
-            .collect();
-        let mk = || ShardedMonitor::new(3, || Naive::new(0.01));
-        let run = |m: &mut ShardedMonitor| {
-            for i in 0..12u32 {
-                m.register(spec(&[i % 4, 4 + i % 3], 2));
-            }
-            let mut r = m.publish_batch(batch.clone());
-            r.changes.sort_by_key(|c| (c.query, c.inserted.doc));
-            r
-        };
-
-        let mut fixed = mk();
-        fixed.set_ingest_chunking(7, 1);
-        let want = run(&mut fixed);
-
-        for target in [0.0, f64::INFINITY] {
-            let mut adaptive = mk();
-            adaptive.set_ingest_chunking(7, 1);
-            adaptive.set_adaptive_batching(
-                AdaptiveConfig::default().target_drain_ms(target).chunk_bounds(2, 16),
-            );
-            let got = run(&mut adaptive);
-            assert_eq!(got, want, "target {target}");
-            let chunk = adaptive.adaptive_chunk().unwrap();
-            if target == 0.0 {
-                assert_eq!(chunk, 2, "every drain over a 0ms target shrinks to the clamp");
-            } else {
-                assert_eq!(chunk, 16, "every drain under an infinite target grows to the clamp");
-            }
-            for q in 0..12u32 {
-                assert_eq!(adaptive.results(QueryId(q)), fixed.results(QueryId(q)));
-            }
-        }
-    }
-
-    // --- the query-sharded runtime ---
 
     #[test]
     fn sharded_matches_single_engine() {
         let mut sharded = ShardedMonitor::new(3, || MrioSeg::new(0.001));
-        let mut single = Naive::new(0.001);
+        let mut single = Monitor::new(Naive::new(0.001));
 
         let specs: Vec<QuerySpec> =
             (0..30).map(|i| spec(&[i % 7, 7 + i % 4], 2 + (i % 3) as usize)).collect();
@@ -639,10 +362,9 @@ mod tests {
         // Public ids are one monotone space, identical to the single engine's.
         assert_eq!(sharded_ids, single_ids);
 
-        for i in 0..60u64 {
-            let d = doc(i, &[((i % 7) as u32, 1.0), ((7 + i % 4) as u32, 0.6)], i as f64);
-            sharded.process(d.clone());
-            single.process(&d);
+        for (pairs, at) in stream(60, 7, 4) {
+            sharded.publish(pairs.clone(), at);
+            single.publish(pairs, at);
         }
         for qid in &sharded_ids {
             assert_eq!(sharded.results(*qid), single.results(*qid));
@@ -671,24 +393,24 @@ mod tests {
         // k = 2 so the second document still has a free slot to enter.
         let a = m.register(spec(&[1], 2));
         let b = m.register(spec(&[1], 2));
-        let (_, changes) = m.process(doc(0, &[(1, 1.0)], 0.0));
-        assert_eq!(changes.len(), 2, "both shards report an insertion");
+        let receipt = m.publish(vec![(TermId(1), 1.0)], 0.0);
+        assert_eq!(receipt.changes.len(), 2, "both shards report an insertion");
         // Changes speak public ids, whatever shard they came from.
-        let mut qids: Vec<QueryId> = changes.iter().map(|(_, c)| c.query).collect();
+        let mut qids: Vec<QueryId> = receipt.changes.iter().map(|c| c.query).collect();
         qids.sort();
         assert_eq!(qids, vec![a, b]);
         assert!(m.unregister(a));
         assert!(!m.unregister(a), "double unregister is a no-op");
-        let (_, changes) = m.process(doc(1, &[(1, 2.0)], 1.0));
-        assert_eq!(changes.len(), 1);
-        assert_eq!(changes[0].1.query, b);
+        let receipt = m.publish(vec![(TermId(1), 2.0)], 1.0);
+        assert_eq!(receipt.changes.len(), 1);
+        assert_eq!(receipt.changes[0].query, b);
         assert!(m.results(b).is_some());
         assert!(m.results(a).is_none());
         assert_eq!(m.num_queries(), 1);
     }
 
     #[test]
-    fn batch_path_matches_per_doc_path() {
+    fn publish_size_does_not_change_the_outcome() {
         let mk = || {
             let mut m = ShardedMonitor::new(3, || MrioSeg::new(0.001));
             let ids: Vec<QueryId> = (0..20)
@@ -696,37 +418,32 @@ mod tests {
                 .collect();
             (m, ids)
         };
-        let docs: Vec<Document> = (0..50u64)
-            .map(|i| doc(i, &[((i % 5) as u32, 1.0), ((5 + i % 3) as u32, 0.4)], i as f64))
-            .collect();
+        let docs = stream(50, 5, 3);
+        let sorted = |mut v: Vec<ResultChange>| {
+            v.sort_by_key(|c| (c.query, c.inserted.doc));
+            v
+        };
 
         let (mut per_doc, ids_a) = mk();
         let mut stats_a = Vec::new();
         let mut changes_a = Vec::new();
-        for d in &docs {
-            let (ev, ch) = per_doc.process(d.clone());
-            stats_a.push(ev);
-            changes_a.extend(ch);
+        for (pairs, at) in docs.clone() {
+            let r = per_doc.publish(pairs, at);
+            stats_a.extend(r.stats);
+            changes_a.extend(r.changes);
         }
 
         let (mut batched, ids_b) = mk();
         let mut stats_b = Vec::new();
         let mut changes_b = Vec::new();
         for chunk in docs.chunks(16) {
-            let (evs, ch) = batched.process_batch(chunk.to_vec());
-            stats_b.extend(evs);
-            changes_b.extend(ch);
+            let r = batched.publish_batch(chunk.to_vec());
+            stats_b.extend(r.stats);
+            changes_b.extend(r.changes);
         }
 
         assert_eq!(stats_a, stats_b, "merged per-document stats must not depend on batching");
-        // Changes are reported in unspecified order (per-doc groups by
-        // document, the batch path groups by shard): compare as multisets.
-        let key = |(shard, c): &(u32, ResultChange)| {
-            (*shard, c.query.0, c.inserted.doc.0, c.inserted.score)
-        };
-        changes_a.sort_by_key(key);
-        changes_b.sort_by_key(key);
-        assert_eq!(changes_a, changes_b);
+        assert_eq!(sorted(changes_a), sorted(changes_b));
         for (a, b) in ids_a.iter().zip(&ids_b) {
             assert_eq!(per_doc.results(*a), batched.results(*b));
         }
@@ -736,64 +453,98 @@ mod tests {
         }
     }
 
+    /// An engine that counts the batches it is handed.
+    struct Counted {
+        inner: Naive,
+        batches: Arc<AtomicUsize>,
+    }
+
+    impl ContinuousTopK for Counted {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn register(&mut self, spec: QuerySpec) -> QueryId {
+            self.inner.register(spec)
+        }
+        fn unregister(&mut self, qid: QueryId) -> bool {
+            self.inner.unregister(qid)
+        }
+        fn process(&mut self, doc: &Document) -> EventStats {
+            self.inner.process(doc)
+        }
+        fn process_batch_into(
+            &mut self,
+            docs: &[Document],
+            changes_out: &mut Vec<ResultChange>,
+        ) -> Vec<EventStats> {
+            self.batches.fetch_add(1, Ordering::SeqCst);
+            self.inner.process_batch_into(docs, changes_out)
+        }
+        fn seed_results(&mut self, qid: QueryId, seeds: &[ScoredDoc]) {
+            self.inner.seed_results(qid, seeds)
+        }
+        fn results(&self, qid: QueryId) -> Option<Vec<ScoredDoc>> {
+            self.inner.results(qid)
+        }
+        fn threshold(&self, qid: QueryId) -> Option<f64> {
+            self.inner.threshold(qid)
+        }
+        fn num_queries(&self) -> usize {
+            self.inner.num_queries()
+        }
+        fn last_changes(&self) -> &[ResultChange] {
+            self.inner.last_changes()
+        }
+        fn cumulative(&self) -> &CumulativeStats {
+            self.inner.cumulative()
+        }
+        fn lambda(&self) -> f64 {
+            self.inner.lambda()
+        }
+        fn landmark(&self) -> Timestamp {
+            self.inner.landmark()
+        }
+        fn restore_landmark(&mut self, landmark: Timestamp) {
+            self.inner.restore_landmark(landmark)
+        }
+    }
+
     #[test]
-    fn pipelined_ingestion_matches_synchronous() {
-        let mk = || {
-            let mut m = ShardedMonitor::new(2, || MrioSeg::new(0.0));
-            let ids: Vec<QueryId> = (0..10).map(|i| m.register(spec(&[i % 4], 2))).collect();
-            (m, ids)
-        };
-        let batches: Vec<Vec<Document>> = (0..8u64)
-            .map(|b| {
-                (0..16u64)
-                    .map(|i| {
-                        let id = b * 16 + i;
-                        doc(id, &[((id % 4) as u32, 1.0 + (id % 3) as f32)], id as f64)
-                    })
-                    .collect()
-            })
-            .collect();
-
-        let (mut sync_m, ids_a) = mk();
-        let mut sync_out = Vec::new();
-        for b in &batches {
-            let (evs, ch) = sync_m.process_batch(b.clone());
-            sync_out.push((evs, ch));
+    fn each_publish_reaches_each_worker_as_one_batch() {
+        let batches = Arc::new(AtomicUsize::new(0));
+        let mut m = ShardedMonitor::new(3, || Counted {
+            inner: Naive::new(0.01),
+            batches: Arc::clone(&batches),
+        });
+        for i in 0..6u32 {
+            m.register(spec(&[i % 4], 2));
         }
-
-        let (mut pipe_m, ids_b) = mk();
-        let mut pipe_out = Vec::new();
-        pipe_m.run_pipelined(batches.clone(), 2, |evs, ch| pipe_out.push((evs, ch)));
-        assert_eq!(pipe_m.in_flight(), 0);
-
-        assert_eq!(sync_out.len(), pipe_out.len());
-        for ((ea, ca), (eb, cb)) in sync_out.iter().zip(&pipe_out) {
-            assert_eq!(ea, eb);
-            assert_eq!(ca, cb);
+        let mut docs = stream(300, 4, 3).into_iter();
+        for (calls, size) in [1, 7, 64, 228].into_iter().enumerate() {
+            let r = m.publish_batch(docs.by_ref().take(size).collect());
+            assert_eq!(r.stats.len(), size);
+            assert_eq!(batches.load(Ordering::SeqCst), 3 * (calls + 1), "one batch per worker");
         }
-        for (a, b) in ids_a.iter().zip(&ids_b) {
-            assert_eq!(sync_m.results(*a), pipe_m.results(*b));
+        for cum in m.shard_cumulative() {
+            assert_eq!(cum.events, 300);
         }
     }
 
     #[test]
     fn publish_path_matches_single_monitor() {
         // The same publish sequence through a Monitor and a ShardedMonitor
-        // (including a chunked, pipelined configuration) yields identical
-        // receipts up to change order, and identical results.
+        // yields identical receipts up to change order, and identical
+        // results.
         let specs: Vec<QuerySpec> = (0..12).map(|i| spec(&[i % 4, 4 + i % 3], 2)).collect();
         let mut single = Monitor::new(Naive::new(0.01));
         let mut sharded = ShardedMonitor::new(3, || Naive::new(0.01));
-        sharded.set_ingest_chunking(4, 2);
         for s in &specs {
             let a = single.register(s.clone());
             let b = ShardedMonitor::register(&mut sharded, s.clone());
             assert_eq!(a, b);
         }
 
-        let batch: Vec<(Vec<(TermId, f32)>, Timestamp)> = (0..30u32)
-            .map(|i| (vec![(TermId(i % 4), 1.0), (TermId(4 + i % 3), 0.7)], i as f64))
-            .collect();
+        let batch = stream(30, 4, 3);
         let ra = single.publish_batch(batch.clone());
         let rb = sharded.publish_batch(batch);
 
@@ -817,37 +568,5 @@ mod tests {
         let r2 = sharded.publish(vec![(TermId(0), 1.0)], 31.0);
         assert_eq!(r1.doc_id(), DocId(30));
         assert_eq!(r1.doc_ids, r2.doc_ids);
-    }
-
-    #[test]
-    fn snapshot_after_prestamped_ingestion_captures_the_stream_position() {
-        // `process`/`run_pipelined` take pre-stamped documents and bypass
-        // `admit`; the snapshot must still record where the stream got to,
-        // or a restore would re-allocate ids colliding with the seeded
-        // result sets.
-        let mut m = ShardedMonitor::new(2, || MrioSeg::new(0.0));
-        let q = m.register(spec(&[1, 2], 3));
-        for i in 0..5u64 {
-            // Single-term documents: cosine 1/√2 against the two-term query.
-            m.process(doc(i, &[(1, 1.0)], i as f64));
-        }
-        let snap = m.snapshot();
-        assert_eq!(snap.next_doc, 5);
-        assert_eq!(snap.last_arrival, 4.0);
-
-        let mut restored = ShardedMonitor::new(3, || MrioSeg::new(0.0));
-        let mapping = snap.restore_into(&mut restored);
-        // A perfect match (cosine 1) published after the restore must beat
-        // the seeded history and carry the next id.
-        let receipt = restored.publish(vec![(TermId(1), 1.0), (TermId(2), 1.0)], 10.0);
-        assert_eq!(receipt.doc_id(), DocId(5), "ids continue past the capture");
-        assert!(restored.results(mapping[&q]).unwrap().iter().any(|sd| sd.doc == DocId(5)));
-    }
-
-    #[test]
-    fn drain_on_empty_pipeline_is_none() {
-        let mut m = ShardedMonitor::new(2, || MrioSeg::new(0.0));
-        assert!(m.drain_batch().is_none());
-        assert_eq!(m.in_flight(), 0);
     }
 }

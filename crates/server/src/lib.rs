@@ -26,9 +26,13 @@
 //! | `GET /readyz` | readiness: `200` once journal replay finished and the server is not draining, else `503` with the blocking state |
 //!
 //! Architecture in one paragraph: a single **ingest thread** owns the
-//! backend; connection handlers enqueue commands onto a *bounded* channel
-//! and block for the reply, so a slow monitor pushes back on publishers
-//! through their own sockets. Change fan-out happens on the ingest thread
+//! backend, configured through [`ServerBuilder`]'s flat setters (its
+//! `bind` refuses a value it cannot run with as `InvalidInput`, naming
+//! the knob); connection handlers enqueue commands onto a *bounded*
+//! channel and block for the reply, so a slow monitor pushes back on
+//! publishers through their own sockets. Each `POST /publish` is one
+//! `publish_request` on the backend, scored whole — a sharded backend
+//! hands every worker the request's documents at once. Change fan-out happens on the ingest thread
 //! before the publisher is acked, into per-subscriber bounded buffers that
 //! drop oldest and report the gap. See [`server`] for the details,
 //! [`subscribers`] for delivery semantics, and `examples/serve.rs` in the
@@ -51,5 +55,5 @@ pub use journal::{
     decode_records, encode_record, publish_body_payload, FailpointWriter, FsyncPolicy, Journal,
     JournalConfig, Recovery, TailState,
 };
-pub use server::{AdmissionPolicy, CtkServer, ServeConfig, ServerBuilder, ServerStats};
+pub use server::{AdmissionPolicy, CtkServer, ServerBuilder, ServerStats};
 pub use subscribers::{ChangeEvent, PollOutcome, SubscriberRegistry};

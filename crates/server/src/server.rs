@@ -53,9 +53,8 @@ use continuous_topk::{EngineKind, MonitorBuilder};
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TrySendError};
 use ctk_common::{Namespace, QueryId, ScoredDoc};
 use ctk_core::{
-    AdaptiveConfig, Admission, IndexConfig, IngestConfig, NamespaceStats, PostingsStorage,
-    PublishReceipt, PublishRequest, QueryOptions, ReplayCommand, Replayer, RetentionPolicy,
-    Snapshot, SnapshotWriter, StorageStats,
+    Admission, NamespaceStats, PostingsStorage, PublishReceipt, PublishRequest, QueryOptions,
+    ReplayCommand, Replayer, RetentionPolicy, Snapshot, SnapshotWriter, StorageStats,
 };
 use serde::{Number, Serialize, Value};
 use std::io::{self, BufReader, BufWriter, Write};
@@ -101,97 +100,10 @@ impl AdmissionPolicy {
     }
 }
 
-/// The server-side knobs as one value — the daemon counterpart of the
-/// monitor's [`IngestConfig`]/[`IndexConfig`]: ingest-queue bound, admission
-/// policy, and subscriber delivery limits. The flat [`ServerBuilder`]
-/// methods write through to the same fields.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeConfig {
-    /// In-flight command bound of the ingest queue (must be ≥ 1). Publish
-    /// handlers block — or are refused, per
-    /// [`ServeConfig::admission`] — once this many commands are queued.
-    pub queue_depth: usize,
-    /// Per-subscriber buffered-change cap; beyond it the oldest events are
-    /// dropped and the gap is reported on the next poll.
-    pub subscriber_buffer: usize,
-    /// Most events one `GET /changes` response may carry (must be ≥ 1).
-    pub max_poll_events: usize,
-    /// Full-queue behavior on the publish path.
-    pub admission: AdmissionPolicy,
-    /// Directory for the write-ahead publish journal; `None` (the default)
-    /// runs without durability, exactly as before.
-    pub journal_dir: Option<PathBuf>,
-    /// When journal appends reach the disk (ignored without
-    /// [`ServeConfig::journal_dir`]).
-    pub fsync: FsyncPolicy,
-    /// Journal segment rotation threshold in bytes.
-    pub journal_max_bytes: u64,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            queue_depth: 16,
-            subscriber_buffer: 1024,
-            max_poll_events: 512,
-            admission: AdmissionPolicy::Block,
-            journal_dir: None,
-            fsync: FsyncPolicy::Always,
-            journal_max_bytes: 64 * 1024 * 1024,
-        }
-    }
-}
-
-impl ServeConfig {
-    /// Set the ingest-queue bound.
-    pub fn queue_depth(mut self, depth: usize) -> Self {
-        assert!(depth >= 1, "the ingest queue needs at least one slot");
-        self.queue_depth = depth;
-        self
-    }
-
-    /// Set the per-subscriber buffered-change cap.
-    pub fn subscriber_buffer(mut self, capacity: usize) -> Self {
-        self.subscriber_buffer = capacity;
-        self
-    }
-
-    /// Set the per-poll event cap.
-    pub fn max_poll_events(mut self, max: usize) -> Self {
-        assert!(max >= 1, "a poll must be able to deliver at least one event");
-        self.max_poll_events = max;
-        self
-    }
-
-    /// Set the full-queue publish behavior.
-    pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
-        self.admission = policy;
-        self
-    }
-
-    /// Enable the write-ahead journal in `dir`.
-    pub fn journal_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.journal_dir = Some(dir.into());
-        self
-    }
-
-    /// Set the journal fsync policy.
-    pub fn fsync(mut self, policy: FsyncPolicy) -> Self {
-        self.fsync = policy;
-        self
-    }
-
-    /// Set the journal segment rotation threshold.
-    pub fn journal_max_bytes(mut self, bytes: u64) -> Self {
-        self.journal_max_bytes = bytes;
-        self
-    }
-}
-
-/// Configures and starts a [`CtkServer`]. Forwards every [`MonitorBuilder`]
-/// knob, then adds the server-side ones (queue depth, admission policy,
-/// subscriber buffers) — flat per-knob methods or whole profiles via
-/// [`ServerBuilder::serve`]/[`ServerBuilder::ingest`]/[`ServerBuilder::index`].
+/// Configures and starts a [`CtkServer`]. Forwards the [`MonitorBuilder`]
+/// knobs, then adds the server-side ones (queue depth, admission policy,
+/// subscriber delivery limits, the journal), one flat setter each. Setters
+/// only record values; [`ServerBuilder::bind`] refuses any it cannot run.
 ///
 /// ```no_run
 /// use ctk_server::{AdmissionPolicy, ServerBuilder};
@@ -210,7 +122,13 @@ impl ServeConfig {
 pub struct ServerBuilder {
     monitor: MonitorBuilder,
     engine: EngineKind,
-    serve: ServeConfig,
+    queue_depth: usize,
+    subscriber_buffer: usize,
+    max_poll_events: usize,
+    admission: AdmissionPolicy,
+    journal_dir: Option<PathBuf>,
+    fsync: FsyncPolicy,
+    journal_max_bytes: u64,
 }
 
 impl ServerBuilder {
@@ -219,54 +137,27 @@ impl ServerBuilder {
         ServerBuilder {
             monitor: MonitorBuilder::new(engine),
             engine,
-            serve: ServeConfig::default(),
+            queue_depth: 16,
+            subscriber_buffer: 1024,
+            max_poll_events: 512,
+            admission: AdmissionPolicy::Block,
+            journal_dir: None,
+            fsync: FsyncPolicy::Always,
+            journal_max_bytes: 64 * 1024 * 1024,
         }
     }
 
     // --- MonitorBuilder knobs, forwarded verbatim. ---
 
-    /// Decay parameter λ (see [`MonitorBuilder::lambda`]).
+    /// Decay parameter λ, finite and `>= 0` (see [`MonitorBuilder::lambda`]).
     pub fn lambda(mut self, lambda: f64) -> ServerBuilder {
         self.monitor = self.monitor.lambda(lambda);
         self
     }
 
-    /// Shard count; more than 1 builds a sharded backend.
+    /// Shard count, at least 1; more than 1 builds a sharded backend.
     pub fn shards(mut self, shards: usize) -> ServerBuilder {
         self.monitor = self.monitor.shards(shards);
-        self
-    }
-
-    /// Ingestion batch size of sharded backends.
-    pub fn batch_size(mut self, batch_size: usize) -> ServerBuilder {
-        self.monitor = self.monitor.batch_size(batch_size);
-        self
-    }
-
-    /// Pipelining window of sharded backends.
-    pub fn pipeline_window(mut self, window: usize) -> ServerBuilder {
-        self.monitor = self.monitor.pipeline_window(window);
-        self
-    }
-
-    /// AIMD adaptive ingest chunking on sharded backends (see
-    /// [`MonitorBuilder::adaptive_batching`]).
-    pub fn adaptive_batching(mut self, cfg: AdaptiveConfig) -> ServerBuilder {
-        self.monitor = self.monitor.adaptive_batching(cfg);
-        self
-    }
-
-    /// Replace the backend's whole ingestion profile (see
-    /// [`MonitorBuilder::ingest`]).
-    pub fn ingest(mut self, ingest: IngestConfig) -> ServerBuilder {
-        self.monitor = self.monitor.ingest(ingest);
-        self
-    }
-
-    /// Replace the backend's whole index profile (see
-    /// [`MonitorBuilder::index`]).
-    pub fn index(mut self, index: IndexConfig) -> ServerBuilder {
-        self.monitor = self.monitor.index(index);
         self
     }
 
@@ -290,57 +181,71 @@ impl ServerBuilder {
 
     // --- Server-side knobs. ---
 
-    /// In-flight command bound of the ingest queue. Publish handlers block
-    /// (or are refused, per [`ServerBuilder::admission`]) once this many
-    /// commands are queued — the backpressure knob.
+    /// In-flight command bound of the ingest queue, at least 1 (default
+    /// 16). Publish handlers block (or are refused, per
+    /// [`ServerBuilder::admission`]) once this many commands are queued —
+    /// the backpressure knob.
     pub fn queue_depth(mut self, depth: usize) -> ServerBuilder {
-        self.serve = self.serve.queue_depth(depth);
+        self.queue_depth = depth;
         self
     }
 
-    /// Per-subscriber buffered-change cap; beyond it the oldest events are
-    /// dropped and the gap is reported on the next poll.
+    /// Per-subscriber buffered-change cap (default 1024); beyond it the
+    /// oldest events are dropped and the gap is reported on the next poll.
     pub fn subscriber_buffer(mut self, capacity: usize) -> ServerBuilder {
-        self.serve = self.serve.subscriber_buffer(capacity);
+        self.subscriber_buffer = capacity;
         self
     }
 
-    /// Most events one `GET /changes` response may carry.
+    /// Most events one `GET /changes` response may carry, at least 1
+    /// (default 512).
     pub fn max_poll_events(mut self, max: usize) -> ServerBuilder {
-        self.serve = self.serve.max_poll_events(max);
+        self.max_poll_events = max;
         self
     }
 
-    /// Full-queue behavior on the publish path (see [`AdmissionPolicy`]).
+    /// Full-queue behavior on the publish path (see [`AdmissionPolicy`];
+    /// default [`AdmissionPolicy::Block`]).
     pub fn admission(mut self, policy: AdmissionPolicy) -> ServerBuilder {
-        self.serve = self.serve.admission(policy);
+        self.admission = policy;
         self
     }
 
     /// Enable the write-ahead publish journal in `dir`: every mutating
     /// command becomes durable (per [`ServerBuilder::fsync`]) before it is
     /// acked, and a restart replays the tail past the latest checkpoint.
+    /// Without one (the default) the daemon is memory-only.
     pub fn journal_dir(mut self, dir: impl Into<PathBuf>) -> ServerBuilder {
-        self.serve = self.serve.journal_dir(dir);
+        self.journal_dir = Some(dir.into());
         self
     }
 
     /// Journal fsync policy (see [`FsyncPolicy`]; default `always`).
     pub fn fsync(mut self, policy: FsyncPolicy) -> ServerBuilder {
-        self.serve = self.serve.fsync(policy);
+        self.fsync = policy;
         self
     }
 
     /// Journal segment rotation threshold in bytes (default 64 MiB).
     pub fn journal_max_bytes(mut self, bytes: u64) -> ServerBuilder {
-        self.serve = self.serve.journal_max_bytes(bytes);
+        self.journal_max_bytes = bytes;
         self
     }
 
-    /// Replace the whole server-side profile at once (see [`ServeConfig`]).
-    pub fn serve(mut self, serve: ServeConfig) -> ServerBuilder {
-        self.serve = serve;
-        self
+    /// The first knob this configuration cannot run with, as an
+    /// `InvalidInput` error naming it.
+    fn check(&self) -> io::Result<()> {
+        let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+        if let Err(msg) = self.monitor.check() {
+            return invalid(msg);
+        }
+        if self.queue_depth == 0 {
+            return invalid("queue_depth must be at least 1".to_string());
+        }
+        if self.max_poll_events == 0 {
+            return invalid("max_poll_events must be at least 1".to_string());
+        }
+        Ok(())
     }
 
     /// Bind a listener, spawn the ingest and accept threads, and return the
@@ -353,15 +258,19 @@ impl ServerBuilder {
     /// restore-and-replay work itself happens on the ingest thread after
     /// `bind` returns: the server answers `503 warming` (and `GET /readyz`
     /// stays 503) until replay finishes.
+    ///
+    /// A knob the server cannot run with — zero `shards`, `queue_depth` or
+    /// `max_poll_events`, or a negative or non-finite `lambda` — fails the
+    /// bind with [`io::ErrorKind::InvalidInput`] naming it, before anything
+    /// is opened.
     pub fn bind(self, addr: impl ToSocketAddrs) -> io::Result<CtkServer> {
-        assert!(self.serve.queue_depth >= 1, "the ingest queue needs at least one slot");
-        assert!(self.serve.max_poll_events >= 1, "a poll must deliver at least one event");
-        let journal = match &self.serve.journal_dir {
+        self.check()?;
+        let journal = match &self.journal_dir {
             None => None,
             Some(dir) => {
                 let config = JournalConfig::new(dir)
-                    .fsync(self.serve.fsync)
-                    .max_segment_bytes(self.serve.journal_max_bytes);
+                    .fsync(self.fsync)
+                    .max_segment_bytes(self.journal_max_bytes);
                 Some(Journal::open(config)?)
             }
         };
@@ -369,21 +278,21 @@ impl ServerBuilder {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let backend = self.monitor.build();
-        let (tx, rx) = channel::bounded::<Command>(self.serve.queue_depth);
+        let (tx, rx) = channel::bounded::<Command>(self.queue_depth);
         let shared = Arc::new(Shared {
             commands: tx,
             queue: QueueGauge {
-                capacity: self.serve.queue_depth,
+                capacity: self.queue_depth,
                 depth: AtomicUsize::new(0),
                 highwater: AtomicUsize::new(0),
             },
-            admission: self.serve.admission,
-            subscribers: SubscriberRegistry::new(self.serve.subscriber_buffer),
+            admission: self.admission,
+            subscribers: SubscriberRegistry::new(self.subscriber_buffer),
             draining: AtomicBool::new(false),
             stopping: AtomicBool::new(false),
             warming: AtomicBool::new(warming),
             journaled: journal.is_some(),
-            max_poll_events: self.serve.max_poll_events,
+            max_poll_events: self.max_poll_events,
             engine: self.engine,
         });
 

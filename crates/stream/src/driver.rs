@@ -1,4 +1,6 @@
-//! The stream driver: generator + clock → a reproducible document stream.
+//! The stream driver: generator + clock → a reproducible document stream,
+//! one document at a time ([`StreamDriver::next_document`], or the driver
+//! as an iterator) or a batch at a time ([`StreamDriver::take_batch`]).
 
 use crate::clock::ArrivalClock;
 use crate::corpus::{CorpusConfig, DocumentGenerator};
@@ -48,35 +50,6 @@ impl StreamDriver {
     pub fn take_batch(&mut self, n: usize) -> Vec<Document> {
         (0..n).map(|_| self.next_document()).collect()
     }
-
-    /// Turn the (infinite) stream into an iterator of fixed-size batches —
-    /// the shape the batched ingestion paths (`ShardedMonitor::run_pipelined`,
-    /// `ContinuousTopK::process_batch`) consume. Bound it with `.take(n)`.
-    pub fn batches(self, batch_size: usize) -> Batches {
-        assert!(batch_size >= 1);
-        Batches { driver: self, batch_size }
-    }
-}
-
-/// Iterator adapter yielding the stream in fixed-size batches.
-pub struct Batches {
-    driver: StreamDriver,
-    batch_size: usize,
-}
-
-impl Batches {
-    /// The wrapped driver (stream position, emitted count).
-    pub fn driver(&self) -> &StreamDriver {
-        &self.driver
-    }
-}
-
-impl Iterator for Batches {
-    type Item = Vec<Document>;
-
-    fn next(&mut self) -> Option<Vec<Document>> {
-        Some(self.driver.take_batch(self.batch_size))
-    }
 }
 
 impl Iterator for StreamDriver {
@@ -109,14 +82,6 @@ mod tests {
         let a = mk().take_batch(10);
         let b = mk().take_batch(10);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn batches_chunk_the_same_stream() {
-        let mk = || StreamDriver::new(CorpusConfig::small_flat(500, 30, 7), ArrivalClock::unit());
-        let flat = mk().take_batch(24);
-        let chunked: Vec<Document> = mk().batches(8).take(3).flatten().collect();
-        assert_eq!(flat, chunked, "batching must not perturb the stream");
     }
 
     #[test]

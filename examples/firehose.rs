@@ -3,9 +3,9 @@
 //! One ingestion loop, two configurations of the same [`MonitorBackend`]:
 //! a single-engine monitor fed through `publish_batch` (one renorm check
 //! and changes buffer per batch instead of per document), and a sharded
-//! monitor whose `publish_batch` pipelines chunks through its workers —
-//! shards score chunk `n+1` while the merger drains chunk `n`. The
-//! application code cannot tell them apart.
+//! monitor whose `publish_batch` hands each worker the whole batch in one
+//! message and merges their answers once. The application code cannot tell
+//! them apart.
 //!
 //! ```text
 //! cargo run --release --example firehose
@@ -67,12 +67,5 @@ fn main() {
     let shards = std::thread::available_parallelism().map(|p| p.get().clamp(2, 4)).unwrap_or(2);
 
     drink("single engine ", &base, &specs, &corpus);
-    drink(
-        &format!("sharded x{shards}"),
-        // Each 256-doc publish is pipelined through the shards as four
-        // 64-doc chunks, one chunk in flight behind the merger.
-        &base.clone().shards(shards).batch_size(BATCH / 4).pipeline_window(1),
-        &specs,
-        &corpus,
-    );
+    drink(&format!("sharded x{shards}"), &base.clone().shards(shards), &specs, &corpus);
 }

@@ -4,8 +4,7 @@
 //! ```text
 //! cargo run --release --example serve -- \
 //!     [--host 127.0.0.1] [--port 8722] [--engine mrio] [--lambda 1e-3] \
-//!     [--shards N] [--batch N] [--window N] [--adaptive [target_ms]] \
-//!     [--queue-depth N] [--admission block|reject[:retry_secs]] \
+//!     [--shards N] [--queue-depth N] [--admission block|reject[:retry_secs]] \
 //!     [--subscriber-buffer N] \
 //!     [--journal-dir DIR] [--fsync always|never|interval:MS] \
 //!     [--journal-max-bytes N]
@@ -17,7 +16,6 @@
 //! daemon" section for a curl transcript against this binary.
 
 use continuous_topk::EngineKind;
-use ctk_core::AdaptiveConfig;
 use ctk_server::{signal, AdmissionPolicy, FsyncPolicy, ServerBuilder};
 use std::time::Duration;
 
@@ -45,26 +43,6 @@ fn main() {
     let mut builder = ServerBuilder::new(engine)
         .lambda(parsed(&args, "--lambda").unwrap_or(1e-3))
         .shards(parsed(&args, "--shards").unwrap_or(1));
-    if let Some(batch) = parsed::<usize>(&args, "--batch") {
-        builder = builder.batch_size(batch);
-    }
-    if let Some(window) = parsed::<usize>(&args, "--window") {
-        builder = builder.pipeline_window(window);
-    }
-    if args.iter().any(|a| a == "--adaptive") {
-        let mut adaptive = AdaptiveConfig::default();
-        // The target is optional: `--adaptive` alone takes the default.
-        if let Some(raw) = arg_value(&args, "--adaptive").filter(|v| !v.starts_with("--")) {
-            match raw.parse() {
-                Ok(target) => adaptive = adaptive.target_drain_ms(target),
-                Err(_) => {
-                    eprintln!("serve: bad value {raw:?} for --adaptive");
-                    std::process::exit(2);
-                }
-            }
-        }
-        builder = builder.adaptive_batching(adaptive);
-    }
     if let Some(depth) = parsed::<usize>(&args, "--queue-depth") {
         builder = builder.queue_depth(depth);
     }

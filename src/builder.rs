@@ -2,7 +2,7 @@
 //!
 //! [`MonitorBuilder`] assembles any supported configuration — every engine
 //! of the paper plus the published baselines, single-engine or sharded,
-//! with optional ingest chunking and tombstone compaction — behind the
+//! with a postings layout and optional tombstone compaction — behind the
 //! uniform [`MonitorBackend`] API. The examples, the benchmark harness and
 //! the integration tests all construct through it, so a configuration is
 //! one value, not a code path.
@@ -10,8 +10,8 @@
 use ctk_baselines::{Rta, SortQuer, Tps};
 use ctk_common::{FxHashMap, QueryId};
 use ctk_core::{
-    AdaptiveConfig, ContinuousTopK, IndexConfig, IngestConfig, Monitor, MonitorBackend, MrioBlock,
-    MrioSeg, MrioSuffix, Naive, PostingsStorage, Rio, ShardedMonitor, Snapshot, StorageConfig,
+    ContinuousTopK, Monitor, MonitorBackend, MrioBlock, MrioSeg, MrioSuffix, Naive,
+    PostingsStorage, Rio, ShardedMonitor, Snapshot, StorageConfig,
 };
 
 /// Every engine a monitor can run on: the paper's algorithms, the three
@@ -159,84 +159,34 @@ pub struct MonitorBuilder {
     kind: EngineKind,
     lambda: f64,
     shards: usize,
-    ingest: IngestConfig,
-    index: IndexConfig,
+    compact_at: f64,
+    storage: StorageConfig,
 }
 
 impl MonitorBuilder {
-    /// A builder for `kind` with λ = 0, one shard, and the default
-    /// [`IngestConfig`] (whole-publish batches, fixed chunking) and
-    /// [`IndexConfig`] (plain postings storage, compaction disabled).
+    /// A builder for `kind` with λ = 0, one shard, plain postings storage
+    /// and compaction disabled.
     pub fn new(kind: EngineKind) -> Self {
         MonitorBuilder {
             kind,
             lambda: 0.0,
             shards: 1,
-            ingest: IngestConfig::default(),
-            index: IndexConfig::default(),
+            compact_at: 0.0,
+            storage: StorageConfig::plain(),
         }
     }
 
-    /// Replace the whole ingestion profile at once (see [`IngestConfig`]).
-    /// The flat knobs ([`MonitorBuilder::batch_size`],
-    /// [`MonitorBuilder::pipeline_window`],
-    /// [`MonitorBuilder::adaptive_batching`]) write through to the same
-    /// value, so both styles compose.
-    pub fn ingest(mut self, ingest: IngestConfig) -> Self {
-        self.ingest = ingest;
-        self
-    }
-
-    /// Replace the whole index profile at once (see [`IndexConfig`]).
-    /// The flat knobs ([`MonitorBuilder::postings_storage`],
-    /// [`MonitorBuilder::page_budget`], [`MonitorBuilder::compact_at`])
-    /// write through to the same value.
-    pub fn index(mut self, index: IndexConfig) -> Self {
-        self.index = index;
-        self
-    }
-
-    /// The decay parameter λ (per time unit).
+    /// The decay parameter λ (per time unit); finite and `>= 0`.
     pub fn lambda(mut self, lambda: f64) -> Self {
         self.lambda = lambda;
         self
     }
 
-    /// Number of worker shards. 1 (the default) builds the single-engine
-    /// [`Monitor`]; more builds a [`ShardedMonitor`] with the query
-    /// population spread round-robin.
+    /// Number of worker shards, at least 1. 1 (the default) builds the
+    /// single-engine [`Monitor`]; more builds a [`ShardedMonitor`] with the
+    /// query population spread round-robin.
     pub fn shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "a monitor needs at least one shard");
         self.shards = shards;
-        self
-    }
-
-    /// Ingest chunk size for sharded `publish_batch` calls: the publish is
-    /// split into chunks of this many documents and pipelined. 0 (the
-    /// default) sends each publish as one batch.
-    pub fn batch_size(mut self, batch_size: usize) -> Self {
-        self.ingest.batch_size = batch_size;
-        self
-    }
-
-    /// How many ingest chunks a sharded `publish_batch` keeps in flight
-    /// (0 = fully synchronous). Default 1: shards score chunk *n+1* while
-    /// the merger drains chunk *n*.
-    pub fn pipeline_window(mut self, window: usize) -> Self {
-        self.ingest.pipeline_window = window;
-        self
-    }
-
-    /// Enable AIMD adaptive ingest chunking on sharded front-ends (see
-    /// [`AdaptiveConfig`]): `publish_batch` grows its chunk size while
-    /// drains come back under the latency target and halves it when they
-    /// don't, instead of using the fixed [`MonitorBuilder::batch_size`].
-    /// Results are bit-identical either way — chunking is
-    /// result-invariant — so this only moves throughput and latency. No
-    /// effect on the single-engine front-end (one shard), which has no
-    /// drain pipeline to pace.
-    pub fn adaptive_batching(mut self, cfg: AdaptiveConfig) -> Self {
-        self.ingest.adaptive = Some(cfg);
         self
     }
 
@@ -245,7 +195,7 @@ impl MonitorBuilder {
     /// and the affected bound structures rebuilt. `<= 0.0` (the default)
     /// disables the policy.
     pub fn compact_at(mut self, ratio: f64) -> Self {
-        self.index.compaction_threshold = ratio;
+        self.compact_at = ratio;
         self
     }
 
@@ -268,7 +218,7 @@ impl MonitorBuilder {
     /// variants, TPS, Naive); RTA and SortQuer keep their own snapshot
     /// structures.
     pub fn postings_storage(mut self, storage: PostingsStorage) -> Self {
-        self.index.storage.storage = storage;
+        self.storage.storage = storage;
         self
     }
 
@@ -277,25 +227,38 @@ impl MonitorBuilder {
     /// [`StorageConfig::DEFAULT_PAGE_BUDGET`]. Ignored by the other
     /// storage backends.
     pub fn page_budget(mut self, bytes: usize) -> Self {
-        self.index.storage.page_budget_bytes = bytes;
+        self.storage.page_budget_bytes = bytes;
         self
     }
 
+    /// Why this configuration cannot be built, naming the knob at fault:
+    /// `shards` below 1, or a `lambda` that is negative or not finite.
+    pub fn check(&self) -> Result<(), String> {
+        if self.shards == 0 {
+            return Err("shards must be at least 1".to_string());
+        }
+        if !(self.lambda >= 0.0 && self.lambda.is_finite()) {
+            return Err(format!("lambda must be finite and >= 0, got {}", self.lambda));
+        }
+        Ok(())
+    }
+
     /// Build the configured backend.
+    ///
+    /// # Panics
+    /// Panics with [`MonitorBuilder::check`]'s message when the
+    /// configuration is invalid.
     pub fn build(&self) -> Box<dyn MonitorBackend + Send> {
-        let engine = || self.kind.build_engine_with(self.lambda, &self.index.storage);
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
+        let engine = || self.kind.build_engine_with(self.lambda, &self.storage);
         if self.shards == 1 {
-            return Box::new(
-                Monitor::new(engine()).with_compaction(self.index.compaction_threshold),
-            );
+            return Box::new(Monitor::new(engine()).with_compaction(self.compact_at));
         }
         let mut sharded = ShardedMonitor::new(self.shards, engine);
-        sharded.set_ingest_chunking(self.ingest.batch_size, self.ingest.pipeline_window);
-        if let Some(cfg) = self.ingest.adaptive {
-            sharded.set_adaptive_batching(cfg);
-        }
-        if self.index.compaction_threshold > 0.0 {
-            sharded.set_compaction_threshold(self.index.compaction_threshold);
+        if self.compact_at > 0.0 {
+            sharded.set_compaction_threshold(self.compact_at);
         }
         Box::new(sharded)
     }
@@ -374,70 +337,69 @@ mod tests {
     }
 
     #[test]
-    fn grouped_and_flat_knobs_configure_the_same_builder() {
-        let adaptive = AdaptiveConfig::default().chunk_bounds(4, 128).target_drain_ms(2.0);
-        let flat = MonitorBuilder::new(EngineKind::Mrio)
-            .lambda(0.001)
-            .shards(2)
-            .batch_size(64)
-            .pipeline_window(2)
-            .adaptive_batching(adaptive)
-            .compact_at(0.3)
-            .postings_storage(PostingsStorage::Paged)
-            .page_budget(4096);
-        let grouped = MonitorBuilder::new(EngineKind::Mrio)
-            .lambda(0.001)
-            .shards(2)
-            .ingest(IngestConfig::default().batch_size(64).pipeline_window(2).adaptive(adaptive))
-            .index(
-                IndexConfig::default()
-                    .storage(StorageConfig {
-                        storage: PostingsStorage::Paged,
-                        page_budget_bytes: 4096,
-                        spill_dir: None,
-                    })
-                    .compaction_threshold(0.3),
-            );
-        assert_eq!(flat, grouped);
-    }
-
-    #[test]
-    fn adaptive_batching_reaches_the_sharded_front_end() {
+    fn compact_at_reaches_every_front_end() {
         use ctk_common::{QuerySpec, TermId};
-        let batch: Vec<_> = (0..20u64)
-            .map(|i| (vec![(TermId((i % 4) as u32), 1.0 / (i + 1) as f32)], i as f64))
-            .collect();
-        let mut oracle = MonitorBuilder::new(EngineKind::Mrio).lambda(0.001).build();
-        let q = oracle.register(QuerySpec::uniform(&[TermId(1), TermId(2)], 3).unwrap());
-        oracle.publish_batch(batch.clone());
-        let mut m = MonitorBuilder::new(EngineKind::Mrio)
-            .lambda(0.001)
-            .shards(2)
-            .adaptive_batching(AdaptiveConfig::default().chunk_bounds(1, 4))
-            .build();
-        let q2 = m.register(QuerySpec::uniform(&[TermId(1), TermId(2)], 3).unwrap());
-        m.publish_batch(batch);
-        assert_eq!(m.results(q2), oracle.results(q));
+        for shards in [1, 2] {
+            // A hundred live queries beside nine hundred tombstoned ones,
+            // then one publish: only the compacting backend re-encodes its
+            // sealed blocks without the dead postings at that batch
+            // boundary.
+            let bytes = |builder: MonitorBuilder| {
+                let mut m = builder
+                    .lambda(0.001)
+                    .shards(shards)
+                    .postings_storage(PostingsStorage::Compressed)
+                    .build();
+                let qids: Vec<_> = (0..1000u32)
+                    .map(|i| m.register(QuerySpec::uniform(&[TermId(i % 2)], 2).unwrap()))
+                    .collect();
+                for &q in &qids[100..] {
+                    assert!(m.unregister(q));
+                }
+                m.publish(vec![(TermId(1), 1.0)], 0.0);
+                m.storage_stats().index_bytes
+            };
+            let kept = bytes(MonitorBuilder::new(EngineKind::Mrio));
+            let compacted = bytes(MonitorBuilder::new(EngineKind::Mrio).compact_at(0.5));
+            assert!(compacted < kept, "x{shards}: {compacted} !< {kept}");
+        }
     }
 
     #[test]
-    fn ingest_knobs_are_result_invariant_on_every_front_end() {
+    fn publish_sizes_are_result_invariant_on_every_front_end() {
         use ctk_common::{QuerySpec, TermId};
         let batch: Vec<_> = (0..30u64)
             .map(|i| (vec![(TermId((i % 5) as u32), 1.0 / (i + 1) as f32)], i as f64))
             .collect();
         for shards in [1, 2] {
-            let plain = MonitorBuilder::new(EngineKind::Mrio).lambda(0.001).shards(shards);
-            let chunked = plain.clone().batch_size(3).pipeline_window(2);
-            let mut a = plain.build();
-            let mut b = chunked.build();
+            let config = MonitorBuilder::new(EngineKind::Mrio).lambda(0.001).shards(shards);
+            let mut a = config.build();
+            let mut b = config.build();
             let qa = a.register(QuerySpec::uniform(&[TermId(0), TermId(3)], 4).unwrap());
             let qb = b.register(QuerySpec::uniform(&[TermId(0), TermId(3)], 4).unwrap());
-            let ra = a.publish_batch(batch.clone());
-            let rb = b.publish_batch(batch.clone());
-            assert_eq!(ra.doc_ids, rb.doc_ids, "x{shards}");
+            let whole = a.publish_batch(batch.clone());
+            let mut cut = Vec::new();
+            for chunk in batch.chunks(3) {
+                cut.extend(b.publish_batch(chunk.to_vec()).doc_ids);
+            }
+            assert_eq!(whole.doc_ids, cut, "x{shards}");
             assert_eq!(a.results(qa), b.results(qb), "x{shards}");
         }
+    }
+
+    #[test]
+    fn check_names_the_knob_that_cannot_be_built() {
+        let mrio = MonitorBuilder::new(EngineKind::Mrio);
+        assert_eq!(mrio.check(), Ok(()));
+        assert_eq!(mrio.clone().shards(0).check(), Err("shards must be at least 1".to_string()));
+        for lambda in [-1.0, f64::NAN, f64::INFINITY] {
+            let err = mrio.clone().lambda(lambda).check().unwrap_err();
+            assert!(err.starts_with("lambda must be finite and >= 0"), "{lambda}: {err}");
+        }
+        let Err(panic) = std::panic::catch_unwind(|| mrio.clone().shards(0).build()) else {
+            panic!("zero shards must not build");
+        };
+        assert_eq!(panic.downcast_ref::<String>().unwrap(), "shards must be at least 1");
     }
 
     #[test]

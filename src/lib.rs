@@ -68,7 +68,9 @@
 //! in-thread engine (`Monitor<E>`) or the query-sharded workers
 //! (`ShardedMonitor`). [`MonitorBuilder`] picks the runtime by shard count;
 //! a capture from either restores into the other via
-//! [`Snapshot::restore_into`].
+//! [`Snapshot::restore_into`]. Either way a publish is scored whole before
+//! it returns: the sharded runtime sends each worker the batch once and
+//! merges their answers once.
 //!
 //! See `examples/` for end-to-end scenarios (`restartable` exercises the
 //! sharded snapshot → kill → restore → continue cycle) and `crates/bench`
@@ -100,12 +102,11 @@ pub mod prelude {
         TermId, Timestamp,
     };
     pub use ctk_core::{
-        AdaptiveConfig, Admission, ContinuousTopK, CumulativeStats, DecayModel, EventStats,
-        EvictionPolicy, IndexConfig, IngestConfig, Monitor, MonitorBackend, Mrio, MrioBlock,
-        MrioSeg, MrioSuffix, Naive, NamespaceStats, PostingsStorage, PublishReceipt,
-        PublishRequest, QueryOptions, ResultChange, RetentionPolicy, Rio, ShardSnapshot,
-        ShardedMonitor, Snapshot, SnapshotQuery, SnapshotStreamStats, SnapshotWriter,
-        StorageConfig, StorageStats, SNAPSHOT_VERSION,
+        Admission, ContinuousTopK, CumulativeStats, DecayModel, EventStats, EvictionPolicy,
+        Monitor, MonitorBackend, Mrio, MrioBlock, MrioSeg, MrioSuffix, Naive, NamespaceStats,
+        PostingsStorage, PublishReceipt, PublishRequest, QueryOptions, ResultChange,
+        RetentionPolicy, Rio, ShardSnapshot, ShardedMonitor, Snapshot, SnapshotQuery,
+        SnapshotStreamStats, SnapshotWriter, StorageConfig, StorageStats, SNAPSHOT_VERSION,
     };
     pub use ctk_stream::{
         ArrivalClock, CorpusConfig, CorpusModel, DocumentGenerator, QueryGenerator, QueryWorkload,

@@ -30,8 +30,16 @@ fn sorted_changes(mut changes: Vec<ResultChange>) -> Vec<ResultChange> {
     changes
 }
 
-fn backend_matches_oracle(config: MonitorBuilder, lambda: f64) {
-    runs_like_the_oracle(config.lambda(lambda).build(), lambda);
+/// Each round's batched publish as one call of 40 documents.
+const WHOLE: &[usize] = &[40];
+
+/// Each round's batched publishes cycling through sizes 1, 7 and 64: 72
+/// documents a round, so the 308 unit-clock documents of a λ = 0.5 run
+/// cross a renormalization.
+const SIZES: &[usize] = &[1, 7, 64];
+
+fn backend_matches_oracle(config: MonitorBuilder, lambda: f64, sizes: &[usize]) {
+    runs_like_the_oracle(config.lambda(lambda).build(), lambda, sizes);
 }
 
 /// One query-sharded worker. The builder maps `shards(1)` to the in-thread
@@ -41,9 +49,9 @@ fn one_worker(lambda: f64) -> ShardedMonitor {
 }
 
 /// The shared test body: everything it does goes through `dyn
-/// MonitorBackend`, so the only degree of freedom is the backend's
-/// configuration.
-fn runs_like_the_oracle(mut backend: Box<dyn MonitorBackend + Send>, lambda: f64) {
+/// MonitorBackend`, so the only degrees of freedom are the backend's
+/// configuration and the sizes of the batched publishes.
+fn runs_like_the_oracle(mut backend: Box<dyn MonitorBackend + Send>, lambda: f64, sizes: &[usize]) {
     let mut oracle = MonitorBuilder::new(EngineKind::Naive).lambda(lambda).build();
 
     let all_specs = specs(60, 42);
@@ -68,25 +76,23 @@ fn runs_like_the_oracle(mut backend: Box<dyn MonitorBackend + Send>, lambda: f64
             qids.push(qid);
         }
 
-        // A batched publish...
-        let batch: Vec<(Vec<(TermId, f32)>, Timestamp)> = driver
-            .take_batch(40)
-            .into_iter()
-            .map(|d| (d.vector.iter().collect(), d.arrival))
-            .collect();
-        let ra = backend.publish_batch(batch.clone());
-        let rb = oracle.publish_batch(batch);
-        assert_eq!(ra.doc_ids, rb.doc_ids, "same id allocation, round {round}");
-        assert_eq!(
-            sorted_changes(ra.changes),
-            sorted_changes(rb.changes),
-            "same change set, round {round}"
-        );
-        assert_eq!(
-            ra.stats.iter().map(|e| e.updates).collect::<Vec<_>>(),
-            rb.stats.iter().map(|e| e.updates).collect::<Vec<_>>(),
-            "same per-document insertion counts, round {round}"
-        );
+        // Batched publishes...
+        for &size in sizes {
+            let batch = PublishRequest::from(driver.take_batch(size).as_slice());
+            let ra = backend.publish_request(batch.clone());
+            let rb = oracle.publish_request(batch);
+            assert_eq!(ra.doc_ids, rb.doc_ids, "same id allocation, round {round}");
+            assert_eq!(
+                sorted_changes(ra.changes),
+                sorted_changes(rb.changes),
+                "same change set, round {round}"
+            );
+            assert_eq!(
+                ra.stats.iter().map(|e| e.updates).collect::<Vec<_>>(),
+                rb.stats.iter().map(|e| e.updates).collect::<Vec<_>>(),
+                "same per-document insertion counts, round {round}"
+            );
+        }
 
         // ...and a few single publishes through the same surface.
         for d in driver.take_batch(5) {
@@ -107,110 +113,100 @@ fn runs_like_the_oracle(mut backend: Box<dyn MonitorBackend + Send>, lambda: f64
 
 #[test]
 fn single_engine_backend_matches_oracle() {
-    backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio), 1e-3);
+    backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio), 1e-3, WHOLE);
 }
 
 #[test]
 fn sharded_backend_matches_oracle() {
-    backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio).shards(4), 1e-3);
+    backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio).shards(4), 1e-3, WHOLE);
 }
 
 #[test]
-fn sharded_pipelined_chunked_backend_matches_oracle() {
-    backend_matches_oracle(
-        MonitorBuilder::new(EngineKind::Mrio).shards(4).batch_size(7).pipeline_window(2),
-        1e-3,
-    );
+fn sharded_publishes_of_every_size_match_oracle() {
+    backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio).shards(4), 1e-3, SIZES);
 }
 
 #[test]
 fn single_worker_sharded_backend_matches_oracle() {
-    // Every document still crosses the worker channel and the stream-order
-    // merge, with nothing to partition.
-    runs_like_the_oracle(Box::new(one_worker(1e-3)), 1e-3);
+    // Every document still crosses the worker channel and the merge, with
+    // nothing to partition.
+    runs_like_the_oracle(Box::new(one_worker(1e-3)), 1e-3, WHOLE);
 }
 
 #[test]
 fn backend_matches_oracle_across_renormalization() {
     // λ = 0.5 with the default headroom of 60 renormalizes once arrivals
     // pass 120 — the 180 unit-clock documents cross it on every backend.
-    backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio).shards(2), 0.5);
+    backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio).shards(2), 0.5, WHOLE);
 }
 
 #[test]
 fn compacting_backend_matches_oracle() {
     // The churn in the shared body leaves ~30% tombstones; a 0.15 threshold
     // forces several compactions without changing any result.
-    backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio).shards(2).compact_at(0.15), 1e-3);
+    backend_matches_oracle(
+        MonitorBuilder::new(EngineKind::Mrio).shards(2).compact_at(0.15),
+        1e-3,
+        WHOLE,
+    );
 }
 
 // --- the stressors combined ---
 
 #[test]
-fn sharded_pipelined_chunked_backend_matches_oracle_across_renormalization() {
-    // The renormalization lands inside a chunked, pipelined publish: chunks
-    // already in flight were scored in the old frame and must merge exactly.
-    backend_matches_oracle(
-        MonitorBuilder::new(EngineKind::Mrio).shards(4).batch_size(7).pipeline_window(2),
-        0.5,
-    );
+fn sharded_publishes_of_every_size_match_oracle_across_renormalization() {
+    // The renormalization lands inside one of the publishes; every shard
+    // must cross it at the same document.
+    backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio).shards(4), 0.5, SIZES);
+}
+
+#[test]
+fn three_shard_publishes_of_every_size_match_oracle_across_renormalization() {
+    // Three shards split the population unevenly.
+    backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio).shards(3), 0.5, SIZES);
+}
+
+#[test]
+fn descending_publish_sizes_match_oracle() {
+    // The largest publish lands right after the churn, the single
+    // documents last.
+    backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio).shards(2), 1e-3, &[64, 7, 1]);
 }
 
 #[test]
 fn compacting_backend_matches_oracle_across_renormalization() {
     // Registrations land after compactions that follow renormalizations;
     // every shard's index must stay aligned with its result sets.
-    backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio).shards(2).compact_at(0.15), 0.5);
+    backend_matches_oracle(
+        MonitorBuilder::new(EngineKind::Mrio).shards(2).compact_at(0.15),
+        0.5,
+        WHOLE,
+    );
 }
 
 #[test]
 fn single_engine_compacting_backend_matches_oracle_across_renormalization() {
     // The in-thread runtime's own compaction policy, between
     // renormalizations.
-    backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio).compact_at(0.15), 0.5);
+    backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio).compact_at(0.15), 0.5, WHOLE);
 }
 
 #[test]
-fn compacting_pipelined_chunked_backend_matches_oracle() {
+fn compacting_publishes_of_every_size_match_oracle() {
+    // A single-document publish is a batch boundary too: compaction may
+    // run between any two documents.
     backend_matches_oracle(
-        MonitorBuilder::new(EngineKind::Mrio)
-            .shards(2)
-            .compact_at(0.15)
-            .batch_size(7)
-            .pipeline_window(2),
+        MonitorBuilder::new(EngineKind::Mrio).shards(2).compact_at(0.15),
         1e-3,
+        SIZES,
     );
 }
 
 #[test]
-fn single_worker_compacting_pipelined_chunked_backend_matches_oracle() {
+fn single_worker_compacting_publishes_of_every_size_match_oracle() {
     let mut sharded = one_worker(1e-3);
     sharded.set_compaction_threshold(0.15);
-    sharded.set_ingest_chunking(7, 2);
-    runs_like_the_oracle(Box::new(sharded), 1e-3);
-}
-
-#[test]
-fn adaptive_batching_backend_matches_oracle() {
-    // A near-zero latency target makes every drain miss it, so the AIMD
-    // controller halves the chunk size down to its floor mid-stream;
-    // chunking is result-invariant.
-    let cfg = AdaptiveConfig::default().target_drain_ms(1e-6).chunk_bounds(2, 16).increase_step(3);
-    backend_matches_oracle(
-        MonitorBuilder::new(EngineKind::Mrio).shards(2).adaptive_batching(cfg),
-        1e-3,
-    );
-}
-
-#[test]
-fn adaptive_batching_backend_matches_oracle_across_renormalization() {
-    // The controller resizes chunks while a renormalization lands between
-    // them; neither may move a result.
-    let cfg = AdaptiveConfig::default().target_drain_ms(1e-6).chunk_bounds(2, 16).increase_step(3);
-    backend_matches_oracle(
-        MonitorBuilder::new(EngineKind::Mrio).shards(3).adaptive_batching(cfg),
-        0.5,
-    );
+    runs_like_the_oracle(Box::new(sharded), 1e-3, SIZES);
 }
 
 /// Snapshot under one configuration, restore under another (different

@@ -552,3 +552,27 @@ fn stats_report_the_query_sharding_and_the_shard_count() {
         server.shutdown();
     }
 }
+
+#[test]
+fn bind_refuses_unusable_knobs_with_invalid_input_naming_them() {
+    use std::io::ErrorKind;
+    let mrio = || ServerBuilder::new(EngineKind::Mrio);
+    let refused = [
+        ("shards", mrio().shards(0)),
+        ("queue_depth", mrio().queue_depth(0)),
+        ("max_poll_events", mrio().max_poll_events(0)),
+        ("lambda", mrio().lambda(-1.0)),
+        ("lambda", mrio().lambda(f64::NAN)),
+        ("lambda", mrio().lambda(f64::INFINITY)),
+    ];
+    for (knob, builder) in refused {
+        let Err(e) = builder.bind("127.0.0.1:0") else {
+            panic!("{knob}: an unusable value must not bind");
+        };
+        assert_eq!(e.kind(), ErrorKind::InvalidInput, "{knob}: {e}");
+        assert!(e.to_string().starts_with(knob), "{knob}: {e}");
+    }
+    // The boundary values still start.
+    let server = mrio().shards(1).queue_depth(1).max_poll_events(1).lambda(0.0);
+    server.bind("127.0.0.1:0").expect("minimal knobs bind").shutdown();
+}

@@ -1,6 +1,7 @@
-//! Randomized equivalence of the batched sharded ingestion path.
+//! Randomized equivalence of the batched sharded publish path.
 //!
-//! A `ShardedMonitor` (`Naive` shards) fed through `process_batch` must stay
+//! A `ShardedMonitor` (`Naive` shards) fed through publishes of random sizes
+//! must stay
 //! **bit-identical** to a single `Naive` engine fed one document at a time
 //! — including while queries register and unregister mid-stream: each
 //! query's score accumulates from its own registration record, so
@@ -31,7 +32,7 @@ proptest! {
     #[test]
     fn batched_sharded_ingestion_with_churn_matches_naive(
         shards in 2usize..5,
-        batch_size in 1usize..9,
+        publish_size in 1usize..9,
         initial in prop::collection::vec(
             (prop::collection::vec((0u32..40, 0.1f32..2.0), 1..4), 1usize..4),
             4..16,
@@ -79,7 +80,6 @@ proptest! {
         }
         prop_assume!(!live.is_empty());
 
-        let mut next_doc = 0u64;
         let mut total_docs = 0u64;
         for (doc_batches, (reg_terms, reg_k), reg_gate, unreg_slot) in &rounds {
             let slot = unreg_slot % (live.len() + 1);
@@ -96,26 +96,23 @@ proptest! {
                 }
             }
 
-            let docs: Vec<Document> = doc_batches
+            // Document `n` arrives at time `n`.
+            let docs: Vec<(Vec<(TermId, f32)>, f64)> = doc_batches
                 .iter()
-                .map(|pairs| {
-                    let d = Document::new(
-                        DocId(next_doc),
-                        pairs.iter().map(|&(t, w)| (TermId(t), w)).collect(),
-                        next_doc as f64,
-                    );
-                    next_doc += 1;
-                    d
+                .enumerate()
+                .map(|(i, pairs)| {
+                    let at = (total_docs + i as u64) as f64;
+                    (pairs.iter().map(|&(t, w)| (TermId(t), w)).collect(), at)
                 })
                 .collect();
-            total_docs += docs.len() as u64;
 
-            for d in &docs {
-                single.process(d);
+            for (pairs, at) in &docs {
+                single.process(&Document::new(DocId(total_docs), pairs.clone(), *at));
+                total_docs += 1;
             }
-            for chunk in docs.chunks(batch_size) {
-                let (stats, _changes) = sharded.process_batch(chunk.to_vec());
-                prop_assert_eq!(stats.len(), chunk.len());
+            for chunk in docs.chunks(publish_size) {
+                let receipt = sharded.publish_request(PublishRequest::from(chunk.to_vec()));
+                prop_assert_eq!(receipt.stats.len(), chunk.len());
             }
         }
 
@@ -135,139 +132,6 @@ proptest! {
         prop_assert_eq!(per_shard.len(), shards);
         for cum in &per_shard {
             prop_assert_eq!(cum.events, total_docs);
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// Adaptive AIMD chunking must be invisible in results: a monitor whose
-    /// chunk size breathes with drain latency stays bit-identical to a
-    /// fixed-window monitor *and* to the serial `Naive` oracle — through
-    /// register/unregister churn and a renorm-capable λ — because chunking
-    /// is result-invariant.
-    ///
-    /// The sampled `target_drain_ms` deliberately includes the two
-    /// degenerate controllers: `0.0` (every drain is "too slow", the chunk
-    /// collapses to `min_chunk`) and `∞` (every drain is "fast", the chunk
-    /// climbs to the max) — so the equivalence is exercised across the
-    /// controller's whole reachable schedule space, not just its fixpoint.
-    #[test]
-    fn adaptive_batching_matches_fixed_window_and_naive(
-        shards in 2usize..4,
-        fixed_batch in 1usize..9,
-        target_ms in prop::sample::select(vec![0.0f64, 5.0, f64::INFINITY]),
-        min_chunk in 1usize..4,
-        span in 0usize..6,
-        step in 1usize..32,
-        initial in prop::collection::vec(
-            (prop::collection::vec((0u32..40, 0.1f32..2.0), 1..4), 1usize..4),
-            4..12,
-        ),
-        rounds in prop::collection::vec(
-            (
-                // This round's documents.
-                prop::collection::vec(prop::collection::vec((0u32..40, 0.1f32..2.0), 1..6), 1..12),
-                // Churn: a candidate registration, applied when gate > 0...
-                (prop::collection::vec((0u32..40, 0.1f32..2.0), 1..4), 1usize..4),
-                0usize..3,
-                // ...and an unregister slot (== len means "skip").
-                0usize..64,
-            ),
-            2..6,
-        ),
-        lambda in prop::sample::select(vec![0.0, 0.8]),
-    ) {
-        let cfg = AdaptiveConfig::default()
-            .target_drain_ms(target_ms)
-            .chunk_bounds(min_chunk, min_chunk + span)
-            .increase_step(step);
-        let build = |adaptive: bool| {
-            let mut m = ShardedMonitor::new(shards, move || Naive::new(lambda));
-            if adaptive {
-                m.set_adaptive_batching(cfg);
-            } else {
-                m.set_ingest_chunking(fixed_batch, 1);
-            }
-            m
-        };
-        let mut adaptive = build(true);
-        let mut fixed = build(false);
-        let mut single = Naive::new(lambda);
-        let mut live: Vec<QueryId> = Vec::new();
-
-        for (terms, k) in &initial {
-            if let Some(spec) = make_spec(terms, *k) {
-                let qid = adaptive.register(spec.clone());
-                prop_assert_eq!(qid, fixed.register(spec.clone()));
-                prop_assert_eq!(qid, single.register(spec));
-                live.push(qid);
-            }
-        }
-        prop_assume!(!live.is_empty());
-
-        // Arrivals advance 2.0 per document so the λ = 0.8 cases can cross
-        // the renormalization headroom mid-stream.
-        let mut last_arrival = 0.0f64;
-        let mut next_doc = 0u64;
-        for (doc_batches, (reg_terms, reg_k), reg_gate, unreg_slot) in &rounds {
-            let slot = unreg_slot % (live.len() + 1);
-            if slot < live.len() {
-                let qid = live.remove(slot);
-                prop_assert!(adaptive.unregister(qid));
-                prop_assert!(fixed.unregister(qid));
-                prop_assert!(single.unregister(qid));
-            }
-            if *reg_gate > 0 {
-                if let Some(spec) = make_spec(reg_terms, *reg_k) {
-                    let qid = adaptive.register(spec.clone());
-                    prop_assert_eq!(qid, fixed.register(spec.clone()));
-                    prop_assert_eq!(qid, single.register(spec));
-                    live.push(qid);
-                }
-            }
-
-            let batch: Vec<(Vec<(TermId, f32)>, f64)> = doc_batches
-                .iter()
-                .map(|pairs| {
-                    last_arrival += 2.0;
-                    (
-                        pairs.iter().map(|&(t, w)| (TermId(t), w)).collect::<Vec<_>>(),
-                        last_arrival,
-                    )
-                })
-                .collect();
-            let base = next_doc;
-            next_doc += batch.len() as u64;
-            for (i, (pairs, at)) in batch.iter().enumerate() {
-                single.process(&Document::new(DocId(base + i as u64), pairs.clone(), *at));
-            }
-            let receipt_a = adaptive.publish_batch(batch.clone());
-            let receipt_f = fixed.publish_batch(batch);
-
-            // Same documents admitted; same changes. The emission *order*
-            // of changes legitimately varies with chunk boundaries, so
-            // compare as sets via a canonical sort.
-            prop_assert_eq!(&receipt_a.doc_ids, &receipt_f.doc_ids);
-            let canon = |mut changes: Vec<ResultChange>| {
-                changes.sort_by(|a, b| {
-                    (a.query, a.inserted.doc).cmp(&(b.query, b.inserted.doc))
-                });
-                changes
-            };
-            prop_assert_eq!(canon(receipt_a.changes), canon(receipt_f.changes));
-
-            // The controller never leaves its configured bounds.
-            let chunk = adaptive.adaptive_chunk().expect("controller installed");
-            prop_assert!((min_chunk..=min_chunk + span).contains(&chunk));
-            prop_assert_eq!(fixed.adaptive_chunk(), None);
-        }
-
-        for qid in &live {
-            let want = single.results(*qid);
-            prop_assert_eq!(adaptive.results(*qid), want.clone(), "adaptive vs oracle: {:?}", qid);
-            prop_assert_eq!(fixed.results(*qid), want, "fixed vs oracle: {:?}", qid);
         }
     }
 }
@@ -602,11 +466,8 @@ fn sharded_mrio_through_churn_renorm_and_compaction_stays_bit_identical() {
     let mut next_doc = 0u64;
     let mut all_changes_sharded: Vec<ResultChange> = Vec::new();
     let mut all_changes_single: Vec<ResultChange> = Vec::new();
-    let mk = |terms: &[(u32, f32)], at: f64, next: &mut u64| {
-        let d =
-            Document::new(DocId(*next), terms.iter().map(|&(t, w)| (TermId(t), w)).collect(), at);
-        *next += 1;
-        d
+    let mk = |terms: &[(u32, f32)], at: f64| {
+        (terms.iter().map(|&(t, w)| (TermId(t), w)).collect::<Vec<_>>(), at)
     };
     for round in 0..10u64 {
         // Churn between batches: retire a slab (tombstones for compaction).
@@ -618,17 +479,16 @@ fn sharded_mrio_through_churn_renorm_and_compaction_stays_bit_identical() {
             }
         }
         let t0 = round as f64 * 16.0;
-        let strong = vec![mk(&[(1, 1.0), (2, 1.0)], t0, &mut next_doc)];
-        let weak: Vec<Document> = (0..19)
-            .map(|i| mk(&[(1, 0.1), (9, 3.0)], t0 + 0.05 * (i + 1) as f64, &mut next_doc))
-            .collect();
+        let strong = vec![mk(&[(1, 1.0), (2, 1.0)], t0)];
+        let weak: Vec<_> =
+            (0..19).map(|i| mk(&[(1, 0.1), (9, 3.0)], t0 + 0.05 * (i + 1) as f64)).collect();
         for batch in [strong, weak] {
-            for d in &batch {
-                single.process(d);
+            for (pairs, at) in &batch {
+                single.process(&Document::new(DocId(next_doc), pairs.clone(), *at));
+                next_doc += 1;
                 all_changes_single.extend_from_slice(single.last_changes());
             }
-            let (_, ch) = sharded.process_batch(batch);
-            all_changes_sharded.extend(ch.into_iter().map(|(_, c)| c));
+            all_changes_sharded.extend(sharded.publish_batch(batch).changes);
         }
     }
     assert!(single.cumulative().renormalizations > 0, "the stream must cross a renorm");
@@ -659,8 +519,8 @@ fn sharded_mrio_through_churn_renorm_and_compaction_stays_bit_identical() {
 #[test]
 fn storage_backends_stay_bit_identical_across_compaction_and_renorm() {
     let lambda = 0.5;
-    let mk = |terms: &[(u32, f32)], id: u64, at: f64| {
-        Document::new(DocId(id), terms.iter().map(|&(t, w)| (TermId(t), w)).collect(), at)
+    let mk = |terms: &[(u32, f32)], at: f64| {
+        (terms.iter().map(|&(t, w)| (TermId(t), w)).collect::<Vec<_>>(), at)
     };
     for storage in PostingsStorage::ALL {
         let cfg = StorageConfig { storage, page_budget_bytes: 1024, spill_dir: None };
@@ -697,21 +557,18 @@ fn storage_backends_stay_bit_identical_across_compaction_and_renorm() {
                 }
             }
             let t0 = round as f64 * 16.0;
-            let docs: Vec<Document> = (0..12)
+            let docs: Vec<_> = (0..12)
                 .map(|i| {
-                    let d = if i % 3 == 0 {
-                        mk(&[(1, 1.0), (2, 1.0)], next_doc, t0 + 0.1 * i as f64)
-                    } else {
-                        mk(&[(1, 0.2), (12, 2.0)], next_doc, t0 + 0.1 * i as f64)
-                    };
-                    next_doc += 1;
-                    d
+                    let terms: &[(u32, f32)] =
+                        if i % 3 == 0 { &[(1, 1.0), (2, 1.0)] } else { &[(1, 0.2), (12, 2.0)] };
+                    mk(terms, t0 + 0.1 * i as f64)
                 })
                 .collect();
-            for d in &docs {
-                single.process(d);
+            for (pairs, at) in &docs {
+                single.process(&Document::new(DocId(next_doc), pairs.clone(), *at));
+                next_doc += 1;
             }
-            sharded.process_batch(docs);
+            sharded.publish_batch(docs);
         }
         assert!(single.cumulative().renormalizations > 0, "stream must cross a renorm");
 

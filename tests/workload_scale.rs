@@ -96,7 +96,7 @@ fn sharded_monitor_matches_oracle_on_generated_workload() {
     let specs = specs(QueryWorkload::Uniform, 200, 11);
 
     let mut sharded = ShardedMonitor::new(4, || MrioSeg::new(lambda));
-    let mut oracle = Naive::new(lambda);
+    let mut oracle = Monitor::new(Naive::new(lambda));
     let qids: Vec<QueryId> = specs
         .iter()
         .map(|s| {
@@ -110,14 +110,17 @@ fn sharded_monitor_matches_oracle_on_generated_workload() {
     let mut total_changes = 0usize;
     let mut total_updates = 0u64;
     for doc in driver.take_batch(200) {
-        let (stats, changes) = sharded.process(doc.clone());
-        let oracle_ev = oracle.process(&doc);
-        assert_eq!(stats.updates, oracle_ev.updates, "same insertions per event");
+        // One-document publishes: both sides stamp the same id and arrival.
+        let request = PublishRequest::from(std::slice::from_ref(&doc));
+        let receipt = sharded.publish_request(request.clone());
+        let oracle_ev = oracle.publish_request(request).merged_stats();
+        assert_eq!(receipt.doc_ids, vec![doc.id]);
+        assert_eq!(receipt.merged_stats().updates, oracle_ev.updates, "same insertions per event");
         // Changes come back in the public id space, not shard-local ids.
-        for (_, change) in &changes {
+        for change in &receipt.changes {
             assert!(qids.contains(&change.query));
         }
-        total_changes += changes.len();
+        total_changes += receipt.changes.len();
         total_updates += oracle_ev.updates;
     }
     assert_eq!(total_changes as u64, total_updates);
