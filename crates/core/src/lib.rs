@@ -29,7 +29,6 @@ mod runtime;
 pub mod score;
 pub mod sharded;
 pub mod snapshot;
-pub mod snapshot_stream;
 pub mod stats;
 pub mod topk;
 pub mod traits;
@@ -48,7 +47,6 @@ pub use rio::Rio;
 pub use score::DecayModel;
 pub use sharded::ShardedMonitor;
 pub use snapshot::{ShardSnapshot, Snapshot, SnapshotPolicy, SnapshotQuery, SNAPSHOT_VERSION};
-pub use snapshot_stream::{SnapshotStreamStats, SnapshotWriter};
 pub use stats::{CumulativeStats, EventStats};
 pub use topk::{Offer, ResultSets, TopKState};
 pub use traits::{ContinuousTopK, ResultChange};

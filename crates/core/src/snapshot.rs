@@ -3,12 +3,15 @@
 //!
 //! Capture and restore themselves live in the front-end
 //! ([`MonitorBackend::snapshot`] / [`MonitorBackend::apply_snapshot`]); this
-//! module owns only the on-disk shape and its migration.
+//! module owns only the on-disk shape, its one text writer
+//! ([`Snapshot::write_json`]) and its migration.
 
 use crate::backend::MonitorBackend;
 use crate::lifecycle::EvictionPolicy;
 use ctk_common::{FxHashMap, Namespace, QueryId, QuerySpec, ScoredDoc, Timestamp};
-use serde::{Deserialize, Serialize};
+use serde::json::ObjectWriter;
+use serde::{Deserialize, Serialize, Value};
+use std::io;
 
 /// Current snapshot format version. Bump on any breaking field change and
 /// teach [`Snapshot::from_json`] to migrate the previous shape.
@@ -70,7 +73,9 @@ pub struct ShardSnapshot {
 ///
 /// [`Snapshot::from_json`] parses both and refuses everything else (the
 /// flat, untagged captures of earlier builds included);
-/// [`Snapshot::to_json`] always writes v3.
+/// [`Snapshot::write_json`] always writes v3, as compact text. Earlier
+/// builds wrote the same fields pretty-printed; whitespace aside it is the
+/// same document, so those captures still parse.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Snapshot {
     pub version: u32,
@@ -156,28 +161,106 @@ fn unsupported(version: u32) -> serde_json::Error {
 }
 
 impl Snapshot {
-    /// Serialize to JSON (always the current format version).
+    /// Serialize to JSON (always the current format version): what
+    /// [`Snapshot::write_json`] writes, collected into a `String`.
     pub fn to_json(&self) -> serde_json::Result<String> {
-        serde_json::to_string_pretty(self)
+        let mut out = Vec::new();
+        self.write_json(&mut out).map_err(|e| serde::Error::custom(e.to_string()))?;
+        Ok(String::from_utf8(out).expect("the JSON writer emits UTF-8"))
+    }
+
+    /// Write the capture to `out` as compact v3 JSON, byte-identical to
+    /// `serde_json::to_string(self)`: the envelope, then each section's
+    /// queries one at a time. Each query is rendered into one reused buffer
+    /// and handed to `out` in a single write, so the writer never holds more
+    /// than one query's text. Give it a buffered sink (`BufWriter`) when
+    /// `out` is a file or socket.
+    pub fn write_json(&self, mut out: impl io::Write) -> io::Result<()> {
+        let invalid = |e: serde::Error| io::Error::new(io::ErrorKind::InvalidData, e);
+        let mut buf = String::new();
+        // The envelope: every field but `shards`, which comes last.
+        let mut head = ObjectWriter::begin(&mut buf);
+        head.field("version", &self.version).map_err(invalid)?;
+        head.field("lambda", &self.lambda).map_err(invalid)?;
+        head.field("next_doc", &self.next_doc).map_err(invalid)?;
+        head.field("last_arrival", &self.last_arrival).map_err(invalid)?;
+        head.field("namespaces", &self.namespaces).map_err(invalid)?;
+        head.field("policies", &self.policies).map_err(invalid)?;
+        buf.push_str(",\"shards\":[");
+        for (i, section) in self.shards.iter().enumerate() {
+            buf.push_str(if i == 0 { "{\"landmark\":" } else { ",{\"landmark\":" });
+            section.landmark.write_json(&mut buf).map_err(invalid)?;
+            buf.push_str(",\"queries\":[");
+            for (j, query) in section.queries.iter().enumerate() {
+                if j > 0 {
+                    buf.push(',');
+                }
+                query.write_json(&mut buf).map_err(invalid)?;
+                out.write_all(buf.as_bytes())?;
+                buf.clear();
+            }
+            buf.push_str("]}");
+        }
+        buf.push_str("]}");
+        out.write_all(buf.as_bytes())
     }
 
     /// Deserialize from JSON, migrating a v2 capture to the current
     /// in-memory form (its queries land in the default namespace with no
-    /// deadlines). Any other shape or version is an error.
+    /// deadlines). Any other shape or version is an error, and so is a
+    /// non-finite number in any field.
     pub fn from_json(s: &str) -> serde_json::Result<Snapshot> {
-        match serde_json::from_str::<Snapshot>(s) {
-            Ok(snap) if snap.version == SNAPSHOT_VERSION => Ok(snap),
-            Ok(snap) => Err(unsupported(snap.version)),
-            Err(v3_err) => match serde_json::from_str::<SnapshotV2>(s) {
+        Snapshot::from_json_value(&serde_json::from_str(s)?)
+    }
+
+    /// [`Snapshot::from_json`] on text already parsed into a tree, such as
+    /// a member of a larger document.
+    pub fn from_json_value(tree: &Value) -> serde_json::Result<Snapshot> {
+        let snap = match Snapshot::from_value(tree) {
+            Ok(snap) if snap.version == SNAPSHOT_VERSION => snap,
+            Ok(snap) => return Err(unsupported(snap.version)),
+            Err(v3_err) => match SnapshotV2::from_value(tree) {
                 // The shim ignores unknown fields, so any versioned
                 // document reaches this arm; only a real v2 may migrate —
                 // anything else must fail as unsupported, not have its
                 // lifecycle fields silently dropped.
-                Ok(v2) if v2.version == 2 => Ok(v2.migrate()),
-                Ok(v2) => Err(unsupported(v2.version)),
-                Err(_) => Err(v3_err),
+                Ok(v2) if v2.version == 2 => v2.migrate(),
+                Ok(v2) => return Err(unsupported(v2.version)),
+                Err(_) => return Err(v3_err.into()),
             },
+        };
+        snap.check_finite()?;
+        Ok(snap)
+    }
+
+    /// Refuse any non-finite number, naming its field. JSON spells +∞ as
+    /// `1e999`, and such a value can neither be written back out nor
+    /// ordered safely.
+    fn check_finite(&self) -> Result<(), serde::Error> {
+        let finite = |field: &str, x: f64| match x.is_finite() {
+            true => Ok(()),
+            false => Err(serde::Error::custom(format!("snapshot field `{field}` is not finite"))),
+        };
+        finite("lambda", self.lambda)?;
+        finite("last_arrival", self.last_arrival)?;
+        for policy in &self.policies {
+            finite("policies.max_age", policy.max_age.unwrap_or(0.0))?;
         }
+        for section in &self.shards {
+            finite("landmark", section.landmark)?;
+            for q in &section.queries {
+                finite("registered_at", q.registered_at)?;
+                finite("max_age", q.max_age.unwrap_or(0.0))?;
+                finite("deadline", q.deadline.unwrap_or(0.0))?;
+                for (_, weight) in q.spec.vector.iter() {
+                    finite("spec.vector", f64::from(weight))?;
+                }
+                for r in &q.results {
+                    finite("results.score", r.score.get())?;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Total queries across all sections.
@@ -215,5 +298,100 @@ impl Snapshot {
         backend: &mut B,
     ) -> FxHashMap<QueryId, QueryId> {
         backend.apply_snapshot(self)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lifecycle::{QueryOptions, RetentionPolicy};
+    use crate::monitor::Monitor;
+    use crate::naive::Naive;
+    use crate::sharded::ShardedMonitor;
+    use ctk_common::TermId;
+
+    /// `write_json`, and `to_json` through it, against the derived compact
+    /// writer; the text also parses back to the same capture.
+    fn assert_byte_identical(snapshot: &Snapshot) {
+        let want = serde_json::to_string(snapshot).expect("derived writer");
+        let mut streamed = Vec::new();
+        snapshot.write_json(&mut streamed).expect("write_json");
+        assert_eq!(String::from_utf8(streamed).unwrap(), want);
+        assert_eq!(snapshot.to_json().unwrap(), want);
+        let reparsed = Snapshot::from_json(&want).expect("the written text parses");
+        assert_eq!(serde_json::to_string(&reparsed).unwrap(), want);
+    }
+
+    #[test]
+    fn empty_monitor_writes_byte_identical() {
+        let m = Monitor::new(Naive::new(0.001));
+        assert_byte_identical(&MonitorBackend::snapshot(&m));
+    }
+
+    #[test]
+    fn zero_sections_write_byte_identical() {
+        assert_byte_identical(&Snapshot {
+            version: SNAPSHOT_VERSION,
+            lambda: 0.5,
+            next_doc: 7,
+            last_arrival: 3.25,
+            namespaces: vec![String::new(), "tenant \"a\"\n".to_string()],
+            policies: Vec::new(),
+            shards: Vec::new(),
+        });
+    }
+
+    #[test]
+    fn populated_sections_write_byte_identical() {
+        // Several sections with lifecycle state, a policy, a namespace that
+        // needs escapes, a renormalized landmark and real float scores.
+        let mut m = ShardedMonitor::new(3, || Naive::new(0.5));
+        let ns = m.intern_namespace("tenant \"x\"\n\t");
+        m.set_retention(
+            ns,
+            RetentionPolicy {
+                max_age: Some(1e6),
+                max_queries: Some(64),
+                eviction: EvictionPolicy::LowestScore,
+            },
+        );
+        for i in 0..17u32 {
+            let spec = QuerySpec::uniform(&[TermId(i % 5), TermId(5 + i % 3)], 2).unwrap();
+            if i % 3 == 0 {
+                m.register_with(spec, QueryOptions { namespace: ns, max_age: Some(5e5) });
+            } else {
+                m.register(spec);
+            }
+        }
+        for q in [0u32, 3, 6, 9, 12, 15] {
+            m.unregister(QueryId(q));
+        }
+        for i in 0..40u64 {
+            // Arrivals up to 160 under λ = 0.5 cross the renorm headroom.
+            m.publish(vec![(TermId((i % 5) as u32), 1.0), (TermId(7), 0.3)], i as f64 * 4.0);
+        }
+        let mut snap = MonitorBackend::snapshot(&m);
+        assert!(snap.landmark() > 0.0, "the decay frame was renormalized");
+        assert!(!snap.policies.is_empty());
+        assert_byte_identical(&snap);
+        // An emptied section between populated ones.
+        snap.shards[1].queries.clear();
+        assert_byte_identical(&snap);
+    }
+
+    #[test]
+    fn single_engine_section_writes_byte_identical() {
+        let mut m = Monitor::new(Naive::new(0.001));
+        for i in 0..9u32 {
+            m.register(QuerySpec::uniform(&[TermId(i % 4)], 1).unwrap());
+        }
+        m.publish_batch(vec![
+            (vec![(TermId(1), 1.0)], 1.0),
+            (vec![(TermId(2), 0.25)], 2.0),
+            (vec![(TermId(3), 0.1)], 3.5),
+        ]);
+        let snap = MonitorBackend::snapshot(&m);
+        assert_eq!(snap.shards.len(), 1);
+        assert_byte_identical(&snap);
     }
 }

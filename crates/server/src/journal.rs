@@ -67,18 +67,20 @@
 //!
 //! # Checkpoints
 //!
-//! [`Journal::checkpoint`] writes the snapshot to `checkpoint.tmp`, fsyncs,
-//! renames it over `checkpoint.json`, then starts a fresh segment and
-//! deletes the now-redundant old ones. Recovery loads the checkpoint
-//! (rejecting snapshot versions newer than this build supports), then
-//! replays only records with `seq > last_seq`.
+//! [`Journal::checkpoint`] streams the envelope and the snapshot's compact
+//! text ([`Snapshot::write_json`], one query at a time) to
+//! `checkpoint.tmp`, fsyncs, renames it over `checkpoint.json`, then starts
+//! a fresh segment and deletes the now-redundant old ones. Recovery parses
+//! the checkpoint once and hands its `snapshot` member to
+//! [`Snapshot::from_json_value`] (rejecting snapshot versions newer than
+//! this build supports), then replays only records with `seq > last_seq`.
 
 use crate::wire::decode_publish;
 use ctk_common::Crc32;
 use ctk_core::{ReplayCommand, Snapshot};
-use serde::{Number, Serialize, Value};
+use serde::Value;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -341,10 +343,10 @@ fn invalid(msg: impl Into<String>) -> io::Error {
 
 /// Load and validate `checkpoint.json`: `(last_seq, snapshot)`.
 ///
-/// The embedded snapshot goes back through [`Snapshot::from_json`], so a
-/// checkpoint written by a newer build fails with the same clear
-/// "unsupported snapshot version" error the restore endpoint gives —
-/// never a panic or a garbled partial parse.
+/// The embedded snapshot member goes straight to
+/// [`Snapshot::from_json_value`], so a checkpoint written by a newer build
+/// fails with the same clear "unsupported snapshot version" error the
+/// restore endpoint gives — never a panic or a garbled partial parse.
 fn load_checkpoint(path: &Path) -> io::Result<(u64, Snapshot)> {
     let text = fs::read_to_string(path)?;
     let doc: Value = serde_json::from_str(&text)
@@ -364,9 +366,7 @@ fn load_checkpoint(path: &Path) -> io::Result<(u64, Snapshot)> {
     let snapshot_value = doc
         .get("snapshot")
         .ok_or_else(|| invalid(format!("journal checkpoint {} has no snapshot", path.display())))?;
-    let snapshot_json = serde_json::to_string(snapshot_value)
-        .map_err(|e| invalid(format!("journal checkpoint snapshot does not serialize: {e}")))?;
-    let snapshot = Snapshot::from_json(&snapshot_json)
+    let snapshot = Snapshot::from_json_value(snapshot_value)
         .map_err(|e| invalid(format!("journal checkpoint rejected: {e}")))?;
     Ok((last_seq, snapshot))
 }
@@ -616,19 +616,15 @@ impl Journal {
     pub fn checkpoint(&mut self, snapshot: &Snapshot) -> io::Result<u64> {
         self.check_poisoned()?;
         let covered = self.next_seq - 1;
-        let doc = Value::Object(vec![
-            ("format".to_string(), Value::Num(Number::U64(JOURNAL_FORMAT as u64))),
-            ("last_seq".to_string(), Value::Num(Number::U64(covered))),
-            ("snapshot".to_string(), snapshot.to_value()),
-        ]);
-        let text = serde_json::to_string(&doc)
-            .map_err(|e| invalid(format!("checkpoint snapshot does not serialize: {e}")))?;
         let tmp = self.dir.join(CHECKPOINT_TMP);
-        {
-            let mut file = File::create(&tmp)?;
-            file.write_all(text.as_bytes())?;
-            file.sync_all()?;
-        }
+        // Streamed, never held whole: the envelope, the snapshot's own
+        // compact text, the closing brace. `into_inner` flushes and hands
+        // back the file, which is synced and closed before the rename.
+        let mut file = BufWriter::new(File::create(&tmp)?);
+        write!(file, "{{\"format\":{JOURNAL_FORMAT},\"last_seq\":{covered},\"snapshot\":")?;
+        snapshot.write_json(&mut file)?;
+        file.write_all(b"}")?;
+        file.into_inner().map_err(io::IntoInnerError::into_error)?.sync_all()?;
         // The rename is the commit point: either the old checkpoint (plus
         // the still-present segments) or the new one is what recovery sees.
         fs::rename(&tmp, self.dir.join(CHECKPOINT_FILE))?;
@@ -1042,6 +1038,65 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// `checkpoint.json` is the document earlier builds printed from one
+    /// value tree, byte for byte, though no tree is built any more. A
+    /// checkpoint whose snapshot member is pretty-printed recovers the same
+    /// capture.
+    #[test]
+    fn checkpoint_bytes_match_the_tree_printed_document_and_pretty_text_recovers() {
+        use ctk_core::{EvictionPolicy, QueryOptions, RetentionPolicy};
+        use serde::{Number, Serialize};
+
+        let mut monitor = ctk_core::ShardedMonitor::new(2, || ctk_core::Naive::new(0.5));
+        let tenant = monitor.intern_namespace("tenant \"t\"\n");
+        monitor.set_retention(
+            tenant,
+            RetentionPolicy {
+                max_age: Some(1e3),
+                max_queries: Some(8),
+                eviction: EvictionPolicy::LowestScore,
+            },
+        );
+        for i in 0..6u32 {
+            let spec = ctk_common::QuerySpec::uniform(&[TermId(i % 3), TermId(3)], 2).unwrap();
+            let namespace = if i % 2 == 0 { tenant } else { ctk_common::Namespace::DEFAULT };
+            monitor.register_with(spec, QueryOptions { namespace, max_age: Some(5e2) });
+        }
+        for i in 0..50u32 {
+            monitor.publish(vec![(TermId(i % 4), 1.0), (TermId(3), 0.3)], f64::from(i) * 3.0);
+        }
+        let snapshot = monitor.snapshot();
+        assert!(snapshot.landmark() > 0.0 && snapshot.num_queries() == 6);
+
+        let dir = temp_dir("ckpt-bytes");
+        let cfg = JournalConfig::new(&dir).fsync(FsyncPolicy::Never);
+        let (mut journal, _) = Journal::open(cfg.clone()).unwrap();
+        journal.append(&publish(1, 1.0)).unwrap();
+        journal.append(&publish(2, 2.0)).unwrap();
+        assert_eq!(journal.checkpoint(&snapshot).unwrap(), 2);
+        drop(journal);
+        let tree = Value::Object(vec![
+            ("format".to_string(), Value::Num(Number::U64(JOURNAL_FORMAT.into()))),
+            ("last_seq".to_string(), Value::Num(Number::U64(2))),
+            ("snapshot".to_string(), snapshot.to_value()),
+        ]);
+        let want = serde_json::to_string(&tree).unwrap();
+        assert_eq!(fs::read_to_string(dir.join(CHECKPOINT_FILE)).unwrap(), want);
+
+        let captured = serde_json::to_string(&snapshot).unwrap();
+        let pretty = serde_json::to_string_pretty(&snapshot).unwrap();
+        fs::write(
+            dir.join(CHECKPOINT_FILE),
+            format!("{{\n  \"format\": 1,\n  \"last_seq\": 2,\n  \"snapshot\": {pretty}\n}}"),
+        )
+        .unwrap();
+        let (_journal, recovery) = Journal::open(cfg).unwrap();
+        assert_eq!(recovery.checkpoint_seq, 2);
+        let recovered = recovery.snapshot.expect("the pretty checkpoint recovers");
+        assert_eq!(serde_json::to_string(&recovered).unwrap(), captured);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn unsupported_checkpoint_versions_fail_with_clear_errors() {
         let dir = temp_dir("versions");
@@ -1056,8 +1111,8 @@ mod tests {
         // A checkpoint embedding a snapshot version newer than this build.
         let snapshot = ctk_core::Monitor::new(ctk_core::Naive::new(0.01)).snapshot();
         let future = snapshot.to_json().unwrap().replacen(
-            &format!("\"version\": {}", ctk_core::SNAPSHOT_VERSION),
-            "\"version\": 99",
+            &format!("\"version\":{}", ctk_core::SNAPSHOT_VERSION),
+            "\"version\":99",
             1,
         );
         fs::write(

@@ -54,7 +54,7 @@ use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TrySendError}
 use ctk_common::{Namespace, QueryId, ScoredDoc};
 use ctk_core::{
     Admission, NamespaceStats, PostingsStorage, PublishReceipt, PublishRequest, QueryOptions,
-    ReplayCommand, Replayer, RetentionPolicy, Snapshot, SnapshotWriter, StorageStats,
+    ReplayCommand, Replayer, RetentionPolicy, Snapshot, StorageStats,
 };
 use serde::{Number, Serialize, Value};
 use std::io::{self, BufReader, BufWriter, Write};
@@ -834,9 +834,9 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
 }
 
 /// `POST /snapshot?stream=1`: capture the snapshot and stream its JSON to
-/// the socket with [`SnapshotWriter`] — per-shard sections serialized
-/// concurrently, never materialized as one tree or string. Byte-identical
-/// to the buffered `POST /snapshot` body, so `POST /restore` (and
+/// the socket with [`Snapshot::write_json`], one query's text at a time,
+/// never materialized as one tree or string. Byte-identical to the
+/// buffered `POST /snapshot` body, so `POST /restore` (and
 /// `Snapshot::from_json`) accept it unchanged.
 fn stream_snapshot<W: Write>(w: &mut W, shared: &Shared) -> io::Result<()> {
     // This path bypasses `route`, so it repeats the warming gate.
@@ -848,7 +848,7 @@ fn stream_snapshot<W: Write>(w: &mut W, shared: &Shared) -> io::Result<()> {
         Some(Err(e)) => Response::error(500, e).write_to(w, false),
         Some(Ok(snapshot)) => {
             http::write_stream_head(w, 200)?;
-            SnapshotWriter::new().write(&snapshot, w)?;
+            snapshot.write_json(&mut *w)?;
             w.flush()
         }
     }
@@ -944,9 +944,9 @@ fn route(request: &Request, shared: &Shared) -> Response {
             }
         },
         ("GET", ["changes"]) => handle_changes(request, shared),
-        // `to_json` (pretty), not a compact `to_string`: the buffered body
-        // is byte-identical to `?stream=1`'s streamed one, so clients can
-        // treat the two interchangeably.
+        // `to_json` runs the `?stream=1` writer into a buffer, so the two
+        // bodies are byte-identical and clients can treat them
+        // interchangeably; only the framing differs.
         ("POST", ["snapshot"]) => match ask(shared, Command::Snapshot) {
             None => unavailable(),
             Some(Err(e)) => Response::error(500, e),
@@ -1306,8 +1306,8 @@ fn handle_restore(request: &Request, shared: &Shared) -> Response {
         Err(message) => return Response::error(400, message),
         Ok(body) => body,
     };
-    // `from_json`, not a plain parse: the wire accepts any snapshot version
-    // this build can migrate (v0–v2 captures restore into a v3 server).
+    // `from_json`, not a plain parse: it migrates a v2 capture and refuses
+    // what the ingest thread must never see (other versions, ±∞ numbers).
     let snapshot: Snapshot = match Snapshot::from_json(body) {
         Err(e) => return Response::error(400, format!("invalid snapshot: {e}")),
         Ok(snapshot) => snapshot,

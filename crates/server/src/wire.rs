@@ -88,14 +88,15 @@ pub fn parse_register(body: &Value) -> Result<RegisterRequest, String> {
     Ok(RegisterRequest { spec, namespace, max_age: parse_max_age(body)? })
 }
 
-/// An optional, strictly positive `"max_age"` field (stream-time units).
+/// An optional, strictly positive, finite `"max_age"` field (stream-time
+/// units). `1e999` parses as +∞, which no snapshot or response can spell.
 fn parse_max_age(body: &Value) -> Result<Option<f64>, String> {
     match body.get("max_age") {
         None => Ok(None),
         Some(v) => {
             let age = v.as_f64().map_err(|_| "\"max_age\" must be a number".to_string())?;
-            if age.is_nan() || age <= 0.0 {
-                return Err("\"max_age\" must be a positive number".to_string());
+            if !age.is_finite() || age <= 0.0 {
+                return Err("\"max_age\" must be a positive, finite number".to_string());
             }
             Ok(Some(age))
         }
@@ -419,6 +420,8 @@ mod tests {
         assert_eq!(req.max_age, Some(30.5));
         let err = parse_register(&value(r#"{"terms": [[1, 1.0]], "max_age": 0}"#)).unwrap_err();
         assert!(err.contains("max_age"), "{err}");
+        let err = parse_register(&value(r#"{"terms": [[1, 1.0]], "max_age": 1e999}"#)).unwrap_err();
+        assert!(err.contains("max_age"), "{err}");
         assert!(parse_register(&value(r#"{"terms": [[1, 1.0]], "namespace": 7}"#)).is_err());
     }
 
@@ -435,6 +438,11 @@ mod tests {
         assert_eq!(eviction_token(p.eviction), "lowest_score");
         assert!(parse_retention(&value(r#"{"eviction": "newest"}"#)).is_err());
         assert!(parse_retention(&value(r#"{"max_age": -1}"#)).is_err());
+        for infinite in ["1e999", "-1e999"] {
+            let err =
+                parse_retention(&value(&format!(r#"{{"max_age": {infinite}}}"#))).unwrap_err();
+            assert!(err.contains("max_age"), "{err}");
+        }
     }
 
     #[test]

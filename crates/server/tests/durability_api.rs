@@ -180,8 +180,8 @@ fn restore_rejects_snapshots_from_a_newer_build() {
     let mut client = HttpClient::connect(server.addr()).unwrap();
     let snapshot = ok(client.post("/snapshot", ""), 200);
     let future = snapshot.replacen(
-        &format!("\"version\": {}", ctk_core::SNAPSHOT_VERSION),
-        "\"version\": 99",
+        &format!("\"version\":{}", ctk_core::SNAPSHOT_VERSION),
+        "\"version\":99",
         1,
     );
     assert_ne!(snapshot, future, "fixture must actually bump the version");
@@ -203,8 +203,7 @@ fn bind_rejects_a_checkpoint_from_a_newer_build() {
     ok(client.post("/snapshot", ""), 200);
     server.shutdown();
 
-    // ...then pretend a newer build wrote it. (Checkpoints are compact
-    // JSON, unlike the pretty `/snapshot` body above.)
+    // ...then pretend a newer build wrote it.
     let path = dir.join("checkpoint.json");
     let checkpoint = fs::read_to_string(&path).unwrap();
     let future = checkpoint.replacen(

@@ -106,7 +106,7 @@ pub mod prelude {
         Monitor, MonitorBackend, Mrio, MrioBlock, MrioSeg, MrioSuffix, Naive, NamespaceStats,
         PostingsStorage, PublishReceipt, PublishRequest, QueryOptions, ResultChange,
         RetentionPolicy, Rio, ShardSnapshot, ShardedMonitor, Snapshot, SnapshotQuery,
-        SnapshotStreamStats, SnapshotWriter, StorageConfig, StorageStats, SNAPSHOT_VERSION,
+        StorageConfig, StorageStats, SNAPSHOT_VERSION,
     };
     pub use ctk_stream::{
         ArrivalClock, CorpusConfig, CorpusModel, DocumentGenerator, QueryGenerator, QueryWorkload,

@@ -489,6 +489,9 @@ fn streamed_snapshot_is_byte_identical_to_buffered_and_restores_bit_identically(
     streamer.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     let streamed = ok(streamer.post("/snapshot?stream=1", ""), 200);
     assert_eq!(streamed, buffered, "streamed and buffered snapshots must be byte-identical");
+    // Both are the derived compact serialization of the capture they carry.
+    let capture = continuous_topk::prelude::Snapshot::from_json(&buffered).unwrap();
+    assert_eq!(serde_json::to_string(&capture).unwrap(), buffered);
     server.shutdown();
 
     // The streamed bytes restore onto a different shard count with
@@ -575,4 +578,77 @@ fn bind_refuses_unusable_knobs_with_invalid_input_naming_them() {
     // The boundary values still start.
     let server = mrio().shards(1).queue_depth(1).max_poll_events(1).lambda(0.0);
     server.bind("127.0.0.1:0").expect("minimal knobs bind").shutdown();
+}
+
+/// A server with a journal in a fresh temporary directory (fsync off: the
+/// tests need the journal's checks, not its durability).
+fn start_journaled(tag: &str) -> (CtkServer, HttpClient, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("ctk-api-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = ServerBuilder::new(EngineKind::Mrio)
+        .lambda(1e-3)
+        .journal_dir(&dir)
+        .fsync(ctk_server::FsyncPolicy::Never)
+        .bind("127.0.0.1:0")
+        .expect("bind ephemeral loopback port");
+    let mut client = HttpClient::connect(server.addr()).expect("connect");
+    client.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    (server, client, dir)
+}
+
+/// `"max_age": 1e999` parses as +∞, which no response, snapshot or journal
+/// record can spell. Registration and retention refuse it with 400 naming
+/// the field, with and without a journal; the namespace's policy stays as
+/// it was and readable, and snapshots keep working.
+#[test]
+fn infinite_max_age_is_refused_with_400_with_and_without_a_journal() {
+    let (plain, plain_client) = start(EngineKind::Mrio, 1);
+    let (journaled, journaled_client, dir) = start_journaled("infinite-max-age");
+    for (server, mut client) in [(plain, plain_client), (journaled, journaled_client)] {
+        ok(client.put("/namespaces/t/retention", r#"{"max_age": 60}"#), 200);
+        let before = ok(client.get("/namespaces/t/retention"), 200);
+        for infinite in ["1e999", "-1e999"] {
+            let body =
+                format!(r#"{{"terms": [[1, 1.0]], "namespace": "t", "max_age": {infinite}}}"#);
+            let refused = ok(client.post("/queries", &body), 400);
+            assert!(refused.contains("max_age"), "{refused}");
+            let body = format!(r#"{{"max_age": {infinite}}}"#);
+            let refused = ok(client.put("/namespaces/t/retention", &body), 400);
+            assert!(refused.contains("max_age"), "{refused}");
+        }
+        assert_eq!(ok(client.get("/namespaces/t/retention"), 200), before);
+        ok(client.post("/snapshot", ""), 200);
+        server.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A capture edited to carry non-finite numbers is refused with 400 before
+/// the ingest thread sees it: the live monitor is untouched and the next
+/// snapshot still serializes.
+#[test]
+fn restore_refuses_non_finite_numbers_and_keeps_the_live_monitor() {
+    let (server, mut client, dir) = start_journaled("non-finite-restore");
+    ok(client.post("/queries", r#"{"terms": [[1, 1.0]], "k": 2, "max_age": 50}"#), 200);
+    ok(client.post("/queries", r#"{"terms": [[2, 1.0]], "k": 2}"#), 200);
+    ok(client.post("/publish", BATCH), 200);
+    let raw = ok(client.post("/snapshot", ""), 200);
+    // Compact, whatever the writer's whitespace, so the edits below apply.
+    let capture = serde_json::to_string(&parse(&raw)).unwrap();
+    assert!(capture.contains(r#""max_age":50.0,"deadline":50.0"#), "{capture}");
+    let stats_before = ok(client.get("/stats"), 200);
+
+    for (field, edited) in [
+        ("max_age", capture.replace(r#""max_age":50.0"#, r#""max_age":1e999"#)),
+        ("deadline", capture.replace(r#""deadline":50.0"#, r#""deadline":1e999"#)),
+        ("lambda", capture.replace(r#""lambda":0.001"#, r#""lambda":-1e999"#)),
+    ] {
+        assert_ne!(edited, capture, "{field}: the edit applied");
+        let refused = ok(client.post("/restore", &edited), 400);
+        assert!(refused.contains(field), "{field}: {refused}");
+    }
+    assert_eq!(ok(client.get("/stats"), 200), stats_before);
+    assert_eq!(ok(client.post("/snapshot", ""), 200), raw);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

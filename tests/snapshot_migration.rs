@@ -5,7 +5,10 @@
 //! flat, untagged captures of earlier builds (v1 with a top-level
 //! `landmark`, v0 without) are refused with an error. A v3 capture written
 //! by a document-sharded monitor (a sharding mode since removed) restores
-//! onto today's runtimes.
+//! onto today's runtimes, and so does a v3 capture in the pretty-printed
+//! text earlier builds wrote (today's writer is compact). Captures holding
+//! non-finite numbers are refused, and no byte-level damage to a capture
+//! makes the parser panic.
 
 use continuous_topk::prelude::*;
 
@@ -18,6 +21,12 @@ const V2_FIXTURE: &str = include_str!("fixtures/snapshot_v2.json");
 /// a `tenant` namespace with a retention policy and per-query TTLs, and two
 /// unregistered ids.
 const DOC_MODE_FIXTURE: &str = include_str!("fixtures/snapshot_doc_mode.json");
+
+/// Written pretty-printed by the last build whose writer indented: a
+/// 2-shard MRIO monitor at λ = 0.5 with a renormalized landmark, a `tenant`
+/// namespace with a retention policy, per-query TTLs and one unregistered
+/// id.
+const PRETTY_V3_FIXTURE: &str = include_str!("fixtures/snapshot_v3_pretty.json");
 
 /// The document `i` of the stream that continued past the doc-mode capture.
 fn continuation_doc(i: u64) -> Vec<(TermId, f32)> {
@@ -117,7 +126,7 @@ fn retired_flat_formats_are_refused_with_an_error() {
 fn v2_fixture_restores_bit_identically_to_v3() {
     let migrated = Snapshot::from_json(V2_FIXTURE).expect("v2 parses");
     let v3_text = migrated.to_json().expect("serializes as v3");
-    assert!(v3_text.contains("\"version\": 3"), "re-serialization is tagged v3");
+    assert!(v3_text.contains("\"version\":3"), "re-serialization is tagged v3");
     let reparsed = Snapshot::from_json(&v3_text).expect("v3 parses");
 
     assert_eq!(reparsed.lambda, migrated.lambda);
@@ -195,7 +204,8 @@ fn doc_mode_capture_restores_onto_single_and_query_sharded_monitors() {
 #[test]
 fn future_versions_are_rejected_not_misparsed() {
     let v3 = Snapshot::from_json(V2_FIXTURE).unwrap().to_json().unwrap();
-    let v4 = v3.replace("\"version\": 3", "\"version\": 4");
+    let v4 = v3.replace("\"version\":3", "\"version\":4");
+    assert_ne!(v4, v3, "the version tag was rewritten");
     let err = Snapshot::from_json(&v4).expect_err("a future format must not silently parse");
     assert!(err.to_string().contains("version"), "unhelpful error: {err}");
 }
@@ -204,4 +214,113 @@ fn future_versions_are_rejected_not_misparsed() {
 fn garbage_is_an_error_not_a_panic() {
     assert!(Snapshot::from_json("{\"hello\": 1}").is_err());
     assert!(Snapshot::from_json("not json").is_err());
+}
+
+/// Whitespace is all that separates the pretty capture from today's compact
+/// text: it parses, writes back as the compact form of the same document,
+/// and restores every captured result bit-identically on one and on three
+/// shards — continuing exactly like a restore of the compact text.
+#[test]
+fn pretty_v3_capture_from_an_earlier_build_restores_bit_identically() {
+    assert!(PRETTY_V3_FIXTURE.contains("\n  \"version\": 3,"), "the fixture is pretty");
+    let snap = Snapshot::from_json(PRETTY_V3_FIXTURE).expect("pretty v3 parses");
+    assert_eq!((snap.shards.len(), snap.num_queries(), snap.landmark()), (2, 9, 124.0));
+    assert_eq!(snap.policies.len(), 1);
+    let compact = snap.to_json().unwrap();
+    let tree: serde::Value = serde_json::from_str(PRETTY_V3_FIXTURE).unwrap();
+    assert_eq!(compact, serde_json::to_string(&tree).unwrap(), "same document, compact");
+    let reparsed = Snapshot::from_json(&compact).unwrap();
+
+    for shards in [1, 3] {
+        let (mut pretty, pretty_ids) =
+            MonitorBuilder::new(EngineKind::Mrio).shards(shards).restore(&snap);
+        let (mut again, again_ids) =
+            MonitorBuilder::new(EngineKind::Mrio).shards(shards).restore(&reparsed);
+        for q in snap.queries() {
+            let id = QueryId(q.qid);
+            assert_eq!(pretty.results(pretty_ids[&id]).as_ref(), Some(&q.results), "query {id}");
+            assert_eq!(again.results(again_ids[&id]).as_ref(), Some(&q.results), "query {id}");
+        }
+        for i in 40..60u64 {
+            let batch = vec![(continuation_doc(i), i as f64 * 4.0)];
+            let want = pretty.publish_batch(batch.clone());
+            let got = again.publish_batch(batch);
+            assert_eq!(got.changes, want.changes, "{shards} shard(s), doc {i}");
+        }
+    }
+}
+
+/// JSON spells +∞ as `1e999`; a capture carrying it (or −∞) in any float
+/// field is refused with an error naming the field, never restored.
+#[test]
+fn non_finite_numbers_are_refused_naming_the_field() {
+    let compact = Snapshot::from_json(PRETTY_V3_FIXTURE).unwrap().to_json().unwrap();
+    for (field, from, to) in [
+        ("lambda", "\"lambda\":0.5", "\"lambda\":1e999"),
+        ("last_arrival", "\"last_arrival\":156.0", "\"last_arrival\":1e999"),
+        ("policies.max_age", "\"max_age\":300.0", "\"max_age\":1e999"),
+        ("landmark", "\"landmark\":124.0", "\"landmark\":-1e999"),
+        ("registered_at", "\"registered_at\":0.0", "\"registered_at\":1e999"),
+        ("max_age", "\"max_age\":null", "\"max_age\":1e999"),
+        ("deadline", "\"deadline\":null", "\"deadline\":1e999"),
+        ("spec.vector", "0.7071067690849304", "1e999"),
+        ("results.score", "\"score\":", "\"score\":1e999,\"x\":"),
+    ] {
+        let edited = compact.replacen(from, to, 1);
+        assert_ne!(edited, compact, "{field}: the edit applied");
+        let err = Snapshot::from_json(&edited).expect_err("a non-finite capture must not parse");
+        assert!(err.to_string().contains(&format!("`{field}`")), "{field}: {err}");
+    }
+}
+
+/// Seeded byte flips, truncations and splices over a real capture's text:
+/// `from_json` answers `Ok` or `Err`, never panics. The seed is
+/// `PROPTEST_SEED` when set, so CI can rotate it.
+#[test]
+fn arbitrary_bytes_never_panic_the_snapshot_parser() {
+    let seed = std::env::var("PROPTEST_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(20260729);
+    let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ seed;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let sources = [
+        PRETTY_V3_FIXTURE.as_bytes().to_vec(),
+        Snapshot::from_json(PRETTY_V3_FIXTURE).unwrap().to_json().unwrap().into_bytes(),
+        V2_FIXTURE.as_bytes().to_vec(),
+    ];
+    const BYTES: &[u8] = b"{}[]\",:\\ \n-+.eE0123456789nul\x00\x7f\xc3\xa9\xff";
+    let (mut parsed, mut refused) = (0u32, 0u32);
+    for _ in 0..20_000 {
+        let source = &sources[next() as usize % sources.len()];
+        let mut bytes = source.clone();
+        for _ in 0..1 + next() % 4 {
+            let at = next() as usize % (bytes.len() + 1);
+            match next() % 4 {
+                // Flip one byte to a JSON-significant (or invalid) one.
+                0 if at < bytes.len() => bytes[at] = BYTES[next() as usize % BYTES.len()],
+                // Truncate.
+                1 => bytes.truncate(at),
+                // Splice in a run from anywhere in any capture.
+                2 => {
+                    let from = &sources[next() as usize % sources.len()];
+                    let start = next() as usize % from.len();
+                    let end = (start + next() as usize % 64).min(from.len());
+                    bytes.splice(at..at, from[start..end].iter().copied());
+                }
+                // Delete a run.
+                _ => {
+                    let end = (at + next() as usize % 32).min(bytes.len());
+                    bytes.drain(at..end);
+                }
+            }
+        }
+        match Snapshot::from_json(&String::from_utf8_lossy(&bytes)) {
+            Ok(_) => parsed += 1,
+            Err(_) => refused += 1,
+        }
+    }
+    assert!(refused > 10_000, "most damaged captures are refused ({parsed} parsed)");
 }

@@ -1,15 +1,35 @@
 //! Streaming-snapshot scale check: a six-figure query population streams
-//! through [`SnapshotWriter`] with bounded buffering.
+//! through [`Snapshot::write_json`] one query at a time.
 //!
-//! The writer's claim is that peak resident memory scales with the chunk
-//! size × worker count, not with the capture — `POST /snapshot?stream=1`
-//! exists so an operator can capture a large monitor without the daemon
-//! materializing the whole JSON tree. This test pins that bound at a size
-//! where it matters: 100k queries across four shards, streamed into a
-//! counting sink, with the writer's own high-water accounting asserted to
-//! stay a small fraction of the bytes that went over the wire.
+//! The writer's claim is that it never holds more than one query's text:
+//! `POST /snapshot?stream=1` and the journal checkpoint exist so a large
+//! monitor is captured without the daemon materializing the whole document.
+//! This test pins that at a size where it matters: 100k queries across four
+//! shards, streamed into a sink that records every write, with the largest
+//! single write asserted to stay a few KiB while tens of MB go through —
+//! and the bytes equal to the derived compact writer's.
 
 use continuous_topk::prelude::*;
+use std::io;
+
+/// Keeps what it is given and the size of the largest single write.
+#[derive(Default)]
+struct RecordingSink {
+    bytes: Vec<u8>,
+    largest_write: usize,
+}
+
+impl io::Write for RecordingSink {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.largest_write = self.largest_write.max(buf.len());
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
 
 #[test]
 fn hundred_k_query_snapshot_streams_with_bounded_buffering() {
@@ -25,25 +45,25 @@ fn hundred_k_query_snapshot_streams_with_bounded_buffering() {
     );
 
     let snapshot = MonitorBackend::snapshot(&monitor);
-    let stats = SnapshotWriter::new()
-        .chunk_queries(64)
-        .write(&snapshot, &mut std::io::sink())
-        .expect("streaming serialization");
+    assert_eq!(snapshot.shards.len(), 4, "one section per shard");
+    let mut sink = RecordingSink::default();
+    snapshot.write_json(&mut sink).expect("streaming serialization");
 
-    assert_eq!(stats.sections, 4, "one section per shard");
-    assert!(stats.query_jobs >= 100_000 / 64, "the population was actually chunked");
     assert!(
-        stats.total_bytes > 10 * 1024 * 1024,
-        "a 100k-query capture is tens of MB ({} bytes)",
-        stats.total_bytes
+        sink.bytes == serde_json::to_string(&snapshot).unwrap().into_bytes(),
+        "the stream must equal the derived compact writer's text"
     );
-    // The bound under test: the reorder buffer's high-water mark stays a
-    // small multiple of one chunk's serialization — far below the
-    // materialized tree (`total_bytes`) an eager `to_json` would hold.
     assert!(
-        stats.peak_buffered_bytes < stats.total_bytes / 8,
-        "peak buffered {} bytes vs {} total — streaming degenerated into materializing",
-        stats.peak_buffered_bytes,
-        stats.total_bytes
+        sink.bytes.len() > 10 * 1024 * 1024,
+        "a 100k-query capture is tens of MB ({} bytes)",
+        sink.bytes.len()
+    );
+    // The bound under test: no write carries more than a query's text (plus
+    // the envelope or a section header), far below the whole document.
+    assert!(
+        sink.largest_write <= 4096,
+        "largest write {} bytes of {} — streaming degenerated into materializing",
+        sink.largest_write,
+        sink.bytes.len()
     );
 }
