@@ -12,6 +12,7 @@
 //! the lifecycle layer back-compatible — a monitor that never names a
 //! namespace behaves exactly as before.
 
+use crate::FxHashMap;
 use serde::{Deserialize, Serialize};
 
 /// Interned namespace handle. `Namespace::DEFAULT` (handle 0, the empty
@@ -46,15 +47,21 @@ impl std::fmt::Display for Namespace {
 #[derive(Debug, Clone)]
 pub struct NamespaceRegistry {
     names: Vec<String>,
+    handles: FxHashMap<String, Namespace>,
 }
 
 impl Default for NamespaceRegistry {
     fn default() -> Self {
-        NamespaceRegistry { names: vec![String::new()] }
+        let mut handles = FxHashMap::default();
+        handles.insert(String::new(), Namespace::DEFAULT);
+        NamespaceRegistry { names: vec![String::new()], handles }
     }
 }
 
 impl NamespaceRegistry {
+    /// How many distinct namespaces fit, the default one included.
+    pub const CAPACITY: usize = 1 << 16;
+
     pub fn new() -> Self {
         Self::default()
     }
@@ -63,21 +70,22 @@ impl NamespaceRegistry {
     /// always interns to [`Namespace::DEFAULT`].
     ///
     /// # Panics
-    /// After 65 536 distinct namespaces — the handle space is a `u16` by
-    /// design (two bytes per query), and tenant counts beyond that belong in
-    /// separate monitors.
+    /// On a new name once [`CAPACITY`](Self::CAPACITY) names are interned —
+    /// the handle space is a `u16` by design (two bytes per query), and
+    /// tenant counts beyond that belong in separate monitors.
     pub fn intern(&mut self, name: &str) -> Namespace {
         if let Some(ns) = self.find(name) {
             return ns;
         }
         let handle = u16::try_from(self.names.len()).expect("namespace registry full (u16 space)");
         self.names.push(name.to_string());
+        self.handles.insert(name.to_string(), Namespace(handle));
         Namespace(handle)
     }
 
     /// Look up a name without interning it.
     pub fn find(&self, name: &str) -> Option<Namespace> {
-        self.names.iter().position(|n| n == name).map(|i| Namespace(i as u16))
+        self.handles.get(name).copied()
     }
 
     /// The name behind a handle. `None` for handles this registry never
@@ -128,6 +136,17 @@ mod tests {
         assert_eq!(reg.name(b), Some("feeds"));
         assert_eq!(reg.name(Namespace(9)), None);
         assert_eq!(reg.names(), &["".to_string(), "alerts".to_string(), "feeds".to_string()]);
+    }
+
+    #[test]
+    fn a_full_registry_still_interns_known_names() {
+        let mut reg = NamespaceRegistry::new();
+        for i in 1..NamespaceRegistry::CAPACITY {
+            reg.intern(&format!("t{i}"));
+        }
+        assert_eq!(reg.len(), NamespaceRegistry::CAPACITY);
+        assert_eq!(reg.intern("t65535"), Namespace(u16::MAX));
+        assert_eq!(reg.intern(""), Namespace::DEFAULT);
     }
 
     #[test]

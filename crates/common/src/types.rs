@@ -189,10 +189,12 @@ impl QuerySpec {
             return Err(QuerySpecError::ZeroK);
         }
         let mut vector = SparseVector::from_pairs(pairs);
+        // After normalizing: a weight sum that overflows f32 normalizes to
+        // NaN, which `normalize` drops.
+        vector.normalize();
         if vector.is_empty() {
             return Err(QuerySpecError::EmptyVector);
         }
-        vector.normalize();
         Ok(QuerySpec { vector, k })
     }
 
@@ -308,6 +310,13 @@ mod tests {
             QuerySpec::new(vec![(TermId(1), -1.0)], 3),
             Err(QuerySpecError::EmptyVector),
             "all-nonpositive weights leave an empty vector"
+        );
+        // The duplicates merge into a sum that overflows f32 to +inf, which
+        // normalizes to NaN and is dropped: nothing is left to match.
+        assert_eq!(
+            QuerySpec::new(vec![(TermId(1), 3e38), (TermId(1), 3e38)], 3),
+            Err(QuerySpecError::EmptyVector),
+            "a vector that normalizes to empty is refused"
         );
         let q = QuerySpec::uniform(&[TermId(1), TermId(2)], 5).unwrap();
         assert_eq!(q.k, 5);

@@ -142,15 +142,14 @@ impl FromIterator<(Vec<(TermId, f32)>, Timestamp)> for PublishRequest {
 /// The typed admission outcome of a publish: what the ingest path did with
 /// the request *before* (or instead of) processing it.
 ///
-/// Embedded backends ([`crate::Monitor`], [`crate::ShardedMonitor`]) are
-/// synchronous — the publish runs on the caller's thread — so their
-/// [`MonitorBackend::try_publish`] always reports
-/// [`Admission::Accepted`]. The variants beyond `Accepted` exist for
-/// queueing front doors: the `ctk-server` ingest thread reports
-/// [`Admission::Enqueued`] with the observed queue depth, and — under its
-/// reject admission policy — [`Admission::Overloaded`] with a retry hint
-/// when the bounded ingest queue is full, which the HTTP layer maps to
-/// `429 Too Many Requests` + `Retry-After`.
+/// Embedded backends run a publish on the caller's thread, which is
+/// [`Admission::Accepted`]. The other variants exist for queueing front
+/// doors: the `ctk-server` daemon reports [`Admission::Enqueued`] with the
+/// observed queue depth, and — under its reject admission policy —
+/// [`Admission::Overloaded`] with a retry hint when the bounded ingest
+/// queue is full, which the HTTP layer maps to `429 Too Many Requests` +
+/// `Retry-After`. An overloaded publish has no effects at all and may be
+/// retried verbatim after the suggested backoff.
 ///
 /// Wire shape (serde): `{"state": "accepted"}`,
 /// `{"state": "enqueued", "depth": N}`, or
@@ -170,13 +169,6 @@ pub enum Admission {
         /// Suggested wait before retrying, in seconds.
         retry_after: f64,
     },
-}
-
-impl Admission {
-    /// True when the publish was actually processed (accepted or enqueued).
-    pub fn is_admitted(&self) -> bool {
-        !matches!(self, Admission::Overloaded { .. })
-    }
 }
 
 impl Serialize for Admission {
@@ -360,6 +352,10 @@ pub trait MonitorBackend {
     /// registered.
     fn register_with(&mut self, spec: QuerySpec, opts: QueryOptions) -> QueryId;
 
+    /// The id the next registration will be assigned. Ids are never
+    /// reused, so a caller can name a query before registering it.
+    fn next_query_id(&self) -> QueryId;
+
     /// Remove a query. Returns false when the id is unknown or removed.
     fn unregister(&mut self, qid: QueryId) -> bool;
 
@@ -371,6 +367,10 @@ pub trait MonitorBackend {
 
     /// Look up an interned namespace without creating it.
     fn find_namespace(&self, name: &str) -> Option<Namespace>;
+
+    /// True once all [`ctk_common::NamespaceRegistry::CAPACITY`] handles
+    /// are taken: interning a name not yet known would panic.
+    fn namespaces_full(&self) -> bool;
 
     /// Install (or replace) a namespace's retention policy. Deadlines of
     /// existing members are recomputed (a per-query `max_age` still wins),
@@ -400,23 +400,6 @@ pub trait MonitorBackend {
     /// [`MonitorBackend::publish`] and [`MonitorBackend::publish_batch`]
     /// are thin wrappers over it.
     fn publish_request(&mut self, request: PublishRequest) -> PublishReceipt;
-
-    /// Publish with a typed admission outcome instead of silent blocking.
-    ///
-    /// Returns what the ingest path did with the request
-    /// ([`Admission`]) and — whenever the request was admitted — the
-    /// receipt. The receipt is `None` **iff** the admission is
-    /// [`Admission::Overloaded`]: an overloaded publish has no effects at
-    /// all (no ids allocated, no documents scored) and may be retried
-    /// verbatim after the suggested backoff.
-    ///
-    /// Embedded backends process the request on the caller's thread, so
-    /// this default implementation always admits; queueing front ends (the
-    /// `ctk-server` ingest thread) override the *semantics* by reporting
-    /// their bounded-queue occupancy through the same type on the wire.
-    fn try_publish(&mut self, request: PublishRequest) -> (Admission, Option<PublishReceipt>) {
-        (Admission::Accepted, Some(self.publish_request(request)))
-    }
 
     /// Publish one document to the stream. Wrapper over
     /// [`MonitorBackend::publish_request`].

@@ -23,7 +23,8 @@ use crate::lifecycle::{
 use crate::runtime::Runtime;
 use crate::snapshot::{ShardSnapshot, Snapshot, SnapshotPolicy, SnapshotQuery, SNAPSHOT_VERSION};
 use ctk_common::{
-    DocId, Document, FxHashMap, Namespace, QueryId, QuerySpec, ScoredDoc, TermId, Timestamp,
+    DocId, Document, FxHashMap, Namespace, NamespaceRegistry, QueryId, QuerySpec, ScoredDoc,
+    TermId, Timestamp,
 };
 use ctk_index::StorageStats;
 
@@ -133,13 +134,17 @@ impl<R: Runtime> FrontEnd<R> {
 impl<R: Runtime> MonitorBackend for FrontEnd<R> {
     fn register_with(&mut self, spec: QuerySpec, opts: QueryOptions) -> QueryId {
         self.check_namespace(opts.namespace);
-        let qid = QueryId(self.specs.len() as u32);
+        let qid = self.next_query_id();
         self.runtime.place(qid, &spec);
         self.specs.push(Some(spec));
         self.live += 1;
         self.lifecycle.on_register(qid, opts, self.last_arrival);
         self.enforce_cap(opts.namespace, Some(qid));
         qid
+    }
+
+    fn next_query_id(&self) -> QueryId {
+        QueryId(self.specs.len() as u32)
     }
 
     fn unregister(&mut self, qid: QueryId) -> bool {
@@ -159,6 +164,10 @@ impl<R: Runtime> MonitorBackend for FrontEnd<R> {
 
     fn find_namespace(&self, name: &str) -> Option<Namespace> {
         self.lifecycle.find(name)
+    }
+
+    fn namespaces_full(&self) -> bool {
+        self.lifecycle.names().len() >= NamespaceRegistry::CAPACITY
     }
 
     fn set_retention(&mut self, ns: Namespace, policy: RetentionPolicy) {

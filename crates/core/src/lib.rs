@@ -42,7 +42,7 @@ pub use lifecycle::{
 pub use monitor::Monitor;
 pub use mrio::{Mrio, MrioBlock, MrioSeg, MrioSuffix};
 pub use naive::Naive;
-pub use replay::{ReplayCommand, Replayer};
+pub use replay::ReplayCommand;
 pub use rio::Rio;
 pub use score::DecayModel;
 pub use sharded::ShardedMonitor;

@@ -1,35 +1,11 @@
-//! The replay seam behind the server's write-ahead journal: a serializable
-//! representation of every state-mutating command, plus the [`Replayer`]
-//! that re-applies a recovered sequence onto a fresh (or snapshot-restored)
-//! backend.
-//!
-//! # Why replay reproduces the crashed state bit-identically
-//!
-//! Every mutating operation is linearized through the server's single
-//! ingest thread, so the journal records a total order. The backend itself
-//! is deterministic given that order: document ids come from a restored
-//! `next_doc` counter, decay scores from the restored landmark, and
-//! expiry/eviction fire at publish boundaries as pure functions of stream
-//! time. Re-applying the journaled suffix on top of the checkpoint
-//! snapshot therefore lands on the same ids, the same scores and the same
-//! result sets the live process had when it died — the property the
-//! SIGKILL crash test asserts end-to-end.
-//!
-//! # Id remapping
-//!
-//! Snapshot restore re-registers queries and may renumber them;
-//! [`crate::Snapshot::restore_into`] returns the captured-id → live-id
-//! mapping. Journaled commands speak the *pre-crash* id space, so the
-//! [`Replayer`] carries that mapping forward: a replayed
-//! [`ReplayCommand::Register`] extends it with the id the dead process
-//! assigned, and a replayed [`ReplayCommand::Unregister`] translates
-//! through it. An unregister whose id never maps (e.g. the query expired
-//! before the checkpoint) is skipped — removal of an absent query is a
-//! no-op either way.
+//! The record type behind the server's write-ahead journal: a serializable
+//! representation of every state-mutating command. The daemon applies each
+//! one live, appends it before acking, and replays recovered ones through
+//! the same path (see `ctk_server::node`).
 
-use crate::backend::{MonitorBackend, PublishRequest};
-use crate::lifecycle::{QueryOptions, RetentionPolicy};
-use ctk_common::{FxHashMap, Namespace, QueryId, QuerySpec, TermId, Timestamp};
+use crate::backend::PublishRequest;
+use crate::lifecycle::RetentionPolicy;
+use ctk_common::{QueryId, QuerySpec, TermId, Timestamp};
 use serde::json::ObjectWriter;
 use serde::{Deserialize, Error, Number, Serialize, Value};
 
@@ -56,8 +32,8 @@ pub enum ReplayCommand {
         /// `(pairs, arrival)` per document, the [`PublishRequest`] shape.
         docs: Vec<(Vec<(TermId, f32)>, Timestamp)>,
     },
-    /// One query registration, journaled *after* the backend assigned its
-    /// id so replay can rebuild the pre-crash id space.
+    /// One query registration, journaled with the id the backend is about
+    /// to assign so replay can rebuild the pre-crash id space.
     Register {
         /// The public id the original process assigned.
         assigned: QueryId,
@@ -192,82 +168,10 @@ impl Deserialize for ReplayCommand {
     }
 }
 
-/// Re-applies a recovered command sequence onto a backend, translating
-/// journaled query ids through the snapshot-restore mapping (see the module
-/// docs for why the mapping exists and how replay extends it).
-#[derive(Debug, Default)]
-pub struct Replayer {
-    mapping: FxHashMap<QueryId, QueryId>,
-    applied: u64,
-}
-
-impl Replayer {
-    /// A replayer for a fresh backend (no checkpoint): journaled ids map to
-    /// themselves as registers are replayed in order.
-    pub fn new() -> Replayer {
-        Replayer::default()
-    }
-
-    /// A replayer seeded with the captured-id → live-id mapping a snapshot
-    /// restore returned.
-    pub fn with_mapping(mapping: FxHashMap<QueryId, QueryId>) -> Replayer {
-        Replayer { mapping, applied: 0 }
-    }
-
-    /// Commands applied so far.
-    pub fn applied(&self) -> u64 {
-        self.applied
-    }
-
-    /// The journaled-id → live-id view after everything applied so far.
-    pub fn mapping(&self) -> &FxHashMap<QueryId, QueryId> {
-        &self.mapping
-    }
-
-    /// Apply one recovered command.
-    pub fn apply<B: MonitorBackend + ?Sized>(&mut self, backend: &mut B, command: ReplayCommand) {
-        self.applied += 1;
-        match command {
-            ReplayCommand::Publish { docs } => {
-                let _ = backend.publish_request(PublishRequest::from(docs));
-            }
-            ReplayCommand::Register { assigned, spec, namespace, max_age } => {
-                let ns = if namespace.is_empty() {
-                    Namespace::DEFAULT
-                } else {
-                    backend.intern_namespace(&namespace)
-                };
-                let live = backend.register_with(spec, QueryOptions { namespace: ns, max_age });
-                self.mapping.insert(assigned, live);
-            }
-            ReplayCommand::Unregister { qid } => {
-                // Registers always precede unregisters of the same id and
-                // every replayed register extends the mapping, so a miss
-                // means the id never named a live query (journaled no-op
-                // removal, or a query the checkpoint already saw expire) —
-                // skipping reproduces the original no-op.
-                if let Some(live) = self.mapping.get(&qid).copied() {
-                    backend.unregister(live);
-                }
-            }
-            ReplayCommand::SetRetention { namespace, policy } => {
-                let ns = backend.intern_namespace(&namespace);
-                backend.set_retention(ns, policy);
-            }
-            ReplayCommand::Forget { namespace } => {
-                if let Some(ns) = backend.find_namespace(&namespace) {
-                    backend.forget_namespace(ns);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lifecycle::EvictionPolicy;
-    use crate::{Monitor, Naive};
 
     fn spec(terms: &[(u32, f32)], k: usize) -> QuerySpec {
         QuerySpec::new(terms.iter().map(|&(t, w)| (TermId(t), w)).collect(), k).unwrap()
@@ -315,62 +219,5 @@ mod tests {
         }
         assert!(serde_json::from_str::<ReplayCommand>(r#"{"op": "explode"}"#).is_err());
         assert!(serde_json::from_str::<ReplayCommand>(r#"{"docs": []}"#).is_err());
-    }
-
-    #[test]
-    fn replay_reproduces_a_live_run() {
-        // Drive a backend live, mirror every operation through the replay
-        // seam onto a second backend, and compare the observable state.
-        let mut live: Box<dyn MonitorBackend + Send> = Box::new(Monitor::new(Naive::new(0.01)));
-        let mut replayed: Box<dyn MonitorBackend + Send> = Box::new(Monitor::new(Naive::new(0.01)));
-        let mut replayer = Replayer::new();
-
-        for cmd in commands() {
-            match cmd.clone() {
-                ReplayCommand::Publish { docs } => {
-                    live.publish_request(PublishRequest::from(docs));
-                }
-                ReplayCommand::Register { spec, namespace, max_age, .. } => {
-                    let ns = live.intern_namespace(&namespace);
-                    live.register_with(spec, QueryOptions { namespace: ns, max_age });
-                }
-                ReplayCommand::Unregister { qid } => {
-                    live.unregister(qid);
-                }
-                ReplayCommand::SetRetention { namespace, policy } => {
-                    let ns = live.intern_namespace(&namespace);
-                    live.set_retention(ns, policy);
-                }
-                ReplayCommand::Forget { namespace } => {
-                    let ns = live.find_namespace(&namespace).unwrap();
-                    live.forget_namespace(ns);
-                }
-            }
-            replayer.apply(&mut *replayed, cmd);
-        }
-
-        assert_eq!(replayer.applied(), 6);
-        assert_eq!(replayed.num_queries(), live.num_queries());
-        for qid in 0..2 {
-            assert_eq!(replayed.results(QueryId(qid)), live.results(QueryId(qid)));
-        }
-        assert_eq!(
-            replayed.snapshot().to_json().unwrap(),
-            live.snapshot().to_json().unwrap(),
-            "replayed state serializes bit-identically"
-        );
-    }
-
-    #[test]
-    fn unregister_of_an_unmapped_id_is_skipped() {
-        let mut backend: Box<dyn MonitorBackend + Send> = Box::new(Monitor::new(Naive::new(0.01)));
-        let seeded: FxHashMap<QueryId, QueryId> = [(QueryId(7), QueryId(0))].into_iter().collect();
-        let mut replayer = Replayer::with_mapping(seeded);
-        // No query registered at all: the mapped id misses, the unmapped id
-        // is dropped — neither panics.
-        replayer.apply(&mut *backend, ReplayCommand::Unregister { qid: QueryId(7) });
-        replayer.apply(&mut *backend, ReplayCommand::Unregister { qid: QueryId(99) });
-        assert_eq!(replayer.applied(), 2);
-        assert_eq!(backend.num_queries(), 0);
     }
 }

@@ -9,7 +9,8 @@
 //! * [`Request::read_from`] — request line + headers + `Content-Length`
 //!   body (no chunked transfer encoding, no trailers, no upgrades);
 //! * [`Response`] — status, `application/json` body, `Content-Length`
-//!   framing, keep-alive by default per HTTP/1.1;
+//!   framing, keep-alive by default per HTTP/1.1; or a body streamed to
+//!   the socket as the response is written, framed by connection close;
 //! * query-string splitting on the request target (no percent-decoding —
 //!   every parameter the API takes is numeric).
 //!
@@ -126,20 +127,34 @@ impl Request {
     }
 }
 
+/// A body [`Response::streamed`] writes to the socket as it goes.
+pub type WriteBody = dyn Fn(&mut dyn Write) -> io::Result<()> + Send + Sync;
+
 /// One HTTP response, always JSON-bodied.
-#[derive(Debug, Clone)]
 pub struct Response {
     pub status: u16,
     pub body: String,
     /// Extra headers beyond the framing set (e.g. `retry-after` on 429s);
     /// names are expected lowercase.
     pub headers: Vec<(String, String)>,
+    /// When set, writes the body in place of `body`.
+    pub stream: Option<Box<WriteBody>>,
 }
 
 impl Response {
     /// A response with a pre-serialized JSON body.
     pub fn json(status: u16, body: impl Into<String>) -> Response {
-        Response { status, body: body.into(), headers: Vec::new() }
+        Response { status, body: body.into(), headers: Vec::new(), stream: None }
+    }
+
+    /// A response whose body `write` produces as the response is written,
+    /// never held whole. It has no `Content-Length`: the body is framed by
+    /// connection close, so it is always the connection's last exchange.
+    pub fn streamed(
+        status: u16,
+        write: impl Fn(&mut dyn Write) -> io::Result<()> + Send + Sync + 'static,
+    ) -> Response {
+        Response { stream: Some(Box::new(write)), ..Response::json(status, "") }
     }
 
     /// An error response with an `{"error": ...}` body.
@@ -160,6 +175,7 @@ impl Response {
 
     /// Write the response with `Content-Length` framing. `keep_alive`
     /// controls the `Connection` header; the caller owns actually closing.
+    /// A streamed response ignores it: it always says `close`.
     ///
     /// The head is assembled first and reaches `w` in one write together
     /// with the body (two writes for a body past 256 KiB), never one per
@@ -167,6 +183,13 @@ impl Response {
     /// a syscall and a segment of its own.
     pub fn write_to<W: Write>(&self, w: &mut W, keep_alive: bool) -> io::Result<()> {
         use std::fmt::Write as _;
+        if let Some(body) = &self.stream {
+            let status = self.status;
+            let head = "content-type: application/json\r\nconnection: close\r\n\r\n";
+            w.write_all(format!("HTTP/1.1 {status} {}\r\n{head}", reason(status)).as_bytes())?;
+            body(w)?;
+            return w.flush();
+        }
         let connection = if keep_alive { "keep-alive" } else { "close" };
         let mut framed = format!(
             "HTTP/1.1 {} {}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: {}\r\n",
@@ -188,18 +211,6 @@ impl Response {
         }
         w.flush()
     }
-}
-
-/// Write the head of a streamed response: no `Content-Length`, so the body
-/// is framed by connection close (EOF). The caller streams the body after
-/// this and must then drop the connection.
-pub fn write_stream_head<W: Write>(w: &mut W, status: u16) -> io::Result<()> {
-    write!(
-        w,
-        "HTTP/1.1 {} {}\r\ncontent-type: application/json\r\nconnection: close\r\n\r\n",
-        status,
-        reason(status)
-    )
 }
 
 /// The reason phrase for the status codes this API emits.
@@ -412,11 +423,12 @@ mod tests {
         assert!(text.contains("\r\n\r\n{\"error\":\"overloaded\"}"));
 
         let mut out = Vec::new();
-        write_stream_head(&mut out, 200).unwrap();
+        let streamed = Response::streamed(200, |w| w.write_all(b"{}"));
+        streamed.write_to(&mut out, true).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(text.contains("connection: close\r\n"));
+        assert!(text.contains("connection: close\r\n"), "whatever the caller asked");
         assert!(!text.contains("content-length"), "streamed bodies are framed by EOF");
-        assert!(text.ends_with("\r\n\r\n"));
+        assert!(text.ends_with("\r\n\r\n{}"));
     }
 }

@@ -723,6 +723,14 @@ mod tests {
     use ctk_core::MonitorBackend;
     use std::sync::atomic::{AtomicU64, Ordering};
 
+    impl Journal {
+        /// Poison the journal as a failed rollback would, for tests of what
+        /// its callers do with a journal that refuses every write.
+        pub(crate) fn poison(&mut self, why: &str) {
+            self.poisoned = Some(why.to_string());
+        }
+    }
+
     fn temp_dir(tag: &str) -> PathBuf {
         static COUNTER: AtomicU64 = AtomicU64::new(0);
         let n = COUNTER.fetch_add(1, Ordering::Relaxed);
@@ -947,7 +955,7 @@ mod tests {
         let (mut journal, _) =
             Journal::open(JournalConfig::new(&dir).fsync(FsyncPolicy::Never)).unwrap();
         journal.append(&publish(1, 1.0)).unwrap();
-        journal.poisoned = Some("injected rollback failure".to_string());
+        journal.poison("injected rollback failure");
         let err = journal.append(&publish(2, 2.0)).unwrap_err();
         assert!(err.to_string().contains("poisoned"), "{err}");
         let snapshot = ctk_core::Monitor::new(ctk_core::Naive::new(0.01)).snapshot();
@@ -1006,7 +1014,7 @@ mod tests {
             journal.sync_lapsed();
             assert_eq!(journal.sync_due(), None, "{policy}: synced");
             journal.append(&publish(2, 2.0)).unwrap();
-            journal.poisoned = Some("injected".to_string());
+            journal.poison("injected");
             assert_eq!(journal.sync_due(), None, "{policy}: a poisoned journal has no timer");
             fs::remove_dir_all(&dir).unwrap();
         }

@@ -25,16 +25,18 @@
 //! | `GET /healthz` | liveness + `draining`/`warming` flags (always `200` while the process is up) |
 //! | `GET /readyz` | readiness: `200` once journal replay finished and the server is not draining, else `503` with the blocking state |
 //!
-//! Architecture in one paragraph: a single **ingest thread** owns the
-//! backend, configured through [`ServerBuilder`]'s flat setters (its
-//! `bind` refuses a value it cannot run with as `InvalidInput`, naming
-//! the knob); connection handlers enqueue commands onto a *bounded*
-//! channel and block for the reply, so a slow monitor pushes back on
-//! publishers through their own sockets. Each `POST /publish` is one
-//! `publish_request` on the backend, scored whole — a sharded backend
-//! hands every worker the request's documents at once. Change fan-out happens on the ingest thread
-//! before the publisher is acked, into per-subscriber bounded buffers that
-//! drop oldest and report the gap. See [`server`] for the details,
+//! Architecture in one paragraph: a single **ingest thread** owns a
+//! [`Node`] — the backend built by [`ServerBuilder`]'s flat setters (its
+//! `bind` refuses a value it cannot run with as `InvalidInput`, naming the
+//! knob), the journal and the subscriber registry — and [`Node::apply`] is
+//! the one path to that state, for live commands and journal recovery
+//! alike. Connection handlers turn each request into an [`Op`]
+//! ([`routes`]), enqueue it onto a *bounded* channel and block for the
+//! reply, so a slow monitor pushes back on publishers through their own
+//! sockets. Each `POST /publish` is one `publish_request`, scored whole.
+//! Change fan-out happens on the ingest thread before the publisher is
+//! acked, into per-subscriber bounded buffers that drop oldest and report
+//! the gap. See [`node`] for the threading and durability model,
 //! [`subscribers`] for delivery semantics, and `examples/serve.rs` in the
 //! workspace root for the runnable daemon.
 //!
@@ -45,7 +47,8 @@
 pub mod client;
 pub mod http;
 pub mod journal;
-pub mod server;
+pub mod node;
+pub mod routes;
 pub mod signal;
 pub mod subscribers;
 pub mod wire;
@@ -55,5 +58,6 @@ pub use journal::{
     decode_records, encode_record, publish_body_payload, FailpointWriter, FsyncPolicy, Journal,
     JournalConfig, Recovery, TailState,
 };
-pub use server::{AdmissionPolicy, CtkServer, ServerBuilder, ServerStats};
+pub use node::{Node, Op, Reply, ServerStats};
+pub use routes::{AdmissionPolicy, CtkServer, ServerBuilder};
 pub use subscribers::{ChangeEvent, PollOutcome, SubscriberRegistry};

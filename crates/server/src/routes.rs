@@ -1,69 +1,31 @@
-//! The daemon itself: one ingest thread owning the backend, an accept loop
-//! spawning per-connection handlers, and the route table tying the wire API
-//! to both.
-//!
-//! # Threading model
-//!
-//! Every backend operation is linearized through a single **ingest thread**
-//! that owns the `Box<dyn MonitorBackend + Send>`. Connection handlers
-//! never touch the backend; they enqueue a `Command` carrying a
-//! one-shot reply channel onto a *bounded* crossbeam channel and block on
-//! the reply. The bound is the backpressure mechanism: when publishers
-//! outrun the monitor, their handler threads block in `send`, which blocks
-//! their sockets, which pushes back on the clients — no queue ever grows
-//! without bound. Fan-out to subscribers happens on the ingest thread
-//! *before* the publisher gets its receipt, so publish-then-poll is
-//! deterministic: once `POST /publish` returns, every subscriber can see
-//! the receipt's changes.
-//!
-//! Each change crosses JSON once. Fan-out prints a receipt's changes on the
-//! ingest thread ([`SubscriberRegistry::fanout_json`]); each subscriber
-//! buffer keeps a copy of its changes' bytes for its polls, and the text
-//! travels back with the receipt for the publish handler to splice into the
-//! response ([`publish_body`]). With nobody subscribed, or for a quiet
-//! receipt, the ingest thread prints nothing and the handler prints the
-//! changes into the same body itself.
-//!
-//! # Drain and shutdown
-//!
-//! [`CtkServer::drain`] is the graceful half: new publishes (and restores)
-//! are refused with 503, a barrier command flushes everything already
-//! queued, and long-pollers are woken to read out their buffered events
-//! with `draining: true`. Reads (`results`, `stats`, `snapshot`) keep
-//! working — a drained server is exactly the right moment to snapshot.
-//! [`CtkServer::shutdown`] drains, stops the ingest thread, unblocks the
-//! accept loop and joins both.
-//!
-//! # Durability
-//!
-//! With [`ServerBuilder::journal_dir`] set, every mutating command is
-//! appended to a write-ahead [`Journal`] *before* it is acked (registers
-//! journal right after the id is assigned, rolling back on a failed
-//! append). On startup the ingest thread restores the latest checkpoint,
-//! replays the journal tail, re-checkpoints so the on-disk state speaks
-//! the new process's id space, and only then reports ready — `GET /readyz`
-//! answers `503 warming` until replay finishes, while `GET /healthz` stays
-//! pure liveness.
+//! The wire side of the daemon: [`ServerBuilder`] starts it, an accept
+//! loop spawns a handler per connection, and the route table turns each
+//! HTTP request into one [`Op`] for the ingest thread's [`Node`] and its
+//! [`Reply`] into a response. Parsing, admission, the draining and warming
+//! gates and every response body live here; what each op does to the
+//! monitor, and the threading and durability model, live in
+//! [`crate::node`].
 
-use crate::http::{self, Request, Response};
-use crate::journal::{self, FsyncPolicy, Journal, JournalConfig, Recovery};
+use crate::http::{Request, Response};
+use crate::journal::{self, FsyncPolicy, Journal, JournalConfig};
+use crate::node::{append_refused, Command, Node, Op, Reply};
 use crate::subscribers::{self, SubscriberRegistry};
 use crate::wire;
 use continuous_topk::{EngineKind, MonitorBuilder};
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TrySendError};
-use ctk_common::{Namespace, QueryId, ScoredDoc};
+use crossbeam::channel::{self, Sender, TrySendError};
+use ctk_common::QueryId;
 use ctk_core::{
-    Admission, NamespaceStats, PostingsStorage, PublishReceipt, PublishRequest, QueryOptions,
-    ReplayCommand, Replayer, RetentionPolicy, Snapshot, StorageStats,
+    Admission, PostingsStorage, PublishReceipt, PublishRequest, ReplayCommand, RetentionPolicy,
+    Snapshot,
 };
 use serde::{Number, Serialize, Value};
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Longest a single long-poll may block server-side, whatever the client
 /// asks for. Clients needing more re-issue the poll; this bounds how long a
@@ -265,19 +227,22 @@ impl ServerBuilder {
     /// is opened.
     pub fn bind(self, addr: impl ToSocketAddrs) -> io::Result<CtkServer> {
         self.check()?;
-        let journal = match &self.journal_dir {
-            None => None,
+        let (journal, recovery) = match &self.journal_dir {
+            None => (None, None),
             Some(dir) => {
                 let config = JournalConfig::new(dir)
                     .fsync(self.fsync)
                     .max_segment_bytes(self.journal_max_bytes);
-                Some(Journal::open(config)?)
+                let (journal, recovery) = Journal::open(config)?;
+                (Some(journal), Some(recovery))
             }
         };
-        let warming = journal.as_ref().is_some_and(|(_, recovery)| !recovery.is_empty());
+        let warming = recovery.as_ref().is_some_and(|recovery| !recovery.is_empty());
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let backend = self.monitor.build();
+        let subscribers = Arc::new(SubscriberRegistry::new(self.subscriber_buffer));
+        let journaled = journal.is_some();
+        let mut node = Node::new(&self.monitor, journal, Arc::clone(&subscribers));
         let (tx, rx) = channel::bounded::<Command>(self.queue_depth);
         let shared = Arc::new(Shared {
             commands: tx,
@@ -287,21 +252,28 @@ impl ServerBuilder {
                 highwater: AtomicUsize::new(0),
             },
             admission: self.admission,
-            subscribers: SubscriberRegistry::new(self.subscriber_buffer),
+            subscribers,
             draining: AtomicBool::new(false),
             stopping: AtomicBool::new(false),
             warming: AtomicBool::new(warming),
-            journaled: journal.is_some(),
+            journaled,
             max_poll_events: self.max_poll_events,
             engine: self.engine,
         });
 
         let ingest = {
             let shared = Arc::clone(&shared);
-            let builder = self.monitor.clone();
-            thread::Builder::new()
-                .name("ctk-ingest".to_string())
-                .spawn(move || ingest_loop(rx, backend, builder, journal, &shared))?
+            thread::Builder::new().name("ctk-ingest".to_string()).spawn(move || {
+                if let Some(Err(e)) = recovery.map(|recovery| node.recover(recovery)) {
+                    // Serving without a coherent checkpoint would let a
+                    // later crash replay against the wrong id space; refuse
+                    // to run instead.
+                    eprintln!("ctk-serve: journal recovery cannot checkpoint: {e}");
+                    std::process::exit(1);
+                }
+                shared.warming.store(false, Ordering::SeqCst);
+                node.serve(&rx, &shared.queue.depth);
+            })?
         };
         let accept = {
             let shared = Arc::clone(&shared);
@@ -383,15 +355,15 @@ struct Shared {
     commands: Sender<Command>,
     queue: QueueGauge,
     admission: AdmissionPolicy,
-    subscribers: SubscriberRegistry,
+    subscribers: Arc<SubscriberRegistry>,
     draining: AtomicBool,
     stopping: AtomicBool,
     /// True from bind until the ingest thread has restored the journal's
     /// checkpoint and replayed its tail; every route except `/healthz` and
     /// `/readyz` answers 503 while set.
     warming: AtomicBool,
-    /// Whether the ingest thread owns a journal (publish handlers frame
-    /// the record it will append).
+    /// Whether the node journals (publish handlers frame the record it
+    /// will append).
     journaled: bool,
     max_poll_events: usize,
     engine: EngineKind,
@@ -438,340 +410,13 @@ enum TryEnqueueError {
     Gone,
 }
 
-/// One backend operation, linearized through the ingest queue. Each carries
-/// a one-shot reply channel; a handler whose reply channel dies (ingest
-/// thread already stopped) reports 503. Mutating commands reply with a
-/// `Result`: `Err` means the journal refused the write (→ 500), and the
-/// command was **not** applied.
-enum Command {
-    Register(wire::RegisterRequest, Sender<Result<QueryId, String>>),
-    Unregister(QueryId, Sender<Result<bool, String>>),
-    Publish {
-        request: PublishRequest,
-        /// The request's journal payload — its body as received, framed
-        /// by [`journal::publish_body_payload`] on the handler thread — so
-        /// the ingest thread only stamps, checksums and writes it; `None`
-        /// exactly when the server runs without a journal.
-        record: Option<String>,
-        /// The receipt, with its changes' JSON when fan-out printed it
-        /// (see [`SubscriberRegistry::fanout_json`]).
-        reply: Sender<Result<(PublishReceipt, Option<String>), String>>,
-    },
-    Results(QueryId, Sender<Option<Vec<ScoredDoc>>>),
-    Stats(Sender<BackendStats>),
-    /// Capture a snapshot; with a journal active this is a checkpoint (the
-    /// snapshot lands in `checkpoint.json` and the journal truncates).
-    Snapshot(Sender<Result<Snapshot, String>>),
-    Restore(Box<Snapshot>, Sender<Result<RestoreOutcome, String>>),
-    /// Install a namespace's retention policy (interning the name).
-    SetRetention(String, RetentionPolicy, Sender<Result<(), String>>),
-    /// Read a namespace's policy; outer `None` = unknown namespace, inner
-    /// `None` = known but no policy installed.
-    GetRetention(String, Sender<Option<Option<RetentionPolicy>>>),
-    /// Bulk-remove a namespace's queries (`dry_run` only counts them);
-    /// `None` = unknown namespace.
-    Forget {
-        namespace: String,
-        dry_run: bool,
-        reply: Sender<Result<Option<usize>, String>>,
-    },
-    /// Replies once everything queued before it has been processed.
-    Barrier(Sender<()>),
-    Stop,
-}
-
-/// The ingest thread's answer to a stats request.
-struct BackendStats {
-    queries: usize,
-    shards: usize,
-    lambda: f64,
-    publishes: u64,
-    docs_published: u64,
-    expired: u64,
-    evicted: u64,
-    namespaces: Vec<NamespaceStats>,
-    storage: StorageStats,
-    /// Journal bytes appended since the last checkpoint (0 without a
-    /// journal).
-    journal_bytes: u64,
-    /// Sequence number the latest checkpoint covers (0 = none).
-    last_checkpoint: u64,
-    /// Journal records replayed at startup.
-    replayed_records: u64,
-}
-
-/// The ingest thread's answer to a restore: the new backend's query count
-/// plus the captured-id → new-id mapping, sorted by captured id.
-struct RestoreOutcome {
-    queries: usize,
-    mapping: Vec<(QueryId, QueryId)>,
-}
-
-/// Append `command` to the journal, if one is active. `Err` means the
-/// command must not be applied (the caller replies 500 and the backend is
-/// untouched).
-fn journal_append(journal: &mut Option<Journal>, command: &ReplayCommand) -> Result<(), String> {
-    match journal.as_mut() {
-        None => Ok(()),
-        Some(j) => j.append(command).map(|_| ()).map_err(|e| append_refused(command.op(), e)),
-    }
-}
-
-fn append_refused(op: &str, e: impl std::fmt::Display) -> String {
-    format!("journal append failed ({op} refused): {e}")
-}
-
-/// Restore the checkpoint and replay the journal tail into a fresh backend,
-/// then re-checkpoint. The final checkpoint is not cosmetic: journal records
-/// written *after* it will name query ids from **this** process's id space,
-/// so the on-disk state must be re-anchored in that space before the first
-/// new append — otherwise a second crash could replay new records against
-/// the old checkpoint's ids.
-fn recover(
-    backend: &mut Box<dyn ctk_core::MonitorBackend + Send>,
-    builder: &MonitorBuilder,
-    journal: &mut Journal,
-    recovery: Recovery,
-) -> io::Result<u64> {
-    let mut replayer = match recovery.snapshot {
-        None => Replayer::new(),
-        Some(snapshot) => {
-            let (restored, mapping) = builder.restore(&snapshot);
-            *backend = restored;
-            Replayer::with_mapping(mapping)
-        }
-    };
-    let replayed = recovery.commands.len() as u64;
-    for command in recovery.commands {
-        replayer.apply(backend.as_mut(), command);
-    }
-    journal.checkpoint(&backend.snapshot())?;
-    Ok(replayed)
-}
-
-/// The next command off the queue, or `None` once every sender is gone.
-/// While the journal holds unsynced `Interval` records, the wait ends at
-/// their deadline to sync them (see [`Journal::sync_due`]).
-fn next_command(rx: &Receiver<Command>, journal: Option<&mut Journal>) -> Option<Command> {
-    if let Some(journal) = journal {
-        while let Some(due) = journal.sync_due() {
-            match due.checked_duration_since(Instant::now()) {
-                None => journal.sync_lapsed(),
-                Some(wait) => match rx.recv_timeout(wait) {
-                    Ok(command) => return Some(command),
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => return None,
-                },
-            }
-        }
-    }
-    rx.recv().ok()
-}
-
-fn ingest_loop(
-    rx: Receiver<Command>,
-    mut backend: Box<dyn ctk_core::MonitorBackend + Send>,
-    builder: MonitorBuilder,
-    journal: Option<(Journal, Recovery)>,
-    shared: &Shared,
-) {
-    let mut replayed_records = 0u64;
-    let mut journal = match journal {
-        None => None,
-        Some((mut journal, recovery)) => {
-            if !recovery.is_empty() {
-                match recover(&mut backend, &builder, &mut journal, recovery) {
-                    Ok(replayed) => replayed_records = replayed,
-                    Err(e) => {
-                        // Serving without a coherent checkpoint would let a
-                        // later crash replay against the wrong id space;
-                        // refuse to run instead.
-                        eprintln!("ctk-serve: journal recovery cannot checkpoint: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-            Some(journal)
-        }
-    };
-    shared.warming.store(false, Ordering::SeqCst);
-
-    let mut publishes = 0u64;
-    let mut docs_published = 0u64;
-    while let Some(command) = next_command(&rx, journal.as_mut()) {
-        shared.queue.depth.fetch_sub(1, Ordering::SeqCst);
-        match command {
-            Command::Stop => {
-                if let Some(j) = journal.as_mut() {
-                    let _ = j.sync();
-                }
-                break;
-            }
-            Command::Register(req, reply) => {
-                let name = req.namespace.clone().unwrap_or_default();
-                let namespace = match req.namespace.as_deref() {
-                    None => Namespace::DEFAULT,
-                    Some(name) => backend.intern_namespace(name),
-                };
-                let opts = QueryOptions { namespace, max_age: req.max_age };
-                // Register is the one apply-before-append command: the
-                // journal record needs the assigned id. A failed append
-                // rolls the registration back before the error is acked.
-                let spec = req.spec.clone();
-                let qid = backend.register_with(req.spec, opts);
-                let record = ReplayCommand::Register {
-                    assigned: qid,
-                    spec,
-                    namespace: name,
-                    max_age: req.max_age,
-                };
-                let _ = reply.send(match journal_append(&mut journal, &record) {
-                    Ok(()) => Ok(qid),
-                    Err(e) => {
-                        backend.unregister(qid);
-                        Err(e)
-                    }
-                });
-            }
-            Command::Unregister(qid, reply) => {
-                // A 404 mutates nothing, so it stays out of the journal —
-                // only an unregister that will actually remove a query is
-                // appended (and acked) as a record.
-                let _ = reply.send(if backend.namespace_of(qid).is_none() {
-                    Ok(false)
-                } else {
-                    journal_append(&mut journal, &ReplayCommand::Unregister { qid })
-                        .map(|()| backend.unregister(qid))
-                });
-            }
-            Command::Publish { request, record, reply } => {
-                if let Some(j) = journal.as_mut() {
-                    let record = record.expect("handlers encode a record whenever journaled");
-                    if let Err(e) = j.append_payload(record.as_bytes()) {
-                        let _ = reply.send(Err(append_refused("publish", e)));
-                        continue;
-                    }
-                }
-                publishes += 1;
-                docs_published += request.len() as u64;
-                let receipt = backend.publish_request(request);
-                // Fan out before acking: once the publisher has its
-                // receipt, every subscriber buffer already holds the
-                // changes.
-                let changes = shared.subscribers.fanout_json(&receipt);
-                let _ = reply.send(Ok((receipt, changes)));
-            }
-            Command::Results(qid, reply) => {
-                let _ = reply.send(backend.results(qid));
-            }
-            Command::Stats(reply) => {
-                let (expired, evicted) = backend.lifecycle_totals();
-                let _ = reply.send(BackendStats {
-                    queries: backend.num_queries(),
-                    shards: backend.shards(),
-                    lambda: backend.lambda(),
-                    publishes,
-                    docs_published,
-                    expired,
-                    evicted,
-                    namespaces: backend.namespace_stats(),
-                    storage: backend.storage_stats(),
-                    journal_bytes: journal.as_ref().map_or(0, Journal::bytes),
-                    last_checkpoint: journal.as_ref().map_or(0, Journal::last_checkpoint),
-                    replayed_records,
-                });
-            }
-            Command::Snapshot(reply) => {
-                let snapshot = backend.snapshot();
-                let outcome = match journal.as_mut() {
-                    None => Ok(snapshot),
-                    // The snapshot doubles as a checkpoint: once it is on
-                    // disk the journal truncates, so a crash now replays
-                    // from this snapshot instead of the whole tail.
-                    Some(j) => j
-                        .checkpoint(&snapshot)
-                        .map(|_| snapshot)
-                        .map_err(|e| format!("journal checkpoint failed: {e}")),
-                };
-                let _ = reply.send(outcome);
-            }
-            Command::Restore(snapshot, reply) => {
-                let (restored, mapping) = builder.restore(&snapshot);
-                backend = restored;
-                let mut mapping: Vec<(QueryId, QueryId)> = mapping.into_iter().collect();
-                mapping.sort_unstable_by_key(|&(old, _)| old);
-                // Follow the surviving queries to their new ids before the
-                // restorer gets its ack — a subscriber filtered on an old id
-                // must never see (or miss) a post-restore change because its
-                // filter still spoke the pre-restore id space.
-                shared.subscribers.remap_filters(&mapping);
-                // A restore replaces the whole monitor, so the journal's
-                // history no longer describes the live state: checkpoint the
-                // restored snapshot rather than journaling the restore.
-                let outcome = match journal.as_mut() {
-                    None => Ok(()),
-                    Some(j) => j
-                        .checkpoint(&backend.snapshot())
-                        .map(|_| ())
-                        .map_err(|e| format!("journal checkpoint failed: {e}")),
-                };
-                let _ = reply.send(
-                    outcome.map(|()| RestoreOutcome { queries: backend.num_queries(), mapping }),
-                );
-            }
-            Command::SetRetention(name, policy, reply) => {
-                let record = ReplayCommand::SetRetention { namespace: name.clone(), policy };
-                let _ = reply.send(journal_append(&mut journal, &record).map(|()| {
-                    let ns = backend.intern_namespace(&name);
-                    backend.set_retention(ns, policy);
-                }));
-            }
-            Command::GetRetention(name, reply) => {
-                let _ = reply.send(backend.find_namespace(&name).map(|ns| backend.retention(ns)));
-            }
-            Command::Forget { namespace, dry_run, reply } => {
-                // Dry runs and 404s mutate nothing and stay out of the
-                // journal; only a forget that will actually remove queries
-                // is appended before it is applied and acked.
-                let outcome = match backend.find_namespace(&namespace) {
-                    None => Ok(None),
-                    Some(_) if dry_run => Ok(Some(
-                        backend
-                            .namespace_stats()
-                            .into_iter()
-                            .find(|s| s.namespace == namespace)
-                            .map_or(0, |s| s.live as usize),
-                    )),
-                    Some(ns) => {
-                        let record = ReplayCommand::Forget { namespace: namespace.clone() };
-                        journal_append(&mut journal, &record)
-                            .map(|()| Some(backend.forget_namespace(ns)))
-                    }
-                };
-                let _ = reply.send(outcome);
-            }
-            Command::Barrier(reply) => {
-                // A drain barrier is the last thing before a planned stop or
-                // snapshot; make lazily-synced journals durable here too.
-                if let Some(j) = journal.as_mut() {
-                    let _ = j.sync();
-                }
-                let _ = reply.send(());
-            }
-        }
-    }
-}
-
 fn drain(shared: &Shared) {
     if shared.draining.swap(true, Ordering::SeqCst) {
         return;
     }
     // Everything queued before this barrier — publishes included — has been
     // processed and fanned out by the time it acks.
-    let (tx, rx) = channel::bounded(1);
-    if shared.enqueue(Command::Barrier(tx)).is_some() {
-        let _ = rx.recv();
-    }
+    let _ = ask(shared, Op::Barrier);
     shared.subscribers.begin_drain();
 }
 
@@ -816,58 +461,36 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 return;
             }
         };
-        let keep_alive = !request.wants_close();
-        if request.method == "POST"
-            && request.path == "/snapshot"
-            && request.query_param("stream").is_some_and(|v| v == "1")
-        {
-            // Streamed responses are framed by EOF, so this is always the
-            // connection's last exchange.
-            let _ = stream_snapshot(&mut writer, shared);
-            return;
-        }
         let response = route(&request, shared);
+        // A streamed body is framed by EOF, so it ends the connection.
+        let keep_alive = !request.wants_close() && response.stream.is_none();
         if response.write_to(&mut writer, keep_alive).is_err() || !keep_alive {
             return;
         }
     }
 }
 
-/// `POST /snapshot?stream=1`: capture the snapshot and stream its JSON to
-/// the socket with [`Snapshot::write_json`], one query's text at a time,
-/// never materialized as one tree or string. Byte-identical to the
-/// buffered `POST /snapshot` body, so `POST /restore` (and
-/// `Snapshot::from_json`) accept it unchanged.
-fn stream_snapshot<W: Write>(w: &mut W, shared: &Shared) -> io::Result<()> {
-    // This path bypasses `route`, so it repeats the warming gate.
-    if shared.warming.load(Ordering::SeqCst) {
-        return warming().write_to(w, false);
-    }
-    match ask(shared, Command::Snapshot) {
-        None => unavailable().write_to(w, false),
-        Some(Err(e)) => Response::error(500, e).write_to(w, false),
-        Some(Ok(snapshot)) => {
-            http::write_stream_head(w, 200)?;
-            snapshot.write_json(&mut *w)?;
-            w.flush()
-        }
+/// Apply one op on the ingest thread and wait for its reply. `Err` is the
+/// response already decided: 503 when the ingest thread is gone, 500 when
+/// the journal refused the mutation, 400 when the node rejected it.
+fn ask(shared: &Shared, op: Op) -> Result<Reply, Response> {
+    let (tx, rx) = channel::bounded(1);
+    shared.enqueue(Command::Apply(op, tx)).ok_or_else(unavailable)?;
+    match rx.recv() {
+        Err(_) => Err(unavailable()),
+        Ok(Reply::Refused(e)) => Err(Response::error(500, e)),
+        Ok(Reply::Rejected(e)) => Err(Response::error(400, e)),
+        Ok(reply) => Ok(reply),
     }
 }
 
-/// Issue one command and wait for the reply. `None` (→ 503) when the ingest
-/// thread is gone.
-fn ask<T>(shared: &Shared, make: impl FnOnce(Sender<T>) -> Command) -> Option<T> {
-    let (tx, rx) = channel::bounded(1);
-    shared.enqueue(make(tx))?;
-    rx.recv().ok()
+/// The response to a reply its op never produces.
+fn unexpected(reply: Reply) -> Response {
+    Response::error(500, format!("unexpected reply {reply:?}"))
 }
 
 fn unavailable() -> Response {
     Response::error(503, "server is shutting down")
-}
-
-fn warming() -> Response {
-    Response::error(503, "warming: journal replay in progress")
 }
 
 fn route(request: &Request, shared: &Shared) -> Response {
@@ -877,7 +500,7 @@ fn route(request: &Request, shared: &Shared) -> Response {
     if shared.warming.load(Ordering::SeqCst)
         && !matches!(segments.as_slice(), ["healthz"] | ["readyz"])
     {
-        return warming();
+        return Response::error(503, "warming: journal replay in progress");
     }
     match (request.method.as_str(), segments.as_slice()) {
         // Pure liveness: 200 for as long as the process can answer at all,
@@ -910,25 +533,30 @@ fn route(request: &Request, shared: &Shared) -> Response {
         ("POST", ["queries"]) => handle_register(request, shared),
         ("DELETE", ["queries", id]) => match parse_id(id) {
             Err(response) => response,
-            Ok(qid) => match ask(shared, |tx| Command::Unregister(QueryId(qid), tx)) {
-                None => unavailable(),
-                Some(Err(e)) => Response::error(500, e),
-                Some(Ok(true)) => Response::json(200, object(vec![("removed", Value::Bool(true))])),
-                Some(Ok(false)) => Response::error(404, format!("unknown query {qid}")),
-            },
+            Ok(qid) => {
+                match ask(shared, Op::Record(ReplayCommand::Unregister { qid: QueryId(qid) })) {
+                    Err(response) => response,
+                    Ok(Reply::Removed(_)) => {
+                        Response::json(200, object(vec![("removed", Value::Bool(true))]))
+                    }
+                    Ok(Reply::Unknown) => Response::error(404, format!("unknown query {qid}")),
+                    Ok(reply) => unexpected(reply),
+                }
+            }
         },
         ("GET", ["queries", id, "results"]) => match parse_id(id) {
             Err(response) => response,
-            Ok(qid) => match ask(shared, |tx| Command::Results(QueryId(qid), tx)) {
-                None => unavailable(),
-                Some(None) => Response::error(404, format!("unknown query {qid}")),
-                Some(Some(results)) => Response::json(
+            Ok(qid) => match ask(shared, Op::Results(QueryId(qid))) {
+                Err(response) => response,
+                Ok(Reply::Unknown) => Response::error(404, format!("unknown query {qid}")),
+                Ok(Reply::Results(results)) => Response::json(
                     200,
                     object(vec![
                         ("query", Value::Num(Number::U64(qid.into()))),
                         ("results", results.to_value()),
                     ]),
                 ),
+                Ok(reply) => unexpected(reply),
             },
         },
         ("POST", ["publish"]) => handle_publish(request, shared),
@@ -944,16 +572,21 @@ fn route(request: &Request, shared: &Shared) -> Response {
             }
         },
         ("GET", ["changes"]) => handle_changes(request, shared),
-        // `to_json` runs the `?stream=1` writer into a buffer, so the two
-        // bodies are byte-identical and clients can treat them
-        // interchangeably; only the framing differs.
-        ("POST", ["snapshot"]) => match ask(shared, Command::Snapshot) {
-            None => unavailable(),
-            Some(Err(e)) => Response::error(500, e),
-            Some(Ok(snapshot)) => match snapshot.to_json() {
+        // Both forms write the capture with `Snapshot::write_json` (`to_json`
+        // into a buffer), so the bodies are byte-identical and clients can
+        // treat them interchangeably; only the framing differs. `?stream=1`
+        // writes one query's text at a time straight to the socket, never
+        // materialized as one string, framed by EOF.
+        ("POST", ["snapshot"]) => match ask(shared, Op::Snapshot) {
+            Err(response) => response,
+            Ok(Reply::Snapshot(snapshot)) if request.query_param("stream") == Some("1") => {
+                Response::streamed(200, move |w| snapshot.write_json(w))
+            }
+            Ok(Reply::Snapshot(snapshot)) => match snapshot.to_json() {
                 Ok(body) => Response::json(200, body),
                 Err(e) => Response::error(500, e),
             },
+            Ok(reply) => unexpected(reply),
         },
         ("POST", ["restore"]) => handle_restore(request, shared),
         ("PUT", ["namespaces", ns, "retention"]) => handle_set_retention(ns, request, shared),
@@ -973,97 +606,21 @@ fn route(request: &Request, shared: &Shared) -> Response {
 }
 
 fn handle_stats(shared: &Shared) -> Response {
-    let backend = match ask(shared, Command::Stats) {
-        None => return unavailable(),
-        Some(stats) => stats,
+    let mut stats = match ask(shared, Op::Stats) {
+        Err(response) => return response,
+        Ok(Reply::Stats(stats)) => stats,
+        Ok(reply) => return unexpected(reply),
     };
-    let (delivered, dropped) = shared.subscribers.totals();
-    let stats = ServerStats {
-        engine: shared.engine.to_string(),
-        lambda: backend.lambda,
-        shards: backend.shards,
-        sharding: "query".to_string(),
-        queries: backend.queries,
-        publishes: backend.publishes,
-        docs_published: backend.docs_published,
-        expired: backend.expired,
-        evicted: backend.evicted,
-        namespaces: backend.namespaces,
-        index_bytes: backend.storage.index_bytes,
-        hot_pages: backend.storage.hot_pages,
-        cold_pages: backend.storage.cold_pages,
-        page_faults: backend.storage.page_faults,
-        blocks_decoded: backend.storage.blocks_decoded,
-        queue_capacity: shared.queue.capacity,
-        queue_depth: shared.queue.depth.load(Ordering::SeqCst),
-        queue_highwater: shared.queue.highwater.load(Ordering::SeqCst),
-        subscribers: shared.subscribers.len(),
-        events_delivered: delivered,
-        events_dropped: dropped,
-        draining: shared.draining.load(Ordering::SeqCst),
-        warming: shared.warming.load(Ordering::SeqCst),
-        journal_bytes: backend.journal_bytes,
-        last_checkpoint: backend.last_checkpoint,
-        replayed_records: backend.replayed_records,
-    };
-    match serde_json::to_string(&stats) {
+    stats.engine = shared.engine.to_string();
+    stats.queue_capacity = shared.queue.capacity;
+    stats.queue_depth = shared.queue.depth.load(Ordering::SeqCst);
+    stats.queue_highwater = shared.queue.highwater.load(Ordering::SeqCst);
+    stats.draining = shared.draining.load(Ordering::SeqCst);
+    stats.warming = shared.warming.load(Ordering::SeqCst);
+    match serde_json::to_string(&*stats) {
         Ok(body) => Response::json(200, body),
         Err(e) => Response::error(500, e),
     }
-}
-
-/// The `GET /stats` response body.
-#[derive(Debug, Clone, Serialize)]
-pub struct ServerStats {
-    pub engine: String,
-    pub lambda: f64,
-    pub shards: usize,
-    /// How the shards partition the work; always `"query"` (the query
-    /// population is what is sharded). Kept so `/stats` bodies keep their
-    /// shape.
-    pub sharding: String,
-    pub queries: usize,
-    pub publishes: u64,
-    pub docs_published: u64,
-    /// Queries removed by TTL expiry, lifetime total.
-    pub expired: u64,
-    /// Queries removed by retention-cap eviction, lifetime total.
-    pub evicted: u64,
-    /// Per-namespace live/expired/evicted counts, handle order (the default
-    /// namespace — the empty name — is always first).
-    pub namespaces: Vec<NamespaceStats>,
-    /// Estimated heap bytes of the query index(es), summed across shards;
-    /// paged storage excludes spilled payloads.
-    pub index_bytes: u64,
-    /// Sealed-block pages currently RAM-resident (paged storage only).
-    pub hot_pages: u64,
-    /// Sealed-block pages spilled to disk (paged storage only).
-    pub cold_pages: u64,
-    /// Reads that faulted a page back from the spill file, lifetime total.
-    pub page_faults: u64,
-    /// Sealed postings blocks the walk decoded into its cursors, lifetime
-    /// total (compressed and paged storage only).
-    pub blocks_decoded: u64,
-    /// Bound of the ingest command queue (the `queue_depth` knob).
-    pub queue_capacity: usize,
-    /// Commands currently enqueued (blocked senders included) — the live
-    /// occupancy behind admission decisions.
-    pub queue_depth: usize,
-    /// Highest `queue_depth` observed since the server started.
-    pub queue_highwater: usize,
-    pub subscribers: usize,
-    pub events_delivered: u64,
-    pub events_dropped: u64,
-    pub draining: bool,
-    /// True while startup journal replay is still running.
-    pub warming: bool,
-    /// Journal bytes appended since the last checkpoint (0 without a
-    /// journal).
-    pub journal_bytes: u64,
-    /// Sequence number the latest checkpoint covers (0 = none yet).
-    pub last_checkpoint: u64,
-    /// Journal records replayed at startup, after the checkpoint.
-    pub replayed_records: u64,
 }
 
 fn handle_register(request: &Request, shared: &Shared) -> Response {
@@ -1071,17 +628,23 @@ fn handle_register(request: &Request, shared: &Shared) -> Response {
         Err(message) => return Response::error(400, message),
         Ok(req) => req,
     };
-    let namespace = req.namespace.clone().unwrap_or_default();
-    match ask(shared, |tx| Command::Register(req, tx)) {
-        None => unavailable(),
-        Some(Err(e)) => Response::error(500, e),
-        Some(Ok(qid)) => Response::json(
+    let namespace = req.namespace.unwrap_or_default();
+    let record = ReplayCommand::Register {
+        assigned: QueryId(0), // the node stamps the id it assigns
+        spec: req.spec,
+        namespace: namespace.clone(),
+        max_age: req.max_age,
+    };
+    match ask(shared, Op::Record(record)) {
+        Err(response) => response,
+        Ok(Reply::Registered(qid)) => Response::json(
             200,
             object(vec![
                 ("query", Value::Num(Number::U64(qid.0.into()))),
                 ("namespace", Value::Str(namespace)),
             ]),
         ),
+        Ok(reply) => unexpected(reply),
     }
 }
 
@@ -1090,18 +653,20 @@ fn handle_set_retention(ns: &str, request: &Request, shared: &Shared) -> Respons
         Err(message) => return Response::error(400, message),
         Ok(policy) => policy,
     };
-    match ask(shared, |tx| Command::SetRetention(ns.to_string(), policy, tx)) {
-        None => unavailable(),
-        Some(Err(e)) => Response::error(500, e),
-        Some(Ok(())) => Response::json(200, retention_body(ns, Some(policy))),
+    match ask(shared, Op::Record(ReplayCommand::SetRetention { namespace: ns.to_string(), policy }))
+    {
+        Err(response) => response,
+        Ok(Reply::Done) => Response::json(200, retention_body(ns, Some(policy))),
+        Ok(reply) => unexpected(reply),
     }
 }
 
 fn handle_get_retention(ns: &str, shared: &Shared) -> Response {
-    match ask(shared, |tx| Command::GetRetention(ns.to_string(), tx)) {
-        None => unavailable(),
-        Some(None) => Response::error(404, format!("unknown namespace {ns:?}")),
-        Some(Some(policy)) => Response::json(200, retention_body(ns, policy)),
+    match ask(shared, Op::GetRetention(ns.to_string())) {
+        Err(response) => response,
+        Ok(Reply::Unknown) => Response::error(404, format!("unknown namespace {ns:?}")),
+        Ok(Reply::Retention(policy)) => Response::json(200, retention_body(ns, policy)),
+        Ok(reply) => unexpected(reply),
     }
 }
 
@@ -1127,13 +692,17 @@ fn handle_forget(request: &Request, shared: &Shared) -> Response {
     if !req.dry_run && shared.draining.load(Ordering::SeqCst) {
         return Response::error(503, "server is draining; destructive forgets are refused");
     }
-    let dry_run = req.dry_run;
-    let namespace = req.namespace.clone();
-    match ask(shared, |tx| Command::Forget { namespace: req.namespace, dry_run, reply: tx }) {
-        None => unavailable(),
-        Some(Err(e)) => Response::error(500, e),
-        Some(Ok(None)) => Response::error(404, format!("unknown namespace {namespace:?}")),
-        Some(Ok(Some(count))) => Response::json(
+    let (namespace, dry_run) = (req.namespace, req.dry_run);
+    // Dry runs mutate nothing and stay out of the journal.
+    let op = if dry_run {
+        Op::CountNamespace(namespace.clone())
+    } else {
+        Op::Record(ReplayCommand::Forget { namespace: namespace.clone() })
+    };
+    match ask(shared, op) {
+        Err(response) => response,
+        Ok(Reply::Unknown) => Response::error(404, format!("unknown namespace {namespace:?}")),
+        Ok(Reply::Removed(count)) => Response::json(
             200,
             object(vec![
                 ("namespace", Value::Str(namespace)),
@@ -1141,6 +710,7 @@ fn handle_forget(request: &Request, shared: &Shared) -> Response {
                 ("removed", Value::Num(Number::U64(count as u64))),
             ]),
         ),
+        Ok(reply) => unexpected(reply),
     }
 }
 
@@ -1169,7 +739,7 @@ fn handle_publish(request: &Request, shared: &Shared) -> Response {
     // or — under `Reject` with a full queue — an immediate 429 with no
     // effects (the publish may be retried verbatim).
     let (reply_tx, reply_rx) = channel::bounded(1);
-    let command = Command::Publish { request: publish, record, reply: reply_tx };
+    let command = Command::Apply(Op::Publish { request: publish, record }, reply_tx);
     let ahead = match shared.admission {
         AdmissionPolicy::Block => match shared.enqueue(command) {
             None => return unavailable(),
@@ -1197,11 +767,14 @@ fn handle_publish(request: &Request, shared: &Shared) -> Response {
         if ahead == 0 { Admission::Accepted } else { Admission::Enqueued { depth: ahead } };
     match reply_rx.recv() {
         Err(_) => unavailable(),
-        Ok(Err(e)) => Response::error(500, e),
-        Ok(Ok((receipt, changes))) => match publish_body(&receipt, changes.as_deref(), admission) {
-            Ok(body) => Response::json(200, body),
-            Err(e) => Response::error(500, e),
-        },
+        Ok(Reply::Published { receipt, changes }) => {
+            match publish_body(&receipt, changes.as_deref(), admission) {
+                Ok(body) => Response::json(200, body),
+                Err(e) => Response::error(500, e),
+            }
+        }
+        Ok(Reply::Refused(e)) => Response::error(500, e),
+        Ok(reply) => unexpected(reply),
     }
 }
 
@@ -1307,17 +880,15 @@ fn handle_restore(request: &Request, shared: &Shared) -> Response {
         Ok(body) => body,
     };
     // `from_json`, not a plain parse: it migrates a v2 capture and refuses
-    // what the ingest thread must never see (other versions, ±∞ numbers).
+    // what the node must never see (other versions, ±∞ numbers).
     let snapshot: Snapshot = match Snapshot::from_json(body) {
         Err(e) => return Response::error(400, format!("invalid snapshot: {e}")),
         Ok(snapshot) => snapshot,
     };
-    match ask(shared, |tx| Command::Restore(Box::new(snapshot), tx)) {
-        None => unavailable(),
-        Some(Err(e)) => Response::error(500, e),
-        Some(Ok(outcome)) => {
-            let mapping = outcome
-                .mapping
+    match ask(shared, Op::Restore(Box::new(snapshot))) {
+        Err(response) => response,
+        Ok(Reply::Restored { queries, mapping }) => {
+            let mapping = mapping
                 .into_iter()
                 .map(|(old, new)| {
                     Value::Array(vec![
@@ -1329,11 +900,12 @@ fn handle_restore(request: &Request, shared: &Shared) -> Response {
             Response::json(
                 200,
                 object(vec![
-                    ("queries", Value::Num(Number::U64(outcome.queries as u64))),
+                    ("queries", Value::Num(Number::U64(queries as u64))),
                     ("mapping", Value::Array(mapping)),
                 ]),
             )
         }
+        Ok(reply) => unexpected(reply),
     }
 }
 
@@ -1353,32 +925,4 @@ fn object(fields: Vec<(&str, Value)>) -> String {
 /// An ad-hoc JSON object as a [`Value`] (for nesting inside [`object`]).
 fn object_value(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn an_idle_interval_journal_syncs_its_tail_once_the_interval_lapses() {
-        let dir = std::env::temp_dir().join(format!("ctk-idle-sync-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let interval = Duration::from_millis(100);
-        let config = JournalConfig::new(&dir).fsync(FsyncPolicy::Interval(interval));
-        let (mut journal, _) = Journal::open(config).unwrap();
-        journal.append(&ReplayCommand::Forget { namespace: "acked".to_string() }).unwrap();
-        // The append found the interval fresh, so nothing synced it.
-        assert!(journal.sync_due().is_some());
-
-        // Traffic stops: the next command comes long after the interval.
-        let (tx, rx) = channel::bounded(1);
-        let late = thread::spawn(move || {
-            thread::sleep(6 * interval);
-            tx.send(Command::Stop).unwrap();
-        });
-        assert!(matches!(next_command(&rx, Some(&mut journal)), Some(Command::Stop)));
-        assert_eq!(journal.sync_due(), None, "the acked record waited for the next command");
-        late.join().unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }

@@ -160,6 +160,36 @@ fn snapshot_checkpoints_and_restore_reanchors_the_journal() {
 }
 
 #[test]
+fn a_restore_whose_checkpoint_fails_leaves_the_live_monitor() {
+    let dir = temp_dir("refused-restore");
+    let server = builder().journal_dir(&dir).bind("127.0.0.1:0").unwrap();
+    let mut client = HttpClient::connect(server.addr()).unwrap();
+    // A capture with one query, then a second query the capture lacks.
+    ok(client.post("/queries", r#"{"terms": [[1, 1.0]], "k": 3}"#), 200);
+    let capture = ok(client.post("/snapshot", ""), 200);
+    let qid = field_u64(
+        &parse(&ok(client.post("/queries", r#"{"terms": [[2, 1.0]], "k": 3}"#), 200)),
+        "query",
+    );
+    ok(client.post("/publish", r#"{"terms": [[2, 0.8]], "arrival": 1.0}"#), 200);
+    let results = ok(client.get(&format!("/queries/{qid}/results")), 200);
+    let queries = field_u64(&parse(&ok(client.get("/stats"), 200)), "queries");
+
+    // A directory where the checkpoint's temporary file goes: creating the
+    // file fails with EISDIR, even for root.
+    fs::create_dir(dir.join("checkpoint.tmp")).unwrap();
+    let refusal = parse(&ok(client.post("/restore", &capture), 500));
+    assert!(
+        refusal.get("error").unwrap().as_str().unwrap().starts_with("journal checkpoint failed"),
+        "{refusal:?}"
+    );
+    assert_eq!(ok(client.get(&format!("/queries/{qid}/results")), 200), results);
+    assert_eq!(field_u64(&parse(&ok(client.get("/stats"), 200)), "queries"), queries);
+    server.shutdown();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn readyz_reports_draining_as_not_ready() {
     let server = builder().bind("127.0.0.1:0").unwrap();
     let mut client = HttpClient::connect(server.addr()).unwrap();

@@ -380,6 +380,17 @@ fn malformed_requests_get_client_errors_not_hangs() {
 }
 
 #[test]
+fn a_query_vector_that_normalizes_to_empty_is_refused_with_400() {
+    let (server, mut client) = start(EngineKind::Mrio, 1);
+    // The duplicates merge into a weight sum past f32::MAX: +inf, which
+    // normalizes to NaN and is dropped, leaving nothing to match.
+    let body = ok(client.post("/queries", r#"{"terms": [[1, 3e38], [1, 3e38]]}"#), 400);
+    assert!(body.contains("query vector must be non-empty"), "{body}");
+    assert_eq!(field_u64(&parse(&ok(client.get("/stats"), 200)), "queries"), 0);
+    server.shutdown();
+}
+
+#[test]
 fn reject_admission_answers_429_with_retry_after_and_loses_no_accepted_docs() {
     use ctk_server::AdmissionPolicy;
     // Queue depth 1 and a reject policy: whenever two publishers race while

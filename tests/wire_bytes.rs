@@ -19,7 +19,7 @@ use ctk_core::{
     Admission, EventStats, EvictionPolicy, NamespaceStats, PublishReceipt, ReplayCommand,
     ResultChange, RetentionPolicy,
 };
-use ctk_server::server::publish_body;
+use ctk_server::routes::publish_body;
 use ctk_server::{
     encode_record, publish_body_payload, FsyncPolicy, Journal, JournalConfig, PollOutcome,
     ServerStats, SubscriberRegistry,
