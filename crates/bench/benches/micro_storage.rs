@@ -9,9 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ctk_common::{DocId, Document, QueryId, SparseVector, TermId};
 use ctk_core::engine::{CursorSet, EXHAUSTED};
 use ctk_index::{PostingsStorage, QueryIndex, StorageConfig};
-use ctk_storage::{
-    decode_block, decode_ids, encode_block, seek_ids, Block, WeightCodec, BLOCK_LEN,
-};
+use ctk_storage::{decode_block, decode_ids, encode_block, seek_ids, Block, BLOCK_LEN};
 use std::hint::black_box;
 
 const HOT: TermId = TermId(1);
@@ -28,7 +26,7 @@ fn bench_codec(c: &mut Criterion) {
         .collect();
     let middle = slots[BLOCK_LEN / 2].0;
     let mut bytes = Vec::new();
-    encode_block(&slots, WeightCodec::Raw, &mut bytes);
+    encode_block(&slots, &mut bytes);
 
     let mut group = c.benchmark_group("codec");
     group.sample_size(30);

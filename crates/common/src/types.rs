@@ -7,7 +7,7 @@
 
 use crate::float::OrdF64;
 use crate::ids::{DocId, QueryId, TermId};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
 /// Logical stream time, in abstract "seconds". The stream driver assigns
 /// monotonically non-decreasing timestamps to arriving documents.
@@ -156,7 +156,14 @@ impl Document {
 }
 
 /// What a user registers: a keyword preference vector and the result size `k`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Decoding (snapshots, checkpoints and journal records all go through it)
+/// refuses what [`QuerySpec::new`] never builds: a `k` of 0 or above
+/// [`QuerySpec::MAX_K`], an empty vector, term ids out of strictly
+/// ascending order, or a weight that is not finite and > 0. It checks the
+/// vector as written and never re-normalizes it, so a valid capture
+/// restores bit for bit.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct QuerySpec {
     pub vector: SparseVector,
     pub k: usize,
@@ -167,6 +174,8 @@ pub struct QuerySpec {
 pub enum QuerySpecError {
     /// `k` must be at least 1.
     ZeroK,
+    /// `k` must be at most [`QuerySpec::MAX_K`].
+    KTooLarge,
     /// The keyword vector must contain at least one positive-weight term.
     EmptyVector,
 }
@@ -175,6 +184,7 @@ impl std::fmt::Display for QuerySpecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             QuerySpecError::ZeroK => write!(f, "query k must be >= 1"),
+            QuerySpecError::KTooLarge => write!(f, "query k must be <= {}", QuerySpec::MAX_K),
             QuerySpecError::EmptyVector => write!(f, "query vector must be non-empty"),
         }
     }
@@ -183,10 +193,18 @@ impl std::fmt::Display for QuerySpecError {
 impl std::error::Error for QuerySpecError {}
 
 impl QuerySpec {
+    /// The largest result size a query may ask for. Every result set
+    /// reserves its `k` slots up front, so this bounds what one register
+    /// can allocate.
+    pub const MAX_K: usize = 1 << 16;
+
     /// Build and validate a query spec, normalizing the vector.
     pub fn new(pairs: Vec<(TermId, f32)>, k: usize) -> Result<Self, QuerySpecError> {
         if k == 0 {
             return Err(QuerySpecError::ZeroK);
+        }
+        if k > QuerySpec::MAX_K {
+            return Err(QuerySpecError::KTooLarge);
         }
         let mut vector = SparseVector::from_pairs(pairs);
         // After normalizing: a weight sum that overflows f32 normalizes to
@@ -201,6 +219,26 @@ impl QuerySpec {
     /// Convenience constructor with uniform weights over `terms`.
     pub fn uniform(terms: &[TermId], k: usize) -> Result<Self, QuerySpecError> {
         QuerySpec::new(terms.iter().map(|&t| (t, 1.0)).collect(), k)
+    }
+}
+
+impl Deserialize for QuerySpec {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let vector = SparseVector::from_value(v.field("vector")?)?;
+        let k = usize::from_value(v.field("k")?)?;
+        let entries = vector.as_slice();
+        let refusal = if !(1..=QuerySpec::MAX_K).contains(&k) {
+            format!("`spec.k` must be between 1 and {}", QuerySpec::MAX_K)
+        } else if entries.is_empty() {
+            "`spec.vector` must be non-empty".to_string()
+        } else if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
+            "`spec.vector` term ids must be strictly ascending".to_string()
+        } else if !entries.iter().all(|&(_, w)| w.is_finite() && w > 0.0) {
+            "`spec.vector` weights must be finite and > 0".to_string()
+        } else {
+            return Ok(QuerySpec { vector, k });
+        };
+        Err(Error::custom(refusal))
     }
 }
 

@@ -220,4 +220,35 @@ mod tests {
         assert!(serde_json::from_str::<ReplayCommand>(r#"{"op": "explode"}"#).is_err());
         assert!(serde_json::from_str::<ReplayCommand>(r#"{"docs": []}"#).is_err());
     }
+
+    /// A register record's spec decodes through `QuerySpec`'s checks: what
+    /// `QuerySpec::new` never builds is refused, naming the field, and a
+    /// valid spec comes back bit for bit, unnormalized.
+    #[test]
+    fn register_records_refuse_specs_no_registration_builds() {
+        let record = |spec: &str| {
+            format!(
+                r#"{{"op":"register","assigned":0,"spec":{spec},"namespace":"","max_age":null}}"#
+            )
+        };
+        let valid = record(r#"{"vector":{"entries":[[1,0.6],[3,0.8]]},"k":2}"#);
+        let ReplayCommand::Register { spec, .. } = serde_json::from_str(&valid).unwrap() else {
+            panic!("not a register")
+        };
+        assert_eq!(spec.vector.as_slice(), &[(TermId(1), 0.6), (TermId(3), 0.8)]);
+        for (field, bad) in [
+            ("spec.k", r#"{"vector":{"entries":[[1,1.0]]},"k":0}"#),
+            ("spec.k", r#"{"vector":{"entries":[[1,1.0]]},"k":65537}"#),
+            ("spec.k", r#"{"vector":{"entries":[[1,1.0]]},"k":4294967296}"#),
+            ("spec.vector", r#"{"vector":{"entries":[]},"k":1}"#),
+            ("spec.vector", r#"{"vector":{"entries":[[3,0.6],[1,0.8]]},"k":1}"#),
+            ("spec.vector", r#"{"vector":{"entries":[[1,0.6],[1,0.8]]},"k":1}"#),
+            ("spec.vector", r#"{"vector":{"entries":[[1,-1.0]]},"k":1}"#),
+            ("spec.vector", r#"{"vector":{"entries":[[1,0.0]]},"k":1}"#),
+            ("spec.vector", r#"{"vector":{"entries":[[1,1e999]]},"k":1}"#),
+        ] {
+            let err = serde_json::from_str::<ReplayCommand>(&record(bad)).expect_err(bad);
+            assert!(err.to_string().contains(&format!("`{field}`")), "{bad}: {err}");
+        }
+    }
 }

@@ -229,19 +229,30 @@ impl Snapshot {
                 Err(_) => return Err(v3_err.into()),
             },
         };
-        snap.check_finite()?;
+        snap.check_numbers()?;
         Ok(snap)
     }
 
-    /// Refuse any non-finite number, naming its field. JSON spells +∞ as
+    /// Refuse any non-finite number, naming its field: JSON spells +∞ as
     /// `1e999`, and such a value can neither be written back out nor
-    /// ordered safely.
-    fn check_finite(&self) -> Result<(), serde::Error> {
+    /// ordered safely. Refuse too a negative λ, landmark or score, which no
+    /// monitor can be built with or produce, and sections in different
+    /// landmark frames, which no backend writes.
+    fn check_numbers(&self) -> Result<(), serde::Error> {
         let finite = |field: &str, x: f64| match x.is_finite() {
             true => Ok(()),
             false => Err(serde::Error::custom(format!("snapshot field `{field}` is not finite"))),
         };
         finite("lambda", self.lambda)?;
+        let negative = self.lambda < 0.0 || self.shards.iter().any(|s| s.landmark < 0.0);
+        if negative {
+            return Err(serde::Error::custom(
+                "snapshot fields `lambda` and `landmark` must be >= 0",
+            ));
+        }
+        if !self.shards.windows(2).all(|w| w[0].landmark == w[1].landmark) {
+            return Err(serde::Error::custom("snapshot sections disagree on the `landmark`"));
+        }
         finite("last_arrival", self.last_arrival)?;
         for policy in &self.policies {
             finite("policies.max_age", policy.max_age.unwrap_or(0.0))?;
@@ -257,6 +268,9 @@ impl Snapshot {
                 }
                 for r in &q.results {
                     finite("results.score", r.score.get())?;
+                    if r.score.get() < 0.0 {
+                        return Err(serde::Error::custom("snapshot field `results.score` is < 0"));
+                    }
                 }
             }
         }

@@ -169,7 +169,7 @@ impl ResultSets {
             None
         } else {
             let worst = std::mem::replace(&mut heap[0], cand);
-            sift_down(heap);
+            sift_down(heap, 0);
             Some(worst)
         };
         slot.version += 1;
@@ -192,14 +192,19 @@ impl ResultSets {
         std::hint::black_box(any);
     }
 
-    /// Multiply every stored score by `r > 0` (landmark renormalization).
-    /// Order is preserved, so the heap shapes stay valid.
+    /// Multiply every stored score by `r ∈ [0, 1)` (landmark
+    /// renormalization). A far jump in stream time can underflow scores to
+    /// equal values, `0.0` at worst, which then order by doc id instead,
+    /// so every heap is rebuilt rather than assumed intact.
     pub fn rescale(&mut self, r: f64) {
-        debug_assert!(r > 0.0);
+        debug_assert!(r >= 0.0);
         for (slot, sk) in self.slots.iter_mut().zip(&mut self.sk).filter(|(s, _)| s.k > 0) {
             let heap = &mut self.entries[slot.offset as usize..][..slot.len as usize];
             for e in heap.iter_mut() {
                 e.score = ctk_common::OrdF64::new(e.score.get() * r);
+            }
+            for i in (0..heap.len() / 2).rev() {
+                sift_down(heap, i);
             }
             slot.version += 1;
             if slot.len == slot.k {
@@ -218,9 +223,8 @@ fn sift_up(heap: &mut [ScoredDoc]) {
     }
 }
 
-/// Restore the max-heap after its root was replaced.
-fn sift_down(heap: &mut [ScoredDoc]) {
-    let mut i = 0;
+/// Restore the max-heap below `i` after the entry at `i` was replaced.
+fn sift_down(heap: &mut [ScoredDoc], mut i: usize) {
     loop {
         let mut child = 2 * i + 1;
         if child + 1 < heap.len() && heap[child] < heap[child + 1] {
@@ -273,6 +277,24 @@ mod tests {
         }
         assert_eq!(t.threshold(0), 2.0);
         assert!(matches!(t.offer(0, sd(4, 1.5)), Offer::Rejected));
+    }
+
+    /// A renormalization far enough ahead underflows every score to 0.0:
+    /// the heap then orders by doc id, and the next offer still evicts
+    /// the worst entry.
+    #[test]
+    fn a_rescale_that_underflows_rebuilds_the_heap() {
+        let mut t = one(3);
+        for (doc, score) in [(1, 1e-300), (2, 2e-300), (3, 3e-300)] {
+            t.offer(0, sd(doc, score));
+        }
+        t.rescale(0.0);
+        assert_eq!(t.threshold(0), 0.0);
+        match t.offer(0, sd(4, 0.5)) {
+            Offer::Inserted { evicted: Some(e) } => assert_eq!(e, sd(3, 0.0)),
+            other => panic!("expected eviction, got {other:?}"),
+        }
+        assert_eq!(t.get(0).unwrap().sorted_results(), vec![sd(4, 0.5), sd(1, 0.0), sd(2, 0.0)]);
     }
 
     #[test]

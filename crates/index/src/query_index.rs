@@ -337,7 +337,7 @@ pub struct QueryIndex {
     total_postings: usize,
     total_tombstones: usize,
     config: StorageConfig,
-    /// Sealing policy shared by every list (codec + pager).
+    /// Sealing policy shared by every list (the pager).
     cx: StoreContext,
 }
 

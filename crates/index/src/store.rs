@@ -158,7 +158,7 @@ impl StorageStats {
 /// [`PostingsList`]: ID-ordered slots with stable positions, tombstones as
 /// zero-weight slots that keep their query id, `seek` as "first position
 /// `>= from` with id `>= target`". Mutations take the index's shared
-/// [`StoreContext`] (codec + pager) so lists themselves stay policy-free.
+/// [`StoreContext`] (the pager) so lists themselves stay policy-free.
 pub trait PostingsStore {
     /// Slots, including tombstones.
     fn len(&self) -> usize;

@@ -290,49 +290,6 @@ pub fn decode_records(bytes: &[u8]) -> (Vec<(u64, Vec<u8>)>, TailState) {
     (records, TailState::Clean)
 }
 
-/// Test-support writer that fails every write past byte `fail_at`,
-/// simulating a crash mid-append: the bytes before the failpoint land, the
-/// rest never happen. Used by the fault-injection tests to manufacture torn
-/// tails and partial rotations deterministically.
-pub struct FailpointWriter<W: Write> {
-    inner: W,
-    fail_at: u64,
-    written: u64,
-}
-
-impl<W: Write> FailpointWriter<W> {
-    /// Wrap `inner`, killing writes at byte `fail_at`.
-    pub fn new(inner: W, fail_at: u64) -> FailpointWriter<W> {
-        FailpointWriter { inner, fail_at, written: 0 }
-    }
-
-    /// Bytes successfully written before the failpoint.
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
-    /// Unwrap the inner writer.
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-}
-
-impl<W: Write> Write for FailpointWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if self.written >= self.fail_at {
-            return Err(io::Error::other("failpoint: write killed"));
-        }
-        let allow = usize::try_from(self.fail_at - self.written).unwrap_or(usize::MAX);
-        let n = self.inner.write(&buf[..buf.len().min(allow)])?;
-        self.written += n as u64;
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 fn segment_name(first_seq: u64) -> String {
     format!("{SEGMENT_PREFIX}{first_seq:020}{SEGMENT_SUFFIX}")
 }
@@ -794,26 +751,6 @@ mod tests {
         let (records, tail) = decode_records(&corrupt);
         assert_eq!(records.len(), 2);
         assert_eq!(tail, TailState::Torn { valid_bytes: last_start as u64 });
-    }
-
-    #[test]
-    fn failpoint_writer_kills_mid_record() {
-        let r1 = encode_record(1, b"first");
-        let r2 = encode_record(2, b"second");
-        let total = (r1.len() + r2.len()) as u64;
-        // Kill at every byte: the decoded prefix is exactly the records
-        // fully written before the failpoint.
-        for fail_at in 0..=total {
-            let mut w = FailpointWriter::new(Vec::new(), fail_at);
-            let mut wrote = w.write_all(&r1).is_ok();
-            wrote = wrote && w.write_all(&r2).is_ok();
-            assert_eq!(wrote, fail_at >= total);
-            assert_eq!(w.written(), fail_at.min(total));
-            let buf = w.into_inner();
-            let (records, _) = decode_records(&buf);
-            let expect = usize::from(fail_at >= r1.len() as u64) + usize::from(fail_at >= total);
-            assert_eq!(records.len(), expect, "fail_at {fail_at}");
-        }
     }
 
     #[test]

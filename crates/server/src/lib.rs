@@ -50,13 +50,15 @@ pub mod journal;
 pub mod node;
 pub mod routes;
 pub mod signal;
+#[cfg(test)]
+mod sim;
 pub mod subscribers;
 pub mod wire;
 
 pub use client::HttpClient;
 pub use journal::{
-    decode_records, encode_record, publish_body_payload, FailpointWriter, FsyncPolicy, Journal,
-    JournalConfig, Recovery, TailState,
+    decode_records, encode_record, publish_body_payload, FsyncPolicy, Journal, JournalConfig,
+    Recovery, TailState,
 };
 pub use node::{Node, Op, Reply, ServerStats};
 pub use routes::{AdmissionPolicy, CtkServer, ServerBuilder};

@@ -510,7 +510,6 @@ mod tests {
     use crossbeam::channel;
     use ctk_common::{QuerySpec, TermId};
     use ctk_core::EvictionPolicy;
-    use proptest::prelude::*;
     use std::fs;
     use std::path::{Path, PathBuf};
     use std::sync::atomic::AtomicU64;
@@ -594,114 +593,6 @@ mod tests {
             max_age: None,
             max_queries: Some(max_queries),
             eviction: EvictionPolicy::Oldest,
-        }
-    }
-
-    const NAMESPACES: [&str; 4] = ["", "alerts", "feed", "nobody"];
-
-    /// One generated op from an opcode and two free integers. Publishes
-    /// advance `clock`; a restore picks one of `captures`.
-    fn generated(
-        kind: u8,
-        a: u32,
-        b: u64,
-        clock: &mut f64,
-        node: &Node,
-        captures: &[Snapshot],
-    ) -> Op {
-        let namespace = NAMESPACES[a as usize % 3];
-        match kind {
-            0..=2 => {
-                let docs: Vec<(Vec<u32>, f64)> = (0..1 + a % 3)
-                    .map(|i| {
-                        *clock += (b % 4) as f64 * 0.75;
-                        (vec![1 + (a + i) % 9, 10 + (b as u32 + i) % 4], *clock)
-                    })
-                    .collect();
-                let docs: Vec<(&[u32], f64)> = docs.iter().map(|(t, at)| (&t[..], *at)).collect();
-                publish(&docs)
-            }
-            3 => register(&[1 + a % 9, 10 + b as u32 % 4], 1 + b as usize % 3, "", None),
-            4 => {
-                let max_age = (!b.is_multiple_of(3)).then_some(1.0 + (b % 7) as f64);
-                register(&[1 + a % 9], 1 + b as usize % 3, namespace, max_age)
-            }
-            // Live, removed and never-assigned ids alike.
-            5 => Op::Record(ReplayCommand::Unregister {
-                qid: QueryId(a % (node.backend.next_query_id().0 + 2)),
-            }),
-            6 => retention(
-                namespace,
-                RetentionPolicy {
-                    max_age: b.is_multiple_of(2).then_some(2.0 + (a % 5) as f64),
-                    // Caps of 1 to 3 evict at once from a fuller namespace.
-                    max_queries: (!a.is_multiple_of(3)).then_some(1 + b % 3),
-                    eviction: match b % 3 {
-                        1 => EvictionPolicy::LowestScore,
-                        _ => EvictionPolicy::Oldest,
-                    },
-                },
-            ),
-            7 => Op::CountNamespace(NAMESPACES[a as usize % 4].to_string()),
-            8 => Op::Record(ReplayCommand::Forget {
-                namespace: NAMESPACES[a as usize % 4].to_string(),
-            }),
-            9 => Op::Snapshot,
-            10 if !captures.is_empty() => {
-                Op::Restore(Box::new(captures[a as usize % captures.len()].clone()))
-            }
-            _ => Op::Results(QueryId(a % (node.backend.next_query_id().0 + 1))),
-        }
-    }
-
-    /// Drive a journaled node through `ops` and, after every one, check
-    /// that a node recovered from a copy of its journal directory holds
-    /// the same state: byte for byte, ids included, until the first
-    /// checkpoint or restore renumbers one side, and in [`canonical`] form
-    /// from then on.
-    fn live_and_recovered_agree(shards: usize, ops: &[(u8, u32, u64)]) {
-        let builder = builder(shards);
-        let (dir, copy) = (temp_dir("live"), temp_dir("recovered"));
-        let mut live = journaled(&builder, &dir);
-        let (mut clock, mut captures, mut renumbered) = (0.0, Vec::new(), false);
-        for (step, &(kind, a, b)) in ops.iter().enumerate() {
-            let op = generated(kind, a, b, &mut clock, &live, &captures);
-            let described = format!("{op:?}");
-            renumbered |= matches!(op, Op::Snapshot | Op::Restore(_));
-            match live.apply(op) {
-                Reply::Refused(e) => panic!("step {step}: {described} refused: {e}"),
-                Reply::Snapshot(snapshot) => captures.push(*snapshot),
-                _ => {}
-            }
-            let twin = recovered(&builder, &dir, &copy);
-            if renumbered {
-                assert_eq!(canonical(&twin), canonical(&live), "step {step}, after {described}");
-            } else {
-                let raw = |node: &Node| node.backend.snapshot().to_json().unwrap();
-                assert_eq!(raw(&twin), raw(&live), "step {step}, after {described}");
-                let next = |node: &Node| node.backend.next_query_id();
-                assert_eq!(next(&twin), next(&live), "step {step}, after {described}");
-            }
-        }
-        let _ = fs::remove_dir_all(&dir);
-        let _ = fs::remove_dir_all(&copy);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        #[test]
-        fn a_recovered_node_matches_the_live_one_on_one_shard(
-            ops in prop::collection::vec((0u8..12, 0u32..1000, 0u64..1000), 1..60),
-        ) {
-            live_and_recovered_agree(1, &ops);
-        }
-
-        #[test]
-        fn a_recovered_node_matches_the_live_one_on_three_shards(
-            ops in prop::collection::vec((0u8..12, 0u32..1000, 0u64..1000), 1..60),
-        ) {
-            live_and_recovered_agree(3, &ops);
         }
     }
 

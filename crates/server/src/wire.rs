@@ -406,6 +406,10 @@ mod tests {
         // Validation errors surface with the QuerySpec message.
         assert!(parse_register(&value(r#"{"terms": [], "k": 3}"#)).is_err());
         assert!(parse_register(&value(r#"{"terms": [[1, 1.0]], "k": 0}"#)).is_err());
+        // A result set reserves its k slots: past the bound is refused
+        // rather than allocated (or, past u32, truncated to 0).
+        assert!(parse_register(&value(r#"{"terms": [[1, 1.0]], "k": 65537}"#)).is_err());
+        assert!(parse_register(&value(r#"{"terms": [[1, 1.0]], "k": 4294967296}"#)).is_err());
         assert!(parse_register(&value(r#"{"k": 3}"#)).unwrap_err().contains("terms"));
         assert!(parse_register(&value(r#"{"terms": [[1]], "k": 3}"#)).is_err());
     }

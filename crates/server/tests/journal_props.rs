@@ -12,17 +12,19 @@
 //! wrote. Regenerate deliberately with `UPDATE_FIXTURES=1` (and bump the
 //! checkpoint format) — never by accident.
 
+use continuous_topk::{EngineKind, MonitorBuilder};
 use ctk_common::{QueryId, TermId};
 use ctk_core::{EvictionPolicy, ReplayCommand, RetentionPolicy};
 use ctk_server::wire::decode_publish;
 use ctk_server::{
-    decode_records, encode_record, publish_body_payload, FsyncPolicy, Journal, JournalConfig,
-    TailState,
+    decode_records, encode_record, publish_body_payload, FsyncPolicy, Journal, JournalConfig, Node,
+    SubscriberRegistry, TailState,
 };
 use proptest::prelude::*;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 fn temp_dir(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -291,4 +293,119 @@ fn old_records_and_body_records_replay_from_one_segment() {
     assert_eq!(recovery.truncated_bytes, 0);
     assert_eq!(recovery.commands.len(), expected.len() + 1);
     fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Checksum-valid records whose payloads are damaged copies of real ones —
+/// every op kind, publish bodies included: seeded byte-level damage, then
+/// each number replaced in turn — recover through `Journal::open` and
+/// `Node::recover` into `Ok` or a typed `Err`, never a panic. A register record whose `"k"` became 0 used to panic recovery,
+/// and so every restart. The seed is `PROPTEST_SEED` when set, so CI can
+/// rotate it.
+#[test]
+fn damaged_payloads_never_panic_recovery() {
+    let seed = std::env::var("PROPTEST_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(20260729);
+    let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ seed;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut sources: Vec<Vec<u8>> =
+        fixture_commands().iter().map(|c| serde_json::to_string(c).unwrap().into_bytes()).collect();
+    for body in [
+        r#"{"terms": [[3, 0.75], [7, 1]], "arrival": 3.0}"#,
+        r#"{"docs": [{"terms": [[7, 1e-1], [9, 0.5]], "arrival": 4}, {"terms": [[3, 1]]}]}"#,
+    ] {
+        sources.push(publish_body_payload(body).into_bytes());
+    }
+    const BYTES: &[u8] = b"{}[]\",:\\ \n-+.eE0123456789nul\x00\x7f\xc3\xa9\xff";
+    let dir = temp_dir("damaged");
+    let builder = MonitorBuilder::new(EngineKind::Mrio).lambda(0.05);
+    let (mut recovered, mut refused) = (0u32, 0u32);
+    for _ in 0..3_000 {
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let mut segment = Vec::new();
+        for seq in 1..=1 + next() % 4 {
+            let mut payload = sources[next() as usize % sources.len()].clone();
+            for _ in 0..next() % 3 {
+                let at = next() as usize % (payload.len() + 1);
+                match next() % 4 {
+                    // Overwrite one byte with a JSON-significant (or invalid) one.
+                    0 if at < payload.len() => payload[at] = BYTES[next() as usize % BYTES.len()],
+                    // Truncate.
+                    1 => payload.truncate(at),
+                    // Splice in a run from any source.
+                    2 => {
+                        let from = &sources[next() as usize % sources.len()];
+                        let start = next() as usize % from.len();
+                        let end = (start + next() as usize % 32).min(from.len());
+                        payload.splice(at..at, from[start..end].iter().copied());
+                    }
+                    // Delete a run.
+                    _ => {
+                        let end = (at + next() as usize % 16).min(payload.len());
+                        payload.drain(at..end);
+                    }
+                }
+            }
+            segment.extend(encode_record(seq, &payload));
+        }
+        fs::write(dir.join(format!("wal-{:020}.log", 1)), &segment).unwrap();
+        let config = JournalConfig::new(&dir).fsync(FsyncPolicy::Never);
+        let outcome = Journal::open(config).and_then(|(journal, recovery)| {
+            let subscribers = Arc::new(SubscriberRegistry::new(1));
+            Node::new(&builder, Some(journal), subscribers).recover(recovery)
+        });
+        match outcome {
+            Ok(()) => recovered += 1,
+            Err(_) => refused += 1,
+        }
+    }
+    // Then every number of every source, one at a time, replaced by each
+    // value a decoder must refuse or survive.
+    for source in &sources {
+        for range in numbers(source) {
+            for value in ["0", "1", "7", "-1", "-0.5", "1e999", "4294967296", "1e-320"] {
+                let mut payload = source.clone();
+                payload.splice(range.clone(), value.bytes());
+                let _ = fs::remove_dir_all(&dir);
+                fs::create_dir_all(&dir).unwrap();
+                fs::write(dir.join(format!("wal-{:020}.log", 1)), encode_record(1, &payload))
+                    .unwrap();
+                let config = JournalConfig::new(&dir).fsync(FsyncPolicy::Never);
+                let outcome = Journal::open(config).and_then(|(journal, recovery)| {
+                    let subscribers = Arc::new(SubscriberRegistry::new(1));
+                    Node::new(&builder, Some(journal), subscribers).recover(recovery)
+                });
+                match outcome {
+                    Ok(()) => recovered += 1,
+                    Err(_) => refused += 1,
+                }
+            }
+        }
+    }
+    let _ = fs::remove_dir_all(&dir);
+    assert!(recovered > 300 && refused > 300, "{recovered} recovered, {refused} refused");
+}
+
+/// The byte range of each number token in `text`.
+fn numbers(text: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let mut ranges = Vec::new();
+    let mut at = 0;
+    while at < text.len() {
+        if text[at].is_ascii_digit() || text[at] == b'-' {
+            let start = at;
+            while at < text.len()
+                && matches!(text[at], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+            {
+                at += 1;
+            }
+            ranges.push(start..at);
+        } else {
+            at += 1;
+        }
+    }
+    ranges
 }

@@ -3,8 +3,8 @@
 //! The space side of the monitor's scaling story. Three layers:
 //!
 //! * [`codec`] — the sealed-block format: delta + bit-packed query ids,
-//!   f32 weights raw (lossless, the default) or 16-bit quantized behind
-//!   [`WeightCodec`], tombstones as zero-weight slots. Blocks hold exactly
+//!   raw f32 weights (lossless), tombstones as zero-weight slots. Blocks
+//!   hold exactly
 //!   [`BLOCK_LEN`] postings so they align 1:1 with `BlockMax` zones.
 //! * [`pager`] — [`PageManager`]: a byte-budgeted hot/cold page pool with
 //!   second-chance eviction and spill-to-disk via plain `std::fs`.
@@ -21,8 +21,6 @@ pub mod codec;
 pub mod list;
 pub mod pager;
 
-pub use codec::{
-    decode_block, decode_ids, decode_slot, encode_block, seek_ids, Block, WeightCodec, BLOCK_LEN,
-};
+pub use codec::{decode_block, decode_ids, decode_slot, encode_block, seek_ids, Block, BLOCK_LEN};
 pub use list::{BlockCursor, CompressedList, StoreContext, Unsealed};
 pub use pager::{Page, PageManager, PagerStats};

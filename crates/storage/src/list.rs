@@ -1,7 +1,7 @@
 //! A compressed, optionally paged ID-ordered postings list.
 //!
 //! Full blocks of [`BLOCK_LEN`] postings are sealed through the block codec
-//! (delta + bit-packed ids, raw or quantized weights); the newest postings
+//! (delta + bit-packed ids, raw f32 weights); the newest postings
 //! live in an uncompressed tail until it fills. Sealed payloads are
 //! immutable: a block is written once and only compaction replaces it.
 //!
@@ -29,35 +29,31 @@
 //! struct is therefore minimal — an exact-fit boxed-slice tail and an
 //! `Option<Box>` of sealed-side tables (`SealedState`, allocated on the
 //! first seal) — 24 bytes in release builds, *smaller* than a plain
-//! `Vec`-backed list's 32. The sealing policy (codec and pager) lives in
-//! the caller's [`StoreContext`], not in every list.
+//! `Vec`-backed list's 32. The sealing policy (the pager) lives in the
+//! caller's [`StoreContext`], not in every list.
 
-use crate::codec::{
-    decode_block, decode_slot, encode_block, seek_ids, Block, WeightCodec, BLOCK_LEN,
-};
+use crate::codec::{decode_block, decode_slot, encode_block, seek_ids, Block, BLOCK_LEN};
 use crate::pager::{Page, PageManager};
 use ctk_common::is_tombstone_weight;
 use std::sync::Arc;
 
-/// The sealing policy a [`CompressedList`] writes under: which weight codec
-/// blocks encode with, and which pager (if any) their payloads are
-/// allocated from. One context is shared by every list of an index — lists
+/// The sealing policy a [`CompressedList`] writes under: which pager (if
+/// any) its blocks' payloads are allocated from. One context is shared by every list of an index — lists
 /// themselves carry no policy, keeping their fixed footprint at two words.
 #[derive(Debug, Clone, Default)]
 pub struct StoreContext {
-    pub codec: WeightCodec,
     pub pager: Option<Arc<PageManager>>,
 }
 
 impl StoreContext {
     /// Lossless raw-f32 blocks, RAM-resident.
     pub fn raw() -> Self {
-        StoreContext { codec: WeightCodec::Raw, pager: None }
+        StoreContext { pager: None }
     }
 
     /// Lossless raw-f32 blocks allocated from `pager` (may spill to disk).
     pub fn paged(pager: Arc<PageManager>) -> Self {
-        StoreContext { codec: WeightCodec::Raw, pager: Some(pager) }
+        StoreContext { pager: Some(pager) }
     }
 }
 
@@ -84,9 +80,9 @@ struct SealedState {
 }
 
 impl SealedState {
-    fn seal_block(&mut self, slots: &[(u32, f32)], codec: WeightCodec) {
+    fn seal_block(&mut self, slots: &[(u32, f32)]) {
         let mut bytes = Vec::new();
-        encode_block(slots, codec, &mut bytes);
+        encode_block(slots, &mut bytes);
         let payload: Arc<[u8]> = bytes.into();
         let data = match &self.pager {
             Some(pager) => BlockData::Paged(pager.alloc(payload)),
@@ -456,7 +452,7 @@ impl CompressedList {
     }
 
     /// Append a live posting; ids must be strictly increasing. Seals the
-    /// tail into a compressed block (under `cx`'s codec and pager) when it
+    /// tail into a compressed block (under `cx`'s pager) when it
     /// reaches [`BLOCK_LEN`].
     pub fn push(&mut self, qid: u32, weight: f32, cx: &StoreContext) {
         debug_assert!(!is_tombstone_weight(weight), "zero-weight pushes would read as deleted");
@@ -470,7 +466,7 @@ impl CompressedList {
         grown.push((qid, weight));
         if grown.len() == BLOCK_LEN {
             self.tail = Box::default();
-            self.sealed_mut(cx).seal_block(&grown, cx.codec);
+            self.sealed_mut(cx).seal_block(&grown);
         } else {
             self.tail = grown.into_boxed_slice();
         }
@@ -661,7 +657,7 @@ impl CompressedList {
         let survivors = &out[start..];
         let mut chunks = survivors.chunks_exact(BLOCK_LEN);
         for chunk in &mut chunks {
-            self.sealed_mut(cx).seal_block(chunk, cx.codec);
+            self.sealed_mut(cx).seal_block(chunk);
         }
         self.tail = Box::from(chunks.remainder());
     }

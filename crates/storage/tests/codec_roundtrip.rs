@@ -1,6 +1,6 @@
 //! Property tests for the sealed-block codec and `CompressedList`.
 //!
-//! The codec must be lossless under `WeightCodec::Raw` for every block the
+//! The codec must be lossless for every block the
 //! index can produce: arbitrary id gaps (dense runs through multi-hundred-
 //! million jumps), arbitrary finite weights, and arbitrary tombstone
 //! patterns (zero-weight slots). `CompressedList` must agree with a plain
@@ -8,8 +8,7 @@
 //! interleaving of pushes, tombstones, and compactions.
 
 use ctk_storage::{
-    decode_block, encode_block, Block, CompressedList, PageManager, StoreContext, WeightCodec,
-    BLOCK_LEN,
+    decode_block, encode_block, Block, CompressedList, PageManager, StoreContext, BLOCK_LEN,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -55,41 +54,12 @@ proptest! {
     ) {
         let slots = build_block(base, giant_at, giant_gap, &raw);
         let mut bytes = Vec::new();
-        encode_block(&slots, WeightCodec::Raw, &mut bytes);
+        encode_block(&slots, &mut bytes);
         let mut decoded = Block::zeroed();
         decode_block(&bytes, &mut decoded);
         for (i, orig) in slots.iter().enumerate() {
             prop_assert_eq!(orig.0, decoded.ids[i]);
             prop_assert_eq!(orig.1.to_bits(), decoded.weights[i].to_bits());
-        }
-    }
-
-    #[test]
-    fn quantized_codec_keeps_ids_and_tombstones(
-        base in 0u32..1024,
-        giant_at in 1usize..BLOCK_LEN,
-        giant_gap in 0u32..(1 << 31),
-        raw in prop::collection::vec(
-            (0u32..=1, 0u32..256, 0.0f32..1000.0, 0u32..=3),
-            BLOCK_LEN..BLOCK_LEN + 1,
-        ),
-    ) {
-        let slots = build_block(base, giant_at, giant_gap, &raw);
-        let mut bytes = Vec::new();
-        encode_block(&slots, WeightCodec::Quantized, &mut bytes);
-        let mut decoded = Block::zeroed();
-        decode_block(&bytes, &mut decoded);
-        let max = slots.iter().map(|s| s.1).fold(0.0f32, f32::max);
-        for (orig, got) in slots.iter().zip(decoded.ids.iter().zip(&decoded.weights)) {
-            let got = (*got.0, *got.1);
-            prop_assert_eq!(orig.0, got.0);
-            // Tombstones survive exactly; live weights stay live and close.
-            if orig.1 == 0.0 {
-                prop_assert_eq!(got.1, 0.0);
-            } else {
-                prop_assert!(got.1 > 0.0);
-                prop_assert!((orig.1 - got.1).abs() <= max / 65_000.0);
-            }
         }
     }
 }

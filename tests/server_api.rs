@@ -663,3 +663,26 @@ fn restore_refuses_non_finite_numbers_and_keeps_the_live_monitor() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A capture no monitor could be built from is refused with 400 before it
+/// reaches the ingest thread, which keeps serving: `k = 0`, a `k` past
+/// `u32` and a negative λ used to panic it (every later request answered
+/// 503), and a negative weight used to restore.
+#[test]
+fn restore_refuses_an_invalid_query_spec_and_keeps_serving() {
+    const FIXTURE: &str = include_str!("fixtures/snapshot_v3_pretty.json");
+    let (server, mut client) = start(EngineKind::Mrio, 1);
+    for (field, edited) in [
+        ("spec.k", FIXTURE.replacen(r#""k": 2"#, r#""k": 0"#, 1)),
+        ("spec.k", FIXTURE.replacen(r#""k": 2"#, r#""k": 4294967296"#, 1)),
+        ("spec.vector", FIXTURE.replacen("0.7071067690849304", "-0.7071067690849304", 1)),
+        ("lambda", FIXTURE.replacen(r#""lambda": 0.5"#, r#""lambda": -0.5"#, 1)),
+    ] {
+        assert_ne!(edited, FIXTURE, "{field}: the edit applied");
+        let refused = ok(client.post("/restore", &edited), 400);
+        assert!(refused.contains(field), "{field}: {refused}");
+        ok(client.post("/publish", r#"{"terms": [[1, 1.0]]}"#), 200);
+    }
+    ok(client.post("/restore", FIXTURE), 200);
+    server.shutdown();
+}

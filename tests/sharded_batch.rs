@@ -1,20 +1,13 @@
-//! Randomized equivalence of the batched sharded publish path.
+//! Equivalence of the query-sharded runtime with a single `Naive` engine,
+//! through the lifecycle layer, churn, renormalization and compaction.
 //!
-//! A `ShardedMonitor` (`Naive` shards) fed through publishes of random sizes
-//! must stay
-//! **bit-identical** to a single `Naive` engine fed one document at a time
-//! — including while queries register and unregister mid-stream: each
-//! query's score accumulates from its own registration record, so
+//! Each query's score accumulates from its own registration record, so
 //! partitioning queries across shards must not change a single bit of any
-//! result.
-//!
-//! Since the sharded monitor allocates public ids from one monotone space,
-//! the same registration sequence yields the *same* `QueryId`s on both
-//! front-ends — the test addresses both with one handle.
-//!
-//! The merged-stat invariant is checked alongside: every document visits
-//! every shard exactly once (each shard reports `events == docs`, summed
-//! `docs × shards`).
+//! result. Since the sharded monitor allocates public ids from one
+//! monotone space, the same registration sequence yields the *same*
+//! `QueryId`s on both front-ends — the tests address both with one handle.
+//! (The daemon's seeded simulator, `ctk_server`'s `sim` module, drives the
+//! same comparison through generated op sequences and crashes.)
 
 use continuous_topk::prelude::*;
 use proptest::prelude::*;
@@ -23,117 +16,6 @@ type RawVec = Vec<(u32, f32)>;
 
 fn make_spec(terms: &RawVec, k: usize) -> Option<QuerySpec> {
     QuerySpec::new(terms.iter().map(|&(t, w)| (TermId(t), w)).collect(), k).ok()
-}
-
-proptest! {
-    // Each case spins up `shards` worker threads; keep the count modest.
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn batched_sharded_ingestion_with_churn_matches_naive(
-        shards in 2usize..5,
-        publish_size in 1usize..9,
-        initial in prop::collection::vec(
-            (prop::collection::vec((0u32..40, 0.1f32..2.0), 1..4), 1usize..4),
-            4..16,
-        ),
-        rounds in prop::collection::vec(
-            (
-                // This round's documents.
-                prop::collection::vec(prop::collection::vec((0u32..40, 0.1f32..2.0), 1..8), 1..12),
-                // Churn: a candidate registration, applied when gate > 0...
-                (prop::collection::vec((0u32..40, 0.1f32..2.0), 1..4), 1usize..4),
-                0usize..3,
-                // ...and an unregister slot: live[idx % (len + 1)], where
-                // landing on `len` means "no unregister this round".
-                0usize..64,
-            ),
-            1..6,
-        ),
-        lambda in prop::sample::select(vec![0.0, 0.05, 0.8]),
-        compact_at in prop::sample::select(vec![0.0, 0.2]),
-        storage in prop::sample::select(vec![
-            PostingsStorage::Plain,
-            PostingsStorage::Compressed,
-            PostingsStorage::Paged,
-        ]),
-    ) {
-        // Tiny pager budget: paged cases must spill (and fault pages back)
-        // mid-stream rather than staying effectively RAM-resident. The
-        // oracle always runs plain storage — the claim under test is that
-        // the backend is invisible to results.
-        let storage_cfg =
-            StorageConfig { storage, page_budget_bytes: 2048, spill_dir: None };
-        let mut sharded =
-            ShardedMonitor::new(shards, || Naive::with_storage(lambda, &storage_cfg));
-        sharded.set_compaction_threshold(compact_at);
-        let mut single = Naive::new(lambda);
-        // Live queries: one public id addresses both front-ends.
-        let mut live: Vec<QueryId> = Vec::new();
-
-        for (terms, k) in &initial {
-            if let Some(spec) = make_spec(terms, *k) {
-                let qid = sharded.register(spec.clone());
-                prop_assert_eq!(qid, single.register(spec), "one monotone public id space");
-                live.push(qid);
-            }
-        }
-        prop_assume!(!live.is_empty());
-
-        let mut total_docs = 0u64;
-        for (doc_batches, (reg_terms, reg_k), reg_gate, unreg_slot) in &rounds {
-            let slot = unreg_slot % (live.len() + 1);
-            if slot < live.len() {
-                let qid = live.remove(slot);
-                prop_assert!(sharded.unregister(qid));
-                prop_assert!(single.unregister(qid));
-            }
-            if *reg_gate > 0 {
-                if let Some(spec) = make_spec(reg_terms, *reg_k) {
-                    let qid = sharded.register(spec.clone());
-                    prop_assert_eq!(qid, single.register(spec));
-                    live.push(qid);
-                }
-            }
-
-            // Document `n` arrives at time `n`.
-            let docs: Vec<(Vec<(TermId, f32)>, f64)> = doc_batches
-                .iter()
-                .enumerate()
-                .map(|(i, pairs)| {
-                    let at = (total_docs + i as u64) as f64;
-                    (pairs.iter().map(|&(t, w)| (TermId(t), w)).collect(), at)
-                })
-                .collect();
-
-            for (pairs, at) in &docs {
-                single.process(&Document::new(DocId(total_docs), pairs.clone(), *at));
-                total_docs += 1;
-            }
-            for chunk in docs.chunks(publish_size) {
-                let receipt = sharded.publish_request(PublishRequest::from(chunk.to_vec()));
-                prop_assert_eq!(receipt.stats.len(), chunk.len());
-            }
-        }
-
-        // Bit-identical results for every surviving query.
-        for qid in &live {
-            prop_assert_eq!(
-                sharded.results(*qid),
-                single.results(*qid),
-                "storage {:?}, query {:?}",
-                storage,
-                qid
-            );
-        }
-
-        // Merged-stat consistency: every shard processed every document.
-        let per_shard = sharded.shard_cumulative();
-        prop_assert_eq!(per_shard.len(), shards);
-        for cum in &per_shard {
-            prop_assert_eq!(cum.events, total_docs);
-        }
-    }
 }
 
 /// One namespace's sampled retention setup for the lifecycle proptest.

@@ -274,7 +274,9 @@ fn non_finite_numbers_are_refused_naming_the_field() {
 }
 
 /// Seeded byte flips, truncations and splices over a real capture's text:
-/// `from_json` answers `Ok` or `Err`, never panics. The seed is
+/// `from_json` answers `Ok` or `Err`, never panics, and every capture it
+/// accepts restores onto a fresh monitor; so does each capture with one
+/// number replaced. The seed is
 /// `PROPTEST_SEED` when set, so CI can rotate it.
 #[test]
 fn arbitrary_bytes_never_panic_the_snapshot_parser() {
@@ -318,9 +320,54 @@ fn arbitrary_bytes_never_panic_the_snapshot_parser() {
             }
         }
         match Snapshot::from_json(&String::from_utf8_lossy(&bytes)) {
-            Ok(_) => parsed += 1,
+            // Whatever parses must also restore, as `POST /restore` would.
+            Ok(snapshot) => {
+                let (restored, _) = MonitorBuilder::new(EngineKind::Mrio).restore(&snapshot);
+                assert!(restored.num_queries() <= snapshot.num_queries());
+                parsed += 1;
+            }
             Err(_) => refused += 1,
         }
     }
     assert!(refused > 10_000, "most damaged captures are refused ({parsed} parsed)");
+
+    // Then every number of every source, one at a time, replaced by each
+    // value a capture must not smuggle past restore (`"k": 0` used to
+    // parse and then panic the restore).
+    let mut restored = 0u32;
+    for source in &sources {
+        for range in numbers(source) {
+            for value in ["0", "1", "7", "-1", "-0.5", "1e999", "4294967296", "1e-320"] {
+                let mut bytes = source.clone();
+                bytes.splice(range.clone(), value.bytes());
+                if let Ok(snapshot) = Snapshot::from_json(&String::from_utf8_lossy(&bytes)) {
+                    // An edited retention cap may evict at restore.
+                    let (monitor, _) = MonitorBuilder::new(EngineKind::Mrio).restore(&snapshot);
+                    assert!(monitor.num_queries() <= snapshot.num_queries());
+                    restored += 1;
+                }
+            }
+        }
+    }
+    assert!(restored > 100, "only {restored} edited captures restored");
+}
+
+/// The byte range of each number token in `text`.
+fn numbers(text: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let mut ranges = Vec::new();
+    let mut at = 0;
+    while at < text.len() {
+        if text[at].is_ascii_digit() || text[at] == b'-' {
+            let start = at;
+            while at < text.len()
+                && matches!(text[at], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+            {
+                at += 1;
+            }
+            ranges.push(start..at);
+        } else {
+            at += 1;
+        }
+    }
+    ranges
 }
