@@ -3,15 +3,12 @@
 //!
 //! ```text
 //! cargo run -p ctk-bench --release --bin http_load -- \
-//!     [--addr 127.0.0.1:8722] [--queries 200] [--docs 2000] [--batch 64] \
-//!     [--engine mrio] [--lambda 1e-3] [--shards 1] [--queue-depth N] \
-//!     [--admission block|reject[:retry_secs]] [--drain] [--out http_load] \
-//!     [--acked-log PATH]
+//!     --addr 127.0.0.1:8722 [--queries 200] [--docs 2000] [--batch 64] \
+//!     [--drain] [--out http_load] [--acked-log PATH]
 //! ```
 //!
-//! Without `--addr` the harness self-hosts a server on an ephemeral
-//! loopback port (same process, still real TCP); with it, it targets an
-//! already-running daemon and the engine flags are ignored. One subscriber
+//! `--addr` names an already-running daemon (start one with `ctk-serve`);
+//! the report's `engine` is the one its `/stats` names. One subscriber
 //! long-polls `GET /changes` from its own connection for the whole run, so
 //! the measurement covers the full loop the paper cares about: publish →
 //! match → change fan-out → notification. The run **fails** (exit 1) if
@@ -34,9 +31,8 @@
 //! kills the daemon mid-run and uses this file as the ground truth for
 //! which documents the server acknowledged and therefore must not lose.
 
-use continuous_topk::EngineKind;
 use ctk_bench::write_json_report;
-use ctk_server::{AdmissionPolicy, HttpClient, ServerBuilder};
+use ctk_server::HttpClient;
 use ctk_stream::{
     ArrivalClock, CorpusConfig, QueryGenerator, QueryWorkload, StreamDriver, WorkloadConfig,
 };
@@ -145,8 +141,6 @@ fn main() {
     let queries: usize = parsed(&args, "--queries").unwrap_or(200);
     let docs: usize = parsed(&args, "--docs").unwrap_or(2_000);
     let batch: usize = parsed(&args, "--batch").unwrap_or(64).max(1);
-    let engine: EngineKind = parsed(&args, "--engine").unwrap_or(EngineKind::Mrio);
-    let lambda: f64 = parsed(&args, "--lambda").unwrap_or(1e-3);
     let out = arg_value(&args, "--out").unwrap_or_else(|| "http_load".to_string());
     let drain = args.iter().any(|a| a == "--drain");
     let mut acked_log = arg_value(&args, "--acked-log").map(|path| {
@@ -157,33 +151,8 @@ fn main() {
             .unwrap_or_else(|e| die(format!("cannot open acked log {path}: {e}")))
     });
 
-    // Self-host unless pointed at a running daemon.
-    let (server, addr) = match parsed::<SocketAddr>(&args, "--addr") {
-        Some(addr) => (None, addr),
-        None => {
-            let mut builder = ServerBuilder::new(engine).lambda(lambda);
-            if let Some(shards) = parsed::<usize>(&args, "--shards") {
-                builder = builder.shards(shards);
-            }
-            if let Some(depth) = parsed::<usize>(&args, "--queue-depth") {
-                builder = builder.queue_depth(depth);
-            }
-            if let Some(raw) = arg_value(&args, "--admission") {
-                let policy = match raw.as_str() {
-                    "block" => AdmissionPolicy::Block,
-                    "reject" => AdmissionPolicy::Reject { retry_after: 1.0 },
-                    other => match other.strip_prefix("reject:").and_then(|s| s.parse().ok()) {
-                        Some(retry_after) => AdmissionPolicy::Reject { retry_after },
-                        None => die(format!("bad value {raw:?} for --admission")),
-                    },
-                };
-                builder = builder.admission(policy);
-            }
-            let server = builder.bind("127.0.0.1:0").unwrap_or_else(|e| die(format!("bind: {e}")));
-            let addr = server.addr();
-            (Some(server), addr)
-        }
-    };
+    let addr: SocketAddr =
+        parsed(&args, "--addr").unwrap_or_else(|| die("--addr HOST:PORT is required"));
     println!("http_load: target http://{addr} ({queries} queries, {docs} docs x{batch})");
 
     let mut client = HttpClient::connect(addr).unwrap_or_else(|e| die(format!("connect: {e}")));
@@ -299,7 +268,7 @@ fn main() {
     latencies_ms.sort_by(|a, b| a.total_cmp(b));
     let report = Report {
         schema_version: 3,
-        engine: engine.to_string(),
+        engine: stats.get("engine").and_then(|e| e.as_str().ok()).unwrap_or_default().to_string(),
         queries,
         docs,
         batch,
@@ -327,8 +296,4 @@ fn main() {
         report.publish_latency_ms.p95,
         path.display()
     );
-
-    if let Some(server) = server {
-        server.shutdown();
-    }
 }

@@ -216,8 +216,7 @@ fn main() {
         singles.push(Single { queries: n, docs_per_sec: single_dps });
 
         for &storage in &storages {
-            let storage_cfg =
-                StorageConfig { storage, page_budget_bytes: page_budget, spill_dir: None };
+            let storage_cfg = StorageConfig { storage, page_budget_bytes: page_budget };
             for &shards in &shard_counts {
                 // A sharded monitor holding the workload's registered and
                 // seeded population, before any document.

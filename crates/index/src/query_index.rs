@@ -362,10 +362,9 @@ impl QueryIndex {
             _ => Records::Packed(PackedArena::default()),
         };
         let cx = match config.storage {
-            PostingsStorage::Paged => StoreContext::paged(Arc::new(PageManager::new(
-                config.page_budget(),
-                config.spill_dir.clone(),
-            ))),
+            PostingsStorage::Paged => {
+                StoreContext::paged(Arc::new(PageManager::new(config.page_budget(), None)))
+            }
             _ => StoreContext::raw(),
         };
         QueryIndex {
@@ -690,7 +689,6 @@ mod tests {
             StorageConfig {
                 storage: PostingsStorage::Paged,
                 page_budget_bytes: 256, // tiny: force spills in tests
-                spill_dir: None,
             },
         ]
     }
@@ -878,11 +876,7 @@ mod tests {
 
     #[test]
     fn paged_storage_reports_pager_activity() {
-        let cfg = StorageConfig {
-            storage: PostingsStorage::Paged,
-            page_budget_bytes: 256,
-            spill_dir: None,
-        };
+        let cfg = StorageConfig { storage: PostingsStorage::Paged, page_budget_bytes: 256 };
         let mut ix = QueryIndex::with_storage(&cfg);
         for i in 0..600u32 {
             ix.register(&vector(&[(1, 1.0), (2 + i, 0.5)]), 1);

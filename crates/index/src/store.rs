@@ -38,7 +38,6 @@
 use crate::postings::{Posting, PostingsList};
 use ctk_common::QueryId;
 use ctk_storage::{BlockCursor, CompressedList, StoreContext};
-use std::path::PathBuf;
 
 // The block codec and the zone structures agree on the zone size, so a
 // default `BlockMax` zone covers exactly one sealed block.
@@ -95,8 +94,6 @@ pub struct StorageConfig {
     /// RAM budget for sealed-block payloads under [`PostingsStorage::Paged`];
     /// `0` means [`StorageConfig::DEFAULT_PAGE_BUDGET`].
     pub page_budget_bytes: usize,
-    /// Directory for the spill file (default: the system temp directory).
-    pub spill_dir: Option<PathBuf>,
 }
 
 impl StorageConfig {

@@ -1,63 +1,98 @@
-//! `ctk-serve`: the installable monitor daemon. A thin flag-parsing shell
-//! over [`ServerBuilder`] — the same knobs as the workspace's `serve`
-//! example plus the durability ones, because this binary is what the
-//! crash-recovery tests and the CI smoke scenario actually SIGKILL.
+//! `ctk-serve`: the monitor daemon, and the one place command-line flags
+//! become a running [`ServerBuilder`]. The crash-recovery tests, the CI
+//! smoke scenarios and the benchmark all start this binary.
 //!
 //! ```text
 //! ctk-serve [--host 127.0.0.1] [--port 8722] [--engine mrio]
 //!           [--lambda 1e-3] [--shards N] [--queue-depth N]
+//!           [--admission block|reject|reject:<secs>]
 //!           [--journal-dir DIR] [--fsync always|never|interval:<ms>]
 //!           [--journal-max-bytes N]
 //! ```
+//!
+//! Every token must be one of these flags followed by its value: anything
+//! else (an unknown flag, a flag with no value, a bad value) exits 2 naming
+//! it. A value the server cannot run with exits 1 with a "cannot start"
+//! line naming the knob.
 //!
 //! Prints `ctk-serve: listening on http://ADDR` on stdout (flushed) once the
 //! listener is bound — with `--port 0` that line is how a harness learns the
 //! ephemeral port. Runs until SIGTERM/SIGINT, then drains and exits.
 
-use continuous_topk::EngineKind;
-use ctk_server::{signal, FsyncPolicy, ServerBuilder};
+use continuous_topk::{EngineKind, MonitorBuilder};
+use ctk_server::{signal, AdmissionPolicy, FsyncPolicy, ServerBuilder};
+use std::collections::HashMap;
 use std::io::Write;
+use std::str::FromStr;
 use std::time::Duration;
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
+const FLAGS: [&str; 10] = [
+    "--host",
+    "--port",
+    "--engine",
+    "--lambda",
+    "--shards",
+    "--queue-depth",
+    "--admission",
+    "--journal-dir",
+    "--fsync",
+    "--journal-max-bytes",
+];
+
+fn usage(message: String) -> ! {
+    eprintln!("ctk-serve: {message}");
+    eprintln!("ctk-serve: flags: {}", FLAGS.join(" "));
+    std::process::exit(2);
 }
 
-fn parsed<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    let raw = arg_value(args, flag)?;
-    match raw.parse() {
-        Ok(value) => Some(value),
-        Err(_) => {
-            eprintln!("ctk-serve: bad value {raw:?} for {flag}");
-            std::process::exit(2);
-        }
+/// argv as flag → value. Every token must be a known flag followed by a
+/// value that does not itself look like a flag.
+fn flags() -> HashMap<&'static str, String> {
+    let mut flags = HashMap::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(token) = args.next() {
+        let Some(flag) = FLAGS.into_iter().find(|flag| *flag == token) else {
+            usage(format!("unknown flag {token:?}"));
+        };
+        match args.next() {
+            Some(value) if !value.starts_with("--") => flags.insert(flag, value),
+            _ => usage(format!("{flag} needs a value")),
+        };
     }
+    flags
+}
+
+fn parsed<T: FromStr>(flags: &HashMap<&str, String>, flag: &str) -> Option<T> {
+    let raw = flags.get(flag)?;
+    Some(raw.parse().unwrap_or_else(|_| usage(format!("bad value {raw:?} for {flag}"))))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let host = arg_value(&args, "--host").unwrap_or_else(|| "127.0.0.1".to_string());
-    let port: u16 = parsed(&args, "--port").unwrap_or(8722);
-    let engine: EngineKind = parsed(&args, "--engine").unwrap_or(EngineKind::Mrio);
-
-    let mut builder = ServerBuilder::new(engine)
-        .lambda(parsed(&args, "--lambda").unwrap_or(1e-3))
-        .shards(parsed(&args, "--shards").unwrap_or(1));
-    if let Some(depth) = parsed::<usize>(&args, "--queue-depth") {
+    let flags = flags();
+    let host = flags.get("--host").map_or("127.0.0.1", String::as_str);
+    let port: u16 = parsed(&flags, "--port").unwrap_or(8722);
+    let monitor = MonitorBuilder::new(parsed(&flags, "--engine").unwrap_or(EngineKind::Mrio))
+        .lambda(parsed(&flags, "--lambda").unwrap_or(1e-3))
+        .shards(parsed(&flags, "--shards").unwrap_or(1));
+    let mut builder = ServerBuilder::new(monitor);
+    if let Some(depth) = parsed(&flags, "--queue-depth") {
         builder = builder.queue_depth(depth);
     }
-    if let Some(dir) = arg_value(&args, "--journal-dir") {
+    if let Some(policy) = parsed::<AdmissionPolicy>(&flags, "--admission") {
+        builder = builder.admission(policy);
+    }
+    if let Some(dir) = flags.get("--journal-dir") {
         builder = builder.journal_dir(dir);
     }
-    if let Some(policy) = parsed::<FsyncPolicy>(&args, "--fsync") {
+    if let Some(policy) = parsed::<FsyncPolicy>(&flags, "--fsync") {
         builder = builder.fsync(policy);
     }
-    if let Some(bytes) = parsed::<u64>(&args, "--journal-max-bytes") {
+    if let Some(bytes) = parsed(&flags, "--journal-max-bytes") {
         builder = builder.journal_max_bytes(bytes);
     }
 
     signal::install();
-    let server = match builder.bind((host.as_str(), port)) {
+    let server = match builder.bind((host, port)) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("ctk-serve: cannot start on {host}:{port}: {e}");

@@ -26,9 +26,10 @@
 //! | `GET /readyz` | readiness: `200` once journal replay finished and the server is not draining, else `503` with the blocking state |
 //!
 //! Architecture in one paragraph: a single **ingest thread** owns a
-//! [`Node`] — the backend built by [`ServerBuilder`]'s flat setters (its
-//! `bind` refuses a value it cannot run with as `InvalidInput`, naming the
-//! knob), the journal and the subscriber registry — and [`Node::apply`] is
+//! [`Node`] — the backend built by the [`MonitorBuilder`] that
+//! [`ServerBuilder`] was given (its `bind` refuses a value it cannot run
+//! with as `InvalidInput`, naming the knob), the journal and the subscriber
+//! registry — and [`Node::apply`] is
 //! the one path to that state, for live commands and journal recovery
 //! alike. Connection handlers turn each request into an [`Op`]
 //! ([`routes`]), enqueue it onto a *bounded* channel and block for the
@@ -37,8 +38,8 @@
 //! Change fan-out happens on the ingest thread before the publisher is
 //! acked, into per-subscriber bounded buffers that drop oldest and report
 //! the gap. See [`node`] for the threading and durability model,
-//! [`subscribers`] for delivery semantics, and `examples/serve.rs` in the
-//! workspace root for the runnable daemon.
+//! [`subscribers`] for delivery semantics, and the `ctk-serve` binary for
+//! the runnable daemon.
 //!
 //! [`MonitorBackend`]: ctk_core::MonitorBackend
 //! [`MonitorBuilder`]: continuous_topk::MonitorBuilder

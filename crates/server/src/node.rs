@@ -438,6 +438,7 @@ impl Node {
         let storage = self.backend.storage_stats();
         let (events_delivered, events_dropped) = self.subscribers.totals();
         ServerStats {
+            engine: self.builder.engine().to_string(),
             lambda: self.backend.lambda(),
             shards: self.backend.shards(),
             sharding: "query".to_string(),

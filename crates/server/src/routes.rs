@@ -11,12 +11,11 @@ use crate::journal::{self, FsyncPolicy, Journal, JournalConfig};
 use crate::node::{append_refused, Command, Node, Op, Reply};
 use crate::subscribers::{self, SubscriberRegistry};
 use crate::wire;
-use continuous_topk::{EngineKind, MonitorBuilder};
+use continuous_topk::MonitorBuilder;
 use crossbeam::channel::{self, Sender, TrySendError};
 use ctk_common::QueryId;
 use ctk_core::{
-    Admission, PostingsStorage, PublishReceipt, PublishRequest, ReplayCommand, RetentionPolicy,
-    Snapshot,
+    Admission, PublishReceipt, PublishRequest, ReplayCommand, RetentionPolicy, Snapshot,
 };
 use serde::{Number, Serialize, Value};
 use std::io::{self, BufReader, BufWriter};
@@ -60,20 +59,61 @@ impl AdmissionPolicy {
     fn retry_after_secs(retry_after: f64) -> u64 {
         retry_after.ceil().max(1.0) as u64
     }
+
+    /// Why this policy cannot run: a `retry_after` that is negative or not
+    /// finite, which no `429` body could spell.
+    fn check(&self) -> Result<(), String> {
+        match *self {
+            AdmissionPolicy::Reject { retry_after }
+                if !(retry_after >= 0.0 && retry_after.is_finite()) =>
+            {
+                Err(format!("admission retry_after must be finite and >= 0, got {retry_after}"))
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
-/// Configures and starts a [`CtkServer`]. Forwards the [`MonitorBuilder`]
-/// knobs, then adds the server-side ones (queue depth, admission policy,
-/// subscriber delivery limits, the journal), one flat setter each. Setters
-/// only record values; [`ServerBuilder::bind`] refuses any it cannot run.
+impl std::str::FromStr for AdmissionPolicy {
+    type Err = String;
+
+    /// Accepts `block`, `reject` (a 1 s retry hint) or `reject:<secs>`.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let policy = match s {
+            "block" => Some(AdmissionPolicy::Block),
+            "reject" => Some(AdmissionPolicy::Reject { retry_after: 1.0 }),
+            other => other
+                .strip_prefix("reject:")
+                .and_then(|secs| secs.parse().ok())
+                .map(|retry_after| AdmissionPolicy::Reject { retry_after }),
+        };
+        match policy {
+            Some(policy) if policy.check().is_ok() => Ok(policy),
+            _ => Err(format!(
+                "bad admission policy {s:?} (expected \"block\", \"reject\", or \"reject:<secs>\")"
+            )),
+        }
+    }
+}
+
+/// Events one subscriber may buffer; beyond it the oldest are dropped and
+/// the gap is reported on the next poll.
+pub const SUBSCRIBER_BUFFER: usize = 1024;
+
+/// Most events one `GET /changes` response carries, whatever its `?max=`.
+pub const MAX_POLL_EVENTS: usize = 512;
+
+/// Configures and starts a [`CtkServer`] around the monitor a
+/// [`MonitorBuilder`] describes, adding the server-side knobs (queue depth,
+/// admission policy, the journal), one flat setter each. Setters only
+/// record values; [`ServerBuilder::bind`] refuses any it cannot run.
 ///
 /// ```no_run
 /// use ctk_server::{AdmissionPolicy, ServerBuilder};
-/// use continuous_topk::EngineKind;
+/// use continuous_topk::{EngineKind, MonitorBuilder};
 ///
-/// let server = ServerBuilder::new(EngineKind::Mrio)
-///     .lambda(1e-3)
-///     .shards(4)
+/// let monitor = MonitorBuilder::new(EngineKind::Mrio).lambda(1e-3).shards(4);
+/// let server = ServerBuilder::new(monitor)
 ///     .queue_depth(32)
 ///     .admission(AdmissionPolicy::Reject { retry_after: 0.25 })
 ///     .bind("127.0.0.1:0")
@@ -83,10 +123,7 @@ impl AdmissionPolicy {
 #[derive(Clone)]
 pub struct ServerBuilder {
     monitor: MonitorBuilder,
-    engine: EngineKind,
     queue_depth: usize,
-    subscriber_buffer: usize,
-    max_poll_events: usize,
     admission: AdmissionPolicy,
     journal_dir: Option<PathBuf>,
     fsync: FsyncPolicy,
@@ -94,14 +131,12 @@ pub struct ServerBuilder {
 }
 
 impl ServerBuilder {
-    /// Start from an engine choice with default knobs everywhere.
-    pub fn new(engine: EngineKind) -> ServerBuilder {
+    /// A server over the monitor `monitor` builds, with default server-side
+    /// knobs.
+    pub fn new(monitor: MonitorBuilder) -> ServerBuilder {
         ServerBuilder {
-            monitor: MonitorBuilder::new(engine),
-            engine,
+            monitor,
             queue_depth: 16,
-            subscriber_buffer: 1024,
-            max_poll_events: 512,
             admission: AdmissionPolicy::Block,
             journal_dir: None,
             fsync: FsyncPolicy::Always,
@@ -109,60 +144,12 @@ impl ServerBuilder {
         }
     }
 
-    // --- MonitorBuilder knobs, forwarded verbatim. ---
-
-    /// Decay parameter λ, finite and `>= 0` (see [`MonitorBuilder::lambda`]).
-    pub fn lambda(mut self, lambda: f64) -> ServerBuilder {
-        self.monitor = self.monitor.lambda(lambda);
-        self
-    }
-
-    /// Shard count, at least 1; more than 1 builds a sharded backend.
-    pub fn shards(mut self, shards: usize) -> ServerBuilder {
-        self.monitor = self.monitor.shards(shards);
-        self
-    }
-
-    /// Index compaction threshold.
-    pub fn compact_at(mut self, ratio: f64) -> ServerBuilder {
-        self.monitor = self.monitor.compact_at(ratio);
-        self
-    }
-
-    /// Postings-storage backend (see [`MonitorBuilder::postings_storage`]).
-    pub fn postings_storage(mut self, storage: PostingsStorage) -> ServerBuilder {
-        self.monitor = self.monitor.postings_storage(storage);
-        self
-    }
-
-    /// RAM budget for paged storage (see [`MonitorBuilder::page_budget`]).
-    pub fn page_budget(mut self, bytes: usize) -> ServerBuilder {
-        self.monitor = self.monitor.page_budget(bytes);
-        self
-    }
-
-    // --- Server-side knobs. ---
-
     /// In-flight command bound of the ingest queue, at least 1 (default
     /// 16). Publish handlers block (or are refused, per
     /// [`ServerBuilder::admission`]) once this many commands are queued —
     /// the backpressure knob.
     pub fn queue_depth(mut self, depth: usize) -> ServerBuilder {
         self.queue_depth = depth;
-        self
-    }
-
-    /// Per-subscriber buffered-change cap (default 1024); beyond it the
-    /// oldest events are dropped and the gap is reported on the next poll.
-    pub fn subscriber_buffer(mut self, capacity: usize) -> ServerBuilder {
-        self.subscriber_buffer = capacity;
-        self
-    }
-
-    /// Most events one `GET /changes` response may carry, at least 1
-    /// (default 512).
-    pub fn max_poll_events(mut self, max: usize) -> ServerBuilder {
-        self.max_poll_events = max;
         self
     }
 
@@ -204,10 +191,7 @@ impl ServerBuilder {
         if self.queue_depth == 0 {
             return invalid("queue_depth must be at least 1".to_string());
         }
-        if self.max_poll_events == 0 {
-            return invalid("max_poll_events must be at least 1".to_string());
-        }
-        Ok(())
+        self.admission.check().or_else(invalid)
     }
 
     /// Bind a listener, spawn the ingest and accept threads, and return the
@@ -221,10 +205,10 @@ impl ServerBuilder {
     /// `bind` returns: the server answers `503 warming` (and `GET /readyz`
     /// stays 503) until replay finishes.
     ///
-    /// A knob the server cannot run with — zero `shards`, `queue_depth` or
-    /// `max_poll_events`, or a negative or non-finite `lambda` — fails the
-    /// bind with [`io::ErrorKind::InvalidInput`] naming it, before anything
-    /// is opened.
+    /// A knob the server cannot run with — zero `shards` or `queue_depth`,
+    /// or a negative or non-finite `lambda` or admission `retry_after` —
+    /// fails the bind with [`io::ErrorKind::InvalidInput`] naming it, before
+    /// anything is opened.
     pub fn bind(self, addr: impl ToSocketAddrs) -> io::Result<CtkServer> {
         self.check()?;
         let (journal, recovery) = match &self.journal_dir {
@@ -240,7 +224,7 @@ impl ServerBuilder {
         let warming = recovery.as_ref().is_some_and(|recovery| !recovery.is_empty());
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let subscribers = Arc::new(SubscriberRegistry::new(self.subscriber_buffer));
+        let subscribers = Arc::new(SubscriberRegistry::new(SUBSCRIBER_BUFFER));
         let journaled = journal.is_some();
         let mut node = Node::new(&self.monitor, journal, Arc::clone(&subscribers));
         let (tx, rx) = channel::bounded::<Command>(self.queue_depth);
@@ -257,8 +241,6 @@ impl ServerBuilder {
             stopping: AtomicBool::new(false),
             warming: AtomicBool::new(warming),
             journaled,
-            max_poll_events: self.max_poll_events,
-            engine: self.engine,
         });
 
         let ingest = {
@@ -365,8 +347,6 @@ struct Shared {
     /// Whether the node journals (publish handlers frame the record it
     /// will append).
     journaled: bool,
-    max_poll_events: usize,
-    engine: EngineKind,
 }
 
 impl Shared {
@@ -611,7 +591,6 @@ fn handle_stats(shared: &Shared) -> Response {
         Ok(Reply::Stats(stats)) => stats,
         Ok(reply) => return unexpected(reply),
     };
-    stats.engine = shared.engine.to_string();
     stats.queue_capacity = shared.queue.capacity;
     stats.queue_depth = shared.queue.depth.load(Ordering::SeqCst);
     stats.queue_highwater = shared.queue.highwater.load(Ordering::SeqCst);
@@ -856,10 +835,10 @@ fn handle_changes(request: &Request, shared: &Shared) -> Response {
         },
     };
     let max_events = match request.query_param("max") {
-        None => shared.max_poll_events,
+        None => MAX_POLL_EVENTS,
         Some(raw) => match raw.parse::<usize>() {
             Err(_) | Ok(0) => return Response::error(400, format!("bad max {raw:?}")),
-            Ok(max) => max.min(shared.max_poll_events),
+            Ok(max) => max.min(MAX_POLL_EVENTS),
         },
     };
     match shared.subscribers.poll(id, max_events, timeout) {
@@ -925,4 +904,22 @@ fn object(fields: Vec<(&str, Value)>) -> String {
 /// An ad-hoc JSON object as a [`Value`] (for nesting inside [`object`]).
 fn object_value(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::AdmissionPolicy;
+
+    #[test]
+    fn admission_policy_parses_and_refuses_unspellable_retry_hints() {
+        let parsed = |s: &str| s.parse::<AdmissionPolicy>();
+        assert_eq!(parsed("block"), Ok(AdmissionPolicy::Block));
+        assert_eq!(parsed("reject"), Ok(AdmissionPolicy::Reject { retry_after: 1.0 }));
+        assert_eq!(parsed("reject:0.5"), Ok(AdmissionPolicy::Reject { retry_after: 0.5 }));
+        assert_eq!(parsed("reject:0"), Ok(AdmissionPolicy::Reject { retry_after: 0.0 }));
+        for bad in ["reject:nan", "reject:inf", "reject:-1", "reject:", "reject:x", "Block", ""] {
+            let Err(e) = parsed(bad) else { panic!("{bad:?} must not parse") };
+            assert!(e.contains("admission"), "{bad:?}: {e}");
+        }
+    }
 }

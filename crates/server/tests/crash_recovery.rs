@@ -7,7 +7,7 @@
 //! sockets, because the property under test is exactly the one a unit test
 //! can't fake: the ack left the process before the process died.
 
-use continuous_topk::EngineKind;
+use continuous_topk::{EngineKind, MonitorBuilder};
 use ctk_server::{HttpClient, ServerBuilder};
 use serde::Value;
 use std::fs;
@@ -149,8 +149,7 @@ fn result_sets(client: &mut HttpClient, qids: &[u64]) -> Vec<String> {
 /// An uncrashed in-process oracle fed the same registers and the first
 /// `published` bodies of the burst; returns its sorted result sets.
 fn oracle_result_sets(bodies: &[String], published: usize) -> Vec<String> {
-    let server = ServerBuilder::new(EngineKind::Mrio)
-        .lambda(LAMBDA)
+    let server = ServerBuilder::new(MonitorBuilder::new(EngineKind::Mrio).lambda(LAMBDA))
         .bind("127.0.0.1:0")
         .expect("bind oracle");
     let mut client = HttpClient::connect(server.addr()).expect("connect oracle");

@@ -3,7 +3,7 @@
 //! file exists for — rejection of checkpoints and snapshots written by a
 //! *newer* build than this one, with errors a human can act on.
 
-use continuous_topk::EngineKind;
+use continuous_topk::{EngineKind, MonitorBuilder};
 use ctk_server::{FsyncPolicy, HttpClient, ServerBuilder};
 use serde::Value;
 use std::fs;
@@ -21,7 +21,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 fn builder() -> ServerBuilder {
-    ServerBuilder::new(EngineKind::Mrio).lambda(1e-3)
+    ServerBuilder::new(MonitorBuilder::new(EngineKind::Mrio).lambda(1e-3))
 }
 
 fn ok(outcome: std::io::Result<(u16, String)>, expect: u16) -> String {

@@ -15,7 +15,7 @@
 
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Weak};
@@ -203,7 +203,7 @@ impl PageManager {
     }
 
     /// Second-chance clock sweep until residency fits the budget (or every
-    /// survivor was recently touched).
+    /// survivor was recently touched, or a spill failed).
     fn evict_to_budget(&self) {
         let mut attempts = 2 * self.ring.lock().unwrap().len() + 1;
         while self.counters.resident_bytes.load(Ordering::Relaxed) > self.budget && attempts > 0 {
@@ -217,53 +217,62 @@ impl PageManager {
                 self.ring.lock().unwrap().push_back(weak);
                 continue;
             }
-            self.evict(&cell);
+            if !self.evict(&cell) {
+                // The spill file cannot take it: stay over budget, keep the
+                // page resident, and let the next eviction try again.
+                self.ring.lock().unwrap().push_back(weak);
+                break;
+            }
         }
     }
 
-    fn evict(&self, cell: &PageCell) {
+    /// Drop the page's RAM copy; false (and still resident) when it has
+    /// never been spilled and the spill write fails.
+    fn evict(&self, cell: &PageCell) -> bool {
         let mut state = cell.state.lock().unwrap();
-        let PageState::Ram { bytes, spilled_at } = &*state else { return };
+        let PageState::Ram { bytes, spilled_at } = &*state else { return true };
         let offset = match spilled_at {
             Some(off) => *off,
-            None => self.spill_out(bytes),
+            None => match self.spill_out(bytes) {
+                Ok(offset) => offset,
+                Err(_) => return false,
+            },
         };
         *state = PageState::Disk { offset };
         drop(state);
         self.counters.resident_bytes.fetch_sub(cell.len(), Ordering::Relaxed);
         self.counters.hot.fetch_sub(1, Ordering::Relaxed);
         self.counters.cold.fetch_add(1, Ordering::Relaxed);
+        true
     }
 
     /// Append a payload to the spill file (created on first use), returning
     /// its offset.
-    fn spill_out(&self, bytes: &[u8]) -> u64 {
+    fn spill_out(&self, bytes: &[u8]) -> io::Result<u64> {
         let mut spill = self.spill.lock().unwrap();
-        if spill.file.is_none() {
-            let dir = self.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
-            let path = dir.join(format!(
-                "ctk-spill-{}-{}.bin",
-                std::process::id(),
-                SPILL_SEQ.fetch_add(1, Ordering::Relaxed)
-            ));
-            let file = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create_new(true)
-                .open(&path)
-                .expect("create spill file");
-            // Unlink immediately (Unix): the fd stays valid and the OS
-            // reclaims the space when the last handle closes.
-            #[cfg(unix)]
-            let _ = std::fs::remove_file(&path);
-            spill.file = Some(file);
-        }
         let offset = spill.next_offset;
-        let file = spill.file.as_mut().unwrap();
-        file.seek(SeekFrom::Start(offset)).expect("seek spill file");
-        file.write_all(bytes).expect("write spill file");
+        let file = match &mut spill.file {
+            Some(file) => file,
+            None => {
+                let dir = self.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
+                let path = dir.join(format!(
+                    "ctk-spill-{}-{}.bin",
+                    std::process::id(),
+                    SPILL_SEQ.fetch_add(1, Ordering::Relaxed)
+                ));
+                let file =
+                    OpenOptions::new().read(true).write(true).create_new(true).open(&path)?;
+                // Unlink immediately (Unix): the fd stays valid and the OS
+                // reclaims the space when the last handle closes.
+                #[cfg(unix)]
+                let _ = std::fs::remove_file(&path);
+                spill.file.insert(file)
+            }
+        };
+        file.seek(SeekFrom::Start(offset))?;
+        file.write_all(bytes)?;
         spill.next_offset += bytes.len() as u64;
-        offset
+        Ok(offset)
     }
 }
 
@@ -312,6 +321,30 @@ mod tests {
         // Allocating one more sweeps the dead entries without panicking.
         let live = m.alloc(payload(9, 60));
         assert!(live.is_resident());
+    }
+
+    #[test]
+    fn a_failed_spill_keeps_pages_resident() {
+        // The spill file cannot be created: every page stays in RAM, over
+        // budget, and reads back its exact payload.
+        let missing = std::env::temp_dir().join(format!("ctk-no-such-dir-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&missing);
+        let m = PageManager::new(100, Some(missing.clone()));
+        let pages: Vec<Page> = (0..6).map(|i| m.alloc(payload(i, 80))).collect();
+        assert_eq!(m.stats(), PagerStats { hot_pages: 6, cold_pages: 0, page_faults: 0 });
+        assert_eq!(m.resident_bytes(), 6 * 80);
+        for (i, p) in pages.iter().enumerate() {
+            assert!(p.is_resident());
+            assert_eq!(*m.load(p), *payload(i as u8, 80));
+        }
+        // Once the directory exists, the next eviction spills.
+        std::fs::create_dir_all(&missing).unwrap();
+        let pages: Vec<Page> = pages.into_iter().chain([m.alloc(payload(6, 80))]).collect();
+        assert!(m.stats().cold_pages > 0, "{:?}", m.stats());
+        for (i, p) in pages.iter().enumerate() {
+            assert_eq!(*m.load(p), *payload(i as u8, 80));
+        }
+        std::fs::remove_dir_all(&missing).unwrap();
     }
 
     #[test]

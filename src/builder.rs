@@ -176,6 +176,11 @@ impl MonitorBuilder {
         }
     }
 
+    /// The engine this builder builds.
+    pub fn engine(&self) -> EngineKind {
+        self.kind
+    }
+
     /// The decay parameter λ (per time unit); finite and `>= 0`.
     pub fn lambda(mut self, lambda: f64) -> Self {
         self.lambda = lambda;

@@ -26,7 +26,7 @@ fn backends() -> Vec<QueryIndex> {
     [
         StorageConfig::plain(),
         StorageConfig::new(PostingsStorage::Compressed),
-        StorageConfig { storage: PostingsStorage::Paged, page_budget_bytes: 256, spill_dir: None },
+        StorageConfig { storage: PostingsStorage::Paged, page_budget_bytes: 256 },
     ]
     .iter()
     .map(QueryIndex::with_storage)

@@ -6,15 +6,13 @@
 //! same bits, so comparing parsed `Value` trees (or raw bodies) is an exact
 //! state comparison, not an epsilon one.
 
-use continuous_topk::EngineKind;
+use continuous_topk::{EngineKind, MonitorBuilder};
 use ctk_server::{CtkServer, HttpClient, ServerBuilder};
 use serde::Value;
 use std::time::Duration;
 
 fn start(engine: EngineKind, shards: usize) -> (CtkServer, HttpClient) {
-    let server = ServerBuilder::new(engine)
-        .lambda(1e-3)
-        .shards(shards)
+    let server = ServerBuilder::new(MonitorBuilder::new(engine).lambda(1e-3).shards(shards))
         .bind("127.0.0.1:0")
         .expect("bind ephemeral loopback port");
     let mut client = HttpClient::connect(server.addr()).expect("connect");
@@ -395,8 +393,7 @@ fn reject_admission_answers_429_with_retry_after_and_loses_no_accepted_docs() {
     use ctk_server::AdmissionPolicy;
     // Queue depth 1 and a reject policy: whenever two publishers race while
     // the ingest thread is busy, the loser is told to come back later.
-    let server = ServerBuilder::new(EngineKind::Mrio)
-        .lambda(1e-3)
+    let server = ServerBuilder::new(MonitorBuilder::new(EngineKind::Mrio).lambda(1e-3))
         .queue_depth(1)
         .admission(AdmissionPolicy::Reject { retry_after: 0.25 })
         .bind("127.0.0.1:0")
@@ -526,12 +523,12 @@ fn streamed_snapshot_is_byte_identical_to_buffered_and_restores_bit_identically(
 #[test]
 fn stats_report_storage_counters_for_a_paged_backend() {
     use continuous_topk::prelude::PostingsStorage;
-    let server = ServerBuilder::new(EngineKind::Mrio)
+    let monitor = MonitorBuilder::new(EngineKind::Mrio)
         .lambda(1e-3)
         .postings_storage(PostingsStorage::Paged)
-        .page_budget(4096) // tiny: force spills so cold pages + faults show up
-        .bind("127.0.0.1:0")
-        .expect("bind ephemeral loopback port");
+        .page_budget(4096); // tiny: force spills so cold pages + faults show up
+    let server =
+        ServerBuilder::new(monitor).bind("127.0.0.1:0").expect("bind ephemeral loopback port");
     let mut client = HttpClient::connect(server.addr()).expect("connect");
     client.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
 
@@ -569,15 +566,20 @@ fn stats_report_the_query_sharding_and_the_shard_count() {
 
 #[test]
 fn bind_refuses_unusable_knobs_with_invalid_input_naming_them() {
+    use ctk_server::AdmissionPolicy;
     use std::io::ErrorKind;
-    let mrio = || ServerBuilder::new(EngineKind::Mrio);
+    let mrio = || MonitorBuilder::new(EngineKind::Mrio);
+    let reject =
+        |retry_after| ServerBuilder::new(mrio()).admission(AdmissionPolicy::Reject { retry_after });
     let refused = [
-        ("shards", mrio().shards(0)),
-        ("queue_depth", mrio().queue_depth(0)),
-        ("max_poll_events", mrio().max_poll_events(0)),
-        ("lambda", mrio().lambda(-1.0)),
-        ("lambda", mrio().lambda(f64::NAN)),
-        ("lambda", mrio().lambda(f64::INFINITY)),
+        ("shards", ServerBuilder::new(mrio().shards(0))),
+        ("queue_depth", ServerBuilder::new(mrio()).queue_depth(0)),
+        ("lambda", ServerBuilder::new(mrio().lambda(-1.0))),
+        ("lambda", ServerBuilder::new(mrio().lambda(f64::NAN))),
+        ("lambda", ServerBuilder::new(mrio().lambda(f64::INFINITY))),
+        ("admission", reject(f64::NAN)),
+        ("admission", reject(f64::INFINITY)),
+        ("admission", reject(-1.0)),
     ];
     for (knob, builder) in refused {
         let Err(e) = builder.bind("127.0.0.1:0") else {
@@ -587,8 +589,37 @@ fn bind_refuses_unusable_knobs_with_invalid_input_naming_them() {
         assert!(e.to_string().starts_with(knob), "{knob}: {e}");
     }
     // The boundary values still start.
-    let server = mrio().shards(1).queue_depth(1).max_poll_events(1).lambda(0.0);
+    let server = ServerBuilder::new(mrio().shards(1).lambda(0.0)).queue_depth(1);
     server.bind("127.0.0.1:0").expect("minimal knobs bind").shutdown();
+    reject(0.0).bind("127.0.0.1:0").expect("a zero retry hint binds").shutdown();
+}
+
+/// One `GET /changes` carries at most `?max=` events, and never more than
+/// the server's `MAX_POLL_EVENTS`; the rest wait for the next poll.
+#[test]
+fn a_poll_carries_at_most_max_and_at_most_the_server_cap() {
+    use ctk_server::routes::{MAX_POLL_EVENTS, SUBSCRIBER_BUFFER};
+    let (server, mut client) = start(EngineKind::Mrio, 1);
+    let subscriber = field_u64(&parse(&ok(client.post("/subscriptions", "{}"), 200)), "subscriber");
+    // One publish changes every query's result set: one event each, more
+    // than a poll may carry and fewer than the subscriber may buffer.
+    let queries = MAX_POLL_EVENTS + 100;
+    assert!(queries < SUBSCRIBER_BUFFER);
+    for _ in 0..queries {
+        ok(client.post("/queries", r#"{"terms": [[1, 1.0]], "k": 1}"#), 200);
+    }
+    ok(client.post("/publish", r#"{"terms": [[1, 1.0]], "arrival": 1.0}"#), 200);
+    let mut poll = |max: &str| {
+        let path = format!("/changes?subscriber={subscriber}{max}");
+        let poll = parse(&ok(client.get(&path), 200));
+        assert_eq!(field_u64(&poll, "dropped"), 0);
+        poll.get("events").unwrap().as_array().unwrap().len()
+    };
+    assert_eq!(poll("&max=5"), 5);
+    assert_eq!(poll(&format!("&max={}", 10 * MAX_POLL_EVENTS)), MAX_POLL_EVENTS);
+    assert_eq!(poll(""), queries - 5 - MAX_POLL_EVENTS);
+    assert_eq!(poll(""), 0);
+    server.shutdown();
 }
 
 /// A server with a journal in a fresh temporary directory (fsync off: the
@@ -596,8 +627,7 @@ fn bind_refuses_unusable_knobs_with_invalid_input_naming_them() {
 fn start_journaled(tag: &str) -> (CtkServer, HttpClient, std::path::PathBuf) {
     let dir = std::env::temp_dir().join(format!("ctk-api-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let server = ServerBuilder::new(EngineKind::Mrio)
-        .lambda(1e-3)
+    let server = ServerBuilder::new(MonitorBuilder::new(EngineKind::Mrio).lambda(1e-3))
         .journal_dir(&dir)
         .fsync(ctk_server::FsyncPolicy::Never)
         .bind("127.0.0.1:0")

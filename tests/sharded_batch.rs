@@ -405,7 +405,7 @@ fn storage_backends_stay_bit_identical_across_compaction_and_renorm() {
         (terms.iter().map(|&(t, w)| (TermId(t), w)).collect::<Vec<_>>(), at)
     };
     for storage in PostingsStorage::ALL {
-        let cfg = StorageConfig { storage, page_budget_bytes: 1024, spill_dir: None };
+        let cfg = StorageConfig { storage, page_budget_bytes: 1024 };
         let mut sharded = ShardedMonitor::new(2, || Naive::with_storage(lambda, &cfg));
         sharded.set_compaction_threshold(0.15);
         let mut single = Naive::new(lambda);

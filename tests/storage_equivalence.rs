@@ -16,7 +16,7 @@ fn layouts() -> [StorageConfig; 3] {
         StorageConfig::plain(),
         StorageConfig::new(PostingsStorage::Compressed),
         // A budget of a few blocks: the walk keeps faulting pages back in.
-        StorageConfig { storage: PostingsStorage::Paged, page_budget_bytes: 2048, spill_dir: None },
+        StorageConfig { storage: PostingsStorage::Paged, page_budget_bytes: 2048 },
     ]
 }
 
