@@ -9,7 +9,7 @@
 //! * [`postings`] — ID-ordered postings lists with galloping cursors (the
 //!   "identifier-ordering paradigm" the paper adapts to query indexing);
 //! * [`query_index`] — the registry mapping terms → lists and queries →
-//!   their posting positions, with tombstone deletion and compaction;
+//!   their postings, with tombstone deletion and compaction;
 //! * [`store`] — the postings-storage seam: the [`PostingsStore`] trait
 //!   with plain (Vec-backed), compressed (sealed blocks), and paged
 //!   (RAM/disk pager) backends selected by [`StorageConfig`];

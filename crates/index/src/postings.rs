@@ -83,17 +83,23 @@ impl PostingsList {
     /// (`SparseVector::normalize` drops underflowed entries and
     /// `QueryIndex::register` rejects non-positive weights), which keeps
     /// this a debug-only check on the hot append path.
+    ///
+    /// Capacity grows 1 → 2 → 4 → doubling: most lists hold a single
+    /// posting, and `Vec`'s own first allocation would reserve four.
     pub fn push(&mut self, qid: QueryId, weight: f32) {
         debug_assert!(weight > 0.0);
         debug_assert!(
             self.entries.last().is_none_or(|p| p.qid < qid),
             "postings must stay ID-ordered"
         );
+        if self.entries.len() == self.entries.capacity() {
+            self.entries.reserve_exact(self.entries.capacity().max(1));
+        }
         self.entries.push(Posting { qid, weight });
     }
 
     /// Tombstone the slot at `pos`. Position stays valid (stable positions
-    /// are required by the cached `RecordEntry.pos` and the zone structures).
+    /// are what the zone structures index by).
     pub fn tombstone(&mut self, pos: usize) {
         if !self.entries[pos].is_tombstone() {
             self.entries[pos].weight = 0.0;
@@ -152,8 +158,7 @@ impl PostingsList {
         self.next_live(self.seek(from, target))
     }
 
-    /// Drop tombstones, returning the surviving `(qid, weight)` pairs in
-    /// order. Used by compaction, which then rebuilds cached positions.
+    /// Drop tombstones, returning the surviving postings in order.
     pub fn compact(&mut self) -> &[Posting] {
         if self.tombstones > 0 {
             self.entries.retain(|p| !p.is_tombstone());

@@ -6,29 +6,24 @@
 //! re-score a candidate query in O(|q|) and (b) route `S_k`-change updates
 //! to the bound structures without searching the lists.
 //!
-//! Records have two layouts behind [`RecordRef`], selected together with the
-//! postings backend by [`StorageConfig`]:
+//! Records have one layout on every postings backend: 8-byte entries
+//! (`list`, `weight`) in a chunked arena, addressed by an 8-byte slot per
+//! query. The term is derived from the list index on read; the *position*
+//! is not stored at all — the lists are ID-ordered, so a posting's position
+//! is recoverable by a search on the query id (a binary search on a plain
+//! list; the block directory, then an ids-only walk of one block, on a
+//! compressed one). Full re-scores only need term and weight and never pay
+//! for that, and MRIO's bound updates take positions from the cursors
+//! standing on the postings. Unregistration goes through
+//! [`RecordRef::entries_full`], which searches for every position, so
+//! compaction has no positions to refresh. Records never span chunks, so a
+//! record is always one contiguous slice; unregistration strands its
+//! entries until compaction rebuilds the arena.
 //!
-//! * **Plain** — one `Vec<RecordEntry>` per query (16 bytes/entry plus a
-//!   `Vec` each, positions cached). The default, byte-for-byte the
-//!   historical layout.
-//! * **Packed** — 8-byte entries (`list`, `weight`) in a chunked arena,
-//!   addressed by a 12-byte slot per query. The term is derived from the
-//!   list index on read; the *position* is not stored at all — the lists
-//!   are ID-ordered, so a posting's position is recoverable by a search
-//!   on the query id (block directory, then an ids-only walk of one
-//!   block). Full re-scores only need term and weight and never pay for
-//!   that, and MRIO's bound updates take positions from the cursors
-//!   standing on the postings. Unregistration and the
-//!   owned form go through [`RecordRef::entries_full`], which searches
-//!   for every position. Dropping the position also means compaction has
-//!   no packed positions to refresh. Records never span
-//!   chunks, so a record is always one contiguous slice; unregistration
-//!   strands its entries until compaction rebuilds the arena. Used by the
-//!   compressed and paged backends, where the records — not the lists —
-//!   dominate per-query memory.
+//! The slot table and the arena's first chunk double up to their chunk
+//! size and then grow in exact chunks, so a few hundred queries pay for a
+//! few hundred slots, and hundreds of thousands pay no doubling slack.
 
-use crate::postings::Posting;
 use crate::store::{ListRef, Lists, PostingsStorage, StorageConfig, StorageStats};
 use ctk_common::{FxHashMap, QueryId, SparseVector, TermId};
 use ctk_storage::{PageManager, StoreContext};
@@ -58,13 +53,11 @@ pub struct EntryView {
     pub weight: f32,
 }
 
-/// Per-query registration record (owned form; see [`RecordRef`] for the
-/// borrowed view the index hands out).
+/// The record [`QueryIndex::unregister`] hands back, positions included,
+/// so callers can update their bound structures.
 #[derive(Debug, Clone, Default)]
 pub struct QueryRecord {
     pub entries: Vec<RecordEntry>,
-    /// Result size requested by the user.
-    pub k: u32,
 }
 
 /// A packed record entry: term derived from `list` via the index's list
@@ -77,12 +70,11 @@ struct PackedEntry {
 
 /// Arena address of one query's packed entries — 8 bytes, one per query
 /// ever registered. `offset == DEAD_SLOT` marks an unregistered query;
-/// `len` (terms per query) and `k` both fit `u16` with room to spare.
+/// `len` is the query's number of terms.
 #[derive(Debug, Clone, Copy)]
 struct PackedSlot {
     offset: u32,
-    len: u16,
-    k: u16,
+    len: u32,
 }
 
 const DEAD_SLOT: u32 = u32::MAX;
@@ -91,12 +83,13 @@ const DEAD_SLOT: u32 = u32::MAX;
 /// a record never spans chunks, so a record whose entries don't fit in the
 /// current chunk's remainder starts a fresh one (a record larger than
 /// `ARENA_CHUNK` gets a dedicated oversized chunk — its offset is the chunk
-/// base, and nothing else allocates there).
+/// base, and nothing else allocates there). The first chunk doubles up to
+/// this size; later ones are allocated whole.
 const ARENA_CHUNK: usize = 4096;
 
-/// Growth step of the slot table (one slot per query ever registered).
-/// Exact-chunk growth instead of `Vec` doubling: at hundreds of thousands
-/// of queries the doubling slack alone is megabytes.
+/// Slots past which the slot table (one slot per query ever registered)
+/// stops doubling and grows in exact steps of this size: at hundreds of
+/// thousands of queries the doubling slack alone is megabytes.
 const SLOTS_CHUNK: usize = 4096;
 
 #[derive(Debug, Default)]
@@ -109,14 +102,20 @@ struct PackedArena {
 }
 
 impl PackedArena {
-    /// Reserve space for `n` contiguous entries; returns the global offset.
+    /// Room for `n` more contiguous entries: returns the global offset of
+    /// the first, which the caller pushes onto the last chunk.
     fn alloc(&mut self, n: usize) -> u32 {
-        let fits_last = self
-            .chunks
-            .last()
-            .is_some_and(|c| c.capacity() == ARENA_CHUNK && c.len() + n <= ARENA_CHUNK);
-        if !fits_last {
-            self.chunks.push(Vec::with_capacity(n.max(ARENA_CHUNK)));
+        match self.chunks.last_mut() {
+            Some(c) if c.len() + n <= ARENA_CHUNK => {
+                if c.len() + n > c.capacity() {
+                    let cap = (2 * c.capacity()).clamp(c.len() + n, ARENA_CHUNK);
+                    c.reserve_exact(cap - c.len());
+                }
+            }
+            last => {
+                let cap = if last.is_none() { n } else { n.max(ARENA_CHUNK) };
+                self.chunks.push(Vec::with_capacity(cap));
+            }
         }
         let chunk = self.chunks.len() - 1;
         ((chunk * ARENA_CHUNK) + self.chunks[chunk].len()) as u32
@@ -124,7 +123,7 @@ impl PackedArena {
 
     fn push_slot(&mut self, slot: PackedSlot) {
         if self.slots.len() == self.slots.capacity() {
-            self.slots.reserve_exact(SLOTS_CHUNK);
+            self.slots.reserve_exact(self.slots.capacity().clamp(1, SLOTS_CHUNK));
         }
         self.slots.push(slot);
     }
@@ -137,6 +136,7 @@ impl PackedArena {
 
     fn heap_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<PackedSlot>()
+            + self.chunks.capacity() * std::mem::size_of::<Vec<PackedEntry>>()
             + self
                 .chunks
                 .iter()
@@ -163,164 +163,59 @@ impl PackedArena {
     }
 }
 
-#[derive(Debug)]
-enum Records {
-    Plain(Vec<Option<QueryRecord>>),
-    Packed(PackedArena),
-}
-
-/// Borrowed view of one query's registration record, independent of the
-/// record layout. [`RecordRef::entries`] iterates position-free
-/// [`EntryView`]s (the hot-path shape);
-/// [`RecordRef::entries_full`] materializes [`RecordEntry`]s, deriving
-/// packed positions by a list search; [`RecordRef::to_record`] clones into
-/// the owned form.
+/// Borrowed view of one query's registration record.
+/// [`RecordRef::entries`] iterates position-free [`EntryView`]s (the
+/// hot-path shape); [`RecordRef::entries_full`] materializes
+/// [`RecordEntry`]s, deriving positions by a list search.
 #[derive(Clone, Copy)]
 pub struct RecordRef<'a> {
-    k: u32,
     qid: QueryId,
-    inner: RecordRefInner<'a>,
-}
-
-#[derive(Clone, Copy)]
-enum RecordRefInner<'a> {
-    Plain(&'a [RecordEntry]),
-    Packed { entries: &'a [PackedEntry], terms: &'a [TermId], lists: &'a Lists },
+    entries: &'a [PackedEntry],
+    terms: &'a [TermId],
+    lists: &'a Lists,
 }
 
 impl<'a> RecordRef<'a> {
-    /// Result size requested by the user.
-    #[inline]
-    pub fn k(&self) -> u32 {
-        self.k
-    }
-
     /// Number of postings the query owns.
     #[inline]
     pub fn len(&self) -> usize {
-        match self.inner {
-            RecordRefInner::Plain(es) => es.len(),
-            RecordRefInner::Packed { entries, .. } => entries.len(),
-        }
+        self.entries.len()
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.entries.is_empty()
     }
 
     /// Iterate the record's entries in registration order, without list
-    /// positions — O(1) per entry for every layout.
+    /// positions — O(1) per entry.
     #[inline]
-    pub fn entries(self) -> RecordEntries<'a> {
-        RecordEntries {
-            inner: match self.inner {
-                RecordRefInner::Plain(es) => RecordEntriesInner::Plain(es.iter()),
-                RecordRefInner::Packed { entries, terms, .. } => {
-                    RecordEntriesInner::Packed { it: entries.iter(), terms }
-                }
-            },
-        }
+    pub fn entries(self) -> impl ExactSizeIterator<Item = EntryView> + 'a {
+        let terms = self.terms;
+        self.entries.iter().map(move |e| EntryView {
+            term: terms[e.list as usize],
+            list: e.list,
+            weight: e.weight,
+        })
     }
 
-    /// Iterate the record's entries with list positions. Packed layouts
-    /// don't store positions, so each is recovered by a search of the
-    /// ID-ordered list (directory, then an ids-only decode of one block) —
-    /// for the paths that need every position and have no better source
-    /// (unregistration, the owned form).
+    /// Iterate the record's entries with list positions. Records don't
+    /// store positions, so each is recovered by a search of the ID-ordered
+    /// list — for the paths that need every position and have no better
+    /// source (unregistration).
     #[inline]
-    pub fn entries_full(self) -> RecordEntriesFull<'a> {
-        RecordEntriesFull {
-            qid: self.qid,
-            inner: match self.inner {
-                RecordRefInner::Plain(es) => RecordEntriesFullInner::Plain(es.iter()),
-                RecordRefInner::Packed { entries, terms, lists } => {
-                    RecordEntriesFullInner::Packed { it: entries.iter(), terms, lists }
-                }
-            },
-        }
-    }
-
-    /// Clone into the owned (position-carrying) record form.
-    pub fn to_record(&self) -> QueryRecord {
-        QueryRecord { entries: self.entries_full().collect(), k: self.k }
-    }
-}
-
-/// Iterator over a [`RecordRef`]'s position-free entries.
-pub struct RecordEntries<'a> {
-    inner: RecordEntriesInner<'a>,
-}
-
-enum RecordEntriesInner<'a> {
-    Plain(std::slice::Iter<'a, RecordEntry>),
-    Packed { it: std::slice::Iter<'a, PackedEntry>, terms: &'a [TermId] },
-}
-
-impl Iterator for RecordEntries<'_> {
-    type Item = EntryView;
-
-    #[inline]
-    fn next(&mut self) -> Option<EntryView> {
-        match &mut self.inner {
-            RecordEntriesInner::Plain(it) => {
-                it.next().map(|e| EntryView { term: e.term, list: e.list, weight: e.weight })
-            }
-            RecordEntriesInner::Packed { it, terms } => it.next().map(|e| EntryView {
-                term: terms[e.list as usize],
-                list: e.list,
-                weight: e.weight,
-            }),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.inner {
-            RecordEntriesInner::Plain(it) => it.size_hint(),
-            RecordEntriesInner::Packed { it, .. } => it.size_hint(),
-        }
-    }
-}
-
-/// Iterator over a [`RecordRef`]'s full entries (positions included).
-pub struct RecordEntriesFull<'a> {
-    qid: QueryId,
-    inner: RecordEntriesFullInner<'a>,
-}
-
-enum RecordEntriesFullInner<'a> {
-    Plain(std::slice::Iter<'a, RecordEntry>),
-    Packed { it: std::slice::Iter<'a, PackedEntry>, terms: &'a [TermId], lists: &'a Lists },
-}
-
-impl Iterator for RecordEntriesFull<'_> {
-    type Item = RecordEntry;
-
-    #[inline]
-    fn next(&mut self) -> Option<RecordEntry> {
-        match &mut self.inner {
-            RecordEntriesFullInner::Plain(it) => it.next().copied(),
-            RecordEntriesFullInner::Packed { it, terms, lists } => {
-                let qid = self.qid;
-                it.next().map(|e| RecordEntry {
-                    term: terms[e.list as usize],
-                    list: e.list,
-                    pos: lists
-                        .get(e.list)
-                        .position_of(qid)
-                        .expect("record entry implies a posting (live or tombstoned)")
-                        as u32,
-                    weight: e.weight,
-                })
-            }
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.inner {
-            RecordEntriesFullInner::Plain(it) => it.size_hint(),
-            RecordEntriesFullInner::Packed { it, .. } => it.size_hint(),
-        }
+    pub fn entries_full(self) -> impl ExactSizeIterator<Item = RecordEntry> + 'a {
+        let (qid, terms, lists) = (self.qid, self.terms, self.lists);
+        self.entries.iter().map(move |e| RecordEntry {
+            term: terms[e.list as usize],
+            list: e.list,
+            pos: lists
+                .get(e.list)
+                .position_of(qid)
+                .expect("record entry implies a posting (live or tombstoned)")
+                as u32,
+            weight: e.weight,
+        })
     }
 }
 
@@ -330,7 +225,7 @@ pub struct QueryIndex {
     lists: Lists,
     list_terms: Vec<TermId>,
     term_map: FxHashMap<TermId, u32>,
-    records: Records,
+    records: PackedArena,
     live_queries: usize,
     /// Running totals across all lists, so [`QueryIndex::tombstone_ratio`]
     /// is O(1) — compaction policies probe it at every batch boundary.
@@ -348,19 +243,13 @@ impl Default for QueryIndex {
 }
 
 impl QueryIndex {
-    /// A plain (Vec-backed) index — the historical default layout.
+    /// An index over plain (Vec-backed) postings lists, the default backend.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An index using the given storage backend (see [`StorageConfig`]).
-    /// The backend also selects the record layout: plain storage keeps
-    /// per-query `Vec`s, compressed/paged pack records into an arena.
+    /// An index using the given postings backend (see [`StorageConfig`]).
     pub fn with_storage(config: &StorageConfig) -> Self {
-        let records = match config.storage {
-            PostingsStorage::Plain => Records::Plain(Vec::new()),
-            _ => Records::Packed(PackedArena::default()),
-        };
         let cx = match config.storage {
             PostingsStorage::Paged => {
                 StoreContext::paged(Arc::new(PageManager::new(config.page_budget(), None)))
@@ -371,7 +260,7 @@ impl QueryIndex {
             lists: Lists::new(config.storage),
             list_terms: Vec::new(),
             term_map: FxHashMap::default(),
-            records,
+            records: PackedArena::default(),
             live_queries: 0,
             total_postings: 0,
             total_tombstones: 0,
@@ -389,10 +278,7 @@ impl QueryIndex {
     /// Number of queries ever registered (= next query id).
     #[inline]
     pub fn num_slots(&self) -> usize {
-        match &self.records {
-            Records::Plain(v) => v.len(),
-            Records::Packed(a) => a.slots.len(),
-        }
+        self.records.slots.len()
     }
 
     /// Number of currently registered queries.
@@ -408,7 +294,8 @@ impl QueryIndex {
     }
 
     /// Register a query; returns its new id. The vector must be non-empty
-    /// and normalized (enforced upstream by `QuerySpec`).
+    /// and normalized (enforced upstream by `QuerySpec`). The result size
+    /// `_k` is not stored: each engine keeps it in its own per-query state.
     ///
     /// Non-positive weights are rejected here rather than trusted from the
     /// caller: `weight == 0.0` doubles as the tombstone marker inside the
@@ -416,64 +303,24 @@ impl QueryIndex {
     /// during normalization upstream) would register a posting that *reads*
     /// as deleted while the list's tombstone counter says otherwise,
     /// desyncing `live()` from the live iteration paths.
-    pub fn register(&mut self, vector: &SparseVector, k: u32) -> QueryId {
+    pub fn register(&mut self, vector: &SparseVector, _k: u32) -> QueryId {
         let qid = QueryId(self.num_slots() as u32);
-        let mut count = 0usize;
-        let mut first: Option<(u32, u32, f32)> = None; // (list, pos, weight)
-        let mut scratch: Vec<(u32, u32, f32)> = Vec::new();
-        for (term, weight) in vector.iter() {
-            if weight <= 0.0 {
-                continue;
-            }
-            let list_idx = *self.term_map.entry(term).or_insert_with(|| {
+        let postings = || vector.iter().filter(|&(_, weight)| weight > 0.0);
+        let len = postings().count();
+        let offset = self.records.alloc(len);
+        let dst = self.records.chunks.last_mut().expect("alloc ensured a chunk");
+        for (term, weight) in postings() {
+            let list = *self.term_map.entry(term).or_insert_with(|| {
                 self.lists.push_list();
                 self.list_terms.push(term);
                 (self.lists.len() - 1) as u32
             });
-            let pos = self.lists.get(list_idx).len() as u32;
-            self.lists.push_posting(list_idx, qid, weight, &self.cx);
-            if count == 0 {
-                first = Some((list_idx, pos, weight));
-            } else {
-                if count == 1 {
-                    scratch.reserve(vector.len());
-                    scratch.push(first.expect("first entry recorded"));
-                }
-                scratch.push((list_idx, pos, weight));
-            }
-            count += 1;
+            self.lists.push_posting(list, qid, weight, &self.cx);
+            dst.push(PackedEntry { list, weight });
         }
-        let entries: &[(u32, u32, f32)] = if count == 1 {
-            std::slice::from_ref(first.as_ref().expect("single entry"))
-        } else {
-            &scratch
-        };
-        self.total_postings += count;
+        self.records.push_slot(PackedSlot { offset, len: len as u32 });
+        self.total_postings += len;
         self.live_queries += 1;
-        match &mut self.records {
-            Records::Plain(v) => {
-                v.push(Some(QueryRecord {
-                    entries: entries
-                        .iter()
-                        .map(|&(list, pos, weight)| RecordEntry {
-                            term: self.list_terms[list as usize],
-                            list,
-                            pos,
-                            weight,
-                        })
-                        .collect(),
-                    k,
-                }));
-            }
-            Records::Packed(a) => {
-                let offset = a.alloc(count);
-                let dst = a.chunks.last_mut().expect("alloc ensured a chunk");
-                dst.extend(entries.iter().map(|&(list, _, weight)| PackedEntry { list, weight }));
-                let len = u16::try_from(count).expect("terms per query fit u16");
-                let k = u16::try_from(k).expect("k fits u16");
-                a.push_slot(PackedSlot { offset, len, k });
-            }
-        }
         qid
     }
 
@@ -481,35 +328,10 @@ impl QueryIndex {
     /// Returns the record (so callers can update bound structures), or `None`
     /// if the query was unknown / already removed.
     pub fn unregister(&mut self, qid: QueryId) -> Option<QueryRecord> {
-        let record = match &mut self.records {
-            Records::Plain(v) => v.get_mut(qid.index())?.take()?,
-            Records::Packed(a) => {
-                let slot = *a.slots.get(qid.index())?;
-                if slot.offset == DEAD_SLOT {
-                    return None;
-                }
-                a.slots[qid.index()].offset = DEAD_SLOT;
-                a.dead_entries += slot.len as usize;
-                let (terms, lists) = (&self.list_terms, &self.lists);
-                QueryRecord {
-                    entries: a
-                        .entries(slot)
-                        .iter()
-                        .map(|e| RecordEntry {
-                            term: terms[e.list as usize],
-                            list: e.list,
-                            pos: lists
-                                .get(e.list)
-                                .position_of(qid)
-                                .expect("record entry implies a posting")
-                                as u32,
-                            weight: e.weight,
-                        })
-                        .collect(),
-                    k: slot.k as u32,
-                }
-            }
-        };
+        let record = QueryRecord { entries: self.record(qid)?.entries_full().collect() };
+        let slot = &mut self.records.slots[qid.index()];
+        slot.offset = DEAD_SLOT;
+        self.records.dead_entries += slot.len as usize;
         for e in &record.entries {
             self.lists.tombstone(e.list, e.pos as usize);
         }
@@ -518,28 +340,16 @@ impl QueryIndex {
         Some(record)
     }
 
-    /// The record of a live query, as a layout-independent view.
+    /// The record of a live query.
     #[inline]
     pub fn record(&self, qid: QueryId) -> Option<RecordRef<'_>> {
-        match &self.records {
-            Records::Plain(v) => v.get(qid.index())?.as_ref().map(|r| RecordRef {
-                k: r.k,
-                qid,
-                inner: RecordRefInner::Plain(&r.entries),
-            }),
-            Records::Packed(a) => {
-                let slot = *a.slots.get(qid.index())?;
-                (slot.offset != DEAD_SLOT).then(|| RecordRef {
-                    k: slot.k as u32,
-                    qid,
-                    inner: RecordRefInner::Packed {
-                        entries: a.entries(slot),
-                        terms: &self.list_terms,
-                        lists: &self.lists,
-                    },
-                })
-            }
-        }
+        let slot = *self.records.slots.get(qid.index())?;
+        (slot.offset != DEAD_SLOT).then(|| RecordRef {
+            qid,
+            entries: self.records.entries(slot),
+            terms: &self.list_terms,
+            lists: &self.lists,
+        })
     }
 
     /// Dense list index of a term's list, if any query uses the term.
@@ -574,89 +384,51 @@ impl QueryIndex {
         }
     }
 
-    /// Drop all tombstones and refresh the cached positions in every record.
-    /// Returns the indices of the lists that changed (so callers can rebuild
-    /// their bound structures for exactly those lists). Packed records
-    /// store no positions, so only plain records need the refresh; for
-    /// packed records this is instead the arena's garbage-collection point:
-    /// entries stranded by unregistration are reclaimed once they outnumber
-    /// half the live ones.
+    /// Drop all tombstones. Returns the indices of the lists that changed
+    /// (so callers can rebuild their bound structures for exactly those
+    /// lists). Records store no positions, so nothing in them goes stale;
+    /// this is instead the arena's garbage-collection point: entries
+    /// stranded by unregistration are reclaimed once they outnumber half
+    /// the live ones.
     pub fn compact(&mut self) -> Vec<u32> {
         let mut changed = Vec::new();
-        let mut survivors: Vec<Posting> = Vec::new();
         for idx in 0..self.lists.len() as u32 {
-            if self.lists.get(idx).tombstones() == 0 {
+            let removed = self.lists.get(idx).tombstones();
+            if removed == 0 {
                 continue;
             }
             changed.push(idx);
-            let removed = self.lists.get(idx).tombstones();
             self.total_postings -= removed;
             self.total_tombstones -= removed;
-            survivors.clear();
-            self.lists.compact_list(idx, &mut survivors, &self.cx);
-            // Refresh positions: walk the compacted list once.
-            if let Records::Plain(v) = &mut self.records {
-                for (new_pos, p) in survivors.iter().enumerate() {
-                    if let Some(rec) = v[p.qid.index()].as_mut() {
-                        for e in &mut rec.entries {
-                            if e.list == idx {
-                                e.pos = new_pos as u32;
-                            }
-                        }
-                    }
-                }
-            }
+            self.lists.compact_list(idx, &self.cx);
         }
-        if let Records::Packed(a) = &mut self.records {
-            if a.dead_entries * 2 > self.total_postings.max(1) {
-                a.gc();
-            }
+        if self.records.dead_entries * 2 > self.total_postings.max(1) {
+            self.records.gc();
         }
         changed
     }
 
     /// Iterate ids of live queries (ascending).
     pub fn live_ids(&self) -> impl Iterator<Item = QueryId> + '_ {
-        let (plain, packed) = match &self.records {
-            Records::Plain(v) => (Some(v), None),
-            Records::Packed(a) => (None, Some(a)),
-        };
-        let plain_it = plain
-            .into_iter()
-            .flatten()
+        self.records
+            .slots
+            .iter()
             .enumerate()
-            .filter_map(|(i, r)| r.as_ref().map(|_| QueryId(i as u32)));
-        let packed_it = packed
-            .into_iter()
-            .flat_map(|a| a.slots.iter())
-            .enumerate()
-            .filter_map(|(i, s)| (s.offset != DEAD_SLOT).then_some(QueryId(i as u32)));
-        plain_it.chain(packed_it)
+            .filter_map(|(i, s)| (s.offset != DEAD_SLOT).then_some(QueryId(i as u32)))
     }
 
     /// Estimated heap bytes held by this index: lists (their table counted
     /// at capacity times the actual per-backend element size), records, and
-    /// the term directory. For paged storage, disk-resident payloads are
-    /// excluded (only their page handles count) — spilling is what makes
-    /// `index_bytes` drop.
+    /// the term directory, every allocation at its capacity. For paged
+    /// storage, disk-resident payloads are excluded (only their page
+    /// handles count) — spilling is what makes `index_bytes` drop.
     pub fn heap_bytes(&self) -> usize {
-        let lists = self.lists.heap_bytes();
-        let records = match &self.records {
-            Records::Plain(v) => {
-                v.capacity() * std::mem::size_of::<Option<QueryRecord>>()
-                    + v.iter()
-                        .flatten()
-                        .map(|r| r.entries.capacity() * std::mem::size_of::<RecordEntry>())
-                        .sum::<usize>()
-            }
-            Records::Packed(a) => a.heap_bytes(),
-        };
         // Hash-map estimate: std's SwissTable keeps ~8/7 of capacity in
         // (key, value) pairs plus one control byte per bucket.
         let directory = self.list_terms.capacity() * std::mem::size_of::<TermId>()
             + self.term_map.capacity()
                 * (std::mem::size_of::<(TermId, u32)>() + std::mem::size_of::<u8>());
-        lists + records + directory
+        self.lists.heap_bytes() + self.records.heap_bytes() + directory
     }
 
     /// Point-in-time storage counters (heap estimate + pager activity).
@@ -710,9 +482,7 @@ mod tests {
 
             let rec = ix.record(q1).unwrap();
             assert_eq!(rec.len(), 2);
-            assert_eq!(rec.k(), 3);
-            // Full entries point back at the actual postings, and the view
-            // round-trips through the owned form.
+            // Full entries point back at the actual postings.
             for e in rec.entries_full() {
                 assert_eq!(ix.list(e.list).get(e.pos as usize).qid, q1);
                 assert_eq!(ix.term_of_list(e.list), e.term);
@@ -721,7 +491,6 @@ mod tests {
             for (v, e) in rec.entries().zip(rec.entries_full()) {
                 assert_eq!((v.term, v.list, v.weight), (e.term, e.list, e.weight));
             }
-            assert_eq!(rec.to_record().entries.len(), 2);
         }
     }
 
@@ -760,8 +529,7 @@ mod tests {
             assert!(!changed.is_empty());
             assert_eq!(ix.tombstone_ratio(), 0.0);
 
-            // Positions visible through records must be refreshed (plain)
-            // or re-derived correctly (packed).
+            // Positions are re-derived from the compacted lists.
             for qid in ids.iter().skip(5) {
                 let rec = ix.record(*qid).unwrap();
                 for e in rec.entries_full() {
@@ -821,15 +589,43 @@ mod tests {
         assert!(b > a, "ids are never reused, keeping lists append-only");
     }
 
-    /// The packed layouts must be observably identical to plain across a
-    /// register/unregister/compact churn, and strictly smaller at scale.
+    /// A record longer than a whole arena chunk, or than `u16::MAX` terms,
+    /// gets a dedicated chunk and reads back whole, beside short records
+    /// on either side of it.
     #[test]
-    fn packed_layouts_match_plain_and_shrink() {
+    fn records_longer_than_a_chunk_round_trip() {
+        let terms = u16::MAX as u32 + 1;
+        let long = vector(&(0..terms).map(|t| (t, 1.0)).collect::<Vec<_>>());
+        for cfg in all_configs() {
+            let mut ix = QueryIndex::with_storage(&cfg);
+            let a = ix.register(&vector(&[(1, 1.0)]), 1);
+            let b = ix.register(&long, 1 << 16);
+            let c = ix.register(&vector(&[(2, 1.0)]), 1);
+            assert_eq!(ix.record(b).unwrap().len(), terms as usize);
+            for (i, e) in ix.record(b).unwrap().entries().enumerate() {
+                assert_eq!(e.term, TermId(i as u32));
+            }
+            for (q, t) in [(a, 1), (c, 2)] {
+                let e: Vec<EntryView> = ix.record(q).unwrap().entries().collect();
+                assert_eq!(e.len(), 1);
+                assert_eq!(e[0].term, TermId(t));
+            }
+            assert_eq!(ix.unregister(b).unwrap().entries.len(), terms as usize);
+            ix.compact();
+            assert_eq!(ix.record(c).unwrap().entries().next().unwrap().term, TermId(2));
+        }
+    }
+
+    /// Every backend observes the same records and lists across a
+    /// register/unregister/compact churn, and the compressed lists are
+    /// smaller than plain `Vec<Posting>`s at scale.
+    #[test]
+    fn backends_agree_and_compressed_lists_shrink() {
         let mut plain = QueryIndex::new();
         let mut others: Vec<QueryIndex> =
             all_configs()[1..].iter().map(QueryIndex::with_storage).collect();
         // Big enough that per-chunk and per-list constants amortize away —
-        // the packed layouts buy their win at scale.
+        // compression buys its win at scale.
         let n = 4000u32;
         for i in 0..n {
             let v = vector(&[(i % 17, 1.0), (17 + i % 11, 0.7), (40 + i % 29, 0.3)]);
@@ -852,10 +648,9 @@ mod tests {
         for ix in &others {
             assert_eq!(ix.num_live(), plain.num_live());
             for qid in plain.live_ids() {
-                let a = plain.record(qid).unwrap().to_record();
-                let b = ix.record(qid).unwrap().to_record();
-                assert_eq!(a.k, b.k);
-                assert_eq!(a.entries, b.entries);
+                let a: Vec<RecordEntry> = plain.record(qid).unwrap().entries_full().collect();
+                let b: Vec<RecordEntry> = ix.record(qid).unwrap().entries_full().collect();
+                assert_eq!(a, b);
             }
             for li in 0..plain.num_lists() as u32 {
                 let (pl, ol) = (plain.list(li), ix.list(li));
@@ -864,13 +659,59 @@ mod tests {
                     assert_eq!(pl.get(pos), ol.get(pos));
                 }
             }
+            assert_eq!(ix.records.heap_bytes(), plain.records.heap_bytes(), "one record layout");
             assert!(
-                2 * ix.heap_bytes() < plain.heap_bytes(),
-                "{} must halve plain's RAM at scale ({} vs {})",
+                3 * ix.lists.heap_bytes() < 2 * plain.lists.heap_bytes(),
+                "{} lists must save a third of plain's RAM at scale ({} vs {})",
                 ix.storage_config().storage,
-                ix.heap_bytes(),
-                plain.heap_bytes()
+                ix.lists.heap_bytes(),
+                plain.lists.heap_bytes()
             );
+        }
+    }
+
+    /// `heap_bytes` is exactly the capacities of the allocations it names,
+    /// and records cost 8 bytes per slot and per term plus at most the
+    /// doubling slack — at 300 queries, without a whole chunk's worth of
+    /// slots or entries.
+    #[test]
+    fn heap_bytes_counts_capacities_and_records_fit_the_population() {
+        for cfg in all_configs() {
+            for n in [300u32, 20_000] {
+                let mut ix = QueryIndex::with_storage(&cfg);
+                let mut terms = 0usize;
+                for i in 0..n {
+                    let len = 1 + i % 6;
+                    let pairs: Vec<(u32, f32)> =
+                        (0..len).map(|j| ((i * 7 + j * 131) % 5_000, 1.0 + j as f32)).collect();
+                    terms += pairs.len();
+                    ix.register(&vector(&pairs), 1);
+                }
+                let a = &ix.records;
+                let lists = match &ix.lists {
+                    Lists::Plain(v) => {
+                        v.capacity() * std::mem::size_of::<crate::PostingsList>()
+                            + v.iter().map(|l| 8 * l.capacity()).sum::<usize>()
+                    }
+                    Lists::Compressed(v) => {
+                        v.capacity() * std::mem::size_of::<ctk_storage::CompressedList>()
+                            + v.iter().map(|l| l.heap_bytes()).sum::<usize>()
+                    }
+                };
+                let records = 8 * a.slots.capacity()
+                    + 24 * a.chunks.capacity()
+                    + a.chunks.iter().map(|c| 8 * c.capacity()).sum::<usize>();
+                let directory = 4 * ix.list_terms.capacity() + 9 * ix.term_map.capacity();
+                assert_eq!(ix.heap_bytes(), lists + records + directory, "{cfg:?} at {n}");
+
+                let exact = 8 * (n as usize + terms);
+                assert!(records <= 2 * exact, "{cfg:?} at {n}: {records} B of records for {exact}");
+                if n == 300 {
+                    assert!(a.slots.capacity() < SLOTS_CHUNK, "{cfg:?}: a full slot table");
+                    assert_eq!(a.chunks.len(), 1);
+                    assert!(a.chunks[0].capacity() < ARENA_CHUNK, "{cfg:?}: a full chunk");
+                }
+            }
         }
     }
 

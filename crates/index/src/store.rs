@@ -46,10 +46,10 @@ const _: () = assert!(ctk_storage::BLOCK_LEN == crate::block_max::DEFAULT_BLOCK)
 /// Which postings layout a [`crate::QueryIndex`] uses (see module docs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum PostingsStorage {
-    /// Uncompressed `Vec`-backed lists and per-query record `Vec`s.
+    /// Uncompressed `Vec`-backed lists.
     #[default]
     Plain,
-    /// Compressed sealed blocks + packed record arena, all RAM-resident.
+    /// Compressed sealed blocks, all RAM-resident.
     Compressed,
     /// Compressed layout with sealed blocks in a budgeted RAM/disk pager.
     Paged,
@@ -194,9 +194,9 @@ pub trait PostingsStore {
     /// Visit every live posting in position order.
     fn for_each_live(&self, f: &mut dyn FnMut(QueryId, f32));
 
-    /// Drop tombstones, appending survivors to `out` in order; positions
-    /// restart from zero afterwards (callers refresh their cached ones).
-    fn compact(&mut self, out: &mut Vec<Posting>, cx: &StoreContext);
+    /// Drop tombstones; the survivors keep their order, and their positions
+    /// restart from zero.
+    fn compact(&mut self, cx: &StoreContext);
 
     /// RAM bytes owned by this list, excluding `size_of::<Self>()` (the
     /// containing table accounts for its slots).
@@ -252,8 +252,8 @@ impl PostingsStore for PostingsList {
         }
     }
 
-    fn compact(&mut self, out: &mut Vec<Posting>, _cx: &StoreContext) {
-        out.extend_from_slice(PostingsList::compact(self));
+    fn compact(&mut self, _cx: &StoreContext) {
+        PostingsList::compact(self);
     }
 
     fn heap_bytes(&self) -> usize {
@@ -307,10 +307,8 @@ impl PostingsStore for CompressedList {
         CompressedList::for_each_live(self, |q, w| f(QueryId(q), w));
     }
 
-    fn compact(&mut self, out: &mut Vec<Posting>, cx: &StoreContext) {
-        let mut raw = Vec::new();
-        self.compact_into(&mut raw, cx);
-        out.extend(raw.into_iter().map(|(q, w)| Posting { qid: QueryId(q), weight: w }));
+    fn compact(&mut self, cx: &StoreContext) {
+        self.compact_into(&mut Vec::new(), cx);
     }
 
     fn heap_bytes(&self) -> usize {
@@ -629,11 +627,11 @@ impl Lists {
         }
     }
 
-    /// Compact list `idx`, appending survivors to `out`.
-    pub(crate) fn compact_list(&mut self, idx: u32, out: &mut Vec<Posting>, cx: &StoreContext) {
+    /// Drop the tombstones of list `idx`.
+    pub(crate) fn compact_list(&mut self, idx: u32, cx: &StoreContext) {
         match self {
-            Lists::Plain(v) => PostingsStore::compact(&mut v[idx as usize], out, cx),
-            Lists::Compressed(v) => PostingsStore::compact(&mut v[idx as usize], out, cx),
+            Lists::Plain(v) => PostingsStore::compact(&mut v[idx as usize], cx),
+            Lists::Compressed(v) => PostingsStore::compact(&mut v[idx as usize], cx),
         }
     }
 

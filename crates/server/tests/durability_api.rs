@@ -86,6 +86,40 @@ fn journal_state_survives_a_graceful_restart() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// The largest valid `k` registers with 200 on every postings backend and
+/// replays from the journal after a restart, with the same results: the
+/// record layout used to narrow `k` to 16 bits and panic on it, and a
+/// journaled register that panics on apply would panic every restart.
+#[test]
+fn the_largest_valid_k_registers_and_survives_a_journal_restart() {
+    use continuous_topk::prelude::PostingsStorage;
+    for storage in PostingsStorage::ALL {
+        let dir = temp_dir("max-k");
+        let monitor = MonitorBuilder::new(EngineKind::Mrio).lambda(1e-3).postings_storage(storage);
+        let journaled = || ServerBuilder::new(monitor.clone()).journal_dir(&dir);
+        let server = journaled().fsync(FsyncPolicy::Never).bind("127.0.0.1:0").unwrap();
+        let mut client = HttpClient::connect(server.addr()).unwrap();
+        let qid = field_u64(
+            &parse(&ok(client.post("/queries", r#"{"terms": [[1, 1.0]], "k": 65536}"#), 200)),
+            "query",
+        );
+        for arrival in 1..=3 {
+            let doc = format!(r#"{{"terms": [[1, 0.{arrival}]], "arrival": {arrival}.0}}"#);
+            ok(client.post("/publish", &doc), 200);
+        }
+        let results = ok(client.get(&format!("/queries/{qid}/results")), 200);
+        server.shutdown();
+
+        let server = journaled().bind("127.0.0.1:0").unwrap();
+        let mut client = ready_client(server.addr());
+        let stats = parse(&ok(client.get("/stats"), 200));
+        assert_eq!(field_u64(&stats, "replayed_records"), 4, "{storage}: register + 3 publishes");
+        assert_eq!(ok(client.get(&format!("/queries/{qid}/results")), 200), results, "{storage}");
+        server.shutdown();
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn non_finite_publishes_are_refused_before_the_journal_sees_them() {
     let dir = temp_dir("non-finite");

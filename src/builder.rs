@@ -208,12 +208,12 @@ impl MonitorBuilder {
     /// [`PostingsStorage`]). All three backends are bit-identical on every
     /// read — the selection only moves the RAM footprint and throughput:
     ///
-    /// * [`PostingsStorage::Plain`] (default) — `Vec`-backed lists and
-    ///   per-query record `Vec`s; the fastest layout, and the baseline every
-    ///   other backend is proptested against.
+    /// * [`PostingsStorage::Plain`] (default) — `Vec`-backed lists; the
+    ///   fastest layout, and the baseline every other backend is
+    ///   proptested against.
     /// * [`PostingsStorage::Compressed`] — sealed delta + bit-packed blocks
-    ///   (raw f32 weights, lossless) plus a packed record arena; several
-    ///   times fewer bytes per registered query at scale.
+    ///   (raw f32 weights, lossless); fewer bytes per registered query at
+    ///   scale.
     /// * [`PostingsStorage::Paged`] — the compressed layout with sealed
     ///   blocks in a byte-budgeted RAM/disk pager (see
     ///   [`MonitorBuilder::page_budget`]); cold blocks spill to disk, hot

@@ -359,3 +359,39 @@ fn un_interned_namespace_handles_are_refused_before_any_state_changes() {
         assert_eq!(receipt.changes.len(), 2);
     }
 }
+
+/// The largest queries `QuerySpec` admits: `k = QuerySpec::MAX_K`, and a
+/// vector of 65 536 terms, longer than a `u16` can count and than a whole
+/// record-arena chunk. Both register and publish on every postings
+/// backend, bit-identical to the oracle, beside ordinary queries.
+#[test]
+fn the_largest_valid_queries_match_oracle_on_every_storage() {
+    let terms = 1u32 << 16;
+    let wide = QuerySpec::uniform(&(0..terms).map(TermId).collect::<Vec<_>>(), 3).unwrap();
+    let deep = QuerySpec::uniform(&[TermId(1), TermId(2)], QuerySpec::MAX_K).unwrap();
+    let queries = [specs(5, 7), vec![wide, deep], specs(5, 8)].concat();
+    for storage in PostingsStorage::ALL {
+        let mut backend = MonitorBuilder::new(EngineKind::Mrio)
+            .postings_storage(storage)
+            .page_budget(4096)
+            .build();
+        let mut oracle = MonitorBuilder::new(EngineKind::Naive).build();
+        for spec in &queries {
+            assert_eq!(backend.register(spec.clone()), oracle.register(spec.clone()));
+        }
+        let mut driver = StreamDriver::new(corpus(7), ArrivalClock::unit());
+        for (i, d) in driver.take_batch(30).into_iter().enumerate() {
+            let mut pairs: Vec<(TermId, f32)> = d.vector.iter().collect();
+            let extra = TermId(1 + i as u32 % 2);
+            if !pairs.iter().any(|&(t, _)| t == extra) {
+                pairs.push((extra, 0.5));
+            }
+            let ra = backend.publish(pairs.clone(), d.arrival);
+            let rb = oracle.publish(pairs, d.arrival);
+            assert_eq!(sorted_changes(ra.changes), sorted_changes(rb.changes), "{storage}");
+        }
+        for qid in 0..queries.len() as u32 {
+            assert_eq!(backend.results(QueryId(qid)), oracle.results(QueryId(qid)), "{storage}");
+        }
+    }
+}
