@@ -16,8 +16,9 @@
 //!
 //! All three implement [`ctk_core::ContinuousTopK`] and are verified to be
 //! result-identical to the exhaustive oracle in the workspace integration
-//! tests; see DESIGN.md §2 "Fidelity note" for what is and isn't specified
-//! by the original papers.
+//! tests (`tests/equivalence.rs`). They are evaluation code: `ctk-bench`
+//! builds them by report name for the paper's Figure 1, and the product
+//! (`MonitorBuilder`, the daemon) never does.
 
 pub mod catalog;
 pub mod rta;

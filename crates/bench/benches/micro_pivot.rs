@@ -1,5 +1,5 @@
 //! Microbenchmarks of the traversal primitives: galloping posting-list
-//! seeks and the cursor-set repair (DESIGN.md §6.3) — the two operations
+//! seeks and the cursor-set repair — the two operations
 //! every ID-ordering iteration performs. The per-backend cursor reads are
 //! in `micro_storage`.
 

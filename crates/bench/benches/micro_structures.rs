@@ -1,7 +1,7 @@
 //! Microbenchmarks of the index substrate: the three zone-max structures
 //! (range query + point update) and the versioned max tracker. These are
 //! the per-iteration primitives whose constants decide the ID-ordering
-//! family's wall-clock (DESIGN.md §6.1).
+//! family's wall-clock.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ctk_common::QueryId;

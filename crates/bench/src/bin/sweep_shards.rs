@@ -46,11 +46,12 @@
 
 use ctk_bench::report::format_sig;
 use ctk_bench::{
-    existing_report_schema, make_sharded_with, prepare, write_json_report, ExperimentConfig, Scale,
-    Table, SWEEP_SHARDS_SCHEMA_VERSION,
+    existing_report_schema, prepare, write_json_report, ExperimentConfig, Scale, Table,
+    SWEEP_SHARDS_SCHEMA_VERSION,
 };
 use ctk_core::{
-    ContinuousTopK, MonitorBackend, MrioSeg, PostingsStorage, PublishRequest, StorageConfig,
+    ContinuousTopK, MonitorBackend, MrioSeg, PostingsStorage, PublishRequest, ShardedMonitor,
+    StorageConfig,
 };
 use ctk_stream::QueryWorkload;
 use serde::Serialize;
@@ -219,9 +220,13 @@ fn main() {
             let storage_cfg = StorageConfig { storage, page_budget_bytes: page_budget };
             for &shards in &shard_counts {
                 // A sharded monitor holding the workload's registered and
-                // seeded population, before any document.
+                // seeded population, before any document. One shard is
+                // still the sharded runtime, as the baseline cells were
+                // measured.
                 let fresh = || {
-                    let mut monitor = make_sharded_with(shards, "MRIO", cfg.lambda, &storage_cfg);
+                    let mut monitor = ShardedMonitor::new(shards, || {
+                        MrioSeg::with_storage(cfg.lambda, &storage_cfg)
+                    });
                     let ids: Vec<_> =
                         wl.specs.iter().map(|spec| monitor.register(spec.clone())).collect();
                     for (i, seeds) in wl.seeds.iter().enumerate() {

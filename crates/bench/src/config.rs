@@ -1,6 +1,6 @@
 //! Experiment configuration.
 //!
-//! Defaults reproduce the paper's setup scaled to a laptop (DESIGN.md §3):
+//! Defaults reproduce the paper's setup scaled to a laptop:
 //! Wikipedia-like topical corpus, k = 10, λ = 1e-3, query counts swept over
 //! a 16× range. `Scale::Full` switches to the paper's 0.5M–4M sweep.
 
@@ -65,7 +65,7 @@ pub struct ExperimentConfig {
     /// Decay parameter shared by all engines.
     pub lambda: f64,
     /// Emulate a long-running deployment by seeding every query's top-k
-    /// with its best score over a pre-stream sample (DESIGN.md §3): the
+    /// with its best score over a pre-stream sample: the
     /// paper measures after streaming millions of documents, where result
     /// churn per event is tiny and thresholds are tight. 0 disables.
     pub steady_state_sample: usize,

@@ -1,11 +1,12 @@
 //! Engine factory: construct any algorithm by its report name.
 //!
-//! Thin shim over the facade's [`EngineKind`] — the harness's name-keyed
-//! tables and CLI flags resolve through the same registry the application
-//! builder uses, so a new engine kind lands everywhere at once.
+//! The product builds only MRIO and its oracle (`continuous_topk`'s
+//! `EngineKind`); the comparators of the paper's evaluation — RTA, RIO,
+//! SortQuer, TPS and the zone-maxima ablations — are constructed here, by
+//! the names the reports print.
 
-use continuous_topk::EngineKind;
-use ctk_core::{ContinuousTopK, ShardedMonitor, StorageConfig};
+use ctk_baselines::{Rta, SortQuer, Tps};
+use ctk_core::{ContinuousTopK, MrioBlock, MrioSeg, MrioSuffix, Naive, Rio, StorageConfig};
 
 /// The five methods of the paper's Figure 1, in its legend order.
 pub const PAPER_ALGOS: [&str; 5] = ["RTA", "RIO", "MRIO", "SortQuer", "TPS"];
@@ -20,33 +21,30 @@ pub fn make_engine(name: &str, lambda: f64) -> Box<dyn ContinuousTopK + Send> {
     make_engine_with(name, lambda, &StorageConfig::plain())
 }
 
-/// [`make_engine`] with an explicit postings-storage configuration (ignored
-/// by engines without a query index).
+/// [`make_engine`] with an explicit postings-storage configuration. RTA and
+/// SortQuer keep their own impact-ordered structures instead of a
+/// `QueryIndex`, so the storage selection does not apply to them.
 pub fn make_engine_with(
     name: &str,
     lambda: f64,
     storage: &StorageConfig,
 ) -> Box<dyn ContinuousTopK + Send> {
-    let kind: EngineKind = name.parse().unwrap_or_else(|e| panic!("{e}"));
-    kind.build_engine_with(lambda, storage)
-}
-
-/// Construct a sharded monitor running one engine of the named kind per
-/// shard, with the postings-storage configuration applied to every shard's
-/// query index.
-pub fn make_sharded_with(
-    shards: usize,
-    engine: &str,
-    lambda: f64,
-    storage: &StorageConfig,
-) -> ShardedMonitor {
-    ShardedMonitor::new(shards, || make_engine_with(engine, lambda, storage))
+    match name {
+        "RTA" => Box::new(Rta::new(lambda)),
+        "RIO" => Box::new(Rio::with_storage(lambda, storage)),
+        "MRIO" => Box::new(MrioSeg::with_storage(lambda, storage)),
+        "MRIO-block" => Box::new(MrioBlock::with_storage(lambda, storage)),
+        "MRIO-suffix" => Box::new(MrioSuffix::with_storage(lambda, storage)),
+        "SortQuer" => Box::new(SortQuer::new(lambda)),
+        "TPS" => Box::new(Tps::with_storage(lambda, storage)),
+        "Naive" => Box::new(Naive::with_storage(lambda, storage)),
+        _ => panic!("unknown engine name: {name}"),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ctk_core::MonitorBackend;
 
     #[test]
     fn factory_names_round_trip() {
@@ -58,21 +56,8 @@ mod tests {
     }
 
     #[test]
-    fn name_tables_match_the_kind_registry() {
-        assert_eq!(ALL_ALGOS, EngineKind::ALL.map(|k| k.name()));
-        assert_eq!(PAPER_ALGOS, EngineKind::PAPER.map(|k| k.name()));
-    }
-
-    #[test]
     #[should_panic]
     fn unknown_name_panics() {
         let _ = make_engine("WAND2000", 0.0);
-    }
-
-    #[test]
-    fn sharded_factory_builds_the_requested_shards() {
-        let m = make_sharded_with(2, "MRIO", 0.001, &StorageConfig::plain());
-        assert_eq!(m.shards(), 2);
-        assert_eq!(m.lambda(), 0.001);
     }
 }

@@ -1,7 +1,8 @@
 //! # ctk-bench
 //!
 //! The benchmark harness that regenerates the paper's evaluation (Fig. 1a,
-//! Fig. 1b, the speedup claims) and the ablations listed in DESIGN.md §5.
+//! Fig. 1b, the speedup claims) and the ablations and sweeps listed in the
+//! README's "Benchmarks" section.
 //!
 //! Structure:
 //! * [`config`] — experiment descriptions (corpus, workload, sweep points);
@@ -26,7 +27,7 @@ pub mod runner;
 pub mod workload;
 
 pub use config::{ExperimentConfig, Scale};
-pub use engines::{make_engine, make_engine_with, make_sharded_with, PAPER_ALGOS};
+pub use engines::{make_engine, make_engine_with, PAPER_ALGOS};
 pub use report::{
     existing_report_schema, write_csv, write_json, write_json_report, Table,
     SWEEP_SHARDS_SCHEMA_VERSION,

@@ -35,7 +35,7 @@ pub fn prepare(cfg: &ExperimentConfig) -> PreparedWorkload {
     let mut qgen = QueryGenerator::new(cfg.workload.clone(), &cfg.corpus);
     let specs = qgen.generate_batch(cfg.num_queries);
 
-    // Steady-state emulation (DESIGN.md §3): the k-th best score of a query
+    // Steady-state emulation: the k-th best score of a query
     // that has watched a long stream approaches its best achievable score.
     // Sample a pre-stream corpus slice, find each query's best score over
     // it with the exhaustive matcher, and seed all k slots just below it.

@@ -156,7 +156,8 @@
 //!
 //! The zone-maximum structure is pluggable ([`ZoneMax`]): segment tree
 //! (exact, O(log n)), block maxima, or suffix snapshot — the three
-//! implementations the TKDE paper ablates (DESIGN.md A1).
+//! implementations the TKDE paper ablates (`ctk-bench`'s `ablation_zonemax`
+//! regenerates that comparison).
 
 use crate::engine::{CursorSet, EngineBase, EXHAUSTED};
 use crate::stats::{CumulativeStats, EventStats};

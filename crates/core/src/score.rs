@@ -44,9 +44,9 @@ impl DecayModel {
         self.landmark
     }
 
-    /// The per-document pruning target `θ_d = e^(−λ·Δτ_d)` (see DESIGN.md
-    /// §1): document `d` enters query `q` iff `Σ f·u ≥ θ_d`. Always in
-    /// `(0, 1]` for `τ ≥ landmark`.
+    /// The per-document pruning target `θ_d = e^(−λ·Δτ_d)` (the module docs
+    /// derive it from Eq. 1): document `d` enters query `q` iff
+    /// `Σ f·u ≥ θ_d`. Always in `(0, 1]` for `τ ≥ landmark`.
     #[inline]
     pub fn theta(&self, arrival: Timestamp) -> f64 {
         (-self.lambda * (arrival - self.landmark).max(0.0)).exp()

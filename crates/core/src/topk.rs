@@ -5,7 +5,7 @@
 //! that turns preference weights into the prunable form `u = w/S_k`. A query
 //! with fewer than `k` results reports `S_k = 0`, making `u = +∞`: such
 //! queries can never be pruned and are always evaluated when touched
-//! (warm-up semantics, DESIGN.md §1).
+//! (warm-up semantics).
 //!
 //! [`ResultSets`] keeps the heaps of all queries in one slab, `k` entries
 //! per query, beside a dense array of their `S_k`: the walk's front test

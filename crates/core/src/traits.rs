@@ -144,86 +144,3 @@ pub trait ContinuousTopK {
         StorageStats::default()
     }
 }
-
-/// Boxed engines are engines: the monitor front-ends and the builder work
-/// with `Box<dyn ContinuousTopK + Send>`. Every method forwards explicitly —
-/// in particular `process_batch_into`, so an engine's batched override (e.g.
-/// MRIO's hoisted renormalization check) is never shadowed by the trait's
-/// default looping implementation.
-impl<T: ContinuousTopK + ?Sized> ContinuousTopK for Box<T> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn register(&mut self, spec: QuerySpec) -> QueryId {
-        (**self).register(spec)
-    }
-
-    fn unregister(&mut self, qid: QueryId) -> bool {
-        (**self).unregister(qid)
-    }
-
-    fn process(&mut self, doc: &Document) -> EventStats {
-        (**self).process(doc)
-    }
-
-    fn process_batch_into(
-        &mut self,
-        docs: &[Document],
-        changes_out: &mut Vec<ResultChange>,
-    ) -> Vec<EventStats> {
-        (**self).process_batch_into(docs, changes_out)
-    }
-
-    fn process_batch(&mut self, docs: &[Document]) -> Vec<EventStats> {
-        (**self).process_batch(docs)
-    }
-
-    fn seed_results(&mut self, qid: QueryId, seeds: &[ScoredDoc]) {
-        (**self).seed_results(qid, seeds)
-    }
-
-    fn results(&self, qid: QueryId) -> Option<Vec<ScoredDoc>> {
-        (**self).results(qid)
-    }
-
-    fn threshold(&self, qid: QueryId) -> Option<f64> {
-        (**self).threshold(qid)
-    }
-
-    fn num_queries(&self) -> usize {
-        (**self).num_queries()
-    }
-
-    fn last_changes(&self) -> &[ResultChange] {
-        (**self).last_changes()
-    }
-
-    fn cumulative(&self) -> &CumulativeStats {
-        (**self).cumulative()
-    }
-
-    fn lambda(&self) -> f64 {
-        (**self).lambda()
-    }
-
-    fn landmark(&self) -> Timestamp {
-        (**self).landmark()
-    }
-
-    fn restore_landmark(&mut self, landmark: Timestamp) {
-        (**self).restore_landmark(landmark)
-    }
-
-    fn tombstone_ratio(&self) -> f64 {
-        (**self).tombstone_ratio()
-    }
-
-    fn compact_index(&mut self) -> usize {
-        (**self).compact_index()
-    }
-
-    fn storage_stats(&self) -> StorageStats {
-        (**self).storage_stats()
-    }
-}

@@ -1,6 +1,6 @@
 //! Exact zone maxima via an iterative range-max segment tree.
 //!
-//! This is the "exact" implementation of MRIO's `UB*` (DESIGN.md §2): point
+//! This is the "exact" implementation of MRIO's zone bound `UB*`: point
 //! updates and range queries are both O(log n), and appends are amortized
 //! O(log n) (capacity doubles like a `Vec`). Tombstones are point updates to
 //! `-inf`, so they never contribute to a zone bound.

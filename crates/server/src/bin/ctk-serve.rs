@@ -12,7 +12,7 @@
 //!
 //! Every token must be one of these flags followed by its value: anything
 //! else (an unknown flag, a flag with no value, a bad value) exits 2 naming
-//! it. A value the server cannot run with exits 1 with a "cannot start"
+//! it. The daemon runs MRIO only, so `--engine` accepts `mrio` alone. A value the server cannot run with exits 1 with a "cannot start"
 //! line naming the knob.
 //!
 //! Prints `ctk-serve: listening on http://ADDR` on stdout (flushed) once the
@@ -71,7 +71,10 @@ fn main() {
     let flags = flags();
     let host = flags.get("--host").map_or("127.0.0.1", String::as_str);
     let port: u16 = parsed(&flags, "--port").unwrap_or(8722);
-    let monitor = MonitorBuilder::new(parsed(&flags, "--engine").unwrap_or(EngineKind::Mrio))
+    if parsed(&flags, "--engine").is_some_and(|kind: EngineKind| kind != EngineKind::Mrio) {
+        usage(format!("bad value {:?} for --engine (the daemon runs mrio)", flags["--engine"]));
+    }
+    let monitor = MonitorBuilder::new(EngineKind::Mrio)
         .lambda(parsed(&flags, "--lambda").unwrap_or(1e-3))
         .shards(parsed(&flags, "--shards").unwrap_or(1));
     let mut builder = ServerBuilder::new(monitor);

@@ -1,6 +1,6 @@
 //! Synthetic document generators.
 //!
-//! Substitute for the paper's 7M-page Wikipedia stream (DESIGN.md §3). The
+//! Substitute for the paper's 7M-page Wikipedia stream. The
 //! algorithms are sensitive to three corpus properties, all controlled here:
 //!
 //! 1. **term-frequency skew** — tokens are drawn from a Zipf distribution;

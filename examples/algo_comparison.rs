@@ -8,6 +8,7 @@
 //! ```
 
 use continuous_topk::prelude::*;
+use ctk_baselines::{Rta, SortQuer, Tps};
 
 fn main() {
     let corpus = CorpusConfig { vocab_size: 20_000, avg_tokens: 150, ..CorpusConfig::default() };

@@ -1,100 +1,36 @@
 //! The one construction path for monitor backends.
 //!
-//! [`MonitorBuilder`] assembles any supported configuration — every engine
-//! of the paper plus the published baselines, single-engine or sharded,
-//! with a postings layout and optional tombstone compaction — behind the
-//! uniform [`MonitorBackend`] API. The examples, the benchmark harness and
-//! the integration tests all construct through it, so a configuration is
-//! one value, not a code path.
+//! [`MonitorBuilder`] assembles the product's configurations — the paper's
+//! MRIO engine, or the exhaustive [`Naive`] oracle it is checked against,
+//! single-engine or sharded, with a postings layout and optional tombstone
+//! compaction — behind the uniform [`MonitorBackend`] API. The examples,
+//! the daemon and the integration tests all construct through it, so a
+//! configuration is one value, not a code path. The comparators of the
+//! paper's evaluation (RTA, RIO, SortQuer, TPS and the zone-maxima
+//! ablations) are reached through `ctk_bench::make_engine` instead.
 
-use ctk_baselines::{Rta, SortQuer, Tps};
 use ctk_common::{FxHashMap, QueryId};
 use ctk_core::{
-    ContinuousTopK, Monitor, MonitorBackend, MrioBlock, MrioSeg, MrioSuffix, Naive,
-    PostingsStorage, Rio, ShardedMonitor, Snapshot, StorageConfig,
+    ContinuousTopK, Monitor, MonitorBackend, MrioSeg, Naive, PostingsStorage, ShardedMonitor,
+    Snapshot, StorageConfig,
 };
 
-/// Every engine a monitor can run on: the paper's algorithms, the three
-/// published baselines, and the exhaustive oracle.
+/// The engines a monitor can run on: the paper's MRIO, and the exhaustive
+/// oracle every engine is checked against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
-    /// RTA (Mouratidis & Pang) — frequency-ordered threshold algorithm.
-    Rta,
-    /// RIO — reverse ID-ordering with global per-list bounds (paper Eq. 2).
-    Rio,
-    /// MRIO with exact segment-tree zone maxima (the paper's default).
+    /// MRIO with exact segment-tree zone maxima (the paper's algorithm).
     Mrio,
-    /// MRIO with block-max zone maxima.
-    MrioBlock,
-    /// MRIO with suffix-snapshot zone maxima.
-    MrioSuffix,
-    /// SortQuer (Vouzoukidou et al.) — score-sorted query lists.
-    SortQuer,
-    /// TPS (Shraer et al.) — top-k publish/subscribe.
-    Tps,
     /// The exhaustive term-filtered oracle (exact by construction).
     Naive,
 }
 
 impl EngineKind {
-    /// All engines, report order.
-    pub const ALL: [EngineKind; 8] = [
-        EngineKind::Rta,
-        EngineKind::Rio,
-        EngineKind::Mrio,
-        EngineKind::MrioBlock,
-        EngineKind::MrioSuffix,
-        EngineKind::SortQuer,
-        EngineKind::Tps,
-        EngineKind::Naive,
-    ];
-
-    /// The five methods of the paper's Figure 1, in its legend order.
-    pub const PAPER: [EngineKind; 5] =
-        [EngineKind::Rta, EngineKind::Rio, EngineKind::Mrio, EngineKind::SortQuer, EngineKind::Tps];
-
     /// The report name, identical to the engine's `ContinuousTopK::name`.
     pub fn name(self) -> &'static str {
         match self {
-            EngineKind::Rta => "RTA",
-            EngineKind::Rio => "RIO",
             EngineKind::Mrio => "MRIO",
-            EngineKind::MrioBlock => "MRIO-block",
-            EngineKind::MrioSuffix => "MRIO-suffix",
-            EngineKind::SortQuer => "SortQuer",
-            EngineKind::Tps => "TPS",
             EngineKind::Naive => "Naive",
-        }
-    }
-
-    /// Parse a report name back into a kind.
-    pub fn from_name(name: &str) -> Option<EngineKind> {
-        EngineKind::ALL.into_iter().find(|k| k.name() == name)
-    }
-
-    /// Construct a boxed engine of this kind (plain postings storage).
-    pub fn build_engine(self, lambda: f64) -> Box<dyn ContinuousTopK + Send> {
-        self.build_engine_with(lambda, &StorageConfig::plain())
-    }
-
-    /// Construct a boxed engine of this kind with an explicit
-    /// postings-storage configuration. RTA and SortQuer keep their own
-    /// impact-ordered snapshot structures instead of a `QueryIndex`, so the
-    /// storage selection does not apply to them.
-    pub fn build_engine_with(
-        self,
-        lambda: f64,
-        storage: &StorageConfig,
-    ) -> Box<dyn ContinuousTopK + Send> {
-        match self {
-            EngineKind::Rta => Box::new(Rta::new(lambda)),
-            EngineKind::Rio => Box::new(Rio::with_storage(lambda, storage)),
-            EngineKind::Mrio => Box::new(MrioSeg::with_storage(lambda, storage)),
-            EngineKind::MrioBlock => Box::new(MrioBlock::with_storage(lambda, storage)),
-            EngineKind::MrioSuffix => Box::new(MrioSuffix::with_storage(lambda, storage)),
-            EngineKind::SortQuer => Box::new(SortQuer::new(lambda)),
-            EngineKind::Tps => Box::new(Tps::with_storage(lambda, storage)),
-            EngineKind::Naive => Box::new(Naive::with_storage(lambda, storage)),
         }
     }
 }
@@ -109,10 +45,9 @@ impl std::str::FromStr for EngineKind {
     type Err = String;
 
     /// Parse an engine name, case-insensitively — CLI flags and server
-    /// configs say `mrio` as often as the report name `MRIO`. The exact
-    /// [`EngineKind::from_name`] remains the strict report-name lookup.
+    /// configs say `mrio` as often as the report name `MRIO`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        EngineKind::ALL
+        [EngineKind::Mrio, EngineKind::Naive]
             .into_iter()
             .find(|k| k.name().eq_ignore_ascii_case(s))
             .ok_or_else(|| format!("unknown engine name: {s}"))
@@ -218,10 +153,6 @@ impl MonitorBuilder {
     ///   blocks in a byte-budgeted RAM/disk pager (see
     ///   [`MonitorBuilder::page_budget`]); cold blocks spill to disk, hot
     ///   reads stay in RAM.
-    ///
-    /// Applies to every engine carrying a `QueryIndex` (RIO, the MRIO
-    /// variants, TPS, Naive); RTA and SortQuer keep their own snapshot
-    /// structures.
     pub fn postings_storage(mut self, storage: PostingsStorage) -> Self {
         self.storage.storage = storage;
         self
@@ -257,7 +188,19 @@ impl MonitorBuilder {
         if let Err(e) = self.check() {
             panic!("{e}");
         }
-        let engine = || self.kind.build_engine_with(self.lambda, &self.storage);
+        let (lambda, storage) = (self.lambda, &self.storage);
+        match self.kind {
+            EngineKind::Mrio => self.build_over(|| MrioSeg::with_storage(lambda, storage)),
+            EngineKind::Naive => self.build_over(|| Naive::with_storage(lambda, storage)),
+        }
+    }
+
+    /// The configured front-end over engines made by `engine`: the
+    /// single-engine [`Monitor`] at one shard, else a [`ShardedMonitor`].
+    fn build_over<E: ContinuousTopK + Send + 'static>(
+        &self,
+        engine: impl Fn() -> E,
+    ) -> Box<dyn MonitorBackend + Send> {
         if self.shards == 1 {
             return Box::new(Monitor::new(engine()).with_compaction(self.compact_at));
         }
@@ -302,14 +245,42 @@ mod tests {
 
     #[test]
     fn engine_kind_names_round_trip() {
-        for kind in EngineKind::ALL {
-            let engine = kind.build_engine(0.001);
+        let engines: [(EngineKind, &dyn ContinuousTopK); 2] =
+            [(EngineKind::Mrio, &MrioSeg::new(0.001)), (EngineKind::Naive, &Naive::new(0.001))];
+        for (kind, engine) in engines {
             assert_eq!(engine.name(), kind.name());
-            assert_eq!(engine.lambda(), 0.001);
-            assert_eq!(EngineKind::from_name(kind.name()), Some(kind));
             assert_eq!(kind.name().parse::<EngineKind>().unwrap(), kind);
+            assert_eq!(kind.name().to_lowercase().parse::<EngineKind>().unwrap(), kind);
         }
-        assert!(EngineKind::from_name("WAND2000").is_none());
+        for comparator in ["RTA", "RIO", "MRIO-block", "MRIO-suffix", "SortQuer", "TPS", "WAND"] {
+            let err = comparator.parse::<EngineKind>().unwrap_err();
+            assert_eq!(err, format!("unknown engine name: {comparator}"));
+        }
+    }
+
+    #[test]
+    fn each_kind_builds_its_engine_at_every_shard_count() {
+        use ctk_common::{QuerySpec, TermId};
+        // Eight filled top-1 queries on one term, then a document whose
+        // (normalised) weight on it is far below their thresholds: MRIO's
+        // bound prunes every query, the oracle scores all eight.
+        for shards in [1, 2] {
+            for kind in [EngineKind::Mrio, EngineKind::Naive] {
+                let mut m = MonitorBuilder::new(kind).lambda(0.001).shards(shards).build();
+                assert_eq!(m.lambda(), 0.001, "{kind} x{shards}");
+                for _ in 0..8 {
+                    m.register(QuerySpec::uniform(&[TermId(1)], 1).unwrap());
+                }
+                let fill = m.publish(vec![(TermId(1), 1.0)], 0.0).merged_stats();
+                assert_eq!(fill.full_evaluations, 8, "{kind} x{shards}");
+                let weak = m.publish(vec![(TermId(1), 0.1), (TermId(2), 1.0)], 1.0).merged_stats();
+                let expected = match kind {
+                    EngineKind::Mrio => 0,
+                    EngineKind::Naive => 8,
+                };
+                assert_eq!(weak.full_evaluations, expected, "{kind} x{shards}");
+            }
+        }
     }
 
     #[test]

@@ -9,9 +9,17 @@
 //! The paper's contribution — the **RIO** and **MRIO** algorithms, which
 //! index the *queries* in ID-ordered inverted lists and prune with
 //! (globally, then zone-locally) bounded WAND-style jumps — lives in
-//! [`ctk_core`], re-exported here. The published baselines (RTA, SortQuer,
-//! TPS) live in [`ctk_baselines`]; synthetic corpora and the paper's two
+//! [`ctk_core`], re-exported here; synthetic corpora and the paper's two
 //! query workloads in [`ctk_stream`]; real-text analysis in [`ctk_text`].
+//!
+//! The product runs **MRIO**: [`MonitorBuilder`] builds it, or the
+//! exhaustive [`Naive`](ctk_core::Naive) oracle it is checked against
+//! ([`EngineKind`]), and the `ctk-serve` daemon runs MRIO only. The other
+//! six engines — RTA,
+//! RIO, SortQuer, TPS and the block-max and suffix zone-maxima ablations
+//! of MRIO — are evaluation code: the benchmark harness reaches them by
+//! report name through `ctk_bench::make_engine` to regenerate the
+//! paper's Figure 1, and the equivalence tests hold them to the oracle.
 //!
 //! ## Quickstart
 //!
@@ -86,7 +94,6 @@ pub mod builder;
 
 pub use builder::{EngineKind, MonitorBuilder};
 
-pub use ctk_baselines as baselines;
 pub use ctk_common as common;
 pub use ctk_core as core;
 pub use ctk_index as index;
@@ -96,7 +103,6 @@ pub use ctk_text as text;
 /// The types most applications need.
 pub mod prelude {
     pub use crate::builder::{EngineKind, MonitorBuilder};
-    pub use ctk_baselines::{Rta, SortQuer, Tps};
     pub use ctk_common::{
         DocId, Document, Namespace, OrdF64, Query, QueryId, QuerySpec, ScoredDoc, SparseVector,
         TermId, Timestamp,

@@ -8,6 +8,7 @@
 //! their pruning must never change a single result.
 
 use continuous_topk::prelude::*;
+use ctk_baselines::{Rta, SortQuer, Tps};
 
 /// All engines under test, freshly constructed.
 fn engines(lambda: f64) -> Vec<Box<dyn ContinuousTopK>> {

@@ -12,6 +12,7 @@
 //!    sampled).
 
 use continuous_topk::prelude::*;
+use ctk_baselines::{Rta, SortQuer, Tps};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------- layer 1

@@ -11,10 +11,11 @@ use ctk_server::{CtkServer, HttpClient, ServerBuilder};
 use serde::Value;
 use std::time::Duration;
 
-fn start(engine: EngineKind, shards: usize) -> (CtkServer, HttpClient) {
-    let server = ServerBuilder::new(MonitorBuilder::new(engine).lambda(1e-3).shards(shards))
-        .bind("127.0.0.1:0")
-        .expect("bind ephemeral loopback port");
+fn start(shards: usize) -> (CtkServer, HttpClient) {
+    let server =
+        ServerBuilder::new(MonitorBuilder::new(EngineKind::Mrio).lambda(1e-3).shards(shards))
+            .bind("127.0.0.1:0")
+            .expect("bind ephemeral loopback port");
     let mut client = HttpClient::connect(server.addr()).expect("connect");
     client.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     (server, client)
@@ -62,7 +63,7 @@ const BATCH: &str = r#"{"docs": [
 
 #[test]
 fn register_publish_longpoll_delivers_exactly_the_receipts_changes() {
-    let (server, mut client) = start(EngineKind::Mrio, 1);
+    let (server, mut client) = start(1);
     let (qa, qb) = register_two(&mut client);
     assert_eq!((qa, qb), (0, 1), "public query ids are monotone from 0");
 
@@ -107,7 +108,7 @@ fn register_publish_longpoll_delivers_exactly_the_receipts_changes() {
 
 #[test]
 fn snapshot_restart_restore_is_bit_identical_across_shard_counts() {
-    let (server, mut client) = start(EngineKind::Mrio, 1);
+    let (server, mut client) = start(1);
     let (qa, qb) = register_two(&mut client);
     ok(client.post("/publish", BATCH), 200);
 
@@ -118,7 +119,7 @@ fn snapshot_restart_restore_is_bit_identical_across_shard_counts() {
 
     // "Restart": a brand-new server process-equivalent — different port,
     // different shard count — restored from the snapshot JSON verbatim.
-    let (restarted, mut client) = start(EngineKind::Mrio, 2);
+    let (restarted, mut client) = start(2);
     let restored = parse(&ok(client.post("/restore", &snapshot), 200));
     assert_eq!(field_u64(&restored, "queries"), 2);
     let mapping = restored.get("mapping").unwrap().as_array().unwrap().to_vec();
@@ -150,7 +151,7 @@ fn snapshot_restart_restore_is_bit_identical_across_shard_counts() {
 
 #[test]
 fn drain_refuses_new_publishes_but_loses_nothing_in_flight() {
-    let (server, mut client) = start(EngineKind::Mrio, 1);
+    let (server, mut client) = start(1);
     register_two(&mut client);
     let sub = field_u64(&parse(&ok(client.post("/subscriptions", "{}"), 200)), "subscriber");
     let receipt = parse(&ok(client.post("/publish", BATCH), 200));
@@ -210,7 +211,7 @@ fn drain_refuses_new_publishes_but_loses_nothing_in_flight() {
 
 #[test]
 fn lifecycle_endpoints_expire_evict_and_forget_over_the_wire() {
-    let (server, mut client) = start(EngineKind::Mrio, 2);
+    let (server, mut client) = start(2);
 
     // A namespace nobody has mentioned has no retention resource.
     ok(client.get("/namespaces/tenant-a/retention"), 404);
@@ -324,7 +325,7 @@ fn lifecycle_endpoints_expire_evict_and_forget_over_the_wire() {
 
 #[test]
 fn restore_remaps_subscriber_filters_to_the_new_ids() {
-    let (server, mut client) = start(EngineKind::Mrio, 1);
+    let (server, mut client) = start(1);
     let (qa, qb) = register_two(&mut client);
     let sub = field_u64(
         &parse(&ok(client.post("/subscriptions", &format!(r#"{{"queries": [{qb}]}}"#)), 200)),
@@ -362,7 +363,7 @@ fn restore_remaps_subscriber_filters_to_the_new_ids() {
 
 #[test]
 fn malformed_requests_get_client_errors_not_hangs() {
-    let (server, mut client) = start(EngineKind::Rio, 1);
+    let (server, mut client) = start(1);
     ok(client.post("/queries", "{nope"), 400);
     ok(client.post("/queries", r#"{"terms": [], "k": 1}"#), 400);
     ok(client.post("/publish", r#"{"docs": []}"#), 400);
@@ -379,7 +380,7 @@ fn malformed_requests_get_client_errors_not_hangs() {
 
 #[test]
 fn a_query_vector_that_normalizes_to_empty_is_refused_with_400() {
-    let (server, mut client) = start(EngineKind::Mrio, 1);
+    let (server, mut client) = start(1);
     // The duplicates merge into a weight sum past f32::MAX: +inf, which
     // normalizes to NaN and is dropped, leaving nothing to match.
     let body = ok(client.post("/queries", r#"{"terms": [[1, 3e38], [1, 3e38]]}"#), 400);
@@ -483,7 +484,7 @@ fn reject_admission_answers_429_with_retry_after_and_loses_no_accepted_docs() {
 
 #[test]
 fn streamed_snapshot_is_byte_identical_to_buffered_and_restores_bit_identically() {
-    let (server, mut client) = start(EngineKind::Mrio, 2);
+    let (server, mut client) = start(2);
     let (qa, qb) = register_two(&mut client);
     ok(client.post("/publish", BATCH), 200);
     let results_a = parse(&ok(client.get(&format!("/queries/{qa}/results")), 200));
@@ -504,7 +505,7 @@ fn streamed_snapshot_is_byte_identical_to_buffered_and_restores_bit_identically(
 
     // The streamed bytes restore onto a different shard count with
     // bit-identical per-query results.
-    let (restarted, mut client) = start(EngineKind::Mrio, 3);
+    let (restarted, mut client) = start(3);
     let restored = parse(&ok(client.post("/restore", &streamed), 200));
     let mapping = restored.get("mapping").unwrap().as_array().unwrap().to_vec();
     for (old, old_results) in [(qa, results_a), (qb, results_b)] {
@@ -550,16 +551,18 @@ fn stats_report_storage_counters_for_a_paged_backend() {
 
 /// `/stats` keeps its `sharding` field: the query population is the only
 /// thing a monitor shards, so every server reports `"query"` next to its
-/// shard count, in the same bytes the field has always had.
+/// shard count, in the same bytes the field has always had. Its `engine`
+/// field keeps the report name `"MRIO"`.
 #[test]
 fn stats_report_the_query_sharding_and_the_shard_count() {
     for shards in [1, 2] {
-        let (server, mut client) = start(EngineKind::Mrio, shards);
+        let (server, mut client) = start(shards);
         let body = ok(client.get("/stats"), 200);
         assert!(
             body.contains(&format!(r#""shards":{shards},"sharding":"query","#)),
             "unexpected /stats body: {body}"
         );
+        assert!(body.contains(r#""engine":"MRIO""#), "unexpected /stats body: {body}");
         server.shutdown();
     }
 }
@@ -599,7 +602,7 @@ fn bind_refuses_unusable_knobs_with_invalid_input_naming_them() {
 #[test]
 fn a_poll_carries_at_most_max_and_at_most_the_server_cap() {
     use ctk_server::routes::{MAX_POLL_EVENTS, SUBSCRIBER_BUFFER};
-    let (server, mut client) = start(EngineKind::Mrio, 1);
+    let (server, mut client) = start(1);
     let subscriber = field_u64(&parse(&ok(client.post("/subscriptions", "{}"), 200)), "subscriber");
     // One publish changes every query's result set: one event each, more
     // than a poll may carry and fewer than the subscriber may buffer.
@@ -643,7 +646,7 @@ fn start_journaled(tag: &str) -> (CtkServer, HttpClient, std::path::PathBuf) {
 /// it was and readable, and snapshots keep working.
 #[test]
 fn infinite_max_age_is_refused_with_400_with_and_without_a_journal() {
-    let (plain, plain_client) = start(EngineKind::Mrio, 1);
+    let (plain, plain_client) = start(1);
     let (journaled, journaled_client, dir) = start_journaled("infinite-max-age");
     for (server, mut client) in [(plain, plain_client), (journaled, journaled_client)] {
         ok(client.put("/namespaces/t/retention", r#"{"max_age": 60}"#), 200);
@@ -701,7 +704,7 @@ fn restore_refuses_non_finite_numbers_and_keeps_the_live_monitor() {
 #[test]
 fn restore_refuses_an_invalid_query_spec_and_keeps_serving() {
     const FIXTURE: &str = include_str!("fixtures/snapshot_v3_pretty.json");
-    let (server, mut client) = start(EngineKind::Mrio, 1);
+    let (server, mut client) = start(1);
     for (field, edited) in [
         ("spec.k", FIXTURE.replacen(r#""k": 2"#, r#""k": 0"#, 1)),
         ("spec.k", FIXTURE.replacen(r#""k": 2"#, r#""k": 4294967296"#, 1)),

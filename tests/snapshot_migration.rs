@@ -10,6 +10,7 @@
 //! non-finite numbers are refused, and no byte-level damage to a capture
 //! makes the parser panic.
 
+use continuous_topk::common::FxHashMap;
 use continuous_topk::prelude::*;
 
 /// Written by the pre-lifecycle sharded build: v2 sections, no
@@ -69,10 +70,26 @@ const V0_DOCUMENT: &str = r#"{
   ]
 }"#;
 
+/// A fresh backend holding a restored snapshot, and the captured-id →
+/// new-id mapping.
+type Restored = (Box<dyn MonitorBackend + Send>, FxHashMap<QueryId, QueryId>);
+
+/// A restore path under test.
+type Restore = fn(&Snapshot) -> Restored;
+
+fn via_mrio(snap: &Snapshot) -> Restored {
+    MonitorBuilder::new(EngineKind::Mrio).restore(snap)
+}
+
+fn via_rio(snap: &Snapshot) -> Restored {
+    let (monitor, mapping) = Monitor::restore(Rio::new(snap.lambda), snap);
+    (Box::new(monitor), mapping)
+}
+
 /// Restore a snapshot and return each captured query's restored results,
 /// in captured-id order.
-fn restored_results(snap: &Snapshot, kind: EngineKind) -> Vec<Vec<ScoredDoc>> {
-    let (backend, mapping) = MonitorBuilder::new(kind).restore(snap);
+fn restored_results(snap: &Snapshot, restore: Restore) -> Vec<Vec<ScoredDoc>> {
+    let (backend, mapping) = restore(snap);
     let mut captured: Vec<u32> = snap.queries().map(|q| q.qid).collect();
     captured.sort_unstable();
     captured
@@ -104,8 +121,7 @@ fn v2_fixture_migrates_into_the_default_namespace() {
     // sets by captured id before comparing with the (id-ordered) restore.
     let mut stored: Vec<_> = snap.queries().map(|q| (q.qid, &q.results)).collect();
     stored.sort_unstable_by_key(|&(qid, _)| qid);
-    for ((_, stored), restored) in stored.into_iter().zip(restored_results(&snap, EngineKind::Mrio))
-    {
+    for ((_, stored), restored) in stored.into_iter().zip(restored_results(&snap, via_mrio)) {
         assert_eq!(stored, &restored);
     }
 }
@@ -133,11 +149,12 @@ fn v2_fixture_restores_bit_identically_to_v3() {
     assert_eq!(reparsed.landmark(), migrated.landmark());
     assert_eq!(reparsed.next_doc, migrated.next_doc);
     assert_eq!(reparsed.last_arrival, migrated.last_arrival);
-    for kind in [EngineKind::Mrio, EngineKind::Rio] {
+    let restores: [(&str, Restore); 2] = [("MRIO", via_mrio), ("RIO", via_rio)];
+    for (engine, restore) in restores {
         assert_eq!(
-            restored_results(&migrated, kind),
-            restored_results(&reparsed, kind),
-            "via {kind}: v2 restore differs from v3 restore"
+            restored_results(&migrated, restore),
+            restored_results(&reparsed, restore),
+            "via {engine}: v2 restore differs from v3 restore"
         );
     }
 }

@@ -10,6 +10,7 @@
 //! long.
 
 use continuous_topk::prelude::*;
+use ctk_baselines::Tps;
 
 fn layouts() -> [StorageConfig; 3] {
     [

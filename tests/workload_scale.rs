@@ -5,6 +5,7 @@
 //! enough to exercise jumps, zone prunes and tracker compaction.
 
 use continuous_topk::prelude::*;
+use ctk_baselines::{Rta, SortQuer, Tps};
 
 fn corpus(seed: u64) -> CorpusConfig {
     CorpusConfig {
