@@ -8,7 +8,7 @@
 //!     [-- --scale smoke|laptop|full] \
 //!     [--queries 2000,10000] [--shards 1,2,4] [--batches 1,64,256] \
 //!     [--docs N] [--repeat N] \
-//!     [--storage plain,compressed,paged] [--page-budget BYTES]
+//!     [--storage plain,compressed]
 //! ```
 //!
 //! A `batch` cell publishes the measured stream through
@@ -33,8 +33,6 @@
 //! `plain`); each cell records the backend's `index_bytes` (summed across
 //! shards after the measured stream) and the derived `bytes_per_query`, so
 //! the report shows the compression ratio next to the throughput cost.
-//! `--page-budget BYTES` caps the pager's RAM for `paged` cells (0 = the
-//! library default).
 //!
 //! Prints a markdown table and writes the machine-readable report
 //! (`schema_version` 8 — cells carry the `queries`, `storage` and `batch`
@@ -69,14 +67,13 @@ struct Cell {
     shards: usize,
     /// Documents per publish.
     batch: usize,
-    /// Postings-storage backend this cell ran on (`plain` / `compressed` /
-    /// `paged`).
+    /// Postings-storage backend this cell ran on (`plain` / `compressed`).
     storage: String,
     docs_per_sec: f64,
     speedup_vs_single: f64,
     speedup_vs_per_doc_sharded: f64,
     /// Estimated index heap bytes after the measured stream, summed across
-    /// shards (paged cells exclude spilled payloads).
+    /// shards.
     index_bytes: u64,
     bytes_per_query: f64,
 }
@@ -90,8 +87,6 @@ struct SweepReport {
     measured_docs: usize,
     /// Postings-storage backends swept, cell order.
     storage_modes: Vec<String>,
-    /// Pager RAM budget for `paged` cells (0 = the library default).
-    page_budget: usize,
     available_parallelism: usize,
     /// Single-threaded reference per query population, `query_counts` order.
     singles: Vec<Single>,
@@ -128,8 +123,6 @@ fn main() {
             }
         },
     };
-    let page_budget: usize =
-        arg_value(&args, "--page-budget").and_then(|s| s.parse().ok()).unwrap_or(0);
     let measured_docs: usize =
         arg_value(&args, "--docs").and_then(|s| s.parse().ok()).unwrap_or(match scale {
             Scale::Smoke => 2_000,
@@ -217,7 +210,7 @@ fn main() {
         singles.push(Single { queries: n, docs_per_sec: single_dps });
 
         for &storage in &storages {
-            let storage_cfg = StorageConfig { storage, page_budget_bytes: page_budget };
+            let storage_cfg = StorageConfig::new(storage);
             for &shards in &shard_counts {
                 // A sharded monitor holding the workload's registered and
                 // seeded population, before any document. One shard is
@@ -305,7 +298,6 @@ fn main() {
         query_counts,
         measured_docs,
         storage_modes: storages.iter().map(|s| s.name().to_string()).collect(),
-        page_budget,
         available_parallelism: cores,
         singles,
         cells,

@@ -126,7 +126,9 @@ pub fn write_json_report<T: serde::Serialize>(
 ///
 /// * **v8** (current): v7 without the report's `window` and the cells'
 ///   `batching` axis — a cell's `batch` is the size of each publish, and a
-///   publish is never chunked or pipelined.
+///   publish is never chunked or pipelined. Reports written since the
+///   third storage backend was deleted lack the RAM-budget key v4 added;
+///   nothing reads it.
 /// * **v7**: v6 without the `mode` axis — the query population is the only
 ///   thing the monitor shards.
 /// * **v6**: v5 without the doc-mode walk's per-cell skip counters and the
@@ -137,9 +139,10 @@ pub fn write_json_report<T: serde::Serialize>(
 ///   next to the fixed-window ones (`batch` is 0 for adaptive cells: the
 ///   controller, not the flag, chooses the chunk).
 /// * **v4**: cells carry a `storage` axis (`"plain"` /
-///   `"compressed"` / `"paged"`) plus the memory-footprint counters
-///   `index_bytes` and `bytes_per_query`; the report records the swept
-///   `storage_modes` and the pager budget.
+///   `"compressed"`, and then a third, since deleted) plus the
+///   memory-footprint counters `index_bytes` and `bytes_per_query`; the
+///   report records the swept `storage_modes` and that third backend's RAM
+///   budget.
 /// * **v3**: cells carry a `queries` axis (the sweep runs at
 ///   several query populations) plus the doc-mode walk's skip counters;
 ///   the single-threaded reference becomes per-population (`singles`).

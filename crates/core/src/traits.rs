@@ -139,7 +139,7 @@ pub trait ContinuousTopK {
     }
 
     /// Point-in-time storage counters of the engine's query index (RAM
-    /// footprint plus pager activity); all-zero for engines without one.
+    /// footprint and block decodes); all-zero for engines without one.
     fn storage_stats(&self) -> StorageStats {
         StorageStats::default()
     }

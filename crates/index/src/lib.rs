@@ -11,8 +11,8 @@
 //! * [`query_index`] — the registry mapping terms → lists and queries →
 //!   their postings, with tombstone deletion and compaction;
 //! * [`store`] — the postings-storage seam: the [`PostingsStore`] trait
-//!   with plain (Vec-backed), compressed (sealed blocks), and paged
-//!   (RAM/disk pager) backends selected by [`StorageConfig`];
+//!   with plain (Vec-backed) and compressed (sealed blocks) backends
+//!   selected by [`StorageConfig`];
 //! * [`max_tracker`] — exact per-list maxima of `w/S_k` under lazy
 //!   (versioned-heap) maintenance, used by RIO's global bounds (Eq. 2);
 //! * [`segment_tree`], [`block_max`], [`suffix_max`] — the three alternative

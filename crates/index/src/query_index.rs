@@ -24,10 +24,8 @@
 //! size and then grow in exact chunks, so a few hundred queries pay for a
 //! few hundred slots, and hundreds of thousands pay no doubling slack.
 
-use crate::store::{ListRef, Lists, PostingsStorage, StorageConfig, StorageStats};
+use crate::store::{ListRef, Lists, StorageConfig, StorageStats};
 use ctk_common::{FxHashMap, QueryId, SparseVector, TermId};
-use ctk_storage::{PageManager, StoreContext};
-use std::sync::Arc;
 
 /// One posting owned by a query (the owned, position-carrying form).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -232,8 +230,6 @@ pub struct QueryIndex {
     total_postings: usize,
     total_tombstones: usize,
     config: StorageConfig,
-    /// Sealing policy shared by every list (the pager).
-    cx: StoreContext,
 }
 
 impl Default for QueryIndex {
@@ -250,12 +246,6 @@ impl QueryIndex {
 
     /// An index using the given postings backend (see [`StorageConfig`]).
     pub fn with_storage(config: &StorageConfig) -> Self {
-        let cx = match config.storage {
-            PostingsStorage::Paged => {
-                StoreContext::paged(Arc::new(PageManager::new(config.page_budget(), None)))
-            }
-            _ => StoreContext::raw(),
-        };
         QueryIndex {
             lists: Lists::new(config.storage),
             list_terms: Vec::new(),
@@ -265,7 +255,6 @@ impl QueryIndex {
             total_postings: 0,
             total_tombstones: 0,
             config: config.clone(),
-            cx,
         }
     }
 
@@ -315,7 +304,7 @@ impl QueryIndex {
                 self.list_terms.push(term);
                 (self.lists.len() - 1) as u32
             });
-            self.lists.push_posting(list, qid, weight, &self.cx);
+            self.lists.push_posting(list, qid, weight);
             dst.push(PackedEntry { list, weight });
         }
         self.records.push_slot(PackedSlot { offset, len: len as u32 });
@@ -400,7 +389,7 @@ impl QueryIndex {
             changed.push(idx);
             self.total_postings -= removed;
             self.total_tombstones -= removed;
-            self.lists.compact_list(idx, &self.cx);
+            self.lists.compact_list(idx);
         }
         if self.records.dead_entries * 2 > self.total_postings.max(1) {
             self.records.gc();
@@ -419,9 +408,7 @@ impl QueryIndex {
 
     /// Estimated heap bytes held by this index: lists (their table counted
     /// at capacity times the actual per-backend element size), records, and
-    /// the term directory, every allocation at its capacity. For paged
-    /// storage, disk-resident payloads are excluded (only their page
-    /// handles count) — spilling is what makes `index_bytes` drop.
+    /// the term directory, every allocation at its capacity.
     pub fn heap_bytes(&self) -> usize {
         // Hash-map estimate: std's SwissTable keeps ~8/7 of capacity in
         // (key, value) pairs plus one control byte per bucket.
@@ -431,22 +418,16 @@ impl QueryIndex {
         self.lists.heap_bytes() + self.records.heap_bytes() + directory
     }
 
-    /// Point-in-time storage counters (heap estimate + pager activity).
+    /// Point-in-time storage counters (the heap estimate).
     pub fn storage_stats(&self) -> StorageStats {
-        let pager = self.cx.pager.as_ref().map(|p| p.stats()).unwrap_or_default();
-        StorageStats {
-            index_bytes: self.heap_bytes() as u64,
-            hot_pages: pager.hot_pages,
-            cold_pages: pager.cold_pages,
-            page_faults: pager.page_faults,
-            blocks_decoded: 0,
-        }
+        StorageStats { index_bytes: self.heap_bytes() as u64, ..StorageStats::default() }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::PostingsStorage;
 
     fn vector(pairs: &[(u32, f32)]) -> SparseVector {
         let mut v = SparseVector::from_pairs(pairs.iter().map(|&(t, w)| (TermId(t), w)).collect());
@@ -455,14 +436,7 @@ mod tests {
     }
 
     fn all_configs() -> Vec<StorageConfig> {
-        vec![
-            StorageConfig::plain(),
-            StorageConfig::new(PostingsStorage::Compressed),
-            StorageConfig {
-                storage: PostingsStorage::Paged,
-                page_budget_bytes: 256, // tiny: force spills in tests
-            },
-        ]
+        vec![StorageConfig::plain(), StorageConfig::new(PostingsStorage::Compressed)]
     }
 
     #[test]
@@ -713,22 +687,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn paged_storage_reports_pager_activity() {
-        let cfg = StorageConfig { storage: PostingsStorage::Paged, page_budget_bytes: 256 };
-        let mut ix = QueryIndex::with_storage(&cfg);
-        for i in 0..600u32 {
-            ix.register(&vector(&[(1, 1.0), (2 + i, 0.5)]), 1);
-        }
-        let stats = ix.storage_stats();
-        assert!(stats.cold_pages > 0, "tiny budget must spill");
-        assert!(stats.index_bytes > 0);
-        // Reading every posting faults cold pages back in.
-        let mut n = 0usize;
-        ix.list(0).for_each_live(|_, _| n += 1);
-        assert_eq!(n, 600);
-        assert!(ix.storage_stats().page_faults > 0);
     }
 }

@@ -1,16 +1,13 @@
 //! The postings-storage seam: backend selection, the [`PostingsStore`]
 //! trait, and the `Lists` table the [`crate::QueryIndex`] actually holds.
 //!
-//! Three backends, one read/write contract:
+//! Two backends, one read/write contract:
 //!
 //! * [`PostingsStorage::Plain`] — the Vec-backed [`PostingsList`]; the
 //!   default, and the layout every result must stay bit-identical to.
 //! * [`PostingsStorage::Compressed`] — [`CompressedList`]: sealed
 //!   delta + bit-packed blocks (raw f32 weights, so reads are lossless)
 //!   with an uncompressed tail; compaction is the re-compression point.
-//! * [`PostingsStorage::Paged`] — the compressed layout with sealed blocks
-//!   allocated from a byte-budgeted [`ctk_storage::PageManager`] that spills cold
-//!   blocks to disk.
 //!
 //! Backends are dispatched at the *table* level (`Lists` is an enum of
 //! homogeneous `Vec`s, readers get a [`ListRef`]), not per list: a
@@ -24,7 +21,7 @@
 //!
 //! **Two ways to read.** [`ListRef`]'s stateless methods (`get`, `seek`,
 //! `position_of`, `for_each_*`) serve scans and one-off look-ups; on the
-//! compressed backends each decodes what it needs on the stack. The
+//! compressed backend each decodes what it needs on the stack. The
 //! ID-ordered walks instead read through a *forward reader*: they
 //! [`ListRef::open`] a slot in their per-event [`BlockScratch`] and call
 //! the `*_at` methods (`posting_at`, `probe_at`, `seek_live_at`,
@@ -49,21 +46,17 @@ pub enum PostingsStorage {
     /// Uncompressed `Vec`-backed lists.
     #[default]
     Plain,
-    /// Compressed sealed blocks, all RAM-resident.
+    /// Compressed sealed blocks.
     Compressed,
-    /// Compressed layout with sealed blocks in a budgeted RAM/disk pager.
-    Paged,
 }
 
 impl PostingsStorage {
-    pub const ALL: [PostingsStorage; 3] =
-        [PostingsStorage::Plain, PostingsStorage::Compressed, PostingsStorage::Paged];
+    pub const ALL: [PostingsStorage; 2] = [PostingsStorage::Plain, PostingsStorage::Compressed];
 
     pub fn name(&self) -> &'static str {
         match self {
             PostingsStorage::Plain => "plain",
             PostingsStorage::Compressed => "compressed",
-            PostingsStorage::Paged => "paged",
         }
     }
 }
@@ -81,55 +74,37 @@ impl std::str::FromStr for PostingsStorage {
         match s.to_ascii_lowercase().as_str() {
             "plain" => Ok(PostingsStorage::Plain),
             "compressed" => Ok(PostingsStorage::Compressed),
-            "paged" => Ok(PostingsStorage::Paged),
-            other => Err(format!("unknown storage '{other}' (expected plain|compressed|paged)")),
+            other => Err(format!("unknown storage '{other}' (expected plain|compressed)")),
         }
     }
 }
 
-/// Storage selection plus the paged backend's knobs.
+/// The storage selection of a [`crate::QueryIndex`]. A one-field struct
+/// because the benchmark crate builds it through [`StorageConfig::new`]
+/// (ROADMAP 13(c)).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StorageConfig {
     pub storage: PostingsStorage,
-    /// RAM budget for sealed-block payloads under [`PostingsStorage::Paged`];
-    /// `0` means [`StorageConfig::DEFAULT_PAGE_BUDGET`].
-    pub page_budget_bytes: usize,
 }
 
 impl StorageConfig {
-    /// 64 MiB — roomy for every benchmark cell; tiny budgets are for tests.
-    pub const DEFAULT_PAGE_BUDGET: usize = 64 << 20;
-
     pub fn new(storage: PostingsStorage) -> Self {
-        StorageConfig { storage, ..Self::default() }
+        StorageConfig { storage }
     }
 
     pub fn plain() -> Self {
         Self::default()
     }
-
-    /// The effective page budget (resolving the `0` default).
-    pub fn page_budget(&self) -> usize {
-        if self.page_budget_bytes == 0 {
-            Self::DEFAULT_PAGE_BUDGET
-        } else {
-            self.page_budget_bytes
-        }
-    }
 }
 
 /// Point-in-time storage counters, surfaced on the server's `/stats` and in
-/// the bench reports. Page counters are zero for unpaged storage.
+/// the bench reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageStats {
-    /// Estimated heap bytes held by the index (lists + records + tables);
-    /// for paged storage, spilled payloads are excluded — that is the point.
+    /// Estimated heap bytes held by the index (lists + records + tables).
     pub index_bytes: u64,
-    /// Sealed-block pages currently RAM-resident.
-    pub hot_pages: u64,
-    /// Sealed-block pages currently on disk only.
-    pub cold_pages: u64,
-    /// Reads that had to fault a page back from the spill file.
+    /// Always 0: nothing pages. Kept because the benchmark crate reads it
+    /// (ROADMAP 13(c)).
     pub page_faults: u64,
     /// Sealed blocks decoded into cursor buffers by the ID-ordered walks
     /// (at most one per block, per cursor, per event — see
@@ -143,9 +118,6 @@ impl StorageStats {
     /// Fold another index's counters into this one (sharded aggregation).
     pub fn merge(&mut self, other: &StorageStats) {
         self.index_bytes += other.index_bytes;
-        self.hot_pages += other.hot_pages;
-        self.cold_pages += other.cold_pages;
-        self.page_faults += other.page_faults;
         self.blocks_decoded += other.blocks_decoded;
     }
 }
@@ -154,8 +126,7 @@ impl StorageStats {
 /// read through. Semantics (and the tests pinning them) come from
 /// [`PostingsList`]: ID-ordered slots with stable positions, tombstones as
 /// zero-weight slots that keep their query id, `seek` as "first position
-/// `>= from` with id `>= target`". Mutations take the index's shared
-/// [`StoreContext`] (the pager) so lists themselves stay policy-free.
+/// `>= from` with id `>= target`".
 pub trait PostingsStore {
     /// Slots, including tombstones.
     fn len(&self) -> usize;
@@ -174,7 +145,7 @@ pub trait PostingsStore {
     fn get(&self, pos: usize) -> Posting;
 
     /// Append a live posting; `qid` must exceed every id present.
-    fn push(&mut self, qid: QueryId, weight: f32, cx: &StoreContext);
+    fn push(&mut self, qid: QueryId, weight: f32);
 
     /// Tombstone the slot at `pos` (idempotent; position stays valid).
     fn tombstone(&mut self, pos: usize);
@@ -196,7 +167,7 @@ pub trait PostingsStore {
 
     /// Drop tombstones; the survivors keep their order, and their positions
     /// restart from zero.
-    fn compact(&mut self, cx: &StoreContext);
+    fn compact(&mut self);
 
     /// RAM bytes owned by this list, excluding `size_of::<Self>()` (the
     /// containing table accounts for its slots).
@@ -220,7 +191,7 @@ impl PostingsStore for PostingsList {
         PostingsList::get(self, pos)
     }
 
-    fn push(&mut self, qid: QueryId, weight: f32, _cx: &StoreContext) {
+    fn push(&mut self, qid: QueryId, weight: f32) {
         PostingsList::push(self, qid, weight)
     }
 
@@ -252,7 +223,7 @@ impl PostingsStore for PostingsList {
         }
     }
 
-    fn compact(&mut self, _cx: &StoreContext) {
+    fn compact(&mut self) {
         PostingsList::compact(self);
     }
 
@@ -279,8 +250,8 @@ impl PostingsStore for CompressedList {
         Posting { qid: QueryId(qid), weight }
     }
 
-    fn push(&mut self, qid: QueryId, weight: f32, cx: &StoreContext) {
-        CompressedList::push(self, qid.0, weight, cx)
+    fn push(&mut self, qid: QueryId, weight: f32) {
+        CompressedList::push(self, qid.0, weight, &StoreContext)
     }
 
     fn tombstone(&mut self, pos: usize) {
@@ -307,8 +278,8 @@ impl PostingsStore for CompressedList {
         CompressedList::for_each_live(self, |q, w| f(QueryId(q), w));
     }
 
-    fn compact(&mut self, cx: &StoreContext) {
-        self.compact_into(&mut Vec::new(), cx);
+    fn compact(&mut self) {
+        self.compact_into(&mut Vec::new());
     }
 
     fn heap_bytes(&self) -> usize {
@@ -575,7 +546,7 @@ impl Lists {
     pub(crate) fn new(storage: PostingsStorage) -> Lists {
         match storage {
             PostingsStorage::Plain => Lists::Plain(Vec::new()),
-            _ => Lists::Compressed(Vec::new()),
+            PostingsStorage::Compressed => Lists::Compressed(Vec::new()),
         }
     }
 
@@ -611,10 +582,10 @@ impl Lists {
 
     /// Append a live posting to list `idx`.
     #[inline]
-    pub(crate) fn push_posting(&mut self, idx: u32, qid: QueryId, weight: f32, cx: &StoreContext) {
+    pub(crate) fn push_posting(&mut self, idx: u32, qid: QueryId, weight: f32) {
         match self {
             Lists::Plain(v) => v[idx as usize].push(qid, weight),
-            Lists::Compressed(v) => v[idx as usize].push(qid.0, weight, cx),
+            Lists::Compressed(v) => v[idx as usize].push(qid.0, weight, &StoreContext),
         }
     }
 
@@ -628,10 +599,10 @@ impl Lists {
     }
 
     /// Drop the tombstones of list `idx`.
-    pub(crate) fn compact_list(&mut self, idx: u32, cx: &StoreContext) {
+    pub(crate) fn compact_list(&mut self, idx: u32) {
         match self {
-            Lists::Plain(v) => PostingsStore::compact(&mut v[idx as usize], cx),
-            Lists::Compressed(v) => PostingsStore::compact(&mut v[idx as usize], cx),
+            Lists::Plain(v) => PostingsStore::compact(&mut v[idx as usize]),
+            Lists::Compressed(v) => PostingsStore::compact(&mut v[idx as usize]),
         }
     }
 
@@ -663,20 +634,20 @@ mod tests {
             assert_eq!(s.name().parse::<PostingsStorage>().unwrap(), s);
         }
         assert!("mmap".parse::<PostingsStorage>().is_err());
+        assert!("paged".parse::<PostingsStorage>().is_err());
     }
 
     /// Both backends satisfy the same `PostingsStore` contract on the same
     /// operation sequence.
     #[test]
     fn backends_agree_through_the_trait() {
-        let cx = StoreContext::raw();
         let mut plain = PostingsList::new();
         let mut comp = CompressedList::new();
         {
             let both: [&mut dyn PostingsStore; 2] = [&mut plain, &mut comp];
             for l in both {
                 for i in 0..200u32 {
-                    l.push(QueryId(i * 3), 0.25 + i as f32, &cx);
+                    l.push(QueryId(i * 3), 0.25 + i as f32);
                 }
                 for p in (0..200).step_by(7) {
                     l.tombstone(p);

@@ -18,7 +18,7 @@
 //! | `PUT /namespaces/{ns}/retention` | install a retention policy (`max_age`, `max_queries`, `eviction`) |
 //! | `GET /namespaces/{ns}/retention` | read a namespace's policy (404 for unknown namespaces) |
 //! | `POST /forget` | bulk-remove a namespace: `{"namespace": n, "dry_run": true}` previews, `"confirm": true` removes |
-//! | `GET /stats` | engine, λ, shards, query/publish counters, expiry/eviction totals, per-namespace counts, storage counters (`index_bytes`, `hot_pages`, `cold_pages`, `page_faults`, `blocks_decoded`), ingest-queue occupancy (`queue_depth`, `queue_capacity`, `queue_highwater`), fan-out totals |
+//! | `GET /stats` | engine, λ, shards, query/publish counters, expiry/eviction totals, per-namespace counts, storage counters (`index_bytes`, `blocks_decoded`), ingest-queue occupancy (`queue_depth`, `queue_capacity`, `queue_highwater`), fan-out totals |
 //! | `POST /snapshot` | capture the full monitor state as a versioned, compact JSON snapshot; `?stream=1` streams the same bytes one query at a time (EOF-framed, connection closes) without materializing the text; with a journal configured this is a **checkpoint** — the snapshot lands in `checkpoint.json` and the journal truncates |
 //! | `POST /restore` | replace the live monitor from a snapshot → id mapping (rejects snapshot versions newer than this build reads, and non-finite numbers, with 400; checkpointed when a journal is active) |
 //! | `POST /admin/drain` | refuse further publishes (503), flush in-flight ones, wake pollers |

@@ -156,17 +156,10 @@ pub struct ServerStats {
     /// Per-namespace live/expired/evicted counts, handle order (the default
     /// namespace — the empty name — is always first).
     pub namespaces: Vec<NamespaceStats>,
-    /// Estimated heap bytes of the query index(es), summed across shards;
-    /// paged storage excludes spilled payloads.
+    /// Estimated heap bytes of the query index(es), summed across shards.
     pub index_bytes: u64,
-    /// Sealed-block pages currently RAM-resident (paged storage only).
-    pub hot_pages: u64,
-    /// Sealed-block pages spilled to disk (paged storage only).
-    pub cold_pages: u64,
-    /// Reads that faulted a page back from the spill file, lifetime total.
-    pub page_faults: u64,
     /// Sealed postings blocks the walk decoded into its cursors, lifetime
-    /// total (compressed and paged storage only).
+    /// total (compressed storage only).
     pub blocks_decoded: u64,
     /// Bound of the ingest command queue (the `queue_depth` knob).
     pub queue_capacity: usize,
@@ -449,9 +442,6 @@ impl Node {
             evicted,
             namespaces: self.backend.namespace_stats(),
             index_bytes: storage.index_bytes,
-            hot_pages: storage.hot_pages,
-            cold_pages: storage.cold_pages,
-            page_faults: storage.page_faults,
             blocks_decoded: storage.blocks_decoded,
             subscribers: self.subscribers.len(),
             events_delivered,

@@ -1,6 +1,6 @@
 //! A seeded simulator of the daemon: one generated op sequence drives a
 //! journaled [`Node`] — MRIO on the single engine or three query shards,
-//! over plain, compressed or paged postings — and, beside it, a
+//! over plain or compressed postings — and, beside it, a
 //! journal-less single-shard `Naive` node, the oracle. After every step
 //! both replies must agree (ids, counts, doc ids, changes as a set) and
 //! every result set must match bit for bit.
@@ -45,10 +45,8 @@ const WEIGHTS: [&str; 4] = ["1", "0.5", "0.3", "0.30000004"];
 /// "bulk", which only a forget or an unregister thins; "nobody" stays
 /// empty.
 const NAMESPACES: [&str; 5] = ["", "alerts", "feed", "bulk", "nobody"];
-const STORAGES: [PostingsStorage; 3] =
-    [PostingsStorage::Plain, PostingsStorage::Compressed, PostingsStorage::Paged];
-/// Pager budget: a few sealed blocks, so paged lists spill and fault.
-const PAGE_BUDGET: usize = 2048;
+/// Runtime shapes × storage backends (see [`Sim::shape`]).
+const SHAPES: usize = 4;
 /// Bulk registers stop once this many ids were handed out.
 const BULK_LIMIT: u32 = 400;
 
@@ -68,27 +66,21 @@ fn weight(i: u64) -> f32 {
 #[derive(Debug, Default)]
 struct Tally {
     /// Ops applied, by runtime shape × storage (see [`Sim::shape`]).
-    steps: [u64; 6],
+    steps: [u64; SHAPES],
     crashes: u64,
-    blocks_decoded: u64,
-    sealed_pages: u64,
-    page_faults: u64,
+    /// Sealed blocks the walk decoded, by runtime shape × storage.
+    blocks_decoded: [u64; SHAPES],
 }
 
-static TALLY: Mutex<Tally> = Mutex::new(Tally {
-    steps: [0; 6],
-    crashes: 0,
-    blocks_decoded: 0,
-    sealed_pages: 0,
-    page_faults: 0,
-});
+static TALLY: Mutex<Tally> =
+    Mutex::new(Tally { steps: [0; SHAPES], crashes: 0, blocks_decoded: [0; SHAPES] });
 
 /// One simulated daemon and its oracle.
 struct Sim {
     lambda: f64,
     compact_at: f64,
-    /// The node's runtime shape and storage backend: 1 shard for 0..3, 3
-    /// for 3..6, over `STORAGES[shape % 3]`.
+    /// The node's runtime shape and storage backend: 1 shard for 0..2, 3
+    /// for 2..4, over `PostingsStorage::ALL[shape % 2]`.
     shape: usize,
     /// The node's journal directory and the one a crash recovers into.
     dirs: [PathBuf; 2],
@@ -113,10 +105,9 @@ struct Sim {
 fn builder(lambda: f64, compact_at: f64, shape: usize) -> MonitorBuilder {
     MonitorBuilder::new(EngineKind::Mrio)
         .lambda(lambda)
-        .shards(if shape < 3 { 1 } else { 3 })
+        .shards(if shape < 2 { 1 } else { 3 })
         .compact_at(compact_at)
-        .postings_storage(STORAGES[shape % 3])
-        .page_budget(PAGE_BUDGET)
+        .postings_storage(PostingsStorage::ALL[shape % 2])
 }
 
 fn oracle(lambda: f64) -> Node {
@@ -313,9 +304,7 @@ impl Sim {
     /// Collect the node's storage counters before its backend goes away.
     fn count_storage(&mut self) {
         if let Reply::Stats(stats) = self.node.apply(Op::Stats) {
-            self.tally.blocks_decoded += stats.blocks_decoded;
-            self.tally.sealed_pages += stats.hot_pages + stats.cold_pages;
-            self.tally.page_faults += stats.page_faults;
+            self.tally.blocks_decoded[self.shape] += stats.blocks_decoded;
         }
     }
 
@@ -349,8 +338,8 @@ impl Sim {
         }
         // Another shape or storage backend, named by `a` alone so that a
         // shrunk case keeps its later crashes' targets.
-        let target = a as usize % 6;
-        self.shape = if target == self.shape { (target + 1) % 6 } else { target };
+        let target = a as usize % SHAPES;
+        self.shape = if target == self.shape { (target + 1) % SHAPES } else { target };
         let (journal, recovery) = Journal::open(journal_config(&to)).unwrap();
         let survivors = recovery.commands.len();
         let (recovered, checkpointed) = (!recovery.is_empty(), recovery.snapshot.is_some());
@@ -514,13 +503,11 @@ fn simulate(
     }
     sim.count_storage();
     let mut tally = TALLY.lock().unwrap();
-    for (total, steps) in tally.steps.iter_mut().zip(sim.tally.steps) {
-        *total += steps;
+    for shape in 0..SHAPES {
+        tally.steps[shape] += sim.tally.steps[shape];
+        tally.blocks_decoded[shape] += sim.tally.blocks_decoded[shape];
     }
     tally.crashes += sim.tally.crashes;
-    tally.blocks_decoded += sim.tally.blocks_decoded;
-    tally.sealed_pages += sim.tally.sealed_pages;
-    tally.page_faults += sim.tally.page_faults;
     Ok(())
 }
 
@@ -528,7 +515,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
     fn simulated_cases(
-        start in 0usize..6,
+        start in 0usize..SHAPES,
         lambda in prop::sample::select(vec![0.0, 0.05, 0.8]),
         compact_at in prop::sample::select(vec![0.0, 0.2]),
         ops in prop::collection::vec((0u8..17, 0u32..1000, 0u64..1000), 1..160),
@@ -548,6 +535,9 @@ fn the_daemon_matches_a_naive_node_through_every_op_and_crash() {
     }
     assert!(steps >= 10_000, "only {steps} steps");
     assert!(tally.steps.iter().all(|&s| s > 0), "a runtime shape × storage went unvisited");
-    assert!(tally.blocks_decoded > 0, "no sealed block was ever read");
-    assert!(tally.sealed_pages > 0 && tally.page_faults > 0, "the pager never faulted a page in");
+    for shape in
+        (0..SHAPES).filter(|&shape| PostingsStorage::ALL[shape % 2] == PostingsStorage::Compressed)
+    {
+        assert!(tally.blocks_decoded[shape] > 0, "shape {shape} never decoded a sealed block");
+    }
 }

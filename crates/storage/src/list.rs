@@ -1,4 +1,4 @@
-//! A compressed, optionally paged ID-ordered postings list.
+//! A compressed ID-ordered postings list.
 //!
 //! Full blocks of [`BLOCK_LEN`] postings are sealed through the block codec
 //! (delta + bit-packed ids, raw f32 weights); the newest postings
@@ -29,38 +29,21 @@
 //! struct is therefore minimal — an exact-fit boxed-slice tail and an
 //! `Option<Box>` of sealed-side tables (`SealedState`, allocated on the
 //! first seal) — 24 bytes in release builds, *smaller* than a plain
-//! `Vec`-backed list's 32. The sealing policy (the pager) lives in the
-//! caller's [`StoreContext`], not in every list.
+//! `Vec`-backed list's 32.
 
 use crate::codec::{decode_block, decode_slot, encode_block, seek_ids, Block, BLOCK_LEN};
-use crate::pager::{Page, PageManager};
 use ctk_common::is_tombstone_weight;
-use std::sync::Arc;
 
-/// The sealing policy a [`CompressedList`] writes under: which pager (if
-/// any) its blocks' payloads are allocated from. One context is shared by every list of an index — lists
-/// themselves carry no policy, keeping their fixed footprint at two words.
-#[derive(Debug, Clone, Default)]
-pub struct StoreContext {
-    pub pager: Option<Arc<PageManager>>,
-}
+/// The argument [`CompressedList::push`] still takes and ignores; it carries
+/// nothing. Kept only because the benchmark crate names it (ROADMAP 13(c)).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StoreContext;
 
 impl StoreContext {
-    /// Lossless raw-f32 blocks, RAM-resident.
+    /// The one (empty) context.
     pub fn raw() -> Self {
-        StoreContext { pager: None }
+        StoreContext
     }
-
-    /// Lossless raw-f32 blocks allocated from `pager` (may spill to disk).
-    pub fn paged(pager: Arc<PageManager>) -> Self {
-        StoreContext { pager: Some(pager) }
-    }
-}
-
-#[derive(Debug)]
-enum BlockData {
-    Ram(Arc<[u8]>),
-    Paged(Page),
 }
 
 /// The sealed side of a list: every table that only exists once at least
@@ -68,26 +51,19 @@ enum BlockData {
 /// of lists that stay shorter than [`BLOCK_LEN`] never pay for it.
 #[derive(Debug)]
 struct SealedState {
-    blocks: Vec<BlockData>,
+    /// Encoded payload of each sealed block.
+    blocks: Vec<Box<[u8]>>,
     /// First query id of each sealed block, for block-level binary search.
     first_qids: Vec<u32>,
     /// One liveness word per sealed block, bit `i` = slot `i` is live.
     live_bits: Vec<u64>,
     sealed_live: u32,
-    /// Cloned from the [`StoreContext`] at the first seal: reads must be
-    /// able to fault spilled payloads back in without caller help.
-    pager: Option<Arc<PageManager>>,
 }
 
 impl SealedState {
     fn seal_block(&mut self, slots: &[(u32, f32)]) {
         let mut bytes = Vec::new();
         encode_block(slots, &mut bytes);
-        let payload: Arc<[u8]> = bytes.into();
-        let data = match &self.pager {
-            Some(pager) => BlockData::Paged(pager.alloc(payload)),
-            None => BlockData::Ram(payload),
-        };
         let mut word = 0u64;
         for (i, &(_, w)) in slots.iter().enumerate() {
             if !is_tombstone_weight(w) {
@@ -97,25 +73,14 @@ impl SealedState {
         self.sealed_live += word.count_ones();
         self.live_bits.push(word);
         self.first_qids.push(slots[0].0);
-        self.blocks.push(data);
-    }
-
-    /// Read the encoded payload of block `b` (faulting it in when paged).
-    #[inline]
-    fn with_payload<R>(&self, b: usize, f: impl FnOnce(&[u8]) -> R) -> R {
-        match &self.blocks[b] {
-            BlockData::Ram(bytes) => f(bytes),
-            BlockData::Paged(page) => {
-                f(&self.pager.as_ref().expect("paged block without a pager").load(page))
-            }
-        }
+        self.blocks.push(bytes.into_boxed_slice());
     }
 
     /// Decode block `b` into a reader's buffer, with the block's liveness
     /// word beside it; tombstoned slots get the `0.0` weight sentinel here,
     /// so a reader of the buffer never goes back to the list for either.
     fn decode(&self, b: usize, out: &mut Resident) {
-        self.with_payload(b, |bytes| decode_block(bytes, &mut out.data));
+        decode_block(&self.blocks[b], &mut out.data);
         out.block = b as u32;
         out.live = self.live_bits[b];
         let mut dead = !out.live;
@@ -212,8 +177,7 @@ pub struct CompressedList {
 }
 
 impl CompressedList {
-    /// An empty list. Sealing policy arrives with each mutation via
-    /// [`StoreContext`].
+    /// An empty list.
     pub fn new() -> Self {
         Self::default()
     }
@@ -272,8 +236,7 @@ impl CompressedList {
         let sealed = self.sealed_len();
         if pos < sealed {
             let s = self.sealed.as_ref().expect("sealed_len > 0");
-            let (qid, w) =
-                s.with_payload(pos / BLOCK_LEN, |bytes| decode_slot(bytes, pos % BLOCK_LEN));
+            let (qid, w) = decode_slot(&s.blocks[pos / BLOCK_LEN], pos % BLOCK_LEN);
             if self.is_live(pos) {
                 (qid, w)
             } else {
@@ -381,7 +344,7 @@ impl CompressedList {
                 Self::enter(s, bc, b0);
                 Self::look_ahead(s, bc, b)
             } else {
-                return s.with_payload(b, |bytes| seek_ids(bytes, lo, target).0);
+                return seek_ids(&s.blocks[b], lo, target).0;
             };
             lo + gallop(&blk.ids[lo..], |&q| q < target)
         })
@@ -452,9 +415,9 @@ impl CompressedList {
     }
 
     /// Append a live posting; ids must be strictly increasing. Seals the
-    /// tail into a compressed block (under `cx`'s pager) when it
-    /// reaches [`BLOCK_LEN`].
-    pub fn push(&mut self, qid: u32, weight: f32, cx: &StoreContext) {
+    /// tail into a compressed block when it reaches [`BLOCK_LEN`].
+    /// `_cx` is ignored: the benchmark crate still passes it (ROADMAP 13(c)).
+    pub fn push(&mut self, qid: u32, weight: f32, _cx: &StoreContext) {
         debug_assert!(!is_tombstone_weight(weight), "zero-weight pushes would read as deleted");
         #[cfg(debug_assertions)]
         {
@@ -466,21 +429,20 @@ impl CompressedList {
         grown.push((qid, weight));
         if grown.len() == BLOCK_LEN {
             self.tail = Box::default();
-            self.sealed_mut(cx).seal_block(&grown);
+            self.sealed_mut().seal_block(&grown);
         } else {
             self.tail = grown.into_boxed_slice();
         }
     }
 
-    /// The sealed state, created on first use with `cx`'s pager.
-    fn sealed_mut(&mut self, cx: &StoreContext) -> &mut SealedState {
+    /// The sealed state, created on first use.
+    fn sealed_mut(&mut self) -> &mut SealedState {
         self.sealed.get_or_insert_with(|| {
             Box::new(SealedState {
                 blocks: Vec::new(),
                 first_qids: Vec::new(),
                 live_bits: Vec::new(),
                 sealed_live: 0,
-                pager: cx.pager.clone(),
             })
         })
     }
@@ -555,9 +517,7 @@ impl CompressedList {
     /// included), or `len()`. Stateless: the landing block's ids are walked
     /// on the stack up to the answer.
     pub fn seek(&self, from: usize, target: u32) -> usize {
-        self.seek_by(from, target, |s, b, lo| {
-            s.with_payload(b, |bytes| seek_ids(bytes, lo, target).0)
-        })
+        self.seek_by(from, target, |s, b, lo| seek_ids(&s.blocks[b], lo, target).0)
     }
 
     /// First **live** position `>= pos`, or `len()`. Dead sealed runs are
@@ -598,7 +558,7 @@ impl CompressedList {
             // block that can hold it.
             let after = s.first_qids.partition_point(|&first| first <= qid);
             if let Some(b) = after.checked_sub(1) {
-                let (i, hit) = s.with_payload(b, |bytes| seek_ids(bytes, 0, qid));
+                let (i, hit) = seek_ids(&s.blocks[b], 0, qid);
                 if hit {
                     return Some(b * BLOCK_LEN + i);
                 }
@@ -613,7 +573,7 @@ impl CompressedList {
         if let Some(s) = &self.sealed {
             let mut blk = Block::zeroed();
             for (b, &word) in s.live_bits.iter().enumerate() {
-                s.with_payload(b, |bytes| decode_block(bytes, &mut blk));
+                decode_block(&s.blocks[b], &mut blk);
                 for (i, (&q, &w)) in blk.ids.iter().zip(&blk.weights).enumerate() {
                     f(q, if word >> i & 1 == 1 { w } else { 0.0 });
                 }
@@ -632,7 +592,7 @@ impl CompressedList {
                 if word == 0 {
                     continue;
                 }
-                s.with_payload(b, |bytes| decode_block(bytes, &mut blk));
+                decode_block(&s.blocks[b], &mut blk);
                 for (i, (&q, &w)) in blk.ids.iter().zip(&blk.weights).enumerate() {
                     if word >> i & 1 == 1 {
                         f(q, w);
@@ -650,39 +610,29 @@ impl CompressedList {
     /// Drop tombstones and re-encode: survivors are appended to `out` (for
     /// the caller's record refresh) and the list is rebuilt from them —
     /// full blocks re-seal, the remainder becomes the new tail.
-    pub fn compact_into(&mut self, out: &mut Vec<(u32, f32)>, cx: &StoreContext) {
+    pub fn compact_into(&mut self, out: &mut Vec<(u32, f32)>) {
         let start = out.len();
         self.for_each_live(|q, w| out.push((q, w)));
         self.sealed = None;
         let survivors = &out[start..];
         let mut chunks = survivors.chunks_exact(BLOCK_LEN);
         for chunk in &mut chunks {
-            self.sealed_mut(cx).seal_block(chunk);
+            self.sealed_mut().seal_block(chunk);
         }
         self.tail = Box::from(chunks.remainder());
     }
 
-    /// RAM bytes *owned* by this list — tables, tail, and the payloads of
-    /// RAM-resident sealed blocks (disk-resident pages count only their
-    /// fixed page-handle overhead — that is the point of paging). Excludes
-    /// `size_of::<Self>()`: the container holding the list accounts for its
-    /// slot, whatever it is embedded in.
+    /// RAM bytes *owned* by this list — tables, tail, and every sealed
+    /// block's payload. Excludes `size_of::<Self>()`: the container holding
+    /// the list accounts for its slot, whatever it is embedded in.
     pub fn heap_bytes(&self) -> usize {
         let mut bytes = self.tail.len() * std::mem::size_of::<(u32, f32)>();
         if let Some(s) = &self.sealed {
             bytes += std::mem::size_of::<SealedState>()
-                + s.blocks.capacity() * std::mem::size_of::<BlockData>()
+                + s.blocks.capacity() * std::mem::size_of::<Box<[u8]>>()
                 + s.first_qids.capacity() * 4
-                + s.live_bits.capacity() * 8;
-            for blk in &s.blocks {
-                bytes += match blk {
-                    BlockData::Ram(payload) => payload.len(),
-                    BlockData::Paged(page) => {
-                        std::mem::size_of_val(&**page)
-                            + if page.is_resident() { page.len() } else { 0 }
-                    }
-                };
-            }
+                + s.live_bits.capacity() * 8
+                + s.blocks.iter().map(|payload| payload.len()).sum::<usize>();
         }
         bytes
     }
@@ -858,7 +808,7 @@ mod tests {
             l.tombstone(p);
         }
         let mut survivors = Vec::new();
-        l.compact_into(&mut survivors, &StoreContext::raw());
+        l.compact_into(&mut survivors);
         assert_eq!(survivors.len(), 75);
         assert_eq!(l.len(), 75);
         assert_eq!(l.tombstones(), 0);
@@ -877,27 +827,6 @@ mod tests {
         assert_eq!(l.position_of(5 * 80), Some(80), "tail slot");
         assert_eq!(l.position_of(5 * 63), Some(63), "sealed slot");
         assert_eq!(l.position_of(7), None);
-    }
-
-    #[test]
-    fn paged_list_reads_identically_under_tiny_budget() {
-        let pager = Arc::new(PageManager::new(256, None)); // forces spills
-        let paged_cx = StoreContext::paged(Arc::clone(&pager));
-        let ram_cx = StoreContext::raw();
-        let mut paged = CompressedList::new();
-        let mut ram = CompressedList::new();
-        for i in 0..500u32 {
-            paged.push(i * 2, 0.1 + i as f32, &paged_cx);
-            ram.push(i * 2, 0.1 + i as f32, &ram_cx);
-        }
-        for p in (0..500).step_by(5) {
-            paged.tombstone(p);
-            ram.tombstone(p);
-        }
-        assert!(pager.stats().cold_pages > 0, "budget must force spills");
-        assert_eq!(mirror(&paged), mirror(&ram));
-        assert!(pager.stats().page_faults > 0, "reading cold pages faults");
-        assert!(paged.heap_bytes() < ram.heap_bytes(), "spilled payloads leave RAM accounting");
     }
 
     #[test]

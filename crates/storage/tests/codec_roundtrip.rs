@@ -7,11 +7,8 @@
 //! `Vec<(qid, weight)>` oracle on every read operation after an arbitrary
 //! interleaving of pushes, tombstones, and compactions.
 
-use ctk_storage::{
-    decode_block, encode_block, Block, CompressedList, PageManager, StoreContext, BLOCK_LEN,
-};
+use ctk_storage::{decode_block, encode_block, Block, CompressedList, StoreContext, BLOCK_LEN};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// Strictly increasing ids from per-slot raw samples: `kind` picks a dense
 /// (gap 1) or small (gap ≤ 256) step, and exactly one slot (`giant_at`)
@@ -71,13 +68,8 @@ proptest! {
         // Each raw op decodes to Push (kinds 0-3), Tombstone (4-6), or
         // Compact (7) inside the loop below.
         ops in prop::collection::vec((0u32..=7, 0u32..256, 1u32..=5), 1..24),
-        paged in 0u32..=1,
     ) {
-        // A tiny budget forces constant spill/fault churn in the paged case.
-        let cx = match paged {
-            1 => StoreContext::paged(Arc::new(PageManager::new(192, None))),
-            _ => StoreContext::raw(),
-        };
+        let cx = StoreContext::raw();
         let mut list = CompressedList::new();
         // Oracle: (qid, weight) with tombstones as weight 0.0, same as plain.
         let mut oracle: Vec<(u32, f32)> = Vec::new();
@@ -104,7 +96,7 @@ proptest! {
                 }
                 _ => {
                     let mut survivors = Vec::new();
-                    list.compact_into(&mut survivors, &cx);
+                    list.compact_into(&mut survivors);
                     oracle.retain(|s| s.1 != 0.0);
                     prop_assert_eq!(&survivors, &oracle);
                 }

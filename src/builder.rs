@@ -140,30 +140,17 @@ impl MonitorBuilder {
     }
 
     /// Which postings layout the query index(es) use (see
-    /// [`PostingsStorage`]). All three backends are bit-identical on every
+    /// [`PostingsStorage`]). Both backends are bit-identical on every
     /// read — the selection only moves the RAM footprint and throughput:
     ///
     /// * [`PostingsStorage::Plain`] (default) — `Vec`-backed lists; the
-    ///   fastest layout, and the baseline every other backend is
+    ///   fastest layout, and the baseline the compressed backend is
     ///   proptested against.
     /// * [`PostingsStorage::Compressed`] — sealed delta + bit-packed blocks
     ///   (raw f32 weights, lossless); fewer bytes per registered query at
     ///   scale.
-    /// * [`PostingsStorage::Paged`] — the compressed layout with sealed
-    ///   blocks in a byte-budgeted RAM/disk pager (see
-    ///   [`MonitorBuilder::page_budget`]); cold blocks spill to disk, hot
-    ///   reads stay in RAM.
     pub fn postings_storage(mut self, storage: PostingsStorage) -> Self {
         self.storage.storage = storage;
-        self
-    }
-
-    /// RAM budget (bytes) for sealed-block payloads under
-    /// [`PostingsStorage::Paged`]; `0` (the default) means
-    /// [`StorageConfig::DEFAULT_PAGE_BUDGET`]. Ignored by the other
-    /// storage backends.
-    pub fn page_budget(mut self, bytes: usize) -> Self {
-        self.storage.page_budget_bytes = bytes;
         self
     }
 
@@ -302,7 +289,6 @@ mod tests {
                     .lambda(0.001)
                     .shards(shards)
                     .postings_storage(storage)
-                    .page_budget(4096)
                     .build();
                 let q = m.register(QuerySpec::uniform(&[TermId(1)], 2).unwrap());
                 m.publish(vec![(TermId(1), 1.0)], 0.0);

@@ -371,10 +371,7 @@ fn the_largest_valid_queries_match_oracle_on_every_storage() {
     let deep = QuerySpec::uniform(&[TermId(1), TermId(2)], QuerySpec::MAX_K).unwrap();
     let queries = [specs(5, 7), vec![wide, deep], specs(5, 8)].concat();
     for storage in PostingsStorage::ALL {
-        let mut backend = MonitorBuilder::new(EngineKind::Mrio)
-            .postings_storage(storage)
-            .page_budget(4096)
-            .build();
+        let mut backend = MonitorBuilder::new(EngineKind::Mrio).postings_storage(storage).build();
         let mut oracle = MonitorBuilder::new(EngineKind::Naive).build();
         for spec in &queries {
             assert_eq!(backend.register(spec.clone()), oracle.register(spec.clone()));

@@ -392,8 +392,7 @@ fn sharded_mrio_through_churn_renorm_and_compaction_stays_bit_identical() {
 }
 
 /// The storage-subsystem scenario in one deterministic test: every postings
-/// backend (plain Vec, compressed blocks, RAM/disk paged with a budget tiny
-/// enough to force spills), sharded over two workers, driven through
+/// backend (plain Vec, compressed blocks), sharded over two workers, driven through
 /// registration churn, threshold-triggered compaction and a λ = 0.5
 /// renormalization crossing — all against one plain-storage `Naive` oracle.
 /// Results must stay bit-identical: the storage layer is a representation
@@ -405,7 +404,7 @@ fn storage_backends_stay_bit_identical_across_compaction_and_renorm() {
         (terms.iter().map(|&(t, w)| (TermId(t), w)).collect::<Vec<_>>(), at)
     };
     for storage in PostingsStorage::ALL {
-        let cfg = StorageConfig { storage, page_budget_bytes: 1024 };
+        let cfg = StorageConfig::new(storage);
         let mut sharded = ShardedMonitor::new(2, || Naive::with_storage(lambda, &cfg));
         sharded.set_compaction_threshold(0.15);
         let mut single = Naive::new(lambda);
@@ -461,11 +460,6 @@ fn storage_backends_stay_bit_identical_across_compaction_and_renorm() {
                 "storage {storage}, query {qid}"
             );
         }
-        let stats = sharded.storage_stats();
-        assert!(stats.index_bytes > 0);
-        if storage == PostingsStorage::Paged {
-            assert!(stats.cold_pages > 0, "1 KiB budget must spill sealed blocks");
-            assert!(stats.page_faults > 0, "the walk must fault spilled blocks back in");
-        }
+        assert!(sharded.storage_stats().index_bytes > 0);
     }
 }

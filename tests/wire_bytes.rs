@@ -178,9 +178,6 @@ fn every_server_type_streams_the_bytes_its_tree_prints() {
                 NamespaceStats { namespace: "t\t1".to_string(), live: 1, expired: 1, evicted: 2 },
             ],
             index_bytes: 102_112,
-            hot_pages: 0,
-            cold_pages: 0,
-            page_faults: 0,
             blocks_decoded: 0,
             queue_capacity: 16,
             queue_depth: 0,
