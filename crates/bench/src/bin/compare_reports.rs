@@ -22,10 +22,12 @@
 //! Reads only the current schema version; older reports are refused
 //! (regenerate the baseline with the current `sweep_shards`).
 //!
-//! Exit codes: `0` pass, `1` regression, `2` unusable input (missing file,
-//! unrecognized schema version, or reports measured under different
-//! workload configurations — those deltas would be meaningless).
+//! Exit codes: `0` pass, `1` regression, `2` unusable input (an unknown
+//! flag or a bad value, a missing file, an unrecognized schema version, or
+//! reports measured under different workload configurations — those deltas
+//! would be meaningless).
 
+use ctk_bench::cli::{Flags, Spec};
 use ctk_bench::report::format_sig;
 use ctk_bench::SWEEP_SHARDS_SCHEMA_VERSION;
 use serde::Deserialize;
@@ -66,17 +68,14 @@ impl Report {
     }
 }
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-}
+const FLAGS: Spec = Spec {
+    program: "compare_reports",
+    valued: &["--baseline", "--current", "--tolerance"],
+    switches: &["--absolute"],
+};
 
 fn usage_exit(msg: &str) -> ! {
-    eprintln!("compare_reports: {msg}");
-    eprintln!(
-        "usage: compare_reports --baseline <report.json> --current <report.json> \
-         [--tolerance 0.30] [--absolute]"
-    );
-    std::process::exit(2);
+    FLAGS.usage_exit(msg)
 }
 
 fn load(path: &str) -> Report {
@@ -96,22 +95,20 @@ fn load(path: &str) -> Report {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let flags = Flags::from_env(FLAGS);
     let baseline_path =
-        arg_value(&args, "--baseline").unwrap_or_else(|| usage_exit("--baseline is required"));
+        flags.value("--baseline").unwrap_or_else(|| usage_exit("--baseline is required"));
     let current_path =
-        arg_value(&args, "--current").unwrap_or_else(|| usage_exit("--current is required"));
-    let tolerance: f64 = match arg_value(&args, "--tolerance") {
-        None => 0.30,
-        Some(s) => match s.parse() {
-            Ok(t) if (0.0..1.0).contains(&t) => t,
-            _ => usage_exit("--tolerance must be a fraction in [0, 1)"),
-        },
+        flags.value("--current").unwrap_or_else(|| usage_exit("--current is required"));
+    let tolerance: f64 = match flags.parsed("--tolerance") {
+        Ok(None) => 0.30,
+        Ok(Some(t)) if (0.0..1.0).contains(&t) => t,
+        _ => usage_exit("--tolerance must be a fraction in [0, 1)"),
     };
-    let absolute = args.iter().any(|a| a == "--absolute");
+    let absolute = flags.switch("--absolute");
 
-    let base = load(&baseline_path);
-    let cur = load(&current_path);
+    let base = load(baseline_path);
+    let cur = load(current_path);
 
     // Deltas are only meaningful at equal workload configuration.
     let base_cfg = (&base.query_counts, base.measured_docs, &base.storage_modes);

@@ -7,6 +7,9 @@
 //!     [--drain] [--out http_load] [--acked-log PATH]
 //! ```
 //!
+//! Any other flag, a flag without its value, or a value that does not parse
+//! exits 2 naming it ([`ctk_bench::cli`]).
+//!
 //! `--addr` names an already-running daemon (start one with `ctk-serve`);
 //! the report's `engine` is the one its `/stats` names. One subscriber
 //! long-polls `GET /changes` from its own connection for the whole run, so
@@ -31,6 +34,7 @@
 //! kills the daemon mid-run and uses this file as the ground truth for
 //! which documents the server acknowledged and therefore must not lose.
 
+use ctk_bench::cli::{Flags, Spec};
 use ctk_bench::write_json_report;
 use ctk_server::HttpClient;
 use ctk_stream::{
@@ -67,17 +71,11 @@ struct Report {
     drained: bool,
 }
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-}
-
-fn parsed<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    let raw = arg_value(args, flag)?;
-    match raw.parse() {
-        Ok(value) => Some(value),
-        Err(_) => die(format!("bad value {raw:?} for {flag}")),
-    }
-}
+const FLAGS: Spec = Spec {
+    program: "http_load",
+    valued: &["--addr", "--queries", "--docs", "--batch", "--out", "--acked-log"],
+    switches: &["--drain"],
+};
 
 fn die(message: impl std::fmt::Display) -> ! {
     eprintln!("http_load: {message}");
@@ -137,22 +135,22 @@ fn poll_changes(addr: SocketAddr, subscriber: u64, done: Arc<AtomicBool>) -> (u6
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let queries: usize = parsed(&args, "--queries").unwrap_or(200);
-    let docs: usize = parsed(&args, "--docs").unwrap_or(2_000);
-    let batch: usize = parsed(&args, "--batch").unwrap_or(64).max(1);
-    let out = arg_value(&args, "--out").unwrap_or_else(|| "http_load".to_string());
-    let drain = args.iter().any(|a| a == "--drain");
-    let mut acked_log = arg_value(&args, "--acked-log").map(|path| {
+    let flags = Flags::from_env(FLAGS);
+    let queries: usize = flags.parsed_or_exit("--queries").unwrap_or(200);
+    let docs: usize = flags.parsed_or_exit("--docs").unwrap_or(2_000);
+    let batch: usize = flags.parsed_or_exit("--batch").unwrap_or(64).max(1);
+    let out = flags.value("--out").unwrap_or("http_load").to_string();
+    let drain = flags.switch("--drain");
+    let addr: SocketAddr = flags
+        .parsed_or_exit("--addr")
+        .unwrap_or_else(|| FLAGS.usage_exit("--addr HOST:PORT is required"));
+    let mut acked_log = flags.value("--acked-log").map(|path| {
         std::fs::OpenOptions::new()
             .create(true)
             .append(true)
-            .open(&path)
+            .open(path)
             .unwrap_or_else(|e| die(format!("cannot open acked log {path}: {e}")))
     });
-
-    let addr: SocketAddr =
-        parsed(&args, "--addr").unwrap_or_else(|| die("--addr HOST:PORT is required"));
     println!("http_load: target http://{addr} ({queries} queries, {docs} docs x{batch})");
 
     let mut client = HttpClient::connect(addr).unwrap_or_else(|e| die(format!("connect: {e}")));

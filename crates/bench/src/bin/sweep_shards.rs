@@ -11,6 +11,9 @@
 //!     [--storage plain,compressed]
 //! ```
 //!
+//! Any other flag, a flag without its value, or a value (or list item)
+//! that does not parse exits 2 naming it ([`ctk_bench::cli`]).
+//!
 //! A `batch` cell publishes the measured stream through
 //! `publish_request(PublishRequest::from(chunk))` calls of `batch`
 //! documents each; every call sends each shard the chunk once and merges
@@ -42,6 +45,7 @@
 //! `compare_reports` binary. The writer refuses to clobber a report whose
 //! schema version it does not recognize.
 
+use ctk_bench::cli::{Flags, Spec};
 use ctk_bench::report::format_sig;
 use ctk_bench::{
     existing_report_schema, prepare, write_json_report, ExperimentConfig, Scale, Table,
@@ -93,47 +97,32 @@ struct SweepReport {
     cells: Vec<Cell>,
 }
 
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-}
-
-fn parse_list(s: &str) -> Vec<usize> {
-    s.split(',').filter_map(|p| p.trim().parse().ok()).collect()
-}
+const FLAGS: Spec = Spec {
+    program: "sweep_shards",
+    valued: &["--scale", "--queries", "--shards", "--batches", "--repeat", "--storage", "--docs"],
+    switches: &[],
+};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale = arg_value(&args, "--scale").and_then(|s| Scale::parse(&s)).unwrap_or(Scale::Laptop);
-    let query_counts: Vec<usize> = arg_value(&args, "--queries")
-        .map(|s| parse_list(&s))
-        .unwrap_or_else(|| vec![scale.query_counts()[scale.query_counts().len() / 2]]);
-    let shard_counts =
-        arg_value(&args, "--shards").map(|s| parse_list(&s)).unwrap_or_else(|| vec![1, 2, 4]);
-    let batch_sizes =
-        arg_value(&args, "--batches").map(|s| parse_list(&s)).unwrap_or_else(|| vec![1, 64, 256]);
-    let repeat: usize =
-        arg_value(&args, "--repeat").and_then(|s| s.parse().ok()).unwrap_or(1).max(1);
-    let storages: Vec<PostingsStorage> = match arg_value(&args, "--storage") {
-        None => vec![PostingsStorage::Plain],
-        Some(s) => match s.split(',').map(|p| p.trim().parse()).collect() {
-            Ok(list) => list,
-            Err(e) => {
-                eprintln!("sweep_shards: {e}");
-                std::process::exit(2);
-            }
-        },
+    let flags = Flags::from_env(FLAGS);
+    let scale = match flags.value("--scale") {
+        None => Scale::Laptop,
+        Some(s) => Scale::parse(s)
+            .unwrap_or_else(|| FLAGS.usage_exit(&format!("bad value {s:?} for --scale"))),
     };
-    let measured_docs: usize =
-        arg_value(&args, "--docs").and_then(|s| s.parse().ok()).unwrap_or(match scale {
-            Scale::Smoke => 2_000,
-            Scale::Laptop => 8_000,
-            Scale::Full => 20_000,
-        });
-    if query_counts.is_empty() {
-        eprintln!("sweep_shards: --queries needs at least one population");
-        std::process::exit(2);
-    }
-
+    let query_counts: Vec<usize> = flags
+        .list_or_exit("--queries")
+        .unwrap_or_else(|| vec![scale.query_counts()[scale.query_counts().len() / 2]]);
+    let shard_counts = flags.list_or_exit("--shards").unwrap_or_else(|| vec![1, 2, 4]);
+    let batch_sizes = flags.list_or_exit("--batches").unwrap_or_else(|| vec![1, 64, 256]);
+    let repeat: usize = flags.parsed_or_exit("--repeat").unwrap_or(1).max(1);
+    let storages: Vec<PostingsStorage> =
+        flags.list_or_exit("--storage").unwrap_or_else(|| vec![PostingsStorage::Plain]);
+    let measured_docs: usize = flags.parsed_or_exit("--docs").unwrap_or(match scale {
+        Scale::Smoke => 2_000,
+        Scale::Laptop => 8_000,
+        Scale::Full => 20_000,
+    });
     // Never clobber a report written in a format this binary does not
     // understand (e.g. by a newer checkout) — regeneration must be a
     // conscious `rm`, not a silent downgrade.

@@ -10,7 +10,9 @@
 //!   measured stream)` triple;
 //! * [`engines`] — a factory constructing any algorithm by name;
 //! * [`runner`] — registers, warms up, then times `process` per event;
-//! * [`report`] — markdown / CSV / JSON emission into `results/`.
+//! * [`report`] — markdown / CSV / JSON emission into `results/`;
+//! * [`cli`] — the strict `--flag value` parser of the binaries that take
+//!   flags beyond `--scale`.
 //!
 //! Binaries (`src/bin/*.rs`): `fig1`, `optimality`, `ablation_zonemax`,
 //! `sweep_k`, `sweep_lambda`, `sweep_doclen`, `sweep_shards` (sharded
@@ -20,6 +22,7 @@
 //! and `http_load` (the wire-level publish path against a daemon).
 //! Criterion micro-benches live in `benches/`.
 
+pub mod cli;
 pub mod config;
 pub mod engines;
 pub mod report;

@@ -165,7 +165,7 @@ use crate::topk::normalize;
 use crate::traits::{ContinuousTopK, ResultChange};
 use ctk_common::{Document, QueryId, QuerySpec, ScoredDoc};
 use ctk_index::{
-    BlockMax, MaxSegTree, QueryIndex, StorageConfig, StorageStats, SuffixMax, ZoneMax,
+    growth, BlockMax, MaxSegTree, QueryIndex, StorageConfig, StorageStats, SuffixMax, ZoneMax,
 };
 
 /// MRIO with a segment-tree zone index (the default, exact variant).
@@ -179,7 +179,8 @@ pub type MrioSuffix = Mrio<SuffixMax>;
 pub struct Mrio<Z: ZoneMax> {
     base: EngineBase,
     index: QueryIndex,
-    /// One zone structure per postings list; position-aligned with the list.
+    /// One zone structure per postings list; position-aligned with the
+    /// list. Grows by the index's rule, like the list table it mirrors.
     zones: Vec<Z>,
     cursors: CursorSet,
     window: Window,
@@ -622,6 +623,7 @@ impl<Z: ZoneMax + Default> ContinuousTopK for Mrio<Z> {
         self.base.push_state(spec.k as u32);
         // New lists may have been created; keep zones aligned.
         while self.zones.len() < self.index.num_lists() {
+            growth::reserve_one(&mut self.zones);
             self.zones.push(Z::default());
         }
         // Append the new postings' u values (positions align by append order
@@ -739,7 +741,13 @@ impl<Z: ZoneMax + Default> ContinuousTopK for Mrio<Z> {
     }
 
     fn storage_stats(&self) -> StorageStats {
-        StorageStats { blocks_decoded: self.cursors.blocks_decoded(), ..self.index.storage_stats() }
+        let zone_bytes = self.zones.capacity() * std::mem::size_of::<Z>()
+            + self.zones.iter().map(Z::heap_bytes).sum::<usize>();
+        StorageStats {
+            zone_bytes: zone_bytes as u64,
+            blocks_decoded: self.cursors.blocks_decoded(),
+            ..self.index.storage_stats()
+        }
     }
 }
 

@@ -125,6 +125,10 @@ impl ZoneMax for BlockMax {
         }
         self.global = self.block_max.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     }
+
+    fn heap_bytes(&self) -> usize {
+        (self.vals.capacity() + self.block_max.capacity()) * std::mem::size_of::<f64>()
+    }
 }
 
 #[cfg(test)]

@@ -10,8 +10,10 @@
 //!   "identifier-ordering paradigm" the paper adapts to query indexing);
 //! * [`query_index`] — the registry mapping terms → lists and queries →
 //!   their postings, with tombstone deletion and compaction;
+//! * [`growth`] — the one growth rule of every per-list and per-query
+//!   table: doubling up to a small chunk, then whole chunks;
 //! * [`store`] — the postings-storage seam: the [`PostingsStore`] trait
-//!   with plain (Vec-backed) and compressed (sealed blocks) backends
+//!   with plain (uncompressed slices) and compressed (sealed blocks) backends
 //!   selected by [`StorageConfig`];
 //! * [`max_tracker`] — exact per-list maxima of `w/S_k` under lazy
 //!   (versioned-heap) maintenance, used by RIO's global bounds (Eq. 2);
@@ -25,6 +27,7 @@
 //! every algorithm in `ctk-core` and `ctk-baselines`.
 
 pub mod block_max;
+pub mod growth;
 pub mod impact_lists;
 pub mod max_tracker;
 pub mod postings;
@@ -35,6 +38,8 @@ pub mod suffix_max;
 pub mod zone;
 
 pub use block_max::BlockMax;
+/// The compressed backend's list type, which [`ListRef::Compressed`] hands out.
+pub use ctk_storage::CompressedList;
 pub use impact_lists::{ImpactList, WeightOrderedList};
 pub use max_tracker::VersionedMaxTracker;
 pub use postings::{Posting, PostingsList};

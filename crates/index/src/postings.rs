@@ -7,7 +7,9 @@
 //! zone structures cache positions. Deletion tombstones the slot (weight 0);
 //! compaction is handled by [`crate::query_index::QueryIndex`].
 
+use crate::growth;
 use ctk_common::QueryId;
+use ctk_storage::Slots;
 
 /// One entry of an ID-ordered list.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,11 +27,19 @@ impl Posting {
     }
 }
 
+/// What the unused capacity of a list holds.
+const VACANT: Posting = Posting { qid: QueryId(0), weight: 0.0 };
+
 /// A postings list sorted by ascending query id.
+///
+/// 24 bytes: the slots (one posting inline, more in a boxed slice whose
+/// length is the capacity, see [`Slots`]) and two `u32` counts. Lists hold
+/// query ids, so no count exceeds `u32`.
 #[derive(Debug, Clone, Default)]
 pub struct PostingsList {
-    entries: Vec<Posting>,
-    tombstones: usize,
+    slots: Slots<Posting>,
+    len: u32,
+    tombstones: u32,
 }
 
 impl PostingsList {
@@ -40,40 +50,45 @@ impl PostingsList {
     /// Number of slots, including tombstones.
     #[inline]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len as usize
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Number of tombstoned slots.
     #[inline]
     pub fn tombstones(&self) -> usize {
-        self.tombstones
+        self.tombstones as usize
     }
 
     /// Number of live postings.
     #[inline]
     pub fn live(&self) -> usize {
-        self.entries.len() - self.tombstones
+        (self.len - self.tombstones) as usize
     }
 
     #[inline]
     pub fn get(&self, pos: usize) -> Posting {
-        self.entries[pos]
+        self.as_slice()[pos]
     }
 
+    /// The slots in position order.
     #[inline]
     pub fn as_slice(&self) -> &[Posting] {
-        &self.entries
+        &self.slots.all()[..self.len as usize]
     }
 
-    /// Allocated slots (the `Vec`'s capacity) — what heap accounting counts.
+    /// Allocated slots — what heap accounting counts. A single posting is
+    /// held inline and allocates none.
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.entries.capacity()
+        match self.slots {
+            Slots::One(_) => 0,
+            Slots::Heap(ref slots) => slots.len(),
+        }
     }
 
     /// Append an entry. `qid` must exceed every id already present, and
@@ -84,47 +99,58 @@ impl PostingsList {
     /// `QueryIndex::register` rejects non-positive weights), which keeps
     /// this a debug-only check on the hot append path.
     ///
-    /// Capacity grows 1 → 2 → 4 → doubling: most lists hold a single
-    /// posting, and `Vec`'s own first allocation would reserve four.
+    /// The first posting is held inline; the second moves both to a heap
+    /// slice of two, which then grows by the index's one rule
+    /// ([`crate::growth`]): doubling, then whole chunks.
     pub fn push(&mut self, qid: QueryId, weight: f32) {
         debug_assert!(weight > 0.0);
         debug_assert!(
-            self.entries.last().is_none_or(|p| p.qid < qid),
+            self.as_slice().last().is_none_or(|p| p.qid < qid),
             "postings must stay ID-ordered"
         );
-        if self.entries.len() == self.entries.capacity() {
-            self.entries.reserve_exact(self.entries.capacity().max(1));
+        let (len, posting) = (self.len as usize, Posting { qid, weight });
+        if len == 0 {
+            self.slots = Slots::One(posting);
+        } else {
+            if len == self.capacity().max(1) {
+                let mut grown = vec![VACANT; growth::next_capacity(len)];
+                grown[..len].copy_from_slice(self.as_slice());
+                self.slots = Slots::Heap(grown.into_boxed_slice());
+            }
+            self.slots.all_mut()[len] = posting;
         }
-        self.entries.push(Posting { qid, weight });
+        self.len += 1;
     }
 
     /// Tombstone the slot at `pos`. Position stays valid (stable positions
     /// are what the zone structures index by).
     pub fn tombstone(&mut self, pos: usize) {
-        if !self.entries[pos].is_tombstone() {
-            self.entries[pos].weight = 0.0;
+        let slot = &mut self.slots.all_mut()[..self.len as usize][pos];
+        if !slot.is_tombstone() {
+            slot.weight = 0.0;
             self.tombstones += 1;
         }
     }
 
     /// Binary-search the position of `qid`, if present (tombstoned or not).
     pub fn position_of(&self, qid: QueryId) -> Option<usize> {
-        self.entries.binary_search_by_key(&qid, |p| p.qid).ok()
+        self.as_slice().binary_search_by_key(&qid, |p| p.qid).ok()
     }
 
     /// First position `>= from` whose query id is `>= target`, using
     /// galloping (exponential) search — the "jump" primitive of the
     /// ID-ordering paradigm. Returns `len()` when exhausted.
     pub fn seek(&self, from: usize, target: QueryId) -> usize {
-        let n = self.entries.len();
-        if from >= n || self.entries[from].qid >= target {
+        let entries = self.as_slice();
+        let n = entries.len();
+        if from >= n || entries[from].qid >= target {
             return from.min(n);
         }
         // Gallop: bracket the answer in (from + step/2, from + step].
         let mut step = 1usize;
         let mut prev = from;
         let mut probe = from + 1;
-        while probe < n && self.entries[probe].qid < target {
+        while probe < n && entries[probe].qid < target {
             prev = probe;
             step <<= 1;
             probe = from + step;
@@ -134,7 +160,7 @@ impl PostingsList {
         let (mut lo, mut hi) = (prev + 1, hi);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if self.entries[mid].qid < target {
+            if entries[mid].qid < target {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -146,8 +172,9 @@ impl PostingsList {
     /// First **live** position `>= pos`, or `len()`.
     #[inline]
     pub fn next_live(&self, pos: usize) -> usize {
-        let mut pos = pos.min(self.entries.len());
-        while pos < self.entries.len() && self.entries[pos].is_tombstone() {
+        let entries = self.as_slice();
+        let mut pos = pos.min(entries.len());
+        while pos < entries.len() && entries[pos].is_tombstone() {
             pos += 1;
         }
         pos
@@ -158,18 +185,28 @@ impl PostingsList {
         self.next_live(self.seek(from, target))
     }
 
-    /// Drop tombstones, returning the surviving postings in order.
+    /// Drop tombstones, returning the surviving postings in order. The
+    /// survivors are refitted: inline when one is left, else into a slice
+    /// of the capacity the rule reaches for them.
     pub fn compact(&mut self) -> &[Posting] {
         if self.tombstones > 0 {
-            self.entries.retain(|p| !p.is_tombstone());
+            let mut survivors: Vec<Posting> = self.iter_live().collect();
+            self.len = survivors.len() as u32;
             self.tombstones = 0;
+            self.slots = match survivors.len() {
+                0 | 1 => Slots::from_slice(&survivors),
+                n => {
+                    survivors.resize(growth::fitted_capacity(n), VACANT);
+                    Slots::Heap(survivors.into_boxed_slice())
+                }
+            };
         }
-        &self.entries
+        self.as_slice()
     }
 
     /// Iterate live postings.
     pub fn iter_live(&self) -> impl Iterator<Item = Posting> + '_ {
-        self.entries.iter().copied().filter(|p| !p.is_tombstone())
+        self.as_slice().iter().copied().filter(|p| !p.is_tombstone())
     }
 }
 

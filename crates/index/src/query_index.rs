@@ -20,10 +20,12 @@
 //! record is always one contiguous slice; unregistration strands its
 //! entries until compaction rebuilds the arena.
 //!
-//! The slot table and the arena's first chunk double up to their chunk
-//! size and then grow in exact chunks, so a few hundred queries pay for a
-//! few hundred slots, and hundreds of thousands pay no doubling slack.
+//! The slot table, the arena and the list → term table grow by the index's
+//! one rule ([`crate::growth`]): doubling up to a chunk, then whole chunks.
+//! So a few hundred queries pay for a few hundred slots, and hundreds of
+//! thousands pay no doubling slack.
 
+use crate::growth::{self, GROWTH_CHUNK};
 use crate::store::{ListRef, Lists, StorageConfig, StorageStats};
 use ctk_common::{FxHashMap, QueryId, SparseVector, TermId};
 
@@ -77,19 +79,13 @@ struct PackedSlot {
 
 const DEAD_SLOT: u32 = u32::MAX;
 
-/// Entries per arena chunk. Chunk `c` owns offsets `[c·CHUNK, c·CHUNK+len)`;
-/// a record never spans chunks, so a record whose entries don't fit in the
-/// current chunk's remainder starts a fresh one (a record larger than
-/// `ARENA_CHUNK` gets a dedicated oversized chunk — its offset is the chunk
-/// base, and nothing else allocates there). The first chunk doubles up to
-/// this size; later ones are allocated whole.
-const ARENA_CHUNK: usize = 4096;
-
-/// Slots past which the slot table (one slot per query ever registered)
-/// stops doubling and grows in exact steps of this size: at hundreds of
-/// thousands of queries the doubling slack alone is megabytes.
-const SLOTS_CHUNK: usize = 4096;
-
+/// The arena is cut into chunks of [`GROWTH_CHUNK`] entries: chunk `c` owns
+/// offsets `[c·CHUNK, c·CHUNK+len)`. A record never spans chunks, so a
+/// record whose entries don't fit in the current chunk's remainder starts a
+/// fresh one (a record larger than a chunk gets a dedicated oversized chunk
+/// — its offset is the chunk base, and nothing else allocates there). The
+/// first chunk doubles up to a whole chunk; later ones are allocated whole,
+/// so the arena as a whole grows by the rule.
 #[derive(Debug, Default)]
 struct PackedArena {
     slots: Vec<PackedSlot>,
@@ -104,31 +100,29 @@ impl PackedArena {
     /// the first, which the caller pushes onto the last chunk.
     fn alloc(&mut self, n: usize) -> u32 {
         match self.chunks.last_mut() {
-            Some(c) if c.len() + n <= ARENA_CHUNK => {
+            Some(c) if c.len() + n <= GROWTH_CHUNK => {
                 if c.len() + n > c.capacity() {
-                    let cap = (2 * c.capacity()).clamp(c.len() + n, ARENA_CHUNK);
+                    let cap = growth::next_capacity(c.capacity()).max(c.len() + n);
                     c.reserve_exact(cap - c.len());
                 }
             }
             last => {
-                let cap = if last.is_none() { n } else { n.max(ARENA_CHUNK) };
+                let cap = if last.is_none() { n } else { n.max(GROWTH_CHUNK) };
                 self.chunks.push(Vec::with_capacity(cap));
             }
         }
         let chunk = self.chunks.len() - 1;
-        ((chunk * ARENA_CHUNK) + self.chunks[chunk].len()) as u32
+        ((chunk * GROWTH_CHUNK) + self.chunks[chunk].len()) as u32
     }
 
     fn push_slot(&mut self, slot: PackedSlot) {
-        if self.slots.len() == self.slots.capacity() {
-            self.slots.reserve_exact(self.slots.capacity().clamp(1, SLOTS_CHUNK));
-        }
+        growth::reserve_one(&mut self.slots);
         self.slots.push(slot);
     }
 
     fn entries(&self, slot: PackedSlot) -> &[PackedEntry] {
         let (chunk, start) =
-            (slot.offset as usize / ARENA_CHUNK, slot.offset as usize % ARENA_CHUNK);
+            (slot.offset as usize / GROWTH_CHUNK, slot.offset as usize % GROWTH_CHUNK);
         &self.chunks[chunk][start..start + slot.len as usize]
     }
 
@@ -151,7 +145,7 @@ impl PackedArena {
                 continue;
             }
             let (chunk, start) =
-                (slot.offset as usize / ARENA_CHUNK, slot.offset as usize % ARENA_CHUNK);
+                (slot.offset as usize / GROWTH_CHUNK, slot.offset as usize % GROWTH_CHUNK);
             let offset = self.alloc(slot.len as usize);
             let dst = self.chunks.last_mut().expect("alloc pushed a chunk");
             dst.extend_from_slice(&old[chunk][start..start + slot.len as usize]);
@@ -239,7 +233,7 @@ impl Default for QueryIndex {
 }
 
 impl QueryIndex {
-    /// An index over plain (Vec-backed) postings lists, the default backend.
+    /// An index over plain (uncompressed) postings lists, the default backend.
     pub fn new() -> Self {
         Self::default()
     }
@@ -301,6 +295,7 @@ impl QueryIndex {
         for (term, weight) in postings() {
             let list = *self.term_map.entry(term).or_insert_with(|| {
                 self.lists.push_list();
+                growth::reserve_one(&mut self.list_terms);
                 self.list_terms.push(term);
                 (self.lists.len() - 1) as u32
             });
@@ -646,8 +641,10 @@ mod tests {
 
     /// `heap_bytes` is exactly the capacities of the allocations it names,
     /// and records cost 8 bytes per slot and per term plus at most the
-    /// doubling slack — at 300 queries, without a whole chunk's worth of
-    /// slots or entries.
+    /// doubling slack. The slot table and the list → term table hold the
+    /// capacity the growth rule reaches for their populations, and the
+    /// arena less than a chunk beyond its entries and the ends of chunks
+    /// a record did not fit in.
     #[test]
     fn heap_bytes_counts_capacities_and_records_fit_the_population() {
         for cfg in all_configs() {
@@ -680,11 +677,15 @@ mod tests {
 
                 let exact = 8 * (n as usize + terms);
                 assert!(records <= 2 * exact, "{cfg:?} at {n}: {records} B of records for {exact}");
-                if n == 300 {
-                    assert!(a.slots.capacity() < SLOTS_CHUNK, "{cfg:?}: a full slot table");
-                    assert_eq!(a.chunks.len(), 1);
-                    assert!(a.chunks[0].capacity() < ARENA_CHUNK, "{cfg:?}: a full chunk");
-                }
+                assert_eq!(a.slots.capacity(), growth::fitted_capacity(n as usize), "{cfg:?}");
+                assert_eq!(
+                    ix.list_terms.capacity(),
+                    growth::fitted_capacity(ix.num_lists()),
+                    "{cfg:?}"
+                );
+                let entries: usize = a.chunks.iter().map(|c| c.capacity()).sum();
+                let ends = 5 * (a.chunks.len() - 1); // a record holds at most 6 terms
+                assert!(entries < terms + ends + GROWTH_CHUNK, "{cfg:?} at {n}: {entries}");
             }
         }
     }

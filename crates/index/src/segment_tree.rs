@@ -2,25 +2,61 @@
 //!
 //! This is the "exact" implementation of MRIO's zone bound `UB*`: point
 //! updates and range queries are both O(log n), and appends are amortized
-//! O(log n) (capacity doubles like a `Vec`). Tombstones are point updates to
-//! `-inf`, so they never contribute to a zone bound.
+//! O(log n). Tombstones are point updates to `-inf`, so they never
+//! contribute to a zone bound.
+//!
+//! **Layout.** The classic bottom-up tree: with capacity `cap`, leaves are
+//! nodes `cap..2·cap` and internal node `i` is the maximum of `2i` and
+//! `2i+1`. That is correct for any capacity, so the capacity grows by the
+//! index's one rule ([`crate::growth`]) rather than to powers of two. Node 0
+//! belongs to no subtree; it holds the length. A list of one posting needs
+//! no tree — its maximum is its leaf — so a tree of length 0 or 1 owns no
+//! heap, and the whole struct is 16 bytes.
 
+use crate::growth;
 use crate::zone::ZoneMax;
 
 /// Iterative segment tree over `len` values with range-max queries.
 #[derive(Debug, Clone)]
 pub struct MaxSegTree {
-    /// `tree[cap..cap+len]` are the leaves; internal node `i` covers
-    /// `2i`/`2i+1`. Unused slots hold `-inf`.
-    tree: Vec<f64>,
-    cap: usize,
-    len: usize,
+    nodes: Nodes,
+}
+
+#[derive(Debug, Clone)]
+enum Nodes {
+    /// A tree of length 1: the one leaf.
+    Leaf(f64),
+    /// `2·cap` nodes (see module docs), `cap >= 2`; empty for length 0.
+    /// Unused leaves hold `-inf`.
+    Tree(Box<[f64]>),
 }
 
 impl Default for MaxSegTree {
     fn default() -> Self {
-        MaxSegTree { tree: vec![f64::NEG_INFINITY; 2], cap: 1, len: 0 }
+        MaxSegTree { nodes: Nodes::Tree(Box::default()) }
     }
+}
+
+/// The nodes of a tree of capacity `cap >= 2` over `leaves`.
+fn build(leaves: &[f64], cap: usize) -> Box<[f64]> {
+    debug_assert!(cap >= 2 && leaves.len() <= cap);
+    let mut nodes = vec![f64::NEG_INFINITY; 2 * cap];
+    nodes[cap..cap + leaves.len()].copy_from_slice(leaves);
+    for i in (1..cap).rev() {
+        nodes[i] = nodes[2 * i].max(nodes[2 * i + 1]);
+    }
+    set_len(&mut nodes, leaves.len());
+    nodes.into_boxed_slice()
+}
+
+#[inline]
+fn tree_len(nodes: &[f64]) -> usize {
+    nodes.first().map_or(0, |n| n.to_bits() as usize)
+}
+
+#[inline]
+fn set_len(nodes: &mut [f64], len: usize) {
+    nodes[0] = f64::from_bits(len as u64);
 }
 
 impl MaxSegTree {
@@ -34,46 +70,42 @@ impl MaxSegTree {
         t.rebuild(vals);
         t
     }
-
-    fn grow_to(&mut self, min_cap: usize) {
-        let mut cap = self.cap;
-        while cap < min_cap {
-            cap *= 2;
-        }
-        if cap == self.cap {
-            return;
-        }
-        let mut tree = vec![f64::NEG_INFINITY; 2 * cap];
-        tree[cap..cap + self.len].copy_from_slice(&self.tree[self.cap..self.cap + self.len]);
-        for i in (1..cap).rev() {
-            tree[i] = tree[2 * i].max(tree[2 * i + 1]);
-        }
-        self.tree = tree;
-        self.cap = cap;
-    }
 }
 
 impl ZoneMax for MaxSegTree {
     fn append(&mut self, u: f64) {
-        if self.len == self.cap {
-            self.grow_to(self.cap * 2);
+        match &mut self.nodes {
+            Nodes::Leaf(v) => self.nodes = Nodes::Tree(build(&[*v, u], 2)),
+            Nodes::Tree(nodes) if nodes.is_empty() => self.nodes = Nodes::Leaf(u),
+            Nodes::Tree(nodes) => {
+                let (len, cap) = (tree_len(nodes), nodes.len() / 2);
+                if len == cap {
+                    *nodes = build(&nodes[cap..], growth::next_capacity(cap));
+                }
+                set_len(nodes, len + 1);
+                self.update(len, u);
+            }
         }
-        let pos = self.len;
-        self.len += 1;
-        self.update(pos, u);
     }
 
     fn update(&mut self, pos: usize, u: f64) {
-        assert!(pos < self.len, "segment tree update out of bounds");
-        let mut i = self.cap + pos;
-        self.tree[i] = u;
+        assert!(pos < self.len(), "segment tree update out of bounds");
+        let tree = match &mut self.nodes {
+            Nodes::Leaf(v) => {
+                *v = u;
+                return;
+            }
+            Nodes::Tree(nodes) => nodes,
+        };
+        let mut i = tree.len() / 2 + pos;
+        tree[i] = u;
         i /= 2;
         while i >= 1 {
-            let m = self.tree[2 * i].max(self.tree[2 * i + 1]);
-            if self.tree[i] == m {
+            let m = tree[2 * i].max(tree[2 * i + 1]);
+            if tree[i] == m {
                 break; // ancestors unchanged
             }
-            self.tree[i] = m;
+            tree[i] = m;
             if i == 1 {
                 break;
             }
@@ -81,49 +113,72 @@ impl ZoneMax for MaxSegTree {
         }
     }
 
-    /// The leaves first, then every node above `[lo, hi)` once, level by
-    /// level: about `hi − lo` node refreshes for the whole run where one
-    /// [`ZoneMax::update`] per write walks `log n` nodes each. Every node is
-    /// the exact maximum of its children either way, so the trees are equal.
+    /// The leaves first, then every node above `[lo, hi)` once per level
+    /// of halving: about `hi − lo` node refreshes for the whole run where
+    /// one [`ZoneMax::update`] per write walks `log n` nodes each. Every
+    /// node is the exact maximum of its children either way, so the trees
+    /// are equal. Below a capacity that is not a power of two the leaves
+    /// sit at two depths; a node is then refreshed again a level later
+    /// than a child that was still stale, and the halving runs until the
+    /// root.
     fn update_run(&mut self, lo: usize, hi: usize, writes: &[(usize, f64)]) {
-        assert!(hi <= self.len, "segment tree run out of bounds");
+        assert!(hi <= self.len(), "segment tree run out of bounds");
         if lo >= hi {
             return;
         }
+        let tree = match &mut self.nodes {
+            Nodes::Leaf(v) => {
+                if let Some(&(_, u)) = writes.last() {
+                    *v = u;
+                }
+                return;
+            }
+            Nodes::Tree(nodes) => nodes,
+        };
+        let cap = tree.len() / 2;
         for &(pos, u) in writes {
             debug_assert!((lo..hi).contains(&pos));
-            self.tree[self.cap + pos] = u;
+            tree[cap + pos] = u;
         }
-        let (mut l, mut r) = (self.cap + lo, self.cap + hi - 1);
-        while l > 1 {
-            (l, r) = (l / 2, r / 2);
+        let (mut l, mut r) = (cap + lo, cap + hi - 1);
+        while r > 1 {
+            (l, r) = ((l / 2).max(1), r / 2);
             for i in l..=r {
-                self.tree[i] = self.tree[2 * i].max(self.tree[2 * i + 1]);
+                tree[i] = tree[2 * i].max(tree[2 * i + 1]);
             }
         }
     }
 
     #[inline]
     fn value_at(&self, pos: usize) -> f64 {
-        debug_assert!(pos < self.len);
-        self.tree[self.cap + pos]
+        debug_assert!(pos < self.len());
+        match &self.nodes {
+            Nodes::Leaf(v) => *v,
+            Nodes::Tree(nodes) => nodes[nodes.len() / 2 + pos],
+        }
     }
 
     fn range_max(&mut self, lo: usize, hi: usize) -> f64 {
-        let (lo, hi) = (lo.min(self.len), hi.min(self.len));
+        let len = self.len();
+        let (lo, hi) = (lo.min(len), hi.min(len));
         if lo >= hi {
             return f64::NEG_INFINITY;
         }
+        let tree = match &self.nodes {
+            Nodes::Leaf(v) => return *v,
+            Nodes::Tree(nodes) => nodes,
+        };
+        let cap = tree.len() / 2;
         let mut best = f64::NEG_INFINITY;
-        let (mut l, mut r) = (self.cap + lo, self.cap + hi);
+        let (mut l, mut r) = (cap + lo, cap + hi);
         while l < r {
             if l & 1 == 1 {
-                best = best.max(self.tree[l]);
+                best = best.max(tree[l]);
                 l += 1;
             }
             if r & 1 == 1 {
                 r -= 1;
-                best = best.max(self.tree[r]);
+                best = best.max(tree[r]);
             }
             l /= 2;
             r /= 2;
@@ -132,27 +187,34 @@ impl ZoneMax for MaxSegTree {
     }
 
     fn global_max(&mut self) -> f64 {
-        if self.len == 0 {
-            f64::NEG_INFINITY
-        } else {
-            self.tree[1]
+        match &self.nodes {
+            Nodes::Leaf(v) => *v,
+            Nodes::Tree(nodes) if nodes.is_empty() => f64::NEG_INFINITY,
+            Nodes::Tree(nodes) => nodes[1],
         }
     }
 
+    #[inline]
     fn len(&self) -> usize {
-        self.len
+        match &self.nodes {
+            Nodes::Leaf(_) => 1,
+            Nodes::Tree(nodes) => tree_len(nodes),
+        }
     }
 
     fn rebuild(&mut self, vals: &[f64]) {
-        let cap = vals.len().next_power_of_two().max(1);
-        let mut tree = vec![f64::NEG_INFINITY; 2 * cap];
-        tree[cap..cap + vals.len()].copy_from_slice(vals);
-        for i in (1..cap).rev() {
-            tree[i] = tree[2 * i].max(tree[2 * i + 1]);
+        self.nodes = match *vals {
+            [] => Nodes::Tree(Box::default()),
+            [v] => Nodes::Leaf(v),
+            _ => Nodes::Tree(build(vals, growth::fitted_capacity(vals.len()))),
+        };
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match &self.nodes {
+            Nodes::Leaf(_) => 0,
+            Nodes::Tree(nodes) => std::mem::size_of_val::<[f64]>(nodes),
         }
-        self.tree = tree;
-        self.cap = cap;
-        self.len = vals.len();
     }
 }
 

@@ -3,7 +3,7 @@
 //!
 //! Two backends, one read/write contract:
 //!
-//! * [`PostingsStorage::Plain`] — the Vec-backed [`PostingsList`]; the
+//! * [`PostingsStorage::Plain`] — the uncompressed [`PostingsList`]; the
 //!   default, and the layout every result must stay bit-identical to.
 //! * [`PostingsStorage::Compressed`] — [`CompressedList`]: sealed
 //!   delta + bit-packed blocks (raw f32 weights, so reads are lossless)
@@ -29,9 +29,10 @@
 //! answer from the decoded block under the reader —
 //! no shared cache, no lock, no thread-local — and decode every sealed
 //! block at most once per reader per event. For a plain list the slot is
-//! empty and the same calls read the `Vec` in place, so the engines are
+//! empty and the same calls read the slice in place, so the engines are
 //! written once against this API and never ask which backend they are on.
 
+use crate::growth;
 use crate::postings::{Posting, PostingsList};
 use ctk_common::QueryId;
 use ctk_storage::{BlockCursor, CompressedList, StoreContext};
@@ -43,7 +44,7 @@ const _: () = assert!(ctk_storage::BLOCK_LEN == crate::block_max::DEFAULT_BLOCK)
 /// Which postings layout a [`crate::QueryIndex`] uses (see module docs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum PostingsStorage {
-    /// Uncompressed `Vec`-backed lists.
+    /// Uncompressed lists.
     #[default]
     Plain,
     /// Compressed sealed blocks.
@@ -103,6 +104,11 @@ impl StorageConfig {
 pub struct StorageStats {
     /// Estimated heap bytes held by the index (lists + records + tables).
     pub index_bytes: u64,
+    /// Heap bytes of the engine's per-list zone structures (MRIO's zone
+    /// table and every structure in it, at capacity; 0 for an engine
+    /// without zones). Kept apart from `index_bytes`, so that figure stays
+    /// comparable with the index alone.
+    pub zone_bytes: u64,
     /// Always 0: nothing pages. Kept because the benchmark crate reads it
     /// (ROADMAP 13(c)).
     pub page_faults: u64,
@@ -118,6 +124,7 @@ impl StorageStats {
     /// Fold another index's counters into this one (sharded aggregation).
     pub fn merge(&mut self, other: &StorageStats) {
         self.index_bytes += other.index_bytes;
+        self.zone_bytes += other.zone_bytes;
         self.blocks_decoded += other.blocks_decoded;
     }
 }
@@ -529,18 +536,15 @@ impl BlockScratch {
 }
 
 /// The index's list table: one homogeneous `Vec` per backend, so each
-/// backend pays its own per-list footprint and nothing more.
+/// backend pays its own per-list footprint and nothing more. Both grow by
+/// the index's one rule ([`crate::growth`]): at hundreds of thousands of
+/// lists, doubling slack on the table itself would rival the postings it
+/// holds.
 #[derive(Debug)]
 pub(crate) enum Lists {
     Plain(Vec<PostingsList>),
     Compressed(Vec<CompressedList>),
 }
-
-/// Growth step, in lists, of the compressed table. The plain table keeps
-/// `Vec`'s doubling (the historical layout); the compressed backends grow
-/// in exact chunks instead — at hundreds of thousands of lists, doubling
-/// slack on the table itself would rival the postings it holds.
-const LISTS_CHUNK: usize = 1024;
 
 impl Lists {
     pub(crate) fn new(storage: PostingsStorage) -> Lists {
@@ -561,11 +565,12 @@ impl Lists {
     /// Append a fresh empty list.
     pub(crate) fn push_list(&mut self) {
         match self {
-            Lists::Plain(v) => v.push(PostingsList::new()),
+            Lists::Plain(v) => {
+                growth::reserve_one(v);
+                v.push(PostingsList::new());
+            }
             Lists::Compressed(v) => {
-                if v.len() == v.capacity() {
-                    v.reserve_exact(LISTS_CHUNK);
-                }
+                growth::reserve_one(v);
                 v.push(CompressedList::new());
             }
         }
@@ -689,6 +694,10 @@ mod tests {
         };
         assert_eq!(plain.heap_bytes(), plain_cap * std::mem::size_of::<PostingsList>());
         assert_eq!(comp.heap_bytes(), comp_cap * std::mem::size_of::<CompressedList>());
-        assert_eq!(comp_cap, LISTS_CHUNK, "compressed table grows in exact chunks");
+        assert_eq!(std::mem::size_of::<PostingsList>(), 24);
+        assert_eq!(std::mem::size_of::<CompressedList>(), 24);
+        for cap in [plain_cap, comp_cap] {
+            assert_eq!(cap, growth::fitted_capacity(100), "both tables grow by the one rule");
+        }
     }
 }

@@ -112,6 +112,10 @@ impl ZoneMax for SuffixMax {
         self.vals = vals.to_vec();
         self.rebuild_snapshot();
     }
+
+    fn heap_bytes(&self) -> usize {
+        (self.vals.capacity() + self.suffix.capacity()) * std::mem::size_of::<f64>()
+    }
 }
 
 #[cfg(test)]

@@ -61,6 +61,10 @@ pub trait ZoneMax {
 
     /// Replace the entire contents (compaction path).
     fn rebuild(&mut self, vals: &[f64]);
+
+    /// RAM bytes owned by the structure, every allocation at its capacity;
+    /// excludes `size_of::<Self>()` (the table holding it counts its slot).
+    fn heap_bytes(&self) -> usize;
 }
 
 /// Exhaustive reference implementation used in tests and as the correctness
@@ -96,6 +100,10 @@ impl ZoneMax for ScanZoneMax {
 
     fn rebuild(&mut self, vals: &[f64]) {
         self.vals = vals.to_vec();
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.vals.capacity() * std::mem::size_of::<f64>()
     }
 }
 

@@ -158,6 +158,9 @@ pub struct ServerStats {
     pub namespaces: Vec<NamespaceStats>,
     /// Estimated heap bytes of the query index(es), summed across shards.
     pub index_bytes: u64,
+    /// Heap bytes of MRIO's per-list zone structures, summed across
+    /// shards; not part of `index_bytes`.
+    pub zone_bytes: u64,
     /// Sealed postings blocks the walk decoded into its cursors, lifetime
     /// total (compressed storage only).
     pub blocks_decoded: u64,
@@ -442,6 +445,7 @@ impl Node {
             evicted,
             namespaces: self.backend.namespace_stats(),
             index_bytes: storage.index_bytes,
+            zone_bytes: storage.zone_bytes,
             blocks_decoded: storage.blocks_decoded,
             subscribers: self.subscribers.len(),
             events_delivered,

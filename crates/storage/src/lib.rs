@@ -10,6 +10,8 @@
 //!   sealed blocks plus an uncompressed tail, with liveness-word tombstones
 //!   and compaction as the re-compression point; forward readers decode
 //!   through their own [`BlockCursor`], everything else on the stack.
+//! * [`slots`] — [`Slots`]: a short list's slots, one of them inline, the
+//!   uncompressed tail here and a plain list's postings in `ctk-index`.
 //!
 //! `ctk-index` plugs [`CompressedList`] in behind its `PostingsStore` seam;
 //! this crate knows nothing about the index layer (it depends only on
@@ -17,6 +19,8 @@
 
 pub mod codec;
 pub mod list;
+pub mod slots;
 
 pub use codec::{decode_block, decode_ids, decode_slot, encode_block, seek_ids, Block, BLOCK_LEN};
 pub use list::{BlockCursor, CompressedList, StoreContext, Unsealed};
+pub use slots::Slots;

@@ -26,12 +26,14 @@
 //! **Memory layout.** Real-world term/query distributions are heavy-tailed:
 //! most lists hold a handful of postings and never seal a block, so the
 //! per-list *fixed* cost decides whether compression wins at all. The
-//! struct is therefore minimal — an exact-fit boxed-slice tail and an
-//! `Option<Box>` of sealed-side tables (`SealedState`, allocated on the
-//! first seal) — 24 bytes in release builds, *smaller* than a plain
-//! `Vec`-backed list's 32.
+//! struct is therefore minimal — an exact-fit tail that holds a single
+//! posting inline ([`Slots`]) and an `Option<Box>` of sealed-side tables
+//! (`SealedState`, allocated on the first seal) — 24 bytes, the size of a
+//! plain list's slot; and a list of one posting allocates nothing, so a
+//! short list never costs more compressed than plain.
 
 use crate::codec::{decode_block, decode_slot, encode_block, seek_ids, Block, BLOCK_LEN};
+use crate::slots::Slots;
 use ctk_common::is_tombstone_weight;
 
 /// The argument [`CompressedList::push`] still takes and ignores; it carries
@@ -167,13 +169,11 @@ impl BlockCursor {
 /// Compressed block postings with an uncompressed tail (see module docs).
 #[derive(Debug, Default)]
 pub struct CompressedList {
-    /// Exact-fit boxed slice (regrown one slot at a time — bounded by
-    /// [`BLOCK_LEN`], so reallocation cost is capped, and zero capacity
-    /// slack accumulates across tens of thousands of short lists).
-    tail: Box<[(u32, f32)]>,
+    /// Exact fit, one posting inline (regrown one slot at a time —
+    /// bounded by [`BLOCK_LEN`], so reallocation cost is capped, and zero
+    /// capacity slack accumulates across tens of thousands of short lists).
+    tail: Slots<(u32, f32)>,
     sealed: Option<Box<SealedState>>,
-    #[cfg(debug_assertions)]
-    last_qid: u32,
 }
 
 impl CompressedList {
@@ -190,7 +190,7 @@ impl CompressedList {
     /// Total slots, live + tombstoned.
     #[inline]
     pub fn len(&self) -> usize {
-        self.sealed_len() + self.tail.len()
+        self.sealed_len() + self.tail.all().len()
     }
 
     #[inline]
@@ -203,7 +203,7 @@ impl CompressedList {
     pub fn tombstones(&self) -> usize {
         let sealed_dead =
             self.sealed.as_ref().map_or(0, |s| s.blocks.len() * BLOCK_LEN - s.sealed_live as usize);
-        sealed_dead + self.tail.iter().filter(|&&(_, w)| is_tombstone_weight(w)).count()
+        sealed_dead + self.tail.all().iter().filter(|&&(_, w)| is_tombstone_weight(w)).count()
     }
 
     /// Live slots.
@@ -225,7 +225,7 @@ impl CompressedList {
             let s = self.sealed.as_ref().expect("sealed_len > 0");
             s.live_bits[pos / BLOCK_LEN] >> (pos % BLOCK_LEN) & 1 == 1
         } else {
-            !is_tombstone_weight(self.tail[pos - sealed].1)
+            !is_tombstone_weight(self.tail.all()[pos - sealed].1)
         }
     }
 
@@ -243,7 +243,7 @@ impl CompressedList {
                 (qid, 0.0)
             }
         } else {
-            self.tail[pos - sealed]
+            self.tail.all()[pos - sealed]
         }
     }
 
@@ -302,7 +302,7 @@ impl CompressedList {
             let blk = Self::enter(s, bc, pos / BLOCK_LEN);
             (blk.ids[pos % BLOCK_LEN], blk.weights[pos % BLOCK_LEN])
         } else {
-            self.tail[pos - sealed]
+            self.tail.all()[pos - sealed]
         }
     }
 
@@ -419,19 +419,23 @@ impl CompressedList {
     /// `_cx` is ignored: the benchmark crate still passes it (ROADMAP 13(c)).
     pub fn push(&mut self, qid: u32, weight: f32, _cx: &StoreContext) {
         debug_assert!(!is_tombstone_weight(weight), "zero-weight pushes would read as deleted");
-        #[cfg(debug_assertions)]
-        {
-            debug_assert!(self.is_empty() || qid > self.last_qid, "ids must be pushed in order");
-            self.last_qid = qid;
+        debug_assert!(
+            self.is_empty() || qid > self.get(self.len() - 1).0,
+            "ids must be pushed in order"
+        );
+        let tail = self.tail.all();
+        if tail.is_empty() {
+            self.tail = Slots::One((qid, weight));
+            return;
         }
-        let mut grown = Vec::with_capacity(self.tail.len() + 1);
-        grown.extend_from_slice(&self.tail);
+        let mut grown = Vec::with_capacity(tail.len() + 1);
+        grown.extend_from_slice(tail);
         grown.push((qid, weight));
         if grown.len() == BLOCK_LEN {
-            self.tail = Box::default();
+            self.tail = Slots::default();
             self.sealed_mut().seal_block(&grown);
         } else {
-            self.tail = grown.into_boxed_slice();
+            self.tail = Slots::Heap(grown.into_boxed_slice());
         }
     }
 
@@ -459,8 +463,7 @@ impl CompressedList {
                 s.sealed_live -= 1;
             }
         } else {
-            let slot = &mut self.tail[pos - sealed];
-            slot.1 = 0.0;
+            self.tail.all_mut()[pos - sealed].1 = 0.0;
         }
     }
 
@@ -468,7 +471,7 @@ impl CompressedList {
     /// exactly when [`Self::sealed_blocks`] is zero.
     #[inline]
     pub fn tail(&self) -> Unsealed<'_> {
-        Unsealed(&self.tail)
+        Unsealed(self.tail.all())
     }
 
     /// The one seek: first position `>= from` whose query id is `>= target`
@@ -534,7 +537,7 @@ impl CompressedList {
                     return pos + rest.trailing_zeros() as usize;
                 }
                 pos = (word + 1) * BLOCK_LEN;
-            } else if is_tombstone_weight(self.tail[pos - sealed].1) {
+            } else if is_tombstone_weight(self.tail.all()[pos - sealed].1) {
                 pos += 1;
             } else {
                 return pos;
@@ -564,7 +567,7 @@ impl CompressedList {
                 }
             }
         }
-        let i = self.tail.binary_search_by_key(&qid, |&(q, _)| q).ok()?;
+        let i = self.tail.all().binary_search_by_key(&qid, |&(q, _)| q).ok()?;
         Some(self.sealed_len() + i)
     }
 
@@ -579,7 +582,7 @@ impl CompressedList {
                 }
             }
         }
-        for &(q, w) in self.tail.iter() {
+        for &(q, w) in self.tail.all() {
             f(q, w);
         }
     }
@@ -600,7 +603,7 @@ impl CompressedList {
                 }
             }
         }
-        for &(q, w) in self.tail.iter() {
+        for &(q, w) in self.tail.all() {
             if !is_tombstone_weight(w) {
                 f(q, w);
             }
@@ -619,14 +622,14 @@ impl CompressedList {
         for chunk in &mut chunks {
             self.sealed_mut().seal_block(chunk);
         }
-        self.tail = Box::from(chunks.remainder());
+        self.tail = Slots::from_slice(chunks.remainder());
     }
 
     /// RAM bytes *owned* by this list — tables, tail, and every sealed
     /// block's payload. Excludes `size_of::<Self>()`: the container holding
     /// the list accounts for its slot, whatever it is embedded in.
     pub fn heap_bytes(&self) -> usize {
-        let mut bytes = self.tail.len() * std::mem::size_of::<(u32, f32)>();
+        let mut bytes = self.tail.heap_bytes();
         if let Some(s) = &self.sealed {
             bytes += std::mem::size_of::<SealedState>()
                 + s.blocks.capacity() * std::mem::size_of::<Box<[u8]>>()
@@ -713,15 +716,17 @@ mod tests {
     use super::*;
 
     /// The fixed footprint is the whole game for heavy-tailed term
-    /// distributions: a never-sealed list must cost *less* than a plain
-    /// `Vec`-backed one (16-byte boxed slice + 8-byte `Option<Box>` vs a
-    /// 24-byte `Vec` + tombstone counter).
+    /// distributions: a never-sealed list must cost no more than a plain
+    /// one (a 16-byte tail + an 8-byte `Option<Box>`, against a plain
+    /// list's 16-byte slots + two `u32` counts), and one posting is held
+    /// without an allocation.
     #[test]
     fn struct_stays_small() {
-        if !cfg!(debug_assertions) {
-            assert_eq!(std::mem::size_of::<CompressedList>(), 24);
-        }
+        assert_eq!(std::mem::size_of::<CompressedList>(), 24);
         assert!(CompressedList::new().heap_bytes() == 0, "empty list owns nothing");
+        let one = build(&[9]);
+        assert_eq!((one.heap_bytes(), one.get(0)), (0, (9, 9.5)), "one posting is inline");
+        assert_eq!(build(&[9, 12]).heap_bytes(), 16);
     }
 
     /// Plain mirror of the expected slot sequence.

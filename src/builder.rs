@@ -143,7 +143,7 @@ impl MonitorBuilder {
     /// [`PostingsStorage`]). Both backends are bit-identical on every
     /// read — the selection only moves the RAM footprint and throughput:
     ///
-    /// * [`PostingsStorage::Plain`] (default) — `Vec`-backed lists; the
+    /// * [`PostingsStorage::Plain`] (default) — uncompressed lists; the
     ///   fastest layout, and the baseline the compressed backend is
     ///   proptested against.
     /// * [`PostingsStorage::Compressed`] — sealed delta + bit-packed blocks

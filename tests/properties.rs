@@ -10,7 +10,10 @@
 //!    document streams, every pruning algorithm maintains results identical
 //!    to the exhaustive oracle (the paper's exactness claim, adversarially
 //!    sampled).
+//! 4. **Zone maxima** — the segment tree answers every read exactly as the
+//!    scan reference does, at any length and capacity.
 
+use continuous_topk::index::{zone::ScanZoneMax, MaxSegTree, ZoneMax};
 use continuous_topk::prelude::*;
 use ctk_baselines::{Rta, SortQuer, Tps};
 use proptest::prelude::*;
@@ -165,6 +168,124 @@ proptest! {
                     prop_assert!((x - y).abs() <= 1e-9 * x.abs().max(y.abs()).max(1.0));
                 }
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------- layer 4
+
+/// A zone value drawn from `(kind, a, b)`: the `-∞` tombstone, the `+∞`
+/// unfilled sentinel, or a finite bound.
+fn zone_value(kind: u8, a: u32, b: u32) -> f64 {
+    match kind {
+        0 => f64::NEG_INFINITY,
+        1 => f64::INFINITY,
+        _ => f64::from(a.wrapping_mul(2_654_435_761) ^ b.wrapping_mul(40_503)) / 7.0e6,
+    }
+}
+
+/// The kind of the `i`-th value of a run drawn with `kind`: mostly finite,
+/// so that writes move the maxima, with the odd sentinel among them.
+fn run_kind(kind: u8, i: u32) -> u8 {
+    if i % 29 == 3 {
+        kind
+    } else {
+        2
+    }
+}
+
+/// Every read of `tree` against `scan`, bit for bit: the length, each
+/// position's value, the global maximum, and the maxima of a few ranges —
+/// whole, first, last, empty, past the end and two drawn from `(a, b)`.
+fn zone_reads_agree(
+    tree: &mut MaxSegTree,
+    scan: &mut ScanZoneMax,
+    a: usize,
+    b: usize,
+) -> Result<(), String> {
+    let n = scan.len();
+    prop_assert_eq!(tree.len(), n);
+    for pos in 0..n {
+        prop_assert_eq!(tree.value_at(pos).to_bits(), scan.value_at(pos).to_bits(), "at {}", pos);
+    }
+    prop_assert_eq!(tree.global_max().to_bits(), scan.global_max().to_bits());
+    let (x, y) = (a % (n + 2), b % (n + 2));
+    let ranges = [
+        (0, n),
+        (0, 1),
+        (n.saturating_sub(1), n),
+        (x, x),
+        (n, n + 3),
+        (x.min(y), x.max(y)),
+        (x.min(y), n + 1),
+    ];
+    for (lo, hi) in ranges {
+        let (got, want) = (tree.range_max(lo, hi), scan.range_max(lo, hi));
+        prop_assert_eq!(got.to_bits(), want.to_bits(), "[{}, {}) of {}", lo, hi, n);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `MaxSegTree` against `ScanZoneMax` through random appends, point
+    /// updates, runs of updates and rebuilds. Lengths 0 and 1 (no tree at
+    /// all), and capacities on both sides of the growth rule's doubling
+    /// and chunked phases — powers of two and not — are all reached.
+    #[test]
+    fn segment_tree_reads_equal_the_scan_at_every_capacity(
+        start in prop::sample::select(vec![0usize, 1, 2, 3, 5, 255, 257, 513, 600, 768, 1025, 1300]),
+        ops in prop::collection::vec((0u8..10, 0u32..1 << 20, 0u32..1 << 20, 0u8..6), 1..40),
+    ) {
+        let vals: Vec<f64> = (0..start as u32).map(|i| zone_value(run_kind(0, i), i, 3)).collect();
+        let (mut tree, mut scan) = (MaxSegTree::from_values(&vals), ScanZoneMax::default());
+        scan.rebuild(&vals);
+        zone_reads_agree(&mut tree, &mut scan, 0, start)?;
+        let mut writes = Vec::new();
+        for (op, a, b, kind) in ops {
+            let n = scan.len();
+            match op {
+                0..=2 => {
+                    let u = zone_value(kind, a, b);
+                    tree.append(u);
+                    scan.append(u);
+                }
+                3 => {
+                    // A burst of appends, across the next capacity step.
+                    for i in 0..b % 300 {
+                        let u = zone_value(run_kind(kind, i), a, i);
+                        tree.append(u);
+                        scan.append(u);
+                    }
+                }
+                4 | 5 if n > 0 => {
+                    let (pos, u) = (a as usize % n, zone_value(kind, b, a));
+                    tree.update(pos, u);
+                    scan.update(pos, u);
+                }
+                6..=8 if n > 0 => {
+                    let (x, y) = (a as usize % n, b as usize % n);
+                    let (lo, hi) = (x.min(y), x.max(y) + 1);
+                    let step = 1 + (a as usize >> 10) % 5;
+                    writes.clear();
+                    for pos in (lo..hi).filter(|&p| p == lo || p + 1 == hi || (p - lo) % step == 0) {
+                        writes.push((pos, zone_value(run_kind(kind, pos as u32), a, pos as u32)));
+                    }
+                    tree.update_run(lo, hi, &writes);
+                    for &(pos, u) in &writes {
+                        scan.update(pos, u);
+                    }
+                }
+                _ => {
+                    let len = [0, 1, 2, a as usize % 1537][b as usize % 4];
+                    let vals: Vec<f64> =
+                        (0..len as u32).map(|i| zone_value(run_kind(kind, i), i, b)).collect();
+                    tree.rebuild(&vals);
+                    scan.rebuild(&vals);
+                }
+            }
+            zone_reads_agree(&mut tree, &mut scan, a as usize, b as usize)?;
         }
     }
 }

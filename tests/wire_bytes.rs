@@ -178,6 +178,7 @@ fn every_server_type_streams_the_bytes_its_tree_prints() {
                 NamespaceStats { namespace: "t\t1".to_string(), live: 1, expired: 1, evicted: 2 },
             ],
             index_bytes: 102_112,
+            zone_bytes: 87_040,
             blocks_decoded: 0,
             queue_capacity: 16,
             queue_depth: 0,
