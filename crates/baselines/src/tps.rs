@@ -80,12 +80,12 @@ impl ContinuousTopK for Tps {
             self.wmax.push(0.0);
             self.inv_sk.push(VersionedMaxTracker::new());
         }
-        if let Some(rec) = self.index.record(qid) {
-            for e in rec.entries() {
-                let li = e.list as usize;
-                if (e.weight as f64) > self.wmax[li] {
-                    self.wmax[li] = e.weight as f64;
-                }
+        // The weights come from the spec: the index keeps them only in the
+        // postings. A term without a list had no positive weight.
+        for (term, weight) in spec.vector.iter() {
+            if let Some(li) = self.index.list_of_term(term) {
+                let wmax = &mut self.wmax[li as usize];
+                *wmax = wmax.max(weight as f64);
             }
         }
         self.push_inv_sk(qid);

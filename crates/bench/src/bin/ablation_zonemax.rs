@@ -6,15 +6,11 @@
 //! cargo run -p ctk-bench --release --bin ablation_zonemax [-- --scale smoke|laptop]
 //! ```
 
-use ctk_bench::{make_engine, prepare, run_engine, write_csv, ExperimentConfig, Scale, Table};
+use ctk_bench::{make_engine, prepare, run_engine, write_csv, ExperimentConfig, Table};
 use ctk_stream::QueryWorkload;
 
 fn main() {
-    let scale = std::env::args()
-        .skip_while(|a| a != "--scale")
-        .nth(1)
-        .and_then(|s| Scale::parse(&s))
-        .unwrap_or(Scale::Laptop);
+    let scale = ctk_bench::cli::scale_from_env("ablation_zonemax");
 
     let variants = ["RIO", "MRIO", "MRIO-block", "MRIO-suffix"];
     for workload in [QueryWorkload::Uniform, QueryWorkload::Connected] {

@@ -11,45 +11,24 @@
 //! cells = mean ms/event) plus the paper's §IV speedup claim (MRIO vs TPS /
 //! SortQuer / RTA), and writes `results/fig1_<workload>.{csv,json}`.
 
+use ctk_bench::cli::{Flags, Spec};
 use ctk_bench::{
     make_engine, prepare, run_engine, write_csv, write_json, ExperimentConfig, RunResult, Scale,
     Table, PAPER_ALGOS,
 };
 use ctk_stream::QueryWorkload;
 
+const FLAGS: Spec = Spec { program: "fig1", valued: &["--scale", "--workload"], switches: &[] };
+
 fn parse_args() -> (Scale, Vec<QueryWorkload>) {
-    let mut scale = Scale::Laptop;
-    let mut workloads = vec![QueryWorkload::Uniform, QueryWorkload::Connected];
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = Scale::parse(&args[i]).unwrap_or_else(|| {
-                    eprintln!("unknown scale {:?}; use smoke|laptop|full", args[i]);
-                    std::process::exit(2);
-                });
-            }
-            "--workload" => {
-                i += 1;
-                workloads = match args[i].as_str() {
-                    "uniform" => vec![QueryWorkload::Uniform],
-                    "connected" => vec![QueryWorkload::Connected],
-                    "both" => vec![QueryWorkload::Uniform, QueryWorkload::Connected],
-                    other => {
-                        eprintln!("unknown workload {other:?}");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            other => {
-                eprintln!("unknown flag {other:?}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+    let flags = Flags::from_env(FLAGS);
+    let scale = flags.parsed_or_exit("--scale").unwrap_or(Scale::Laptop);
+    let workloads = match flags.value("--workload").unwrap_or("both") {
+        "uniform" => vec![QueryWorkload::Uniform],
+        "connected" => vec![QueryWorkload::Connected],
+        "both" => vec![QueryWorkload::Uniform, QueryWorkload::Connected],
+        other => FLAGS.usage_exit(&format!("bad value {other:?} for --workload")),
+    };
     (scale, workloads)
 }
 

@@ -8,15 +8,11 @@
 //! cargo run -p ctk-bench --release --bin optimality [-- --scale smoke|laptop]
 //! ```
 
-use ctk_bench::{make_engine, prepare, run_engine, write_csv, ExperimentConfig, Scale, Table};
+use ctk_bench::{make_engine, prepare, run_engine, write_csv, ExperimentConfig, Table};
 use ctk_stream::QueryWorkload;
 
 fn main() {
-    let scale = std::env::args()
-        .skip_while(|a| a != "--scale")
-        .nth(1)
-        .and_then(|s| Scale::parse(&s))
-        .unwrap_or(Scale::Laptop);
+    let scale = ctk_bench::cli::scale_from_env("optimality");
     let counts = scale.query_counts();
     let n = counts[counts.len() / 2];
 

@@ -6,16 +6,12 @@
 //! ```
 
 use ctk_bench::{
-    make_engine, prepare, run_engine, write_csv, ExperimentConfig, Scale, Table, PAPER_ALGOS,
+    make_engine, prepare, run_engine, write_csv, ExperimentConfig, Table, PAPER_ALGOS,
 };
 use ctk_stream::QueryWorkload;
 
 fn main() {
-    let scale = std::env::args()
-        .skip_while(|a| a != "--scale")
-        .nth(1)
-        .and_then(|s| Scale::parse(&s))
-        .unwrap_or(Scale::Laptop);
+    let scale = ctk_bench::cli::scale_from_env("sweep_doclen");
     let n = scale.query_counts()[scale.query_counts().len() / 2];
 
     let mut table = Table::new(

@@ -105,11 +105,7 @@ const FLAGS: Spec = Spec {
 
 fn main() {
     let flags = Flags::from_env(FLAGS);
-    let scale = match flags.value("--scale") {
-        None => Scale::Laptop,
-        Some(s) => Scale::parse(s)
-            .unwrap_or_else(|| FLAGS.usage_exit(&format!("bad value {s:?} for --scale"))),
-    };
+    let scale = flags.parsed_or_exit("--scale").unwrap_or(Scale::Laptop);
     let query_counts: Vec<usize> = flags
         .list_or_exit("--queries")
         .unwrap_or_else(|| vec![scale.query_counts()[scale.query_counts().len() / 2]]);

@@ -1,5 +1,7 @@
-//! Strict command-line flags for the bench binaries that take `--flag value`
-//! pairs (`sweep_shards`, `compare_reports`, `http_load`).
+//! Strict command-line flags for the bench binaries, which take `--flag
+//! value` pairs: `fig1`, `sweep_shards`, `compare_reports`, `http_load`,
+//! and the paper-figure binaries that take only `--scale`
+//! ([`scale_from_env`]).
 //!
 //! Every token must be a known flag: a valued flag followed by its value
 //! (one that does not itself start with `--`), or a switch on its own. An
@@ -8,7 +10,15 @@
 //! refused, and [`Flags::from_env`]'s binaries exit 2 naming it — as
 //! `ctk-serve` does — instead of measuring the defaults in its place.
 
+use crate::Scale;
 use std::str::FromStr;
+
+/// The `--scale` of a binary that takes no other flag, `laptop` when not
+/// given; exits 2 on a bad value or any other flag.
+pub fn scale_from_env(program: &'static str) -> Scale {
+    let spec = Spec { program, valued: &["--scale"], switches: &[] };
+    Flags::from_env(spec).parsed_or_exit("--scale").unwrap_or(Scale::Laptop)
+}
 
 /// The flags one binary accepts.
 #[derive(Debug, Clone, Copy)]

@@ -6,6 +6,7 @@
 
 use ctk_stream::{CorpusConfig, QueryWorkload, WorkloadConfig};
 use serde::{Deserialize, Serialize};
+use std::str::FromStr;
 
 /// Sweep magnitude.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -43,13 +44,17 @@ impl Scale {
             Scale::Full => 200,
         }
     }
+}
 
-    pub fn parse(s: &str) -> Option<Scale> {
+impl FromStr for Scale {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Scale, ()> {
         match s {
-            "smoke" => Some(Scale::Smoke),
-            "laptop" => Some(Scale::Laptop),
-            "full" => Some(Scale::Full),
-            _ => None,
+            "smoke" => Ok(Scale::Smoke),
+            "laptop" => Ok(Scale::Laptop),
+            "full" => Ok(Scale::Full),
+            _ => Err(()),
         }
     }
 }
@@ -92,8 +97,8 @@ mod tests {
 
     #[test]
     fn scales_parse_and_sweep() {
-        assert_eq!(Scale::parse("laptop"), Some(Scale::Laptop));
-        assert_eq!(Scale::parse("bogus"), None);
+        assert_eq!("laptop".parse(), Ok(Scale::Laptop));
+        assert_eq!("bogus".parse::<Scale>(), Err(()));
         assert_eq!(Scale::Full.query_counts(), vec![500_000, 1_000_000, 2_000_000, 4_000_000]);
         assert!(Scale::Smoke.warmup_events() < Scale::Laptop.warmup_events());
     }

@@ -11,8 +11,7 @@
 //! * [`engines`] — a factory constructing any algorithm by name;
 //! * [`runner`] — registers, warms up, then times `process` per event;
 //! * [`report`] — markdown / CSV / JSON emission into `results/`;
-//! * [`cli`] — the strict `--flag value` parser of the binaries that take
-//!   flags beyond `--scale`.
+//! * [`cli`] — the strict `--flag value` parser of every binary's flags.
 //!
 //! Binaries (`src/bin/*.rs`): `fig1`, `optimality`, `ablation_zonemax`,
 //! `sweep_k`, `sweep_lambda`, `sweep_doclen`, `sweep_shards` (sharded

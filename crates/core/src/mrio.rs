@@ -1027,11 +1027,12 @@ mod tests {
             let leaf = |m: &Mrio<Z>, q: u32| {
                 let rec = m.index.record(QueryId(q)).unwrap();
                 let e = rec.entries_full().find(|e| e.list == common).unwrap();
-                (m.zones[common as usize].value_at(e.pos as usize), e)
+                let weight = m.index.list(common).get(e.pos as usize).weight;
+                (m.zones[common as usize].value_at(e.pos as usize), e, weight)
             };
             for q in (0..n).filter(|&q| special(q)) {
-                let (stored, e) = leaf(&engines[0], q);
-                let fresh = engines[0].base.normalized_of(QueryId(q), e.weight as f64);
+                let (stored, e, weight) = leaf(&engines[0], q);
+                let fresh = engines[0].base.normalized_of(QueryId(q), weight as f64);
                 assert!(stored > fresh, "query {q}: the leaf must have gone stale");
                 engines[1].zones[common as usize].update(e.pos as usize, fresh);
             }
@@ -1042,8 +1043,8 @@ mod tests {
             assert!(first.postings_accessed >= eager.postings_accessed);
             assert_eq!(first.postings_accessed > eager.postings_accessed, skips, "{first:?}");
             for q in (0..n).filter(|&q| special(q)) {
-                let (stored, e) = leaf(&engines[0], q);
-                assert_eq!(stored, engines[0].base.normalized_of(QueryId(q), e.weight as f64));
+                let (stored, _, weight) = leaf(&engines[0], q);
+                assert_eq!(stored, engines[0].base.normalized_of(QueryId(q), weight as f64));
             }
             let [second, eager] = publish(&mut engines, &[(COMMON, 1.0), (RARE, 0.5)]);
             assert_eq!(second, eager, "a tightened walk is an eagerly repaired one");

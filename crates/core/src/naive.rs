@@ -10,12 +10,15 @@ use crate::engine::EngineBase;
 use crate::stats::{CumulativeStats, EventStats};
 use crate::traits::{ContinuousTopK, ResultChange};
 use ctk_common::{Document, FxHashMap, QueryId, QuerySpec, ScoredDoc, TermId};
-use ctk_index::{QueryIndex, StorageConfig, StorageStats};
+use ctk_index::{QueryIndex, QueryWeights, StorageConfig, StorageStats};
 
 /// Term-filtered exhaustive continuous top-k.
 pub struct Naive {
     base: EngineBase,
     index: QueryIndex,
+    /// Each query's weights in record order: the index keeps a weight only
+    /// in its posting.
+    weights: QueryWeights,
     // Reused per-event buffers: the document's term weights, the
     // epoch-stamped dedup array and the collected candidates.
     doc_weights: FxHashMap<TermId, f64>,
@@ -34,6 +37,7 @@ impl Naive {
         Naive {
             base: EngineBase::new(lambda),
             index: QueryIndex::with_storage(storage),
+            weights: QueryWeights::default(),
             doc_weights: FxHashMap::default(),
             seen: Vec::new(),
             epoch: 0,
@@ -66,12 +70,14 @@ impl ContinuousTopK for Naive {
 
     fn register(&mut self, spec: QuerySpec) -> QueryId {
         let qid = self.index.register(&spec.vector, spec.k as u32);
+        self.weights.push(&spec.vector);
         self.base.push_state(spec.k as u32);
         qid
     }
 
     fn unregister(&mut self, qid: QueryId) -> bool {
         if self.index.unregister(qid).is_some() {
+            self.weights.remove(qid);
             self.base.drop_state(qid);
             true
         } else {
@@ -113,10 +119,11 @@ impl ContinuousTopK for Naive {
         // registration record, in record order.
         for &qid in &candidates {
             let rec = self.index.record(qid).expect("live posting implies record");
+            let weights = self.weights.get(qid).expect("a live query has weights");
             let mut dot = 0.0f64;
-            for e in rec.entries() {
+            for (e, &w) in rec.entries().zip(weights) {
                 if let Some(&f) = self.doc_weights.get(&e.term) {
-                    dot += f * e.weight as f64;
+                    dot += f * w as f64;
                 }
             }
             ev.full_evaluations += 1;
@@ -168,11 +175,15 @@ impl ContinuousTopK for Naive {
     }
 
     fn compact_index(&mut self) -> usize {
+        self.weights.compact();
         self.index.compact().len()
     }
 
+    /// The index and the weight table beside it.
     fn storage_stats(&self) -> StorageStats {
-        self.index.storage_stats()
+        let mut stats = self.index.storage_stats();
+        stats.index_bytes += self.weights.heap_bytes() as u64;
+        stats
     }
 }
 

@@ -21,12 +21,15 @@ use crate::engine::{CursorSet, EngineBase};
 use crate::stats::{CumulativeStats, EventStats};
 use crate::traits::{ContinuousTopK, ResultChange};
 use ctk_common::{Document, QueryId, QuerySpec, ScoredDoc};
-use ctk_index::{QueryIndex, StorageConfig, StorageStats, VersionedMaxTracker};
+use ctk_index::{QueryIndex, QueryWeights, StorageConfig, StorageStats, VersionedMaxTracker};
 
 /// The RIO algorithm.
 pub struct Rio {
     base: EngineBase,
     index: QueryIndex,
+    /// Each query's weights in record order, which every `S_k` change
+    /// re-divides.
+    weights: QueryWeights,
     /// One tracker per postings list, holding `u = w/S_k` maxima.
     trackers: Vec<VersionedMaxTracker>,
     cursors: CursorSet,
@@ -42,6 +45,7 @@ impl Rio {
         Rio {
             base: EngineBase::new(lambda),
             index: QueryIndex::with_storage(storage),
+            weights: QueryWeights::default(),
             trackers: Vec::new(),
             cursors: CursorSet::default(),
         }
@@ -58,9 +62,11 @@ impl Rio {
     fn push_query_maxima(&mut self, qid: QueryId) {
         let Some(state) = self.base.state(qid) else { return };
         let version = state.version();
-        let Some(rec) = self.index.record(qid) else { return };
-        for e in rec.entries() {
-            let u = state.normalized(e.weight as f64);
+        let (Some(rec), Some(weights)) = (self.index.record(qid), self.weights.get(qid)) else {
+            return;
+        };
+        for (e, &w) in rec.entries().zip(weights) {
+            let u = state.normalized(w as f64);
             self.trackers[e.list as usize].push(qid, version, u);
         }
     }
@@ -82,6 +88,7 @@ impl ContinuousTopK for Rio {
 
     fn register(&mut self, spec: QuerySpec) -> QueryId {
         let qid = self.index.register(&spec.vector, spec.k as u32);
+        self.weights.push(&spec.vector);
         self.base.push_state(spec.k as u32);
         self.sync_tracker_count();
         self.push_query_maxima(qid);
@@ -90,6 +97,7 @@ impl ContinuousTopK for Rio {
 
     fn unregister(&mut self, qid: QueryId) -> bool {
         if self.index.unregister(qid).is_some() {
+            self.weights.remove(qid);
             self.base.drop_state(qid);
             // Tracker entries die lazily: no version is current any more.
             true
@@ -220,11 +228,15 @@ impl ContinuousTopK for Rio {
     fn compact_index(&mut self) -> usize {
         // Trackers are keyed by (qid, version), not list position, so the
         // postings can move freely underneath them.
+        self.weights.compact();
         self.index.compact().len()
     }
 
+    /// The index and the weight table beside it.
     fn storage_stats(&self) -> StorageStats {
-        StorageStats { blocks_decoded: self.cursors.blocks_decoded(), ..self.index.storage_stats() }
+        let mut stats = self.index.storage_stats();
+        stats.index_bytes += self.weights.heap_bytes() as u64;
+        StorageStats { blocks_decoded: self.cursors.blocks_decoded(), ..stats }
     }
 }
 

@@ -43,7 +43,7 @@ pub use ctk_storage::CompressedList;
 pub use impact_lists::{ImpactList, WeightOrderedList};
 pub use max_tracker::VersionedMaxTracker;
 pub use postings::{Posting, PostingsList};
-pub use query_index::{EntryView, QueryIndex, QueryRecord, RecordEntry, RecordRef};
+pub use query_index::{EntryView, QueryIndex, QueryRecord, QueryWeights, RecordEntry, RecordRef};
 pub use segment_tree::MaxSegTree;
 pub use store::{
     BlockScratch, ListRef, PostingsStorage, PostingsStore, StorageConfig, StorageStats,

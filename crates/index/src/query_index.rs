@@ -2,23 +2,30 @@
 //!
 //! Registration allocates monotonically increasing query ids (so lists stay
 //! append-only), creates lists for unseen terms, and records for each query
-//! every posting it owns. The record is what lets the algorithms (a) fully
-//! re-score a candidate query in O(|q|) and (b) route `S_k`-change updates
-//! to the bound structures without searching the lists.
+//! every list it has a posting in. The record is what lets the algorithms
+//! (a) fully re-score a candidate query in O(|q|) and (b) route
+//! `S_k`-change updates to the bound structures without searching the
+//! lists.
 //!
-//! Records have one layout on every postings backend: 8-byte entries
-//! (`list`, `weight`) in a chunked arena, addressed by an 8-byte slot per
-//! query. The term is derived from the list index on read; the *position*
-//! is not stored at all — the lists are ID-ordered, so a posting's position
-//! is recoverable by a search on the query id (a binary search on a plain
+//! Records have one layout on every postings backend: 4-byte entries, each
+//! a list id, in a chunked arena, addressed by a 4-byte offset per query.
+//! The term is derived from the list id on read. A weight is stored once,
+//! in its posting; MRIO never reads it from the record, and the engines
+//! that re-score from weights (the `Naive` oracle, RIO) keep them beside
+//! the index in a [`QueryWeights`] table in record order. The *position* is
+//! not stored at all — the lists are ID-ordered, so a posting's position is
+//! recoverable by a search on the query id (a binary search on a plain
 //! list; the block directory, then an ids-only walk of one block, on a
-//! compressed one). Full re-scores only need term and weight and never pay
-//! for that, and MRIO's bound updates take positions from the cursors
-//! standing on the postings. Unregistration goes through
-//! [`RecordRef::entries_full`], which searches for every position, so
-//! compaction has no positions to refresh. Records never span chunks, so a
-//! record is always one contiguous slice; unregistration strands its
-//! entries until compaction rebuilds the arena.
+//! compressed one). Full re-scores never pay for that, and MRIO's bound
+//! updates take positions from the cursors standing on the postings.
+//! Unregistration goes through [`RecordRef::entries_full`], which searches
+//! for every position, so compaction has no positions to refresh.
+//!
+//! A record's length is not stored either: it runs to the next query's
+//! offset, or to the end of its chunk when the next record starts a new
+//! one. Records never span chunks, so a record is always one contiguous
+//! slice; unregistration strands its entries until compaction rebuilds the
+//! arena.
 //!
 //! The slot table, the arena and the list → term table grow by the index's
 //! one rule ([`crate::growth`]): doubling up to a chunk, then whole chunks.
@@ -37,20 +44,17 @@ pub struct RecordEntry {
     pub list: u32,
     /// Position of this query's entry inside the list.
     pub pos: u32,
-    /// The (normalized) preference weight `w_t(q)`.
-    pub weight: f32,
 }
 
 /// One posting owned by a query, without its list position — everything
-/// the O(|q|) re-score path reads. Yielded by [`RecordRef::entries`];
-/// consumers that need the position use [`RecordRef::entries_full`].
+/// the O(|q|) re-score path reads besides the weight. Yielded by
+/// [`RecordRef::entries`]; consumers that need the position use
+/// [`RecordRef::entries_full`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EntryView {
     pub term: TermId,
     /// Dense list index inside the [`QueryIndex`]'s list table.
     pub list: u32,
-    /// The (normalized) preference weight `w_t(q)`.
-    pub weight: f32,
 }
 
 /// The record [`QueryIndex::unregister`] hands back, positions included,
@@ -60,25 +64,11 @@ pub struct QueryRecord {
     pub entries: Vec<RecordEntry>,
 }
 
-/// A packed record entry: term derived from `list` via the index's list
-/// table on read, position derived by a list search when actually needed.
-#[derive(Debug, Clone, Copy)]
-struct PackedEntry {
-    list: u32,
-    weight: f32,
-}
+/// Set in a slot's offset once its query is removed.
+const DEAD: u32 = 1 << 31;
 
-/// Arena address of one query's packed entries — 8 bytes, one per query
-/// ever registered. `offset == DEAD_SLOT` marks an unregistered query;
-/// `len` is the query's number of terms.
-#[derive(Debug, Clone, Copy)]
-struct PackedSlot {
-    offset: u32,
-    len: u32,
-}
-
-const DEAD_SLOT: u32 = u32::MAX;
-
+/// Per-query records of `T`s, one 4-byte slot per query ever pushed.
+///
 /// The arena is cut into chunks of [`GROWTH_CHUNK`] entries: chunk `c` owns
 /// offsets `[c·CHUNK, c·CHUNK+len)`. A record never spans chunks, so a
 /// record whose entries don't fit in the current chunk's remainder starts a
@@ -86,21 +76,49 @@ const DEAD_SLOT: u32 = u32::MAX;
 /// — its offset is the chunk base, and nothing else allocates there). The
 /// first chunk doubles up to a whole chunk; later ones are allocated whole,
 /// so the arena as a whole grows by the rule.
-#[derive(Debug, Default)]
-struct PackedArena {
-    slots: Vec<PackedSlot>,
-    chunks: Vec<Vec<PackedEntry>>,
-    /// Entries stranded by unregistration, reclaimed when compaction
-    /// rebuilds the arena.
+///
+/// A slot is the record's offset, with [`DEAD`] set once it is removed;
+/// offsets never decrease from one slot to the next in the same chunk, so a
+/// record ends where the next slot's begins, or at its chunk's end when the
+/// next slot points into another chunk.
+#[derive(Debug)]
+struct RecordArena<T> {
+    slots: Vec<u32>,
+    chunks: Vec<Vec<T>>,
+    /// Entries stranded by removal, reclaimed by [`RecordArena::compact`].
     dead_entries: usize,
 }
 
-impl PackedArena {
+impl<T> Default for RecordArena<T> {
+    fn default() -> Self {
+        RecordArena { slots: Vec::new(), chunks: Vec::new(), dead_entries: 0 }
+    }
+}
+
+/// `(chunk, start, end)` of slot `i`'s record within `chunks`.
+fn span<T>(slots: &[u32], chunks: &[Vec<T>], i: usize) -> (usize, usize, usize) {
+    let at = (slots[i] & !DEAD) as usize;
+    let (chunk, start) = (at / GROWTH_CHUNK, at % GROWTH_CHUNK);
+    let end = match slots.get(i + 1).map(|&next| (next & !DEAD) as usize) {
+        Some(next) if next / GROWTH_CHUNK == chunk => next % GROWTH_CHUNK,
+        _ => chunks[chunk].len(),
+    };
+    (chunk, start, end)
+}
+
+impl<T: Copy> RecordArena<T> {
+    /// Records ever pushed, removed ones included.
+    fn len(&self) -> usize {
+        self.slots.len()
+    }
+
     /// Room for `n` more contiguous entries: returns the global offset of
-    /// the first, which the caller pushes onto the last chunk.
+    /// the first, which the caller pushes onto the last chunk. A chunk
+    /// that is already full takes no record, not even an empty one, so
+    /// every offset handed out lies in a chunk that exists.
     fn alloc(&mut self, n: usize) -> u32 {
         match self.chunks.last_mut() {
-            Some(c) if c.len() + n <= GROWTH_CHUNK => {
+            Some(c) if c.len() < GROWTH_CHUNK && c.len() + n <= GROWTH_CHUNK => {
                 if c.len() + n > c.capacity() {
                     let cap = growth::next_capacity(c.capacity()).max(c.len() + n);
                     c.reserve_exact(cap - c.len());
@@ -112,46 +130,127 @@ impl PackedArena {
             }
         }
         let chunk = self.chunks.len() - 1;
-        ((chunk * GROWTH_CHUNK) + self.chunks[chunk].len()) as u32
+        let offset = chunk * GROWTH_CHUNK + self.chunks[chunk].len();
+        assert!(offset < DEAD as usize, "record arena full");
+        offset as u32
     }
 
-    fn push_slot(&mut self, slot: PackedSlot) {
+    /// Append the next slot's record: `len` entries drawn from `entries`.
+    fn push(&mut self, len: usize, entries: impl IntoIterator<Item = T>) {
+        let offset = self.alloc(len);
+        let chunk = self.chunks.last_mut().expect("alloc ensured a chunk");
+        let before = chunk.len();
+        chunk.extend(entries);
+        assert_eq!(chunk.len() - before, len, "a record holds the entries it announced");
         growth::reserve_one(&mut self.slots);
-        self.slots.push(slot);
+        self.slots.push(offset);
     }
 
-    fn entries(&self, slot: PackedSlot) -> &[PackedEntry] {
-        let (chunk, start) =
-            (slot.offset as usize / GROWTH_CHUNK, slot.offset as usize % GROWTH_CHUNK);
-        &self.chunks[chunk][start..start + slot.len as usize]
+    /// The record of slot `i`, unless it was removed or never pushed.
+    #[inline]
+    fn get(&self, i: usize) -> Option<&[T]> {
+        let at = *self.slots.get(i)?;
+        (at & DEAD == 0).then(|| {
+            let (chunk, start, end) = span(&self.slots, &self.chunks, i);
+            &self.chunks[chunk][start..end]
+        })
+    }
+
+    /// Remove slot `i`'s record; false if it was not live.
+    fn remove(&mut self, i: usize) -> bool {
+        let Some(len) = self.get(i).map(<[T]>::len) else { return false };
+        self.slots[i] |= DEAD;
+        self.dead_entries += len;
+        true
+    }
+
+    /// Indices of the live records, ascending.
+    fn live(&self) -> impl Iterator<Item = usize> + '_ {
+        self.slots.iter().enumerate().filter_map(|(i, &at)| (at & DEAD == 0).then_some(i))
     }
 
     fn heap_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<PackedSlot>()
-            + self.chunks.capacity() * std::mem::size_of::<Vec<PackedEntry>>()
-            + self
-                .chunks
-                .iter()
-                .map(|c| c.capacity() * std::mem::size_of::<PackedEntry>())
-                .sum::<usize>()
+        self.slots.capacity() * std::mem::size_of::<u32>()
+            + self.chunks.capacity() * std::mem::size_of::<Vec<T>>()
+            + self.chunks.iter().map(|c| c.capacity() * std::mem::size_of::<T>()).sum::<usize>()
     }
 
-    /// Rebuild the chunks with only live records, refreshing slot offsets.
+    /// Rebuild the chunks with only the live records once the stranded
+    /// entries outnumber half the live ones.
+    fn compact(&mut self) {
+        let stored: usize = self.chunks.iter().map(Vec::len).sum();
+        if self.dead_entries * 2 > (stored - self.dead_entries).max(1) {
+            self.gc();
+        }
+    }
+
+    /// Copy the live records into fresh chunks, in slot order. A removed
+    /// slot takes the end offset of the live record before it, so every
+    /// live record still ends where the next slot begins.
     fn gc(&mut self) {
         let old = std::mem::take(&mut self.chunks);
+        let mut end = 0;
         for i in 0..self.slots.len() {
-            let slot = self.slots[i];
-            if slot.offset == DEAD_SLOT {
+            if self.slots[i] & DEAD != 0 {
+                self.slots[i] = DEAD | end;
                 continue;
             }
-            let (chunk, start) =
-                (slot.offset as usize / GROWTH_CHUNK, slot.offset as usize % GROWTH_CHUNK);
-            let offset = self.alloc(slot.len as usize);
-            let dst = self.chunks.last_mut().expect("alloc pushed a chunk");
-            dst.extend_from_slice(&old[chunk][start..start + slot.len as usize]);
-            self.slots[i].offset = offset;
+            // Slot `i + 1` still holds its old offset, which bounds `i`.
+            let (chunk, start, stop) = span(&self.slots, &old, i);
+            let offset = self.alloc(stop - start);
+            let dst = self.chunks.last_mut().expect("alloc ensured a chunk");
+            dst.extend_from_slice(&old[chunk][start..stop]);
+            self.slots[i] = offset;
+            end = offset + (stop - start) as u32;
         }
         self.dead_entries = 0;
+    }
+}
+
+/// The postings a query's vector registers, in record order: its terms
+/// with a positive weight (see [`QueryIndex::register`]).
+fn record_postings(vector: &SparseVector) -> impl Iterator<Item = (TermId, f32)> + '_ {
+    vector.iter().filter(|&(_, weight)| weight > 0.0)
+}
+
+/// Each query's weights in its record's order, for an engine that
+/// re-scores from weights and keeps them beside its [`QueryIndex`]: the
+/// index stores a weight once, in its posting. Pushed in step with
+/// [`QueryIndex::register`], so a query's id is its slot here too.
+#[derive(Debug, Default)]
+pub struct QueryWeights {
+    arena: RecordArena<f32>,
+}
+
+impl QueryWeights {
+    /// Record the weights of the query [`QueryIndex::register`] just took
+    /// `vector` for.
+    pub fn push(&mut self, vector: &SparseVector) {
+        let weights = || record_postings(vector).map(|(_, weight)| weight);
+        self.arena.push(weights().count(), weights());
+    }
+
+    /// A live query's weights, entry for entry beside
+    /// [`RecordRef::entries`].
+    #[inline]
+    pub fn get(&self, qid: QueryId) -> Option<&[f32]> {
+        self.arena.get(qid.index())
+    }
+
+    /// Drop an unregistered query's weights.
+    pub fn remove(&mut self, qid: QueryId) {
+        self.arena.remove(qid.index());
+    }
+
+    /// Reclaim removed queries' weights by the index's own rule: once they
+    /// outnumber half the live ones.
+    pub fn compact(&mut self) {
+        self.arena.compact();
+    }
+
+    /// Heap bytes held, every allocation at its capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.arena.heap_bytes()
     }
 }
 
@@ -162,7 +261,7 @@ impl PackedArena {
 #[derive(Clone, Copy)]
 pub struct RecordRef<'a> {
     qid: QueryId,
-    entries: &'a [PackedEntry],
+    list_ids: &'a [u32],
     terms: &'a [TermId],
     lists: &'a Lists,
 }
@@ -171,12 +270,12 @@ impl<'a> RecordRef<'a> {
     /// Number of postings the query owns.
     #[inline]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.list_ids.len()
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.list_ids.is_empty()
     }
 
     /// Iterate the record's entries in registration order, without list
@@ -184,11 +283,7 @@ impl<'a> RecordRef<'a> {
     #[inline]
     pub fn entries(self) -> impl ExactSizeIterator<Item = EntryView> + 'a {
         let terms = self.terms;
-        self.entries.iter().map(move |e| EntryView {
-            term: terms[e.list as usize],
-            list: e.list,
-            weight: e.weight,
-        })
+        self.list_ids.iter().map(move |&list| EntryView { term: terms[list as usize], list })
     }
 
     /// Iterate the record's entries with list positions. Records don't
@@ -198,15 +293,14 @@ impl<'a> RecordRef<'a> {
     #[inline]
     pub fn entries_full(self) -> impl ExactSizeIterator<Item = RecordEntry> + 'a {
         let (qid, terms, lists) = (self.qid, self.terms, self.lists);
-        self.entries.iter().map(move |e| RecordEntry {
-            term: terms[e.list as usize],
-            list: e.list,
+        self.list_ids.iter().map(move |&list| RecordEntry {
+            term: terms[list as usize],
+            list,
             pos: lists
-                .get(e.list)
+                .get(list)
                 .position_of(qid)
                 .expect("record entry implies a posting (live or tombstoned)")
                 as u32,
-            weight: e.weight,
         })
     }
 }
@@ -217,7 +311,8 @@ pub struct QueryIndex {
     lists: Lists,
     list_terms: Vec<TermId>,
     term_map: FxHashMap<TermId, u32>,
-    records: PackedArena,
+    /// Each query's list ids, in the order of its vector.
+    records: RecordArena<u32>,
     live_queries: usize,
     /// Running totals across all lists, so [`QueryIndex::tombstone_ratio`]
     /// is O(1) — compaction policies probe it at every batch boundary.
@@ -244,7 +339,7 @@ impl QueryIndex {
             lists: Lists::new(config.storage),
             list_terms: Vec::new(),
             term_map: FxHashMap::default(),
-            records: PackedArena::default(),
+            records: RecordArena::default(),
             live_queries: 0,
             total_postings: 0,
             total_tombstones: 0,
@@ -261,7 +356,7 @@ impl QueryIndex {
     /// Number of queries ever registered (= next query id).
     #[inline]
     pub fn num_slots(&self) -> usize {
-        self.records.slots.len()
+        self.records.len()
     }
 
     /// Number of currently registered queries.
@@ -288,21 +383,22 @@ impl QueryIndex {
     /// desyncing `live()` from the live iteration paths.
     pub fn register(&mut self, vector: &SparseVector, _k: u32) -> QueryId {
         let qid = QueryId(self.num_slots() as u32);
-        let postings = || vector.iter().filter(|&(_, weight)| weight > 0.0);
-        let len = postings().count();
-        let offset = self.records.alloc(len);
-        let dst = self.records.chunks.last_mut().expect("alloc ensured a chunk");
-        for (term, weight) in postings() {
-            let list = *self.term_map.entry(term).or_insert_with(|| {
-                self.lists.push_list();
-                growth::reserve_one(&mut self.list_terms);
-                self.list_terms.push(term);
-                (self.lists.len() - 1) as u32
-            });
-            self.lists.push_posting(list, qid, weight);
-            dst.push(PackedEntry { list, weight });
-        }
-        self.records.push_slot(PackedSlot { offset, len: len as u32 });
+        let len = record_postings(vector).count();
+        let (lists, list_terms, term_map) =
+            (&mut self.lists, &mut self.list_terms, &mut self.term_map);
+        self.records.push(
+            len,
+            record_postings(vector).map(|(term, weight)| {
+                let list = *term_map.entry(term).or_insert_with(|| {
+                    lists.push_list();
+                    growth::reserve_one(list_terms);
+                    list_terms.push(term);
+                    (lists.len() - 1) as u32
+                });
+                lists.push_posting(list, qid, weight);
+                list
+            }),
+        );
         self.total_postings += len;
         self.live_queries += 1;
         qid
@@ -313,9 +409,7 @@ impl QueryIndex {
     /// if the query was unknown / already removed.
     pub fn unregister(&mut self, qid: QueryId) -> Option<QueryRecord> {
         let record = QueryRecord { entries: self.record(qid)?.entries_full().collect() };
-        let slot = &mut self.records.slots[qid.index()];
-        slot.offset = DEAD_SLOT;
-        self.records.dead_entries += slot.len as usize;
+        self.records.remove(qid.index());
         for e in &record.entries {
             self.lists.tombstone(e.list, e.pos as usize);
         }
@@ -327,15 +421,13 @@ impl QueryIndex {
     /// The record of a live query.
     #[inline]
     pub fn record(&self, qid: QueryId) -> Option<RecordRef<'_>> {
-        let slot = *self.records.slots.get(qid.index())?;
-        (slot.offset != DEAD_SLOT).then(|| RecordRef {
+        self.records.get(qid.index()).map(|list_ids| RecordRef {
             qid,
-            entries: self.records.entries(slot),
+            list_ids,
             terms: &self.list_terms,
             lists: &self.lists,
         })
     }
-
     /// Dense list index of a term's list, if any query uses the term.
     #[inline]
     pub fn list_of_term(&self, term: TermId) -> Option<u32> {
@@ -386,19 +478,13 @@ impl QueryIndex {
             self.total_tombstones -= removed;
             self.lists.compact_list(idx);
         }
-        if self.records.dead_entries * 2 > self.total_postings.max(1) {
-            self.records.gc();
-        }
+        self.records.compact();
         changed
     }
 
     /// Iterate ids of live queries (ascending).
     pub fn live_ids(&self) -> impl Iterator<Item = QueryId> + '_ {
-        self.records
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| (s.offset != DEAD_SLOT).then_some(QueryId(i as u32)))
+        self.records.live().map(|i| QueryId(i as u32))
     }
 
     /// Estimated heap bytes held by this index: lists (their table counted
@@ -458,7 +544,7 @@ mod tests {
             }
             // The position-free view agrees with the full one.
             for (v, e) in rec.entries().zip(rec.entries_full()) {
-                assert_eq!((v.term, v.list, v.weight), (e.term, e.list, e.weight));
+                assert_eq!((v.term, v.list), (e.term, e.list));
             }
         }
     }
@@ -504,7 +590,7 @@ mod tests {
                 for e in rec.entries_full() {
                     let p = ix.list(e.list).get(e.pos as usize);
                     assert_eq!(p.qid, *qid);
-                    assert_eq!(p.weight, e.weight);
+                    assert!(!p.is_tombstone());
                 }
             }
         }
@@ -530,8 +616,9 @@ mod tests {
         }
         // The record only owns live postings.
         let rec = ix.record(qid).unwrap();
+        assert_eq!(rec.len(), 1);
         for e in rec.entries_full() {
-            assert!(e.weight > 0.0);
+            assert_eq!(e.term, TermId(2));
             assert!(!ix.list(e.list).get(e.pos as usize).is_tombstone());
         }
     }
@@ -640,7 +727,7 @@ mod tests {
     }
 
     /// `heap_bytes` is exactly the capacities of the allocations it names,
-    /// and records cost 8 bytes per slot and per term plus at most the
+    /// and records cost 4 bytes per slot and per term plus at most the
     /// doubling slack. The slot table and the list → term table hold the
     /// capacity the growth rule reaches for their populations, and the
     /// arena less than a chunk beyond its entries and the ends of chunks
@@ -669,13 +756,13 @@ mod tests {
                             + v.iter().map(|l| l.heap_bytes()).sum::<usize>()
                     }
                 };
-                let records = 8 * a.slots.capacity()
+                let records = 4 * a.slots.capacity()
                     + 24 * a.chunks.capacity()
-                    + a.chunks.iter().map(|c| 8 * c.capacity()).sum::<usize>();
+                    + a.chunks.iter().map(|c| 4 * c.capacity()).sum::<usize>();
                 let directory = 4 * ix.list_terms.capacity() + 9 * ix.term_map.capacity();
                 assert_eq!(ix.heap_bytes(), lists + records + directory, "{cfg:?} at {n}");
 
-                let exact = 8 * (n as usize + terms);
+                let exact = 4 * (n as usize + terms);
                 assert!(records <= 2 * exact, "{cfg:?} at {n}: {records} B of records for {exact}");
                 assert_eq!(a.slots.capacity(), growth::fitted_capacity(n as usize), "{cfg:?}");
                 assert_eq!(
@@ -687,6 +774,42 @@ mod tests {
                 let ends = 5 * (a.chunks.len() - 1); // a record holds at most 6 terms
                 assert!(entries < terms + ends + GROWTH_CHUNK, "{cfg:?} at {n}: {entries}");
             }
+        }
+    }
+
+    /// The arena's records read back whole through removals and rebuilds:
+    /// empty records, records that end exactly at a chunk's end, records
+    /// that start a fresh chunk and oversized ones, with removed slots on
+    /// either side of each.
+    #[test]
+    fn arena_records_end_where_the_next_slot_begins() {
+        let mut arena = RecordArena::<u32>::default();
+        let mut model: Vec<Option<Vec<u32>>> = Vec::new();
+        let lens = [0, 3, 253, 0, 0, 1, 300, 0, 2, 254, 0, 256, 1, 0, 255, 600];
+        for round in 0..4 {
+            for &len in &lens {
+                let rec: Vec<u32> = (0..len).map(|j| (model.len() * 1_000 + j) as u32).collect();
+                arena.push(len, rec.iter().copied());
+                assert_eq!(arena.get(model.len()), Some(&rec[..]), "the newest record reads back");
+                model.push(Some(rec));
+            }
+            for i in (round..model.len()).step_by(2 + round) {
+                assert_eq!(arena.remove(i), model[i].take().is_some(), "slot {i}");
+            }
+            let check = |arena: &RecordArena<u32>| {
+                for (i, want) in model.iter().enumerate() {
+                    assert_eq!(arena.get(i), want.as_deref(), "round {round}, slot {i}");
+                }
+                let live: Vec<usize> = arena.live().collect();
+                let want: Vec<usize> = (0..model.len()).filter(|&i| model[i].is_some()).collect();
+                assert_eq!(live, want);
+            };
+            check(&arena);
+            arena.gc();
+            assert_eq!(arena.dead_entries, 0);
+            let stored: usize = arena.chunks.iter().map(Vec::len).sum();
+            assert_eq!(stored, model.iter().flatten().map(Vec::len).sum::<usize>());
+            check(&arena);
         }
     }
 }

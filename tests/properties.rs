@@ -12,8 +12,11 @@
 //!    sampled).
 //! 4. **Zone maxima** — the segment tree answers every read exactly as the
 //!    scan reference does, at any length and capacity.
+//! 5. **Records** — through any register / unregister / compact sequence,
+//!    each live query's record holds exactly the list ids of its terms, in
+//!    order, and every posting it points at is its own.
 
-use continuous_topk::index::{zone::ScanZoneMax, MaxSegTree, ZoneMax};
+use continuous_topk::index::{zone::ScanZoneMax, MaxSegTree, QueryIndex, ZoneMax};
 use continuous_topk::prelude::*;
 use ctk_baselines::{Rta, SortQuer, Tps};
 use proptest::prelude::*;
@@ -286,6 +289,106 @@ proptest! {
                 }
             }
             zone_reads_agree(&mut tree, &mut scan, a as usize, b as usize)?;
+        }
+    }
+}
+
+// ---------------------------------------------------------------- layer 5
+
+/// A query of `len` distinct terms drawn from `seed`, with weights of a few
+/// sizes so that normalization leaves them apart.
+fn record_query(len: u32, seed: u32) -> SparseVector {
+    let pairs = (0..len)
+        .map(|j| (TermId(seed.wrapping_add(j.wrapping_mul(7_919)) % 2_000), 0.5 + (j % 3) as f32))
+        .collect();
+    let mut v = SparseVector::from_pairs(pairs);
+    v.normalize();
+    v
+}
+
+/// Every live query's record against the model, on `index`: its list ids
+/// in the order of its terms, each pointing at its own live posting with
+/// its weight; every removed query without a record.
+fn records_agree(
+    index: &QueryIndex,
+    model: &[Option<SparseVector>],
+    lists: &std::collections::HashMap<TermId, u32>,
+) -> Result<(), String> {
+    prop_assert_eq!(index.num_slots(), model.len());
+    prop_assert_eq!(index.num_live(), model.iter().flatten().count());
+    for (q, want) in model.iter().enumerate() {
+        let qid = QueryId(q as u32);
+        let Some(vector) = want else {
+            prop_assert!(index.record(qid).is_none(), "query {} was removed", q);
+            continue;
+        };
+        let record = index.record(qid).expect("a live query has a record");
+        let ids: Vec<u32> = record.entries().map(|e| e.list).collect();
+        let want_ids: Vec<u32> = vector.iter().map(|(t, _)| lists[&t]).collect();
+        prop_assert_eq!(ids, want_ids, "query {}", q);
+        for (e, (term, weight)) in record.entries_full().zip(vector.iter()) {
+            prop_assert_eq!(e.term, term);
+            let posting = index.list(e.list).get(e.pos as usize);
+            prop_assert_eq!(posting.qid, qid, "query {} term {:?}", q, term);
+            prop_assert_eq!(posting.weight.to_bits(), weight.to_bits());
+        }
+    }
+    let live: Vec<QueryId> = index.live_ids().collect();
+    let want: Vec<QueryId> =
+        (0..model.len()).filter(|&q| model[q].is_some()).map(|q| QueryId(q as u32)).collect();
+    prop_assert_eq!(live, want);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The 4-byte record layout against a `Vec` model, on both backends.
+    /// Most queries hold 1–5 terms, so records fill and cross the arena's
+    /// 256-entry chunks; one in eight holds up to 300, larger than a chunk.
+    /// Bursts of removals followed by compaction push the stranded entries
+    /// past half the live ones, where the arena is rebuilt.
+    #[test]
+    fn records_hold_their_queries_list_ids_in_order(
+        ops in prop::collection::vec((0u8..12, 0u32..1 << 30, 0u32..1 << 30), 1..120),
+    ) {
+        for storage in PostingsStorage::ALL {
+            let mut index = QueryIndex::with_storage(&StorageConfig::new(storage));
+            let mut model: Vec<Option<SparseVector>> = Vec::new();
+            let mut lists = std::collections::HashMap::new();
+            for &(op, a, b) in &ops {
+                let live: Vec<usize> = (0..model.len()).filter(|&q| model[q].is_some()).collect();
+                match op {
+                    0..=6 => {
+                        let len = if a % 8 == 0 { 1 + b % 300 } else { 1 + b % 5 };
+                        let vector = record_query(len, a ^ b);
+                        for (term, _) in vector.iter() {
+                            let next = lists.len() as u32;
+                            lists.entry(term).or_insert(next);
+                        }
+                        prop_assert_eq!(index.register(&vector, 1), QueryId(model.len() as u32));
+                        model.push(Some(vector));
+                    }
+                    7 | 8 if !live.is_empty() => {
+                        let q = live[a as usize % live.len()];
+                        let record = index.unregister(QueryId(q as u32)).expect("live");
+                        let vector = model[q].take().expect("live");
+                        prop_assert_eq!(record.entries.len(), vector.len());
+                    }
+                    9 => {
+                        // Every other live query, from an offset.
+                        for &q in live.iter().skip(a as usize % 2).step_by(2) {
+                            prop_assert!(index.unregister(QueryId(q as u32)).is_some());
+                            model[q] = None;
+                        }
+                    }
+                    _ => {
+                        index.compact();
+                        prop_assert_eq!(index.tombstone_ratio(), 0.0);
+                    }
+                }
+                records_agree(&index, &model, &lists)?;
+            }
         }
     }
 }
