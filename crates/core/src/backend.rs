@@ -428,7 +428,7 @@ pub trait MonitorBackend {
     fn lambda(&self) -> f64;
 
     /// Point-in-time storage counters of the backend's query index(es):
-    /// estimated heap bytes and block decodes, summed across shards on
+    /// heap bytes and block decodes, summed across shards on
     /// sharded backends. All-zero when no engine carries an index.
     fn storage_stats(&self) -> StorageStats {
         StorageStats::default()

@@ -27,6 +27,7 @@
 //! every algorithm in `ctk-core` and `ctk-baselines`.
 
 pub mod block_max;
+mod directory;
 pub mod growth;
 pub mod impact_lists;
 pub mod max_tracker;

@@ -7,12 +7,13 @@
 //! `S_k`-change updates to the bound structures without searching the
 //! lists.
 //!
-//! Records have one layout on every postings backend: 4-byte entries, each
-//! a list id, in a chunked arena, addressed by a 4-byte offset per query.
-//! The term is derived from the list id on read. A weight is stored once,
-//! in its posting; MRIO never reads it from the record, and the engines
-//! that re-score from weights (the `Naive` oracle, RIO) keep them beside
-//! the index in a [`QueryWeights`] table in record order. The *position* is
+//! Records have one layout on every postings backend: each entry is a list
+//! id as a LEB128 varint (one byte below 128 lists, two below 16 384), in
+//! a chunked byte arena addressed by a 4-byte offset per query. The term is
+//! derived from the list id on read. A weight is stored once, in its
+//! posting; MRIO never reads it from the record, and the engines that
+//! re-score from weights (the `Naive` oracle, RIO) keep them beside the
+//! index in a [`QueryWeights`] table in record order. The *position* is
 //! not stored at all — the lists are ID-ordered, so a posting's position is
 //! recoverable by a search on the query id (a binary search on a plain
 //! list; the block directory, then an ids-only walk of one block, on a
@@ -23,18 +24,22 @@
 //!
 //! A record's length is not stored either: it runs to the next query's
 //! offset, or to the end of its chunk when the next record starts a new
-//! one. Records never span chunks, so a record is always one contiguous
-//! slice; unregistration strands its entries until compaction rebuilds the
+//! one, and its entries are its bytes without the varint continuation
+//! bit. Records never span chunks, so a record is always one contiguous
+//! slice; unregistration strands its bytes until compaction rebuilds the
 //! arena.
 //!
-//! The slot table, the arena and the list → term table grow by the index's
-//! one rule ([`crate::growth`]): doubling up to a chunk, then whole chunks.
-//! So a few hundred queries pay for a few hundred slots, and hundreds of
+//! The term directory keeps each list's term once and finds a term's list
+//! through an open-addressing table of 4-byte buckets, which doubles. The
+//! slot table, the arena and the list → term table grow by the index's one
+//! rule ([`crate::growth`]): doubling up to a chunk, then whole chunks. So
+//! a few hundred queries pay for a few hundred slots, and hundreds of
 //! thousands pay no doubling slack.
 
+use crate::directory::TermDirectory;
 use crate::growth::{self, GROWTH_CHUNK};
 use crate::store::{ListRef, Lists, StorageConfig, StorageStats};
-use ctk_common::{FxHashMap, QueryId, SparseVector, TermId};
+use ctk_common::{QueryId, SparseVector, TermId};
 
 /// One posting owned by a query (the owned, position-carrying form).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,15 +72,18 @@ pub struct QueryRecord {
 /// Set in a slot's offset once its query is removed.
 const DEAD: u32 = 1 << 31;
 
+/// Bytes per arena chunk.
+const CHUNK_BYTES: usize = 4 * GROWTH_CHUNK;
+
 /// Per-query records of `T`s, one 4-byte slot per query ever pushed.
 ///
-/// The arena is cut into chunks of [`GROWTH_CHUNK`] entries: chunk `c` owns
-/// offsets `[c·CHUNK, c·CHUNK+len)`. A record never spans chunks, so a
-/// record whose entries don't fit in the current chunk's remainder starts a
-/// fresh one (a record larger than a chunk gets a dedicated oversized chunk
-/// — its offset is the chunk base, and nothing else allocates there). The
-/// first chunk doubles up to a whole chunk; later ones are allocated whole,
-/// so the arena as a whole grows by the rule.
+/// The arena is cut into chunks of [`CHUNK_BYTES`] bytes, `CHUNK` entries:
+/// chunk `c` owns offsets `[c·CHUNK, c·CHUNK+len)`. A record never spans
+/// chunks, so a record whose entries don't fit in the current chunk's
+/// remainder starts a fresh one (a record larger than a chunk gets a
+/// dedicated oversized chunk — its offset is the chunk base, and nothing
+/// else allocates there). The first chunk grows by the rule up to a whole
+/// chunk; later ones are allocated whole.
 ///
 /// A slot is the record's offset, with [`DEAD`] set once it is removed;
 /// offsets never decrease from one slot to the next in the same chunk, so a
@@ -95,21 +103,24 @@ impl<T> Default for RecordArena<T> {
     }
 }
 
-/// `(chunk, start, end)` of slot `i`'s record within `chunks`.
-fn span<T>(slots: &[u32], chunks: &[Vec<T>], i: usize) -> (usize, usize, usize) {
-    let at = (slots[i] & !DEAD) as usize;
-    let (chunk, start) = (at / GROWTH_CHUNK, at % GROWTH_CHUNK);
-    let end = match slots.get(i + 1).map(|&next| (next & !DEAD) as usize) {
-        Some(next) if next / GROWTH_CHUNK == chunk => next % GROWTH_CHUNK,
-        _ => chunks[chunk].len(),
-    };
-    (chunk, start, end)
-}
-
 impl<T: Copy> RecordArena<T> {
+    /// Entries per chunk.
+    const CHUNK: usize = CHUNK_BYTES / std::mem::size_of::<T>();
+
     /// Records ever pushed, removed ones included.
     fn len(&self) -> usize {
         self.slots.len()
+    }
+
+    /// `(chunk, start, end)` of slot `i`'s record within `chunks`.
+    fn span(slots: &[u32], chunks: &[Vec<T>], i: usize) -> (usize, usize, usize) {
+        let at = (slots[i] & !DEAD) as usize;
+        let (chunk, start) = (at / Self::CHUNK, at % Self::CHUNK);
+        let end = match slots.get(i + 1).map(|&next| (next & !DEAD) as usize) {
+            Some(next) if next / Self::CHUNK == chunk => next % Self::CHUNK,
+            _ => chunks[chunk].len(),
+        };
+        (chunk, start, end)
     }
 
     /// Room for `n` more contiguous entries: returns the global offset of
@@ -118,19 +129,19 @@ impl<T: Copy> RecordArena<T> {
     /// every offset handed out lies in a chunk that exists.
     fn alloc(&mut self, n: usize) -> u32 {
         match self.chunks.last_mut() {
-            Some(c) if c.len() < GROWTH_CHUNK && c.len() + n <= GROWTH_CHUNK => {
+            Some(c) if c.len() < Self::CHUNK && c.len() + n <= Self::CHUNK => {
                 if c.len() + n > c.capacity() {
-                    let cap = growth::next_capacity(c.capacity()).max(c.len() + n);
+                    let cap = growth::next_capacity(c.capacity()).clamp(c.len() + n, Self::CHUNK);
                     c.reserve_exact(cap - c.len());
                 }
             }
             last => {
-                let cap = if last.is_none() { n } else { n.max(GROWTH_CHUNK) };
+                let cap = if last.is_none() { n } else { n.max(Self::CHUNK) };
                 self.chunks.push(Vec::with_capacity(cap));
             }
         }
         let chunk = self.chunks.len() - 1;
-        let offset = chunk * GROWTH_CHUNK + self.chunks[chunk].len();
+        let offset = chunk * Self::CHUNK + self.chunks[chunk].len();
         assert!(offset < DEAD as usize, "record arena full");
         offset as u32
     }
@@ -151,7 +162,7 @@ impl<T: Copy> RecordArena<T> {
     fn get(&self, i: usize) -> Option<&[T]> {
         let at = *self.slots.get(i)?;
         (at & DEAD == 0).then(|| {
-            let (chunk, start, end) = span(&self.slots, &self.chunks, i);
+            let (chunk, start, end) = Self::span(&self.slots, &self.chunks, i);
             &self.chunks[chunk][start..end]
         })
     }
@@ -196,7 +207,7 @@ impl<T: Copy> RecordArena<T> {
                 continue;
             }
             // Slot `i + 1` still holds its old offset, which bounds `i`.
-            let (chunk, start, stop) = span(&self.slots, &old, i);
+            let (chunk, start, stop) = Self::span(&self.slots, &old, i);
             let offset = self.alloc(stop - start);
             let dst = self.chunks.last_mut().expect("alloc ensured a chunk");
             dst.extend_from_slice(&old[chunk][start..stop]);
@@ -204,6 +215,61 @@ impl<T: Copy> RecordArena<T> {
             end = offset + (stop - start) as u32;
         }
         self.dead_entries = 0;
+    }
+}
+
+/// The bytes of `id`'s LEB128 varint: 1 for ids below 2^7, 2 below 2^14,
+/// and so on up to 5.
+#[inline]
+fn varint_len(id: u32) -> usize {
+    (32 - (id | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// The list ids a record's varints encode, in order.
+#[inline]
+fn list_ids(record: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    let mut bytes = record.iter();
+    std::iter::from_fn(move || {
+        let (mut id, mut shift) = (0u32, 0);
+        loop {
+            let byte = *bytes.next()?;
+            id |= u32::from(byte & 0x7f) << shift;
+            if byte < 0x80 {
+                return Some(id);
+            }
+            shift += 7;
+        }
+    })
+}
+
+impl RecordArena<u8> {
+    /// Append the next slot's record: `ids` as LEB128 varints — seven bits
+    /// a byte, low bits first, the high bit set on every byte of an id but
+    /// its last — in at most `most` bytes.
+    fn push_ids(&mut self, most: usize, ids: impl IntoIterator<Item = u32>) {
+        let offset = self.alloc(most);
+        let chunk = self.chunks.last_mut().expect("alloc ensured a chunk");
+        let before = chunk.len();
+        #[cfg(debug_assertions)]
+        let mut pushed = Vec::new();
+        for id in ids {
+            #[cfg(debug_assertions)]
+            pushed.push(id);
+            let mut rest = id;
+            while rest >= 0x80 {
+                chunk.push(rest as u8 | 0x80);
+                rest >>= 7;
+            }
+            chunk.push(rest as u8);
+        }
+        assert!(chunk.len() - before <= most, "a record fits the bytes it announced");
+        growth::reserve_one(&mut self.slots);
+        self.slots.push(offset);
+        #[cfg(debug_assertions)]
+        assert!(
+            self.get(self.len() - 1).is_some_and(|record| list_ids(record).eq(pushed)),
+            "a record decodes to the ids it was given"
+        );
     }
 }
 
@@ -261,29 +327,30 @@ impl QueryWeights {
 #[derive(Clone, Copy)]
 pub struct RecordRef<'a> {
     qid: QueryId,
-    list_ids: &'a [u32],
+    /// The record's list ids, as varints.
+    bytes: &'a [u8],
     terms: &'a [TermId],
     lists: &'a Lists,
 }
 
 impl<'a> RecordRef<'a> {
-    /// Number of postings the query owns.
+    /// Number of postings the query owns: the varints' last bytes.
     #[inline]
     pub fn len(&self) -> usize {
-        self.list_ids.len()
+        self.bytes.iter().filter(|&&byte| byte < 0x80).count()
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.list_ids.is_empty()
+        self.bytes.is_empty()
     }
 
     /// Iterate the record's entries in registration order, without list
     /// positions — O(1) per entry.
     #[inline]
-    pub fn entries(self) -> impl ExactSizeIterator<Item = EntryView> + 'a {
+    pub fn entries(self) -> impl Iterator<Item = EntryView> + 'a {
         let terms = self.terms;
-        self.list_ids.iter().map(move |&list| EntryView { term: terms[list as usize], list })
+        list_ids(self.bytes).map(move |list| EntryView { term: terms[list as usize], list })
     }
 
     /// Iterate the record's entries with list positions. Records don't
@@ -291,9 +358,9 @@ impl<'a> RecordRef<'a> {
     /// list — for the paths that need every position and have no better
     /// source (unregistration).
     #[inline]
-    pub fn entries_full(self) -> impl ExactSizeIterator<Item = RecordEntry> + 'a {
+    pub fn entries_full(self) -> impl Iterator<Item = RecordEntry> + 'a {
         let (qid, terms, lists) = (self.qid, self.terms, self.lists);
-        self.list_ids.iter().map(move |&list| RecordEntry {
+        list_ids(self.bytes).map(move |list| RecordEntry {
             term: terms[list as usize],
             list,
             pos: lists
@@ -309,10 +376,9 @@ impl<'a> RecordRef<'a> {
 #[derive(Debug)]
 pub struct QueryIndex {
     lists: Lists,
-    list_terms: Vec<TermId>,
-    term_map: FxHashMap<TermId, u32>,
-    /// Each query's list ids, in the order of its vector.
-    records: RecordArena<u32>,
+    directory: TermDirectory,
+    /// Each query's list ids as varints, in the order of its vector.
+    records: RecordArena<u8>,
     live_queries: usize,
     /// Running totals across all lists, so [`QueryIndex::tombstone_ratio`]
     /// is O(1) — compaction policies probe it at every batch boundary.
@@ -337,8 +403,7 @@ impl QueryIndex {
     pub fn with_storage(config: &StorageConfig) -> Self {
         QueryIndex {
             lists: Lists::new(config.storage),
-            list_terms: Vec::new(),
-            term_map: FxHashMap::default(),
+            directory: TermDirectory::default(),
             records: RecordArena::default(),
             live_queries: 0,
             total_postings: 0,
@@ -384,17 +449,17 @@ impl QueryIndex {
     pub fn register(&mut self, vector: &SparseVector, _k: u32) -> QueryId {
         let qid = QueryId(self.num_slots() as u32);
         let len = record_postings(vector).count();
-        let (lists, list_terms, term_map) =
-            (&mut self.lists, &mut self.list_terms, &mut self.term_map);
-        self.records.push(
-            len,
+        // No list id of this record is longer than the largest it can be
+        // given, so the arena takes the record in one pass.
+        let most = len * varint_len((self.directory.terms().len() + len) as u32);
+        let (directory, lists) = (&mut self.directory, &mut self.lists);
+        self.records.push_ids(
+            most,
             record_postings(vector).map(|(term, weight)| {
-                let list = *term_map.entry(term).or_insert_with(|| {
+                let (list, fresh) = directory.get_or_insert(term);
+                if fresh {
                     lists.push_list();
-                    growth::reserve_one(list_terms);
-                    list_terms.push(term);
-                    (lists.len() - 1) as u32
-                });
+                }
                 lists.push_posting(list, qid, weight);
                 list
             }),
@@ -421,17 +486,20 @@ impl QueryIndex {
     /// The record of a live query.
     #[inline]
     pub fn record(&self, qid: QueryId) -> Option<RecordRef<'_>> {
-        self.records.get(qid.index()).map(|list_ids| RecordRef {
+        self.records.get(qid.index()).map(|bytes| RecordRef {
             qid,
-            list_ids,
-            terms: &self.list_terms,
+            bytes,
+            terms: self.directory.terms(),
             lists: &self.lists,
         })
     }
+
     /// Dense list index of a term's list, if any query uses the term.
     #[inline]
     pub fn list_of_term(&self, term: TermId) -> Option<u32> {
-        self.term_map.get(&term).copied()
+        let list = self.directory.get(term);
+        debug_assert!(list.is_none_or(|list| self.term_of_list(list) == term));
+        list
     }
 
     /// The list at a dense index.
@@ -443,7 +511,7 @@ impl QueryIndex {
     /// The term that owns list `idx`.
     #[inline]
     pub fn term_of_list(&self, idx: u32) -> TermId {
-        self.list_terms[idx as usize]
+        self.directory.terms()[idx as usize]
     }
 
     /// Fraction of tombstoned slots across all lists, used to decide when a
@@ -487,19 +555,14 @@ impl QueryIndex {
         self.records.live().map(|i| QueryId(i as u32))
     }
 
-    /// Estimated heap bytes held by this index: lists (their table counted
-    /// at capacity times the actual per-backend element size), records, and
+    /// Heap bytes held by this index: lists (their table counted at
+    /// capacity times the actual per-backend element size), records, and
     /// the term directory, every allocation at its capacity.
     pub fn heap_bytes(&self) -> usize {
-        // Hash-map estimate: std's SwissTable keeps ~8/7 of capacity in
-        // (key, value) pairs plus one control byte per bucket.
-        let directory = self.list_terms.capacity() * std::mem::size_of::<TermId>()
-            + self.term_map.capacity()
-                * (std::mem::size_of::<(TermId, u32)>() + std::mem::size_of::<u8>());
-        self.lists.heap_bytes() + self.records.heap_bytes() + directory
+        self.lists.heap_bytes() + self.records.heap_bytes() + self.directory.heap_bytes()
     }
 
-    /// Point-in-time storage counters (the heap estimate).
+    /// Point-in-time storage counters: [`QueryIndex::heap_bytes`].
     pub fn storage_stats(&self) -> StorageStats {
         StorageStats { index_bytes: self.heap_bytes() as u64, ..StorageStats::default() }
     }
@@ -727,23 +790,25 @@ mod tests {
     }
 
     /// `heap_bytes` is exactly the capacities of the allocations it names,
-    /// and records cost 4 bytes per slot and per term plus at most the
-    /// doubling slack. The slot table and the list → term table hold the
-    /// capacity the growth rule reaches for their populations, and the
-    /// arena less than a chunk beyond its entries and the ends of chunks
-    /// a record did not fit in.
+    /// and records cost 4 bytes per slot plus their varints' bytes, plus at
+    /// most the doubling slack. The slot table holds the capacity the
+    /// growth rule reaches for its population, and the arena less than a
+    /// chunk beyond its bytes and the ends of chunks a record did not fit
+    /// in.
     #[test]
     fn heap_bytes_counts_capacities_and_records_fit_the_population() {
         for cfg in all_configs() {
             for n in [300u32, 20_000] {
                 let mut ix = QueryIndex::with_storage(&cfg);
-                let mut terms = 0usize;
+                let mut varints = 0usize;
                 for i in 0..n {
                     let len = 1 + i % 6;
                     let pairs: Vec<(u32, f32)> =
                         (0..len).map(|j| ((i * 7 + j * 131) % 5_000, 1.0 + j as f32)).collect();
-                    terms += pairs.len();
-                    ix.register(&vector(&pairs), 1);
+                    let qid = ix.register(&vector(&pairs), 1);
+                    let record = ix.record(qid).unwrap();
+                    assert_eq!(record.len(), pairs.len());
+                    varints += record.entries().map(|e| varint_len(e.list)).sum::<usize>();
                 }
                 let a = &ix.records;
                 let lists = match &ix.lists {
@@ -758,21 +823,16 @@ mod tests {
                 };
                 let records = 4 * a.slots.capacity()
                     + 24 * a.chunks.capacity()
-                    + a.chunks.iter().map(|c| 4 * c.capacity()).sum::<usize>();
-                let directory = 4 * ix.list_terms.capacity() + 9 * ix.term_map.capacity();
+                    + a.chunks.iter().map(Vec::capacity).sum::<usize>();
+                let directory = ix.directory.heap_bytes();
                 assert_eq!(ix.heap_bytes(), lists + records + directory, "{cfg:?} at {n}");
 
-                let exact = 4 * (n as usize + terms);
+                let exact = 4 * n as usize + varints;
                 assert!(records <= 2 * exact, "{cfg:?} at {n}: {records} B of records for {exact}");
                 assert_eq!(a.slots.capacity(), growth::fitted_capacity(n as usize), "{cfg:?}");
-                assert_eq!(
-                    ix.list_terms.capacity(),
-                    growth::fitted_capacity(ix.num_lists()),
-                    "{cfg:?}"
-                );
-                let entries: usize = a.chunks.iter().map(|c| c.capacity()).sum();
-                let ends = 5 * (a.chunks.len() - 1); // a record holds at most 6 terms
-                assert!(entries < terms + ends + GROWTH_CHUNK, "{cfg:?} at {n}: {entries}");
+                let bytes: usize = a.chunks.iter().map(|c| c.capacity()).sum();
+                let ends = 11 * (a.chunks.len() - 1); // a record holds at most 6 two-byte ids
+                assert!(bytes < varints + ends + CHUNK_BYTES, "{cfg:?} at {n}: {bytes}");
             }
         }
     }
@@ -811,5 +871,45 @@ mod tests {
             assert_eq!(stored, model.iter().flatten().map(Vec::len).sum::<usize>());
             check(&arena);
         }
+    }
+
+    /// The byte arena's records read back exactly, with ids at every LEB128
+    /// length boundary, through removals, rebuilds and records larger than
+    /// a chunk.
+    #[test]
+    fn varint_records_round_trip_at_every_length_boundary() {
+        let boundaries =
+            [0, 127, 128, 16_383, 16_384, (1 << 21) - 1, 1 << 21, (1 << 28) - 1, 1 << 28, u32::MAX];
+        for (&id, len) in boundaries.iter().zip([1, 1, 2, 2, 3, 3, 4, 4, 5, 5]) {
+            assert_eq!(varint_len(id), len, "{id}");
+        }
+        let mut arena = RecordArena::<u8>::default();
+        let mut model: Vec<Option<Vec<u32>>> = Vec::new();
+        // 400 ids average 3.2 bytes, past a 1 KiB chunk.
+        let lens = [0, 1, 10, 3, 0, 400, 2, 17, 250, 5, 1, 0];
+        for round in 0..4 {
+            for &len in &lens {
+                let ids: Vec<u32> =
+                    (0..len).map(|j| boundaries[(model.len() + j) % boundaries.len()]).collect();
+                arena.push_ids(5 * len, ids.iter().copied());
+                model.push(Some(ids));
+            }
+            for i in (round..model.len()).step_by(2 + round) {
+                assert_eq!(arena.remove(i), model[i].take().is_some(), "slot {i}");
+            }
+            let check = |arena: &RecordArena<u8>| {
+                for (i, want) in model.iter().enumerate() {
+                    let read = arena.get(i).map(|record| list_ids(record).collect::<Vec<_>>());
+                    assert_eq!(read.as_ref(), want.as_ref(), "round {round}, slot {i}");
+                }
+            };
+            check(&arena);
+            arena.gc();
+            check(&arena);
+            let stored: usize = arena.chunks.iter().map(Vec::len).sum();
+            let want = model.iter().flatten().flatten().map(|&id| varint_len(id)).sum::<usize>();
+            assert_eq!(stored, want);
+        }
+        assert!(arena.chunks.iter().any(|c| c.len() > CHUNK_BYTES), "an oversized record");
     }
 }

@@ -102,8 +102,9 @@ impl StorageConfig {
 /// the bench reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageStats {
-    /// Estimated heap bytes held by the index (lists + records + tables),
-    /// and by the weight table beside it for an engine that keeps one.
+    /// Heap bytes held by the index (lists + records + tables), and by the
+    /// weight table beside it for an engine that keeps one, every
+    /// allocation at its capacity.
     pub index_bytes: u64,
     /// Heap bytes of the engine's per-list zone structures (MRIO's zone
     /// table and every structure in it, at capacity; 0 for an engine

@@ -1,8 +1,10 @@
 //! `QueryIndex::heap_bytes` against the bytes the index really holds,
-//! counted by this test binary's own global allocator: it must count at
-//! least 95 % of them and never more. The populations are the benchmark's
-//! Connected queries (seed 1, the standing population's salt 2), as in
-//! `tests/footprint.rs`, registered into a bare index on each backend.
+//! counted by this test binary's own global allocator: the two are equal.
+//! The populations are the benchmark's Connected queries (seed 1, the
+//! standing population's salt 2), as in `tests/footprint.rs`, registered
+//! into a bare index on each backend, and the same populations churned:
+//! every other query unregistered, then the index compacted, which
+//! rebuilds the lists and the record arena.
 
 use continuous_topk::index::QueryIndex;
 use continuous_topk::prelude::*;
@@ -69,6 +71,11 @@ fn queries(n: usize) -> Vec<QuerySpec> {
     (0..n).map(|_| generator.generate()).collect()
 }
 
+/// Bytes allocated and not yet freed by this thread since `before`.
+fn held_since(before: i64) -> usize {
+    (LIVE.with(Cell::get) - before) as usize
+}
+
 #[test]
 fn heap_bytes_counts_what_the_index_holds() {
     for n in [2_000, 20_000] {
@@ -76,18 +83,23 @@ fn heap_bytes_counts_what_the_index_holds() {
         for storage in PostingsStorage::ALL {
             let before = LIVE.with(Cell::get);
             let mut index = QueryIndex::with_storage(&StorageConfig::new(storage));
-            for spec in &specs {
-                index.register(&spec.vector, spec.k as u32);
+            let ids: Vec<QueryId> =
+                specs.iter().map(|spec| index.register(&spec.vector, spec.k as u32)).collect();
+            let before = before + (ids.capacity() * std::mem::size_of::<QueryId>()) as i64;
+            let registered = (index.heap_bytes(), held_since(before));
+
+            for &qid in ids.iter().step_by(2) {
+                index.unregister(qid).expect("registered");
             }
-            let held = (LIVE.with(Cell::get) - before) as usize;
-            let counted = index.heap_bytes();
-            println!(
-                "{n} {storage}: heap_bytes {counted} of {held} B held ({:.2} % counted, {:.2} B/q missed)",
-                100.0 * counted as f64 / held as f64,
-                (held - counted.min(held)) as f64 / n as f64,
-            );
-            assert!(counted <= held, "{n} {storage}: {counted} B counted, {held} B held");
-            assert!(100 * counted >= 95 * held, "{n} {storage}: {counted} B counted of {held}");
+            index.compact();
+            assert_eq!(index.num_live(), n / 2);
+            let churned = (index.heap_bytes(), held_since(before));
+
+            // Printing allocates (the captured output grows), so only now.
+            for (stage, (counted, held)) in [("", registered), (", churned", churned)] {
+                println!("{n} {storage}{stage}: heap_bytes {counted} of {held} B held");
+                assert_eq!(counted, held, "{n} {storage}{stage}");
+            }
         }
     }
 }

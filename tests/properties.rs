@@ -308,7 +308,9 @@ fn record_query(len: u32, seed: u32) -> SparseVector {
 
 /// Every live query's record against the model, on `index`: its list ids
 /// in the order of its terms, each pointing at its own live posting with
-/// its weight; every removed query without a record.
+/// its weight; every removed query without a record. And the directory:
+/// every term of the range finds the model's list or none, and every list
+/// its term.
 fn records_agree(
     index: &QueryIndex,
     model: &[Option<SparseVector>],
@@ -337,17 +339,27 @@ fn records_agree(
     let want: Vec<QueryId> =
         (0..model.len()).filter(|&q| model[q].is_some()).map(|q| QueryId(q as u32)).collect();
     prop_assert_eq!(live, want);
+    prop_assert_eq!(index.num_lists(), lists.len());
+    for term in (0..2_000).map(TermId) {
+        let list = index.list_of_term(term);
+        prop_assert_eq!(list, lists.get(&term).copied(), "term {:?}", term);
+        if let Some(list) = list {
+            prop_assert_eq!(index.term_of_list(list), term);
+        }
+    }
     Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The 4-byte record layout against a `Vec` model, on both backends.
-    /// Most queries hold 1–5 terms, so records fill and cross the arena's
-    /// 256-entry chunks; one in eight holds up to 300, larger than a chunk.
-    /// Bursts of removals followed by compaction push the stranded entries
-    /// past half the live ones, where the arena is rebuilt.
+    /// The varint record layout and the term directory against models, on
+    /// both backends. Most queries hold 1–5 terms, so records fill and
+    /// cross the arena's 1 KiB chunks; one in eight holds up to 600, whose
+    /// one- and two-byte list ids can outgrow a chunk. Bursts of removals
+    /// followed by compaction push the stranded bytes past half the live
+    /// ones, where the arena is rebuilt. New terms cross the directory's
+    /// resizes on the way to the range's 2 000 lists.
     #[test]
     fn records_hold_their_queries_list_ids_in_order(
         ops in prop::collection::vec((0u8..12, 0u32..1 << 30, 0u32..1 << 30), 1..120),
@@ -360,7 +372,7 @@ proptest! {
                 let live: Vec<usize> = (0..model.len()).filter(|&q| model[q].is_some()).collect();
                 match op {
                     0..=6 => {
-                        let len = if a % 8 == 0 { 1 + b % 300 } else { 1 + b % 5 };
+                        let len = if a % 8 == 0 { 1 + b % 600 } else { 1 + b % 5 };
                         let vector = record_query(len, a ^ b);
                         for (term, _) in vector.iter() {
                             let next = lists.len() as u32;
