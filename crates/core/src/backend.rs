@@ -20,9 +20,7 @@ use crate::lifecycle::{NamespaceStats, QueryOptions, RetentionPolicy};
 use crate::snapshot::Snapshot;
 use crate::stats::EventStats;
 use crate::traits::ResultChange;
-use ctk_common::{
-    DocId, Document, FxHashMap, Namespace, QueryId, QuerySpec, ScoredDoc, TermId, Timestamp,
-};
+use ctk_common::{DocId, Document, Namespace, QueryId, QuerySpec, ScoredDoc, TermId, Timestamp};
 use ctk_index::StorageStats;
 use serde::{Deserialize, Serialize};
 
@@ -307,9 +305,10 @@ impl PublishReceipt {
 ///   backends with the same `lambda` report **bit-identical** `results` for
 ///   every query, whatever their engine kind or shard count (checked against
 ///   the exhaustive oracle in `tests/backend_api.rs`).
-/// * `snapshot` captures the full monitor state; `apply_snapshot` (or
-///   [`Snapshot::restore_into`]) rebuilds it on any freshly built backend
-///   of the same `lambda` — including one with a different shard count.
+/// * `snapshot` captures the full monitor state; `apply_snapshot` rebuilds
+///   it on any freshly built backend of the same `lambda` — including one
+///   with a different shard count — with every query under its captured
+///   id. An id names one query for good: none is ever handed out twice.
 ///
 /// ## Wire visibility
 ///
@@ -350,6 +349,10 @@ pub trait MonitorBackend {
     /// it, existing members are removed per the policy's
     /// [`EvictionPolicy`](crate::EvictionPolicy) — never the query just
     /// registered.
+    ///
+    /// # Panics
+    /// Panics when every id below `u32::MAX` was handed out
+    /// ([`MonitorBackend::next_query_id`] reads `u32::MAX`).
     fn register_with(&mut self, spec: QuerySpec, opts: QueryOptions) -> QueryId;
 
     /// The id the next registration will be assigned. Ids are never
@@ -440,14 +443,16 @@ pub trait MonitorBackend {
     /// Rebuild a capture's state on this **freshly built** backend (same
     /// `lambda`; any engine kind or shard count): stream position, decay
     /// landmark, namespaces, policies, and every query with its captured
-    /// results, registration time and deadline. Returns the mapping from
-    /// captured query ids to the new ids.
+    /// results, registration time and deadline. Each query keeps its
+    /// captured id, and the next registration gets the capture's
+    /// `next_query`.
     ///
     /// # Panics
-    /// Panics when the backend's `lambda` differs from the capture's, or
-    /// when the backend already hosts queries (seeded scores are only
-    /// meaningful in a fresh landmark frame).
-    fn apply_snapshot(&mut self, snapshot: &Snapshot) -> FxHashMap<QueryId, QueryId>;
+    /// Panics when the backend's `lambda` differs from the capture's, when
+    /// the backend already hosts queries (seeded scores are only
+    /// meaningful in a fresh landmark frame), or when the capture repeats
+    /// an id ([`Snapshot::from_json`] refuses such text).
+    fn apply_snapshot(&mut self, snapshot: &Snapshot);
 
     /// Warm-start a query's result set with pre-scored history (snapshot
     /// restore, and the bench harness's steady-state emulation).

@@ -4,7 +4,8 @@
 //! needs around it is written here exactly once, over whichever
 //! [`Runtime`] does the scoring:
 //!
-//! * the public query-id space and the registered-spec table;
+//! * the public query-id space, its map onto the runtime's dense slots,
+//!   and the registered-spec table;
 //! * document id allocation and monotone arrival-time clamping — every
 //!   document enters through a publish, whole, so the stream position is
 //!   always this type's own;
@@ -23,8 +24,7 @@ use crate::lifecycle::{
 use crate::runtime::Runtime;
 use crate::snapshot::{ShardSnapshot, Snapshot, SnapshotPolicy, SnapshotQuery, SNAPSHOT_VERSION};
 use ctk_common::{
-    DocId, Document, FxHashMap, Namespace, NamespaceRegistry, QueryId, QuerySpec, ScoredDoc,
-    TermId, Timestamp,
+    DocId, Document, Namespace, NamespaceRegistry, QueryId, QuerySpec, ScoredDoc, TermId, Timestamp,
 };
 use ctk_index::StorageStats;
 
@@ -32,8 +32,15 @@ use ctk_index::StorageStats;
 /// (see the module docs). All of the application API is the
 /// [`MonitorBackend`] impl below.
 pub struct FrontEnd<R: Runtime> {
-    /// Registered specs by public query id (`None` after removal).
+    /// The public id of each slot, the runtime's and the lifecycle layer's
+    /// dense id for a query. Slots are placed in order and ids only grow,
+    /// so the table ascends and no slot is above its id: the two are equal
+    /// until a restore leaves out the ids its capture no longer held.
+    ids: Vec<QueryId>,
+    /// Registered specs by slot (`None` after removal).
     specs: Vec<Option<QuerySpec>>,
+    /// The id the next registration gets: none is handed out twice.
+    next_query: u32,
     live: usize,
     next_doc: u64,
     last_arrival: Timestamp,
@@ -47,7 +54,9 @@ pub struct FrontEnd<R: Runtime> {
 impl<R: Runtime> FrontEnd<R> {
     pub(crate) fn over(runtime: R) -> Self {
         FrontEnd {
+            ids: Vec::new(),
             specs: Vec::new(),
+            next_query: 0,
             live: 0,
             next_doc: 0,
             last_arrival: 0.0,
@@ -57,8 +66,23 @@ impl<R: Runtime> FrontEnd<R> {
         }
     }
 
-    fn is_live(&self, qid: QueryId) -> bool {
-        self.specs.get(qid.index()).is_some_and(Option::is_some)
+    /// The slot of a live query: `qid` itself unless a restore left out
+    /// ids below it, and then a binary search away.
+    fn slot_of(&self, qid: QueryId) -> Option<QueryId> {
+        let upto = &self.ids[..self.ids.len().min(qid.index() + 1)];
+        let slot = match upto.last() {
+            Some(&last) if last == qid => upto.len() - 1,
+            _ => upto.binary_search(&qid).ok()?,
+        };
+        self.specs[slot].is_some().then_some(QueryId(slot as u32))
+    }
+
+    /// Drop a live query by slot.
+    fn remove(&mut self, slot: QueryId) {
+        self.runtime.remove(slot);
+        self.specs[slot.index()] = None;
+        self.live -= 1;
+        self.lifecycle.on_unregister(slot);
     }
 
     /// `Namespace(pub u16)` is constructible by anyone: refuse a handle this
@@ -90,9 +114,9 @@ impl<R: Runtime> FrontEnd<R> {
             return 0;
         }
         let due = self.lifecycle.take_expired(first_arrival.max(self.last_arrival));
-        for &qid in &due {
-            let removed = self.unregister(qid);
-            debug_assert!(removed, "expired query {qid} must be live");
+        for &slot in &due {
+            debug_assert!(self.specs[slot.index()].is_some(), "expired slot {slot} must be live");
+            self.remove(slot);
         }
         due.len() as u64
     }
@@ -114,9 +138,9 @@ impl<R: Runtime> FrontEnd<R> {
             }) else {
                 return;
             };
+            debug_assert!(self.specs[victim.index()].is_some(), "cap victim {victim} must be live");
             self.lifecycle.note_evicted(victim);
-            let removed = self.unregister(victim);
-            debug_assert!(removed, "cap victim {victim} must be live");
+            self.remove(victim);
             self.pending_evicted += 1;
         }
     }
@@ -134,27 +158,26 @@ impl<R: Runtime> FrontEnd<R> {
 impl<R: Runtime> MonitorBackend for FrontEnd<R> {
     fn register_with(&mut self, spec: QuerySpec, opts: QueryOptions) -> QueryId {
         self.check_namespace(opts.namespace);
-        let qid = self.next_query_id();
-        self.runtime.place(qid, &spec);
+        assert!(self.next_query < u32::MAX, "every query id below u32::MAX was handed out");
+        let qid = QueryId(self.next_query);
+        let slot = QueryId(self.ids.len() as u32);
+        self.runtime.place(slot, &spec);
+        self.ids.push(qid);
         self.specs.push(Some(spec));
+        self.next_query += 1;
         self.live += 1;
-        self.lifecycle.on_register(qid, opts, self.last_arrival);
-        self.enforce_cap(opts.namespace, Some(qid));
+        self.lifecycle.on_register(slot, opts, self.last_arrival);
+        self.enforce_cap(opts.namespace, Some(slot));
         qid
     }
 
     fn next_query_id(&self) -> QueryId {
-        QueryId(self.specs.len() as u32)
+        QueryId(self.next_query)
     }
 
     fn unregister(&mut self, qid: QueryId) -> bool {
-        if !self.is_live(qid) {
-            return false;
-        }
-        self.runtime.remove(qid);
-        self.specs[qid.index()] = None;
-        self.live -= 1;
-        self.lifecycle.on_unregister(qid);
+        let Some(slot) = self.slot_of(qid) else { return false };
+        self.remove(slot);
         true
     }
 
@@ -187,16 +210,16 @@ impl<R: Runtime> MonitorBackend for FrontEnd<R> {
             return 0;
         }
         self.runtime.forget(&members);
-        for &qid in &members {
-            self.lifecycle.on_unregister(qid);
-            self.specs[qid.index()] = None;
+        for &slot in &members {
+            self.lifecycle.on_unregister(slot);
+            self.specs[slot.index()] = None;
         }
         self.live -= members.len();
         members.len()
     }
 
     fn namespace_of(&self, qid: QueryId) -> Option<Namespace> {
-        self.lifecycle.namespace_of(qid)
+        self.lifecycle.namespace_of(self.slot_of(qid)?)
     }
 
     fn namespace_stats(&self) -> Vec<NamespaceStats> {
@@ -221,16 +244,17 @@ impl<R: Runtime> MonitorBackend for FrontEnd<R> {
             stats: Vec::new(),
         };
         self.runtime.ingest(docs, &mut receipt);
+        if self.ids.len() != self.next_query as usize {
+            for change in &mut receipt.changes {
+                change.query = self.ids[change.query.index()];
+            }
+        }
         self.attribute_lifecycle(&mut receipt, expired);
         receipt
     }
 
     fn results(&self, qid: QueryId) -> Option<Vec<ScoredDoc>> {
-        if self.is_live(qid) {
-            self.runtime.results(qid)
-        } else {
-            None
-        }
+        self.runtime.results(self.slot_of(qid)?)
     }
 
     fn num_queries(&self) -> usize {
@@ -259,16 +283,16 @@ impl<R: Runtime> MonitorBackend for FrontEnd<R> {
             .into_iter()
             .map(|landmark| ShardSnapshot { landmark, queries: Vec::new() })
             .collect();
-        for (i, spec) in self.specs.iter().enumerate() {
+        for (i, (qid, spec)) in self.ids.iter().zip(&self.specs).enumerate() {
             let Some(spec) = spec else { continue };
-            let qid = QueryId(i as u32);
+            let slot = QueryId(i as u32);
             let (registered_at, max_age, deadline) =
-                self.lifecycle.meta_of(qid).unwrap_or((self.last_arrival, None, None));
-            shards[self.runtime.section_of(qid)].queries.push(SnapshotQuery {
+                self.lifecycle.meta_of(slot).unwrap_or((self.last_arrival, None, None));
+            shards[self.runtime.section_of(slot)].queries.push(SnapshotQuery {
                 qid: qid.0,
                 spec: spec.clone(),
-                results: self.runtime.results(qid).unwrap_or_default(),
-                namespace: self.lifecycle.namespace_of(qid).unwrap_or(Namespace::DEFAULT).0,
+                results: self.runtime.results(slot).unwrap_or_default(),
+                namespace: self.lifecycle.namespace_of(slot).unwrap_or(Namespace::DEFAULT).0,
                 registered_at,
                 max_age,
                 deadline,
@@ -284,6 +308,7 @@ impl<R: Runtime> MonitorBackend for FrontEnd<R> {
             version: SNAPSHOT_VERSION,
             lambda: self.runtime.lambda(),
             next_doc: self.next_doc,
+            next_query: self.next_query,
             last_arrival: self.last_arrival,
             namespaces: self.lifecycle.names().to_vec(),
             policies: policies.collect(),
@@ -291,10 +316,13 @@ impl<R: Runtime> MonitorBackend for FrontEnd<R> {
         }
     }
 
-    /// Queries are re-registered in ascending captured-id order — a sharded
-    /// runtime thereby rebalances them round-robin over *its* shards, so the
-    /// capture's partitioning does not constrain the restore target.
-    fn apply_snapshot(&mut self, snapshot: &Snapshot) -> FxHashMap<QueryId, QueryId> {
+    /// Queries are re-registered in ascending captured-id order, each under
+    /// its captured id and in the next slot — a sharded runtime thereby
+    /// rebalances them round-robin over *its* shards, so the capture's
+    /// partitioning does not constrain the restore target. The ids between
+    /// them take no slot, so a restore costs the live queries, not the
+    /// history of ids behind them.
+    fn apply_snapshot(&mut self, snapshot: &Snapshot) {
         assert_eq!(
             self.runtime.lambda(),
             snapshot.lambda,
@@ -332,24 +360,25 @@ impl<R: Runtime> MonitorBackend for FrontEnd<R> {
 
         let mut captured: Vec<&SnapshotQuery> = snapshot.queries().collect();
         captured.sort_by_key(|q| q.qid);
-        let mut mapping = FxHashMap::default();
         for q in captured {
-            let new_qid = self.register_with(
+            assert!(q.qid >= self.next_query, "a capture holds each query id once");
+            self.next_query = q.qid;
+            let qid = self.register_with(
                 q.spec.clone(),
                 QueryOptions { namespace: map_ns(q.namespace), max_age: q.max_age },
             );
             // Pin the *captured* registration time and deadline: the
             // restore-time stream clock must not stretch TTLs.
-            self.lifecycle.restore_pin(new_qid, q.registered_at, q.deadline);
-            self.seed_results(new_qid, &q.results);
-            mapping.insert(QueryId(q.qid), new_qid);
+            let slot = QueryId(self.ids.len() as u32 - 1);
+            self.lifecycle.restore_pin(slot, q.registered_at, q.deadline);
+            self.seed_results(qid, &q.results);
         }
-        mapping
+        self.next_query = self.next_query.max(snapshot.next_query);
     }
 
     fn seed_results(&mut self, qid: QueryId, seeds: &[ScoredDoc]) {
-        if self.is_live(qid) {
-            self.runtime.seed(qid, seeds);
+        if let Some(slot) = self.slot_of(qid) {
+            self.runtime.seed(slot, seeds);
         }
     }
 }

@@ -105,7 +105,8 @@ struct NsState {
 }
 
 /// The lifecycle bookkeeping a monitor front-end owns: namespace interning,
-/// retention policies, per-query deadlines and the expiry heap.
+/// retention policies, per-query deadlines and the expiry heap. Its query
+/// ids are the front-end's slots, which ascend with the public ids.
 ///
 /// The manager never touches an engine. It answers "which queries are due"
 /// and "who is over cap"; the front-end performs the removals through its

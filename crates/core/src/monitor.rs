@@ -10,7 +10,7 @@ use crate::frontend::FrontEnd;
 use crate::runtime::Runtime;
 use crate::snapshot::Snapshot;
 use crate::traits::ContinuousTopK;
-use ctk_common::{Document, FxHashMap, QueryId, QuerySpec, ScoredDoc, Timestamp};
+use ctk_common::{Document, QueryId, QuerySpec, ScoredDoc, Timestamp};
 use ctk_index::StorageStats;
 
 /// A monitor wrapping an engine `E`; the application API is
@@ -47,13 +47,13 @@ impl<E: ContinuousTopK> Monitor<E> {
     }
 
     /// Rebuild a monitor from a snapshot using a fresh engine (which must
-    /// have been constructed with `snapshot.lambda`). Returns the mapping
-    /// from snapshot query ids to the new ids. Convenience wrapper around
-    /// [`Snapshot::restore_into`].
-    pub fn restore(engine: E, snapshot: &Snapshot) -> (Self, FxHashMap<QueryId, QueryId>) {
+    /// have been constructed with `snapshot.lambda`), every query under its
+    /// captured id. Convenience wrapper around
+    /// [`MonitorBackend::apply_snapshot`](crate::MonitorBackend::apply_snapshot).
+    pub fn restore(engine: E, snapshot: &Snapshot) -> Self {
         let mut monitor = Monitor::new(engine);
-        let mapping = snapshot.restore_into(&mut monitor);
-        (monitor, mapping)
+        crate::MonitorBackend::apply_snapshot(&mut monitor, snapshot);
+        monitor
     }
 }
 
@@ -179,11 +179,50 @@ mod tests {
         let json = snap.to_json().unwrap();
         let parsed = Snapshot::from_json(&json).unwrap();
 
-        let (restored, mapping) = Monitor::restore(MrioSeg::new(0.001), &parsed);
-        for (old, new) in [(q1, mapping[&q1]), (q2, mapping[&q2])] {
-            assert_eq!(m.results(old), restored.results(new), "query {old}");
+        let restored = Monitor::restore(MrioSeg::new(0.001), &parsed);
+        for q in [q1, q2] {
+            assert_eq!(m.results(q), restored.results(q), "query {q}");
         }
         assert_eq!(restored.num_queries(), 2);
+    }
+
+    /// A removed id stays dead through a restore on every engine kind: the
+    /// survivors keep their ids, and the next registration gets the id the
+    /// source would have given.
+    #[test]
+    fn restore_keeps_every_captured_id_and_never_reuses_one() {
+        fn check<E: ContinuousTopK>(make: impl Fn() -> E) {
+            let mut m = Monitor::new(make());
+            let ids: Vec<QueryId> = (1..=4).map(|t| m.register(spec(&[t], 2))).collect();
+            assert!(m.unregister(ids[0]));
+            assert!(m.unregister(ids[3]));
+            m.publish_batch(vec![(vec![(TermId(2), 1.0)], 0.0), (vec![(TermId(3), 0.5)], 1.0)]);
+            let mut restored = Monitor::restore(make(), &m.snapshot());
+            for &q in &ids {
+                assert_eq!(
+                    restored.results(q),
+                    m.results(q),
+                    "{}: query {q}",
+                    restored.engine().name()
+                );
+            }
+            assert_eq!(restored.next_query_id(), QueryId(4));
+            let fresh = restored.register(spec(&[1], 2));
+            assert_eq!(fresh, m.register(spec(&[1], 2)));
+            let a = restored.publish(vec![(TermId(1), 1.0), (TermId(3), 1.0)], 2.0);
+            let b = m.publish(vec![(TermId(1), 1.0), (TermId(3), 1.0)], 2.0);
+            assert_eq!(a.changes, b.changes);
+            let changed: Vec<QueryId> = a.changes.iter().map(|c| c.query).collect();
+            assert_eq!(changed, vec![ids[2], fresh], "changes name public ids");
+            assert_eq!(restored.namespace_of(ids[1]), Some(ctk_common::Namespace::DEFAULT));
+            assert_eq!(restored.namespace_of(ids[3]), None);
+            assert!(!restored.unregister(ids[0]) && restored.unregister(ids[2]));
+            assert_eq!(restored.results(ids[2]), None);
+            assert_eq!(restored.results(fresh), m.results(fresh));
+        }
+        check(|| MrioSeg::new(0.01));
+        check(|| crate::naive::Naive::new(0.01));
+        check(|| crate::rio::Rio::new(0.01));
     }
 
     #[test]
@@ -192,12 +231,11 @@ mod tests {
         let q = m.register(spec(&[5], 2));
         m.publish(vec![(TermId(5), 1.0)], 0.0);
         let snap = m.snapshot();
-        let (mut r, map) = Monitor::restore(MrioSeg::new(0.0), &snap);
-        let rq = map[&q];
+        let mut r = Monitor::restore(MrioSeg::new(0.0), &snap);
         // New stronger doc enters the restored monitor's results.
         let receipt = r.publish(vec![(TermId(5), 3.0)], 1.0);
         assert_eq!(receipt.changes.len(), 1);
-        let res = r.results(rq).unwrap();
+        let res = r.results(q).unwrap();
         assert_eq!(res.len(), 2);
     }
 
@@ -220,9 +258,8 @@ mod tests {
         let json = snap.to_json().unwrap();
         let parsed = Snapshot::from_json(&json).unwrap();
         assert_eq!(parsed.landmark(), m.engine().landmark());
-        let (mut restored, mapping) = Monitor::restore(MrioSeg::new(0.1), &parsed);
-        let rq = mapping[&q];
-        assert_eq!(m.results(q), restored.results(rq));
+        let mut restored = Monitor::restore(MrioSeg::new(0.1), &parsed);
+        assert_eq!(m.results(q), restored.results(q));
 
         // The regression: a *weak* document arriving after the restore.
         // Pre-fix, the restored engine sat at landmark 0, immediately
@@ -237,7 +274,7 @@ mod tests {
             a.changes, b.changes,
             "restored monitor diverged on the first post-restore event"
         );
-        assert_eq!(m.results(q), restored.results(rq));
+        assert_eq!(m.results(q), restored.results(q));
     }
 
     #[test]

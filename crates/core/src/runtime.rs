@@ -13,11 +13,11 @@ use ctk_common::{Document, QueryId, QuerySpec, ScoredDoc, Timestamp};
 use ctk_index::StorageStats;
 
 /// What a [`crate::FrontEnd`] needs from the machinery behind it. Every id
-/// is a **public** query id; the front-end guarantees `place` sees ids
-/// `0, 1, 2, …` in order and `remove`/`forget`/`seed`/`results` only see
-/// live ones.
+/// is a **slot**: the front-end maps each public query id onto one, and
+/// guarantees `place` sees slots `0, 1, 2, …` in order and
+/// `remove`/`forget`/`seed`/`results` only see live ones.
 pub trait Runtime {
-    /// Host a new query under the next public id.
+    /// Host a new query in the next slot.
     fn place(&mut self, qid: QueryId, spec: &QuerySpec);
 
     /// Drop a live query (tombstone now, compaction later).

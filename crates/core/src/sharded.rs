@@ -7,8 +7,8 @@
 //! query population round-robin across workers that each own a full engine,
 //! and broadcasts every stream document to all of them. The per-document
 //! matched-list walk is paid once *per shard*, over that shard's slice of
-//! the queries. Each public id maps to a `(shard, local id)` route; changes
-//! are translated back to public ids during the merge.
+//! the queries. Each front-end slot maps to a `(shard, local id)` route;
+//! changes are translated back to slots during the merge.
 //!
 //! A publish is one round trip: the stamped batch is shared through one
 //! `Arc` and sent to every worker as one `Process` command, and the
@@ -25,7 +25,7 @@ use ctk_index::StorageStats;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Internal routing of one public query id.
+/// Internal routing of one front-end slot.
 #[derive(Debug, Clone, Copy)]
 struct Route {
     shard: u32,
@@ -142,9 +142,9 @@ fn worker_loop<E: ContinuousTopK>(
 pub struct QueryShards {
     workers: Vec<Worker>,
     next_shard: usize,
-    /// Shard routes by public query id (`None` after removal).
+    /// Shard routes by slot (`None` after removal).
     routes: Vec<Option<Route>>,
-    /// Per shard: local id index → public id (append-only; locals are
+    /// Per shard: local id index → slot (append-only; locals are
     /// allocated monotonically by each worker's engine).
     global_of_local: Vec<Vec<QueryId>>,
 }
@@ -230,7 +230,7 @@ impl Runtime for QueryShards {
 
     /// Broadcast the `Arc`-shared batch to every worker, then merge their
     /// answers: the shards' per-document counters are summed and
-    /// shard-local query ids translated to public ids.
+    /// shard-local query ids translated to slots.
     fn ingest(&mut self, docs: Vec<Document>, receipt: &mut PublishReceipt) {
         let docs: Arc<[Document]> = docs.into();
         for w in &self.workers {

@@ -2,13 +2,13 @@
 //! backend, independent of the engine kind and runtime that wrote it.
 //!
 //! Capture and restore themselves live in the front-end
-//! ([`MonitorBackend::snapshot`] / [`MonitorBackend::apply_snapshot`]); this
-//! module owns only the on-disk shape, its one text writer
-//! ([`Snapshot::write_json`]) and its migration.
+//! ([`crate::MonitorBackend::snapshot`] /
+//! [`crate::MonitorBackend::apply_snapshot`]); this module owns only the
+//! on-disk shape, its one text writer ([`Snapshot::write_json`]) and its
+//! migration.
 
-use crate::backend::MonitorBackend;
 use crate::lifecycle::EvictionPolicy;
-use ctk_common::{FxHashMap, Namespace, QueryId, QuerySpec, ScoredDoc, Timestamp};
+use ctk_common::{Namespace, QuerySpec, ScoredDoc, Timestamp};
 use serde::json::ObjectWriter;
 use serde::{Deserialize, Serialize, Value};
 use std::io;
@@ -58,15 +58,18 @@ pub struct ShardSnapshot {
 /// A serializable capture of a whole monitor backend (format version 3).
 ///
 /// The section list records how the capture was partitioned, but restore is
-/// partition-agnostic: [`Snapshot::restore_into`] rebalances the queries
-/// onto whatever backend it is given, so a 4-shard capture restores into a
-/// 2-shard (or single-engine) monitor and vice versa.
+/// partition-agnostic: [`crate::MonitorBackend::apply_snapshot`] rebalances
+/// the queries onto whatever backend it is given, so a 4-shard capture
+/// restores into a 2-shard (or single-engine) monitor and vice versa. Every
+/// query keeps its captured id.
 ///
 /// ## Format history
 ///
 /// * **v3** (current): adds the lifecycle layer — a `namespaces` string
 ///   table, per-namespace retention `policies`, and per-query
-///   `namespace`/`registered_at`/`max_age`/`deadline`.
+///   `namespace`/`registered_at`/`max_age`/`deadline`. Later v3 captures
+///   add `next_query`; one without it reads the largest captured `qid`
+///   plus one (0 with no queries) instead.
 /// * **v2** (PR 3): `version` tag, per-shard `shards` sections each
 ///   carrying its `landmark`. Migrated into the default namespace with no
 ///   deadlines; `registered_at` becomes the capture's `last_arrival`.
@@ -81,6 +84,12 @@ pub struct Snapshot {
     pub version: u32,
     pub lambda: f64,
     pub next_doc: u64,
+    /// The id the capture's next registration would have been given: every
+    /// id below it was handed out, so a restore never hands one out again.
+    /// [`Snapshot::from_json`] raises it past every captured id, which is
+    /// what a capture written before the field existed reads.
+    #[serde(default)]
+    pub next_query: u32,
     pub last_arrival: Timestamp,
     /// Interned namespace names; the index is the handle queries and
     /// policies refer to. Index 0 is always the default namespace ("").
@@ -138,6 +147,7 @@ impl SnapshotV2 {
             version: SNAPSHOT_VERSION,
             lambda: self.lambda,
             next_doc: self.next_doc,
+            next_query: 0,
             last_arrival,
             namespaces: vec![String::new()],
             policies: Vec::new(),
@@ -183,6 +193,7 @@ impl Snapshot {
         head.field("version", &self.version).map_err(invalid)?;
         head.field("lambda", &self.lambda).map_err(invalid)?;
         head.field("next_doc", &self.next_doc).map_err(invalid)?;
+        head.field("next_query", &self.next_query).map_err(invalid)?;
         head.field("last_arrival", &self.last_arrival).map_err(invalid)?;
         head.field("namespaces", &self.namespaces).map_err(invalid)?;
         head.field("policies", &self.policies).map_err(invalid)?;
@@ -208,7 +219,9 @@ impl Snapshot {
     /// Deserialize from JSON, migrating a v2 capture to the current
     /// in-memory form (its queries land in the default namespace with no
     /// deadlines). Any other shape or version is an error, and so is a
-    /// non-finite number in any field.
+    /// non-finite number in any field, a query id captured twice, and the
+    /// id `u32::MAX`, past which no id is left to hand out. A large id
+    /// costs a restore nothing: only captured queries take a slot.
     pub fn from_json(s: &str) -> serde_json::Result<Snapshot> {
         Snapshot::from_json_value(&serde_json::from_str(s)?)
     }
@@ -216,7 +229,7 @@ impl Snapshot {
     /// [`Snapshot::from_json`] on text already parsed into a tree, such as
     /// a member of a larger document.
     pub fn from_json_value(tree: &Value) -> serde_json::Result<Snapshot> {
-        let snap = match Snapshot::from_value(tree) {
+        let mut snap = match Snapshot::from_value(tree) {
             Ok(snap) if snap.version == SNAPSHOT_VERSION => snap,
             Ok(snap) => return Err(unsupported(snap.version)),
             Err(v3_err) => match SnapshotV2::from_value(tree) {
@@ -230,6 +243,21 @@ impl Snapshot {
             },
         };
         snap.check_numbers()?;
+        let mut qids: Vec<u32> = snap.queries().map(|q| q.qid).collect();
+        qids.sort_unstable();
+        if let Some(w) = qids.windows(2).find(|w| w[0] == w[1]) {
+            let twice = format!("snapshot holds query id {} twice", w[0]);
+            return Err(serde::Error::custom(twice).into());
+        }
+        let after_largest = match qids.last() {
+            Some(&qid) => qid.checked_add(1).ok_or_else(|| {
+                serde::Error::custom(format!(
+                    "snapshot holds query id {qid}: no id is left after it"
+                ))
+            })?,
+            None => 0,
+        };
+        snap.next_query = snap.next_query.max(after_largest);
         Ok(snap)
     }
 
@@ -297,32 +325,17 @@ impl Snapshot {
         );
         self.shards.iter().map(|s| s.landmark).fold(0.0, f64::max)
     }
-
-    /// Rebuild this capture's state on a freshly built backend (same
-    /// `lambda`; any engine kind or shard count) — see
-    /// [`MonitorBackend::apply_snapshot`], which this forwards to. Returns
-    /// the mapping from captured query ids to the new ids.
-    ///
-    /// # Panics
-    /// Panics when the backend's `lambda` differs from the capture's, or
-    /// when the backend already hosts queries (seeded scores are only
-    /// meaningful in a fresh landmark frame).
-    pub fn restore_into<B: MonitorBackend + ?Sized>(
-        &self,
-        backend: &mut B,
-    ) -> FxHashMap<QueryId, QueryId> {
-        backend.apply_snapshot(self)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::MonitorBackend;
     use crate::lifecycle::{QueryOptions, RetentionPolicy};
     use crate::monitor::Monitor;
     use crate::naive::Naive;
     use crate::sharded::ShardedMonitor;
-    use ctk_common::TermId;
+    use ctk_common::{QueryId, TermId};
 
     /// `write_json`, and `to_json` through it, against the derived compact
     /// writer; the text also parses back to the same capture.
@@ -348,6 +361,7 @@ mod tests {
             version: SNAPSHOT_VERSION,
             lambda: 0.5,
             next_doc: 7,
+            next_query: 4,
             last_arrival: 3.25,
             namespaces: vec![String::new(), "tenant \"a\"\n".to_string()],
             policies: Vec::new(),

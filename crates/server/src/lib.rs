@@ -20,7 +20,7 @@
 //! | `POST /forget` | bulk-remove a namespace: `{"namespace": n, "dry_run": true}` previews, `"confirm": true` removes |
 //! | `GET /stats` | engine, λ, shards, query/publish counters, expiry/eviction totals, per-namespace counts, storage counters (`index_bytes`, `zone_bytes`, `blocks_decoded`), ingest-queue occupancy (`queue_depth`, `queue_capacity`, `queue_highwater`), fan-out totals |
 //! | `POST /snapshot` | capture the full monitor state as a versioned, compact JSON snapshot; `?stream=1` streams the same bytes one query at a time (EOF-framed, connection closes) without materializing the text; with a journal configured this is a **checkpoint** — the snapshot lands in `checkpoint.json` and the journal truncates |
-//! | `POST /restore` | replace the live monitor from a snapshot → id mapping (rejects snapshot versions newer than this build reads, and non-finite numbers, with 400; checkpointed when a journal is active) |
+//! | `POST /restore` | replace the live monitor from a snapshot → `{"queries": n}`; every query keeps its captured id, and no id the live monitor handed out is handed out again (rejects snapshot versions newer than this build reads, and non-finite numbers, with 400; checkpointed when a journal is active) |
 //! | `POST /admin/drain` | refuse further publishes (503), flush in-flight ones, wake pollers |
 //! | `GET /healthz` | liveness + `draining`/`warming` flags (always `200` while the process is up) |
 //! | `GET /readyz` | readiness: `200` once journal replay finished and the server is not draining, else `503` with the blocking state |

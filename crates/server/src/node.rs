@@ -42,19 +42,11 @@
 //! total order and the backend is deterministic given that order: document
 //! ids come from the restored `next_doc`, decay scores from the restored
 //! landmark, and expiry and eviction fire at publish boundaries as pure
-//! functions of stream time.
-//!
-//! # Id remapping
-//!
-//! A restore renumbers queries ([`MonitorBuilder::restore`] returns the
-//! captured-id → live-id mapping), but journaled records speak the
-//! *pre-crash* id space. While it replays, the node carries that mapping
-//! forward: a replayed [`ReplayCommand::Register`] extends it with the id
-//! the dead process assigned, and a replayed [`ReplayCommand::Unregister`]
-//! translates through it. An unregister whose id never maps (the query
-//! expired before the checkpoint, say) is a no-op, as it was live. The
-//! re-checkpoint re-anchors the journal in the new id space and drops the
-//! mapping.
+//! functions of stream time. Query ids come back unchanged: a checkpoint
+//! restores each query under its captured id, and a replayed
+//! [`ReplayCommand::Register`] is placed at the id it was journaled with.
+//! An id names one query for the daemon's whole history — across restarts
+//! and `POST /restore` alike — and is never handed out twice.
 //!
 //! [`CtkServer::drain`]: crate::CtkServer::drain
 //! [`CtkServer::shutdown`]: crate::CtkServer::shutdown
@@ -64,7 +56,7 @@ use crate::journal::{Journal, Recovery};
 use crate::subscribers::SubscriberRegistry;
 use continuous_topk::MonitorBuilder;
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-use ctk_common::{FxHashMap, NamespaceRegistry, QueryId, ScoredDoc};
+use ctk_common::{NamespaceRegistry, QueryId, ScoredDoc};
 use ctk_core::{
     MonitorBackend, NamespaceStats, PublishReceipt, PublishRequest, QueryOptions, ReplayCommand,
     RetentionPolicy, Snapshot,
@@ -78,9 +70,8 @@ use std::time::Instant;
 /// One operation on a [`Node`].
 #[derive(Debug)]
 pub enum Op {
-    /// A journaled mutation, as its record: appended, then applied. A live
-    /// register's `assigned` is overwritten with the id it gets; a replayed
-    /// one is mapped (see the module docs).
+    /// A journaled mutation, as its record: appended, then applied. A
+    /// register's `assigned` is overwritten with the id it gets.
     Record(ReplayCommand),
     /// A live publish plus its journal payload as the handler framed it
     /// ([`crate::journal::publish_body_payload`]), `Some` exactly when the
@@ -96,8 +87,8 @@ pub enum Op {
     CountNamespace(String),
     /// Capture a snapshot; with a journal it is also the checkpoint.
     Snapshot,
-    /// Replace the monitor with a snapshot's state and remap subscriber
-    /// filters to the new ids.
+    /// Replace the monitor with a snapshot's state. Ids the live monitor
+    /// handed out stay handed out.
     Restore(Box<Snapshot>),
     /// Sync the journal. Replies once everything queued before it is done.
     Barrier,
@@ -128,12 +119,8 @@ pub enum Reply {
     /// The node's counters; the caller fills in the transport's fields.
     Stats(Box<ServerStats>),
     Snapshot(Box<Snapshot>),
-    /// The restored query count and the captured-id → new-id mapping,
-    /// sorted by captured id.
-    Restored {
-        queries: usize,
-        mapping: Vec<(QueryId, QueryId)>,
-    },
+    /// The restored query count.
+    Restored(usize),
 }
 
 /// The `GET /stats` response body.
@@ -195,9 +182,6 @@ pub struct Node {
     publishes: u64,
     docs_published: u64,
     replayed_records: u64,
-    /// Journaled query id → live id, set only while [`Node::recover`]
-    /// replays records.
-    replay_ids: Option<FxHashMap<QueryId, QueryId>>,
 }
 
 /// The message in a [`Reply::Refused`] for a failed append.
@@ -230,34 +214,50 @@ impl Node {
             publishes: 0,
             docs_published: 0,
             replayed_records: 0,
-            replay_ids: None,
         }
     }
 
     /// Rebuild the state `recovery` found on disk: restore its checkpoint,
-    /// apply each recovered record with journaling off, then re-checkpoint.
-    /// The final checkpoint is not cosmetic: records appended after it name
-    /// query ids from **this** process's id space, so the on-disk state must
-    /// be re-anchored in that space before the first new append — otherwise
-    /// a second crash could replay new records against the old checkpoint's
-    /// ids. Replayed publishes count in `replayed_records`, not as this
+    /// apply each recovered record with journaling off, then re-checkpoint,
+    /// so the next restart replays only what comes after this one.
+    ///
+    /// The daemon registers contiguously from its checkpoint's next id, so
+    /// each register record must carry the id after the one before it. Only
+    /// the first after a checkpoint may skip ahead: a checkpoint written
+    /// before captures carried `next_query` reads one past its largest id,
+    /// which can be lower. Any other register contradicts the checkpoint:
+    /// that is an `InvalidData` error naming the record, and nothing
+    /// changes. Replayed publishes count in `replayed_records`, not as this
     /// process's publishes.
     pub fn recover(&mut self, recovery: Recovery) -> io::Result<()> {
         if recovery.is_empty() {
             return Ok(());
         }
-        let mut ids = FxHashMap::default();
-        if let Some(snapshot) = &recovery.snapshot {
-            (self.backend, ids) = self.builder.restore(snapshot);
+        let Recovery { mut snapshot, checkpoint_seq, commands, .. } = recovery;
+        let mut next = snapshot.as_ref().map_or(0, |s| s.next_query);
+        let mut first = true;
+        for (seq, command) in (checkpoint_seq + 1..).zip(&commands) {
+            let ReplayCommand::Register { assigned, .. } = command else { continue };
+            let skip = first && assigned.0 > next && snapshot.is_some();
+            if (assigned.0 != next && !skip) || assigned.0 == u32::MAX {
+                let e = format!("journal record {seq} registers {assigned} where q{next} is next");
+                return Err(io::Error::new(io::ErrorKind::InvalidData, e));
+            }
+            if let (true, Some(checkpoint)) = (skip, snapshot.as_mut()) {
+                checkpoint.next_query = assigned.0;
+            }
+            first = false;
+            next = assigned.0 + 1;
+        }
+        if let Some(snapshot) = &snapshot {
+            self.backend = self.builder.restore(snapshot);
         }
         let journal = self.journal.take();
-        self.replay_ids = Some(ids);
-        self.replayed_records = recovery.commands.len() as u64;
-        for command in recovery.commands {
+        self.replayed_records = commands.len() as u64;
+        for command in commands {
             self.apply(Op::Record(command));
         }
         (self.publishes, self.docs_published) = (0, 0);
-        self.replay_ids = None;
         self.journal = journal;
         match self.apply(Op::Snapshot) {
             Reply::Refused(e) => Err(io::Error::other(e)),
@@ -306,7 +306,7 @@ impl Node {
                 }
                 Reply::Snapshot(Box::new(snapshot))
             }
-            Op::Restore(snapshot) => self.restore(&snapshot),
+            Op::Restore(snapshot) => self.restore(*snapshot),
             Op::Barrier => {
                 // A drain barrier is the last thing before a planned stop or
                 // snapshot; make lazily-synced journals durable here too.
@@ -329,10 +329,10 @@ impl Node {
         Reply::Published { receipt, changes }
     }
 
-    /// Resolve a journaled mutation's ids, append it, apply it. One that
-    /// would change nothing (an unknown query or namespace) or cannot apply
-    /// (a new namespace past the registry's capacity) answers before the
-    /// journal sees it, so replay never meets it.
+    /// Stamp a register with its id, append the mutation, apply it. One
+    /// that would change nothing (an unknown query or namespace) or cannot
+    /// apply (a new namespace past the registry's capacity) answers before
+    /// the journal sees it, so replay never meets it.
     fn mutate(&mut self, mut command: ReplayCommand) -> Reply {
         if let ReplayCommand::Register { namespace, .. }
         | ReplayCommand::SetRetention { namespace, .. } = &command
@@ -343,24 +343,12 @@ impl Node {
         }
         match &mut command {
             ReplayCommand::Register { assigned, .. } => {
-                let qid = self.backend.next_query_id();
-                match &mut self.replay_ids {
-                    Some(ids) => {
-                        ids.insert(*assigned, qid);
-                    }
-                    None => *assigned = qid,
+                *assigned = self.backend.next_query_id();
+                if assigned.0 == u32::MAX {
+                    return Reply::Rejected("refused: every query id was handed out".to_string());
                 }
             }
             ReplayCommand::Unregister { qid } => {
-                // Registers precede unregisters of the same id, and each
-                // replayed register extends the map, so a miss means the id
-                // never named a live query in this history.
-                if let Some(ids) = &self.replay_ids {
-                    match ids.get(qid) {
-                        Some(&live) => *qid = live,
-                        None => return Reply::Unknown,
-                    }
-                }
                 if self.backend.namespace_of(*qid).is_none() {
                     return Reply::Unknown;
                 }
@@ -406,27 +394,25 @@ impl Node {
     /// anything: a restore replaces the whole monitor, so the journal's
     /// history no longer describes the live state, and the restored
     /// snapshot is checkpointed instead of journaling the restore. A
-    /// refused checkpoint leaves the live monitor and every subscriber
-    /// filter as they were.
-    fn restore(&mut self, snapshot: &Snapshot) -> Reply {
+    /// refused checkpoint leaves the live monitor as it was.
+    ///
+    /// The restored monitor hands out ids from the larger of the capture's
+    /// next id and the live one's, so no id is handed out twice: a query
+    /// the capture lacks stays gone, and a subscriber filtered on it hears
+    /// nothing more.
+    fn restore(&mut self, mut snapshot: Snapshot) -> Reply {
         if snapshot.namespaces.len() > NamespaceRegistry::CAPACITY {
             return namespaces_full();
         }
-        let (restored, mapping) = self.builder.restore(snapshot);
+        snapshot.next_query = snapshot.next_query.max(self.backend.next_query_id().0);
+        let restored = self.builder.restore(&snapshot);
         if let Some(journal) = self.journal.as_mut() {
             if let Err(e) = journal.checkpoint(&restored.snapshot()) {
                 return Reply::Refused(checkpoint_failed(e));
             }
         }
         self.backend = restored;
-        let mut mapping: Vec<(QueryId, QueryId)> = mapping.into_iter().collect();
-        mapping.sort_unstable_by_key(|&(old, _)| old);
-        // Follow the surviving queries to their new ids before the restorer
-        // gets its ack — a subscriber filtered on an old id must never see
-        // (or miss) a post-restore change because its filter still spoke
-        // the pre-restore id space.
-        self.subscribers.remap_filters(&mapping);
-        Reply::Restored { queries: self.backend.num_queries(), mapping }
+        Reply::Restored(self.backend.num_queries())
     }
 
     fn stats(&self) -> ServerStats {
@@ -455,6 +441,12 @@ impl Node {
             replayed_records: self.replayed_records,
             ..ServerStats::default()
         }
+    }
+
+    /// The live monitor's capture, taken without checkpointing it.
+    #[cfg(test)]
+    pub(crate) fn capture(&self) -> Snapshot {
+        self.backend.snapshot()
     }
 
     /// The ingest thread: receive, apply, reply, until told to stop or
@@ -545,12 +537,10 @@ mod tests {
         node
     }
 
-    /// The node's capture restored onto one shard and written again. A
-    /// restore renumbers queries in registration order and a recovered
-    /// node's ids start over from its checkpoint, so only this form is
-    /// comparable between a live node and its recovered twin.
+    /// The node's capture restored onto one shard and written again: the
+    /// form in which captures of any shard count compare.
     fn canonical(node: &Node) -> String {
-        let (single, _) = node.builder.clone().shards(1).restore(&node.backend.snapshot());
+        let single = node.builder.clone().shards(1).restore(&node.backend.snapshot());
         single.snapshot().to_json().unwrap()
     }
 
@@ -661,38 +651,135 @@ mod tests {
         let _ = fs::remove_dir_all(&copy);
     }
 
+    fn register_record(assigned: u32, terms: &[u32]) -> ReplayCommand {
+        let Op::Record(mut command) = register(terms, 3, "", None) else { unreachable!() };
+        if let ReplayCommand::Register { assigned: id, .. } = &mut command {
+            *id = QueryId(assigned);
+        }
+        command
+    }
+
     #[test]
-    fn unregister_of_an_unmapped_id_is_skipped() {
+    fn replay_keeps_journaled_ids_and_skips_unknown_unregisters() {
         let mut node = Node::new(&builder(1), None, Arc::new(SubscriberRegistry::new(1)));
-        let Op::Record(register) = register(&[1], 3, "", None) else { unreachable!() };
-        let ReplayCommand::Register { spec, namespace, max_age, .. } = register else {
-            unreachable!()
-        };
-        // The dead process assigned ids 7 and 8 (live 0 and 1 here); 0, 3
-        // and 99 never named a query in its history.
+        // The dead process assigned ids 0 and 1; 3 and 99 never named a
+        // query in its history.
         let commands = vec![
             ReplayCommand::Unregister { qid: QueryId(3) },
-            ReplayCommand::Register {
-                assigned: QueryId(7),
-                spec: spec.clone(),
-                namespace,
-                max_age,
-            },
-            ReplayCommand::Register {
-                assigned: QueryId(8),
-                spec,
-                namespace: String::new(),
-                max_age,
-            },
+            register_record(0, &[1]),
+            register_record(1, &[2]),
             ReplayCommand::Unregister { qid: QueryId(99) },
+            ReplayCommand::Unregister { qid: QueryId(3) },
             ReplayCommand::Unregister { qid: QueryId(0) },
-            ReplayCommand::Unregister { qid: QueryId(8) },
         ];
         let recovery = Recovery { snapshot: None, checkpoint_seq: 0, commands, truncated_bytes: 0 };
         node.recover(recovery).unwrap();
         assert_eq!(node.backend.num_queries(), 1, "only journaled ids unregister");
-        assert!(node.backend.results(QueryId(0)).is_some(), "journaled 7 is live 0");
+        assert!(node.backend.results(QueryId(1)).is_some(), "journaled 1 is live 1");
+        assert_eq!(node.backend.next_query_id(), QueryId(2));
         assert_eq!(node.replayed_records, 6);
+
+        // Without a checkpoint the history starts at q0: nothing explains a
+        // first register at q7.
+        let mut node = Node::new(&builder(1), None, Arc::new(SubscriberRegistry::new(1)));
+        let commands = vec![register_record(7, &[1])];
+        let recovery = Recovery { snapshot: None, checkpoint_seq: 0, commands, truncated_bytes: 0 };
+        let err = node.recover(recovery).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("journal record 1 registers q7 where q0 is next"),
+            "{err}"
+        );
+        assert_eq!(node.backend.next_query_id(), QueryId(0), "nothing changed");
+    }
+
+    /// A journal directory written by hand: `capture` as the checkpoint
+    /// covering seqs up to 3, then one segment holding `commands` from seq
+    /// 4 on.
+    fn hand_built(dir: &Path, capture: &str, commands: &[ReplayCommand]) -> (Journal, Recovery) {
+        fs::create_dir_all(dir).unwrap();
+        let checkpoint = format!(r#"{{"format": 1, "last_seq": 3, "snapshot": {capture}}}"#);
+        fs::write(dir.join("checkpoint.json"), checkpoint).unwrap();
+        let mut segment = Vec::new();
+        for (seq, command) in (4..).zip(commands) {
+            let payload = serde_json::to_string(command).unwrap();
+            segment.extend(crate::journal::encode_record(seq, payload.as_bytes()));
+        }
+        fs::write(dir.join("wal-00000000000000000004.log"), segment).unwrap();
+        Journal::open(JournalConfig::new(dir)).unwrap()
+    }
+
+    /// A capture of queries 0 and 1 on terms 1 and 2, taken after queries
+    /// 2 and 3 were registered and removed: its next id is 4.
+    fn capture_with_removed_tail() -> Snapshot {
+        let mut node = Node::new(&builder(1), None, Arc::new(SubscriberRegistry::new(1)));
+        for terms in [[1], [2], [3], [4]] {
+            node.apply(register(&terms, 3, "", None));
+        }
+        for qid in [2, 3] {
+            node.apply(Op::Record(ReplayCommand::Unregister { qid: QueryId(qid) }));
+        }
+        node.apply(publish(&[(&[1, 2], 1.0)]));
+        node.backend.snapshot()
+    }
+
+    /// A register below the next id, or one that leaves a gap after the
+    /// first, contradicts the checkpoint.
+    #[test]
+    fn a_journal_that_registers_below_its_checkpoints_next_id_is_invalid_data() {
+        let capture = capture_with_removed_tail();
+        assert_eq!(capture.next_query, 4);
+        for (second, want) in
+            [(3, "record 5 registers q3 where q5"), (6, "record 5 registers q6 where q5")]
+        {
+            let dir = temp_dir("contradiction");
+            let commands = [register_record(4, &[5]), register_record(second, &[6])];
+            let (journal, recovery) = hand_built(&dir, &capture.to_json().unwrap(), &commands);
+            let mut node =
+                Node::new(&builder(1), Some(journal), Arc::new(SubscriberRegistry::new(1)));
+            let err = node.recover(recovery).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(want), "{err}");
+            assert_eq!(node.backend.num_queries(), 0, "nothing changed");
+            assert_eq!(node.backend.next_query_id(), QueryId(0));
+            assert_eq!(node.replayed_records, 0);
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A checkpoint written before captures carried `next_query` reads one
+    /// past its largest id (2 here, where the writer had handed out 4), and
+    /// replay skips ahead to the id the next record was journaled with.
+    #[test]
+    fn a_checkpoint_without_next_query_skips_ahead_to_the_journaled_id() {
+        let dir = temp_dir("legacy");
+        let capture = capture_with_removed_tail();
+        let text = capture.to_json().unwrap();
+        let legacy = text.replace(r#""next_query":4,"#, "");
+        assert_ne!(legacy, text);
+        assert_eq!(Snapshot::from_json(&legacy).unwrap().next_query, 2);
+        let commands = [
+            register_record(4, &[5]),
+            ReplayCommand::Unregister { qid: QueryId(1) },
+            register_record(5, &[6]),
+        ];
+        let (journal, recovery) = hand_built(&dir, &legacy, &commands);
+        let mut node = Node::new(&builder(1), Some(journal), Arc::new(SubscriberRegistry::new(1)));
+        node.recover(recovery).unwrap();
+        let live: Vec<u32> = node.backend.snapshot().queries().map(|q| q.qid).collect();
+        assert_eq!(live, vec![0, 4, 5]);
+        let terms = |qid: u32| {
+            let capture = node.backend.snapshot();
+            let query = capture.queries().find(|q| q.qid == qid).unwrap();
+            query.spec.vector.iter().map(|(t, _)| t.0).collect::<Vec<_>>()
+        };
+        assert_eq!((terms(0), terms(4), terms(5)), (vec![1], vec![5], vec![6]));
+        assert_eq!(
+            node.backend.results(QueryId(0)),
+            capture.queries().next().map(|q| q.results.clone())
+        );
+        assert_eq!(node.backend.next_query_id(), QueryId(6));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

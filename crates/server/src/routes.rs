@@ -866,23 +866,8 @@ fn handle_restore(request: &Request, shared: &Shared) -> Response {
     };
     match ask(shared, Op::Restore(Box::new(snapshot))) {
         Err(response) => response,
-        Ok(Reply::Restored { queries, mapping }) => {
-            let mapping = mapping
-                .into_iter()
-                .map(|(old, new)| {
-                    Value::Array(vec![
-                        Value::Num(Number::U64(old.0.into())),
-                        Value::Num(Number::U64(new.0.into())),
-                    ])
-                })
-                .collect();
-            Response::json(
-                200,
-                object(vec![
-                    ("queries", Value::Num(Number::U64(queries as u64))),
-                    ("mapping", Value::Array(mapping)),
-                ]),
-            )
+        Ok(Reply::Restored(queries)) => {
+            Response::json(200, object(vec![("queries", Value::Num(Number::U64(queries as u64)))]))
         }
         Ok(reply) => unexpected(reply),
     }

@@ -14,8 +14,9 @@
 //! is torn at a generated byte, and a node of another runtime shape or
 //! storage backend recovers from it. The oracle is then rebuilt from its
 //! own capture at the last checkpoint plus the journaled ops that survived
-//! the tear, translating their ids itself rather than through the node's
-//! replay mapping.
+//! the tear, each register getting the id it was journaled with. After
+//! every crash and every restore, each id handed out must still name the
+//! query it was handed out for, on both sides, or answer 404.
 //!
 //! A failing case shrinks to a minimal op sequence and prints the
 //! `PROPTEST_REPLAY=<seed>:<case>` line that reruns exactly that case:
@@ -30,7 +31,7 @@ use crate::subscribers::SubscriberRegistry;
 use crate::wire::decode_publish;
 use continuous_topk::index::PostingsStorage;
 use continuous_topk::{EngineKind, MonitorBuilder};
-use ctk_common::{FxHashMap, QueryId, QuerySpec, TermId};
+use ctk_common::{QueryId, QuerySpec, TermId};
 use ctk_core::{EvictionPolicy, ReplayCommand, RetentionPolicy, Snapshot};
 use proptest::prelude::*;
 use std::fs;
@@ -88,6 +89,8 @@ struct Sim {
     oracle: Node,
     /// The next query id both sides will assign.
     next_id: u32,
+    /// The spec each id below `next_id` was handed out for.
+    specs: Vec<QuerySpec>,
     clock: f64,
     /// The terms of the last published document, as the wire spells them.
     last_terms: String,
@@ -141,7 +144,7 @@ fn results(reply: &Reply) -> Option<Vec<(u64, u64)>> {
 /// A capture restored onto one `Naive` shard and written again: the form
 /// in which captures of different runtimes and storage backends compare.
 fn canonical(capture: &Snapshot) -> String {
-    let (single, _) = MonitorBuilder::new(EngineKind::Naive).restore(capture);
+    let single = MonitorBuilder::new(EngineKind::Naive).restore(capture);
     single.snapshot().to_json().unwrap()
 }
 
@@ -169,10 +172,7 @@ fn agree(node: &Reply, oracle: &Reply) -> bool {
         (Reply::Registered(a), Reply::Registered(b)) => a == b,
         (Reply::Removed(a), Reply::Removed(b)) => a == b,
         (Reply::Retention(a), Reply::Retention(b)) => a == b,
-        (
-            Reply::Restored { queries: a, mapping: m },
-            Reply::Restored { queries: b, mapping: n },
-        ) => a == b && m == n,
+        (Reply::Restored(a), Reply::Restored(b)) => a == b,
         (Reply::Done, Reply::Done) | (Reply::Unknown, Reply::Unknown) => true,
         (Reply::Rejected(a), Reply::Rejected(b)) => a == b,
         _ => false,
@@ -201,6 +201,7 @@ impl Sim {
             node: Node::new(&builder, Some(journal), Arc::new(SubscriberRegistry::new(1))),
             oracle: oracle(lambda),
             next_id: 0,
+            specs: Vec::new(),
             clock: 0.0,
             last_terms: String::new(),
             captures: Vec::new(),
@@ -233,7 +234,11 @@ impl Sim {
                 Some(ReplayCommand::Register { spec, namespace, max_age, .. }),
                 Reply::Registered(q),
             ) => {
+                if q.0 != self.next_id {
+                    return Err(format!("{described}: registered as {q}, not q{}", self.next_id));
+                }
                 self.next_id = q.0 + 1;
+                self.specs.push(spec.clone());
                 self.journaled.push(ReplayCommand::Register {
                     assigned: *q,
                     spec,
@@ -311,7 +316,7 @@ impl Sim {
     /// Tear the newest segment of a copy of the journal at a byte drawn
     /// from `a` and `b`, recover a node of another shape or storage from
     /// it, and rebuild the oracle from what survived.
-    fn crash(&mut self, a: u32, b: u64) {
+    fn crash(&mut self, a: u32, b: u64) -> Result<(), String> {
         self.count_storage();
         self.tally.crashes += 1;
         let (from, to) = (self.dirs[0].clone(), self.dirs[1].clone());
@@ -351,41 +356,54 @@ impl Sim {
         let _ = fs::remove_dir_all(&self.dirs[1]);
 
         // The oracle, from its capture at the checkpoint the node restored
-        // (or from nothing) and the journaled ops that survived, each id
-        // translated through this map.
+        // (or from nothing) and the journaled ops that survived, each
+        // register at the id it was journaled with.
         assert_eq!(checkpointed, self.checkpoint.is_some(), "the checkpoint went missing");
         self.oracle = oracle(self.lambda);
-        let mut ids = FxHashMap::default();
-        self.next_id = 0;
         if let Some(capture) = self.checkpoint.take() {
             match self.oracle.apply(Op::Restore(Box::new(capture))) {
-                Reply::Restored { queries, mapping } => {
-                    self.next_id = queries as u32;
-                    ids.extend(mapping);
-                }
+                Reply::Restored(_) => {}
                 other => panic!("the oracle refused its own capture: {other:?}"),
             }
         }
         for command in std::mem::take(&mut self.journaled).into_iter().take(survivors) {
-            let command = match command {
-                ReplayCommand::Unregister { qid } => ReplayCommand::Unregister { qid: ids[&qid] },
-                other => other,
-            };
             let assigned = match &command {
                 ReplayCommand::Register { assigned, .. } => Some(*assigned),
                 _ => None,
             };
-            if let (Some(old), Reply::Registered(new)) =
-                (assigned, self.oracle.apply(Op::Record(command)))
-            {
-                ids.insert(old, new);
-                self.next_id = new.0 + 1;
+            match (assigned, self.oracle.apply(Op::Record(command))) {
+                (Some(old), Reply::Registered(new)) if new != old => {
+                    return Err(format!("the oracle replayed register {old} as {new}"));
+                }
+                _ => {}
             }
         }
+        // What the tear lost was never handed out.
+        let capture = self.oracle_capture();
+        self.next_id = capture.next_query;
+        self.specs.truncate(self.next_id as usize);
         if recovered {
             // Recovery re-checkpointed: the journal starts over from here.
-            self.checkpoint = Some(self.oracle_capture());
+            self.checkpoint = Some(capture);
         }
+        self.check_ids()
+    }
+
+    /// Every id either side holds names the query it was handed out for,
+    /// and both hand out `next_id` next.
+    fn check_ids(&self) -> Result<(), String> {
+        for (side, capture) in [("node", self.node.capture()), ("oracle", self.oracle.capture())] {
+            if capture.next_query != self.next_id {
+                let next = capture.next_query;
+                return Err(format!("{side}: next id q{next}, not q{}", self.next_id));
+            }
+            for q in capture.queries() {
+                if self.specs.get(q.qid as usize) != Some(&q.spec) {
+                    return Err(format!("{side}: q{} names another query", q.qid));
+                }
+            }
+        }
+        Ok(())
     }
 
     fn oracle_capture(&mut self) -> Snapshot {
@@ -454,15 +472,15 @@ impl Sim {
             13 if !self.captures.is_empty() => {
                 self.count_storage();
                 let (node, oracle) = self.captures[a as usize % self.captures.len()].clone();
-                if let Reply::Restored { queries, .. } =
+                if let Reply::Restored(_) =
                     self.apply(Op::Restore(Box::new(node)), Op::Restore(Box::new(oracle)))?
                 {
-                    self.next_id = queries as u32;
                     self.checkpoint = Some(self.oracle_capture());
                     self.journaled.clear();
+                    self.check_ids()?;
                 }
             }
-            14 => self.crash(a, b),
+            14 => self.crash(a, b)?,
             15 if b.is_multiple_of(2) => {
                 self.both(|| Op::Stats)?;
             }

@@ -338,27 +338,6 @@ impl SubscriberRegistry {
         }
     }
 
-    /// Rewrite every subscriber filter through a restore's old-id → new-id
-    /// mapping (sorted by old id). A filtered id that survived the restore
-    /// follows its query to the new id; ids the snapshot did not carry are
-    /// dropped from the filter — the queries they named no longer exist, so
-    /// keeping them would subscribe to whatever query is registered into
-    /// that slot next. Unfiltered (`None`) subscribers are untouched.
-    pub fn remap_filters(&self, mapping: &[(QueryId, QueryId)]) {
-        let mut state = self.lock();
-        for (_, sub) in &mut state.subscribers {
-            if let Some(filter) = &mut sub.filter {
-                filter.retain_mut(|qid| match mapping.binary_search_by_key(qid, |&(old, _)| old) {
-                    Ok(i) => {
-                        *qid = mapping[i].1;
-                        true
-                    }
-                    Err(_) => false,
-                });
-            }
-        }
-    }
-
     /// Begin draining: wake every blocked poller. Buffered events remain
     /// readable — polls drain them with `draining: true` — but no new ones
     /// will arrive.
@@ -544,21 +523,6 @@ mod tests {
         let out = reg.poll(id, 64, Duration::from_secs(10)).unwrap();
         assert!(out.events.is_empty() && out.draining);
         assert!(start.elapsed() < Duration::from_secs(5));
-    }
-
-    #[test]
-    fn remap_follows_mapping_and_drops_strays() {
-        let reg = SubscriberRegistry::new(16);
-        let filtered = reg.subscribe(Some(vec![QueryId(0), QueryId(2), QueryId(5)]));
-        let all = reg.subscribe(None);
-        // Restore mapped 0→0 and 2→1; query 5 did not survive the snapshot.
-        reg.remap_filters(&[(QueryId(0), QueryId(0)), (QueryId(2), QueryId(1))]);
-        reg.fanout(&receipt(vec![(1, 10), (2, 11), (5, 12)]));
-        let out = reg.poll(filtered, 64, Duration::ZERO).unwrap();
-        assert_eq!(out.events.len(), 1, "only remapped id 1 matches now");
-        assert_eq!(out.events[0].change.query, QueryId(1));
-        let out = reg.poll(all, 64, Duration::ZERO).unwrap();
-        assert_eq!(out.events.len(), 3, "unfiltered subscribers are untouched");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! End-to-end crash recovery: SIGKILL a live `ctk-serve` daemon mid-burst,
 //! restart it on the same journal directory, and assert that every acked
 //! publish survived — with result sets bit-identical to an uncrashed oracle
-//! server fed the same commands.
+//! server fed the same commands, under the same query ids.
 //!
 //! These tests drive the real binary (`CARGO_BIN_EXE_ctk-serve`) over real
 //! sockets, because the property under test is exactly the one a unit test
@@ -112,8 +112,7 @@ fn publish_bodies(n: usize) -> Vec<String> {
         .collect()
 }
 
-/// Every `"qid"` in a snapshot JSON tree — the live query ids, whatever id
-/// space a restore mapped them into.
+/// Every `"qid"` in a snapshot JSON tree: the live query ids.
 fn collect_qids(value: &Value, out: &mut Vec<u64>) {
     match value {
         Value::Object(entries) => {
@@ -131,23 +130,19 @@ fn collect_qids(value: &Value, out: &mut Vec<u64>) {
     }
 }
 
-/// The `"results"` arrays of every query on a server, re-serialized and
-/// sorted — comparable across servers even when a restore remapped ids.
+/// The `"results"` arrays of the given queries on a server, re-serialized.
 fn result_sets(client: &mut HttpClient, qids: &[u64]) -> Vec<String> {
-    let mut sets: Vec<String> = qids
-        .iter()
+    qids.iter()
         .map(|qid| {
             let body = ok(client.get(&format!("/queries/{qid}/results")), 200);
             let results = parse(&body).get("results").expect("results array").clone();
             serde_json::to_string(&results).expect("results serialize")
         })
-        .collect();
-    sets.sort();
-    sets
+        .collect()
 }
 
 /// An uncrashed in-process oracle fed the same registers and the first
-/// `published` bodies of the burst; returns its sorted result sets.
+/// `published` bodies of the burst; returns its result sets by query id.
 fn oracle_result_sets(bodies: &[String], published: usize) -> Vec<String> {
     let server = ServerBuilder::new(MonitorBuilder::new(EngineKind::Mrio).lambda(LAMBDA))
         .bind("127.0.0.1:0")
@@ -155,6 +150,7 @@ fn oracle_result_sets(bodies: &[String], published: usize) -> Vec<String> {
     let mut client = HttpClient::connect(server.addr()).expect("connect oracle");
     let qa = field_u64(&parse(&ok(client.post("/queries", REGISTER_A), 200)), "query");
     let qb = field_u64(&parse(&ok(client.post("/queries", REGISTER_B), 200)), "query");
+    assert_eq!((qa, qb), (0, 1));
     for body in &bodies[..published] {
         ok(client.post("/publish", body), 200);
     }
@@ -239,7 +235,7 @@ fn sigkill_mid_burst_loses_no_acked_publish() {
     // prefix, never crashed, and never touched a journal.
     let mut qids = Vec::new();
     collect_qids(&snapshot, &mut qids);
-    assert_eq!(qids.len(), 2);
+    assert_eq!(qids, [0, 1]);
     let recovered_sets = result_sets(&mut client, &qids);
     assert!(recovered_sets.iter().any(|s| s != "[]"), "burst must produce results");
     assert_eq!(recovered_sets, oracle_result_sets(&bodies, recovered));
@@ -282,7 +278,7 @@ fn recovery_replays_only_past_the_checkpoint() {
     assert_eq!(field_u64(&snapshot, "next_doc"), 25);
     let mut qids = Vec::new();
     collect_qids(&snapshot, &mut qids);
-    assert_eq!(qids.len(), 2);
+    assert_eq!(qids, [0, 1]);
     let recovered_sets = result_sets(&mut client, &qids);
     assert!(recovered_sets.iter().any(|s| s != "[]"));
     assert_eq!(recovered_sets, oracle_result_sets(&bodies, 25));
@@ -292,6 +288,59 @@ fn recovery_replays_only_past_the_checkpoint() {
     ok(client.post("/publish", r#"{"terms": [[1, 0.9]], "arrival": 99.0}"#), 200);
     let stats = parse(&ok(client.get("/stats"), 200));
     assert!(field_u64(&stats, "journal_bytes") > 0);
+
+    drop(daemon);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Registers one query on `term` with `k = 2` and returns its id.
+fn register(client: &mut HttpClient, term: u32) -> u64 {
+    let body = format!(r#"{{"terms": [[{term}, 1.0]], "k": 2}}"#);
+    field_u64(&parse(&ok(client.post("/queries", &body), 200)), "query")
+}
+
+/// An id names one query across restarts: one restart that replays the
+/// journal, then one from the checkpoint that recovery wrote, with a query
+/// removed before both and one registered between them.
+#[test]
+fn query_ids_survive_a_journal_restart_and_a_checkpoint_restart() {
+    let dir = temp_dir("ids");
+    let mut daemon = Daemon::spawn(&dir);
+    let mut client = await_ready(daemon.addr);
+    assert_eq!([1, 2, 3].map(|term| register(&mut client, term)), [0, 1, 2]);
+    ok(client.delete("/queries/0"), 200);
+    ok(client.post("/publish", r#"{"terms": [[3, 1.0]], "arrival": 1.0}"#), 200);
+    let before = result_sets(&mut client, &[1, 2]);
+    assert_eq!(before[0], "[]");
+    assert_ne!(before[1], "[]");
+    daemon.kill9();
+
+    // The journal replays, and recovery writes a checkpoint.
+    let mut daemon = Daemon::spawn(&dir);
+    let mut client = await_ready(daemon.addr);
+    assert_eq!(result_sets(&mut client, &[1, 2]), before);
+    assert_eq!(register(&mut client, 9), 3);
+    daemon.kill9();
+
+    // The checkpoint restores, and the register of query 3 replays.
+    let daemon = Daemon::spawn(&dir);
+    let mut client = await_ready(daemon.addr);
+    assert_eq!(result_sets(&mut client, &[1, 2]), before);
+    ok(client.get("/queries/0/results"), 404);
+    let receipt =
+        parse(&ok(client.post("/publish", r#"{"terms": [[9, 1.0]], "arrival": 2.0}"#), 200));
+    let changes = receipt.get("changes").unwrap().as_array().unwrap();
+    assert_eq!(changes.len(), 1);
+    assert_eq!(field_u64(&changes[0], "query"), 3, "query 3 is the term-9 query");
+    assert_eq!(register(&mut client, 4), 4, "no id is handed out twice");
+
+    // Deleting query 1 removes the term-2 query and leaves the term-3 one.
+    ok(client.delete("/queries/1"), 200);
+    ok(client.get("/queries/1/results"), 404);
+    let receipt =
+        parse(&ok(client.post("/publish", r#"{"terms": [[2, 1.0]], "arrival": 3.0}"#), 200));
+    assert!(receipt.get("changes").unwrap().as_array().unwrap().is_empty());
+    assert_eq!(result_sets(&mut client, &[2]), before[1..]);
 
     drop(daemon);
     let _ = fs::remove_dir_all(&dir);

@@ -2,8 +2,9 @@
 //! "kill" the process (drop the monitor, worker threads and all), and
 //! restore the capture into a *2-shard* monitor on the next boot — the
 //! versioned snapshot format rebalances queries across whatever shard
-//! count the new configuration has. An oracle that never died verifies the
-//! restored deployment stays bit-identical on the continuation stream.
+//! count the new configuration has, each query under the id it had. An
+//! oracle that never died verifies the restored deployment stays
+//! bit-identical on the continuation stream, id for id.
 //!
 //! ```text
 //! cargo run --release --example restartable
@@ -37,6 +38,10 @@ fn main() {
         monitor.publish(pairs.clone(), doc.arrival);
         oracle.publish(pairs, doc.arrival);
     }
+    // Users leave: every seventh query goes, so the live ids have gaps.
+    for qid in qids.iter().step_by(7) {
+        assert!(monitor.unregister(*qid) && oracle.unregister(*qid));
+    }
     println!(
         "boot #1: {} queries on {} shards, 400 documents ingested",
         monitor.num_queries(),
@@ -55,16 +60,20 @@ fn main() {
 
     // Boot #2: restore into a *different* shard count.
     let snapshot = Snapshot::from_json(&json).expect("parse");
-    let (mut monitor, mapping) = MonitorBuilder::new(EngineKind::Mrio).shards(2).restore(&snapshot);
+    let mut monitor = MonitorBuilder::new(EngineKind::Mrio).shards(2).restore(&snapshot);
     println!(
         "boot #2: restored {} queries onto {} shards (was {})",
         monitor.num_queries(),
         monitor.shards(),
         snapshot.shards.len()
     );
+    // Every id answers for the query it named before the restart; removed
+    // ids stay removed, and the next registration gets a fresh id.
     for qid in &qids {
-        assert_eq!(monitor.results(mapping[qid]), oracle.results(*qid), "restored state exact");
+        assert_eq!(monitor.results(*qid), oracle.results(*qid), "restored state exact");
     }
+    let late = qgen.generate();
+    assert_eq!(monitor.register(late.clone()), oracle.register(late), "ids are never reused");
 
     // Continue the stream: the rebalanced deployment tracks the oracle
     // bit-for-bit.
@@ -75,7 +84,7 @@ fn main() {
         assert_eq!(a.doc_ids, b.doc_ids, "document ids continue from the snapshot position");
     }
     for qid in &qids {
-        assert_eq!(monitor.results(mapping[qid]), oracle.results(*qid));
+        assert_eq!(monitor.results(*qid), oracle.results(*qid));
     }
     println!("200 continuation documents processed in lockstep — restart complete");
 }

@@ -1,6 +1,6 @@
 //! Crash recovery without replaying the stream: snapshot the full monitor
 //! state (queries + result sets) to JSON, restore it into a fresh backend,
-//! and keep monitoring from where it stopped.
+//! and keep monitoring from where it stopped, every query under its id.
 //!
 //! ```text
 //! cargo run --example snapshot_restore
@@ -23,6 +23,10 @@ fn main() {
     for doc in driver.take_batch(300) {
         monitor.publish(doc.vector.iter().collect(), doc.arrival);
     }
+    // Some users leave: their ids are never handed out again.
+    for qid in qids.iter().step_by(5) {
+        monitor.unregister(*qid);
+    }
 
     // ... is snapshotted to JSON (in production: written to disk/S3) ...
     let snapshot = monitor.snapshot();
@@ -37,15 +41,17 @@ fn main() {
 
     // ... the process dies, a new one restores without replaying anything.
     let parsed = Snapshot::from_json(&json).expect("parse back");
-    let (mut restored, mapping) = config.restore(&parsed);
+    let mut restored = config.restore(&parsed);
 
-    // Every result set survived bit-for-bit.
+    // Every result set survived bit-for-bit, under the id it had; removed
+    // ids stay removed.
     let mut preserved = 0;
     for qid in &qids {
-        assert_eq!(monitor.results(*qid), restored.results(mapping[qid]));
-        preserved += 1;
+        assert_eq!(monitor.results(*qid), restored.results(*qid));
+        preserved += usize::from(restored.results(*qid).is_some());
     }
-    println!("restored monitor preserves all {preserved} result sets exactly");
+    assert_eq!(restored.next_query_id(), monitor.next_query_id());
+    println!("restored monitor preserves all {preserved} result sets exactly, under their ids");
 
     // And it keeps processing: stream a few more documents into both; they
     // stay in lockstep.

@@ -9,7 +9,6 @@
 //! paper's evaluation (RTA, RIO, SortQuer, TPS and the zone-maxima
 //! ablations) are reached through `ctk_bench::make_engine` instead.
 
-use ctk_common::{FxHashMap, QueryId};
 use ctk_core::{
     ContinuousTopK, Monitor, MonitorBackend, MrioSeg, Naive, PostingsStorage, ShardedMonitor,
     Snapshot, StorageConfig,
@@ -200,29 +199,32 @@ impl MonitorBuilder {
 
     /// Build the configured backend and restore a [`Snapshot`] into it.
     /// The snapshot's λ overrides the builder's, and its shard sections are
-    /// rebalanced onto this configuration's shard count. Returns the
-    /// backend and the captured-id → new-id mapping.
+    /// rebalanced onto this configuration's shard count. Every query keeps
+    /// its captured id, and ids the capture had already handed out are
+    /// never handed out again.
     ///
     /// ```
     /// use continuous_topk::prelude::*;
     ///
     /// let mut monitor = MonitorBuilder::new(EngineKind::Mrio).lambda(0.5).shards(3).build();
+    /// let gone = monitor.register(QuerySpec::uniform(&[TermId(3)], 3).unwrap());
     /// let q = monitor.register(QuerySpec::uniform(&[TermId(7)], 3).unwrap());
+    /// monitor.unregister(gone);
     /// monitor.publish(vec![(TermId(7), 1.0)], 0.0);
     ///
     /// let snapshot = monitor.snapshot();
-    /// let (restored, mapping) = MonitorBuilder::new(EngineKind::Mrio).restore(&snapshot);
+    /// let mut restored = MonitorBuilder::new(EngineKind::Mrio).restore(&snapshot);
     /// assert_eq!(restored.shards(), 1);
     /// assert_eq!(restored.lambda(), 0.5);
-    /// assert_eq!(restored.results(mapping[&q]), monitor.results(q));
+    /// assert_eq!(restored.results(q), monitor.results(q));
+    /// assert_eq!(restored.results(gone), None);
+    /// let next = restored.register(QuerySpec::uniform(&[TermId(9)], 3).unwrap());
+    /// assert_eq!(next, monitor.next_query_id());
     /// ```
-    pub fn restore(
-        &self,
-        snapshot: &Snapshot,
-    ) -> (Box<dyn MonitorBackend + Send>, FxHashMap<QueryId, QueryId>) {
+    pub fn restore(&self, snapshot: &Snapshot) -> Box<dyn MonitorBackend + Send> {
         let mut backend = self.clone().lambda(snapshot.lambda).build();
-        let mapping = snapshot.restore_into(&mut *backend);
-        (backend, mapping)
+        backend.apply_snapshot(snapshot);
+        backend
     }
 }
 
@@ -372,11 +374,11 @@ mod tests {
         source.publish_batch(vec![(vec![(TermId(1), 1.0)], 0.0), (vec![(TermId(1), 0.5)], 3.0)]);
         let snap = source.snapshot();
         for shards in [1, 3] {
-            let (restored, mapping) =
+            let restored =
                 MonitorBuilder::new(EngineKind::Mrio).lambda(0.001).shards(shards).restore(&snap);
             assert_eq!(restored.shards(), shards);
             assert_eq!(restored.lambda(), 0.5, "the snapshot's λ wins, x{shards}");
-            assert_eq!(restored.results(mapping[&q]), source.results(q), "x{shards}");
+            assert_eq!(restored.results(q), source.results(q), "x{shards}");
         }
     }
 }

@@ -64,8 +64,9 @@
 //! // snapshot → JSON → restore onto a *different* shard count.
 //! let json = monitor.snapshot().to_json().unwrap();
 //! let snapshot = Snapshot::from_json(&json).unwrap();
-//! let (restored, mapping) = MonitorBuilder::new(EngineKind::Mrio).shards(2).restore(&snapshot);
-//! assert_eq!(restored.results(mapping[&q]), monitor.results(q));
+//! let restored = MonitorBuilder::new(EngineKind::Mrio).shards(2).restore(&snapshot);
+//! assert_eq!(restored.results(q), monitor.results(q));
+//! assert_eq!(restored.next_query_id(), monitor.next_query_id());
 //! ```
 //!
 //! ## Front-end and runtimes
@@ -76,7 +77,8 @@
 //! in-thread engine (`Monitor<E>`) or the query-sharded workers
 //! (`ShardedMonitor`). [`MonitorBuilder`] picks the runtime by shard count;
 //! a capture from either restores into the other via
-//! [`Snapshot::restore_into`]. Either way a publish is scored whole before
+//! [`MonitorBackend::apply_snapshot`], every query under its captured id.
+//! Either way a publish is scored whole before
 //! it returns: the sharded runtime sends each worker the batch once and
 //! merges their answers once.
 //!
@@ -88,7 +90,7 @@
 //! [`QueryOptions`]: ctk_core::QueryOptions
 //! [`RetentionPolicy`]: ctk_core::RetentionPolicy
 //! [`MonitorBackend`]: ctk_core::MonitorBackend
-//! [`Snapshot::restore_into`]: ctk_core::Snapshot::restore_into
+//! [`MonitorBackend::apply_snapshot`]: ctk_core::MonitorBackend::apply_snapshot
 
 pub mod builder;
 

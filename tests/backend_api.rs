@@ -210,8 +210,9 @@ fn single_worker_compacting_publishes_of_every_size_match_oracle() {
 }
 
 /// Snapshot under one configuration, restore under another (different
-/// shard count), verified against an oracle that never restarted —
-/// including on the continuation stream.
+/// shard count), verified against an oracle that never restarted, id for
+/// id — including the ids removed before the capture, and on the
+/// continuation stream.
 fn snapshot_rebalances_across(
     from: MonitorBuilder,
     expected_sections: usize,
@@ -240,18 +241,26 @@ fn snapshot_rebalances_across(
         .collect();
     source.publish_batch(batch.clone());
     oracle.publish_batch(batch);
+    // Remove every ninth query and the last one, so the captured ids have
+    // gaps and a removed tail.
+    for qid in qids.iter().step_by(9).chain(qids.last()) {
+        assert!(source.unregister(*qid) && oracle.unregister(*qid));
+    }
+    let live = oracle.num_queries();
 
     // Capture → JSON → restore into the other configuration.
     let snap = source.snapshot();
     assert_eq!(snap.shards.len(), expected_sections, "sections mirror the source partitioning");
-    assert_eq!(snap.num_queries(), all_specs.len());
+    assert_eq!(snap.num_queries(), live);
     let parsed = Snapshot::from_json(&snap.to_json().unwrap()).unwrap();
-    let (mut restored, mapping) = to.restore(&parsed);
+    let mut restored = to.restore(&parsed);
     assert_eq!(restored.shards(), to_shards);
-    assert_eq!(restored.num_queries(), all_specs.len());
+    assert_eq!(restored.num_queries(), live);
+    assert_eq!(restored.next_query_id(), source.next_query_id());
 
     for qid in &qids {
-        assert_eq!(restored.results(mapping[qid]), oracle.results(*qid), "restored query {qid}");
+        assert_eq!(restored.results(*qid), source.results(*qid), "restored query {qid}");
+        assert_eq!(restored.results(*qid), oracle.results(*qid), "restored query {qid}");
     }
 
     // The restored, re-partitioned deployment continues bit-identically.
@@ -263,8 +272,10 @@ fn snapshot_rebalances_across(
     let ra = restored.publish_batch(tail.clone());
     let rb = oracle.publish_batch(tail);
     assert_eq!(ra.doc_ids, rb.doc_ids, "id allocation resumes from the snapshot position");
+    let spec = all_specs[0].clone();
+    assert_eq!(restored.register(spec.clone()), oracle.register(spec), "ids are never reused");
     for qid in &qids {
-        assert_eq!(restored.results(mapping[qid]), oracle.results(*qid), "continued query {qid}");
+        assert_eq!(restored.results(*qid), oracle.results(*qid), "continued query {qid}");
     }
 }
 

@@ -615,7 +615,7 @@ fn exact_ties_follow_the_oracle_through_a_restored_sharded_monitor() {
         for q in snapshot.shards.iter_mut().flat_map(|s| &mut s.queries) {
             q.results = oracle.results(QueryId(q.qid)).unwrap();
         }
-        let (mut monitor, _) = config.restore(&snapshot);
+        let mut monitor = config.restore(&snapshot);
         let mut same = true;
         for wins in [3, 0] {
             let receipt = monitor.publish(pairs.clone(), 0.0);

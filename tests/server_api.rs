@@ -120,25 +120,18 @@ fn snapshot_restart_restore_is_bit_identical_across_shard_counts() {
     // "Restart": a brand-new server process-equivalent — different port,
     // different shard count — restored from the snapshot JSON verbatim.
     let (restarted, mut client) = start(2);
-    let restored = parse(&ok(client.post("/restore", &snapshot), 200));
-    assert_eq!(field_u64(&restored, "queries"), 2);
-    let mapping = restored.get("mapping").unwrap().as_array().unwrap().to_vec();
-    assert_eq!(mapping.len(), 2);
+    assert_eq!(ok(client.post("/restore", &snapshot), 200), r#"{"queries":2}"#);
 
-    for (old, old_results) in [(qa, results_a), (qb, results_b)] {
-        let pair = mapping
-            .iter()
-            .map(|p| p.as_array().unwrap())
-            .find(|p| p[0].as_u64().unwrap() == old)
-            .expect("every captured query is mapped");
-        let new = pair[1].as_u64().unwrap();
-        let restored = parse(&ok(client.get(&format!("/queries/{new}/results")), 200));
+    for (q, old_results) in [(qa, results_a), (qb, results_b)] {
+        let restored = parse(&ok(client.get(&format!("/queries/{q}/results")), 200));
         assert_eq!(
             restored.get("results"),
             old_results.get("results"),
-            "restored top-k of captured query {old} must be bit-identical"
+            "restored top-k of captured query {q} must be bit-identical"
         );
     }
+    let next = parse(&ok(client.post("/queries", r#"{"terms": [[4, 1.0]], "k": 1}"#), 200));
+    assert_eq!(field_u64(&next, "query"), qb + 1, "ids continue from the capture's");
 
     // The restored monitor is live: the stream continues where it left off.
     let receipt = parse(&ok(
@@ -323,41 +316,82 @@ fn lifecycle_endpoints_expire_evict_and_forget_over_the_wire() {
     server.shutdown();
 }
 
+/// A subscriber filter names query ids, and a restore keeps every id: a
+/// filter on a captured query keeps receiving its changes, and a filter on
+/// a query the capture lacks hears nothing more — not even from queries
+/// registered after the restore, which never get that id.
 #[test]
-fn restore_remaps_subscriber_filters_to_the_new_ids() {
+fn restore_keeps_subscriber_filters_on_their_ids() {
     let (server, mut client) = start(1);
     let (qa, qb) = register_two(&mut client);
-    let sub = field_u64(
-        &parse(&ok(client.post("/subscriptions", &format!(r#"{{"queries": [{qb}]}}"#)), 200)),
-        "subscriber",
-    );
-
-    // Drop the lower id so the surviving query's captured id cannot equal
-    // its restored id — the remap has to actually move something.
+    // Drop the lower id, so a renumbering restore would move `qb`.
     ok(client.delete(&format!("/queries/{qa}")), 200);
     let snapshot = ok(client.post("/snapshot", ""), 200);
-    let restored = parse(&ok(client.post("/restore", &snapshot), 200));
-    let mapping = restored.get("mapping").unwrap().as_array().unwrap();
-    assert_eq!(mapping.len(), 1);
-    let pair = mapping[0].as_array().unwrap();
-    assert_eq!(pair[0].as_u64().unwrap(), qb);
-    let new_qb = pair[1].as_u64().unwrap();
-    assert_ne!(new_qb, qb, "restore must have renumbered the query for this test to bite");
+    let late = r#"{"terms": [[2, 1.0], [3, 0.5]], "k": 2}"#;
+    let qc = field_u64(&parse(&ok(client.post("/queries", late), 200)), "query");
+    let subscribe = |client: &mut HttpClient, q: u64| {
+        let body = format!(r#"{{"queries": [{q}]}}"#);
+        field_u64(&parse(&ok(client.post("/subscriptions", &body), 200)), "subscriber")
+    };
+    let (kept, gone) = (subscribe(&mut client, qb), subscribe(&mut client, qc));
 
-    // A matching publish must reach the filtered subscriber under the NEW
-    // id — before the remap fix this filter still said `qb` and the
-    // subscriber went silent forever.
+    assert_eq!(ok(client.post("/restore", &snapshot), 200), r#"{"queries":1}"#);
+    ok(client.get(&format!("/queries/{qc}/results")), 404);
+    // Two more queries on the same terms: neither is given `qc`'s id.
+    for expect in [qc + 1, qc + 2] {
+        assert_eq!(field_u64(&parse(&ok(client.post("/queries", late), 200)), "query"), expect);
+    }
+
     let receipt = parse(&ok(
         client.post("/publish", r#"{"terms": [[2, 1.0], [3, 1.0]], "arrival": 4.0}"#),
         200,
     ));
-    assert!(!receipt.get("changes").unwrap().as_array().unwrap().is_empty());
-    let poll = parse(&ok(client.get(&format!("/changes?subscriber={sub}&timeout_ms=5000")), 200));
-    let events = poll.get("events").unwrap().as_array().unwrap();
-    assert!(!events.is_empty(), "restore stranded the subscriber's filter on a stale id");
-    for event in events {
-        assert_eq!(field_u64(event.get("change").unwrap(), "query"), new_qb);
-    }
+    assert_eq!(receipt.get("changes").unwrap().as_array().unwrap().len(), 3);
+    let poll = |client: &mut HttpClient, sub: u64, timeout_ms: u64| {
+        let path = format!("/changes?subscriber={sub}&timeout_ms={timeout_ms}");
+        parse(&ok(client.get(&path), 200)).get("events").unwrap().as_array().unwrap().to_vec()
+    };
+    let events = poll(&mut client, kept, 5000);
+    assert_eq!(events.len(), 1, "the kept query's filter still receives");
+    assert_eq!(field_u64(events[0].get("change").unwrap(), "query"), qb);
+    assert!(poll(&mut client, gone, 200).is_empty(), "a removed id's filter stays silent");
+    server.shutdown();
+}
+
+/// Ids a capture left out take no room: only captured queries take a slot,
+/// so a capture whose ids reach four billion restores as cheaply as one
+/// whose ids are dense. The last id, `u32::MAX`, is never handed out: a
+/// capture holding it is refused with 400, and a register once every id
+/// below it went out answers 400. The daemon keeps serving throughout.
+#[test]
+fn restore_of_far_query_ids_costs_their_queries_only_and_the_last_id_is_refused() {
+    let (server, mut client) = start(2);
+    let (qa, qb) = register_two(&mut client);
+    ok(client.post("/publish", BATCH), 200);
+    let before = ok(client.get(&format!("/queries/{qb}/results")), 200);
+    let raw = ok(client.post("/snapshot", ""), 200);
+    let capture = serde_json::to_string(&parse(&raw)).unwrap();
+    let far = capture
+        .replace(&format!(r#""qid":{qb},"#), r#""qid":4000000000,"#)
+        .replace(r#""next_query":2,"#, r#""next_query":4294967294,"#);
+    assert_eq!(far.matches("4000000000").count() + far.matches("4294967294").count(), 2, "{far}");
+
+    assert_eq!(ok(client.post("/restore", &far), 200), r#"{"queries":2}"#);
+    let moved = parse(&ok(client.get("/queries/4000000000/results"), 200));
+    assert_eq!(moved.get("results"), parse(&before).get("results"));
+    ok(client.get(&format!("/queries/{qa}/results")), 200);
+    ok(client.get(&format!("/queries/{qb}/results")), 404);
+    let late = r#"{"terms": [[2, 1.0]], "k": 2}"#;
+    let last = field_u64(&parse(&ok(client.post("/queries", late), 200)), "query");
+    assert_eq!(last, 4294967294);
+    let refused = ok(client.post("/queries", late), 400);
+    assert!(refused.contains("every query id was handed out"), "{refused}");
+    ok(client.post("/publish", r#"{"terms": [[2, 1.0]], "arrival": 9.0}"#), 200);
+
+    let max = capture.replace(&format!(r#""qid":{qb},"#), r#""qid":4294967295,"#);
+    let refused = ok(client.post("/restore", &max), 400);
+    assert!(refused.contains("4294967295"), "{refused}");
+    ok(client.get("/queries/4000000000/results"), 200);
     server.shutdown();
 }
 
@@ -506,16 +540,9 @@ fn streamed_snapshot_is_byte_identical_to_buffered_and_restores_bit_identically(
     // The streamed bytes restore onto a different shard count with
     // bit-identical per-query results.
     let (restarted, mut client) = start(3);
-    let restored = parse(&ok(client.post("/restore", &streamed), 200));
-    let mapping = restored.get("mapping").unwrap().as_array().unwrap().to_vec();
-    for (old, old_results) in [(qa, results_a), (qb, results_b)] {
-        let pair = mapping
-            .iter()
-            .map(|p| p.as_array().unwrap())
-            .find(|p| p[0].as_u64().unwrap() == old)
-            .expect("every captured query is mapped");
-        let new = pair[1].as_u64().unwrap();
-        let after = parse(&ok(client.get(&format!("/queries/{new}/results")), 200));
+    assert_eq!(ok(client.post("/restore", &streamed), 200), r#"{"queries":2}"#);
+    for (q, old_results) in [(qa, results_a), (qb, results_b)] {
+        let after = parse(&ok(client.get(&format!("/queries/{q}/results")), 200));
         assert_eq!(after.get("results"), old_results.get("results"));
     }
     restarted.shutdown();

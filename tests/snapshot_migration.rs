@@ -8,9 +8,10 @@
 //! onto today's runtimes, and so does a v3 capture in the pretty-printed
 //! text earlier builds wrote (today's writer is compact). Captures holding
 //! non-finite numbers are refused, and no byte-level damage to a capture
-//! makes the parser panic.
+//! makes the parser panic. Every restore keeps each captured query id;
+//! captures written before `next_query` existed hand out ids from one past
+//! their largest.
 
-use continuous_topk::common::FxHashMap;
 use continuous_topk::prelude::*;
 
 /// Written by the pre-lifecycle sharded build: v2 sections, no
@@ -70,9 +71,8 @@ const V0_DOCUMENT: &str = r#"{
   ]
 }"#;
 
-/// A fresh backend holding a restored snapshot, and the captured-id →
-/// new-id mapping.
-type Restored = (Box<dyn MonitorBackend + Send>, FxHashMap<QueryId, QueryId>);
+/// A fresh backend holding a restored snapshot.
+type Restored = Box<dyn MonitorBackend + Send>;
 
 /// A restore path under test.
 type Restore = fn(&Snapshot) -> Restored;
@@ -82,19 +82,18 @@ fn via_mrio(snap: &Snapshot) -> Restored {
 }
 
 fn via_rio(snap: &Snapshot) -> Restored {
-    let (monitor, mapping) = Monitor::restore(Rio::new(snap.lambda), snap);
-    (Box::new(monitor), mapping)
+    Box::new(Monitor::restore(Rio::new(snap.lambda), snap))
 }
 
 /// Restore a snapshot and return each captured query's restored results,
 /// in captured-id order.
 fn restored_results(snap: &Snapshot, restore: Restore) -> Vec<Vec<ScoredDoc>> {
-    let (backend, mapping) = restore(snap);
+    let backend = restore(snap);
     let mut captured: Vec<u32> = snap.queries().map(|q| q.qid).collect();
     captured.sort_unstable();
     captured
         .into_iter()
-        .map(|qid| backend.results(mapping[&QueryId(qid)]).expect("restored query is live"))
+        .map(|qid| backend.results(QueryId(qid)).expect("restored query is live"))
         .collect()
 }
 
@@ -117,12 +116,10 @@ fn v2_fixture_migrates_into_the_default_namespace() {
         assert_eq!(q.registered_at, snap.last_arrival);
     }
 
-    // Sections interleave qids (round-robin placement), so order the stored
-    // sets by captured id before comparing with the (id-ordered) restore.
-    let mut stored: Vec<_> = snap.queries().map(|q| (q.qid, &q.results)).collect();
-    stored.sort_unstable_by_key(|&(qid, _)| qid);
-    for ((_, stored), restored) in stored.into_iter().zip(restored_results(&snap, via_mrio)) {
-        assert_eq!(stored, &restored);
+    // Every captured result set, under its captured id.
+    let restored = via_mrio(&snap);
+    for q in snap.queries() {
+        assert_eq!(restored.results(QueryId(q.qid)).as_ref(), Some(&q.results), "query {}", q.qid);
     }
 }
 
@@ -171,15 +168,15 @@ fn doc_mode_capture_restores_onto_single_and_query_sharded_monitors() {
     assert_eq!(snap.num_queries(), 12);
     assert_eq!(snap.landmark(), 124.0);
 
-    let (mut oracle, oracle_ids) = MonitorBuilder::new(EngineKind::Naive).restore(&snap);
+    let mut oracle = MonitorBuilder::new(EngineKind::Naive).restore(&snap);
     let mut fronts: Vec<_> = [1, 3]
         .into_iter()
         .map(|shards| MonitorBuilder::new(EngineKind::Mrio).shards(shards).restore(&snap))
         .collect();
-    for (front, ids) in &fronts {
+    for front in &fronts {
         for q in snap.queries() {
             assert_eq!(
-                front.results(ids[&QueryId(q.qid)]).as_ref(),
+                front.results(QueryId(q.qid)).as_ref(),
                 Some(&q.results),
                 "{} shard(s), captured query {}",
                 front.shards(),
@@ -198,7 +195,7 @@ fn doc_mode_capture_restores_onto_single_and_query_sharded_monitors() {
             })
             .collect();
         let want = oracle.publish_batch(batch.clone());
-        for (front, _) in &mut fronts {
+        for front in &mut fronts {
             let got = front.publish_batch(batch.clone());
             assert_eq!(got.doc_ids, want.doc_ids, "round {round}");
             let sorted = |mut changes: Vec<ResultChange>| {
@@ -209,11 +206,11 @@ fn doc_mode_capture_restores_onto_single_and_query_sharded_monitors() {
         }
     }
     assert_eq!(oracle.lifecycle_totals(), (5, 0), "every tenant TTL ran out");
-    for (front, ids) in &fronts {
+    for front in &fronts {
         assert_eq!(front.lifecycle_totals(), oracle.lifecycle_totals());
         for q in snap.queries() {
             let qid = QueryId(q.qid);
-            assert_eq!(front.results(ids[&qid]), oracle.results(oracle_ids[&qid]), "query {qid}");
+            assert_eq!(front.results(qid), oracle.results(qid), "query {qid}");
         }
     }
 }
@@ -244,19 +241,23 @@ fn pretty_v3_capture_from_an_earlier_build_restores_bit_identically() {
     assert_eq!((snap.shards.len(), snap.num_queries(), snap.landmark()), (2, 9, 124.0));
     assert_eq!(snap.policies.len(), 1);
     let compact = snap.to_json().unwrap();
+    // The fixture predates `next_query`; the compact text adds it.
     let tree: serde::Value = serde_json::from_str(PRETTY_V3_FIXTURE).unwrap();
-    assert_eq!(compact, serde_json::to_string(&tree).unwrap(), "same document, compact");
+    let want = serde_json::to_string(&tree).unwrap().replacen(
+        ",\"last_arrival\"",
+        ",\"next_query\":10,\"last_arrival\"",
+        1,
+    );
+    assert_eq!(compact, want, "same document, compact, plus `next_query`");
     let reparsed = Snapshot::from_json(&compact).unwrap();
 
     for shards in [1, 3] {
-        let (mut pretty, pretty_ids) =
-            MonitorBuilder::new(EngineKind::Mrio).shards(shards).restore(&snap);
-        let (mut again, again_ids) =
-            MonitorBuilder::new(EngineKind::Mrio).shards(shards).restore(&reparsed);
+        let mut pretty = MonitorBuilder::new(EngineKind::Mrio).shards(shards).restore(&snap);
+        let mut again = MonitorBuilder::new(EngineKind::Mrio).shards(shards).restore(&reparsed);
         for q in snap.queries() {
             let id = QueryId(q.qid);
-            assert_eq!(pretty.results(pretty_ids[&id]).as_ref(), Some(&q.results), "query {id}");
-            assert_eq!(again.results(again_ids[&id]).as_ref(), Some(&q.results), "query {id}");
+            assert_eq!(pretty.results(id).as_ref(), Some(&q.results), "query {id}");
+            assert_eq!(again.results(id).as_ref(), Some(&q.results), "query {id}");
         }
         for i in 40..60u64 {
             let batch = vec![(continuation_doc(i), i as f64 * 4.0)];
@@ -265,6 +266,58 @@ fn pretty_v3_capture_from_an_earlier_build_restores_bit_identically() {
             assert_eq!(got.changes, want.changes, "{shards} shard(s), doc {i}");
         }
     }
+}
+
+/// `next_query` round-trips through the text, and a restore hands out ids
+/// from it. The two fixtures predate the field: each reads one past its
+/// largest captured id, restores every query under its captured id and
+/// answers `None` for the ids it lacks. A capture that repeats an id, or
+/// holds `u32::MAX`, is refused; a far id restores at no cost.
+#[test]
+fn next_query_round_trips_and_older_captures_fall_back_to_their_largest_id() {
+    for (name, fixture, next) in [("v2", V2_FIXTURE, 3), ("pretty v3", PRETTY_V3_FIXTURE, 10)] {
+        assert!(!fixture.contains("next_query"), "{name}: the fixture predates the field");
+        let snap = Snapshot::from_json(fixture).unwrap();
+        assert_eq!(snap.next_query, next, "{name}");
+        for shards in [1, 3] {
+            let mut restored = MonitorBuilder::new(EngineKind::Mrio).shards(shards).restore(&snap);
+            for qid in 0..next {
+                let captured = snap.queries().find(|q| q.qid == qid).map(|q| q.results.clone());
+                assert_eq!(restored.results(QueryId(qid)), captured, "{name}, query {qid}");
+            }
+            let spec = QuerySpec::uniform(&[TermId(1)], 1).unwrap();
+            assert_eq!(restored.register(spec), QueryId(next), "{name}, x{shards}");
+        }
+    }
+
+    let mut snap = Snapshot::from_json(PRETTY_V3_FIXTURE).unwrap();
+    snap.next_query = 40;
+    let text = snap.to_json().unwrap();
+    assert!(text.contains(r#""next_doc":40,"next_query":40,"last_arrival""#), "{text}");
+    let reparsed = Snapshot::from_json(&text).unwrap();
+    assert_eq!(reparsed.next_query, 40);
+    let restored = MonitorBuilder::new(EngineKind::Naive).restore(&reparsed);
+    assert_eq!(restored.next_query_id(), QueryId(40));
+    assert_eq!(restored.snapshot().next_query, 40, "and its own capture carries it on");
+
+    // A `next_query` at or below a captured id reads one past the largest.
+    let low = Snapshot::from_json(&text.replace(r#""next_query":40"#, r#""next_query":9"#));
+    assert_eq!(low.unwrap().next_query, 10);
+    let twice = text.replacen(r#""qid":2,"#, r#""qid":1,"#, 1);
+    assert_ne!(twice, text);
+    let err = Snapshot::from_json(&twice).expect_err("a repeated id is refused");
+    assert!(err.to_string().contains("snapshot holds query id 1 twice"), "{err}");
+
+    // Far ids cost nothing; the last id leaves none to hand out next.
+    let far = text.replacen(r#""qid":2,"#, r#""qid":4000000000,"#, 1);
+    let restored =
+        MonitorBuilder::new(EngineKind::Mrio).restore(&Snapshot::from_json(&far).unwrap());
+    assert_eq!(restored.next_query_id(), QueryId(4_000_000_001));
+    let captured = reparsed.queries().find(|q| q.qid == 2).map(|q| q.results.clone());
+    assert_eq!(restored.results(QueryId(4_000_000_000)), captured);
+    let last = text.replacen(r#""qid":2,"#, r#""qid":4294967295,"#, 1);
+    let err = Snapshot::from_json(&last).expect_err("the last id is refused");
+    assert!(err.to_string().contains("4294967295: no id is left after it"), "{err}");
 }
 
 /// JSON spells +∞ as `1e999`; a capture carrying it (or −∞) in any float
@@ -339,7 +392,7 @@ fn arbitrary_bytes_never_panic_the_snapshot_parser() {
         match Snapshot::from_json(&String::from_utf8_lossy(&bytes)) {
             // Whatever parses must also restore, as `POST /restore` would.
             Ok(snapshot) => {
-                let (restored, _) = MonitorBuilder::new(EngineKind::Mrio).restore(&snapshot);
+                let restored = MonitorBuilder::new(EngineKind::Mrio).restore(&snapshot);
                 assert!(restored.num_queries() <= snapshot.num_queries());
                 parsed += 1;
             }
@@ -359,7 +412,7 @@ fn arbitrary_bytes_never_panic_the_snapshot_parser() {
                 bytes.splice(range.clone(), value.bytes());
                 if let Ok(snapshot) = Snapshot::from_json(&String::from_utf8_lossy(&bytes)) {
                     // An edited retention cap may evict at restore.
-                    let (monitor, _) = MonitorBuilder::new(EngineKind::Mrio).restore(&snapshot);
+                    let monitor = MonitorBuilder::new(EngineKind::Mrio).restore(&snapshot);
                     assert!(monitor.num_queries() <= snapshot.num_queries());
                     restored += 1;
                 }
