@@ -7,7 +7,7 @@
 //!     [--tolerance 0.30] [--absolute]
 //! ```
 //!
-//! Joins the two reports on `(queries, shards, batch, storage)`
+//! Joins the two reports on `(queries, batch, storage)`
 //! and fails (exit 1) when any cell's throughput dropped by more than
 //! `tolerance` (default 30%) versus the baseline. By default the compared metric is
 //! the **normalized** throughput `docs_per_sec / single_docs_per_sec(queries)`
@@ -15,7 +15,8 @@
 //! absolute speed, but each report carries its own single-threaded
 //! reference measured in the same process on the same workload *per query
 //! population*, so the ratio is the noise-tolerant signal: it regresses
-//! only when the *sharded path itself* got slower relative to the engine.
+//! only when the *monitor's publish path itself* got slower relative to the
+//! engine.
 //! `--absolute` switches to raw docs/sec (useful when baseline and current
 //! come from the same machine).
 //!
@@ -46,7 +47,6 @@ struct Single {
 #[derive(Deserialize)]
 struct Cell {
     queries: usize,
-    shards: usize,
     batch: usize,
     storage: String,
     docs_per_sec: f64,
@@ -137,17 +137,14 @@ fn main() {
     let metric_name = if absolute { "docs/sec" } else { "docs/sec vs single" };
 
     println!("### Perf gate: {metric_name}, tolerance -{:.0}%\n", tolerance * 100.0);
-    println!("| queries | shards | batch | storage | baseline | current | delta | status |");
-    println!("|---|---|---|---|---|---|---|---|");
+    println!("| queries | batch | storage | baseline | current | delta | status |");
+    println!("|---|---|---|---|---|---|---|");
     let mut regressions = 0usize;
     let mut missing = 0usize;
-    let key = |c: &Cell| (c.queries, c.shards, c.batch, c.storage.clone());
+    let key = |c: &Cell| (c.queries, c.batch, c.storage.clone());
     for bc in &base.cells {
         let Some(cc) = cur.cells.iter().find(|c| key(c) == key(bc)) else {
-            println!(
-                "| {} | {} | {} | {} | — | — | — | MISSING |",
-                bc.queries, bc.shards, bc.batch, bc.storage
-            );
+            println!("| {} | {} | {} | — | — | — | MISSING |", bc.queries, bc.batch, bc.storage);
             missing += 1;
             continue;
         };
@@ -158,9 +155,8 @@ fn main() {
             regressions += 1;
         }
         println!(
-            "| {} | {} | {} | {} | {} | {} | {:+.1}% | {} |",
+            "| {} | {} | {} | {} | {} | {:+.1}% | {} |",
             bc.queries,
-            bc.shards,
             bc.batch,
             bc.storage,
             format_sig(b),
@@ -173,9 +169,8 @@ fn main() {
         let known = base.cells.iter().any(|b| key(b) == key(cc));
         if !known {
             println!(
-                "| {} | {} | {} | {} | — | {} | — | new (no baseline) |",
+                "| {} | {} | {} | — | {} | — | new (no baseline) |",
                 cc.queries,
-                cc.shards,
                 cc.batch,
                 cc.storage,
                 format_sig(metric(&cur, cc))

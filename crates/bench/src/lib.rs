@@ -14,10 +14,10 @@
 //! * [`cli`] — the strict `--flag value` parser of every binary's flags.
 //!
 //! Binaries (`src/bin/*.rs`): `fig1`, `optimality`, `ablation_zonemax`,
-//! `sweep_k`, `sweep_lambda`, `sweep_doclen`, `sweep_shards` (sharded
-//! publish throughput over `--queries`, `--shards`, `--batches` and
-//! `--storage`), `compare_reports` (the CI perf-regression gate over two
-//! `sweep_shards` reports, joined on `queries × shards × batch × storage`)
+//! `sweep_k`, `sweep_lambda`, `sweep_doclen`, `sweep_shards` (monitor
+//! publish throughput over `--queries`, `--batches` and `--storage`),
+//! `compare_reports` (the CI perf-regression gate over two
+//! `sweep_shards` reports, joined on `queries × batch × storage`)
 //! and `http_load` (the wire-level publish path against a daemon).
 //! Criterion micro-benches live in `benches/`.
 

@@ -124,7 +124,10 @@ pub fn write_json_report<T: serde::Serialize>(
 
 /// Schema version of the `sweep_shards` report format.
 ///
-/// * **v8** (current): v7 without the report's `window` and the cells'
+/// * **v9** (current): v8 without the cells' `shards` axis — every cell
+///   runs the one-engine `Monitor` — and with `speedup_vs_per_doc_sharded`
+///   renamed `speedup_vs_per_doc`.
+/// * **v8**: v7 without the report's `window` and the cells'
 ///   `batching` axis — a cell's `batch` is the size of each publish, and a
 ///   publish is never chunked or pipelined. Reports written since the
 ///   third storage backend was deleted lack the RAM-budget key v4 added;
@@ -155,7 +158,7 @@ pub fn write_json_report<T: serde::Serialize>(
 /// not recognize (see [`existing_report_schema`]), so a future format never
 /// gets silently clobbered by an old binary. The `compare_reports` gate
 /// reads only the current version.
-pub const SWEEP_SHARDS_SCHEMA_VERSION: u32 = 8;
+pub const SWEEP_SHARDS_SCHEMA_VERSION: u32 = 9;
 
 /// The `schema_version` of an existing `results/<name>.json` report:
 /// `None` when the file does not exist, `Some(1)` for pre-versioned

@@ -1,20 +1,11 @@
-//! The unified application-facing API over every monitor front-end.
+//! The unified application-facing API over the monitor front-end.
 //!
 //! The paper's system model is **one** server front-end hosting millions of
-//! CTQDs; deployments should not care whether that front-end runs a single
-//! engine or shards the work across worker threads. This module defines the
-//! contract; [`crate::FrontEnd`] is its one implementation, over two
-//! runtimes:
-//!
-//! * [`crate::Monitor`] — one engine, zero threads;
-//! * [`crate::ShardedMonitor`] — the query-sharded workers.
-//!
-//! All speak plain [`QueryId`]s (the query-sharded runtime maps them to
-//! shard routes internally), return [`PublishReceipt`]s from ingestion, and
-//! capture/restore through the versioned [`crate::Snapshot`] format —
-//! including restoring a capture into a backend with a *different* shard
-//! count. Application code written against `dyn MonitorBackend` is
-//! untouched by any later re-partitioning of the work behind it.
+//! CTQDs. This module defines the contract; [`crate::FrontEnd`] (public
+//! name [`crate::Monitor`]) is its one implementation, over one engine of
+//! any kind. It speaks plain [`QueryId`]s, returns [`PublishReceipt`]s from
+//! ingestion, and captures/restores through the versioned
+//! [`crate::Snapshot`] format — onto an engine of any kind.
 
 use crate::lifecycle::{NamespaceStats, QueryOptions, RetentionPolicy};
 use crate::snapshot::Snapshot;
@@ -228,7 +219,7 @@ impl Deserialize for Admission {
 /// The typed outcome of a [`MonitorBackend::publish`] /
 /// [`MonitorBackend::publish_batch`] call: the ids assigned to the admitted
 /// documents, every result change they caused, and per-document work
-/// counters (summed across shards on sharded backends).
+/// counters.
 ///
 /// Serializes with serde (the HTTP server returns one per `POST /publish`,
 /// and the load harness reads the same schema back), so the wire shape is
@@ -240,7 +231,7 @@ pub struct PublishReceipt {
     pub doc_ids: Vec<DocId>,
     /// Every result-set change of the batch. Attribute a change to its
     /// document via `change.inserted.doc`; order within the receipt is
-    /// unspecified across queries (sharded backends group by shard).
+    /// unspecified across queries.
     pub changes: Vec<ResultChange>,
     /// Per-document work counters, aligned with `doc_ids`.
     pub stats: Vec<EventStats>,
@@ -291,24 +282,23 @@ impl PublishReceipt {
     }
 }
 
-/// One application-facing monitor API over single-engine and sharded
-/// backends alike.
+/// One application-facing monitor API, whatever engine kind runs behind
+/// it.
 ///
 /// ## Contract
 ///
-/// * `register` assigns unique, monotonically increasing [`QueryId`]s,
-///   regardless of how queries are partitioned internally.
+/// * `register` assigns unique, monotonically increasing [`QueryId`]s.
 /// * `publish_request` (and its `publish`/`publish_batch` wrappers)
 ///   allocates document ids in submission order and clamps arrival
 ///   timestamps to be monotone across calls.
 /// * After identical `register`/`unregister`/`publish` sequences, two
 ///   backends with the same `lambda` report **bit-identical** `results` for
-///   every query, whatever their engine kind or shard count (checked against
-///   the exhaustive oracle in `tests/backend_api.rs`).
+///   every query, whatever their engine kind (checked against the
+///   exhaustive oracle in `tests/backend_api.rs`).
 /// * `snapshot` captures the full monitor state; `apply_snapshot` rebuilds
-///   it on any freshly built backend of the same `lambda` — including one
-///   with a different shard count — with every query under its captured
-///   id. An id names one query for good: none is ever handed out twice.
+///   it on any freshly built backend of the same `lambda`, with every
+///   query under its captured id. An id names one query for good: none is
+///   ever handed out twice.
 ///
 /// ## Wire visibility
 ///
@@ -318,7 +308,7 @@ impl PublishReceipt {
 /// * Exposed by the HTTP layer: `register` (`POST /queries`), `unregister`
 ///   (`DELETE /queries/{id}`), `publish_request` (`POST /publish`, returning
 ///   the serialized [`PublishReceipt`]), `results`
-///   (`GET /queries/{id}/results`), `num_queries`/`shards`/`lambda` (folded
+///   (`GET /queries/{id}/results`), `num_queries`/`lambda` (folded
 ///   into `GET /stats`), and `snapshot` (`POST /snapshot`).
 ///   Anything these return may therefore appear verbatim in HTTP responses:
 ///   public [`QueryId`]s, [`DocId`]s, scores and per-document
@@ -327,7 +317,7 @@ impl PublishReceipt {
 /// * Hidden by the HTTP layer: `seed_results` (a warm-start hook for the
 ///   bench harness) and `apply_snapshot`, which the server's
 ///   `POST /restore` drives on a freshly built backend only. Engine
-///   internals (shard routes, landmark frames, decayed score
+///   internals (slots, landmark frames, decayed score
 ///   representations) likewise never cross the wire: scores are always
 ///   reported in the current landmark frame, exactly as `results` returns
 ///   them.
@@ -422,17 +412,11 @@ pub trait MonitorBackend {
     /// Number of live queries.
     fn num_queries(&self) -> usize;
 
-    /// Number of shards doing the work (1 for single-engine backends).
-    fn shards(&self) -> usize {
-        1
-    }
-
     /// The decay parameter the backend was built with.
     fn lambda(&self) -> f64;
 
-    /// Point-in-time storage counters of the backend's query index(es):
-    /// heap bytes and block decodes, summed across shards on
-    /// sharded backends. All-zero when no engine carries an index.
+    /// Point-in-time storage counters of the backend's query index: heap
+    /// bytes and block decodes. All-zero when the engine carries no index.
     fn storage_stats(&self) -> StorageStats {
         StorageStats::default()
     }
@@ -441,9 +425,9 @@ pub trait MonitorBackend {
     fn snapshot(&self) -> Snapshot;
 
     /// Rebuild a capture's state on this **freshly built** backend (same
-    /// `lambda`; any engine kind or shard count): stream position, decay
-    /// landmark, namespaces, policies, and every query with its captured
-    /// results, registration time and deadline. Each query keeps its
+    /// `lambda`; any engine kind): stream position, decay landmark,
+    /// namespaces, policies, and every query with its captured results,
+    /// registration time and deadline. Each query keeps its
     /// captured id, and the next registration gets the capture's
     /// `next_query`.
     ///

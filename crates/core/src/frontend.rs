@@ -1,10 +1,11 @@
 //! The one monitor front-end.
 //!
 //! The paper's contribution is the RIO/MRIO walk; everything a deployment
-//! needs around it is written here exactly once, over whichever
-//! [`Runtime`] does the scoring:
+//! needs around it is written here exactly once, over the one
+//! [`ContinuousTopK`] engine that does the scoring, called directly on the
+//! publisher's thread:
 //!
-//! * the public query-id space, its map onto the runtime's dense slots,
+//! * the public query-id space, its map onto the engine's dense slots,
 //!   and the registered-spec table;
 //! * document id allocation and monotone arrival-time clamping — every
 //!   document enters through a publish, whole, so the stream position is
@@ -12,27 +13,27 @@
 //! * the lifecycle layer — TTL expiry at publish entry, cap eviction at
 //!   registration, and their attribution on the next receipt;
 //! * snapshot capture and restore;
+//! * the tombstone-compaction policy, applied at batch boundaries;
 //! * the single [`MonitorBackend`] implementation.
 //!
-//! [`crate::Monitor`] and [`crate::ShardedMonitor`] are this type over the
-//! in-thread engine and the query-sharded workers respectively.
+//! [`crate::Monitor`] is the public name of this type.
 
 use crate::backend::{MonitorBackend, PublishReceipt, PublishRequest};
 use crate::lifecycle::{
     pick_victim, LifecycleManager, NamespaceStats, QueryOptions, RetentionPolicy,
 };
-use crate::runtime::Runtime;
 use crate::snapshot::{ShardSnapshot, Snapshot, SnapshotPolicy, SnapshotQuery, SNAPSHOT_VERSION};
+use crate::traits::ContinuousTopK;
 use ctk_common::{
     DocId, Document, Namespace, NamespaceRegistry, QueryId, QuerySpec, ScoredDoc, TermId, Timestamp,
 };
 use ctk_index::StorageStats;
 
-/// A monitor: the application-facing state plus the runtime `R` behind it
+/// A monitor: the application-facing state plus the engine `E` behind it
 /// (see the module docs). All of the application API is the
 /// [`MonitorBackend`] impl below.
-pub struct FrontEnd<R: Runtime> {
-    /// The public id of each slot, the runtime's and the lifecycle layer's
+pub struct FrontEnd<E> {
+    /// The public id of each slot, the engine's and the lifecycle layer's
     /// dense id for a query. Slots are placed in order and ids only grow,
     /// so the table ascends and no slot is above its id: the two are equal
     /// until a restore leaves out the ids its capture no longer held.
@@ -48,11 +49,16 @@ pub struct FrontEnd<R: Runtime> {
     /// Cap evictions since the last publish. Registration produces no
     /// receipt, so they ride on the next receipt's first document.
     pending_evicted: u64,
-    pub(crate) runtime: R,
+    engine: E,
+    /// Tombstone ratio beyond which batch boundaries compact the index
+    /// (`0.0` disables the policy).
+    compact_at: f64,
 }
 
-impl<R: Runtime> FrontEnd<R> {
-    pub(crate) fn over(runtime: R) -> Self {
+impl<E: ContinuousTopK> FrontEnd<E> {
+    /// `engine` must be fresh: the front-end and the engine allocate query
+    /// ids (slots) in lockstep.
+    pub fn new(engine: E) -> Self {
         FrontEnd {
             ids: Vec::new(),
             specs: Vec::new(),
@@ -62,8 +68,33 @@ impl<R: Runtime> FrontEnd<R> {
             last_arrival: 0.0,
             lifecycle: LifecycleManager::new(),
             pending_evicted: 0,
-            runtime,
+            engine,
+            compact_at: 0.0,
         }
+    }
+
+    /// Enable tombstone compaction: whenever a publish leaves the engine's
+    /// index with `tombstone_ratio() >= ratio`, the index is compacted (and
+    /// the affected bound structures rebuilt) before the next batch. Ratios
+    /// `<= 0.0` disable the policy.
+    pub fn with_compaction(mut self, ratio: f64) -> Self {
+        self.compact_at = ratio.max(0.0);
+        self
+    }
+
+    /// The wrapped engine (read access for stats etc.).
+    pub fn engine(&self) -> &E {
+        &self.engine
+    }
+
+    /// Rebuild a monitor from a snapshot using a fresh engine (which must
+    /// have been constructed with `snapshot.lambda`), every query under its
+    /// captured id. Convenience wrapper around
+    /// [`MonitorBackend::apply_snapshot`].
+    pub fn restore(engine: E, snapshot: &Snapshot) -> Self {
+        let mut monitor = FrontEnd::new(engine);
+        monitor.apply_snapshot(snapshot);
+        monitor
     }
 
     /// The slot of a live query: `qid` itself unless a restore left out
@@ -77,16 +108,17 @@ impl<R: Runtime> FrontEnd<R> {
         self.specs[slot].is_some().then_some(QueryId(slot as u32))
     }
 
-    /// Drop a live query by slot.
+    /// Drop a live query by slot (tombstone now, compaction later).
     fn remove(&mut self, slot: QueryId) {
-        self.runtime.remove(slot);
+        let removed = self.engine.unregister(slot);
+        debug_assert!(removed, "live slot {slot} must be live in the engine");
         self.specs[slot.index()] = None;
         self.live -= 1;
         self.lifecycle.on_unregister(slot);
     }
 
     /// `Namespace(pub u16)` is constructible by anyone: refuse a handle this
-    /// backend never interned *before* any state changes, so the runtime
+    /// backend never interned *before* any state changes, so the engine
     /// and the lifecycle layer can never disagree about a query.
     fn check_namespace(&self, ns: Namespace) {
         assert!(
@@ -132,9 +164,9 @@ impl<R: Runtime> FrontEnd<R> {
                 return;
             }
             let candidates = self.lifecycle.members(ns).filter(|&q| Some(q) != protect);
-            let runtime = &self.runtime;
+            let engine = &self.engine;
             let Some(victim) = pick_victim(candidates, policy.eviction, |q| {
-                runtime.results(q).and_then(|r| r.first().map(|sd| sd.score.get())).unwrap_or(0.0)
+                engine.results(q).and_then(|r| r.first().map(|sd| sd.score.get())).unwrap_or(0.0)
             }) else {
                 return;
             };
@@ -155,13 +187,14 @@ impl<R: Runtime> FrontEnd<R> {
     }
 }
 
-impl<R: Runtime> MonitorBackend for FrontEnd<R> {
+impl<E: ContinuousTopK> MonitorBackend for FrontEnd<E> {
     fn register_with(&mut self, spec: QuerySpec, opts: QueryOptions) -> QueryId {
         self.check_namespace(opts.namespace);
         assert!(self.next_query < u32::MAX, "every query id below u32::MAX was handed out");
         let qid = QueryId(self.next_query);
         let slot = QueryId(self.ids.len() as u32);
-        self.runtime.place(slot, &spec);
+        let placed = self.engine.register(spec.clone());
+        assert_eq!(placed, slot, "Monitor::new needs a fresh engine");
         self.ids.push(qid);
         self.specs.push(Some(spec));
         self.next_query += 1;
@@ -209,12 +242,12 @@ impl<R: Runtime> MonitorBackend for FrontEnd<R> {
         if members.is_empty() {
             return 0;
         }
-        self.runtime.forget(&members);
         for &slot in &members {
-            self.lifecycle.on_unregister(slot);
-            self.specs[slot.index()] = None;
+            self.remove(slot);
         }
-        self.live -= members.len();
+        // Shed the namespace's postings now instead of waiting for the
+        // ratio policy.
+        self.engine.compact_index();
         members.len()
     }
 
@@ -243,7 +276,12 @@ impl<R: Runtime> MonitorBackend for FrontEnd<R> {
             changes: Vec::new(),
             stats: Vec::new(),
         };
-        self.runtime.ingest(docs, &mut receipt);
+        receipt.stats = self.engine.process_batch_into(&docs, &mut receipt.changes);
+        // Batch boundary: no event is mid-flight here, so the index can
+        // reorganize safely.
+        if self.compact_at > 0.0 && self.engine.tombstone_ratio() >= self.compact_at {
+            self.engine.compact_index();
+        }
         if self.ids.len() != self.next_query as usize {
             for change in &mut receipt.changes {
                 change.query = self.ids[change.query.index()];
@@ -254,44 +292,34 @@ impl<R: Runtime> MonitorBackend for FrontEnd<R> {
     }
 
     fn results(&self, qid: QueryId) -> Option<Vec<ScoredDoc>> {
-        self.runtime.results(self.slot_of(qid)?)
+        self.engine.results(self.slot_of(qid)?)
     }
 
     fn num_queries(&self) -> usize {
         self.live
     }
 
-    fn shards(&self) -> usize {
-        self.runtime.shards()
-    }
-
     fn lambda(&self) -> f64 {
-        self.runtime.lambda()
+        self.engine.lambda()
     }
 
     fn storage_stats(&self) -> StorageStats {
-        self.runtime.storage_stats()
+        self.engine.storage_stats()
     }
 
-    /// One [`ShardSnapshot`] section per landmark the runtime reports (one
-    /// per query shard; a single one otherwise), queries in ascending
-    /// public id within their section.
+    /// One [`ShardSnapshot`] section, at the engine's landmark, holding
+    /// the queries in ascending public id.
     fn snapshot(&self) -> Snapshot {
-        let mut shards: Vec<ShardSnapshot> = self
-            .runtime
-            .landmarks()
-            .into_iter()
-            .map(|landmark| ShardSnapshot { landmark, queries: Vec::new() })
-            .collect();
+        let mut queries = Vec::with_capacity(self.live);
         for (i, (qid, spec)) in self.ids.iter().zip(&self.specs).enumerate() {
             let Some(spec) = spec else { continue };
             let slot = QueryId(i as u32);
             let (registered_at, max_age, deadline) =
                 self.lifecycle.meta_of(slot).unwrap_or((self.last_arrival, None, None));
-            shards[self.runtime.section_of(slot)].queries.push(SnapshotQuery {
+            queries.push(SnapshotQuery {
                 qid: qid.0,
                 spec: spec.clone(),
-                results: self.runtime.results(slot).unwrap_or_default(),
+                results: self.engine.results(slot).unwrap_or_default(),
                 namespace: self.lifecycle.namespace_of(slot).unwrap_or(Namespace::DEFAULT).0,
                 registered_at,
                 max_age,
@@ -306,25 +334,23 @@ impl<R: Runtime> MonitorBackend for FrontEnd<R> {
         });
         Snapshot {
             version: SNAPSHOT_VERSION,
-            lambda: self.runtime.lambda(),
+            lambda: self.engine.lambda(),
             next_doc: self.next_doc,
             next_query: self.next_query,
             last_arrival: self.last_arrival,
             namespaces: self.lifecycle.names().to_vec(),
             policies: policies.collect(),
-            shards,
+            shards: vec![ShardSnapshot { landmark: self.engine.landmark(), queries }],
         }
     }
 
-    /// Queries are re-registered in ascending captured-id order, each under
-    /// its captured id and in the next slot — a sharded runtime thereby
-    /// rebalances them round-robin over *its* shards, so the capture's
-    /// partitioning does not constrain the restore target. The ids between
-    /// them take no slot, so a restore costs the live queries, not the
-    /// history of ids behind them.
+    /// Queries are re-registered in ascending captured-id order, whatever
+    /// section of the capture holds them, each under its captured id and in
+    /// the next slot. The ids between them take no slot, so a restore costs
+    /// the live queries, not the history of ids behind them.
     fn apply_snapshot(&mut self, snapshot: &Snapshot) {
         assert_eq!(
-            self.runtime.lambda(),
+            self.engine.lambda(),
             snapshot.lambda,
             "backend must be constructed with the snapshot's lambda"
         );
@@ -334,7 +360,7 @@ impl<R: Runtime> MonitorBackend for FrontEnd<R> {
         // landmark 0, so skipping this step after any renormalization had
         // fired would re-inflate (and soon re-renormalize) the seeds in the
         // wrong frame, corrupting every threshold.
-        self.runtime.restore_landmark(snapshot.landmark());
+        self.engine.restore_landmark(snapshot.landmark());
         self.next_doc = snapshot.next_doc;
         self.last_arrival = snapshot.last_arrival;
 
@@ -378,7 +404,7 @@ impl<R: Runtime> MonitorBackend for FrontEnd<R> {
 
     fn seed_results(&mut self, qid: QueryId, seeds: &[ScoredDoc]) {
         if let Some(slot) = self.slot_of(qid) {
-            self.runtime.seed(slot, seeds);
+            self.engine.seed_results(slot, seeds);
         }
     }
 }

@@ -3,8 +3,8 @@
 //! The paper's contribution: **RIO** (Reverse ID-Ordering) and **MRIO**
 //! (Minimal RIO) for continuous top-k monitoring on document streams, plus
 //! the exhaustive oracle, the shared scoring/decay machinery, and the
-//! monitor front-end applications embed — one [`FrontEnd`] over an in-thread
-//! engine ([`Monitor`]) or query-sharded worker threads ([`ShardedMonitor`]).
+//! monitor front-end applications embed — one [`FrontEnd`] over one engine,
+//! named [`Monitor`].
 //!
 //! ```
 //! use ctk_core::{ContinuousTopK, MrioSeg};
@@ -25,9 +25,7 @@ pub mod mrio;
 pub mod naive;
 pub mod replay;
 pub mod rio;
-mod runtime;
 pub mod score;
-pub mod sharded;
 pub mod snapshot;
 pub mod stats;
 pub mod topk;
@@ -45,18 +43,7 @@ pub use naive::Naive;
 pub use replay::ReplayCommand;
 pub use rio::Rio;
 pub use score::DecayModel;
-pub use sharded::ShardedMonitor;
 pub use snapshot::{ShardSnapshot, Snapshot, SnapshotPolicy, SnapshotQuery, SNAPSHOT_VERSION};
 pub use stats::{CumulativeStats, EventStats};
 pub use topk::{Offer, ResultSets, TopKState};
 pub use traits::{ContinuousTopK, ResultChange};
-
-#[cfg(test)]
-/// Fixtures shared by the unit tests of the front-end and its runtimes.
-mod testutil {
-    use ctk_common::{QuerySpec, TermId};
-
-    pub fn spec(terms: &[u32], k: usize) -> QuerySpec {
-        QuerySpec::uniform(&terms.iter().map(|&t| TermId(t)).collect::<Vec<_>>(), k).unwrap()
-    }
-}

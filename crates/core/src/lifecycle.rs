@@ -110,8 +110,8 @@ struct NsState {
 ///
 /// The manager never touches an engine. It answers "which queries are due"
 /// and "who is over cap"; the front-end performs the removals through its
-/// ordinary unregister path so sharded and single-engine monitors stay
-/// bit-identical to an explicit-unregister oracle.
+/// ordinary unregister path so a monitor stays bit-identical to an
+/// explicit-unregister oracle.
 #[derive(Debug)]
 pub struct LifecycleManager {
     registry: NamespaceRegistry,

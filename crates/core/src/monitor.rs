@@ -1,122 +1,32 @@
-//! The in-thread runtime: one engine, zero threads.
+//! [`Monitor`]: the public name of the one front-end.
 //!
-//! [`Monitor`] is the [`FrontEnd`] over a single [`ContinuousTopK`] engine
+//! A monitor is the [`FrontEnd`] over a single [`ContinuousTopK`] engine
 //! called directly on the publisher's thread — engine changes land straight
 //! in the receipt, with no copy and no channel hop — plus an optional
-//! tombstone-compaction policy applied at batch boundaries.
+//! tombstone-compaction policy applied at batch boundaries. Its
+//! constructors are `FrontEnd`'s: `new`, `with_compaction`, `engine` and
+//! `restore`.
+//!
+//! [`ContinuousTopK`]: crate::ContinuousTopK
 
-use crate::backend::PublishReceipt;
 use crate::frontend::FrontEnd;
-use crate::runtime::Runtime;
-use crate::snapshot::Snapshot;
-use crate::traits::ContinuousTopK;
-use ctk_common::{Document, QueryId, QuerySpec, ScoredDoc, Timestamp};
-use ctk_index::StorageStats;
 
 /// A monitor wrapping an engine `E`; the application API is
 /// [`crate::MonitorBackend`].
-pub type Monitor<E> = FrontEnd<SingleEngine<E>>;
-
-/// The runtime behind [`Monitor`]: the engine plus its compaction policy.
-pub struct SingleEngine<E> {
-    engine: E,
-    /// Tombstone ratio beyond which batch boundaries compact the index
-    /// (`0.0` disables the policy).
-    compact_at: f64,
-}
-
-impl<E: ContinuousTopK> Monitor<E> {
-    /// `engine` must be fresh: the front-end and the engine allocate query
-    /// ids in lockstep.
-    pub fn new(engine: E) -> Self {
-        FrontEnd::over(SingleEngine { engine, compact_at: 0.0 })
-    }
-
-    /// Enable tombstone compaction: whenever a publish leaves the engine's
-    /// index with `tombstone_ratio() >= ratio`, the index is compacted (and
-    /// the affected bound structures rebuilt) before the next batch. Ratios
-    /// `<= 0.0` disable the policy.
-    pub fn with_compaction(mut self, ratio: f64) -> Self {
-        self.runtime.compact_at = ratio.max(0.0);
-        self
-    }
-
-    /// The wrapped engine (read access for stats etc.).
-    pub fn engine(&self) -> &E {
-        &self.runtime.engine
-    }
-
-    /// Rebuild a monitor from a snapshot using a fresh engine (which must
-    /// have been constructed with `snapshot.lambda`), every query under its
-    /// captured id. Convenience wrapper around
-    /// [`MonitorBackend::apply_snapshot`](crate::MonitorBackend::apply_snapshot).
-    pub fn restore(engine: E, snapshot: &Snapshot) -> Self {
-        let mut monitor = Monitor::new(engine);
-        crate::MonitorBackend::apply_snapshot(&mut monitor, snapshot);
-        monitor
-    }
-}
-
-impl<E: ContinuousTopK> Runtime for SingleEngine<E> {
-    fn place(&mut self, qid: QueryId, spec: &QuerySpec) {
-        let assigned = self.engine.register(spec.clone());
-        assert_eq!(assigned, qid, "Monitor::new needs a fresh engine");
-    }
-
-    fn remove(&mut self, qid: QueryId) {
-        let removed = self.engine.unregister(qid);
-        debug_assert!(removed, "live query {qid} must be live in the engine");
-    }
-
-    fn forget(&mut self, qids: &[QueryId]) {
-        for &qid in qids {
-            self.remove(qid);
-        }
-        self.engine.compact_index();
-    }
-
-    fn results(&self, qid: QueryId) -> Option<Vec<ScoredDoc>> {
-        self.engine.results(qid)
-    }
-
-    fn seed(&mut self, qid: QueryId, seeds: &[ScoredDoc]) {
-        self.engine.seed_results(qid, seeds);
-    }
-
-    fn ingest(&mut self, docs: Vec<Document>, receipt: &mut PublishReceipt) {
-        receipt.stats = self.engine.process_batch_into(&docs, &mut receipt.changes);
-        // Batch boundary: no event is mid-flight here, so the index can
-        // reorganize safely.
-        if self.compact_at > 0.0 && self.engine.tombstone_ratio() >= self.compact_at {
-            self.engine.compact_index();
-        }
-    }
-
-    fn lambda(&self) -> f64 {
-        self.engine.lambda()
-    }
-
-    fn landmarks(&self) -> Vec<Timestamp> {
-        vec![self.engine.landmark()]
-    }
-
-    fn restore_landmark(&mut self, landmark: Timestamp) {
-        self.engine.restore_landmark(landmark);
-    }
-
-    fn storage_stats(&self) -> StorageStats {
-        self.engine.storage_stats()
-    }
-}
+pub type Monitor<E> = FrontEnd<E>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::MonitorBackend;
     use crate::mrio::MrioSeg;
-    use crate::snapshot::SNAPSHOT_VERSION;
-    use crate::testutil::spec;
-    use ctk_common::{DocId, TermId};
+    use crate::snapshot::{Snapshot, SNAPSHOT_VERSION};
+    use crate::traits::ContinuousTopK;
+    use ctk_common::{DocId, QueryId, QuerySpec, TermId};
+
+    fn spec(terms: &[u32], k: usize) -> QuerySpec {
+        QuerySpec::uniform(&terms.iter().map(|&t| TermId(t)).collect::<Vec<_>>(), k).unwrap()
+    }
 
     #[test]
     fn publish_assigns_ids_and_reports_changes() {
@@ -285,12 +195,14 @@ mod tests {
         let mut batch = Monitor::new(MrioSeg::new(0.01));
         let q2 = batch.register(spec(&[1, 2, 7], 3));
 
-        let mut seq_changes = Vec::new();
+        let (mut seq_changes, mut seq_stats) = (Vec::new(), Vec::new());
         for i in 0..30u32 {
             // Include a stale timestamp mid-stream: batch clamping must
             // match the sequential clamp.
             let at = if i == 10 { 2.0 } else { i as f64 };
-            seq_changes.extend(one.publish(pairs(i), at).changes);
+            let receipt = one.publish(pairs(i), at);
+            seq_changes.extend(receipt.changes);
+            seq_stats.extend(receipt.stats);
         }
         let items: Vec<_> =
             (0..30u32).map(|i| (pairs(i), if i == 10 { 2.0 } else { i as f64 })).collect();
@@ -300,6 +212,7 @@ mod tests {
         assert_eq!(receipt.doc_ids[0], DocId(0));
         assert_eq!(receipt.doc_ids[29], DocId(29));
         assert_eq!(seq_changes, receipt.changes);
+        assert_eq!(seq_stats, receipt.stats, "per-document work does not depend on batching");
         assert_eq!(one.results(q1), batch.results(q2));
     }
 

@@ -1,5 +1,5 @@
 //! The versioned snapshot format: a serializable capture of a whole monitor
-//! backend, independent of the engine kind and runtime that wrote it.
+//! backend, independent of the engine kind and configuration that wrote it.
 //!
 //! Capture and restore themselves live in the front-end
 //! ([`crate::MonitorBackend::snapshot`] /
@@ -44,8 +44,9 @@ pub struct SnapshotPolicy {
     pub eviction: EvictionPolicy,
 }
 
-/// One shard's section of a [`Snapshot`]: its decay landmark and the
-/// queries it hosted. Single-engine monitors write exactly one section.
+/// One section of a [`Snapshot`]: a decay landmark and the queries scored
+/// in its frame. A monitor writes exactly one; captures written by the
+/// query-sharded builds hold one per shard, all at the same landmark.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ShardSnapshot {
     /// The decay landmark all this section's scores are relative to.
@@ -57,11 +58,9 @@ pub struct ShardSnapshot {
 
 /// A serializable capture of a whole monitor backend (format version 3).
 ///
-/// The section list records how the capture was partitioned, but restore is
-/// partition-agnostic: [`crate::MonitorBackend::apply_snapshot`] rebalances
-/// the queries onto whatever backend it is given, so a 4-shard capture
-/// restores into a 2-shard (or single-engine) monitor and vice versa. Every
-/// query keeps its captured id.
+/// A monitor writes one section. Restore reads every section, so a capture
+/// of several (as the query-sharded builds wrote) restores onto the one
+/// engine, and every query keeps its captured id.
 ///
 /// ## Format history
 ///
@@ -265,7 +264,7 @@ impl Snapshot {
     /// `1e999`, and such a value can neither be written back out nor
     /// ordered safely. Refuse too a negative λ, landmark or score, which no
     /// monitor can be built with or produce, and sections in different
-    /// landmark frames, which no backend writes.
+    /// landmark frames, which no one engine can seed.
     fn check_numbers(&self) -> Result<(), serde::Error> {
         let finite = |field: &str, x: f64| match x.is_finite() {
             true => Ok(()),
@@ -279,7 +278,7 @@ impl Snapshot {
             ));
         }
         if !self.shards.windows(2).all(|w| w[0].landmark == w[1].landmark) {
-            return Err(serde::Error::custom("snapshot sections disagree on the `landmark`"));
+            return Err(serde::Error::custom("snapshot sections disagree on the landmark"));
         }
         finite("last_arrival", self.last_arrival)?;
         for policy in &self.policies {
@@ -315,15 +314,10 @@ impl Snapshot {
         self.shards.iter().flat_map(|s| s.queries.iter())
     }
 
-    /// The decay landmark of the capture. Sections written by one backend
-    /// always agree (every shard sees the same arrivals, so their decay
-    /// models renormalize in lockstep); the maximum is taken defensively.
+    /// The decay landmark of the capture: its first section's (0 with no
+    /// section). [`Snapshot::from_json`] refuses sections that disagree.
     pub fn landmark(&self) -> Timestamp {
-        debug_assert!(
-            self.shards.windows(2).all(|w| w[0].landmark == w[1].landmark),
-            "sections of one capture must share the landmark frame"
-        );
-        self.shards.iter().map(|s| s.landmark).fold(0.0, f64::max)
+        self.shards.first().map_or(0.0, |s| s.landmark)
     }
 }
 
@@ -334,7 +328,6 @@ mod tests {
     use crate::lifecycle::{QueryOptions, RetentionPolicy};
     use crate::monitor::Monitor;
     use crate::naive::Naive;
-    use crate::sharded::ShardedMonitor;
     use ctk_common::{QueryId, TermId};
 
     /// `write_json`, and `to_json` through it, against the derived compact
@@ -373,7 +366,7 @@ mod tests {
     fn populated_sections_write_byte_identical() {
         // Several sections with lifecycle state, a policy, a namespace that
         // needs escapes, a renormalized landmark and real float scores.
-        let mut m = ShardedMonitor::new(3, || Naive::new(0.5));
+        let mut m = Monitor::new(Naive::new(0.5));
         let ns = m.intern_namespace("tenant \"x\"\n\t");
         m.set_retention(
             ns,
@@ -401,6 +394,15 @@ mod tests {
         let mut snap = MonitorBackend::snapshot(&m);
         assert!(snap.landmark() > 0.0, "the decay frame was renormalized");
         assert!(!snap.policies.is_empty());
+        assert_byte_identical(&snap);
+        // Dealt round-robin into three sections, as the query-sharded
+        // builds wrote them.
+        let queries = std::mem::take(&mut snap.shards[0].queries);
+        let landmark = snap.landmark();
+        snap.shards = (0..3).map(|_| ShardSnapshot { landmark, queries: Vec::new() }).collect();
+        for (i, q) in queries.into_iter().enumerate() {
+            snap.shards[i % 3].queries.push(q);
+        }
         assert_byte_identical(&snap);
         // An emptied section between populated ones.
         snap.shards[1].queries.clear();

@@ -40,9 +40,9 @@ pub struct EventStats {
 
 impl EventStats {
     /// Fold another event record into this one, field by field. This is the
-    /// single merge point for cross-shard aggregation: when a counter is
-    /// added to the struct, extending `merge` (and `accumulate_into`) keeps
-    /// every merger — sharded monitor, batch drains — consistent at once.
+    /// single merge point for aggregating counters: when a counter is added
+    /// to the struct, extending `merge` (and `accumulate_into`) keeps every
+    /// merger — receipts' totals, cumulative stats — consistent at once.
     pub fn merge(&mut self, other: &EventStats) {
         self.full_evaluations += other.full_evaluations;
         self.iterations += other.iterations;

@@ -56,7 +56,7 @@ pub trait ContinuousTopK {
     /// `changes_out`. Returns per-document work counters.
     ///
     /// This is the throughput entry point: callers that ingest at high
-    /// stream rates (the sharded monitor's workers, the bench harness)
+    /// stream rates (the monitor's publish path, the bench harness)
     /// amortize per-event overhead here. The default implementation loops
     /// over [`ContinuousTopK::process`]; engines may override it to reuse
     /// working sets and hoist steady-state checks (e.g. the decay

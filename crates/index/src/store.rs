@@ -122,15 +122,6 @@ pub struct StorageStats {
     pub blocks_decoded: u64,
 }
 
-impl StorageStats {
-    /// Fold another index's counters into this one (sharded aggregation).
-    pub fn merge(&mut self, other: &StorageStats) {
-        self.index_bytes += other.index_bytes;
-        self.zone_bytes += other.zone_bytes;
-        self.blocks_decoded += other.blocks_decoded;
-    }
-}
-
 /// The contract every postings backend satisfies — the seam the engines
 /// read through. Semantics (and the tests pinning them) come from
 /// [`PostingsList`]: ID-ordered slots with stable positions, tombstones as

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! ctk-serve [--host 127.0.0.1] [--port 8722] [--engine mrio]
-//!           [--lambda 1e-3] [--shards N] [--queue-depth N]
+//!           [--lambda 1e-3] [--shards 1] [--queue-depth N]
 //!           [--admission block|reject|reject:<secs>]
 //!           [--journal-dir DIR] [--fsync always|never|interval:<ms>]
 //!           [--journal-max-bytes N]
@@ -12,8 +12,10 @@
 //!
 //! Every token must be one of these flags followed by its value: anything
 //! else (an unknown flag, a flag with no value, a bad value) exits 2 naming
-//! it. The daemon runs MRIO only, so `--engine` accepts `mrio` alone. A value the server cannot run with exits 1 with a "cannot start"
-//! line naming the knob.
+//! it. The daemon runs MRIO only, so `--engine` accepts `mrio` alone. One
+//! engine serves every query, so `--shards` accepts `1` alone; it stays a
+//! flag because the benchmark's harness passes it. A value the server
+//! cannot run with exits 1 with a "cannot start" line naming the knob.
 //!
 //! Prints `ctk-serve: listening on http://ADDR` on stdout (flushed) once the
 //! listener is bound — with `--port 0` that line is how a harness learns the
@@ -74,9 +76,12 @@ fn main() {
     if parsed(&flags, "--engine").is_some_and(|kind: EngineKind| kind != EngineKind::Mrio) {
         usage(format!("bad value {:?} for --engine (the daemon runs mrio)", flags["--engine"]));
     }
-    let monitor = MonitorBuilder::new(EngineKind::Mrio)
-        .lambda(parsed(&flags, "--lambda").unwrap_or(1e-3))
-        .shards(parsed(&flags, "--shards").unwrap_or(1));
+    if let Some(shards) = parsed::<usize>(&flags, "--shards").filter(|&n| n != 1) {
+        eprintln!("ctk-serve: cannot start: shards must be 1 (one engine serves every query), got {shards}");
+        std::process::exit(1);
+    }
+    let monitor =
+        MonitorBuilder::new(EngineKind::Mrio).lambda(parsed(&flags, "--lambda").unwrap_or(1e-3));
     let mut builder = ServerBuilder::new(monitor);
     if let Some(depth) = parsed(&flags, "--queue-depth") {
         builder = builder.queue_depth(depth);

@@ -992,7 +992,7 @@ mod tests {
         use ctk_core::{EvictionPolicy, QueryOptions, RetentionPolicy};
         use serde::{Number, Serialize};
 
-        let mut monitor = ctk_core::ShardedMonitor::new(2, || ctk_core::Naive::new(0.5));
+        let mut monitor = ctk_core::Monitor::new(ctk_core::Naive::new(0.5));
         let tenant = monitor.intern_namespace("tenant \"t\"\n");
         monitor.set_retention(
             tenant,

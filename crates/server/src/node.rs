@@ -128,11 +128,6 @@ pub enum Reply {
 pub struct ServerStats {
     pub engine: String,
     pub lambda: f64,
-    pub shards: usize,
-    /// How the shards partition the work; always `"query"` (the query
-    /// population is what is sharded). Kept so `/stats` bodies keep their
-    /// shape.
-    pub sharding: String,
     pub queries: usize,
     pub publishes: u64,
     pub docs_published: u64,
@@ -143,10 +138,10 @@ pub struct ServerStats {
     /// Per-namespace live/expired/evicted counts, handle order (the default
     /// namespace — the empty name — is always first).
     pub namespaces: Vec<NamespaceStats>,
-    /// Estimated heap bytes of the query index(es), summed across shards.
+    /// Estimated heap bytes of the query index.
     pub index_bytes: u64,
-    /// Heap bytes of MRIO's per-list zone structures, summed across
-    /// shards; not part of `index_bytes`.
+    /// Heap bytes of MRIO's per-list zone structures; not part of
+    /// `index_bytes`.
     pub zone_bytes: u64,
     /// Sealed postings blocks the walk decoded into its cursors, lifetime
     /// total (compressed storage only).
@@ -422,8 +417,6 @@ impl Node {
         ServerStats {
             engine: self.builder.engine().to_string(),
             lambda: self.backend.lambda(),
-            shards: self.backend.shards(),
-            sharding: "query".to_string(),
             queries: self.backend.num_queries(),
             publishes: self.publishes,
             docs_published: self.docs_published,
@@ -511,8 +504,8 @@ mod tests {
         dir
     }
 
-    fn builder(shards: usize) -> MonitorBuilder {
-        MonitorBuilder::new(EngineKind::Mrio).lambda(0.05).shards(shards)
+    fn builder() -> MonitorBuilder {
+        MonitorBuilder::new(EngineKind::Mrio).lambda(0.05)
     }
 
     /// A node journaling to `dir`, which must not hold a journal yet.
@@ -535,13 +528,6 @@ mod tests {
         let mut node = Node::new(builder, Some(journal), Arc::new(SubscriberRegistry::new(64)));
         node.recover(recovery).unwrap();
         node
-    }
-
-    /// The node's capture restored onto one shard and written again: the
-    /// form in which captures of any shard count compare.
-    fn canonical(node: &Node) -> String {
-        let single = node.builder.clone().shards(1).restore(&node.backend.snapshot());
-        single.snapshot().to_json().unwrap()
     }
 
     fn register(terms: &[u32], k: usize, namespace: &str, max_age: Option<f64>) -> Op {
@@ -584,7 +570,7 @@ mod tests {
     #[test]
     fn a_refused_mutation_leaves_no_trace() {
         let dir = temp_dir("poisoned");
-        let mut node = journaled(&builder(1), &dir);
+        let mut node = journaled(&builder(), &dir);
         let mut apply = |op| assert!(!matches!(node.apply(op), Reply::Refused(_)));
         apply(retention("capped", cap(1)));
         apply(register(&[1, 2], 3, "capped", None));
@@ -618,7 +604,7 @@ mod tests {
 
     #[test]
     fn a_namespace_past_the_registry_capacity_is_rejected_before_the_journal() {
-        let builder = builder(1);
+        let builder = builder();
         let (dir, copy) = (temp_dir("full"), temp_dir("full-recovered"));
         let mut node = journaled(&builder, &dir);
         for i in 1..NamespaceRegistry::CAPACITY {
@@ -645,7 +631,10 @@ mod tests {
 
         // A restart replays the journal without meeting the rejected ops.
         let mut twin = recovered(&builder, &dir, &copy);
-        assert_eq!(canonical(&twin), canonical(&node));
+        assert_eq!(
+            twin.backend.snapshot().to_json().unwrap(),
+            node.backend.snapshot().to_json().unwrap()
+        );
         assert!(matches!(twin.apply(register(&[2], 2, "t9", None)), Reply::Registered(_)));
         let _ = fs::remove_dir_all(&dir);
         let _ = fs::remove_dir_all(&copy);
@@ -661,7 +650,7 @@ mod tests {
 
     #[test]
     fn replay_keeps_journaled_ids_and_skips_unknown_unregisters() {
-        let mut node = Node::new(&builder(1), None, Arc::new(SubscriberRegistry::new(1)));
+        let mut node = Node::new(&builder(), None, Arc::new(SubscriberRegistry::new(1)));
         // The dead process assigned ids 0 and 1; 3 and 99 never named a
         // query in its history.
         let commands = vec![
@@ -681,7 +670,7 @@ mod tests {
 
         // Without a checkpoint the history starts at q0: nothing explains a
         // first register at q7.
-        let mut node = Node::new(&builder(1), None, Arc::new(SubscriberRegistry::new(1)));
+        let mut node = Node::new(&builder(), None, Arc::new(SubscriberRegistry::new(1)));
         let commands = vec![register_record(7, &[1])];
         let recovery = Recovery { snapshot: None, checkpoint_seq: 0, commands, truncated_bytes: 0 };
         let err = node.recover(recovery).unwrap_err();
@@ -712,7 +701,7 @@ mod tests {
     /// A capture of queries 0 and 1 on terms 1 and 2, taken after queries
     /// 2 and 3 were registered and removed: its next id is 4.
     fn capture_with_removed_tail() -> Snapshot {
-        let mut node = Node::new(&builder(1), None, Arc::new(SubscriberRegistry::new(1)));
+        let mut node = Node::new(&builder(), None, Arc::new(SubscriberRegistry::new(1)));
         for terms in [[1], [2], [3], [4]] {
             node.apply(register(&terms, 3, "", None));
         }
@@ -736,7 +725,7 @@ mod tests {
             let commands = [register_record(4, &[5]), register_record(second, &[6])];
             let (journal, recovery) = hand_built(&dir, &capture.to_json().unwrap(), &commands);
             let mut node =
-                Node::new(&builder(1), Some(journal), Arc::new(SubscriberRegistry::new(1)));
+                Node::new(&builder(), Some(journal), Arc::new(SubscriberRegistry::new(1)));
             let err = node.recover(recovery).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             assert!(err.to_string().contains(want), "{err}");
@@ -764,7 +753,7 @@ mod tests {
             register_record(5, &[6]),
         ];
         let (journal, recovery) = hand_built(&dir, &legacy, &commands);
-        let mut node = Node::new(&builder(1), Some(journal), Arc::new(SubscriberRegistry::new(1)));
+        let mut node = Node::new(&builder(), Some(journal), Arc::new(SubscriberRegistry::new(1)));
         node.recover(recovery).unwrap();
         let live: Vec<u32> = node.backend.snapshot().queries().map(|q| q.qid).collect();
         assert_eq!(live, vec![0, 4, 5]);

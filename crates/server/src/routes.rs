@@ -112,7 +112,7 @@ pub const MAX_POLL_EVENTS: usize = 512;
 /// use ctk_server::{AdmissionPolicy, ServerBuilder};
 /// use continuous_topk::{EngineKind, MonitorBuilder};
 ///
-/// let monitor = MonitorBuilder::new(EngineKind::Mrio).lambda(1e-3).shards(4);
+/// let monitor = MonitorBuilder::new(EngineKind::Mrio).lambda(1e-3);
 /// let server = ServerBuilder::new(monitor)
 ///     .queue_depth(32)
 ///     .admission(AdmissionPolicy::Reject { retry_after: 0.25 })
@@ -205,8 +205,8 @@ impl ServerBuilder {
     /// `bind` returns: the server answers `503 warming` (and `GET /readyz`
     /// stays 503) until replay finishes.
     ///
-    /// A knob the server cannot run with — zero `shards` or `queue_depth`,
-    /// or a negative or non-finite `lambda` or admission `retry_after` —
+    /// A knob the server cannot run with — a zero `queue_depth`, or a
+    /// negative or non-finite `lambda` or admission `retry_after` —
     /// fails the bind with [`io::ErrorKind::InvalidInput`] naming it, before
     /// anything is opened.
     pub fn bind(self, addr: impl ToSocketAddrs) -> io::Result<CtkServer> {

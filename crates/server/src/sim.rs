@@ -1,7 +1,6 @@
 //! A seeded simulator of the daemon: one generated op sequence drives a
-//! journaled [`Node`] — MRIO on the single engine or three query shards,
-//! over plain or compressed postings — and, beside it, a
-//! journal-less single-shard `Naive` node, the oracle. After every step
+//! journaled [`Node`] — MRIO over plain or compressed postings — and,
+//! beside it, a journal-less `Naive` node, the oracle. After every step
 //! both replies must agree (ids, counts, doc ids, changes as a set) and
 //! every result set must match bit for bit.
 //!
@@ -11,8 +10,8 @@
 //! occur), unregister, retention, the forget dry run and the confirmed
 //! forget, stats, snapshot, restore of an earlier capture, and a **crash**:
 //! the node's journal directory is copied, the newest segment of the copy
-//! is torn at a generated byte, and a node of another runtime shape or
-//! storage backend recovers from it. The oracle is then rebuilt from its
+//! is torn at a generated byte, and a node of the other storage backend
+//! recovers from it. The oracle is then rebuilt from its
 //! own capture at the last checkpoint plus the journaled ops that survived
 //! the tear, each register getting the id it was journaled with. After
 //! every crash and every restore, each id handed out must still name the
@@ -46,8 +45,8 @@ const WEIGHTS: [&str; 4] = ["1", "0.5", "0.3", "0.30000004"];
 /// "bulk", which only a forget or an unregister thins; "nobody" stays
 /// empty.
 const NAMESPACES: [&str; 5] = ["", "alerts", "feed", "bulk", "nobody"];
-/// Runtime shapes × storage backends (see [`Sim::shape`]).
-const SHAPES: usize = 4;
+/// Node shapes: one per storage backend (see [`Sim::shape`]).
+const SHAPES: usize = PostingsStorage::ALL.len();
 /// Bulk registers stop once this many ids were handed out.
 const BULK_LIMIT: u32 = 400;
 
@@ -66,10 +65,10 @@ fn weight(i: u64) -> f32 {
 /// What one CI run of the simulator covered, summed over its cases.
 #[derive(Debug, Default)]
 struct Tally {
-    /// Ops applied, by runtime shape × storage (see [`Sim::shape`]).
+    /// Ops applied, by node shape (see [`Sim::shape`]).
     steps: [u64; SHAPES],
     crashes: u64,
-    /// Sealed blocks the walk decoded, by runtime shape × storage.
+    /// Sealed blocks the walk decoded, by node shape.
     blocks_decoded: [u64; SHAPES],
 }
 
@@ -80,8 +79,7 @@ static TALLY: Mutex<Tally> =
 struct Sim {
     lambda: f64,
     compact_at: f64,
-    /// The node's runtime shape and storage backend: 1 shard for 0..2, 3
-    /// for 2..4, over `PostingsStorage::ALL[shape % 2]`.
+    /// The node's shape: its storage backend, `PostingsStorage::ALL[shape]`.
     shape: usize,
     /// The node's journal directory and the one a crash recovers into.
     dirs: [PathBuf; 2],
@@ -104,13 +102,12 @@ struct Sim {
     tally: Tally,
 }
 
-/// The node under test: MRIO in the given runtime shape and storage.
+/// The node under test: MRIO on the given shape's storage.
 fn builder(lambda: f64, compact_at: f64, shape: usize) -> MonitorBuilder {
     MonitorBuilder::new(EngineKind::Mrio)
         .lambda(lambda)
-        .shards(if shape < 2 { 1 } else { 3 })
         .compact_at(compact_at)
-        .postings_storage(PostingsStorage::ALL[shape % 2])
+        .postings_storage(PostingsStorage::ALL[shape])
 }
 
 fn oracle(lambda: f64) -> Node {
@@ -141,8 +138,8 @@ fn results(reply: &Reply) -> Option<Vec<(u64, u64)>> {
     }
 }
 
-/// A capture restored onto one `Naive` shard and written again: the form
-/// in which captures of different runtimes and storage backends compare.
+/// A capture restored onto a `Naive` monitor and written again: the form
+/// in which captures of different engines and storage backends compare.
 fn canonical(capture: &Snapshot) -> String {
     let single = MonitorBuilder::new(EngineKind::Naive).restore(capture);
     single.snapshot().to_json().unwrap()
@@ -314,8 +311,8 @@ impl Sim {
     }
 
     /// Tear the newest segment of a copy of the journal at a byte drawn
-    /// from `a` and `b`, recover a node of another shape or storage from
-    /// it, and rebuild the oracle from what survived.
+    /// from `a` and `b`, recover a node of another shape from it, and
+    /// rebuild the oracle from what survived.
     fn crash(&mut self, a: u32, b: u64) -> Result<(), String> {
         self.count_storage();
         self.tally.crashes += 1;
@@ -341,8 +338,8 @@ impl Sim {
                 .set_len(mix(u64::from(a), b) % (len + 1))
                 .unwrap();
         }
-        // Another shape or storage backend, named by `a` alone so that a
-        // shrunk case keeps its later crashes' targets.
+        // Another shape, named by `a` alone so that a shrunk case keeps its
+        // later crashes' targets.
         let target = a as usize % SHAPES;
         self.shape = if target == self.shape { (target + 1) % SHAPES } else { target };
         let (journal, recovery) = Journal::open(journal_config(&to)).unwrap();
@@ -508,7 +505,7 @@ impl Drop for Sim {
     }
 }
 
-/// Run one case: `start` picks the first runtime shape and storage backend.
+/// Run one case: `start` picks the first shape.
 fn simulate(
     start: usize,
     lambda: f64,
@@ -552,9 +549,9 @@ fn the_daemon_matches_a_naive_node_through_every_op_and_crash() {
         return;
     }
     assert!(steps >= 10_000, "only {steps} steps");
-    assert!(tally.steps.iter().all(|&s| s > 0), "a runtime shape × storage went unvisited");
+    assert!(tally.steps.iter().all(|&s| s > 0), "a shape went unvisited");
     for shape in
-        (0..SHAPES).filter(|&shape| PostingsStorage::ALL[shape % 2] == PostingsStorage::Compressed)
+        (0..SHAPES).filter(|&shape| PostingsStorage::ALL[shape] == PostingsStorage::Compressed)
     {
         assert!(tally.blocks_decoded[shape] > 0, "shape {shape} never decoded a sealed block");
     }

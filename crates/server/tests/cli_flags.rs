@@ -2,6 +2,7 @@
 //! "cannot start" line naming the knob and exits 1, without a panic. A
 //! token it cannot parse as a known flag and its value exits 2 naming it.
 
+use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
@@ -34,6 +35,8 @@ fn refused(flags: &[&str]) -> (Option<i32>, String) {
 fn unusable_flag_values_exit_1_naming_the_knob() {
     let cases = [
         (["--shards", "0"], "shards"),
+        // One engine serves every query: `1` is the flag's one value.
+        (["--shards", "2"], "shards"),
         (["--queue-depth", "0"], "queue_depth"),
         (["--lambda", "-1"], "lambda"),
         (["--lambda", "nan"], "lambda"),
@@ -65,4 +68,21 @@ fn unknown_flags_and_missing_values_exit_2_naming_the_flag() {
         assert_eq!(code, Some(2), "{flags:?}: {stderr}");
         assert!(stderr.contains(named), "{flags:?}: {stderr}");
     }
+}
+
+/// `--shards 1` is the value the benchmark's harness passes, and it still
+/// starts the daemon.
+#[test]
+fn the_flag_value_1_for_shards_still_starts() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ctk-serve"))
+        .args(["--port", "0", "--shards", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn ctk-serve");
+    let mut line = String::new();
+    BufReader::new(child.stdout.take().unwrap()).read_line(&mut line).expect("read stdout");
+    let _ = child.kill();
+    let _ = child.wait();
+    assert!(line.starts_with("ctk-serve: listening on http://"), "{line:?}");
 }

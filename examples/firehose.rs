@@ -1,11 +1,9 @@
 //! High-rate ingestion: drink the stream in batches instead of sips.
 //!
-//! One ingestion loop, two configurations of the same [`MonitorBackend`]:
-//! a single-engine monitor fed through `publish_batch` (one renorm check
-//! and changes buffer per batch instead of per document), and a sharded
-//! monitor whose `publish_batch` hands each worker the whole batch in one
-//! message and merges their answers once. The application code cannot tell
-//! them apart.
+//! One ingestion loop, two publish sizes on the same [`MonitorBackend`]
+//! configuration: one document per publish, and batches of 256 through
+//! `publish_request` (one renorm check and one changes buffer per batch
+//! instead of per document). Both end in bit-identical result sets.
 //!
 //! ```text
 //! cargo run --release --example firehose
@@ -17,17 +15,24 @@ use std::time::Instant;
 const BATCH: usize = 256;
 const BATCHES: usize = 12;
 
-/// The whole ingestion path, config-agnostic: register, drink, report.
-fn drink(label: &str, config: &MonitorBuilder, specs: &[QuerySpec], corpus: &CorpusConfig) {
+/// The whole ingestion path: register, drink `size` documents per publish,
+/// report, and hand back the first query's final top-k.
+fn drink(
+    size: usize,
+    config: &MonitorBuilder,
+    specs: &[QuerySpec],
+    corpus: &CorpusConfig,
+) -> Vec<ScoredDoc> {
     let mut monitor = config.build();
     let qids: Vec<QueryId> = specs.iter().map(|s| monitor.register(s.clone())).collect();
 
     let mut driver = StreamDriver::new(corpus.clone(), ArrivalClock::unit());
+    let stream: Vec<Document> = driver.by_ref().take(BATCH * BATCHES).collect();
     let start = Instant::now();
     let mut published = 0usize;
     let mut changed = 0usize;
     let mut updates = 0u64;
-    for batch in driver.by_ref().take(BATCH * BATCHES).collect::<Vec<_>>().chunks(BATCH) {
+    for batch in stream.chunks(size) {
         // `&[Document]` converts straight into a typed publish request.
         let receipt = monitor.publish_request(PublishRequest::from(batch));
         published += receipt.doc_ids.len();
@@ -37,21 +42,10 @@ fn drink(label: &str, config: &MonitorBuilder, specs: &[QuerySpec], corpus: &Cor
     let dps = published as f64 / start.elapsed().as_secs_f64();
     assert_eq!(changed as u64, updates, "every update surfaces as exactly one change");
     println!(
-        "{label}: {published} docs in batches of {BATCH} -> {dps:.0} docs/sec, \
+        "{size:>3} doc(s) per publish: {published} docs -> {dps:.0} docs/sec, \
          {changed} result changes"
     );
-
-    // Exact per-query state either way; show one query's view.
-    if let Some(top) = monitor.results(qids[0]) {
-        println!(
-            "  query 0 ({} shard(s)): top-{} scores {:?}",
-            monitor.shards(),
-            top.len(),
-            top.iter()
-                .map(|sd| (sd.doc.0, (sd.score.get() * 1e3).round() / 1e3))
-                .collect::<Vec<_>>()
-        );
-    }
+    monitor.results(qids[0]).expect("query 0 is live")
 }
 
 fn main() {
@@ -62,10 +56,14 @@ fn main() {
     let mut qgen = QueryGenerator::new(workload, &corpus);
     let specs: Vec<QuerySpec> = (0..2_000).map(|_| qgen.generate()).collect();
 
-    let base = MonitorBuilder::new(EngineKind::Mrio).lambda(lambda);
-    // At least 2 so the sharded path is exercised even on one core.
-    let shards = std::thread::available_parallelism().map(|p| p.get().clamp(2, 4)).unwrap_or(2);
-
-    drink("single engine ", &base, &specs, &corpus);
-    drink(&format!("sharded x{shards}"), &base.clone().shards(shards), &specs, &corpus);
+    let config = MonitorBuilder::new(EngineKind::Mrio).lambda(lambda);
+    let sips = drink(1, &config, &specs, &corpus);
+    let gulps = drink(BATCH, &config, &specs, &corpus);
+    // Exact per-query state either way; show one query's view.
+    assert_eq!(sips, gulps, "the publish size never changes a result");
+    println!(
+        "  query 0: top-{} scores {:?}",
+        gulps.len(),
+        gulps.iter().map(|sd| (sd.doc.0, (sd.score.get() * 1e3).round() / 1e3)).collect::<Vec<_>>()
+    );
 }

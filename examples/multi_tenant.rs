@@ -26,7 +26,7 @@ fn main() {
     let mut driver = StreamDriver::new(corpus, ArrivalClock::unit());
 
     // One shared deployment; the namespaces partition queries, not work.
-    let mut monitor = MonitorBuilder::new(EngineKind::Mrio).lambda(1e-3).shards(2).build();
+    let mut monitor = MonitorBuilder::new(EngineKind::Mrio).lambda(1e-3).build();
 
     let alerts = monitor.intern_namespace("alerts");
     monitor.set_retention(

@@ -1,10 +1,10 @@
-//! A restartable sharded deployment: run a 4-shard monitor, snapshot it,
-//! "kill" the process (drop the monitor, worker threads and all), and
-//! restore the capture into a *2-shard* monitor on the next boot — the
-//! versioned snapshot format rebalances queries across whatever shard
-//! count the new configuration has, each query under the id it had. An
-//! oracle that never died verifies the restored deployment stays
-//! bit-identical on the continuation stream, id for id.
+//! A restartable deployment: run a monitor on plain postings, snapshot it,
+//! "kill" the process (drop the monitor), and restore the capture into a
+//! monitor on *compressed* postings on the next boot — the versioned
+//! snapshot format is independent of the configuration that wrote it, and
+//! each query keeps the id it had. An oracle that never died verifies the
+//! restored deployment stays bit-identical on the continuation stream, id
+//! for id.
 //!
 //! ```text
 //! cargo run --release --example restartable
@@ -21,9 +21,9 @@ fn main() {
     let specs: Vec<QuerySpec> = (0..300).map(|_| qgen.generate()).collect();
     let mut driver = StreamDriver::new(corpus, ArrivalClock::unit());
 
-    // Boot #1: a 4-shard MRIO deployment, plus a single-engine oracle that
-    // will survive the "crash" for comparison.
-    let mut monitor = MonitorBuilder::new(EngineKind::Mrio).lambda(lambda).shards(4).build();
+    // Boot #1: an MRIO deployment, plus an oracle that will survive the
+    // "crash" for comparison.
+    let mut monitor = MonitorBuilder::new(EngineKind::Mrio).lambda(lambda).build();
     let mut oracle = MonitorBuilder::new(EngineKind::Naive).lambda(lambda).build();
     let qids: Vec<QueryId> = specs
         .iter()
@@ -43,29 +43,25 @@ fn main() {
         assert!(monitor.unregister(*qid) && oracle.unregister(*qid));
     }
     println!(
-        "boot #1: {} queries on {} shards, 400 documents ingested",
+        "boot #1: {} queries on plain postings ({} index bytes), 400 documents ingested",
         monitor.num_queries(),
-        monitor.shards()
+        monitor.storage_stats().index_bytes
     );
 
     // Snapshot to JSON and kill the deployment.
     let json = monitor.snapshot().to_json().expect("serializable");
-    println!(
-        "snapshot: v{} format, {} section(s), {} bytes",
-        SNAPSHOT_VERSION,
-        monitor.shards(),
-        json.len()
-    );
-    drop(monitor); // workers join; nothing survives but the JSON
+    println!("snapshot: v{SNAPSHOT_VERSION} format, {} bytes", json.len());
+    drop(monitor); // nothing survives but the JSON
 
-    // Boot #2: restore into a *different* shard count.
+    // Boot #2: restore into a *different* postings layout.
     let snapshot = Snapshot::from_json(&json).expect("parse");
-    let mut monitor = MonitorBuilder::new(EngineKind::Mrio).shards(2).restore(&snapshot);
+    let mut monitor = MonitorBuilder::new(EngineKind::Mrio)
+        .postings_storage(PostingsStorage::Compressed)
+        .restore(&snapshot);
     println!(
-        "boot #2: restored {} queries onto {} shards (was {})",
+        "boot #2: restored {} queries onto compressed postings ({} index bytes)",
         monitor.num_queries(),
-        monitor.shards(),
-        snapshot.shards.len()
+        monitor.storage_stats().index_bytes
     );
     // Every id answers for the query it named before the restart; removed
     // ids stay removed, and the next registration gets a fresh id.
@@ -75,7 +71,7 @@ fn main() {
     let late = qgen.generate();
     assert_eq!(monitor.register(late.clone()), oracle.register(late), "ids are never reused");
 
-    // Continue the stream: the rebalanced deployment tracks the oracle
+    // Continue the stream: the restored deployment tracks the oracle
     // bit-for-bit.
     for doc in driver.take_batch(200) {
         let pairs: Vec<(TermId, f32)> = doc.vector.iter().collect();

@@ -1,8 +1,7 @@
-//! High-rate social-feed monitoring with the sharded parallel monitor:
-//! millions of users could never be served by one core, so queries shard
-//! across worker threads and every post fans out to all shards — behind
-//! the same `MonitorBackend` API as the single-engine monitor, so the
-//! shard count is a config value in the loop below, nothing more.
+//! High-rate social-feed monitoring: twenty thousand users' standing
+//! queries over a stream of short posts, behind the `MonitorBackend` API.
+//! The postings layout is a config value in the loop below, nothing more:
+//! both layouts serve the same feeds, the compressed one in fewer bytes.
 //!
 //! ```text
 //! cargo run --release --example social_feed
@@ -26,9 +25,10 @@ fn main() {
     let mut qgen = QueryGenerator::new(workload, &corpus);
     let specs = qgen.generate_batch(num_queries);
 
-    for shards in [1usize, 2, 4] {
+    let mut feeds = Vec::new();
+    for storage in PostingsStorage::ALL {
         let mut monitor =
-            MonitorBuilder::new(EngineKind::Mrio).lambda(lambda).shards(shards).build();
+            MonitorBuilder::new(EngineKind::Mrio).lambda(lambda).postings_storage(storage).build();
         let mut ids = Vec::with_capacity(specs.len());
         for spec in &specs {
             ids.push(monitor.register(spec.clone()));
@@ -45,19 +45,21 @@ fn main() {
         }
         let elapsed = start.elapsed().as_secs_f64();
         println!(
-            "{shards} shard(s): {posts} posts in {:.3}s ({:.1} posts/s), {} feed updates",
+            "{storage} postings: {posts} posts in {:.3}s ({:.1} posts/s), {} feed updates, \
+             {} index bytes/query",
             elapsed,
             posts as f64 / elapsed,
-            total_updates
+            total_updates,
+            monitor.storage_stats().index_bytes / num_queries as u64
         );
+        feeds.push(ids.iter().map(|&q| monitor.results(q)).collect::<Vec<_>>());
+    }
+    assert_eq!(feeds[0], feeds[1], "the postings layout never changes a feed");
 
-        // Show one user's live feed.
-        if shards == 1 {
-            let feed = monitor.results(ids[0]).unwrap();
-            println!("  sample user feed ({} items):", feed.len());
-            for sd in feed.iter().take(3) {
-                println!("    {} score {:.4}", sd.doc, sd.score);
-            }
-        }
+    // Show one user's live feed.
+    let feed = feeds[0][0].as_ref().unwrap();
+    println!("  sample user feed ({} items):", feed.len());
+    for sd in feed.iter().take(3) {
+        println!("    {} score {:.4}", sd.doc, sd.score);
     }
 }

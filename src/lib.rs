@@ -24,8 +24,7 @@
 //! ## Quickstart
 //!
 //! Applications construct a monitor through [`MonitorBuilder`] and talk to
-//! it through the [`MonitorBackend`] trait — the same API whether one
-//! engine does the work or a shard pool does:
+//! it through the [`MonitorBackend`] trait:
 //!
 //! ```
 //! use continuous_topk::prelude::*;
@@ -46,44 +45,40 @@
 //! assert_eq!(top[0].doc, DocId(0));
 //! ```
 //!
-//! Scaling out is a builder knob, not an API change — and a snapshot taken
-//! from any configuration restores into any other (the shard sections are
-//! rebalanced on restore):
+//! A snapshot taken from one configuration restores into any other, every
+//! query under its captured id:
 //!
 //! ```
 //! use continuous_topk::prelude::*;
 //!
-//! let config = MonitorBuilder::new(EngineKind::Mrio).lambda(0.001).shards(4);
-//! let mut monitor = config.build();
+//! let mut monitor = MonitorBuilder::new(EngineKind::Mrio).lambda(0.001).build();
 //! let q = monitor.register(QuerySpec::uniform(&[TermId(3)], 2).unwrap());
 //! monitor.publish_batch(vec![
 //!     (vec![(TermId(3), 1.0)], 0.0),
 //!     (vec![(TermId(3), 0.5), (TermId(8), 0.5)], 1.0),
 //! ]);
 //!
-//! // snapshot → JSON → restore onto a *different* shard count.
+//! // snapshot → JSON → restore onto another postings layout.
 //! let json = monitor.snapshot().to_json().unwrap();
 //! let snapshot = Snapshot::from_json(&json).unwrap();
-//! let restored = MonitorBuilder::new(EngineKind::Mrio).shards(2).restore(&snapshot);
+//! let restored = MonitorBuilder::new(EngineKind::Mrio)
+//!     .postings_storage(PostingsStorage::Compressed)
+//!     .restore(&snapshot);
 //! assert_eq!(restored.results(q), monitor.results(q));
 //! assert_eq!(restored.next_query_id(), monitor.next_query_id());
 //! ```
 //!
-//! ## Front-end and runtimes
+//! ## Front-end
 //!
-//! [`FrontEnd`] is the one [`MonitorBackend`] implementation: it owns the
-//! public query ids, document stamping, the lifecycle layer ([`QueryOptions`],
-//! [`RetentionPolicy`]) and snapshots, over one of two runtimes — the
-//! in-thread engine (`Monitor<E>`) or the query-sharded workers
-//! (`ShardedMonitor`). [`MonitorBuilder`] picks the runtime by shard count;
-//! a capture from either restores into the other via
+//! [`FrontEnd`] (public name `Monitor<E>`) is the one [`MonitorBackend`]
+//! implementation: it owns the public query ids, document stamping, the
+//! lifecycle layer ([`QueryOptions`], [`RetentionPolicy`]), snapshots and
+//! the compaction policy, over one engine that scores each publish whole on
+//! the caller's thread. A capture restores via
 //! [`MonitorBackend::apply_snapshot`], every query under its captured id.
-//! Either way a publish is scored whole before
-//! it returns: the sharded runtime sends each worker the batch once and
-//! merges their answers once.
 //!
 //! See `examples/` for end-to-end scenarios (`restartable` exercises the
-//! sharded snapshot → kill → restore → continue cycle) and `crates/bench`
+//! snapshot → kill → restore → continue cycle) and `crates/bench`
 //! for the harness regenerating the paper's figures.
 //!
 //! [`FrontEnd`]: ctk_core::FrontEnd
@@ -113,8 +108,8 @@ pub mod prelude {
         Admission, ContinuousTopK, CumulativeStats, DecayModel, EventStats, EvictionPolicy,
         Monitor, MonitorBackend, Mrio, MrioBlock, MrioSeg, MrioSuffix, Naive, NamespaceStats,
         PostingsStorage, PublishReceipt, PublishRequest, QueryOptions, ResultChange,
-        RetentionPolicy, Rio, ShardSnapshot, ShardedMonitor, Snapshot, SnapshotQuery,
-        StorageConfig, StorageStats, SNAPSHOT_VERSION,
+        RetentionPolicy, Rio, ShardSnapshot, Snapshot, SnapshotQuery, StorageConfig, StorageStats,
+        SNAPSHOT_VERSION,
     };
     pub use ctk_stream::{
         ArrivalClock, CorpusConfig, CorpusModel, DocumentGenerator, QueryGenerator, QueryWorkload,

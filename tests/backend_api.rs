@@ -2,13 +2,19 @@
 //!
 //! One test body — registrations with churn, single publishes, batched
 //! publishes, receipt bookkeeping — parameterized **only** by a
-//! [`MonitorBuilder`] configuration, runs against the `Naive` oracle for
-//! the single-engine monitor and the sharded monitor alike: same public
-//! query ids, same document ids, the same changes (as sets), bit-identical
-//! results. Plus the sharded snapshot → restore cycle across *different*
-//! shard counts, verified against an oracle that never went down.
+//! [`MonitorBuilder`] configuration, runs against the `Naive` oracle: same
+//! public query ids, same document ids, the same changes (as sets),
+//! bit-identical results. The `sharded_*` cases restart the backend
+//! mid-stream from its capture dealt into one section per shard, the shape
+//! the query-sharded builds wrote, so such old captures stay restorable
+//! onto the one engine. Plus a snapshot → restore cycle from such a
+//! capture, verified against an oracle that never went down.
+
+#[path = "support/sections.rs"]
+mod sections;
 
 use continuous_topk::prelude::*;
+use sections::dealt;
 
 fn corpus(seed: u64) -> CorpusConfig {
     CorpusConfig { vocab_size: 2_000, avg_tokens: 50, seed, ..CorpusConfig::default() }
@@ -39,20 +45,27 @@ const WHOLE: &[usize] = &[40];
 const SIZES: &[usize] = &[1, 7, 64];
 
 fn backend_matches_oracle(config: MonitorBuilder, lambda: f64, sizes: &[usize]) {
-    runs_like_the_oracle(config.lambda(lambda).build(), lambda, sizes);
+    runs_like_the_oracle(config.lambda(lambda), sizes, None);
 }
 
-/// One query-sharded worker. The builder maps `shards(1)` to the in-thread
-/// engine, so the threaded runtime's single-worker form is built directly.
-fn one_worker(lambda: f64) -> ShardedMonitor {
-    ShardedMonitor::new(1, move || MrioSeg::new(lambda))
+/// The shared body, with the backend restarted after its second round
+/// from its capture dealt into `sections` sections.
+fn restored_backend_matches_oracle(
+    config: MonitorBuilder,
+    lambda: f64,
+    sizes: &[usize],
+    sections: usize,
+) {
+    runs_like_the_oracle(config.lambda(lambda), sizes, Some(sections));
 }
 
 /// The shared test body: everything it does goes through `dyn
 /// MonitorBackend`, so the only degrees of freedom are the backend's
-/// configuration and the sizes of the batched publishes.
-fn runs_like_the_oracle(mut backend: Box<dyn MonitorBackend + Send>, lambda: f64, sizes: &[usize]) {
-    let mut oracle = MonitorBuilder::new(EngineKind::Naive).lambda(lambda).build();
+/// configuration, the sizes of the batched publishes, and whether (and
+/// from how many sections) the backend is restored halfway.
+fn runs_like_the_oracle(config: MonitorBuilder, sizes: &[usize], restart: Option<usize>) {
+    let mut backend = config.build();
+    let mut oracle = MonitorBuilder::new(EngineKind::Naive).lambda(backend.lambda()).build();
 
     let all_specs = specs(60, 42);
     let mut qids: Vec<QueryId> = Vec::new();
@@ -64,6 +77,11 @@ fn runs_like_the_oracle(mut backend: Box<dyn MonitorBackend + Send>, lambda: f64
 
     let mut driver = StreamDriver::new(corpus(42), ArrivalClock::unit());
     for round in 0..4u32 {
+        if let (2, Some(sections)) = (round, restart) {
+            let capture = dealt(&backend.snapshot(), sections);
+            let text = capture.to_json().unwrap();
+            backend = config.restore(&Snapshot::from_json(&text).unwrap());
+        }
         // Churn a few queries between batches.
         for q in (round * 12)..(round * 12 + 5) {
             assert!(backend.unregister(QueryId(q)));
@@ -118,109 +136,101 @@ fn single_engine_backend_matches_oracle() {
 
 #[test]
 fn sharded_backend_matches_oracle() {
-    backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio).shards(4), 1e-3, WHOLE);
+    restored_backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio), 1e-3, WHOLE, 4);
 }
 
 #[test]
 fn sharded_publishes_of_every_size_match_oracle() {
-    backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio).shards(4), 1e-3, SIZES);
+    restored_backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio), 1e-3, SIZES, 4);
 }
 
 #[test]
 fn single_worker_sharded_backend_matches_oracle() {
-    // Every document still crosses the worker channel and the merge, with
-    // nothing to partition.
-    runs_like_the_oracle(Box::new(one_worker(1e-3)), 1e-3, WHOLE);
+    // The capture of a one-shard build: the monitor's own one section.
+    restored_backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio), 1e-3, WHOLE, 1);
 }
 
 #[test]
 fn backend_matches_oracle_across_renormalization() {
     // λ = 0.5 with the default headroom of 60 renormalizes once arrivals
-    // pass 120 — the 180 unit-clock documents cross it on every backend.
-    backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio).shards(2), 0.5, WHOLE);
+    // pass 120 — the 180 unit-clock documents cross it.
+    backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio), 0.5, WHOLE);
 }
 
 #[test]
 fn compacting_backend_matches_oracle() {
     // The churn in the shared body leaves ~30% tombstones; a 0.15 threshold
     // forces several compactions without changing any result.
-    backend_matches_oracle(
-        MonitorBuilder::new(EngineKind::Mrio).shards(2).compact_at(0.15),
-        1e-3,
-        WHOLE,
-    );
+    backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio).compact_at(0.15), 1e-3, WHOLE);
 }
 
 // --- the stressors combined ---
 
 #[test]
 fn sharded_publishes_of_every_size_match_oracle_across_renormalization() {
-    // The renormalization lands inside one of the publishes; every shard
-    // must cross it at the same document.
-    backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio).shards(4), 0.5, SIZES);
+    // The capture is taken past the renormalization (154 documents), so
+    // every section carries the renormalized landmark.
+    restored_backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio), 0.5, SIZES, 4);
 }
 
 #[test]
 fn three_shard_publishes_of_every_size_match_oracle_across_renormalization() {
-    // Three shards split the population unevenly.
-    backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio).shards(3), 0.5, SIZES);
+    // Three sections split the population unevenly.
+    restored_backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio), 0.5, SIZES, 3);
 }
 
 #[test]
 fn descending_publish_sizes_match_oracle() {
     // The largest publish lands right after the churn, the single
     // documents last.
-    backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio).shards(2), 1e-3, &[64, 7, 1]);
+    backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio), 1e-3, &[64, 7, 1]);
 }
 
 #[test]
 fn compacting_backend_matches_oracle_across_renormalization() {
     // Registrations land after compactions that follow renormalizations;
-    // every shard's index must stay aligned with its result sets.
+    // the index must stay aligned with the result sets.
+    backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio).compact_at(0.15), 0.5, WHOLE);
+}
+
+#[test]
+fn single_engine_compacting_backend_matches_oracle_across_renormalization() {
+    // The same on compressed postings, whose compaction re-encodes sealed
+    // blocks between renormalizations.
     backend_matches_oracle(
-        MonitorBuilder::new(EngineKind::Mrio).shards(2).compact_at(0.15),
+        MonitorBuilder::new(EngineKind::Mrio)
+            .compact_at(0.15)
+            .postings_storage(PostingsStorage::Compressed),
         0.5,
         WHOLE,
     );
 }
 
 #[test]
-fn single_engine_compacting_backend_matches_oracle_across_renormalization() {
-    // The in-thread runtime's own compaction policy, between
-    // renormalizations.
-    backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio).compact_at(0.15), 0.5, WHOLE);
-}
-
-#[test]
 fn compacting_publishes_of_every_size_match_oracle() {
     // A single-document publish is a batch boundary too: compaction may
     // run between any two documents.
-    backend_matches_oracle(
-        MonitorBuilder::new(EngineKind::Mrio).shards(2).compact_at(0.15),
-        1e-3,
-        SIZES,
-    );
+    backend_matches_oracle(MonitorBuilder::new(EngineKind::Mrio).compact_at(0.15), 1e-3, SIZES);
 }
 
 #[test]
 fn single_worker_compacting_publishes_of_every_size_match_oracle() {
-    let mut sharded = one_worker(1e-3);
-    sharded.set_compaction_threshold(0.15);
-    runs_like_the_oracle(Box::new(sharded), 1e-3, SIZES);
+    // A restart drops no tombstone the compaction policy still owes.
+    restored_backend_matches_oracle(
+        MonitorBuilder::new(EngineKind::Mrio).compact_at(0.15),
+        1e-3,
+        SIZES,
+        1,
+    );
 }
 
-/// Snapshot under one configuration, restore under another (different
-/// shard count), verified against an oracle that never restarted, id for
-/// id — including the ids removed before the capture, and on the
-/// continuation stream.
-fn snapshot_rebalances_across(
-    from: MonitorBuilder,
-    expected_sections: usize,
-    to: MonitorBuilder,
-    to_shards: usize,
-) {
+/// A capture of three shard sections, restored onto the one engine and
+/// verified against an oracle that never restarted, id for id — including
+/// the ids removed before the capture, and on the continuation stream.
+#[test]
+fn snapshot_restores_from_three_shards_onto_the_single_engine() {
     let lambda = 1e-3;
-    let mut source = from.lambda(lambda).build();
+    let mut source = MonitorBuilder::new(EngineKind::Mrio).lambda(lambda).build();
     let mut oracle = MonitorBuilder::new(EngineKind::Naive).lambda(lambda).build();
 
     let all_specs = specs(80, 7);
@@ -248,22 +258,22 @@ fn snapshot_rebalances_across(
     }
     let live = oracle.num_queries();
 
-    // Capture → JSON → restore into the other configuration.
-    let snap = source.snapshot();
-    assert_eq!(snap.shards.len(), expected_sections, "sections mirror the source partitioning");
+    // Capture → three sections → JSON → restore.
+    let snap = dealt(&source.snapshot(), 3);
+    assert_eq!(snap.shards.len(), 3);
     assert_eq!(snap.num_queries(), live);
     let parsed = Snapshot::from_json(&snap.to_json().unwrap()).unwrap();
-    let mut restored = to.restore(&parsed);
-    assert_eq!(restored.shards(), to_shards);
+    let mut restored = MonitorBuilder::new(EngineKind::Mrio).restore(&parsed);
     assert_eq!(restored.num_queries(), live);
     assert_eq!(restored.next_query_id(), source.next_query_id());
+    assert_eq!(restored.snapshot().to_json().unwrap(), source.snapshot().to_json().unwrap());
 
     for qid in &qids {
         assert_eq!(restored.results(*qid), source.results(*qid), "restored query {qid}");
         assert_eq!(restored.results(*qid), oracle.results(*qid), "restored query {qid}");
     }
 
-    // The restored, re-partitioned deployment continues bit-identically.
+    // The restored monitor continues bit-identically.
     let tail: Vec<(Vec<(TermId, f32)>, Timestamp)> = driver
         .take_batch(100)
         .into_iter()
@@ -279,52 +289,10 @@ fn snapshot_rebalances_across(
     }
 }
 
-#[test]
-fn snapshot_restores_from_one_shard_to_four() {
-    snapshot_rebalances_across(
-        MonitorBuilder::new(EngineKind::Mrio).shards(1),
-        1,
-        MonitorBuilder::new(EngineKind::Mrio).shards(4),
-        4,
-    );
-}
-
-#[test]
-fn snapshot_restores_from_four_shards_to_two() {
-    snapshot_rebalances_across(
-        MonitorBuilder::new(EngineKind::Mrio).shards(4),
-        4,
-        MonitorBuilder::new(EngineKind::Mrio).shards(2),
-        2,
-    );
-}
-
-#[test]
-fn snapshot_restores_from_four_shards_to_three() {
-    // Four sections do not divide evenly over three workers.
-    snapshot_rebalances_across(
-        MonitorBuilder::new(EngineKind::Mrio).shards(4),
-        4,
-        MonitorBuilder::new(EngineKind::Mrio).shards(3),
-        3,
-    );
-}
-
-#[test]
-fn snapshot_restores_from_three_shards_onto_the_single_engine() {
-    // Three sections fold back into the in-thread runtime's one.
-    snapshot_rebalances_across(
-        MonitorBuilder::new(EngineKind::Mrio).shards(3),
-        3,
-        MonitorBuilder::new(EngineKind::Mrio),
-        1,
-    );
-}
-
 /// `Namespace(pub u16)` is constructible by anyone. A handle the backend
 /// never interned is refused at the front-end's door — a panic naming the
-/// handle — before the runtime sees the call, so the backend stays usable
-/// and consistent afterwards, whichever runtime sits behind it.
+/// handle — before the engine sees the call, so the backend stays usable
+/// and consistent afterwards.
 #[test]
 fn un_interned_namespace_handles_are_refused_before_any_state_changes() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -332,43 +300,37 @@ fn un_interned_namespace_handles_are_refused_before_any_state_changes() {
     let spec = || QuerySpec::uniform(&[TermId(1)], 1).unwrap();
     let policy =
         RetentionPolicy { max_age: None, max_queries: Some(1), eviction: EvictionPolicy::Oldest };
-    let single = MonitorBuilder::new(EngineKind::Mrio);
-    for config in [single.clone(), single.shards(2)] {
-        let mut backend = config.build();
-        let kept = backend.register(spec());
-        type Call<'a> = Box<dyn FnOnce(&mut dyn MonitorBackend) + 'a>;
-        let refused: [(&str, Call); 3] = [
-            (
-                "register_with",
-                Box::new(|b| {
-                    b.register_with(spec(), QueryOptions { namespace: bogus, max_age: None });
-                }),
-            ),
-            ("set_retention", Box::new(|b| b.set_retention(bogus, policy))),
-            (
-                "forget_namespace",
-                Box::new(|b| {
-                    b.forget_namespace(bogus);
-                }),
-            ),
-        ];
-        for (call, f) in refused {
-            let panic = catch_unwind(AssertUnwindSafe(|| f(&mut *backend)))
-                .expect_err("an un-interned handle must be refused");
-            let message = panic.downcast_ref::<String>().expect("a formatted panic message");
-            assert!(
-                message.contains("ns7") && message.contains("never interned"),
-                "{call}: {message}"
-            );
-            assert_eq!(backend.num_queries(), 1, "{call} must leave the population untouched");
-        }
-        // Engine and lifecycle still agree: the next registration gets the
-        // next id and publishes reach both queries.
-        let next = backend.register(spec());
-        assert_eq!(next, QueryId(kept.0 + 1));
-        let receipt = backend.publish(vec![(TermId(1), 1.0)], 0.0);
-        assert_eq!(receipt.changes.len(), 2);
+    let mut backend = MonitorBuilder::new(EngineKind::Mrio).build();
+    let kept = backend.register(spec());
+    type Call<'a> = Box<dyn FnOnce(&mut dyn MonitorBackend) + 'a>;
+    let refused: [(&str, Call); 3] = [
+        (
+            "register_with",
+            Box::new(|b| {
+                b.register_with(spec(), QueryOptions { namespace: bogus, max_age: None });
+            }),
+        ),
+        ("set_retention", Box::new(|b| b.set_retention(bogus, policy))),
+        (
+            "forget_namespace",
+            Box::new(|b| {
+                b.forget_namespace(bogus);
+            }),
+        ),
+    ];
+    for (call, f) in refused {
+        let panic = catch_unwind(AssertUnwindSafe(|| f(&mut *backend)))
+            .expect_err("an un-interned handle must be refused");
+        let message = panic.downcast_ref::<String>().expect("a formatted panic message");
+        assert!(message.contains("ns7") && message.contains("never interned"), "{call}: {message}");
+        assert_eq!(backend.num_queries(), 1, "{call} must leave the population untouched");
     }
+    // Engine and lifecycle still agree: the next registration gets the
+    // next id and publishes reach both queries.
+    let next = backend.register(spec());
+    assert_eq!(next, QueryId(kept.0 + 1));
+    let receipt = backend.publish(vec![(TermId(1), 1.0)], 0.0);
+    assert_eq!(receipt.changes.len(), 2);
 }
 
 /// The largest queries `QuerySpec` admits: `k = QuerySpec::MAX_K`, and a

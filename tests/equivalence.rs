@@ -7,8 +7,12 @@
 //! three MRIO variants, RTA, SortQuer and TPS are all *exact* algorithms —
 //! their pruning must never change a single result.
 
+#[path = "support/sections.rs"]
+mod sections;
+
 use continuous_topk::prelude::*;
 use ctk_baselines::{Rta, SortQuer, Tps};
+use sections::dealt;
 
 /// All engines under test, freshly constructed.
 fn engines(lambda: f64) -> Vec<Box<dyn ContinuousTopK>> {
@@ -595,14 +599,15 @@ fn aligned_sums_and_exact_ties_follow_the_oracle_in_sortquer_and_rta() {
     );
 }
 
-/// The tie cases through a restored, query-sharded MRIO monitor: each
-/// tie's loser — the filled result, doc 10 — arrives in the shards' engines
-/// as a seeded result, so the zone bounds start from restored thresholds
-/// that every later document ties exactly. The monitor numbers documents
-/// itself, so doc 0 ties every `S_k` and wins, doc 1 ties and loses.
+/// The tie cases through an MRIO monitor restored from a capture of two
+/// shard sections: each tie's loser — the filled result, doc 10 — arrives
+/// in the engine as a seeded result, so the zone bounds start from
+/// restored thresholds that every later document ties exactly. The
+/// monitor numbers documents itself, so doc 0 ties every `S_k` and wins,
+/// doc 1 ties and loses.
 #[test]
 fn exact_ties_follow_the_oracle_through_a_restored_sharded_monitor() {
-    let config = MonitorBuilder::new(EngineKind::Mrio).shards(2);
+    let config = MonitorBuilder::new(EngineKind::Mrio);
     let mut ties = 0;
     for (shapes, pairs) in tie_cases() {
         let (mut captured, mut oracle) =
@@ -615,7 +620,7 @@ fn exact_ties_follow_the_oracle_through_a_restored_sharded_monitor() {
         for q in snapshot.shards.iter_mut().flat_map(|s| &mut s.queries) {
             q.results = oracle.results(QueryId(q.qid)).unwrap();
         }
-        let mut monitor = config.restore(&snapshot);
+        let mut monitor = config.restore(&dealt(&snapshot, 2));
         let mut same = true;
         for wins in [3, 0] {
             let receipt = monitor.publish(pairs.clone(), 0.0);

@@ -6,16 +6,20 @@
 //! same bits, so comparing parsed `Value` trees (or raw bodies) is an exact
 //! state comparison, not an epsilon one.
 
+#[path = "support/sections.rs"]
+mod sections;
+
+use continuous_topk::prelude::Snapshot;
 use continuous_topk::{EngineKind, MonitorBuilder};
 use ctk_server::{CtkServer, HttpClient, ServerBuilder};
+use sections::dealt;
 use serde::Value;
 use std::time::Duration;
 
-fn start(shards: usize) -> (CtkServer, HttpClient) {
-    let server =
-        ServerBuilder::new(MonitorBuilder::new(EngineKind::Mrio).lambda(1e-3).shards(shards))
-            .bind("127.0.0.1:0")
-            .expect("bind ephemeral loopback port");
+fn start() -> (CtkServer, HttpClient) {
+    let server = ServerBuilder::new(MonitorBuilder::new(EngineKind::Mrio).lambda(1e-3))
+        .bind("127.0.0.1:0")
+        .expect("bind ephemeral loopback port");
     let mut client = HttpClient::connect(server.addr()).expect("connect");
     client.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     (server, client)
@@ -63,7 +67,7 @@ const BATCH: &str = r#"{"docs": [
 
 #[test]
 fn register_publish_longpoll_delivers_exactly_the_receipts_changes() {
-    let (server, mut client) = start(1);
+    let (server, mut client) = start();
     let (qa, qb) = register_two(&mut client);
     assert_eq!((qa, qb), (0, 1), "public query ids are monotone from 0");
 
@@ -106,9 +110,12 @@ fn register_publish_longpoll_delivers_exactly_the_receipts_changes() {
     server.shutdown();
 }
 
+/// A capture restores bit-identically onto a fresh daemon whether it holds
+/// one section, as the daemon writes it, or one per shard, as the
+/// query-sharded builds wrote it.
 #[test]
 fn snapshot_restart_restore_is_bit_identical_across_shard_counts() {
-    let (server, mut client) = start(1);
+    let (server, mut client) = start();
     let (qa, qb) = register_two(&mut client);
     ok(client.post("/publish", BATCH), 200);
 
@@ -116,35 +123,40 @@ fn snapshot_restart_restore_is_bit_identical_across_shard_counts() {
     let results_b = parse(&ok(client.get(&format!("/queries/{qb}/results")), 200));
     let snapshot = ok(client.post("/snapshot", ""), 200);
     server.shutdown();
+    let two_sections = dealt(&Snapshot::from_json(&snapshot).unwrap(), 2).to_json().unwrap();
+    assert!(two_sections.contains(r#""shards":[{"landmark":0.0,"queries":[{"qid":0"#));
 
-    // "Restart": a brand-new server process-equivalent — different port,
-    // different shard count — restored from the snapshot JSON verbatim.
-    let (restarted, mut client) = start(2);
-    assert_eq!(ok(client.post("/restore", &snapshot), 200), r#"{"queries":2}"#);
+    for capture in [snapshot, two_sections] {
+        // "Restart": a brand-new server process-equivalent on a different
+        // port, restored from the snapshot JSON verbatim.
+        let (restarted, mut client) = start();
+        assert_eq!(ok(client.post("/restore", &capture), 200), r#"{"queries":2}"#);
 
-    for (q, old_results) in [(qa, results_a), (qb, results_b)] {
-        let restored = parse(&ok(client.get(&format!("/queries/{q}/results")), 200));
-        assert_eq!(
-            restored.get("results"),
-            old_results.get("results"),
-            "restored top-k of captured query {q} must be bit-identical"
-        );
+        for (q, old_results) in [(qa, &results_a), (qb, &results_b)] {
+            let restored = parse(&ok(client.get(&format!("/queries/{q}/results")), 200));
+            assert_eq!(
+                restored.get("results"),
+                old_results.get("results"),
+                "restored top-k of captured query {q} must be bit-identical"
+            );
+        }
+        let next = parse(&ok(client.post("/queries", r#"{"terms": [[4, 1.0]], "k": 1}"#), 200));
+        assert_eq!(field_u64(&next, "query"), qb + 1, "ids continue from the capture's");
+
+        // The restored monitor is live: the stream continues where it left
+        // off.
+        let receipt = parse(&ok(
+            client.post("/publish", r#"{"terms": [[1, 1.0], [3, 1.0]], "arrival": 4.0}"#),
+            200,
+        ));
+        assert_eq!(receipt.get("doc_ids").unwrap().as_array().unwrap().len(), 1);
+        restarted.shutdown();
     }
-    let next = parse(&ok(client.post("/queries", r#"{"terms": [[4, 1.0]], "k": 1}"#), 200));
-    assert_eq!(field_u64(&next, "query"), qb + 1, "ids continue from the capture's");
-
-    // The restored monitor is live: the stream continues where it left off.
-    let receipt = parse(&ok(
-        client.post("/publish", r#"{"terms": [[1, 1.0], [3, 1.0]], "arrival": 4.0}"#),
-        200,
-    ));
-    assert_eq!(receipt.get("doc_ids").unwrap().as_array().unwrap().len(), 1);
-    restarted.shutdown();
 }
 
 #[test]
 fn drain_refuses_new_publishes_but_loses_nothing_in_flight() {
-    let (server, mut client) = start(1);
+    let (server, mut client) = start();
     register_two(&mut client);
     let sub = field_u64(&parse(&ok(client.post("/subscriptions", "{}"), 200)), "subscriber");
     let receipt = parse(&ok(client.post("/publish", BATCH), 200));
@@ -204,7 +216,7 @@ fn drain_refuses_new_publishes_but_loses_nothing_in_flight() {
 
 #[test]
 fn lifecycle_endpoints_expire_evict_and_forget_over_the_wire() {
-    let (server, mut client) = start(2);
+    let (server, mut client) = start();
 
     // A namespace nobody has mentioned has no retention resource.
     ok(client.get("/namespaces/tenant-a/retention"), 404);
@@ -322,7 +334,7 @@ fn lifecycle_endpoints_expire_evict_and_forget_over_the_wire() {
 /// registered after the restore, which never get that id.
 #[test]
 fn restore_keeps_subscriber_filters_on_their_ids() {
-    let (server, mut client) = start(1);
+    let (server, mut client) = start();
     let (qa, qb) = register_two(&mut client);
     // Drop the lower id, so a renumbering restore would move `qb`.
     ok(client.delete(&format!("/queries/{qa}")), 200);
@@ -365,7 +377,7 @@ fn restore_keeps_subscriber_filters_on_their_ids() {
 /// below it went out answers 400. The daemon keeps serving throughout.
 #[test]
 fn restore_of_far_query_ids_costs_their_queries_only_and_the_last_id_is_refused() {
-    let (server, mut client) = start(2);
+    let (server, mut client) = start();
     let (qa, qb) = register_two(&mut client);
     ok(client.post("/publish", BATCH), 200);
     let before = ok(client.get(&format!("/queries/{qb}/results")), 200);
@@ -397,7 +409,7 @@ fn restore_of_far_query_ids_costs_their_queries_only_and_the_last_id_is_refused(
 
 #[test]
 fn malformed_requests_get_client_errors_not_hangs() {
-    let (server, mut client) = start(1);
+    let (server, mut client) = start();
     ok(client.post("/queries", "{nope"), 400);
     ok(client.post("/queries", r#"{"terms": [], "k": 1}"#), 400);
     ok(client.post("/publish", r#"{"docs": []}"#), 400);
@@ -414,7 +426,7 @@ fn malformed_requests_get_client_errors_not_hangs() {
 
 #[test]
 fn a_query_vector_that_normalizes_to_empty_is_refused_with_400() {
-    let (server, mut client) = start(1);
+    let (server, mut client) = start();
     // The duplicates merge into a weight sum past f32::MAX: +inf, which
     // normalizes to NaN and is dropped, leaving nothing to match.
     let body = ok(client.post("/queries", r#"{"terms": [[1, 3e38], [1, 3e38]]}"#), 400);
@@ -518,7 +530,7 @@ fn reject_admission_answers_429_with_retry_after_and_loses_no_accepted_docs() {
 
 #[test]
 fn streamed_snapshot_is_byte_identical_to_buffered_and_restores_bit_identically() {
-    let (server, mut client) = start(2);
+    let (server, mut client) = start();
     let (qa, qb) = register_two(&mut client);
     ok(client.post("/publish", BATCH), 200);
     let results_a = parse(&ok(client.get(&format!("/queries/{qa}/results")), 200));
@@ -533,13 +545,13 @@ fn streamed_snapshot_is_byte_identical_to_buffered_and_restores_bit_identically(
     let streamed = ok(streamer.post("/snapshot?stream=1", ""), 200);
     assert_eq!(streamed, buffered, "streamed and buffered snapshots must be byte-identical");
     // Both are the derived compact serialization of the capture they carry.
-    let capture = continuous_topk::prelude::Snapshot::from_json(&buffered).unwrap();
+    let capture = Snapshot::from_json(&buffered).unwrap();
     assert_eq!(serde_json::to_string(&capture).unwrap(), buffered);
     server.shutdown();
 
-    // The streamed bytes restore onto a different shard count with
-    // bit-identical per-query results.
-    let (restarted, mut client) = start(3);
+    // The streamed bytes restore onto a fresh daemon with bit-identical
+    // per-query results.
+    let (restarted, mut client) = start();
     assert_eq!(ok(client.post("/restore", &streamed), 200), r#"{"queries":2}"#);
     for (q, old_results) in [(qa, results_a), (qb, results_b)] {
         let after = parse(&ok(client.get(&format!("/queries/{q}/results")), 200));
@@ -568,28 +580,12 @@ fn stats_report_storage_counters_for_a_compressed_backend() {
     }
     ok(client.post("/publish", r#"{"terms": [[1, 1.0], [3, 0.5]], "arrival": 1.0}"#), 200);
 
-    let stats = parse(&ok(client.get("/stats"), 200));
+    let body = ok(client.get("/stats"), 200);
+    assert!(body.starts_with(r#"{"engine":"MRIO","lambda":0.001,"queries":2048,"#), "{body}");
+    let stats = parse(&body);
     assert!(field_u64(&stats, "index_bytes") > 0, "index_bytes must be populated");
     assert!(field_u64(&stats, "blocks_decoded") > 0, "the walk must decode sealed blocks");
     server.shutdown();
-}
-
-/// `/stats` keeps its `sharding` field: the query population is the only
-/// thing a monitor shards, so every server reports `"query"` next to its
-/// shard count, in the same bytes the field has always had. Its `engine`
-/// field keeps the report name `"MRIO"`.
-#[test]
-fn stats_report_the_query_sharding_and_the_shard_count() {
-    for shards in [1, 2] {
-        let (server, mut client) = start(shards);
-        let body = ok(client.get("/stats"), 200);
-        assert!(
-            body.contains(&format!(r#""shards":{shards},"sharding":"query","#)),
-            "unexpected /stats body: {body}"
-        );
-        assert!(body.contains(r#""engine":"MRIO""#), "unexpected /stats body: {body}");
-        server.shutdown();
-    }
 }
 
 #[test]
@@ -600,7 +596,6 @@ fn bind_refuses_unusable_knobs_with_invalid_input_naming_them() {
     let reject =
         |retry_after| ServerBuilder::new(mrio()).admission(AdmissionPolicy::Reject { retry_after });
     let refused = [
-        ("shards", ServerBuilder::new(mrio().shards(0))),
         ("queue_depth", ServerBuilder::new(mrio()).queue_depth(0)),
         ("lambda", ServerBuilder::new(mrio().lambda(-1.0))),
         ("lambda", ServerBuilder::new(mrio().lambda(f64::NAN))),
@@ -617,7 +612,7 @@ fn bind_refuses_unusable_knobs_with_invalid_input_naming_them() {
         assert!(e.to_string().starts_with(knob), "{knob}: {e}");
     }
     // The boundary values still start.
-    let server = ServerBuilder::new(mrio().shards(1).lambda(0.0)).queue_depth(1);
+    let server = ServerBuilder::new(mrio().lambda(0.0)).queue_depth(1);
     server.bind("127.0.0.1:0").expect("minimal knobs bind").shutdown();
     reject(0.0).bind("127.0.0.1:0").expect("a zero retry hint binds").shutdown();
 }
@@ -627,7 +622,7 @@ fn bind_refuses_unusable_knobs_with_invalid_input_naming_them() {
 #[test]
 fn a_poll_carries_at_most_max_and_at_most_the_server_cap() {
     use ctk_server::routes::{MAX_POLL_EVENTS, SUBSCRIBER_BUFFER};
-    let (server, mut client) = start(1);
+    let (server, mut client) = start();
     let subscriber = field_u64(&parse(&ok(client.post("/subscriptions", "{}"), 200)), "subscriber");
     // One publish changes every query's result set: one event each, more
     // than a poll may carry and fewer than the subscriber may buffer.
@@ -671,7 +666,7 @@ fn start_journaled(tag: &str) -> (CtkServer, HttpClient, std::path::PathBuf) {
 /// it was and readable, and snapshots keep working.
 #[test]
 fn infinite_max_age_is_refused_with_400_with_and_without_a_journal() {
-    let (plain, plain_client) = start(1);
+    let (plain, plain_client) = start();
     let (journaled, journaled_client, dir) = start_journaled("infinite-max-age");
     for (server, mut client) in [(plain, plain_client), (journaled, journaled_client)] {
         ok(client.put("/namespaces/t/retention", r#"{"max_age": 60}"#), 200);
@@ -729,7 +724,7 @@ fn restore_refuses_non_finite_numbers_and_keeps_the_live_monitor() {
 #[test]
 fn restore_refuses_an_invalid_query_spec_and_keeps_serving() {
     const FIXTURE: &str = include_str!("fixtures/snapshot_v3_pretty.json");
-    let (server, mut client) = start(1);
+    let (server, mut client) = start();
     for (field, edited) in [
         ("spec.k", FIXTURE.replacen(r#""k": 2"#, r#""k": 0"#, 1)),
         ("spec.k", FIXTURE.replacen(r#""k": 2"#, r#""k": 4294967296"#, 1)),
@@ -741,6 +736,31 @@ fn restore_refuses_an_invalid_query_spec_and_keeps_serving() {
         assert!(refused.contains(field), "{field}: {refused}");
         ok(client.post("/publish", r#"{"terms": [[1, 1.0]]}"#), 200);
     }
+    ok(client.post("/restore", FIXTURE), 200);
+    server.shutdown();
+}
+
+/// A capture whose sections sit in two landmark frames is refused with 400
+/// before it reaches the ingest thread: the one engine cannot seed both.
+/// The live monitor is untouched and the daemon keeps serving.
+#[test]
+fn restore_refuses_sections_in_two_landmark_frames_and_keeps_serving() {
+    const FIXTURE: &str = include_str!("fixtures/snapshot_v3_pretty.json");
+    let landmark = r#""landmark": 124.0"#;
+    let second = FIXTURE.rfind(landmark).unwrap();
+    assert!(second > FIXTURE.find(landmark).unwrap(), "the fixture has two sections");
+    let edited =
+        format!("{}\"landmark\": 100.0{}", &FIXTURE[..second], &FIXTURE[second + landmark.len()..]);
+
+    let (server, mut client) = start();
+    let (qa, _) = register_two(&mut client);
+    ok(client.post("/publish", BATCH), 200);
+    let before = ok(client.post("/snapshot", ""), 200);
+    let refused = ok(client.post("/restore", &edited), 400);
+    assert!(refused.contains("snapshot sections disagree on the landmark"), "{refused}");
+    assert_eq!(ok(client.post("/snapshot", ""), 200), before, "the live monitor is untouched");
+    ok(client.get(&format!("/queries/{qa}/results")), 200);
+    ok(client.post("/publish", r#"{"terms": [[1, 1.0]], "arrival": 9.0}"#), 200);
     ok(client.post("/restore", FIXTURE), 200);
     server.shutdown();
 }

@@ -1,16 +1,22 @@
-//! Equivalence of the query-sharded runtime with a single `Naive` engine,
-//! through the lifecycle layer, churn, renormalization and compaction.
+//! Equivalence of the monitor with a bare `Naive` engine through the
+//! lifecycle layer, churn, renormalization and compaction, and across
+//! restarts from captures in the shape the query-sharded builds wrote (one
+//! section per shard, see `support/sections.rs`).
 //!
 //! Each query's score accumulates from its own registration record, so
-//! partitioning queries across shards must not change a single bit of any
-//! result. Since the sharded monitor allocates public ids from one
-//! monotone space, the same registration sequence yields the *same*
-//! `QueryId`s on both front-ends — the tests address both with one handle.
-//! (The daemon's seeded simulator, `ctk_server`'s `sim` module, drives the
-//! same comparison through generated op sequences and crashes.)
+//! neither a restart nor the sections a capture spreads its queries over
+//! may change a single bit of any result. The monitor allocates public ids
+//! from one monotone space, so the same registration sequence yields the
+//! *same* `QueryId`s on both sides — the tests address both with one
+//! handle. (The daemon's seeded simulator, `ctk_server`'s `sim` module,
+//! drives the same comparison through generated op sequences and crashes.)
+
+#[path = "support/sections.rs"]
+mod sections;
 
 use continuous_topk::prelude::*;
 use proptest::prelude::*;
+use sections::dealt;
 
 type RawVec = Vec<(u32, f32)>;
 
@@ -47,54 +53,18 @@ impl LifecycleOracle {
     }
 }
 
-/// The front-end axis of the lifecycle proptest: every runtime the one
-/// front-end can sit on, at every small shard count.
-#[derive(Debug, Clone, Copy)]
-enum Front {
-    /// The in-thread single engine (what `ctk-serve --shards 1` runs).
-    Single,
-    Queries(usize),
-}
-
-impl Front {
-    const ALL: [Front; 4] =
-        [Front::Single, Front::Queries(1), Front::Queries(2), Front::Queries(3)];
-
-    fn build(self, lambda: f64) -> Box<dyn MonitorBackend + Send> {
-        match self {
-            Front::Single => MonitorBuilder::new(EngineKind::Naive).lambda(lambda).build(),
-            // The builder maps one query shard to the single engine, so the
-            // one-worker threaded runtime is constructed directly.
-            Front::Queries(shards) => {
-                Box::new(ShardedMonitor::new(shards, move || Naive::new(lambda)))
-            }
-        }
-    }
-
-    /// A differently shaped restore target: another shard count, so every
-    /// front restores across a re-partitioning (and the two-shard one back
-    /// onto the single engine).
-    fn other(self, lambda: f64) -> MonitorBuilder {
-        let shards = match self {
-            Front::Single => 3,
-            Front::Queries(2) => 1,
-            Front::Queries(_) => 2,
-        };
-        MonitorBuilder::new(EngineKind::Mrio).lambda(lambda).shards(shards)
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(21))]
 
-    /// TTL expiry and cap eviction, on every runtime behind the one
-    /// front-end, must be bit-identical to an oracle that explicitly
-    /// unregisters the same queries at the same publish boundaries —
-    /// including across a snapshot-v3 round trip into a *different* backend
-    /// configuration.
+    /// TTL expiry and cap eviction, on either postings layout, must be
+    /// bit-identical to an oracle that explicitly unregisters the same
+    /// queries at the same publish boundaries — including across a
+    /// snapshot-v3 round trip, dealt into 1 to 3 sections, into a
+    /// *different* engine.
     #[test]
     fn lifecycle_matches_an_explicitly_unregistering_oracle(
-        front in prop::sample::select(Front::ALL.to_vec()),
+        storage in prop::sample::select(PostingsStorage::ALL.to_vec()),
+        sections in 1usize..4,
         setups in prop::collection::vec(
             (
                 prop::option::of(4.0f64..30.0),
@@ -134,7 +104,8 @@ proptest! {
             .into_iter()
             .map(|(max_age, max_queries, eviction)| NsSetup { max_age, max_queries, eviction })
             .collect();
-        let mut sharded = front.build(lambda);
+        let mut monitor =
+            MonitorBuilder::new(EngineKind::Naive).lambda(lambda).postings_storage(storage).build();
         let mut single = Naive::new(lambda);
         let mut oracle =
             LifecycleOracle { meta: std::collections::HashMap::new(), expired: 0, evicted: 0 };
@@ -144,8 +115,8 @@ proptest! {
             .iter()
             .enumerate()
             .map(|(i, s)| {
-                let ns = sharded.intern_namespace(&format!("ns{i}"));
-                sharded.set_retention(
+                let ns = monitor.intern_namespace(&format!("ns{i}"));
+                monitor.set_retention(
                     ns,
                     RetentionPolicy {
                         max_age: s.max_age,
@@ -164,7 +135,7 @@ proptest! {
         // Register on both front-ends, replicate deadline + cap eviction on
         // the oracle with explicit unregisters.
         let register =
-            |sharded: &mut dyn MonitorBackend,
+            |monitor: &mut dyn MonitorBackend,
              single: &mut Naive,
              oracle: &mut LifecycleOracle,
              terms: &RawVec,
@@ -175,7 +146,7 @@ proptest! {
              -> Option<QueryId> {
                 let spec = make_spec(terms, k)?;
                 let ns_idx = slot % setups.len();
-                let qid = sharded.register_with(
+                let qid = monitor.register_with(
                     spec.clone(),
                     QueryOptions { namespace: handles[ns_idx], max_age: ttl },
                 );
@@ -215,7 +186,7 @@ proptest! {
             };
 
         for (terms, k, slot, ttl) in &initial {
-            register(&mut *sharded, &mut single, &mut oracle, terms, *k, *slot, *ttl, last_arrival);
+            register(&mut *monitor, &mut single, &mut oracle, terms, *k, *slot, *ttl, last_arrival);
         }
         prop_assume!(!oracle.meta.is_empty());
 
@@ -251,12 +222,12 @@ proptest! {
             for (i, (pairs, at)) in batch.iter().enumerate() {
                 single.process(&Document::new(DocId(base + i as u64), pairs.clone(), *at));
             }
-            let receipt = sharded.publish_batch(batch);
+            let receipt = monitor.publish_batch(batch);
             receipt_expired += receipt.stats.iter().map(|s| s.expired).sum::<u64>();
 
             if *reg_gate > 0 {
                 register(
-                    &mut *sharded, &mut single, &mut oracle, reg_terms, *reg_k, *reg_slot,
+                    &mut *monitor, &mut single, &mut oracle, reg_terms, *reg_k, *reg_slot,
                     *reg_ttl, last_arrival,
                 );
             }
@@ -266,29 +237,29 @@ proptest! {
         // both sides.
         for &qid in oracle.meta.keys() {
             prop_assert_eq!(
-                sharded.results(qid),
+                monitor.results(qid),
                 single.results(qid),
-                "{:?}, query {:?}",
-                front,
+                "{}, query {:?}",
+                storage,
                 qid
             );
         }
-        prop_assert_eq!(sharded.num_queries(), oracle.meta.len());
-        prop_assert_eq!(sharded.lifecycle_totals(), (oracle.expired, oracle.evicted));
+        prop_assert_eq!(monitor.num_queries(), oracle.meta.len());
+        prop_assert_eq!(monitor.lifecycle_totals(), (oracle.expired, oracle.evicted));
         // Every expiry was attributed to the (non-empty) publish that
         // triggered it.
         prop_assert_eq!(receipt_expired, oracle.expired);
 
-        // Snapshot-v3 round trip into a different shard count: results,
-        // policies and deadlines must all survive.
-        let snap = sharded.snapshot();
+        // Snapshot-v3 round trip, in `sections` sections, into MRIO:
+        // results, policies and deadlines must all survive.
+        let snap = dealt(&monitor.snapshot(), sections);
         prop_assert_eq!(snap.version, SNAPSHOT_VERSION);
         // Every id ever handed out answers as before, the dead ones `None`.
-        let mut restored = front.other(lambda).restore(&snap);
-        prop_assert_eq!(restored.next_query_id(), sharded.next_query_id());
-        let ids: Vec<QueryId> = (0..sharded.next_query_id().0).map(QueryId).collect();
+        let mut restored = MonitorBuilder::new(EngineKind::Mrio).lambda(lambda).restore(&snap);
+        prop_assert_eq!(restored.next_query_id(), monitor.next_query_id());
+        let ids: Vec<QueryId> = (0..monitor.next_query_id().0).map(QueryId).collect();
         for &qid in &ids {
-            prop_assert_eq!(restored.results(qid), sharded.results(qid));
+            prop_assert_eq!(restored.results(qid), monitor.results(qid));
         }
         for (i, s) in setups.iter().enumerate() {
             let ns = restored.find_namespace(&format!("ns{i}"));
@@ -300,12 +271,12 @@ proptest! {
         // A far-future publish expires the same queries on both sides:
         // deadlines survived the round trip bit-exactly.
         let late = vec![(vec![(TermId(0), 1.0)], last_arrival + 1000.0)];
-        sharded.publish_batch(late.clone());
+        monitor.publish_batch(late.clone());
         restored.publish_batch(late);
         for &qid in &ids {
             prop_assert_eq!(
                 restored.results(qid).is_some(),
-                sharded.results(qid).is_some(),
+                monitor.results(qid).is_some(),
                 "query {:?} must be alive (or dead) on both sides",
                 qid
             );
@@ -313,16 +284,17 @@ proptest! {
     }
 }
 
-/// Query-sharded MRIO in one deterministic test: a four-digit query
-/// population with tight thresholds, register/unregister churn, a λ = 0.5
-/// renormalization crossing and threshold-triggered compaction — changes
-/// and results must stay bit-identical to the oracle, and the shards'
-/// insertions must add up to the oracle's.
+/// MRIO in one deterministic test: a four-digit query population with
+/// tight thresholds, register/unregister churn, a λ = 0.5 renormalization
+/// crossing, threshold-triggered compaction and, halfway, a restart from
+/// the monitor's capture dealt into three sections — changes and results
+/// must stay bit-identical to the oracle, and the receipts' insertions
+/// must add up to the oracle's.
 #[test]
 fn sharded_mrio_through_churn_renorm_and_compaction_stays_bit_identical() {
     let lambda = 0.5;
-    let mut sharded = ShardedMonitor::new(3, move || MrioSeg::new(lambda));
-    sharded.set_compaction_threshold(0.15);
+    let config = MonitorBuilder::new(EngineKind::Mrio).lambda(lambda).compact_at(0.15);
+    let mut monitor = config.build();
     let mut single = Naive::new(lambda);
 
     // A homogeneous block of queries over two hot terms (contiguous ids ⇒
@@ -334,7 +306,7 @@ fn sharded_mrio_through_churn_renorm_and_compaction_stays_bit_identical() {
         } else {
             QuerySpec::uniform(&[TermId(1), TermId(2)], 1).unwrap()
         };
-        let qid = sharded.register(spec.clone());
+        let qid = monitor.register(spec.clone());
         assert_eq!(qid, single.register(spec));
         live.push(qid);
     }
@@ -347,17 +319,21 @@ fn sharded_mrio_through_churn_renorm_and_compaction_stays_bit_identical() {
     // prune it. Rounds advance the clock 16 units, so round 8 crosses the
     // λ·Δτ > 60 renormalization headroom (t > 120) mid-stream.
     let mut next_doc = 0u64;
-    let mut all_changes_sharded: Vec<ResultChange> = Vec::new();
+    let mut all_changes_monitor: Vec<ResultChange> = Vec::new();
     let mut all_changes_single: Vec<ResultChange> = Vec::new();
+    let mut monitor_updates = 0u64;
     let mk = |terms: &[(u32, f32)], at: f64| {
         (terms.iter().map(|&(t, w)| (TermId(t), w)).collect::<Vec<_>>(), at)
     };
     for round in 0..10u64 {
+        if round == 5 {
+            monitor = config.restore(&dealt(&monitor.snapshot(), 3));
+        }
         // Churn between batches: retire a slab (tombstones for compaction).
         if round > 0 {
             for _ in 0..25 {
                 let qid = live.remove((round as usize * 7) % live.len());
-                assert!(sharded.unregister(qid));
+                assert!(monitor.unregister(qid));
                 assert!(single.unregister(qid));
             }
         }
@@ -371,33 +347,28 @@ fn sharded_mrio_through_churn_renorm_and_compaction_stays_bit_identical() {
                 next_doc += 1;
                 all_changes_single.extend_from_slice(single.last_changes());
             }
-            all_changes_sharded.extend(sharded.publish_batch(batch).changes);
+            let receipt = monitor.publish_batch(batch);
+            monitor_updates += receipt.merged_stats().updates;
+            all_changes_monitor.extend(receipt.changes);
         }
     }
     assert!(single.cumulative().renormalizations > 0, "the stream must cross a renorm");
 
-    // Bit-identical outcomes: changes are grouped by shard within a batch,
-    // so compare them as sets...
-    let canon = |mut changes: Vec<ResultChange>| {
-        changes.sort_by_key(|c| (c.inserted.doc, c.query));
-        changes
-    };
-    assert_eq!(canon(all_changes_sharded), canon(all_changes_single));
+    // Bit-identical outcomes, change for change...
+    assert_eq!(all_changes_monitor, all_changes_single);
     for qid in &live {
-        assert_eq!(sharded.results(*qid), single.results(*qid), "query {qid}");
+        assert_eq!(monitor.results(*qid), single.results(*qid), "query {qid}");
     }
-    // ...and every insertion happened in exactly one shard.
-    let per_shard = sharded.shard_cumulative();
-    let updates: u64 = per_shard.iter().map(|c| c.updates).sum();
-    assert_eq!(updates, single.cumulative().updates);
+    // ...and every insertion was reported exactly once.
+    assert_eq!(monitor_updates, single.cumulative().updates);
 }
 
 /// The storage-subsystem scenario in one deterministic test: every postings
-/// backend (plain Vec, compressed blocks), sharded over two workers, driven through
-/// registration churn, threshold-triggered compaction and a λ = 0.5
-/// renormalization crossing — all against one plain-storage `Naive` oracle.
-/// Results must stay bit-identical: the storage layer is a representation
-/// choice, never a semantics choice.
+/// backend (plain Vec, compressed blocks) driven through registration
+/// churn, threshold-triggered compaction and a λ = 0.5 renormalization
+/// crossing — all against one plain-storage `Naive` oracle. Results must
+/// stay bit-identical: the storage layer is a representation choice, never
+/// a semantics choice.
 #[test]
 fn storage_backends_stay_bit_identical_across_compaction_and_renorm() {
     let lambda = 0.5;
@@ -406,10 +377,8 @@ fn storage_backends_stay_bit_identical_across_compaction_and_renorm() {
     };
     for storage in PostingsStorage::ALL {
         let cfg = StorageConfig::new(storage);
-        let mut sharded = ShardedMonitor::new(2, || Naive::with_storage(lambda, &cfg));
-        sharded.set_compaction_threshold(0.15);
+        let mut monitor = Monitor::new(Naive::with_storage(lambda, &cfg)).with_compaction(0.15);
         let mut single = Naive::new(lambda);
-
         // Two hot terms shared by most queries (their lists seal many
         // blocks) plus a fringe of short lists that never seal.
         let mut live: Vec<QueryId> = Vec::new();
@@ -419,7 +388,7 @@ fn storage_backends_stay_bit_identical_across_compaction_and_renorm() {
             } else {
                 QuerySpec::uniform(&[TermId(1), TermId(2)], 1).unwrap()
             };
-            let qid = sharded.register(spec.clone());
+            let qid = monitor.register(spec.clone());
             assert_eq!(qid, single.register(spec));
             live.push(qid);
         }
@@ -434,7 +403,7 @@ fn storage_backends_stay_bit_identical_across_compaction_and_renorm() {
             if round > 0 {
                 for _ in 0..20 {
                     let qid = live.remove((round as usize * 7) % live.len());
-                    assert!(sharded.unregister(qid));
+                    assert!(monitor.unregister(qid));
                     assert!(single.unregister(qid));
                 }
             }
@@ -450,17 +419,17 @@ fn storage_backends_stay_bit_identical_across_compaction_and_renorm() {
                 single.process(&Document::new(DocId(next_doc), pairs.clone(), *at));
                 next_doc += 1;
             }
-            sharded.publish_batch(docs);
+            monitor.publish_batch(docs);
         }
         assert!(single.cumulative().renormalizations > 0, "stream must cross a renorm");
 
         for qid in &live {
             assert_eq!(
-                sharded.results(*qid),
+                monitor.results(*qid),
                 single.results(*qid),
                 "storage {storage}, query {qid}"
             );
         }
-        assert!(sharded.storage_stats().index_bytes > 0);
+        assert!(monitor.storage_stats().index_bytes > 0);
     }
 }

@@ -5,14 +5,19 @@
 //! flat, untagged captures of earlier builds (v1 with a top-level
 //! `landmark`, v0 without) are refused with an error. A v3 capture written
 //! by a document-sharded monitor (a sharding mode since removed) restores
-//! onto today's runtimes, and so does a v3 capture in the pretty-printed
-//! text earlier builds wrote (today's writer is compact). Captures holding
-//! non-finite numbers are refused, and no byte-level damage to a capture
-//! makes the parser panic. Every restore keeps each captured query id;
+//! onto today's one engine, and so does a v3 capture in the pretty-printed
+//! text earlier builds wrote (today's writer is compact), its two shard
+//! sections folding into one. Captures holding non-finite numbers, or
+//! sections in different landmark frames, are refused, and no byte-level
+//! damage to a capture makes the parser panic. Every restore keeps each captured query id;
 //! captures written before `next_query` existed hand out ids from one past
 //! their largest.
 
+#[path = "support/sections.rs"]
+mod sections;
+
 use continuous_topk::prelude::*;
+use sections::dealt;
 
 /// Written by the pre-lifecycle sharded build: v2 sections, no
 /// namespaces/deadlines/policies.
@@ -156,10 +161,10 @@ fn v2_fixture_restores_bit_identically_to_v3() {
     }
 }
 
-/// Snapshots carry no sharding mode, so a doc-mode capture restores onto a
-/// single engine and onto a 3-shard query-sharded monitor with every
-/// captured result bit-identical, and both continue exactly like the
-/// `Naive` oracle restored from the same bytes — across a further
+/// Snapshots carry no sharding mode, so a doc-mode capture restores onto
+/// MRIO as written (one section) and dealt into three query-shard sections,
+/// with every captured result bit-identical, and both continue exactly
+/// like the `Naive` oracle restored from the same bytes — across a further
 /// renormalization and the captured TTLs running out.
 #[test]
 fn doc_mode_capture_restores_onto_single_and_query_sharded_monitors() {
@@ -171,15 +176,14 @@ fn doc_mode_capture_restores_onto_single_and_query_sharded_monitors() {
     let mut oracle = MonitorBuilder::new(EngineKind::Naive).restore(&snap);
     let mut fronts: Vec<_> = [1, 3]
         .into_iter()
-        .map(|shards| MonitorBuilder::new(EngineKind::Mrio).shards(shards).restore(&snap))
+        .map(|sections| MonitorBuilder::new(EngineKind::Mrio).restore(&dealt(&snap, sections)))
         .collect();
-    for front in &fronts {
+    for (front, sections) in fronts.iter().zip([1, 3]) {
         for q in snap.queries() {
             assert_eq!(
                 front.results(QueryId(q.qid)).as_ref(),
                 Some(&q.results),
-                "{} shard(s), captured query {}",
-                front.shards(),
+                "{sections} section(s), captured query {}",
                 q.qid
             );
         }
@@ -215,6 +219,25 @@ fn doc_mode_capture_restores_onto_single_and_query_sharded_monitors() {
     }
 }
 
+/// Every section of a capture must sit in one decay frame: the one engine
+/// seeds all of them at one landmark. The v3 fixture with its second
+/// section's landmark edited is refused by the parser, in release and debug
+/// builds alike, instead of restoring that section's scores in the wrong
+/// frame.
+#[test]
+fn sections_that_disagree_on_the_landmark_are_refused() {
+    let (first, second) = (r#""landmark": 124.0"#, r#""landmark": 100.0"#);
+    let at = PRETTY_V3_FIXTURE.rfind(first).unwrap();
+    assert!(at > PRETTY_V3_FIXTURE.find(first).unwrap(), "the fixture has two sections");
+    let edited =
+        format!("{}{second}{}", &PRETTY_V3_FIXTURE[..at], &PRETTY_V3_FIXTURE[at + first.len()..]);
+    let err = Snapshot::from_json(&edited).expect_err("sections in two frames must not parse");
+    assert!(err.to_string().contains("snapshot sections disagree on the landmark"), "{err}");
+    // The same capture with both sections in one frame parses and reads it.
+    let agreed = edited.replace(first, second);
+    assert_eq!(Snapshot::from_json(&agreed).unwrap().landmark(), 100.0);
+}
+
 #[test]
 fn future_versions_are_rejected_not_misparsed() {
     let v3 = Snapshot::from_json(V2_FIXTURE).unwrap().to_json().unwrap();
@@ -232,8 +255,9 @@ fn garbage_is_an_error_not_a_panic() {
 
 /// Whitespace is all that separates the pretty capture from today's compact
 /// text: it parses, writes back as the compact form of the same document,
-/// and restores every captured result bit-identically on one and on three
-/// shards — continuing exactly like a restore of the compact text.
+/// and its two shard sections restore every captured result
+/// bit-identically onto the one engine — continuing exactly like a restore
+/// of the compact text.
 #[test]
 fn pretty_v3_capture_from_an_earlier_build_restores_bit_identically() {
     assert!(PRETTY_V3_FIXTURE.contains("\n  \"version\": 3,"), "the fixture is pretty");
@@ -251,20 +275,18 @@ fn pretty_v3_capture_from_an_earlier_build_restores_bit_identically() {
     assert_eq!(compact, want, "same document, compact, plus `next_query`");
     let reparsed = Snapshot::from_json(&compact).unwrap();
 
-    for shards in [1, 3] {
-        let mut pretty = MonitorBuilder::new(EngineKind::Mrio).shards(shards).restore(&snap);
-        let mut again = MonitorBuilder::new(EngineKind::Mrio).shards(shards).restore(&reparsed);
-        for q in snap.queries() {
-            let id = QueryId(q.qid);
-            assert_eq!(pretty.results(id).as_ref(), Some(&q.results), "query {id}");
-            assert_eq!(again.results(id).as_ref(), Some(&q.results), "query {id}");
-        }
-        for i in 40..60u64 {
-            let batch = vec![(continuation_doc(i), i as f64 * 4.0)];
-            let want = pretty.publish_batch(batch.clone());
-            let got = again.publish_batch(batch);
-            assert_eq!(got.changes, want.changes, "{shards} shard(s), doc {i}");
-        }
+    let mut pretty = MonitorBuilder::new(EngineKind::Mrio).restore(&snap);
+    let mut again = MonitorBuilder::new(EngineKind::Mrio).restore(&reparsed);
+    for q in snap.queries() {
+        let id = QueryId(q.qid);
+        assert_eq!(pretty.results(id).as_ref(), Some(&q.results), "query {id}");
+        assert_eq!(again.results(id).as_ref(), Some(&q.results), "query {id}");
+    }
+    for i in 40..60u64 {
+        let batch = vec![(continuation_doc(i), i as f64 * 4.0)];
+        let want = pretty.publish_batch(batch.clone());
+        let got = again.publish_batch(batch);
+        assert_eq!(got.changes, want.changes, "doc {i}");
     }
 }
 
@@ -279,15 +301,13 @@ fn next_query_round_trips_and_older_captures_fall_back_to_their_largest_id() {
         assert!(!fixture.contains("next_query"), "{name}: the fixture predates the field");
         let snap = Snapshot::from_json(fixture).unwrap();
         assert_eq!(snap.next_query, next, "{name}");
-        for shards in [1, 3] {
-            let mut restored = MonitorBuilder::new(EngineKind::Mrio).shards(shards).restore(&snap);
-            for qid in 0..next {
-                let captured = snap.queries().find(|q| q.qid == qid).map(|q| q.results.clone());
-                assert_eq!(restored.results(QueryId(qid)), captured, "{name}, query {qid}");
-            }
-            let spec = QuerySpec::uniform(&[TermId(1)], 1).unwrap();
-            assert_eq!(restored.register(spec), QueryId(next), "{name}, x{shards}");
+        let mut restored = MonitorBuilder::new(EngineKind::Mrio).restore(&snap);
+        for qid in 0..next {
+            let captured = snap.queries().find(|q| q.qid == qid).map(|q| q.results.clone());
+            assert_eq!(restored.results(QueryId(qid)), captured, "{name}, query {qid}");
         }
+        let spec = QuerySpec::uniform(&[TermId(1)], 1).unwrap();
+        assert_eq!(restored.register(spec), QueryId(next), "{name}");
     }
 
     let mut snap = Snapshot::from_json(PRETTY_V3_FIXTURE).unwrap();

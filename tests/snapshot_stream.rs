@@ -4,8 +4,8 @@
 //! The writer's claim is that it never holds more than one query's text:
 //! `POST /snapshot?stream=1` and the journal checkpoint exist so a large
 //! monitor is captured without the daemon materializing the whole document.
-//! This test pins that at a size where it matters: 100k queries across four
-//! shards, streamed into a sink that records every write, with the largest
+//! This test pins that at a size where it matters: 100k queries in one
+//! section, streamed into a sink that records every write, with the largest
 //! single write asserted to stay a few KiB while tens of MB go through —
 //! and the bytes equal to the derived compact writer's.
 
@@ -33,7 +33,7 @@ impl io::Write for RecordingSink {
 
 #[test]
 fn hundred_k_query_snapshot_streams_with_bounded_buffering() {
-    let mut monitor = ShardedMonitor::new(4, || Naive::new(1e-3));
+    let mut monitor = Monitor::new(Naive::new(1e-3));
     for i in 0..100_000u32 {
         let spec = QuerySpec::uniform(&[TermId(i % 512), TermId(512 + i % 1024)], 3).unwrap();
         monitor.register(spec);
@@ -45,7 +45,7 @@ fn hundred_k_query_snapshot_streams_with_bounded_buffering() {
     );
 
     let snapshot = MonitorBackend::snapshot(&monitor);
-    assert_eq!(snapshot.shards.len(), 4, "one section per shard");
+    assert_eq!(snapshot.shards.len(), 1, "one section");
     let mut sink = RecordingSink::default();
     snapshot.write_json(&mut sink).expect("streaming serialization");
 

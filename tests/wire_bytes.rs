@@ -166,8 +166,6 @@ fn every_server_type_streams_the_bytes_its_tree_prints() {
         &ServerStats {
             engine: "mrio".to_string(),
             lambda: 1e-3,
-            shards: 1,
-            sharding: "queries".to_string(),
             queries: 300,
             publishes: 12,
             docs_published: 768,

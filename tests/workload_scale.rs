@@ -1,11 +1,15 @@
 //! Workload-scale integration tests: the realistic generator path
 //! (topic-mixture corpus, Connected/Uniform queries), steady-state seeding,
-//! the sharded monitor and the snapshot cycle — everything the benchmark
+//! the monitor and the snapshot cycle — everything the benchmark
 //! harness relies on, cross-checked against the oracle at a size large
 //! enough to exercise jumps, zone prunes and tracker compaction.
 
+#[path = "support/sections.rs"]
+mod sections;
+
 use continuous_topk::prelude::*;
 use ctk_baselines::{Rta, SortQuer, Tps};
+use sections::dealt;
 
 fn corpus(seed: u64) -> CorpusConfig {
     CorpusConfig {
@@ -89,14 +93,15 @@ fn seeded_engines_stay_equivalent() {
     );
 }
 
-/// The sharded monitor over a realistic workload equals a single engine,
-/// and its per-shard change notifications cover exactly the oracle's.
+/// The MRIO monitor over a realistic workload equals the oracle, and its
+/// change notifications cover exactly the oracle's — also after a restart,
+/// halfway, from its capture dealt into four shard sections.
 #[test]
 fn sharded_monitor_matches_oracle_on_generated_workload() {
     let lambda = 1e-3;
     let specs = specs(QueryWorkload::Uniform, 200, 11);
 
-    let mut sharded = ShardedMonitor::new(4, || MrioSeg::new(lambda));
+    let mut sharded = Monitor::new(MrioSeg::new(lambda));
     let mut oracle = Monitor::new(Naive::new(lambda));
     let qids: Vec<QueryId> = specs
         .iter()
@@ -110,14 +115,17 @@ fn sharded_monitor_matches_oracle_on_generated_workload() {
     let mut driver = StreamDriver::new(corpus(11), ArrivalClock::Poisson { rate: 2.0 });
     let mut total_changes = 0usize;
     let mut total_updates = 0u64;
-    for doc in driver.take_batch(200) {
+    for (i, doc) in driver.take_batch(200).into_iter().enumerate() {
+        if i == 100 {
+            sharded = Monitor::restore(MrioSeg::new(lambda), &dealt(&sharded.snapshot(), 4));
+        }
         // One-document publishes: both sides stamp the same id and arrival.
         let request = PublishRequest::from(std::slice::from_ref(&doc));
         let receipt = sharded.publish_request(request.clone());
         let oracle_ev = oracle.publish_request(request).merged_stats();
         assert_eq!(receipt.doc_ids, vec![doc.id]);
         assert_eq!(receipt.merged_stats().updates, oracle_ev.updates, "same insertions per event");
-        // Changes come back in the public id space, not shard-local ids.
+        // Changes come back in the public id space.
         for change in &receipt.changes {
             assert!(qids.contains(&change.query));
         }
